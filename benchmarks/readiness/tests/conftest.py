@@ -1,0 +1,9 @@
+"""Make the benchmark's flat modules and ``repro`` importable for its self-tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parents[2] / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
