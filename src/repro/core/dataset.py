@@ -27,6 +27,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro.provenance.record import contiguous_bytes
+
 __all__ = [
     "Modality",
     "FieldRole",
@@ -426,5 +428,5 @@ class Dataset:
                 for item in column.ravel().tolist():
                     digest.update(repr(item).encode())
             else:
-                digest.update(column.tobytes())
+                digest.update(contiguous_bytes(column))
         return digest.hexdigest()

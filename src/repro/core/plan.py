@@ -10,32 +10,23 @@ thread pool, or over the simulated SPMD world (:mod:`repro.core.backends`),
 checkpointed and resumed (:mod:`repro.core.runner`), or just rendered for
 inspection.
 
-This module also owns :func:`fingerprint_payload`, the deterministic
+This module also re-exports :func:`fingerprint_payload`, the deterministic
 content hash the run layer uses for provenance and checkpoint
-verification.  Fingerprints are *structural*: two payloads with the same
-type and the same recursively-hashed contents hash identically across
-processes and runs — never by ``id()`` or default ``repr`` (which embeds
-memory addresses).  Truly opaque objects are rejected instead of silently
-hashed unstably.
+verification; it is computed by the one payload walker in
+:mod:`repro.core.payload`, which documents the (frozen) digest format.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import hashlib
-import inspect
 import json
-import pathlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.dataset import Dataset
 from repro.core.levels import DataProcessingStage
+from repro.core.payload import fingerprint_payload
 from repro.faults.errors import OnError
-from repro.provenance.record import fingerprint_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.retry import RetryPolicy
@@ -254,134 +245,3 @@ class StagePlan:
                 f"{s.parallelism.value:<12} {s.params or ''}"
             )
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# payload fingerprinting
-# ---------------------------------------------------------------------------
-
-_PRIMITIVES = (bool, int, float, complex, str)
-
-
-def fingerprint_payload(payload: Any) -> str:
-    """Deterministic content hash of an arbitrary pipeline payload.
-
-    Known containers and array types hash by content; arbitrary objects
-    hash *structurally* (type name plus recursively-fingerprinted
-    attributes), so two equal payloads hash identically across processes —
-    a requirement for provenance chains and checkpoint verification.
-
-    Raises
-    ------
-    TypeError
-        For truly opaque objects: no content, no attributes, and only the
-        default ``object.__repr__`` (which embeds a memory address and
-        would hash differently on every run).
-    """
-    if isinstance(payload, Dataset):
-        return payload.fingerprint()
-    if isinstance(payload, np.ndarray):
-        return fingerprint_array(payload)
-    if isinstance(payload, np.generic):
-        return fingerprint_array(np.asarray(payload))
-    if isinstance(payload, (bytes, bytearray)):
-        return hashlib.sha256(bytes(payload)).hexdigest()
-    if payload is None or isinstance(payload, _PRIMITIVES):
-        token = f"{type(payload).__name__}:{payload!r}"
-        return hashlib.sha256(token.encode()).hexdigest()
-    if isinstance(payload, enum.Enum):
-        token = f"enum:{type(payload).__module__}.{type(payload).__qualname__}.{payload.name}"
-        return hashlib.sha256(token.encode()).hexdigest()
-    if isinstance(payload, pathlib.PurePath):
-        token = f"path:{payload}"
-        return hashlib.sha256(token.encode()).hexdigest()
-    if isinstance(payload, (list, tuple)):
-        digest = hashlib.sha256()
-        digest.update(f"seq:{len(payload)}".encode())
-        for item in payload:
-            digest.update(fingerprint_payload(item).encode())
-        return digest.hexdigest()
-    if isinstance(payload, (set, frozenset)):
-        digest = hashlib.sha256()
-        digest.update(f"set:{len(payload)}".encode())
-        for fp in sorted(fingerprint_payload(item) for item in payload):
-            digest.update(fp.encode())
-        return digest.hexdigest()
-    if isinstance(payload, dict):
-        digest = hashlib.sha256()
-        digest.update(f"map:{len(payload)}".encode())
-        entries = sorted(
-            (fingerprint_payload(key), fingerprint_payload(value))
-            for key, value in payload.items()
-        )
-        for key_fp, value_fp in entries:
-            digest.update(key_fp.encode())
-            digest.update(value_fp.encode())
-        return digest.hexdigest()
-    fingerprint = getattr(payload, "fingerprint", None)
-    if callable(fingerprint) and not isinstance(payload, type):
-        return str(fingerprint())
-    if inspect.isroutine(payload) or isinstance(payload, type):
-        qualname = getattr(payload, "__qualname__", getattr(payload, "__name__", ""))
-        token = f"named:{getattr(payload, '__module__', '')}.{qualname}"
-        return hashlib.sha256(token.encode()).hexdigest()
-    if dataclasses.is_dataclass(payload):
-        pairs = [(f.name, getattr(payload, f.name)) for f in dataclasses.fields(payload)]
-        return _structural_fingerprint(payload, pairs)
-    attrs = getattr(payload, "__dict__", None)
-    if attrs is not None:
-        # ``functools.cached_property`` writes derived values (often with
-        # back-references that would cycle) into the instance dict on first
-        # access; they are a cache, not content, so merely *reading* such a
-        # property must not change the fingerprint
-        pairs = sorted(
-            (name, value)
-            for name, value in attrs.items()
-            if not isinstance(
-                inspect.getattr_static(type(payload), name, None),
-                functools.cached_property,
-            )
-        )
-        return _structural_fingerprint(payload, pairs)
-    slots = _slot_values(payload)
-    if slots is not None:
-        return _structural_fingerprint(payload, slots)
-    if type(payload).__repr__ is not object.__repr__:
-        # a deliberate, value-based repr is an acceptable last resort
-        return hashlib.sha256(repr(payload).encode()).hexdigest()
-    raise TypeError(
-        f"cannot fingerprint opaque object of type "
-        f"{type(payload).__module__}.{type(payload).__qualname__}: it has no "
-        "content hash, no attributes, and only the default repr "
-        "(which embeds a memory address)"
-    )
-
-
-def _structural_fingerprint(payload: Any, pairs: Sequence[Tuple[str, Any]]) -> str:
-    """Hash type identity plus named attributes, recursively."""
-    cls = type(payload)
-    digest = hashlib.sha256()
-    digest.update(f"obj:{cls.__module__}.{cls.__qualname__}".encode())
-    for name, value in pairs:
-        digest.update(name.encode())
-        digest.update(fingerprint_payload(value).encode())
-    return digest.hexdigest()
-
-
-def _slot_values(payload: Any) -> Optional[List[Tuple[str, Any]]]:
-    """Collect ``__slots__`` attributes across the MRO (None if slot-less)."""
-    names: List[str] = []
-    for klass in type(payload).__mro__:
-        slots = getattr(klass, "__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        names.extend(s for s in slots if s not in ("__dict__", "__weakref__"))
-    if not names:
-        return None
-    sentinel = object()
-    out = []
-    for name in sorted(set(names)):
-        value = getattr(payload, name, sentinel)
-        if value is not sentinel:
-            out.append((name, value))
-    return out

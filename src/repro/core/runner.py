@@ -70,7 +70,8 @@ from repro.durability.atomic import (
 from repro.durability.fsfaults import activate as activate_disk_faults
 from repro.durability.journal import JOURNAL_NAME, RunJournal
 from repro.core.levels import DataProcessingStage
-from repro.core.plan import PipelineError, PipelineStage, StagePlan, fingerprint_payload
+from repro.core.payload import fingerprint_payload, walk_payload
+from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.report import format_bytes, render_table
 from repro.faults.deadletter import DeadLetterLog, DeadLetterRecord
 from repro.faults.errors import OnError, StageTimeoutError, classify_fault, is_transient
@@ -80,7 +81,7 @@ from repro.gates.contracts import GatePolicy
 from repro.gates.gate import GateReport, GateViolation, apply_contract
 from repro.gates.quarantine import QuarantineStore
 from repro.governance.audit import AuditLog
-from repro.obs import Telemetry, payload_items, payload_nbytes, throughput
+from repro.obs import Telemetry, throughput
 from repro.obs.instrument import InstrumentedBackend
 from repro.obs.resources import ResourceProfiler
 from repro.obs.tracing import Span, SpanStatus
@@ -1699,9 +1700,7 @@ class PipelineRunner:
                 if output_report is not None:
                     stage_quarantined += output_report.records_quarantined
             context.current_span = None
-            out_fp = fingerprint_payload(current)
-            out_items = payload_items(current)
-            out_bytes = payload_nbytes(current)
+            out_fp, out_bytes, out_items = walk_payload(current)
             _flush_injected(injected_mark, stage_span)
             _flush_workers(worker_mark, counters_before, stage_span, stage.name)
             if telemetry is not None:

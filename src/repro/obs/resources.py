@@ -10,7 +10,9 @@ Two halves:
   estimate the byte size and logical item count of an arbitrary pipeline
   payload (datasets, arrays, containers of either), from which
   :func:`throughput` derives items/sec and bytes/sec for span attributes
-  and metrics.
+  and metrics.  Both are re-exported from :mod:`repro.core.payload`, the
+  one payload walker (it also produces the content fingerprint, so the
+  runner gets hash, size and count from a single pass).
 
 Sizes are *content* estimates (array buffers, encoded strings), not
 ``sys.getsizeof`` object overhead — the number a data engineer means by
@@ -23,14 +25,14 @@ import dataclasses
 import os
 import sys
 import time
-from typing import Any, Optional
+from typing import Optional
 
 try:  # pragma: no cover - platform gate
     import resource as _resource
 except ImportError:  # pragma: no cover - non-POSIX fallback
     _resource = None  # type: ignore[assignment]
 
-import numpy as np
+from repro.core.payload import payload_items, payload_nbytes
 
 __all__ = [
     "ResourceSample",
@@ -126,72 +128,6 @@ class ResourceProfiler:
             max_rss_growth_bytes=max(end.max_rss_bytes - begin.max_rss_bytes, 0),
             max_rss_bytes=end.max_rss_bytes,
         )
-
-
-# ---------------------------------------------------------------------------
-# payload introspection
-# ---------------------------------------------------------------------------
-
-_MAX_DEPTH = 8
-
-
-def payload_nbytes(payload: Any, *, _depth: int = 0) -> int:
-    """Approximate content size in bytes of an arbitrary pipeline payload.
-
-    Arrays and datasets report their buffer sizes exactly; containers sum
-    their members recursively (bounded depth, cycles cut off); scalars
-    count their machine width; opaque objects with an ``nbytes`` attribute
-    are trusted; everything else contributes 0 rather than guessing.
-    """
-    if _depth > _MAX_DEPTH or payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, np.generic):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8", errors="replace"))
-    if isinstance(payload, bool):
-        return 1
-    if isinstance(payload, (int, float, complex)):
-        return 8
-    nbytes = getattr(payload, "nbytes", None)
-    if nbytes is not None and isinstance(nbytes, (int, np.integer)):
-        return int(nbytes)
-    if isinstance(payload, dict):
-        return sum(
-            payload_nbytes(k, _depth=_depth + 1) + payload_nbytes(v, _depth=_depth + 1)
-            for k, v in payload.items()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(payload_nbytes(item, _depth=_depth + 1) for item in payload)
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        return sum(
-            payload_nbytes(getattr(payload, f.name), _depth=_depth + 1)
-            for f in dataclasses.fields(payload)
-        )
-    attrs = getattr(payload, "__dict__", None)
-    if attrs:
-        return sum(payload_nbytes(v, _depth=_depth + 1) for v in attrs.values())
-    return 0
-
-
-def payload_items(payload: Any) -> int:
-    """Logical item count of a payload (dataset rows, array rows, container length)."""
-    if payload is None:
-        return 0
-    n_samples = getattr(payload, "n_samples", None)
-    if isinstance(n_samples, (int, np.integer)):
-        return int(n_samples)
-    if isinstance(payload, np.ndarray):
-        return int(payload.shape[0]) if payload.ndim else 1
-    if isinstance(payload, (str, bytes, bytearray)):
-        return 1
-    if isinstance(payload, (list, tuple, set, frozenset, dict)):
-        return len(payload)
-    return 1
 
 
 def throughput(amount: float, seconds: float) -> float:

@@ -33,11 +33,25 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SimComm", "SimWorld", "CommStats", "run_spmd", "CommError"]
+from repro.core.payload import payload_nbytes
+
+__all__ = ["SimComm", "SimWorld", "CommStats", "run_spmd", "CommError", "PeerFailedError"]
 
 
 class CommError(RuntimeError):
     """Misuse of the communicator (bad rank, root mismatch, etc.)."""
+
+
+class PeerFailedError(CommError):
+    """This rank was waiting on a world in which another rank has failed.
+
+    Collateral damage, like a broken barrier: :func:`run_spmd` reports the
+    failing rank's own exception in preference to it.
+    """
+
+
+#: queued on every channel of a failed world so blocked receivers wake
+_WORLD_FAILED = object()
 
 
 @dataclasses.dataclass
@@ -49,24 +63,7 @@ class CommStats:
 
     def account(self, payload: Any) -> None:
         self.messages_sent += 1
-        self.bytes_sent += _payload_nbytes(payload)
-
-
-def _payload_nbytes(payload: Any) -> int:
-    """Approximate wire size of a payload for accounting purposes."""
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, (list, tuple)):
-        return sum(_payload_nbytes(p) for p in payload)
-    if isinstance(payload, dict):
-        return sum(_payload_nbytes(k) + _payload_nbytes(v) for k, v in payload.items())
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (int, float, complex, bool)) or payload is None:
-        return 8
-    return 64  # opaque object: flat estimate
+        self.bytes_sent += payload_nbytes(payload)
 
 
 class SimWorld:
@@ -77,11 +74,21 @@ class SimWorld:
             raise CommError(f"world size must be >= 1, got {size}")
         self.size = size
         # one queue per (src, dst, tag-agnostic) channel; tags filtered at recv
-        self._queues: Dict[Tuple[int, int], "queue.Queue[Tuple[int, Any]]"] = {
+        self._queues: Dict[Tuple[int, int], "queue.Queue[Any]"] = {
             (src, dst): queue.Queue() for src in range(size) for dst in range(size)
         }
         self._barrier = threading.Barrier(size)
         self._stashes: List[List[Tuple[int, int, Any]]] = [[] for _ in range(size)]
+
+    def fail(self) -> None:
+        """A rank died: release every peer blocked in a barrier or ``recv``.
+
+        Without this a peer waiting on the dead rank discovers the failure
+        only by sitting out :attr:`SimComm.TIMEOUT`.
+        """
+        self._barrier.abort()
+        for channel in self._queues.values():
+            channel.put(_WORLD_FAILED)
 
     def comm(self, rank: int) -> "SimComm":
         if not 0 <= rank < self.size:
@@ -131,11 +138,19 @@ class SimComm:
         channel = self._world._queues[(source, self.rank)]
         while True:
             try:
-                t, obj = channel.get(timeout=self.TIMEOUT)
+                message = channel.get(timeout=self.TIMEOUT)
             except queue.Empty:
                 raise CommError(
                     f"rank {self.rank} timed out receiving from {source} (tag={tag})"
                 ) from None
+            if message is _WORLD_FAILED:
+                # left in place: a later receive on this channel must not wait
+                channel.put(_WORLD_FAILED)
+                raise PeerFailedError(
+                    f"rank {self.rank} stopped receiving from {source} (tag={tag}): "
+                    "another rank failed"
+                )
+            t, obj = message
             if tag == self.ANY_TAG or t == tag:
                 return obj
             stash.append((source, t, obj))
@@ -267,7 +282,7 @@ def run_spmd(
             results[rank] = fn(world.comm(rank), *args)
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             errors.append((rank, exc))
-            world._barrier.abort()
+            world.fail()
 
     threads = [
         threading.Thread(target=runner, args=(rank,), daemon=True)
@@ -281,11 +296,11 @@ def run_spmd(
     if alive and not errors:
         raise CommError(f"{len(alive)} rank(s) did not finish within {timeout}s")
     if errors:
-        # a broken barrier is collateral damage from some rank's real
-        # failure — surface the root cause, not the abort echo
+        # a broken barrier or an interrupted receive is collateral damage
+        # from some rank's real failure — surface the root cause, not the echo
         def priority(entry: Tuple[int, BaseException]) -> Tuple[int, int]:
             rank, exc = entry
-            collateral = isinstance(exc, threading.BrokenBarrierError)
+            collateral = isinstance(exc, (threading.BrokenBarrierError, PeerFailedError))
             return (1 if collateral else 0, rank)
 
         _, exc = sorted(errors, key=priority)[0]

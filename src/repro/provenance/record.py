@@ -18,16 +18,34 @@ import hashlib
 import json
 import time
 import uuid
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["ProvenanceRecord", "fingerprint_array", "fingerprint_bytes", "fingerprint_params"]
+__all__ = [
+    "ProvenanceRecord",
+    "contiguous_bytes",
+    "fingerprint_array",
+    "fingerprint_bytes",
+    "fingerprint_params",
+]
 
 
 def fingerprint_bytes(data: bytes) -> str:
     """SHA-256 hex digest of raw bytes."""
     return hashlib.sha256(data).hexdigest()
+
+
+def contiguous_bytes(array: np.ndarray) -> Union[bytes, np.ndarray]:
+    """The bytes of a C-contiguous array as a buffer ``hashlib`` can read.
+
+    A zero-copy ``uint8`` view where NumPy allows one (``tobytes()`` would
+    allocate a transient copy the size of the column on every hash);
+    dtypes holding object pointers cannot be viewed and keep the copy.
+    """
+    if array.dtype.hasobject:
+        return array.tobytes()
+    return array.reshape(-1).view(np.uint8)
 
 
 def fingerprint_array(array: np.ndarray) -> str:
@@ -36,7 +54,7 @@ def fingerprint_array(array: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(array.dtype.str.encode())
     digest.update(repr(array.shape).encode())
-    digest.update(array.tobytes())
+    digest.update(contiguous_bytes(array))
     return digest.hexdigest()
 
 

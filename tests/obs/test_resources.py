@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
+from repro.domains.materials.graphs import build_graph
 from repro.obs.resources import (
     ResourceProfiler,
     payload_items,
@@ -57,6 +58,44 @@ class TestPayloadNbytes:
 
     def test_opaque_objects_are_zero(self):
         assert payload_nbytes(object()) == 0
+        assert payload_nbytes([object(), b"ab"]) == 2
+
+    def test_cached_views_are_not_content(self):
+        """Regression: reading ``n_bonds`` makes networkx cache a ``DegreeView``
+        in the graph's ``__dict__`` whose ``_graph`` points back at the graph;
+        the size walk used to re-count the whole graph through it (3x)."""
+        sg = build_graph(
+            "s-0", np.eye(3) * 4.0, ["Fe", "O", "Fe", "O"],
+            np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
+        )
+        attrs_before = set(vars(sg.graph))
+        before = payload_nbytes(sg)
+        assert sg.n_bonds > 0
+        assert set(vars(sg.graph)) > attrs_before  # a cached view was written
+        assert payload_nbytes(sg) == before
+        assert before == sum(
+            payload_nbytes(part) for part in (sg.structure_id, sg.lattice, sg.species)
+        ) + sum(payload_nbytes(vars(sg.graph)[name]) for name in attrs_before)
+
+    def test_cycles_terminate_and_count_once(self):
+        class Ring:
+            def __init__(self):
+                self.data = np.zeros(4, dtype=np.float64)
+                self.me = self
+
+        assert payload_nbytes(Ring()) == 32
+        loop = [b"abcd"]
+        loop.append(loop)
+        assert payload_nbytes(loop) == 4
+
+    def test_slotted_objects_count_their_slots(self):
+        class Slotted:
+            __slots__ = ("a", "never_assigned")
+
+            def __init__(self):
+                self.a = b"12345"
+
+        assert payload_nbytes(Slotted()) == 5
 
 
 class TestPayloadItems:

@@ -1,9 +1,11 @@
 """SimComm: point-to-point, collectives, SPMD driver, accounting."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.parallel.comm import CommError, SimWorld, run_spmd
+from repro.parallel.comm import CommError, PeerFailedError, SimWorld, run_spmd
 
 
 class TestPointToPoint:
@@ -66,11 +68,29 @@ class TestCollectives:
         assert results[1] is None
 
     def test_scatter_wrong_length(self):
+        """The root's error is reported, and promptly.
+
+        Ranks 1 and 2 are blocked in ``recv`` when rank 0 raises; they must
+        be woken by the failure (as collateral ``PeerFailedError``s ranked
+        below the root cause), not left to sit out ``SimComm.TIMEOUT``.
+        """
         def main(comm):
             comm.scatter([1], root=0)
 
-        with pytest.raises(CommError, match="exactly"):
+        start = time.monotonic()
+        with pytest.raises(CommError, match="exactly") as excinfo:
             run_spmd(3, main)
+        assert time.monotonic() - start < 2.0
+        assert not isinstance(excinfo.value, PeerFailedError)
+
+    def test_recv_after_peer_failure_raises_immediately(self):
+        world = SimWorld(2)
+        world.fail()
+        start = time.monotonic()
+        for _ in range(2):  # the wake-up sentinel stays queued for later receives
+            with pytest.raises(PeerFailedError):
+                world.comm(0).recv(source=1)
+        assert time.monotonic() - start < 2.0
 
     def test_allgather(self):
         results = run_spmd(4, lambda comm: comm.allgather(comm.rank * 10))

@@ -1,9 +1,13 @@
 """Provenance records and fingerprints."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.provenance.record import (
     ProvenanceRecord,
+    contiguous_bytes,
     fingerprint_array,
     fingerprint_bytes,
     fingerprint_params,
@@ -29,6 +33,31 @@ class TestFingerprints:
         assert fingerprint_array(array) == fingerprint_array(
             np.asfortranarray(array)
         )
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(6, dtype=np.float64).reshape(2, 3),
+            np.arange(12, dtype=np.int16)[::2],
+            np.zeros((0, 3), dtype=np.float32),
+            np.array(["2020-01-01", "2021-06-30"], dtype="M8[D]"),  # no buffer protocol
+            np.zeros(2, dtype=[("a", "<i4"), ("b", "<f8")]),
+            np.array(["ab", "c"]),
+            np.array([True, False]),
+            np.float16(1.5),
+        ],
+        ids=lambda a: str(np.asarray(a).dtype),
+    )
+    def test_zero_copy_view_hashes_like_the_copy(self, array):
+        """The buffer fed to sha256 is a view; the digest is that of ``tobytes()``."""
+        contiguous = np.ascontiguousarray(array)
+        expected = hashlib.sha256()
+        expected.update(contiguous.dtype.str.encode())
+        expected.update(repr(contiguous.shape).encode())
+        expected.update(contiguous.tobytes())
+        assert fingerprint_array(array) == expected.hexdigest()
+        if contiguous.size:
+            assert np.shares_memory(contiguous_bytes(contiguous), contiguous)
 
     def test_params_order_insensitive(self):
         assert fingerprint_params({"a": 1, "b": 2}) == fingerprint_params({"b": 2, "a": 1})
