@@ -76,11 +76,14 @@ def pseudonymize(values: np.ndarray, key: bytes, *, length: int = 16) -> np.ndar
     flat_in = values.ravel()
     flat_out = out.reshape(-1)
     cache: Dict[object, str] = {}
+    keyed = hmac.new(key, digestmod=hashlib.sha256)  # key schedule paid once
     for i, v in enumerate(flat_in.tolist()):
         token = cache.get(v)
         if token is None:
             raw = v if isinstance(v, bytes) else str(v).encode("utf-8")
-            token = hmac.new(key, raw, hashlib.sha256).hexdigest()[:length]
+            mac = keyed.copy()
+            mac.update(raw)
+            token = mac.hexdigest()[:length]
             cache[v] = token
         flat_out[i] = token
     return out

@@ -5,10 +5,20 @@ datasets live *sealed* — payloads encrypted at rest with a keyed stream
 cipher, readable only through an enclave session whose every access is
 audit-logged — and leave the enclave only through an explicit
 *declassification* step that runs a compliance policy first.  That is the
-workflow property the paper identifies as a readiness blocker; the
-cryptography is deliberately simple (HMAC-SHA256 keystream, i.e. a real
-PRF-based stream cipher, with an integrity tag) since resistance to
-nation-state adversaries is not what the reproduction needs to show.
+workflow property the paper identifies as a readiness blocker.
+
+Sealing (v2) is encrypt-then-MAC over standard-library primitives.  The
+keystream is a keyed XOF — ``SHAKE-256(enc_key | nonce | segment_index)``,
+one call per fixed-size segment, i.e. a real PRF-based stream cipher —
+and the tag is HMAC-SHA256 over ``nonce | ciphertext``.  Cipher and MAC
+keys are derived separately from the enclave key, so a blob sealed by the
+v1 construction (per-block HMAC counter keystream, one shared key) fails
+the integrity check instead of decrypting to garbage.  Claimed:
+confidentiality and integrity of blobs at rest against an attacker
+without the key, and no key shared between primitives.  Not claimed: a
+vetted AEAD, side-channel hardening, nonce-misuse resistance or key
+rotation — resistance to nation-state adversaries is not what the
+reproduction needs to show.
 """
 
 from __future__ import annotations
@@ -37,48 +47,59 @@ class AccessDenied(EnclaveError):
     """Caller lacks the required authorization."""
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """PRF-based keystream: HMAC-SHA256(key, nonce || counter) blocks.
-
-    Counters are batched and the per-block HMAC loop kept tight; the
-    XOR application below is fully vectorized in NumPy (byte-wise Python
-    loops are ~1000x slower at shard sizes).
-    """
-    n_blocks = -(-length // 32)
-    digest = hashlib.sha256
-    prefix = hmac.new(key, nonce, digest)
-    blocks = bytearray()
-    for counter in range(n_blocks):
-        h = prefix.copy()
-        h.update(counter.to_bytes(8, "little"))
-        blocks += h.digest()
-    return bytes(blocks[:length])
+# Keystream bytes per XOF call: keeps the keystream temporary constant-size
+# however large the column, and stays under CPython's digest() length cap.
+_SEGMENT = 1 << 24
+_NONCE, _TAG = 16, 32
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(stream, dtype=np.uint8)
-    return (a ^ b).tobytes()
+def _subkeys(key: bytes) -> List[bytes]:
+    """Independent ``[cipher, MAC]`` keys derived from the enclave key."""
+    uses = (b"repro.enclave/v2/enc", b"repro.enclave/v2/mac")
+    return [hmac.new(key, use, hashlib.sha256).digest() for use in uses]
+
+
+def _xor_keystream(enc_key: bytes, nonce: bytes, src, dst) -> None:
+    """``dst = src ^ keystream``, written in place one segment at a time."""
+    src = np.frombuffer(src, dtype=np.uint8)
+    dst = np.frombuffer(dst, dtype=np.uint8)
+    for index, lo in enumerate(range(0, src.size, _SEGMENT)):
+        hi = min(lo + _SEGMENT, src.size)
+        xof = hashlib.shake_256(enc_key + nonce + index.to_bytes(8, "little"))
+        stream = np.frombuffer(xof.digest(hi - lo), dtype=np.uint8)
+        np.bitwise_xor(src[lo:hi], stream, out=dst[lo:hi])
 
 
 def _seal(key: bytes, plaintext: bytes) -> bytes:
-    """nonce(16) | ciphertext | tag(32) — encrypt-then-MAC."""
-    nonce = os.urandom(16)
-    stream = _keystream(key, nonce, len(plaintext))
-    ciphertext = _xor(plaintext, stream)
-    tag = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
-    return nonce + ciphertext + tag
+    """``nonce(16) | ciphertext | tag(32)`` — encrypt-then-MAC, v2.
+
+    A fresh ``os.urandom`` nonce per blob; ciphertext is the plaintext
+    XORed with the segmented SHAKE-256 keystream, written straight into
+    the one preallocated output buffer; the HMAC-SHA256 tag covers
+    ``nonce | ciphertext`` through a view of that same buffer.
+    """
+    enc_key, mac_key = _subkeys(key)
+    body = _NONCE + len(plaintext)
+    blob = bytearray(body + _TAG)
+    view = memoryview(blob)
+    view[:_NONCE] = nonce = os.urandom(_NONCE)
+    _xor_keystream(enc_key, nonce, plaintext, view[_NONCE:body])
+    view[body:] = hmac.new(mac_key, view[:body], hashlib.sha256).digest()
+    return bytes(blob)
 
 
 def _unseal(key: bytes, blob: bytes) -> bytes:
-    if len(blob) < 48:
+    """Verify the tag (constant-time, before any keystream exists), then decrypt."""
+    if len(blob) < _NONCE + _TAG:
         raise EnclaveError("sealed blob too short")
-    nonce, ciphertext, tag = blob[:16], blob[16:-32], blob[-32:]
-    expected = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
-    if not hmac.compare_digest(tag, expected):
+    enc_key, mac_key = _subkeys(key)
+    view = memoryview(blob)
+    body, tag = view[:-_TAG], view[-_TAG:]
+    if not hmac.compare_digest(tag, hmac.new(mac_key, body, hashlib.sha256).digest()):
         raise EnclaveError("sealed blob failed integrity check")
-    stream = _keystream(key, nonce, len(ciphertext))
-    return _xor(ciphertext, stream)
+    plaintext = bytearray(len(body) - _NONCE)
+    _xor_keystream(enc_key, bytes(body[:_NONCE]), body[_NONCE:], plaintext)
+    return bytes(plaintext)
 
 
 @dataclasses.dataclass
@@ -118,7 +139,11 @@ class SecureEnclave:
     """Sealed dataset store with an access-control list and audit trail."""
 
     def __init__(self, key: Optional[bytes] = None, audit: Optional[AuditLog] = None):
-        self._key = key or os.urandom(32)
+        if key is None:
+            key = os.urandom(32)
+        elif len(key) < 16:
+            raise EnclaveError("an explicit enclave key must be at least 16 bytes")
+        self._key = key
         self._store: Dict[str, _SealedEntry] = {}
         self._authorized: Set[str] = set()
         self.audit = audit or AuditLog()

@@ -24,6 +24,26 @@ class TestPseudonymize:
         assert out[0] != out[1]
         assert np.array_equal(out, pseudonymize(values, b"key"))
 
+    def test_golden_pseudonyms(self):
+        """Pinned before the HMAC object was keyed once and copied per value:
+        released pseudonyms must stay byte-identical or joins break."""
+        assert pseudonymize(
+            np.asarray(["alice", "bob", "123-45-6789", ""]), b"key"
+        ).tolist() == [
+            "76fb55e929c06b97", "3833c030dcb7a710", "440e40f8f8408832", "5d5d139563c95b59",
+        ]
+        assert pseudonymize(np.asarray(["alice"]), b"golden-key", length=64).tolist() == [
+            "a07ab0cf52db3e3620eb173bc4eed60382d5c2712c0f6a44228435aed8ab9101"
+        ]
+        assert pseudonymize(
+            np.asarray([b"raw-bytes", b"\x00\xff"]), b"key", length=8
+        ).tolist() == ["fafd2440", "c5f8ae67"]
+        assert pseudonymize(np.asarray([7, 42]), b"key").tolist() == [
+            "01235b0d2aa4a5da", "f2991b7ce981d0b5",
+        ]
+        # a key longer than the SHA-256 block takes the hashed-key branch
+        assert pseudonymize(np.asarray(["x"]), b"k" * 100, length=12).tolist() == ["8c1858bff6cf"]
+
     def test_different_keys_differ(self):
         values = np.asarray(["alice"])
         assert pseudonymize(values, b"k1")[0] != pseudonymize(values, b"k2")[0]
