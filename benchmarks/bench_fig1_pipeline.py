@@ -27,13 +27,8 @@ from repro.core.feedback import (
     holdout_accuracy_evaluator,
 )
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
-    Parallelism,
-    PipelineContext,
-    PipelineRunner,
-    PipelineStage,
-    StagePlan,
-)
+from repro.core.plan import Parallelism, PipelineStage, StagePlan
+from repro.core.runner import PipelineContext, PipelineRunner
 from repro.core.report import render_table
 from repro.obs import Telemetry
 from repro.transforms.augment import smote_like

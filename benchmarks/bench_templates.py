@@ -22,7 +22,7 @@ from repro.core.assessment import ReadinessAssessor
 from repro.core.evidence import EvidenceKind as K
 from repro.core.levels import DataProcessingStage as S
 from repro.core.levels import DataReadinessLevel
-from repro.core.pipeline import PipelineContext
+from repro.core.runner import PipelineContext
 from repro.core.report import render_table
 from repro.core.templates import (
     BUILTIN_TEMPLATES,

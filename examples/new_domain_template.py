@@ -23,7 +23,7 @@ from repro.core.crosswalk import crosswalk_report
 from repro.core.dataset import Dataset, DatasetMetadata, FieldRole, FieldSpec, Modality, Schema
 from repro.core.evidence import EvidenceKind as K
 from repro.core.levels import DataProcessingStage as S
-from repro.core.pipeline import PipelineContext
+from repro.core.runner import PipelineContext
 from repro.core.report import section
 from repro.core.templates import (
     DomainTemplate,

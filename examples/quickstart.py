@@ -33,7 +33,8 @@ from repro.core import (
 from repro.core.dataset import DatasetMetadata, FieldRole, FieldSpec, Schema
 from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import PipelineContext, PipelineStage
+from repro.core.plan import PipelineStage
+from repro.core.runner import PipelineContext
 from repro.core.report import section
 from repro.io.shards import ShardSet, write_shard_set
 from repro.quality.datasheet import build_datasheet

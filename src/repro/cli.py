@@ -399,7 +399,8 @@ def _cmd_run(
         "bio": BioArchetype,
         "materials": MaterialsArchetype,
     }
-    from repro.core.pipeline import CheckpointError, PipelineError
+    from repro.core.plan import PipelineError
+    from repro.core.runner import CheckpointError
     from repro.durability.fsfaults import SimulatedCrash
     from repro.faults import FaultInjector, FaultSpec, RetryPolicy
     from repro.obs import JsonlTelemetrySink, Telemetry
@@ -466,11 +467,8 @@ def _cmd_run(
         backend_cls = (
             BACKENDS.get(backend) if isinstance(backend, str) else type(backend)
         )
-        if backend_cls is not None and not getattr(
-            backend_cls, "preemptive_timeout", False
-        ):
-            print(f"warning: --stage-timeout on the "
-                  f"{getattr(backend_cls, 'name', backend)} backend is enforced "
+        if backend_cls is not None and not backend_cls.preemptive_timeout:
+            print(f"warning: --stage-timeout on the {backend_cls.name} backend is enforced "
                   "post-hoc only (a hung task is not killed); use --backend "
                   "process for preemptive enforcement", file=sys.stderr)
     # --progress and --archive-dir both need telemetry even without a trace dir

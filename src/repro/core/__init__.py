@@ -36,22 +36,23 @@ from repro.core.backends import (
     ThreadedBackend,
     get_backend,
 )
-from repro.core.plan import Parallelism, StagePlan
+from repro.core.plan import (
+    Parallelism,
+    PipelineError,
+    PipelineStage,
+    StagePlan,
+    fingerprint_payload,
+)
 from repro.core.runner import (
     CheckpointError,
+    Pipeline,
+    PipelineContext,
+    PipelineRun,
     PipelineRunner,
     RunCheckpointer,
     RunEvent,
     RunEventKind,
-)
-from repro.core.pipeline import (
-    Pipeline,
-    PipelineContext,
-    PipelineError,
-    PipelineRun,
-    PipelineStage,
     StageResult,
-    fingerprint_payload,
 )
 from repro.core.feedback import (
     FeedbackController,

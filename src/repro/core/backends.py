@@ -41,6 +41,7 @@ from __future__ import annotations
 import abc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -59,10 +60,16 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.retry import Clock, RetryPolicy, RetryStats
+    from repro.workers.drain import DrainController
 
 from repro.core.dataset import Dataset
 from repro.io.compression import get_codec
-from repro.io.shards import MANIFEST_NAME, ShardInfo, ShardManifest, write_shard
+from repro.io.shards import (
+    ShardManifest,
+    commit_manifest,
+    shard_table,
+    write_table_entry,
+)
 from repro.parallel.executor import (
     distributed_shard_write,
     distributed_stats,
@@ -87,29 +94,6 @@ __all__ = [
 DEFAULT_STATS_PARTITIONS = 4
 
 
-def _shard_table(
-    splits: Dict[str, np.ndarray], shards_per_split: int
-) -> List[Tuple[str, int, np.ndarray]]:
-    """The global shard table: (split, shard index, row indices) per file.
-
-    Must stay in lockstep with :func:`repro.parallel.executor.
-    distributed_shard_write` so all backends cut identical shard files.
-    """
-    table: List[Tuple[str, int, np.ndarray]] = []
-    for split, indices in splits.items():
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            # an empty split contributes no shard files: np.array_split
-            # would yield one zero-length chunk here, and writing it would
-            # leave an orphan zero-sample shard on disk.  The split itself
-            # still appears (empty) in the manifest — see shard_write.
-            continue
-        n_shards = max(1, min(shards_per_split, indices.size))
-        for i, chunk in enumerate(np.array_split(indices, n_shards)):
-            table.append((split, i, chunk))
-    return table
-
-
 def batch_slices(n_items: int, batch_size: int) -> List[slice]:
     """Deterministic contiguous batching: ``[0:b], [b:2b], ...``.
 
@@ -125,34 +109,6 @@ def batch_slices(n_items: int, batch_size: int) -> List[slice]:
     ]
 
 
-def _shard_metadata(
-    dataset: Dataset,
-    written_by_ranks: int,
-    certificate: Optional[Mapping[str, Any]],
-    schedule: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """The manifest metadata block every backend writes identically.
-
-    The readiness certificate and schedule decision keys are only
-    present when the run supplies them — ungated, fixed-plan manifests
-    stay byte-identical to what they were before either subsystem
-    existed.  Must stay in lockstep with
-    :func:`repro.parallel.executor.distributed_shard_write`.
-    """
-    metadata: Dict[str, Any] = {
-        "domain": dataset.metadata.domain,
-        "source": dataset.metadata.source,
-        "version": dataset.metadata.version,
-        "modality": dataset.metadata.modality.value,
-        "written_by_ranks": written_by_ranks,
-    }
-    if certificate is not None:
-        metadata["readiness_certificate"] = dict(certificate)
-    if schedule is not None:
-        metadata["schedule_decision"] = dict(schedule)
-    return metadata
-
-
 class ExecutionBackend(abc.ABC):
     """The protocol every backend implements (stages see it as ``ctx.backend``)."""
 
@@ -165,6 +121,19 @@ class ExecutionBackend(abc.ABC):
     #: does a dying worker get recovered instead of failing the stage?
     preemptive_timeout: bool = False
     survives_worker_crash: bool = False
+
+    #: the supervision surface, declared here so the runner never probes
+    #: for it: a cooperative stop flag checked between task grants, the
+    #: per-lease deadline (seconds) a preemptive backend kills at, and the
+    #: crash / counter / heartbeat tallies a supervising backend keeps,
+    #: and the (open, close) callables telemetry installs to span each
+    #: worker lease.  In-process backends leave these inert defaults alone
+    drain: Optional["DrainController"] = None
+    lease_timeout: Optional[float] = None
+    worker_span_hooks: Optional[Tuple[Callable[..., Any], Callable[..., None]]] = None
+    crash_events: Sequence[Any] = ()
+    worker_counters: Mapping[str, int] = MappingProxyType({})
+    heartbeat_gap_max: float = 0.0
 
     #: task-level retry configuration, attached by the runner (or by
     #: :meth:`configure_retry`); ``None`` disables task retries
@@ -342,31 +311,14 @@ class ExecutionBackend(abc.ABC):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         codec = get_codec(codec_name, codec_level)
-        table = _shard_table(splits, shards_per_split)
-
-        def write_entry(entry: Tuple[str, int, np.ndarray]) -> Tuple[str, int, ShardInfo]:
-            split, i, rows = entry
-            columns = {name: dataset[name][rows] for name in dataset.schema.names}
-            info = write_shard(columns, directory / f"{split}-{i:05d}.rps", codec)
-            return split, i, info
-
-        # seed from the requested splits so a split whose shard table is
-        # empty (an empty dataset/split) still appears in the manifest
-        by_split: Dict[str, List[Tuple[int, ShardInfo]]] = {s: [] for s in splits}
-        for split, i, info in self.map(write_entry, table):
-            by_split.setdefault(split, []).append((i, info))
-        manifest = ShardManifest(
-            dataset_name=dataset.metadata.name,
-            schema=dataset.schema,
-            splits={
-                split: [info for _, info in sorted(rows)]
-                for split, rows in by_split.items()
-            },
-            codec=codec_name,
-            metadata=_shard_metadata(dataset, self.width, certificate, schedule),
+        written = self.map(
+            lambda entry: write_table_entry(dataset, directory, codec, entry),
+            shard_table(splits, shards_per_split),
         )
-        (directory / MANIFEST_NAME).write_text(manifest.to_json())
-        return manifest
+        return commit_manifest(
+            dataset, directory, splits, written, codec_name=codec_name,
+            written_by_ranks=self.width, certificate=certificate, schedule=schedule,
+        )
 
     @classmethod
     def capabilities(cls) -> Dict[str, bool]:
@@ -487,23 +439,10 @@ class SimSPMDBackend(ExecutionBackend):
         dataset: Dataset,
         directory: Union[str, Path],
         splits: Dict[str, np.ndarray],
-        *,
-        shards_per_split: int = 4,
-        codec_name: str = "raw",
-        codec_level: Optional[int] = None,
-        certificate: Optional[Mapping[str, Any]] = None,
-        schedule: Optional[Mapping[str, Any]] = None,
+        **options: Any,
     ) -> ShardManifest:
         return distributed_shard_write(
-            dataset,
-            directory,
-            splits,
-            n_ranks=self.n_ranks,
-            shards_per_split=shards_per_split,
-            codec_name=codec_name,
-            codec_level=codec_level,
-            certificate=certificate,
-            schedule=schedule,
+            dataset, directory, splits, n_ranks=self.n_ranks, **options
         )
 
 

@@ -22,7 +22,7 @@ import dataclasses
 from typing import List, Optional
 
 from repro.core.evidence import EvidenceKind
-from repro.core.pipeline import PipelineContext, PipelineRun
+from repro.core.runner import PipelineContext, PipelineRun
 from repro.core.report import render_table
 
 __all__ = ["PrincipleResult", "PrincipleScorecard", "evaluate_principles"]

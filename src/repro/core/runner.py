@@ -3,38 +3,14 @@
 Running a plan threads a payload through its stages while a
 :class:`PipelineContext` accumulates the three cross-cutting artifacts the
 paper says current practice lacks — readiness evidence, content-hashed
-provenance, and a hash-chained audit trail.  On top of that capture (which
-predates this module), the runner adds:
-
-* **structured run events** — every run/stage transition (started,
-  completed, failed, skipped) emits a typed :class:`RunEvent` with
-  timings and fingerprints, collected on the :class:`PipelineRun` and
-  optionally streamed to an ``on_event`` callback;
-* **pluggable execution** — the runner owns an
-  :class:`~repro.core.backends.ExecutionBackend` and installs it as
-  ``context.backend`` so stage internals fan out through it;
-* **checkpointed resume** — with a :class:`RunCheckpointer` attached,
-  every completed stage persists its payload snapshot and fingerprint;
-  a failed run restarts from the last completed stage after verifying
-  the restored payload against its stored fingerprint (and, when a
-  :class:`~repro.provenance.store.ProvenanceStore` is attached, against
-  the stored lineage);
-* **telemetry** — with a :class:`~repro.obs.Telemetry` attached, the
-  runner opens a run-root span, one child span per stage (duration,
-  item/byte throughput, CPU/RSS deltas), wraps the backend in an
-  :class:`~repro.obs.instrument.InstrumentedBackend` so backend
-  operations and fanned-out tasks appear as grandchild spans with
-  logical work counters, records stage-duration histograms, and links
-  every provenance record to the span that produced it;
-* **fault tolerance** — stages execute under a per-stage
-  :class:`~repro.faults.errors.OnError` policy with a
-  :class:`~repro.faults.retry.RetryPolicy` (deterministic seeded
-  backoff on an injectable clock) and an optional deadline budget;
-  transient faults retry, exhausted or permanent failures either abort
-  (``fail``), or dead-letter the stage and continue degraded
-  (``skip-degraded``).  A :class:`~repro.faults.inject.FaultInjector`
-  can be attached to run the whole engine under seeded chaos, and
-  resume quarantines corrupt checkpoints instead of crashing on them.
+provenance, and a hash-chained audit trail.  :class:`PipelineRunner` is an
+explicit lifecycle (open -> per stage: gate-in, execute-with-policy,
+gate-out, commit -> finish) that publishes every moment once — as a typed
+:class:`RunEvent`, an audit entry, and telemetry — and owns the execution
+backend, the per-stage error policy (:mod:`repro.faults`), the data gates
+(:mod:`repro.gates`), checkpointed resume (:class:`RunCheckpointer`) and
+the write-ahead journal (:mod:`repro.durability`).  DESIGN.md, "Engine
+architecture", walks through the phases.
 
 Stage functions stay pure data transforms; capture is the engine's job.
 """
@@ -42,6 +18,8 @@ Stage functions stay pure data transforms; capture is the engine's job.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import hashlib
 import json
 import os
 import pickle
@@ -81,28 +59,23 @@ from repro.gates.contracts import GatePolicy
 from repro.gates.gate import GateReport, GateViolation, apply_contract
 from repro.gates.quarantine import QuarantineStore
 from repro.governance.audit import AuditLog
-from repro.obs import Telemetry, throughput
-from repro.obs.instrument import InstrumentedBackend
-from repro.obs.resources import ResourceProfiler
-from repro.obs.tracing import Span, SpanStatus
+from repro.io.shards import ShardManifest
+from repro.obs import Telemetry
+from repro.obs.instrument import NullRecorder, recorder_for
+from repro.obs.tracing import Span
 from repro.provenance.graph import LineageGraph
 from repro.provenance.record import ProvenanceRecord
 from repro.provenance.store import ProvenanceStore
 from repro.workers.drain import DrainController, DrainInterrupt
 
 
-def _sha256_text(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.durability.recover import RecoveryReport
     from repro.sched.calibrate import CalibrationStore
     from repro.sched.decision import ScheduleDecision
 
-import enum
-
 __all__ = [
+    "Pipeline",
     "PipelineContext",
     "StageResult",
     "PipelineRun",
@@ -525,10 +498,9 @@ class RunCheckpointer:
     plan fingerprint.  Both payload snapshots and state writes are atomic
     (write-then-rename), so a crash mid-save leaves the previous
     checkpoint intact, never a torn file under the real name.  A restored
-    payload is re-fingerprinted before use — :meth:`load` rejects a
-    checkpoint that does not hash to its recorded fingerprint, while
-    :meth:`load_verified` quarantines it and falls back to the newest
-    earlier checkpoint that still verifies.
+    payload is re-fingerprinted before use: :meth:`load_verified`
+    quarantines a snapshot that does not hash to its recorded fingerprint
+    and falls back to the newest earlier checkpoint that still verifies.
     """
 
     STATE_NAME = "run-state.json"
@@ -611,47 +583,6 @@ class RunCheckpointer:
             site="run-state",
         )
 
-    def load(self, plan: StagePlan) -> Optional[RunCheckpoint]:
-        """Restore the latest checkpoint for *plan* (None if nothing stored).
-
-        Raises :class:`CheckpointError` when a checkpoint exists but is
-        unusable: written by a structurally different plan, missing its
-        payload snapshot, or failing fingerprint verification.
-        """
-        state = self._load_state()
-        if state is None or not state.get("completed"):
-            return None
-        if state.get("plan_fingerprint") != plan.fingerprint():
-            raise CheckpointError(
-                f"checkpoint in {self.directory} was written by a different "
-                f"plan than {plan.name!r}; refusing to resume"
-            )
-        completed = {int(row["index"]): row for row in state["completed"]}
-        last_index = max(completed)
-        last = completed[last_index]
-        path = self._payload_path(last_index)
-        if not path.exists():
-            raise CheckpointError(f"missing checkpoint payload {path.name}")
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-        payload = blob["payload"]
-        actual = fingerprint_payload(payload)
-        if actual != last["fingerprint"]:
-            raise CheckpointError(
-                f"checkpoint for stage {last['stage']!r} failed fingerprint "
-                f"verification: stored {last['fingerprint'][:12]}, restored "
-                f"payload hashes to {actual[:12]}"
-            )
-        return RunCheckpoint(
-            stage_index=last_index,
-            stage_name=str(last["stage"]),
-            fingerprint=str(last["fingerprint"]),
-            payload=payload,
-            artifacts=dict(blob.get("artifacts", {})),
-            evidence=blob.get("evidence") or ReadinessEvidence(),
-            completed=completed,
-        )
-
     def _try_restore(self, row: Dict[str, Any], path: Path):
         """Restore one snapshot; returns ``(blob, reason)`` — one is None."""
         if not path.exists():
@@ -675,9 +606,8 @@ class RunCheckpointer:
     ) -> Tuple[Optional[RunCheckpoint], List[QuarantinedCheckpoint]]:
         """Restore the newest checkpoint that survives verification.
 
-        Resume hardening: where :meth:`load` raises on the first corrupt
-        or fingerprint-mismatched snapshot, this walks the completed
-        stages newest-first, renames every unusable snapshot to
+        Resume hardening: walks the completed stages newest-first,
+        renames every unusable (corrupt, fingerprint-mismatched) snapshot to
         ``*.quarantined`` (preserved for post-mortem, never restored),
         rewrites the state table to the surviving prefix, and returns the
         last *verifiable* checkpoint plus the quarantine report.  With no
@@ -744,9 +674,78 @@ class RunCheckpointer:
 # the runner
 # ---------------------------------------------------------------------------
 
+K = RunEventKind
+
+#: gate verdict -> the event a non-failing verdict publishes
+_GATE_EVENTS = {
+    "pass": K.GATE_PASSED,
+    "warn": K.GATE_WARNED,
+    "quarantine": K.RECORDS_QUARANTINED,
+}
+
+
+@dataclasses.dataclass
+class _RunState:
+    """What one ``run()`` call accumulates, threaded through the lifecycle."""
+
+    context: PipelineContext
+    #: telemetry's subscriber (a no-op stand-in for untraced runs)
+    recorder: NullRecorder
+    quarantine: QuarantineStore
+    #: the payload flowing between stages, and its fingerprint
+    payload: Any
+    fingerprint: str = ""
+    #: first stage to execute (> 0 after a restore)
+    start_index: int = 0
+    events: List[RunEvent] = dataclasses.field(default_factory=list)
+    results: List[StageResult] = dataclasses.field(default_factory=list)
+    dead_letters: DeadLetterLog = dataclasses.field(default_factory=DeadLetterLog)
+    quarantined: List[QuarantinedCheckpoint] = dataclasses.field(default_factory=list)
+    task_stats: RetryStats = dataclasses.field(default_factory=RetryStats)
+
+
+@dataclasses.dataclass
+class _StageFrame:
+    """One stage's trip through gate-in, execute, gate-out, commit."""
+
+    stage: PipelineStage
+    index: int
+    mode: OnError
+    policy: Optional[RetryPolicy]
+    timeout: Optional[float]
+    evidence_before: int
+    attempts: int = 0
+    #: seconds inside ``stage.fn`` across every attempt
+    elapsed: float = 0.0
+    task_retries: int = 0
+    records_quarantined: int = 0
+
+    def result(self, st: _RunState, output_fingerprint: str, **extra: Any) -> StageResult:
+        return StageResult(
+            stage_name=self.stage.name,
+            processing_stage=self.stage.processing_stage,
+            seconds=self.elapsed,
+            input_fingerprint=st.fingerprint,
+            output_fingerprint=output_fingerprint,
+            evidence_recorded=len(st.context.evidence) - self.evidence_before,
+            attempts=self.attempts,
+            task_retries=self.task_retries,
+            records_quarantined=self.records_quarantined,
+            **extra,
+        )
+
 
 class PipelineRunner:
-    """Drives a :class:`StagePlan` through a backend with capture and resume."""
+    """Drives a :class:`StagePlan` through a backend with capture and resume.
+
+    A run is an explicit lifecycle over one :class:`_RunState`::
+
+        open -> per stage: gate-in -> execute-with-policy -> gate-out -> commit -> finish
+
+    Every lifecycle moment goes through :meth:`_publish`, which fans out to
+    the event log / ``on_event``, the audit trail and the telemetry
+    recorder; every way a run can end badly goes through :meth:`_fail`.
+    """
 
     def __init__(
         self,
@@ -770,8 +769,40 @@ class PipelineRunner:
         drain: Optional[DrainController] = None,
         batch_size: Optional[int] = None,
         journal: Optional[RunJournal] = None,
-        recovery_report: Optional[object] = None,
+        recovery_report: Optional["RecoveryReport"] = None,
     ):
+        """The run options, declared once: ``Pipeline.run`` and
+        ``DomainArchetype.run`` forward ``**runner_options`` here.
+
+        ``backend`` (a name or instance) selects how stage internals fan
+        out.  ``checkpoint_dir`` (or a ready ``checkpointer``) snapshots
+        every completed stage so ``run(resume=True)`` restarts after the
+        last verifiable one; a write-ahead ``journal`` is auto-created
+        beside the checkpoints.  ``on_event`` receives every
+        :class:`RunEvent` as it happens, ``telemetry`` attaches a
+        :class:`~repro.obs.Telemetry` collector (spans, metrics, resource
+        profiles), and ``clock`` stamps event timestamps (inject a fake to
+        pin them).  ``retry_policy`` / ``on_error`` / ``stage_timeout``
+        are the run-wide fault policy — stages override through their own
+        fields; with no ``on_error`` a stage retries iff a retry policy is
+        set.  ``fault_injector`` runs the engine under seeded chaos, and
+        ``fault_clock`` is what backoff sleeps and deadlines run on
+        (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
+        ``"warn"``) turns the stages' contracts on, shedding records into
+        ``quarantine_dir`` (or a ready ``quarantine_store``).
+        ``calibration_store`` receives a scheduled run's predicted-vs-actual
+        stage seconds.  ``drain`` is a cooperative stop flag: once it
+        trips, the run stops at the next checkpoint-consistent point (a
+        stage boundary, or mid-stage on a draining backend) with a
+        :class:`~repro.workers.drain.DrainInterrupt`.  ``batch_size`` is
+        records per batch for ``batch=True`` stages — it wins over the
+        schedule decision's ``batch_records``; ``None`` with no schedule,
+        or ``0``, keeps the per-record path (bitwise identical either
+        way).  ``recovery_report``, from a pre-run recovery scan, opens
+        the run with a ``RUN_RECOVERED`` event.
+        """
+        if batch_size is not None and batch_size < 0:
+            raise ValueError(f"batch_size must be >= 0, got {batch_size}")
         self.plan = plan
         self.backend = get_backend(backend)
         if checkpointer is None and checkpoint_dir is not None:
@@ -780,51 +811,25 @@ class PipelineRunner:
         if fault_injector is not None and checkpointer is not None:
             checkpointer = fault_injector.wrap_checkpointer(checkpointer)
         self.checkpointer = checkpointer
-        #: write-ahead run journal; auto-created beside the checkpoints so
-        #: every checkpointed flow (including drain) journals for free
         if journal is None and checkpointer is not None:
             journal = RunJournal(Path(checkpointer.directory) / JOURNAL_NAME)
         self.journal = journal
-        #: RecoveryReport from a pre-run `repro run --recover` scan; when
-        #: set, the run opens with a RUN_RECOVERED event carrying its story
         self.recovery_report = recovery_report
         self.on_event = on_event
         self.telemetry = telemetry
-        #: wall-clock source stamped onto every RunEvent; inject a fake
-        #: (monotonic) clock to pin timestamps and test event ordering
         self.clock = clock
-        #: run-wide retry default; stages override via PipelineStage.retry
         self.retry_policy = retry_policy
-        #: run-wide error policy; None defers to per-stage policies, then
-        #: to RETRY iff a retry policy is set, else FAIL
         self.on_error = OnError.coerce(on_error) if on_error is not None else None
-        #: run-wide per-stage deadline budget (seconds on the fault clock)
         self.stage_timeout = stage_timeout
-        #: clock that retry backoff sleeps and deadline budgets run on —
-        #: virtual in tests so retries never wall-sleep
         if fault_clock is None:
-            fault_clock = (
-                fault_injector.clock if fault_injector is not None else SystemClock()
-            )
+            fault_clock = fault_injector.clock if fault_injector is not None else SystemClock()
         self.fault_clock = fault_clock
-        #: data-gate verdict policy; None disables gating entirely —
-        #: stage contracts are dormant until a policy turns them on
         self.gate_policy = GatePolicy.coerce(gates) if gates is not None else None
         if quarantine_store is None and quarantine_dir is not None:
             quarantine_store = QuarantineStore(quarantine_dir)
         self.quarantine_store = quarantine_store
-        #: where a scheduled run's predicted-vs-actual stage seconds are
-        #: recorded (see :mod:`repro.sched.calibrate`); None = no feedback
         self.calibration_store = calibration_store
-        #: cooperative stop flag (SIGINT/SIGTERM or programmatic): when it
-        #: trips, the run stops at the next checkpoint-consistent point —
-        #: a stage boundary, or mid-stage on drain-capable backends — and
-        #: raises :class:`~repro.workers.drain.DrainInterrupt`
         self.drain = drain
-        #: records per batch for stages that declared ``batch=True``; an
-        #: explicit value wins over the schedule decision's
-        #: ``batch_records``, and ``None`` with no schedule leaves those
-        #: stages on the per-record path (bitwise identical either way)
         self.batch_size = batch_size
 
     def _stage_policy(
@@ -855,73 +860,93 @@ class PipelineRunner:
         if self.batch_size is not None:
             return int(self.batch_size) or None
         if decision is not None:
-            chosen = getattr(decision.chosen, "batch_records", None)
-            if chosen:
-                return int(chosen)
+            return int(decision.chosen.batch_records) or None
         return None
 
-    # -- events ------------------------------------------------------------------
-    def _emit(self, events: List[RunEvent], kind: RunEventKind, **kw: Any) -> RunEvent:
-        kw.setdefault("timestamp", self.clock())
-        event = RunEvent(kind=kind, pipeline=self.plan.name, **kw)
-        events.append(event)
+    # -- the two funnels: publish and fail ---------------------------------------
+    def _publish(
+        self,
+        st: _RunState,
+        kind: RunEventKind,
+        stage_name: Optional[str] = None,
+        stage_index: Optional[int] = None,
+        *,
+        seconds: float = 0.0,
+        fingerprint: str = "",
+        detail: str = "",
+        audit: Optional[Mapping[str, object]] = None,
+        action: str = "",
+        **facts: Any,
+    ) -> None:
+        """The one publish point: a lifecycle moment reaches every record.
+
+        The :class:`RunEvent` goes to the run's event log and ``on_event``;
+        with ``audit`` (the entry's detail fields) the moment is also
+        written to the audit trail as ``action`` (default: the event kind)
+        on the stage, or on the pipeline for run-level moments; ``facts``
+        are what the telemetry recorder needs beyond the event itself.
+        """
+        event = RunEvent(
+            kind=kind,
+            pipeline=self.plan.name,
+            stage_name=stage_name,
+            stage_index=stage_index,
+            seconds=seconds,
+            fingerprint=fingerprint,
+            detail=detail,
+            timestamp=self.clock(),
+        )
+        st.events.append(event)
         if self.on_event is not None:
             self.on_event(event)
-        return event
+        if audit is not None:
+            st.context.audit.record(
+                st.context.agent, action or kind.value, stage_name or self.plan.name, **audit
+            )
+        st.recorder.record(event, **facts)
 
-    # -- resume ------------------------------------------------------------------
-    def _restore(
+    def _fail(
         self,
-        checkpoint: RunCheckpoint,
-        context: PipelineContext,
-        events: List[RunEvent],
-        results: List[StageResult],
-    ) -> None:
-        """Replay the completed prefix from a checkpoint into this run."""
-        context.artifacts.update(checkpoint.artifacts)
-        if len(context.evidence) == 0 and len(checkpoint.evidence) > 0:
-            context.evidence = checkpoint.evidence
-        if context.provenance_store is not None:
-            # rebuild lineage continuity for the skipped prefix and require
-            # the restored payload to be a known entity in the stored chain
-            context.lineage.extend(context.provenance_store.load())
-            if checkpoint.fingerprint not in context.lineage.entities:
-                raise CheckpointError(
-                    f"restored payload {checkpoint.fingerprint[:12]} is not an "
-                    "entity in the attached provenance store; refusing to resume"
-                )
-        for index in range(checkpoint.stage_index + 1):
-            row = checkpoint.completed.get(index)
-            if row is None:
-                raise CheckpointError(
-                    f"checkpoint state has no record for stage index {index}"
-                )
-            stage = self.plan.stages[index]
-            results.append(
-                StageResult(
-                    stage_name=stage.name,
-                    processing_stage=stage.processing_stage,
-                    seconds=0.0,
-                    input_fingerprint=str(row["input_fingerprint"]),
-                    output_fingerprint=str(row["fingerprint"]),
-                    evidence_recorded=0,
-                    restored=True,
-                )
-            )
-            self._emit(
-                events,
-                RunEventKind.STAGE_SKIPPED,
-                stage_name=stage.name,
-                stage_index=index,
-                fingerprint=str(row["fingerprint"]),
-                detail="restored from checkpoint",
-            )
-            context.audit.record(
-                context.agent,
-                "stage-skipped",
-                stage.name,
-                output=str(row["fingerprint"])[:12],
-            )
+        st: _RunState,
+        error: BaseException,
+        stage: Optional[PipelineStage] = None,
+        index: Optional[int] = None,
+        *,
+        detail: str,
+        span_error: str,
+        kind: RunEventKind = K.RUN_FAILED,
+        audit: Optional[Mapping[str, object]] = None,
+    ) -> BaseException:
+        """The one abort path: publish the terminal event, dress the error.
+
+        Gate, stage, drain and restore failures all end here, so every
+        ``RUN_STARTED`` is followed by exactly one terminal event and the
+        raised exception always carries the run's records.  Returns *error*
+        for the caller to ``raise`` (keeping its ``from`` clause).
+        """
+        self._publish(
+            st, kind, stage.name if stage else None, index, detail=detail, audit=audit,
+            error=span_error,
+        )
+        error.events = st.events  # type: ignore[attr-defined]
+        error.dead_letters = st.dead_letters  # type: ignore[attr-defined]
+        error.worker_crashes = list(self.backend.crash_events)  # type: ignore[attr-defined]
+        error.worker_counters = dict(self.backend.worker_counters)  # type: ignore[attr-defined]
+        return error
+
+    def _interrupted(
+        self, st: _RunState, exc: DrainInterrupt, stage: PipelineStage, index: int
+    ) -> BaseException:
+        """A drain stopped the run; the last completed stage's checkpoint is
+        already on disk (saves are atomic), so ``--resume`` continues
+        bitwise-faithfully."""
+        detail = str(exc) or "drain requested"
+        exc.stage_name = stage.name
+        exc.stage_index = index
+        return self._fail(
+            st, exc, stage, index, detail=detail, span_error="run interrupted (drain)",
+            kind=K.RUN_INTERRUPTED, audit={"detail": detail},
+        )
 
     # -- execution ---------------------------------------------------------------
     def run(
@@ -946,114 +971,92 @@ class PipelineRunner:
         atomic-commit primitives, so every artifact store — checkpoints,
         manifests, journal, provenance, quarantine — is under injection.
         """
-        disk_injector = getattr(self.fault_injector, "disk_injector", None)
-        with activate_disk_faults(disk_injector):
-            return self._run_impl(payload, context, resume=resume)
-
-    def _run_impl(
-        self,
-        payload: Any,
-        context: Optional[PipelineContext] = None,
-        *,
-        resume: bool = False,
-    ) -> PipelineRun:
-        context = context or PipelineContext(agent=self.plan.name)
-        telemetry = self.telemetry
-        context.telemetry = telemetry
-        decision = self.plan.schedule
-        context.schedule_decision = decision
-        events: List[RunEvent] = []
-        results: List[StageResult] = []
-        dead_letters = DeadLetterLog()
-        # explicit None test: an empty QuarantineStore is falsy (len == 0)
-        quarantine = (
-            self.quarantine_store
-            if self.quarantine_store is not None
-            else QuarantineStore(None)
-        )
-        gate_policy = self.gate_policy
         injector = self.fault_injector
-        task_stats = RetryStats()
+        with activate_disk_faults(injector.disk_injector if injector is not None else None):
+            st = self._open(payload, context, resume)
+            for index in range(st.start_index, len(self.plan.stages)):
+                self._run_stage(st, index)
+            return self._finish(st)
 
+    # -- open --------------------------------------------------------------------
+    def _open(
+        self, payload: Any, context: Optional[PipelineContext], resume: bool
+    ) -> _RunState:
+        """Load the checkpoint, stack the backend, write the run-start
+        records, restore (or root the lineage), begin the journal."""
+        context = context or PipelineContext(agent=self.plan.name)
+        context.telemetry = self.telemetry
+        context.schedule_decision = self.plan.schedule
         checkpoint: Optional[RunCheckpoint] = None
         quarantined: List[QuarantinedCheckpoint] = []
         if resume:
             if self.checkpointer is None:
-                raise PipelineError(
-                    "resume requested but the runner has no checkpointer"
-                )
-            loader = getattr(self.checkpointer, "load_verified", None)
-            if loader is not None:
-                checkpoint, quarantined = loader(self.plan)
-            else:  # minimal checkpointer protocol: strict load only
-                checkpoint = self.checkpointer.load(self.plan)
-
+                raise PipelineError("resume requested but the runner has no checkpointer")
+            checkpoint, quarantined = self.checkpointer.load_verified(self.plan)
         base = self.backend
-        base.configure_retry(None, clock=self.fault_clock, stats=task_stats)
-        #: does the backend supervise worker processes (crash recovery,
-        #: leases, heartbeats)?  drives the worker-metric flush below
-        supervised = getattr(base, "survives_worker_crash", False)
-        if self.drain is not None and hasattr(base, "drain"):
-            # drain-capable backends check the flag between task grants,
-            # so a signal stops the run mid-stage, not just at boundaries
-            base.drain = self.drain
-        backend: ExecutionBackend = base
-        if injector is not None:
-            backend = injector.wrap_backend(backend)
-        instrumented: Optional[InstrumentedBackend] = None
-        run_span: Optional[Span] = None
-        if telemetry is not None:
-            instrumented = InstrumentedBackend(
-                backend, telemetry, pipeline=self.plan.name
-            )
-            backend = instrumented
-            run_span = telemetry.tracer.start_span(
-                f"run:{self.plan.name}",
-                parent=None,
-                pipeline=self.plan.name,
-                backend=self.backend.name,
-                stages=len(self.plan.stages),
-            )
-            if decision is not None:
-                run_span.set_attributes(
-                    schedule_mode=decision.mode,
-                    schedule_config=decision.chosen.label(),
-                    schedule_predicted_s=decision.predicted_seconds,
-                    schedule_candidates=len(decision.candidates),
-                    schedule_cluster=decision.cluster,
-                    schedule_hash=decision.content_hash()[:12],
-                )
-        context.backend = backend
-
-        self._emit(
-            events,
-            RunEventKind.RUN_STARTED,
-            detail=f"backend={self.backend.name}"
-            + (f" resume-after={checkpoint.stage_name}" if checkpoint else ""),
+        recorder = recorder_for(self.telemetry, self.plan.name, base, self.fault_injector)
+        # explicit None test: an empty QuarantineStore is falsy (len == 0)
+        store = self.quarantine_store
+        st = _RunState(
+            context=context,
+            recorder=recorder,
+            quarantine=store if store is not None else QuarantineStore(None),
+            payload=payload,
+            quarantined=quarantined,
         )
-        context.audit.record(
-            context.agent, "run-started", self.plan.name, backend=self.backend.name
+        base.configure_retry(None, clock=self.fault_clock, stats=st.task_stats)
+        if self.drain is not None:
+            # draining backends check the flag between task grants, so a
+            # signal stops the run mid-stage, not just at boundaries
+            base.drain = self.drain
+        backend = base
+        if self.fault_injector is not None:
+            backend = self.fault_injector.wrap_backend(backend)
+        context.backend = recorder.wrap_backend(backend)
+        self._announce(st, checkpoint)
+        if checkpoint is not None:
+            try:
+                self._restore(st, checkpoint)
+            except CheckpointError as exc:
+                raise self._fail(st, exc, detail=str(exc), span_error=str(exc))
+        else:
+            st.fingerprint = fp = fingerprint_payload(payload)
+            lineage = context.lineage
+            if lineage.record_for(fp) is None and fp not in lineage.entities:
+                # register the raw payload as a lineage root
+                context._capture(f"{self.plan.name}:source", [], fp, None, {"role": "source"})
+        if self.journal is not None:
+            # write-ahead: the journal names the run before any stage
+            # mutates disk, so recovery can always tell which run the
+            # on-disk state belongs to
+            self.journal.begin(
+                pipeline=self.plan.name,
+                plan_fingerprint=self.plan.fingerprint(),
+                backend=base.name,
+                payload_fingerprint=st.fingerprint,
+                resume_index=st.start_index,
+            )
+            recorder.count("journal_records_total", kind="run-begin")
+        return st
+
+    def _announce(self, st: _RunState, checkpoint: Optional[RunCheckpoint]) -> None:
+        """The run-start records: started, recovered, scheduled, quarantined."""
+        base, decision = self.backend, self.plan.schedule
+        resuming = f" resume-after={checkpoint.stage_name}" if checkpoint else ""
+        self._publish(
+            st, K.RUN_STARTED, detail=f"backend={base.name}{resuming}",
+            audit={"backend": base.name}, stages=len(self.plan.stages), decision=decision,
         )
         if self.recovery_report is not None:
-            summary = getattr(self.recovery_report, "summary", None)
-            self._emit(
-                events,
-                RunEventKind.RUN_RECOVERED,
-                detail=summary() if callable(summary) else str(self.recovery_report),
-            )
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    "runs_recovered_total", pipeline=self.plan.name
-                ).inc()
+            self._publish(st, K.RUN_RECOVERED, detail=self.recovery_report.summary())
         any_timeout = self.stage_timeout is not None or any(
             s.timeout is not None for s in self.plan.stages
         )
-        if any_timeout and not getattr(base, "preemptive_timeout", False):
-            # satellite of the supervision work: make the limitation of
-            # cooperative deadlines explicit instead of silently weaker
-            self._emit(
-                events,
-                RunEventKind.TIMEOUT_UNENFORCEABLE,
+        if any_timeout and not base.preemptive_timeout:
+            # make the limit of cooperative deadlines explicit, not silently weaker
+            self._publish(
+                st,
+                K.TIMEOUT_UNENFORCEABLE,
                 detail=(
                     f"backend {base.name!r} cannot preempt a running stage; "
                     "deadlines are enforced post-hoc only (a hung task is "
@@ -1062,846 +1065,422 @@ class PipelineRunner:
                 ),
             )
         if decision is not None:
-            self._emit(
-                events,
-                RunEventKind.RUN_SCHEDULED,
-                fingerprint=decision.content_hash(),
+            self._publish(
+                st, K.RUN_SCHEDULED, fingerprint=decision.content_hash(),
                 detail=decision.summary(),
+                audit={"mode": decision.mode, "config": decision.chosen.label()},
             )
-            context.audit.record(
-                context.agent,
-                "run-scheduled",
-                self.plan.name,
-                mode=decision.mode,
-                config=decision.chosen.label(),
+        for q in st.quarantined:
+            self._publish(
+                st, K.CHECKPOINT_QUARANTINED, q.stage_name, q.stage_index,
+                detail=q.reason, audit={"reason": q.reason},
             )
-        for q in quarantined:
-            self._emit(
-                events,
-                RunEventKind.CHECKPOINT_QUARANTINED,
-                stage_name=q.stage_name,
-                stage_index=q.stage_index,
-                detail=q.reason,
-            )
-            context.audit.record(
-                context.agent,
-                "checkpoint-quarantined",
-                q.stage_name,
-                reason=q.reason,
-            )
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    "checkpoints_quarantined_total", pipeline=self.plan.name
-                ).inc()
 
-        start_index = 0
-        resumed_from: Optional[int] = None
-        current = payload
-        if checkpoint is not None:
-            try:
-                self._restore(checkpoint, context, events, results)
-            except CheckpointError as exc:
-                if telemetry is not None:
-                    telemetry.tracer.end_span(
-                        run_span, status=SpanStatus.ERROR, error=str(exc)
-                    )
-                raise
-            current = checkpoint.payload
-            prev_fp = checkpoint.fingerprint
-            start_index = checkpoint.stage_index + 1
-            resumed_from = checkpoint.stage_index
-        else:
-            prev_fp = fingerprint_payload(current)
-            if (
-                context.lineage.record_for(prev_fp) is None
-                and prev_fp not in context.lineage.entities
-            ):
-                # register the raw payload as a lineage root
-                context._capture(
-                    f"{self.plan.name}:source", [], prev_fp, None, {"role": "source"}
+    def _restore(self, st: _RunState, checkpoint: RunCheckpoint) -> None:
+        """Replay the completed prefix from a checkpoint into this run."""
+        context = st.context
+        context.artifacts.update(checkpoint.artifacts)
+        if len(context.evidence) == 0 and len(checkpoint.evidence) > 0:
+            context.evidence = checkpoint.evidence
+        if context.provenance_store is not None:
+            # rebuild lineage continuity for the skipped prefix and require
+            # the restored payload to be a known entity in the stored chain
+            context.lineage.extend(context.provenance_store.load())
+            if checkpoint.fingerprint not in context.lineage.entities:
+                raise CheckpointError(
+                    f"restored payload {checkpoint.fingerprint[:12]} is not an "
+                    "entity in the attached provenance store; refusing to resume"
                 )
-
-        journal = self.journal
-
-        def _journal_count(kind: str) -> None:
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    "journal_records_total", pipeline=self.plan.name, kind=kind
-                ).inc()
-
-        if journal is not None:
-            # write-ahead: the journal names the run before any stage
-            # mutates disk, so recovery can always tell which run the
-            # on-disk state belongs to
-            journal.begin(
-                pipeline=self.plan.name,
-                plan_fingerprint=self.plan.fingerprint(),
-                backend=self.backend.name,
-                payload_fingerprint=prev_fp,
-                resume_index=start_index,
-            )
-            _journal_count("run-begin")
-
-        def _flush_injected(mark: int, span: Optional[Span]) -> None:
-            """Surface this stage's realised injections as span events/counters."""
-            if injector is None:
-                return
-            for fault in injector.log[mark:]:
-                if span is not None:
-                    span.add_event(
-                        "fault_injected",
-                        kind=fault.kind,
-                        site=fault.site,
-                        attempt=fault.attempt,
-                        detail=fault.detail,
-                    )
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "faults_injected_total",
-                        pipeline=self.plan.name,
-                        kind=fault.kind,
-                    ).inc()
-
-        _WORKER_METRICS = {
-            "worker_restarts": "worker_restarts_total",
-            "leases_expired": "leases_expired_total",
-            "tasks_requeued": "tasks_requeued_total",
-            "poison_tasks": "poison_tasks_total",
-        }
-
-        def _flush_workers(
-            mark: int,
-            before: Dict[str, int],
-            span: Optional[Span],
-            stage_name: str,
-        ) -> None:
-            """Surface this stage's worker crashes as span events/counters."""
-            if not supervised:
-                return
-            for crash in base.crash_events[mark:]:
-                if span is not None:
-                    span.add_event(
-                        "worker_crash",
-                        worker=crash.worker_id,
-                        reason=crash.reason,
-                        task=crash.task_id,
-                        attempt=crash.attempt,
-                        requeued=crash.requeued,
-                    )
-            if telemetry is not None:
-                for key, metric in _WORKER_METRICS.items():
-                    delta = base.worker_counters.get(key, 0) - before.get(key, 0)
-                    if delta:
-                        telemetry.metrics.counter(
-                            metric, pipeline=self.plan.name, stage=stage_name
-                        ).inc(delta)
-                telemetry.metrics.gauge(
-                    "worker_heartbeat_gap_seconds", pipeline=self.plan.name
-                ).set(base.heartbeat_gap_max)
-
-        def _interrupt(
-            exc: DrainInterrupt,
-            stage_name: Optional[str],
-            stage_index: Optional[int],
-            stage_span: Optional[Span],
-        ) -> None:
-            """Wind the run down after a drain: spans, metrics, audit, raise.
-
-            The last completed stage's checkpoint is already on disk (saves
-            are atomic), so ``--resume`` continues bitwise-faithfully.
-            """
-            detail = str(exc) or "drain requested"
-            if telemetry is not None:
-                if stage_span is not None:
-                    telemetry.tracer.end_span(
-                        stage_span, status=SpanStatus.ERROR, error=detail
-                    )
-                telemetry.tracer.end_span(
-                    run_span, status=SpanStatus.ERROR, error="run interrupted (drain)"
+        for index in range(checkpoint.stage_index + 1):
+            row = checkpoint.completed.get(index)
+            if row is None:
+                raise CheckpointError(
+                    f"checkpoint state has no record for stage index {index}"
                 )
-                telemetry.metrics.counter(
-                    "runs_total", pipeline=self.plan.name, status="interrupted"
-                ).inc()
-            context.current_span = None
-            context.audit.record(
-                context.agent,
-                "run-interrupted",
-                stage_name or self.plan.name,
-                detail=detail,
-            )
-            self._emit(
-                events,
-                RunEventKind.RUN_INTERRUPTED,
-                stage_name=stage_name,
-                stage_index=stage_index,
-                detail=detail,
-            )
-            exc.stage_name = stage_name
-            exc.stage_index = stage_index
-            exc.events = events  # type: ignore[attr-defined]
-            exc.dead_letters = dead_letters  # type: ignore[attr-defined]
-            exc.worker_crashes = (  # type: ignore[attr-defined]
-                list(base.crash_events) if supervised else []
-            )
-            exc.worker_counters = (  # type: ignore[attr-defined]
-                dict(base.worker_counters) if supervised else {}
-            )
-            raise exc
-
-        def _record_gate(report: GateReport, stage: PipelineStage, span) -> None:
-            """Flow one gate verdict into telemetry, audit, and the event log."""
-            context.gate_reports.append(report)
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    "gate_checks_total",
-                    pipeline=self.plan.name,
-                    stage=report.stage,
-                    boundary=report.boundary,
-                    verdict=report.verdict,
-                ).inc()
-                if report.records_quarantined:
-                    telemetry.metrics.counter(
-                        "records_quarantined_total",
-                        pipeline=self.plan.name,
-                        stage=report.stage,
-                    ).inc(report.records_quarantined)
-            if span is not None:
-                span.add_event(
-                    "gate",
-                    boundary=report.boundary,
-                    contract=report.contract,
-                    contract_hash=report.contract_hash[:12],
-                    verdict=report.verdict,
-                    records_checked=report.records_checked,
-                    records_quarantined=report.records_quarantined,
-                )
-            if report.verdict != "fail":
-                context.audit.record(
-                    context.agent,
-                    f"gate-{report.verdict}",
-                    stage.name,
-                    contract=report.contract,
-                    boundary=report.boundary,
-                )
-
-        def _gate(
-            boundary: str,
-            stage: PipelineStage,
-            index: int,
-            stage_span,
-            payload_value: Any,
-        ) -> Tuple[Any, Optional[GateReport]]:
-            """Enforce one boundary's contract; returns the surviving payload.
-
-            A ``fail`` verdict tears the run down exactly like a stage
-            failure: spans end in ERROR, ``runs_total{status=error}``
-            ticks, GATE_FAILED/RUN_FAILED fire, and the raised
-            :class:`PipelineError` carries the event log, dead letters,
-            and the failing :class:`GateReport`.
-            """
-            contract = (
-                stage.input_contract if boundary == "input" else stage.output_contract
-            )
-            if gate_policy is None or contract is None:
-                return payload_value, None
-            try:
-                outcome = apply_contract(
-                    contract,
-                    payload_value,
-                    policy=gate_policy,
-                    pipeline=self.plan.name,
-                    stage=stage.name,
-                    stage_index=index,
-                    boundary=boundary,
-                )
-            except GateViolation as exc:
-                report = exc.report
-                _record_gate(report, stage, stage_span)
-                error_detail = str(exc)
-                if telemetry is not None:
-                    telemetry.tracer.end_span(
-                        stage_span, status=SpanStatus.ERROR, error=error_detail
-                    )
-                    telemetry.tracer.end_span(
-                        run_span,
-                        status=SpanStatus.ERROR,
-                        error=f"gate failed at stage {stage.name!r}",
-                    )
-                    telemetry.metrics.counter(
-                        "runs_total", pipeline=self.plan.name, status="error"
-                    ).inc()
-                context.current_span = None
-                context.audit.record(
-                    context.agent, "gate-failed", stage.name, error=error_detail
-                )
-                self._emit(
-                    events,
-                    RunEventKind.GATE_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=error_detail,
-                )
-                self._emit(
-                    events,
-                    RunEventKind.RUN_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=error_detail,
-                )
-                error = PipelineError(
-                    error_detail, stage_name=stage.name, stage_index=index
-                )
-                error.events = events  # type: ignore[attr-defined]
-                error.dead_letters = dead_letters  # type: ignore[attr-defined]
-                error.gate_report = report  # type: ignore[attr-defined]
-                raise error from exc
-            report = outcome.report
-            _record_gate(report, stage, stage_span)
-            for entry, record in outcome.quarantined:
-                quarantine.add(entry, record)
-            if report.verdict == "quarantine":
-                self._emit(
-                    events,
-                    RunEventKind.RECORDS_QUARANTINED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=report.summary(),
-                )
-            elif report.verdict == "warn":
-                self._emit(
-                    events,
-                    RunEventKind.GATE_WARNED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=report.summary(),
-                )
-            else:
-                self._emit(
-                    events,
-                    RunEventKind.GATE_PASSED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=report.summary(),
-                )
-            return outcome.payload, report
-
-        for index in range(start_index, len(self.plan.stages)):
             stage = self.plan.stages[index]
-            if self.drain is not None and self.drain.requested:
-                # boundary drain: the previous stage's checkpoint is the
-                # resume point; this stage never starts
-                _interrupt(
-                    DrainInterrupt(
-                        f"drain requested before stage {stage.name!r} "
-                        "(previous checkpoint is the resume point)"
-                    ),
-                    stage.name,
-                    index,
-                    None,
-                )
-            if injector is not None:
-                # pre-stage crash point: the previous stage's commit is
-                # the last journal record; nothing of this stage exists
-                injector.maybe_crash(index, "pre")
-            mode, policy, timeout = self._stage_policy(stage)
-            context.stage_batch_size = self._stage_batch(stage, decision)
-            base.task_retry = policy
-            if hasattr(base, "lease_timeout"):
-                # preemptive deadline: the supervisor SIGKILLs a worker
-                # whose lease outlives the stage budget
-                base.lease_timeout = timeout
-            evidence_before = len(context.evidence)
-            self._emit(
-                events,
-                RunEventKind.STAGE_STARTED,
-                stage_name=stage.name,
-                stage_index=index,
-                fingerprint=prev_fp,
-            )
-            stage_span: Optional[Span] = None
-            profiler: Optional[ResourceProfiler] = None
-            if telemetry is not None:
-                stage_span = telemetry.tracer.start_span(
-                    f"stage:{stage.name}",
-                    parent=run_span,
-                    pipeline=self.plan.name,
-                    stage=stage.name,
-                    index=index,
-                    processing_stage=stage.processing_stage.name,
-                    parallelism=stage.parallelism.value,
-                    backend=self.backend.name,
-                )
-                instrumented.activate_stage(stage.name, stage_span)
-                profiler = ResourceProfiler().start()
-            context.current_span = stage_span
-            stage_quarantined = 0
-            input_report: Optional[GateReport] = None
-            if gate_policy is not None and stage.input_contract is not None:
-                current, input_report = _gate(
-                    "input", stage, index, stage_span, current
-                )
-                if input_report is not None and input_report.records_quarantined:
-                    stage_quarantined += input_report.records_quarantined
-                    gated_fp = fingerprint_payload(current)
-                    if gated_fp != prev_fp:
-                        annotations = {
-                            "processing_stage": stage.processing_stage.name,
-                            "role": "gate",
-                            "gate_contract": input_report.contract_hash,
-                            "gate_verdict": input_report.verdict,
-                        }
-                        if stage_span is not None:
-                            annotations["span_id"] = stage_span.span_id
-                            annotations["trace_id"] = stage_span.trace_id
-                        context._capture(
-                            f"{stage.name}:gate", [prev_fp], gated_fp, None, annotations
-                        )
-                        prev_fp = gated_fp
-            deadline = (
-                Deadline(timeout, clock=self.fault_clock)
-                if timeout is not None
-                else None
-            )
-            retry_key = f"{self.plan.name}:{stage.name}"
-            task_before = task_stats.retries
-            injected_mark = len(injector.log) if injector is not None else 0
-            worker_mark = len(base.crash_events) if supervised else 0
-            counters_before = dict(base.worker_counters) if supervised else {}
-            attempts = 0
-            elapsed = 0.0
-            stage_error: Optional[BaseException] = None
-            drain_exc: Optional[DrainInterrupt] = None
-            while True:
-                attempts += 1
-                started = time.perf_counter()
-                attempt_error: Optional[BaseException] = None
-                try:
-                    candidate = stage.fn(current, context)
-                except DrainInterrupt as exc:
-                    # mid-stage drain from a drain-capable backend: stop
-                    # here — never retried, never dead-lettered
-                    elapsed += time.perf_counter() - started
-                    drain_exc = exc
-                    break
-                except Exception as exc:
-                    attempt_error = exc
-                elapsed += time.perf_counter() - started
-                if (
-                    attempt_error is None
-                    and deadline is not None
-                    and deadline.expired()
-                ):
-                    # cooperative (post-hoc) budget enforcement: the stage
-                    # finished, but blew its deadline on the fault clock
-                    attempt_error = StageTimeoutError(
-                        f"stage {stage.name!r} exceeded its {timeout:g}s budget "
-                        f"({deadline.elapsed():.3f}s elapsed)"
-                    )
-                if attempt_error is None:
-                    current = candidate
-                    break
-                timed_out = isinstance(attempt_error, StageTimeoutError) or (
-                    deadline is not None and deadline.expired()
-                )
-                retryable = (
-                    mode is not OnError.FAIL
-                    and policy is not None
-                    and attempts < policy.max_attempts
-                    and is_transient(attempt_error)
-                    and not timed_out
-                )
-                if not retryable:
-                    stage_error = attempt_error
-                    break
-                delay = policy.delay(attempts, key=retry_key)
-                if deadline is not None:
-                    delay = min(delay, max(deadline.remaining(), 0.0))
-                detail = (
-                    f"attempt {attempts}/{policy.max_attempts} failed "
-                    f"({type(attempt_error).__name__}: {attempt_error}); "
-                    f"retrying in {delay:.3f}s"
-                )
-                self._emit(
-                    events,
-                    RunEventKind.STAGE_RETRIED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    seconds=elapsed,
-                    detail=detail,
-                )
-                context.audit.record(
-                    context.agent,
-                    "stage-retried",
-                    stage.name,
-                    attempt=attempts,
-                    error=str(attempt_error),
-                )
-                if stage_span is not None:
-                    stage_span.add_event(
-                        "retry",
-                        attempt=attempts,
-                        error=f"{type(attempt_error).__name__}: {attempt_error}",
-                        delay_s=delay,
-                    )
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "stage_retries_total",
-                        pipeline=self.plan.name,
-                        stage=stage.name,
-                    ).inc()
-                self.fault_clock.sleep(delay)
-            task_retries = task_stats.retries - task_before
-            if telemetry is not None and task_retries:
-                telemetry.metrics.counter(
-                    "task_retries_total", pipeline=self.plan.name, stage=stage.name
-                ).inc(task_retries)
-            if drain_exc is not None:
-                _flush_injected(injected_mark, stage_span)
-                _flush_workers(worker_mark, counters_before, stage_span, stage.name)
-                _interrupt(drain_exc, stage.name, index, stage_span)
-            if stage_error is not None:
-                fault_kind = classify_fault(stage_error)
-                record = DeadLetterRecord(
-                    pipeline=self.plan.name,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    attempts=attempts,
-                    error_type=type(stage_error).__name__,
-                    error=str(stage_error),
-                    fault_kind=fault_kind,
-                    input_fingerprint=prev_fp,
-                    action="degraded" if mode is OnError.SKIP_DEGRADED else "failed",
-                    timestamp=self.clock(),
-                )
-                dead_letters.append(record)
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "dead_letters_total",
-                        pipeline=self.plan.name,
-                        stage=stage.name,
-                    ).inc()
-                error_detail = f"{type(stage_error).__name__}: {stage_error}"
-                if mode is OnError.SKIP_DEGRADED:
-                    # pass the stage's input through untouched and press on;
-                    # the run completes, flagged degraded, with the failure
-                    # dead-lettered for re-driving
-                    if telemetry is not None:
-                        _flush_injected(injected_mark, stage_span)
-                        _flush_workers(
-                            worker_mark, counters_before, stage_span, stage.name
-                        )
-                        stage_span.set_attributes(
-                            degraded=True, attempts=attempts, task_retries=task_retries
-                        )
-                        telemetry.tracer.end_span(
-                            stage_span, status=SpanStatus.ERROR, error=error_detail
-                        )
-                        telemetry.metrics.counter(
-                            "stages_degraded_total",
-                            pipeline=self.plan.name,
-                            stage=stage.name,
-                        ).inc()
-                    else:
-                        _flush_injected(injected_mark, stage_span)
-                        _flush_workers(
-                            worker_mark, counters_before, stage_span, stage.name
-                        )
-                    context.current_span = None
-                    context.audit.record(
-                        context.agent,
-                        "stage-degraded",
-                        stage.name,
-                        attempts=attempts,
-                        error=str(stage_error),
-                    )
-                    self._emit(
-                        events,
-                        RunEventKind.STAGE_DEGRADED,
-                        stage_name=stage.name,
-                        stage_index=index,
-                        seconds=elapsed,
-                        fingerprint=prev_fp,
-                        detail=f"{error_detail} (after {attempts} attempts)",
-                    )
-                    results.append(
-                        StageResult(
-                            stage_name=stage.name,
-                            processing_stage=stage.processing_stage,
-                            seconds=elapsed,
-                            input_fingerprint=prev_fp,
-                            output_fingerprint=prev_fp,
-                            evidence_recorded=len(context.evidence)
-                            - evidence_before,
-                            attempts=attempts,
-                            task_retries=task_retries,
-                            degraded=True,
-                            error=error_detail,
-                            records_quarantined=stage_quarantined,
-                        )
-                    )
-                    # no checkpoint for a degraded stage: a resume must
-                    # re-attempt it, not restore its passed-through input
-                    continue
-                if telemetry is not None:
-                    _flush_injected(injected_mark, stage_span)
-                    _flush_workers(
-                        worker_mark, counters_before, stage_span, stage.name
-                    )
-                    telemetry.tracer.end_span(
-                        stage_span,
-                        status=SpanStatus.ERROR,
-                        error=error_detail,
-                    )
-                    telemetry.tracer.end_span(
-                        run_span,
-                        status=SpanStatus.ERROR,
-                        error=f"stage {stage.name!r} failed",
-                    )
-                    telemetry.metrics.counter(
-                        "runs_total", pipeline=self.plan.name, status="error"
-                    ).inc()
-                else:
-                    _flush_injected(injected_mark, stage_span)
-                    _flush_workers(
-                        worker_mark, counters_before, stage_span, stage.name
-                    )
-                context.current_span = None
-                context.audit.record(
-                    context.agent, "stage-failed", stage.name, error=str(stage_error)
-                )
-                self._emit(
-                    events,
-                    RunEventKind.STAGE_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    seconds=elapsed,
-                    detail=f"{error_detail} (after {attempts} attempts)",
-                )
-                self._emit(
-                    events,
-                    RunEventKind.RUN_FAILED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    detail=str(stage_error),
-                )
-                error = PipelineError(
-                    f"stage {stage.name!r} failed: {stage_error}",
-                    stage_name=stage.name,
-                    stage_index=index,
-                )
-                error.events = events  # type: ignore[attr-defined]
-                error.dead_letters = dead_letters  # type: ignore[attr-defined]
-                raise error from stage_error
-            output_report: Optional[GateReport] = None
-            if gate_policy is not None and stage.output_contract is not None:
-                current, output_report = _gate(
-                    "output", stage, index, stage_span, current
-                )
-                if output_report is not None:
-                    stage_quarantined += output_report.records_quarantined
-            context.current_span = None
-            out_fp, out_bytes, out_items = walk_payload(current)
-            _flush_injected(injected_mark, stage_span)
-            _flush_workers(worker_mark, counters_before, stage_span, stage.name)
-            if telemetry is not None:
-                delta = profiler.stop()
-                items_per_s = throughput(out_items, elapsed)
-                bytes_per_s = throughput(out_bytes, elapsed)
-                stage_span.set_attributes(
-                    items=out_items,
-                    bytes=out_bytes,
-                    items_per_s=items_per_s,
-                    bytes_per_s=bytes_per_s,
-                    cpu_s=delta.cpu_s,
-                    cpu_fraction=delta.cpu_fraction,
-                    max_rss_bytes=delta.max_rss_bytes,
-                    rss_growth_bytes=delta.max_rss_growth_bytes,
-                    output_fingerprint=out_fp[:12],
-                    attempts=attempts,
-                    task_retries=task_retries,
-                )
-                telemetry.tracer.end_span(stage_span)
-                labels = {"pipeline": self.plan.name, "stage": stage.name}
-                metrics = telemetry.metrics
-                metrics.histogram("stage_seconds", **labels).observe(elapsed)
-                metrics.counter("stage_items_total", **labels).inc(out_items)
-                metrics.counter("stage_bytes_total", **labels).inc(out_bytes)
-                metrics.gauge("stage_items_per_s", **labels).set(items_per_s)
-                metrics.gauge("stage_bytes_per_s", **labels).set(bytes_per_s)
-            if out_fp != prev_fp:
-                # identical fingerprints mean the stage was a pure observer
-                # (validation, evidence-only); no new entity to record
-                annotations: Dict[str, object] = {
-                    "processing_stage": stage.processing_stage.name,
-                }
-                if stage_span is not None:
-                    annotations["span_id"] = stage_span.span_id
-                    annotations["trace_id"] = stage_span.trace_id
-                if output_report is not None:
-                    annotations["gate_contract"] = output_report.contract_hash
-                    annotations["gate_verdict"] = output_report.verdict
-                context._capture(
-                    stage.name,
-                    [prev_fp],
-                    out_fp,
-                    stage.params,
-                    annotations,
-                )
-            context.audit.record(
-                context.agent,
-                "stage-completed",
-                stage.name,
-                seconds=elapsed,
-                output=out_fp[:12],
-            )
-            results.append(
+            fingerprint = str(row["fingerprint"])
+            st.results.append(
                 StageResult(
                     stage_name=stage.name,
                     processing_stage=stage.processing_stage,
-                    seconds=elapsed,
-                    input_fingerprint=prev_fp,
-                    output_fingerprint=out_fp,
-                    evidence_recorded=len(context.evidence) - evidence_before,
-                    items=out_items,
-                    nbytes=out_bytes,
-                    attempts=attempts,
-                    task_retries=task_retries,
-                    degraded=bool(stage_quarantined),
-                    records_quarantined=stage_quarantined,
+                    seconds=0.0,
+                    input_fingerprint=str(row["input_fingerprint"]),
+                    output_fingerprint=fingerprint,
+                    evidence_recorded=0,
+                    restored=True,
                 )
             )
-            self._emit(
-                events,
-                RunEventKind.STAGE_COMPLETED,
+            self._publish(
+                st, K.STAGE_SKIPPED, stage.name, index, fingerprint=fingerprint,
+                detail="restored from checkpoint", audit={"output": fingerprint[:12]},
+            )
+        st.payload = checkpoint.payload
+        st.fingerprint = checkpoint.fingerprint
+        st.start_index = checkpoint.stage_index + 1
+
+    # -- one stage ---------------------------------------------------------------
+    def _run_stage(self, st: _RunState, index: int) -> None:
+        """gate-in -> execute-with-policy -> gate-out -> commit."""
+        stage, injector = self.plan.stages[index], self.fault_injector
+        if self.drain is not None and self.drain.requested:
+            # boundary drain: this stage never starts
+            exc = DrainInterrupt(
+                f"drain requested before stage {stage.name!r} "
+                "(previous checkpoint is the resume point)"
+            )
+            raise self._interrupted(st, exc, stage, index)
+        if injector is not None:
+            # pre-stage crash point: nothing of this stage exists yet
+            injector.maybe_crash(index, "pre")
+        mode, policy, timeout = self._stage_policy(stage)
+        frame = _StageFrame(stage, index, mode, policy, timeout, len(st.context.evidence))
+        st.context.stage_batch_size = self._stage_batch(stage, self.plan.schedule)
+        self.backend.task_retry = policy
+        # preemptive deadline: a supervising backend SIGKILLs a worker
+        # whose lease outlives the stage budget
+        self.backend.lease_timeout = timeout
+        self._publish(
+            st, K.STAGE_STARTED, stage.name, index, fingerprint=st.fingerprint, stage=stage
+        )
+        st.context.current_span = st.recorder.stage_span
+        try:
+            self._gate_in(st, frame)
+            try:
+                error = self._execute(st, frame)
+            except DrainInterrupt as exc:
+                # mid-stage drain from a draining backend: stop here —
+                # never retried, never dead-lettered
+                raise self._interrupted(st, exc, stage, index)
+            if error is not None:
+                self._give_up(st, frame, error)
+                return
+            output_report = self._gate(st, frame, "output")
+        finally:
+            st.context.current_span = None
+        self._commit(st, frame, output_report)
+        if injector is not None:
+            # post-stage crash point: the stage is fully committed
+            # (checkpoint + journal); recovery must keep it
+            injector.maybe_crash(index, "post")
+
+    def _gate(
+        self, st: _RunState, frame: _StageFrame, boundary: str
+    ) -> Optional[GateReport]:
+        """Enforce one boundary's contract on ``st.payload``; survivors stay.
+
+        A ``fail`` verdict fails the run like a stage failure does, and the
+        raised :class:`PipelineError` also carries the :class:`GateReport`.
+        """
+        stage, index = frame.stage, frame.index
+        contract = stage.input_contract if boundary == "input" else stage.output_contract
+        if self.gate_policy is None or contract is None:
+            return None
+        try:
+            outcome = apply_contract(
+                contract,
+                st.payload,
+                policy=self.gate_policy,
+                pipeline=self.plan.name,
+                stage=stage.name,
+                stage_index=index,
+                boundary=boundary,
+            )
+        except GateViolation as exc:
+            detail = str(exc)
+            st.context.gate_reports.append(exc.report)
+            self._publish(
+                st, K.GATE_FAILED, stage.name, index, detail=detail,
+                audit={"error": detail}, report=exc.report,
+            )
+            error = PipelineError(detail, stage_name=stage.name, stage_index=index)
+            error.gate_report = exc.report  # type: ignore[attr-defined]
+            raise self._fail(
+                st, error, stage, index, detail=detail,
+                span_error=f"gate failed at stage {stage.name!r}",
+            ) from exc
+        report = outcome.report
+        st.context.gate_reports.append(report)
+        for entry, record in outcome.quarantined:
+            st.quarantine.add(entry, record)
+        self._publish(
+            st, _GATE_EVENTS[report.verdict], stage.name, index, detail=report.summary(),
+            audit={"contract": report.contract, "boundary": report.boundary},
+            action=f"gate-{report.verdict}", report=report,
+        )
+        st.payload = outcome.payload
+        frame.records_quarantined += report.records_quarantined
+        return report
+
+    def _gate_in(self, st: _RunState, frame: _StageFrame) -> None:
+        """The input gate; a payload it thinned becomes a lineage entity."""
+        report = self._gate(st, frame, "input")
+        if report is None or not report.records_quarantined:
+            return
+        gated_fp = fingerprint_payload(st.payload)
+        if gated_fp != st.fingerprint:
+            annotations = {
+                "processing_stage": frame.stage.processing_stage.name,
+                "role": "gate",
+                "gate_contract": report.contract_hash,
+                "gate_verdict": report.verdict,
+                **st.recorder.span_annotations(),
+            }
+            st.context._capture(
+                f"{frame.stage.name}:gate", [st.fingerprint], gated_fp, None, annotations
+            )
+            st.fingerprint = gated_fp
+
+    def _execute(self, st: _RunState, frame: _StageFrame) -> Optional[BaseException]:
+        """Run ``stage.fn`` under the stage's error policy.
+
+        Returns None once an attempt succeeds (``st.payload`` is then the
+        stage's output), or the error that exhausted the policy.  A
+        :class:`DrainInterrupt` propagates.
+        """
+        stage, policy, timeout = frame.stage, frame.policy, frame.timeout
+        deadline = Deadline(timeout, clock=self.fault_clock) if timeout is not None else None
+        task_before = st.task_stats.retries
+        try:
+            while True:
+                frame.attempts += 1
+                error = self._attempt(st, frame, deadline)
+                if error is None:
+                    return None
+                timed_out = isinstance(error, StageTimeoutError) or (
+                    deadline is not None and deadline.expired()
+                )
+                retryable = (
+                    frame.mode is not OnError.FAIL
+                    and policy is not None
+                    and frame.attempts < policy.max_attempts
+                    and is_transient(error)
+                    and not timed_out
+                )
+                if not retryable:
+                    return error
+                delay = policy.delay(frame.attempts, key=f"{self.plan.name}:{stage.name}")
+                if deadline is not None:
+                    delay = min(delay, max(deadline.remaining(), 0.0))
+                described = f"{type(error).__name__}: {error}"
+                self._publish(
+                    st, K.STAGE_RETRIED, stage.name, frame.index, seconds=frame.elapsed,
+                    detail=(
+                        f"attempt {frame.attempts}/{policy.max_attempts} failed "
+                        f"({described}); retrying in {delay:.3f}s"
+                    ),
+                    audit={"attempt": frame.attempts, "error": str(error)},
+                    attempt=frame.attempts, error=described, delay_s=delay,
+                )
+                self.fault_clock.sleep(delay)
+        finally:
+            frame.task_retries = st.task_stats.retries - task_before
+            st.recorder.count("task_retries_total", frame.task_retries, stage=stage.name)
+
+    def _attempt(
+        self, st: _RunState, frame: _StageFrame, deadline: Optional[Deadline]
+    ) -> Optional[BaseException]:
+        """One call of ``stage.fn``; its error (None = it produced the output)."""
+        error: Optional[BaseException] = None
+        started = time.perf_counter()
+        try:
+            candidate = frame.stage.fn(st.payload, st.context)
+        except DrainInterrupt:
+            raise
+        except Exception as exc:
+            error = exc
+        finally:
+            frame.elapsed += time.perf_counter() - started
+        if error is None and deadline is not None and deadline.expired():
+            # cooperative (post-hoc) budget enforcement: the stage
+            # finished, but blew its deadline on the fault clock
+            error = StageTimeoutError(
+                f"stage {frame.stage.name!r} exceeded its {frame.timeout:g}s budget "
+                f"({deadline.elapsed():.3f}s elapsed)"
+            )
+        if error is None:
+            st.payload = candidate
+        return error
+
+    def _give_up(self, st: _RunState, frame: _StageFrame, error: BaseException) -> None:
+        """Dead-letter the stage, then pass its input through (degraded) or
+        fail the run."""
+        stage, index = frame.stage, frame.index
+        degrade = frame.mode is OnError.SKIP_DEGRADED
+        st.dead_letters.append(
+            DeadLetterRecord(
+                pipeline=self.plan.name,
                 stage_name=stage.name,
                 stage_index=index,
-                seconds=elapsed,
-                fingerprint=out_fp,
+                attempts=frame.attempts,
+                error_type=type(error).__name__,
+                error=str(error),
+                fault_kind=classify_fault(error),
+                input_fingerprint=st.fingerprint,
+                action="degraded" if degrade else "failed",
+                timestamp=self.clock(),
             )
-            if stage_quarantined:
-                # quarantine reuses the degraded machinery: the stage
-                # completed, but not with all of its records
-                self._emit(
-                    events,
-                    RunEventKind.STAGE_DEGRADED,
-                    stage_name=stage.name,
-                    stage_index=index,
-                    fingerprint=out_fp,
-                    detail=f"{stage_quarantined} record(s) quarantined",
-                )
-                if telemetry is not None:
-                    telemetry.metrics.counter(
-                        "stages_degraded_total",
-                        pipeline=self.plan.name,
-                        stage=stage.name,
-                    ).inc()
-            if self.checkpointer is not None:
-                self.checkpointer.save(
-                    self.plan, index, stage, prev_fp, out_fp, current, context
-                )
-                if journal is not None:
-                    # the stage-commit record is written only after the
-                    # checkpoint hit disk, carrying content digests so
-                    # recovery verifies artifacts instead of trusting them
-                    artifacts: Dict[str, str] = {}
-                    snapshot = (
-                        Path(self.checkpointer.directory) / f"stage-{index:03d}.pkl"
-                    )
-                    if snapshot.exists():
-                        artifacts["checkpoint"] = sha256_path(snapshot)
-                    manifest = context.artifacts.get("manifest")
-                    if manifest is not None and hasattr(manifest, "to_json"):
-                        artifacts["manifest"] = _sha256_text(manifest.to_json())
-                    journal.commit_stage(
-                        index=index,
-                        stage=stage.name,
-                        output_fingerprint=out_fp,
-                        artifacts=artifacts,
-                    )
-                    _journal_count("stage-commit")
-            if injector is not None:
-                # post-stage crash point: the stage is fully committed
-                # (checkpoint + journal); recovery must keep it
-                injector.maybe_crash(index, "post")
-            prev_fp = out_fp
+        )
+        st.recorder.count("dead_letters_total", stage=stage.name)
+        described = f"{type(error).__name__}: {error}"
+        detail = f"{described} (after {frame.attempts} attempts)"
+        if not degrade:
+            self._publish(
+                st, K.STAGE_FAILED, stage.name, index, seconds=frame.elapsed, detail=detail,
+                audit={"error": str(error)}, error=described,
+            )
+            failure = PipelineError(
+                f"stage {stage.name!r} failed: {error}", stage_name=stage.name, stage_index=index
+            )
+            raise self._fail(
+                st, failure, stage, index, detail=str(error),
+                span_error=f"stage {stage.name!r} failed",
+            ) from error
+        # the run completes, flagged degraded, with the failure dead-lettered
+        # for re-driving.  No checkpoint: a resume must re-attempt the
+        # stage, not restore its passed-through input
+        self._publish(
+            st, K.STAGE_DEGRADED, stage.name, index, seconds=frame.elapsed,
+            fingerprint=st.fingerprint, detail=detail,
+            audit={"attempts": frame.attempts, "error": str(error)},
+            error=described, attempts=frame.attempts, task_retries=frame.task_retries,
+        )
+        st.results.append(frame.result(st, st.fingerprint, degraded=True, error=described))
 
-        degraded_stages = [r.stage_name for r in results if r.degraded]
+    def _commit(
+        self, st: _RunState, frame: _StageFrame, output_report: Optional[GateReport]
+    ) -> None:
+        """Record the completed stage everywhere, then checkpoint + journal it."""
+        stage, index = frame.stage, frame.index
+        out_fp, out_bytes, out_items = walk_payload(st.payload)
+        self._publish(
+            st, K.STAGE_COMPLETED, stage.name, index, seconds=frame.elapsed, fingerprint=out_fp,
+            audit={"seconds": frame.elapsed, "output": out_fp[:12]},
+            items=out_items, nbytes=out_bytes,
+            attempts=frame.attempts, task_retries=frame.task_retries,
+        )
+        if out_fp != st.fingerprint:
+            # identical fingerprints mean the stage was a pure observer
+            # (validation, evidence-only); no new entity to record
+            annotations: Dict[str, object] = {
+                "processing_stage": stage.processing_stage.name,
+                **st.recorder.span_annotations(),
+            }
+            if output_report is not None:
+                annotations["gate_contract"] = output_report.contract_hash
+                annotations["gate_verdict"] = output_report.verdict
+            st.context._capture(stage.name, [st.fingerprint], out_fp, stage.params, annotations)
+        st.results.append(
+            frame.result(
+                st, out_fp, items=out_items, nbytes=out_bytes,
+                degraded=bool(frame.records_quarantined),
+            )
+        )
+        if frame.records_quarantined:
+            # quarantine reuses the degraded machinery: the stage
+            # completed, but not with all of its records
+            self._publish(
+                st, K.STAGE_DEGRADED, stage.name, index, fingerprint=out_fp,
+                detail=f"{frame.records_quarantined} record(s) quarantined",
+            )
+        if self.checkpointer is not None:
+            self.checkpointer.save(
+                self.plan, index, stage, st.fingerprint, out_fp, st.payload, st.context
+            )
+            if self.journal is not None:
+                self._journal_stage(st, frame, out_fp)
+        st.fingerprint = out_fp
+
+    def _journal_stage(self, st: _RunState, frame: _StageFrame, out_fp: str) -> None:
+        """The stage-commit record: written only after the checkpoint hit
+        disk, carrying content digests so recovery verifies artifacts
+        instead of trusting them."""
+        artifacts: Dict[str, str] = {}
+        snapshot = Path(self.checkpointer.directory) / f"stage-{frame.index:03d}.pkl"
+        if snapshot.exists():
+            artifacts["checkpoint"] = sha256_path(snapshot)
+        manifest = st.context.artifacts.get("manifest")
+        if isinstance(manifest, ShardManifest):
+            artifacts["manifest"] = hashlib.sha256(manifest.to_json().encode("utf-8")).hexdigest()
+        self.journal.commit_stage(
+            index=frame.index, stage=frame.stage.name, output_fingerprint=out_fp,
+            artifacts=artifacts,
+        )
+        st.recorder.count("journal_records_total", kind="stage-commit")
+
+    # -- finish ------------------------------------------------------------------
+    def _finish(self, st: _RunState) -> PipelineRun:
+        decision, results = self.plan.schedule, st.results
+        stage_errors: Dict[str, float] = {}
         if decision is not None:
             # close the predict -> run -> calibrate loop: measured stage
-            # seconds flow back into the calibration store, and the run's
-            # prediction error becomes a first-class metric
+            # seconds flow back into the calibration store
             from repro.sched.calibrate import record_outcome
 
             stage_errors = record_outcome(decision, results, self.calibration_store)
-            executed = [r for r in results if not r.restored and not r.degraded]
-            predicted_total = sum(
-                sec
-                for name, sec in decision.predicted_stage_seconds
-                if name in {r.stage_name for r in executed}
-            )
-            actual_total = sum(r.seconds for r in executed)
-            run_error = (
-                abs(actual_total - predicted_total) / predicted_total
-                if predicted_total > 0
-                else 0.0
-            )
-            if telemetry is not None:
-                telemetry.metrics.gauge(
-                    "schedule_prediction_error", pipeline=self.plan.name
-                ).set(run_error)
-                for stage_name, err in stage_errors.items():
-                    telemetry.metrics.gauge(
-                        "schedule_prediction_error",
-                        pipeline=self.plan.name,
-                        stage=stage_name,
-                    ).set(err)
-                run_span.set_attributes(
-                    schedule_actual_s=actual_total,
-                    schedule_prediction_error=run_error,
-                )
-        if telemetry is not None:
-            run_span.set_attributes(
-                stages_executed=len(self.plan.stages) - start_index,
-                stages_restored=start_index,
-                seconds=sum(r.seconds for r in results),
-                output_fingerprint=prev_fp[:12],
-                degraded=bool(degraded_stages),
-                retries=sum(r.attempts - 1 + r.task_retries for r in results),
-            )
-            telemetry.tracer.end_span(run_span)
-            telemetry.metrics.counter(
-                "runs_total",
-                pipeline=self.plan.name,
-                status="degraded" if degraded_stages else "ok",
-            ).inc()
-        if journal is not None:
-            journal.commit_run(output_fingerprint=prev_fp)
-            _journal_count("run-commit")
-        self._emit(
-            events,
-            RunEventKind.RUN_COMPLETED,
-            seconds=sum(r.seconds for r in results),
-            fingerprint=prev_fp,
-            detail=(
-                f"degraded stages: {', '.join(degraded_stages)}"
-                if degraded_stages
-                else ""
-            ),
-        )
-        context.audit.record(
-            context.agent, "run-completed", self.plan.name, output=prev_fp[:12]
+        if self.journal is not None:
+            self.journal.commit_run(output_fingerprint=st.fingerprint)
+            st.recorder.count("journal_records_total", kind="run-commit")
+        degraded = ", ".join(r.stage_name for r in results if r.degraded)
+        self._publish(
+            st, K.RUN_COMPLETED, seconds=sum(r.seconds for r in results),
+            fingerprint=st.fingerprint, detail=f"degraded stages: {degraded}" if degraded else "",
+            audit={"output": st.fingerprint[:12]},
+            results=results, restored=st.start_index, decision=decision,
+            stage_errors=stage_errors,
         )
         return PipelineRun(
             pipeline_name=self.plan.name,
-            payload=current,
-            context=context,
+            payload=st.payload,
+            context=st.context,
             results=results,
-            events=events,
-            resumed_from=resumed_from,
+            events=st.events,
+            resumed_from=st.start_index - 1 if st.start_index else None,
             backend_name=self.backend.name,
-            dead_letters=dead_letters,
-            quarantined=quarantined,
-            gate_reports=list(context.gate_reports),
-            worker_crashes=list(base.crash_events) if supervised else [],
-            worker_counters=dict(base.worker_counters) if supervised else {},
+            dead_letters=st.dead_letters,
+            quarantined=st.quarantined,
+            gate_reports=list(st.context.gate_reports),
+            worker_crashes=list(self.backend.crash_events),
+            worker_counters=dict(self.backend.worker_counters),
         )
+
+
+class Pipeline:
+    """A named, validated :class:`StagePlan` with a ``run`` method.
+
+    ``Pipeline(name, stages).run(payload)`` behaves as the historical
+    serial engine did; :meth:`run` takes every :class:`PipelineRunner`
+    option by keyword.
+    """
+
+    def __init__(self, name: str, stages: Sequence[PipelineStage]):
+        self.plan = StagePlan.build(name, stages)
+
+    @property
+    def name(self) -> str:
+        return self.plan.name
+
+    @property
+    def stages(self) -> List[PipelineStage]:
+        return list(self.plan.stages)
+
+    @property
+    def stage_names(self) -> List[str]:
+        return self.plan.stage_names
+
+    def processing_stages(self) -> List[DataProcessingStage]:
+        """Distinct canonical stages covered, in order."""
+        return self.plan.processing_stages()
+
+    def describe(self) -> str:
+        return self.plan.describe()
+
+    def run(
+        self,
+        payload: Any,
+        context: Optional[PipelineContext] = None,
+        *,
+        resume: bool = False,
+        **runner_options: Any,
+    ) -> PipelineRun:
+        """Execute all stages through ``PipelineRunner(plan, **runner_options)``."""
+        return PipelineRunner(self.plan, **runner_options).run(payload, context, resume=resume)

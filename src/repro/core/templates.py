@@ -14,7 +14,7 @@ certifies.  Templates serve three purposes:
    kinds reach the target readiness level?);
 3. **execution** — :class:`TemplatedPipelineBuilder` binds operation
    implementations to a template and produces a runnable
-   :class:`~repro.core.pipeline.Pipeline` that records the declared
+   :class:`~repro.core.runner.Pipeline` that records the declared
    evidence automatically.  Bringing a *new* scientific domain into the
    framework means writing a template plus the domain-specific operation
    functions — nothing else.
@@ -35,7 +35,8 @@ from repro.core.levels import (
     DataProcessingStage,
     DataReadinessLevel,
 )
-from repro.core.pipeline import Pipeline, PipelineContext, PipelineStage
+from repro.core.plan import PipelineStage
+from repro.core.runner import Pipeline, PipelineContext
 
 __all__ = [
     "StageTemplate",

@@ -27,10 +27,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 from repro.core.assessment import ReadinessAssessment, ReadinessAssessor
 from repro.core.dataset import Dataset
 from repro.core.levels import DataProcessingStage, DOMAIN_STAGE_VERBS
-from repro.core.pipeline import Pipeline, PipelineContext, PipelineRun
-from repro.faults import Clock, FaultInjector, RetryPolicy
+from repro.core.runner import Pipeline, PipelineContext, PipelineRun
 from repro.io.shards import ShardManifest
-from repro.obs import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched import CalibrationStore, ScheduleDecision
@@ -114,43 +112,21 @@ class DomainArchetype(abc.ABC):
         assessor: Optional[ReadinessAssessor] = None,
         source_params: Optional[Dict[str, Any]] = None,
         pipeline_options: Optional[Dict[str, Any]] = None,
-        backend: Any = None,
-        checkpoint_dir: Union[str, Path, None] = None,
         resume: bool = False,
-        on_event: Any = None,
-        telemetry: Optional["Telemetry"] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
-        on_error: Any = None,
-        stage_timeout: Optional[float] = None,
-        fault_injector: Optional["FaultInjector"] = None,
-        fault_clock: Optional["Clock"] = None,
-        gates: Any = None,
-        quarantine_dir: Union[str, Path, None] = None,
         plan_mode: str = "fixed",
-        calibration_store: Optional["CalibrationStore"] = None,
         calibration_dir: Union[str, Path, None] = None,
         cluster: Any = None,
-        drain: Any = None,
-        batch_size: Optional[int] = None,
-        recovery_report: Any = None,
+        backend: Any = None,
+        calibration_store: Optional["CalibrationStore"] = None,
+        **runner_options: Any,
     ) -> ArchetypeResult:
         """Synthesize a source, run the pipeline, assess, detect challenges.
 
-        ``backend`` (a name or :class:`ExecutionBackend` instance) selects
-        how data-parallel stage internals execute; ``checkpoint_dir`` and
-        ``resume`` enable checkpointed restart of a previously failed run;
-        ``telemetry`` attaches a :class:`~repro.obs.Telemetry` collector so
-        the run produces spans, metrics, and resource profiles;
-        ``on_event`` receives every structured
-        :class:`~repro.core.runner.RunEvent` as the run progresses (e.g.
-        a :class:`~repro.obs.ProgressReporter`);
-        ``retry_policy``/``on_error``/``stage_timeout`` set run-wide
-        fault-tolerance defaults, and ``fault_injector`` runs the pipeline
-        under seeded chaos (see :mod:`repro.faults`).  ``gates`` enables
-        data-contract enforcement (``"fail"``/``"quarantine"``/``"warn"``)
-        against the contracts the domain pipeline declares, with
-        quarantined records persisted under ``quarantine_dir`` (see
-        :mod:`repro.gates`).
+        ``backend``, ``calibration_store`` and ``runner_options`` are the
+        keyword options of :class:`~repro.core.runner.PipelineRunner`
+        (``checkpoint_dir=``, ``telemetry=``, ``gates=``, ...), declared
+        and documented there — the two named here are the ones planning
+        reads; ``resume=True`` restarts a checkpointed run.
 
         ``plan_mode="auto"`` closes the cost-model loop (see
         :mod:`repro.sched`): the plan's workload is estimated from the
@@ -158,19 +134,12 @@ class DomainArchetype(abc.ABC):
         candidate is priced through the scaling model, and the
         predicted-fastest feasible configuration is executed — the
         resulting :class:`~repro.sched.ScheduleDecision` rides in the run
-        events, spans, and shard manifest.  ``calibration_store`` (or
-        ``calibration_dir``) feeds observed stage timings back into the
-        next prediction; ``cluster`` names the modelled machine
-        (``"workstation"``/``"commodity"``/``"leadership"`` or a
+        events, spans, and shard manifest.  ``calibration_dir`` (or a
+        ready ``calibration_store``) feeds observed stage timings back
+        into the next prediction; ``cluster`` names the modelled
+        machine (``"workstation"``/``"commodity"``/``"leadership"`` or a
         :class:`~repro.parallel.cluster.ClusterSpec`).  An explicit
         ``backend=`` always wins over the chooser.
-
-        ``batch_size`` sets records-per-batch for stages that declared
-        the ``batch`` capability (see
-        :meth:`~repro.core.backends.ExecutionBackend.map_batches`);
-        ``None`` defers to the schedule decision's ``batch_records``
-        under ``plan_mode="auto"`` and stays per-record otherwise.
-        Batched and per-record runs are bitwise identical by contract.
         """
         work_dir = Path(work_dir)
         source_dir = work_dir / "source"
@@ -206,22 +175,10 @@ class DomainArchetype(abc.ABC):
         run = pipeline.run(
             source_manifest,
             context,
-            backend=backend,
-            checkpoint_dir=checkpoint_dir,
             resume=resume,
-            on_event=on_event,
-            telemetry=telemetry,
-            retry_policy=retry_policy,
-            on_error=on_error,
-            stage_timeout=stage_timeout,
-            fault_injector=fault_injector,
-            fault_clock=fault_clock,
-            gates=gates,
-            quarantine_dir=quarantine_dir,
+            backend=backend,
             calibration_store=calibration_store,
-            drain=drain,
-            batch_size=batch_size,
-            recovery_report=recovery_report,
+            **runner_options,
         )
         dataset = context.artifacts.get("dataset")
         if not isinstance(dataset, Dataset):

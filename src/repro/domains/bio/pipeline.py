@@ -28,13 +28,9 @@ from repro.core.dataset import (
 )
 from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
-    OnError,
-    Parallelism,
-    Pipeline,
-    PipelineContext,
-    PipelineStage,
-)
+from repro.core.plan import Parallelism, PipelineStage
+from repro.core.runner import Pipeline, PipelineContext
+from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.bio.synthetic import (
     PROMOTER_MOTIF,

@@ -32,7 +32,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import ExecutionBackend, _shard_table
+from repro.core.backends import ExecutionBackend
+from repro.io.shards import shard_table
 from repro.faults.errors import TransientFaultError, WorkerCrash
 from repro.faults.retry import Clock, SystemClock, _unit_draw
 from repro.workers import ipc
@@ -458,13 +459,10 @@ class FaultInjectingBackend(ExecutionBackend):
         splits: Dict[str, np.ndarray],
         *,
         shards_per_split: int = 4,
-        codec_name: str = "raw",
-        codec_level: Optional[int] = None,
-        certificate: Optional[Mapping[str, Any]] = None,
-        schedule: Optional[Mapping[str, Any]] = None,
+        **options: Any,
     ) -> Any:
         site = self.injector.next_op("shard_write")
-        table = _shard_table(splits, shards_per_split)
+        table = shard_table(splits, shards_per_split)
         if table:
             split, i, _ = table[0]
             if self.injector.maybe_tear_shard(
@@ -475,14 +473,7 @@ class FaultInjectingBackend(ExecutionBackend):
                 raise InjectedFaultError(f"{site}(torn)", 1)
         self.injector.fault_point(site)
         return self.inner.shard_write(
-            dataset,
-            directory,
-            splits,
-            shards_per_split=shards_per_split,
-            codec_name=codec_name,
-            codec_level=codec_level,
-            certificate=certificate,
-            schedule=schedule,
+            dataset, directory, splits, shards_per_split=shards_per_split, **options
         )
 
     def describe(self) -> str:
@@ -516,9 +507,6 @@ class ChaosCheckpointer:
         self.injector.maybe_corrupt_checkpoint(
             self.inner._payload_path(index), index
         )
-
-    def load(self, plan: Any) -> Any:
-        return self.inner.load(plan)
 
     def load_verified(self, plan: Any) -> Any:
         return self.inner.load_verified(plan)

@@ -21,10 +21,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from repro.core.dataset import (
     Schema,
 )
 from repro.durability.atomic import atomic_write_text, commit_file
-from repro.io.chunking import ChunkPlan, plan_shards_by_count
+from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
 from repro.io.serialization import pack_array, unpack_array
 
@@ -48,6 +47,9 @@ __all__ = [
     "last_write_peak_buffer",
     "ShardInfo",
     "ShardManifest",
+    "shard_table",
+    "write_table_entry",
+    "commit_manifest",
     "write_shard_set",
     "ShardSet",
     "schema_to_dicts",
@@ -305,6 +307,92 @@ class ShardManifest:
         )
 
 
+#: one row of the global shard table: (split, shard index, row indices)
+ShardEntry = Tuple[str, int, np.ndarray]
+
+
+def shard_table(
+    splits: Mapping[str, np.ndarray], shards_per_split: int, plan: Optional[ChunkPlan] = None
+) -> List[ShardEntry]:
+    """The global shard table: one ``(split, index, rows)`` entry per file.
+
+    The only place a shard set's layout is decided, so every writer and
+    backend cuts identical files: each split becomes *shards_per_split*
+    near-equal contiguous shards (or follows an explicit *plan*).  An
+    empty split contributes no file — ``np.array_split`` would yield an
+    orphan zero-sample shard — but still appears, empty, in the manifest.
+    """
+    table: List[ShardEntry] = []
+    for split, indices in splits.items():
+        indices = np.asarray(indices)
+        if indices.size == 0:
+            continue
+        if plan is not None:
+            if plan.n_samples != indices.size:
+                raise ShardError(
+                    f"plan covers {plan.n_samples} samples, split {split!r} has {indices.size}"
+                )
+            chunks = [indices[sl] for sl in plan]
+        else:
+            n_shards = max(1, min(shards_per_split, indices.size))
+            chunks = np.array_split(indices, n_shards)
+        table.extend((split, i, chunk) for i, chunk in enumerate(chunks))
+    return table
+
+
+def write_table_entry(
+    dataset: Dataset, directory: Path, codec: Codec, entry: ShardEntry
+) -> Tuple[str, int, ShardInfo]:
+    """Write the shard file of one :func:`shard_table` entry."""
+    split, i, rows = entry
+    columns = {name: dataset[name][rows] for name in dataset.schema.names}
+    return split, i, write_shard(columns, directory / f"{split}-{i:05d}.rps", codec)
+
+
+def commit_manifest(
+    dataset: Dataset,
+    directory: Path,
+    splits: Iterable[str],
+    written: Iterable[Tuple[str, int, ShardInfo]],
+    *,
+    codec_name: str,
+    written_by_ranks: Optional[int] = None,
+    certificate: Optional[Mapping[str, Any]] = None,
+    schedule: Optional[Mapping[str, Any]] = None,
+) -> ShardManifest:
+    """Assemble the manifest of a written shard set and commit it atomically.
+
+    *written* is what :func:`write_table_entry` returned, in any order;
+    every requested split is listed, its shards in index order.  Optional
+    metadata keys appear only when supplied, so ungated, fixed-plan
+    manifests keep their bytes.  The commit is the guarded ``manifest`` site.
+    """
+    by_split: Dict[str, List[Tuple[int, ShardInfo]]] = {s: [] for s in splits}
+    for split, i, info in written:
+        by_split.setdefault(split, []).append((i, info))
+    metadata: Dict[str, Any] = {
+        "domain": dataset.metadata.domain,
+        "source": dataset.metadata.source,
+        "version": dataset.metadata.version,
+        "modality": dataset.metadata.modality.value,
+    }
+    if written_by_ranks is not None:
+        metadata["written_by_ranks"] = written_by_ranks
+    if certificate is not None:
+        metadata["readiness_certificate"] = dict(certificate)
+    if schedule is not None:
+        metadata["schedule_decision"] = dict(schedule)
+    manifest = ShardManifest(
+        dataset_name=dataset.metadata.name,
+        schema=dataset.schema,
+        splits={split: [info for _, info in sorted(rows)] for split, rows in by_split.items()},
+        codec=codec_name,
+        metadata=metadata,
+    )
+    atomic_write_text(directory / MANIFEST_NAME, manifest.to_json(), site="manifest")
+    return manifest
+
+
 def write_shard_set(
     dataset: Dataset,
     directory: Union[str, Path],
@@ -332,45 +420,13 @@ def write_shard_set(
     codec = get_codec(codec_name, codec_level)
     if splits is None:
         splits = {"all": np.arange(dataset.n_samples)}
-    manifest_splits: Dict[str, List[ShardInfo]] = {}
-    for split, indices in splits.items():
-        indices = np.asarray(indices)
-        subset = dataset.take(indices)
-        split_plan = plan or plan_shards_by_count(
-            subset.n_samples, max(1, min(shards_per_split, max(subset.n_samples, 1)))
-        )
-        if split_plan.n_samples != subset.n_samples:
-            raise ShardError(
-                f"plan covers {split_plan.n_samples} samples, split {split!r} "
-                f"has {subset.n_samples}"
-            )
-        infos: List[ShardInfo] = []
-        for i, sl in enumerate(split_plan):
-            shard_columns = {
-                name: subset[name][sl] for name in subset.schema.names
-            }
-            info = write_shard(
-                shard_columns, directory / f"{split}-{i:05d}.rps", codec
-            )
-            infos.append(info)
-        manifest_splits[split] = infos
-    metadata: Dict[str, Any] = {
-        "domain": dataset.metadata.domain,
-        "source": dataset.metadata.source,
-        "version": dataset.metadata.version,
-        "modality": dataset.metadata.modality.value,
-    }
-    if certificate is not None:
-        metadata["readiness_certificate"] = dict(certificate)
-    manifest = ShardManifest(
-        dataset_name=dataset.metadata.name,
-        schema=dataset.schema,
-        splits=manifest_splits,
-        codec=codec_name,
-        metadata=metadata,
+    written = [
+        write_table_entry(dataset, directory, codec, entry)
+        for entry in shard_table(splits, shards_per_split, plan)
+    ]
+    return commit_manifest(
+        dataset, directory, splits, written, codec_name=codec_name, certificate=certificate
     )
-    atomic_write_text(directory / MANIFEST_NAME, manifest.to_json(), site="manifest")
-    return manifest
 
 
 class ShardSet:

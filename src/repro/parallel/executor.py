@@ -19,7 +19,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.io.shards import MANIFEST_NAME, ShardManifest, write_shard
+from repro.io.shards import (
+    ShardManifest,
+    commit_manifest,
+    shard_table,
+    write_table_entry,
+)
 from repro.io.compression import get_codec
 from repro.parallel.comm import SimComm, run_spmd
 from repro.parallel.partition import (
@@ -107,30 +112,6 @@ def distributed_stats(
     return run_spmd(n_ranks, worker)[0]
 
 
-def _manifest_metadata(
-    dataset: Dataset,
-    written_by_ranks: int,
-    certificate: Optional[Mapping[str, Any]],
-    schedule: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Manifest metadata block — must stay in lockstep with
-    ``repro.core.backends._shard_metadata`` so all backends write
-    byte-identical manifests (the certificate and schedule-decision keys
-    only appear when the run supplies them)."""
-    metadata: Dict[str, Any] = {
-        "domain": dataset.metadata.domain,
-        "source": dataset.metadata.source,
-        "version": dataset.metadata.version,
-        "modality": dataset.metadata.modality.value,
-        "written_by_ranks": written_by_ranks,
-    }
-    if certificate is not None:
-        metadata["readiness_certificate"] = dict(certificate)
-    if schedule is not None:
-        metadata["schedule_decision"] = dict(schedule)
-    return metadata
-
-
 def distributed_shard_write(
     dataset: Dataset,
     directory: Union[str, Path],
@@ -154,49 +135,21 @@ def distributed_shard_write(
     directory.mkdir(parents=True, exist_ok=True)
     codec = get_codec(codec_name, codec_level)
 
-    # Precompute the global shard table: (split, shard_idx, row indices).
-    # Empty splits contribute no shard files (mirroring
-    # repro.core.backends._shard_table — np.array_split on an empty index
-    # array would otherwise yield an orphan zero-sample shard); the split
-    # key still appears, empty, in the manifest below.
-    table: List[tuple] = []
-    for split, indices in splits.items():
-        indices = np.asarray(indices)
-        if indices.size == 0:
-            continue
-        n_shards = max(1, min(shards_per_split, indices.size))
-        chunks = np.array_split(indices, n_shards)
-        for i, chunk in enumerate(chunks):
-            table.append((split, i, chunk))
+    table = shard_table(splits, shards_per_split)
 
     def worker(comm: SimComm) -> Optional[ShardManifest]:
-        local_infos: List[tuple] = []
-        for j in range(comm.rank, len(table), comm.size):
-            split, i, rows = table[j]
-            columns = {
-                name: dataset[name][rows] for name in dataset.schema.names
-            }
-            info = write_shard(columns, directory / f"{split}-{i:05d}.rps", codec)
-            local_infos.append((split, i, info))
-        gathered = comm.gather(local_infos, root=0)
+        local = [
+            write_table_entry(dataset, directory, codec, table[j])
+            for j in range(comm.rank, len(table), comm.size)
+        ]
+        gathered = comm.gather(local, root=0)
         if comm.rank != 0:
             return None
-        by_split: Dict[str, List[tuple]] = {s: [] for s in splits}
-        for part in gathered:
-            for split, i, info in part:
-                by_split.setdefault(split, []).append((i, info))
-        manifest = ShardManifest(
-            dataset_name=dataset.metadata.name,
-            schema=dataset.schema,
-            splits={
-                split: [info for _, info in sorted(rows)]
-                for split, rows in by_split.items()
-            },
-            codec=codec_name,
-            metadata=_manifest_metadata(dataset, comm.size, certificate, schedule),
+        written = [row for part in gathered for row in part]
+        return commit_manifest(
+            dataset, directory, splits, written, codec_name=codec_name,
+            written_by_ranks=comm.size, certificate=certificate, schedule=schedule,
         )
-        (directory / MANIFEST_NAME).write_text(manifest.to_json())
-        return manifest
 
     results = run_spmd(n_ranks, worker)
     manifest = results[0]

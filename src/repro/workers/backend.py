@@ -27,10 +27,9 @@ hands them to the workers for free, and only results cross the pipes.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.backends import BACKENDS, ExecutionBackend
-from repro.workers.drain import DrainController
 from repro.workers.supervisor import WorkerCrashEvent, WorkerSupervisor
 
 __all__ = ["ProcessBackend"]
@@ -48,15 +47,6 @@ class ProcessBackend(ExecutionBackend):
     preemptive_timeout = True
     #: worker death re-queues the lease instead of failing the stage
     survives_worker_crash = True
-
-    #: per-map lease deadline in seconds; the runner wires the effective
-    #: stage timeout in here for preemptive enforcement (None = no kill)
-    lease_timeout: Optional[float] = None
-    #: cooperative stop flag; the runner wires its DrainController in
-    drain: Optional[DrainController] = None
-    #: (open, close) worker-span callables, installed by the telemetry
-    #: layer walking the wrapper chain (see InstrumentedBackend)
-    worker_span_hooks: Optional[Tuple[Callable[..., Any], Callable[..., None]]] = None
 
     def __init__(
         self,

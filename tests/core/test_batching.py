@@ -277,6 +277,12 @@ class TestRunnerWiring:
             is None
         )
 
+    def test_negative_batch_size_rejected_up_front(self):
+        from repro.core.runner import PipelineRunner
+
+        with pytest.raises(ValueError, match="batch_size"):
+            PipelineRunner(_batch_plan(), batch_size=-1)
+
     def test_batch_flag_excluded_from_plan_fingerprint(self):
         import dataclasses
 

@@ -5,13 +5,8 @@ import pytest
 
 from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
-    Pipeline,
-    PipelineContext,
-    PipelineError,
-    PipelineStage,
-    fingerprint_payload,
-)
+from repro.core.plan import PipelineError, PipelineStage, fingerprint_payload
+from repro.core.runner import Pipeline, PipelineContext
 
 S = DataProcessingStage
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import Pipeline, PipelineStage
+from repro.core.plan import PipelineStage
+from repro.core.runner import Pipeline
 from repro.core.principles import evaluate_principles
 
 

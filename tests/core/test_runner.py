@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
+from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.runner import (
     CheckpointError,
     PipelineContext,
-    PipelineError,
     PipelineRunner,
-    PipelineStage,
     RunCheckpointer,
     RunEventKind,
-    StagePlan,
 )
+from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 
 S = DataProcessingStage
@@ -245,10 +244,7 @@ class TestCheckpointResume:
         blob["payload"] = blob["payload"] + 99.0
         with open(blob_path, "wb") as fh:
             pickle.dump(blob, fh)
-        # strict load still rejects the tampered snapshot outright...
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            RunCheckpointer(tmp_path).load(runner.plan)
-        # ...but a resuming run quarantines it and falls back to stage 0
+        # a resuming run quarantines it and falls back to stage 0
         run = runner.run(np.ones(2), resume=True)
         assert run.resumed_from == 0
         assert [q.stage_index for q in run.quarantined] == [1]
@@ -284,12 +280,20 @@ class TestCheckpointResume:
         runner.run(np.ones(2))
         # a store that never saw this run
         empty_store = ProvenanceStore(tmp_path / "other.jsonl")
-        with pytest.raises(CheckpointError, match="not an\\s+entity"):
+        telemetry = Telemetry()
+        runner.telemetry = telemetry
+        with pytest.raises(CheckpointError, match="not an\\s+entity") as info:
             runner.run(
                 np.ones(2),
                 PipelineContext(provenance_store=empty_store),
                 resume=True,
             )
+        # the refusal is a failed run like any other: terminal event,
+        # error status, and the run's records ride on the exception
+        assert info.value.events[-1].kind is RunEventKind.RUN_FAILED
+        assert len(info.value.dead_letters) == 0
+        assert telemetry.metrics.value("runs_total", pipeline="p", status="error") == 1
+        assert telemetry.tracer.find("run:p")[0].status.value == "error"
 
     def test_checkpointer_clear(self, tmp_path):
         checkpointer = RunCheckpointer(tmp_path)
@@ -298,7 +302,7 @@ class TestCheckpointResume:
         assert list(tmp_path.glob("stage-*.pkl"))
         checkpointer.clear()
         assert not list(tmp_path.glob("stage-*.pkl"))
-        assert checkpointer.load(two_stage_plan()) is None
+        assert checkpointer.load_verified(two_stage_plan()) == (None, [])
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []
@@ -307,6 +311,6 @@ class TestCheckpointResume:
         runner.run(np.ones(4))
         # run again from scratch: checkpoints rewrite from stage 0 upward
         runner.run(np.ones(4))
-        checkpoint = runner.checkpointer.load(plan)
+        checkpoint, _ = runner.checkpointer.load_verified(plan)
         assert checkpoint.stage_index == 2
         assert sorted(checkpoint.completed) == [0, 1, 2]

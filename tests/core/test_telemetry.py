@@ -5,12 +5,8 @@ import pytest
 
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
-    PipelineError,
-    PipelineRunner,
-    PipelineStage,
-    StagePlan,
-)
+from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.runner import PipelineRunner
 from repro.obs import Telemetry
 from repro.obs.tracing import SpanStatus, Tracer
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.assessment import ReadinessAssessor
 from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage, DataReadinessLevel
-from repro.core.pipeline import PipelineContext
+from repro.core.runner import PipelineContext
 from repro.core.templates import (
     BUILTIN_TEMPLATES,
     DomainTemplate,

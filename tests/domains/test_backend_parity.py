@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.core.pipeline import PipelineContext, PipelineError
+from repro.core.plan import PipelineError
+from repro.core.runner import PipelineContext
 from repro.domains import (
     BioArchetype,
     ClimateArchetype,

@@ -8,7 +8,7 @@ The reference is always the strictest one: a clean serial run.
 
 import pytest
 
-from repro.core.pipeline import RunEventKind
+from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.durability.fsfaults import SimulatedCrash
@@ -130,29 +130,32 @@ class TestKilledWithDiskFaultsUnderneath:
     @pytest.mark.parametrize("kind", ["enospc", "eio", "torn-rename", "lost-write"])
     def test_shard_site_fault_plus_kill(self, kind, tmp_path, clean_reference):
         clean_result, clean_shards = clean_reference()
-        work_dir = tmp_path / "chaos"
-        ckpt = tmp_path / "ckpt"
         from repro.faults import RetryPolicy
 
-        injector = FaultInjector(
-            FaultSpec.parse(f"{kind}=shard:1,crash-at=stage:4:post")
-        )
-        with pytest.raises(SimulatedCrash):
-            ClimateArchetype(seed=21, **KWARGS).run(
-                work_dir,
-                backend="serial",
-                checkpoint_dir=ckpt,
-                fault_injector=injector,
-                retry_policy=RetryPolicy(max_attempts=3, seed=7),
+        # a shard file's commit, and the manifest's (guarded since the
+        # pipelines' shard_write commits it through the atomic primitive)
+        for site in ("shard:1", "manifest:0"):
+            work_dir = tmp_path / site / "chaos"
+            ckpt = tmp_path / site / "ckpt"
+            injector = FaultInjector(
+                FaultSpec.parse(f"{kind}={site},crash-at=stage:4:post")
             )
-        assert injector.disk_injector.counts() == {kind: 1}
+            with pytest.raises(SimulatedCrash):
+                ClimateArchetype(seed=21, **KWARGS).run(
+                    work_dir,
+                    backend="serial",
+                    checkpoint_dir=ckpt,
+                    fault_injector=injector,
+                    retry_policy=RetryPolicy(max_attempts=3, seed=7),
+                )
+            assert injector.disk_injector.counts() == {kind: 1}, site
 
-        report = recover_run(ckpt, shards_dir=work_dir / "shards")
-        resumed, _ = _run(
-            work_dir, ckpt=ckpt, resume=True, recovery_report=report
-        )
-        assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
-        assert _shard_bytes(work_dir / "shards") == clean_shards
+            report = recover_run(ckpt, shards_dir=work_dir / "shards")
+            resumed, _ = _run(
+                work_dir, ckpt=ckpt, resume=True, recovery_report=report
+            )
+            assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
+            assert _shard_bytes(work_dir / "shards") == clean_shards, site
 
     def test_journal_site_fault_then_kill(self, tmp_path, clean_reference):
         # the journal itself tears while committing stage 2, then the

@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.core.pipeline import RetryPolicy, RunEventKind
+from repro.core.runner import RunEventKind
+from repro.faults import RetryPolicy
 from repro.domains import ClimateArchetype, FusionArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.fusion.synthetic import FusionCampaignConfig

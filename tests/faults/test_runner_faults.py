@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import (
-    OnError,
-    PipelineError,
-    PipelineRunner,
-    PipelineStage,
-    RetryPolicy,
-    RunCheckpointer,
-    RunEventKind,
-    StagePlan,
-)
+from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.runner import PipelineRunner, RunCheckpointer, RunEventKind
+from repro.faults import OnError, RetryPolicy
 from repro.faults import VirtualClock
 from repro.obs import Telemetry
 

@@ -71,7 +71,7 @@ def test_warn_policy_defers_the_failure_downstream(tmp_path):
     """``warn`` never blocks *at the gate* — the corrupt records pass
     through with a recorded warning, and it is the stack stage's own
     internal validation (not a gate) that rejects the NaNs later."""
-    from repro.core.pipeline import RunEventKind
+    from repro.core.runner import RunEventKind
 
     with pytest.raises(PipelineError) as exc:
         _run(CORRUPT, tmp_path, gates="warn")
@@ -89,3 +89,45 @@ def test_quarantine_survivors_match_clean_run_bytes(tmp_path):
         CORRUPT, tmp_path / "gated", gates="quarantine", quarantine_dir=tmp_path / "q"
     )
     assert gated.dataset.fingerprint() == clean.dataset.fingerprint()
+
+
+def test_failed_gate_keeps_the_stages_fault_telemetry():
+    """A stage that retried through injected faults and then failed its
+    output contract still reports those faults (they used to be dropped)."""
+    import numpy as np
+
+    from repro.core.dataset import Dataset
+    from repro.core.levels import DataProcessingStage
+    from repro.core.plan import PipelineStage, StagePlan
+    from repro.core.runner import PipelineRunner
+    from repro.faults import FaultInjector, FaultSpec, RetryPolicy, VirtualClock
+    from repro.gates import ColumnCheck, StageContract
+    from repro.obs import Telemetry
+
+    def poison(payload, ctx):
+        ctx.backend.map(lambda x: x, range(8))  # faults here heal by task retry
+        return Dataset.from_arrays({"x": np.array([1.0, np.nan])})
+
+    stage = PipelineStage(
+        "poison", DataProcessingStage.INGEST, poison,
+        output_contract=StageContract(name="finite-x", checks=(ColumnCheck("finite", "x"),)),
+    )
+    clock = VirtualClock()
+    injector = FaultInjector(FaultSpec(seed=7, transient_rate=0.3), clock=clock)
+    telemetry = Telemetry()
+    runner = PipelineRunner(
+        StagePlan.build("p", [stage]), gates="fail", telemetry=telemetry,
+        fault_injector=injector, fault_clock=clock,
+        retry_policy=RetryPolicy(max_attempts=6, seed=7),
+    )
+    with pytest.raises(PipelineError) as exc:
+        runner.run(np.ones(2))
+    assert exc.value.gate_report.verdict == "fail"
+    injected = injector.counts()["transient"]
+    assert injected >= 1
+    value = telemetry.metrics.value
+    assert value("faults_injected_total", pipeline="p", kind="transient") == injected
+    (span,) = telemetry.tracer.find("stage:poison")
+    names = [e["name"] for e in span.events]
+    assert names.count("fault_injected") == injected and "gate" in names
+    assert span.status.value == "error"

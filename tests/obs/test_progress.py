@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import PipelineRunner, PipelineStage, StagePlan
+from repro.core.plan import PipelineStage, StagePlan
+from repro.core.runner import PipelineRunner
 from repro.core.runner import RunEvent, RunEventKind
 from repro.obs import ProgressReporter, ProgressTicker, Telemetry
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import Dataset
-from repro.core.pipeline import PipelineError
+from repro.core.plan import PipelineError
 from repro.io.dataset_io import export_dataset, import_dataset
 from repro.io.shards import ShardError, ShardSet
 from repro.io.stream import ShardStreamer
@@ -100,7 +100,8 @@ class TestProvenanceSessions:
     def test_store_replay_across_sessions(self, tmp_path):
         from repro.core.evidence import EvidenceKind
         from repro.core.levels import DataProcessingStage
-        from repro.core.pipeline import Pipeline, PipelineContext, PipelineStage
+        from repro.core.plan import PipelineStage
+        from repro.core.runner import Pipeline, PipelineContext
         from repro.provenance.store import ProvenanceStore
 
         store_path = tmp_path / "prov.jsonl"
@@ -151,7 +152,8 @@ class TestFailureInjection:
 
     def test_pipeline_failure_is_audited_and_wrapped(self):
         from repro.core.levels import DataProcessingStage
-        from repro.core.pipeline import Pipeline, PipelineContext, PipelineStage
+        from repro.core.plan import PipelineStage
+        from repro.core.runner import Pipeline, PipelineContext
 
         def bad_stage(payload, ctx):
             raise KeyError("missing diagnostic channel")
@@ -189,7 +191,7 @@ class TestFailureInjection:
         store.write_shot(1, {"density": Signal("density", times, np.ones(50))}, {})
         archetype = FusionArchetype(seed=0)
         pipeline = archetype.build_pipeline(tmp_path / "out")
-        from repro.core.pipeline import PipelineContext
+        from repro.core.runner import PipelineContext
 
         with pytest.raises(PipelineError, match="no usable shots"):
             pipeline.run({"store": str(store.directory)}, PipelineContext())

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.levels import DataProcessingStage
-from repro.core.pipeline import PipelineError, PipelineRunner, PipelineStage, StagePlan
+from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.runner import PipelineRunner
 from repro.domains import ClimateArchetype, FusionArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.fusion.synthetic import FusionCampaignConfig
