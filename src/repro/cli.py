@@ -95,15 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("matrix", help="render the Table 2 maturity matrix")
+    matrix = sub.add_parser("matrix", help="render the Table 2 maturity matrix")
+    matrix.set_defaults(handler=_cmd_matrix)
 
-    sub.add_parser("archetypes", help="render the Table 1 archetype registry")
+    archetypes = sub.add_parser("archetypes", help="render the Table 1 archetype registry")
+    archetypes.set_defaults(handler=_cmd_archetypes)
 
     templates = sub.add_parser("templates", help="render preprocessing templates")
+    templates.set_defaults(handler=_cmd_templates)
     templates.add_argument("domain", nargs="?", default=None,
                            help="one domain (default: list all)")
 
     run = sub.add_parser("run", help="run a domain archetype end-to-end")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("domain", choices=["climate", "fusion", "bio", "materials"])
     run.add_argument("--workdir", required=True, type=Path)
     run.add_argument("--seed", type=int, default=0)
@@ -195,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(climate: poisoned models, fusion: poisoned shots) so "
                           "--gates has something to catch")
 
-    sub.add_parser("backends", help="list the available execution backends")
+    backends = sub.add_parser("backends", help="list the available execution backends")
+    backends.set_defaults(handler=_cmd_backends)
 
     plan = sub.add_parser(
         "plan", help="cost-model planning: inspect what 'run --plan auto' would do"
@@ -205,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="estimate a domain's workload and rank every candidate config",
     )
+    explain.set_defaults(handler=_cmd_plan_explain)
     explain.add_argument("domain", choices=["climate", "fusion", "bio", "materials"])
     explain.add_argument("--workdir", type=Path, default=None,
                          help="where the synthesized source goes (default: a "
@@ -223,15 +229,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quarantine_sub = quarantine.add_subparsers(dest="quarantine_command", required=True)
     q_list = quarantine_sub.add_parser("list", help="list quarantined records")
+    q_list.set_defaults(handler=_cmd_quarantine_list)
     q_list.add_argument("directory", type=Path)
     q_show = quarantine_sub.add_parser(
         "show", help="show one quarantined record by fingerprint (prefix ok)"
     )
+    q_show.set_defaults(handler=_cmd_quarantine_show)
     q_show.add_argument("directory", type=Path)
     q_show.add_argument("fingerprint")
     q_redrive = quarantine_sub.add_parser(
         "re-drive", help="replay quarantined records through the current contracts"
     )
+    q_redrive.set_defaults(handler=_cmd_quarantine_redrive)
     q_redrive.add_argument("directory", type=Path)
     q_redrive.add_argument("--domain", required=True,
                            choices=["climate", "fusion", "bio", "materials"],
@@ -252,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     summary = telemetry_sub.add_parser(
         "summary", help="table the slowest spans of a trace"
     )
+    summary.set_defaults(handler=_cmd_telemetry_summary)
     summary.add_argument("trace_dir", type=Path)
     summary.add_argument("--top", type=int, default=15,
                          help="show the N slowest span groups (default 15)")
@@ -259,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         "export",
         help="export a trace: combined JSONL, Chrome/Perfetto, or Prometheus",
     )
+    export.set_defaults(handler=_cmd_telemetry_export)
     export.add_argument("trace_dir", type=Path)
     export.add_argument("--jsonl", type=Path, default=None, metavar="PATH",
                         help="merge spans, metrics, and events into one JSONL "
@@ -274,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the span chain that determined the run's wall time, plus "
              "per-stage rollups with skew and straggler detection",
     )
+    crit.set_defaults(handler=_cmd_telemetry_critical_path)
     crit.add_argument("trace_dir", type=Path)
     crit.add_argument("--json", action="store_true", dest="as_json",
                       help="emit the full TraceReport as deterministic JSON")
@@ -282,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare a run's per-stage seconds against archived runs or a "
              "committed BENCH_*.json baseline (robust median+MAD threshold)",
     )
+    diff.set_defaults(handler=_cmd_telemetry_diff)
     diff.add_argument("trace_dir", type=Path)
     diff.add_argument("--against", type=Path, default=None, metavar="PATH",
                       help="baseline file: a BENCH_*.json, an archived "
@@ -302,32 +315,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
     runs_list = runs_sub.add_parser("list", help="list archived runs")
+    runs_list.set_defaults(handler=_cmd_runs_list)
     runs_list.add_argument("root", type=Path)
     runs_list.add_argument("--pipeline", default=None,
                            help="only runs of this pipeline")
     runs_show = runs_sub.add_parser(
         "show", help="show one archived run by id (prefix ok)"
     )
+    runs_show.set_defaults(handler=_cmd_runs_show)
     runs_show.add_argument("root", type=Path)
     runs_show.add_argument("run_id")
 
     inspect = sub.add_parser("inspect", help="verify and describe a shard set")
+    inspect.set_defaults(handler=_cmd_inspect)
     inspect.add_argument("directory", type=Path)
 
     crosswalk = sub.add_parser(
         "crosswalk", help="map a DRAI level to NOAA/METRIC maturity models"
     )
+    crosswalk.set_defaults(handler=_cmd_crosswalk)
     crosswalk.add_argument("level", type=int, choices=[1, 2, 3, 4, 5])
 
     return parser
 
 
-def _cmd_matrix() -> int:
+def _cmd_matrix(args: argparse.Namespace) -> int:
     print(MaturityMatrix.conceptual().render_text(cell_width=20))
     return 0
 
 
-def _cmd_archetypes() -> int:
+def _cmd_archetypes(args: argparse.Namespace) -> int:
     registry = default_registry()
     rows = [
         (
@@ -343,86 +360,56 @@ def _cmd_archetypes() -> int:
     return 0
 
 
-def _cmd_templates(domain: Optional[str]) -> int:
-    if domain is None:
+def _cmd_templates(args: argparse.Namespace) -> int:
+    if args.domain is None:
         print("registered templates:", ", ".join(registered_templates()))
         return 0
-    print(builtin_template(domain).render_markdown())
+    print(builtin_template(args.domain).render_markdown())
     return 0
 
 
-def _cmd_run(
-    domain: str,
-    workdir: Path,
-    seed: int,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    plan_mode: str = "fixed",
-    calibration_dir: Optional[Path] = None,
-    cluster: str = "workstation",
-    checkpoint_dir: Optional[Path] = None,
-    resume: bool = False,
-    events: bool = False,
-    events_jsonl: Optional[Path] = None,
-    trace_dir: Optional[Path] = None,
-    progress: bool = False,
-    archive_dir: Optional[Path] = None,
-    retries: Optional[int] = None,
-    stage_timeout: Optional[float] = None,
-    on_error: Optional[str] = None,
-    inject_faults: Optional[str] = None,
-    gates: Optional[str] = None,
-    quarantine_dir: Optional[Path] = None,
-    dead_letter_dir: Optional[Path] = None,
-    inject_bad_records: Optional[int] = None,
-    batch_size: Optional[int] = None,
-    recover: bool = False,
-) -> int:
-    from repro.domains import (
-        BioArchetype,
-        ClimateArchetype,
-        FusionArchetype,
-        MaterialsArchetype,
-    )
+def _archetype(domain: str, seed: int):
+    """The named domain's archetype (imported here: the domains pull in scipy)."""
+    from repro.domains import all_archetypes
 
-    if resume and checkpoint_dir is None:
+    return next(a for a in all_archetypes(seed) if a.domain == domain)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``repro run``: every flag is read off *args*, where
+    :func:`build_parser` declared it."""
+    domain, seed, backend = args.domain, args.seed, args.backend
+    checkpoint_dir, trace_dir = args.checkpoint_dir, args.trace_dir
+    if args.resume and checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if recover:
-        if checkpoint_dir is None:
-            print("error: --recover requires --checkpoint-dir", file=sys.stderr)
-            return 2
-        resume = True
-    classes = {
-        "climate": ClimateArchetype,
-        "fusion": FusionArchetype,
-        "bio": BioArchetype,
-        "materials": MaterialsArchetype,
-    }
+    if args.recover and checkpoint_dir is None:
+        print("error: --recover requires --checkpoint-dir", file=sys.stderr)
+        return 2
     from repro.core.plan import PipelineError
-    from repro.core.runner import CheckpointError
+    from repro.durability.checkpoint import CheckpointError
     from repro.durability.fsfaults import SimulatedCrash
     from repro.faults import FaultInjector, FaultSpec, RetryPolicy
     from repro.obs import JsonlTelemetrySink, Telemetry
     from repro.obs.sinks import envelope, write_jsonl
 
     retry_policy = None
-    if retries is not None:
-        if retries < 0:
+    if args.retries is not None:
+        if args.retries < 0:
             print("error: --retries must be >= 0", file=sys.stderr)
             return 2
         # N retries = N+1 attempts; seeded so backoff is reproducible
-        retry_policy = RetryPolicy(max_attempts=retries + 1, seed=seed)
+        retry_policy = RetryPolicy(max_attempts=args.retries + 1, seed=seed)
     injector = None
-    if inject_faults is not None:
+    if args.inject_faults is not None:
         try:
-            injector = FaultInjector(FaultSpec.parse(inject_faults))
+            injector = FaultInjector(FaultSpec.parse(args.inject_faults))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     source_params = None
-    if inject_bad_records is not None:
-        if inject_bad_records < 1:
+    if args.inject_bad_records is not None:
+        if args.inject_bad_records < 1:
             print("error: --inject-bad-records must be >= 1", file=sys.stderr)
             return 2
         corrupt_knobs = {
@@ -434,19 +421,21 @@ def _cmd_run(
                   f"(supported: {', '.join(sorted(corrupt_knobs))})",
                   file=sys.stderr)
             return 2
-        source_params = {corrupt_knobs[domain]: inject_bad_records}
-    if batch_size is not None and batch_size < 1:
+        source_params = {corrupt_knobs[domain]: args.inject_bad_records}
+    if args.batch_size is not None and args.batch_size < 1:
         print("error: --batch-size must be >= 1", file=sys.stderr)
+        return 2
+    if backend is None and args.workers is not None:
+        # auto included: the chooser picks its own width, so a bare
+        # --workers would be silently ignored
+        print("error: --workers requires --backend", file=sys.stderr)
         return 2
     # a fixed plan defaults to serial; under auto, an unset backend lets
     # the cost-model chooser pick (an explicit --backend always wins)
-    if backend is None and plan_mode != "auto":
-        if workers is not None:
-            print("error: --workers requires --backend", file=sys.stderr)
-            return 2
+    if backend is None and args.plan_mode != "auto":
         backend = "serial"
-    if backend is not None and workers is not None:
-        if workers < 1:
+    if args.workers is not None:
+        if args.workers < 1:
             print("error: --workers must be >= 1", file=sys.stderr)
             return 2
         from repro.core.backends import get_backend
@@ -459,11 +448,11 @@ def _cmd_run(
                   file=sys.stderr)
             return 2
         try:
-            backend = get_backend(backend, **{kwarg: workers})
+            backend = get_backend(backend, **{kwarg: args.workers})
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if stage_timeout is not None and backend is not None:
+    if args.stage_timeout is not None and backend is not None:
         backend_cls = (
             BACKENDS.get(backend) if isinstance(backend, str) else type(backend)
         )
@@ -472,19 +461,19 @@ def _cmd_run(
                   "post-hoc only (a hung task is not killed); use --backend "
                   "process for preemptive enforcement", file=sys.stderr)
     # --progress and --archive-dir both need telemetry even without a trace dir
-    want_telemetry = trace_dir is not None or progress or archive_dir is not None
+    want_telemetry = trace_dir is not None or args.progress or args.archive_dir is not None
     telemetry = Telemetry() if want_telemetry else None
     recovery_report = None
-    if recover:
+    if args.recover:
         from repro.durability import recover_run
 
         recovery_report = recover_run(
             checkpoint_dir,
-            shards_dir=Path(workdir) / "shards",
+            shards_dir=Path(args.workdir) / "shards",
             telemetry=telemetry,
         )
         print(recovery_report.summary())
-    archetype = classes[domain](seed=seed)
+    archetype = _archetype(domain, seed)
     if backend is None:
         how = "cost-model-chosen"
     elif isinstance(backend, str):
@@ -495,16 +484,16 @@ def _cmd_run(
           f"on the {how} backend ...")
 
     def _save_dead_letters(log) -> None:
-        if dead_letter_dir is None or not len(log):
+        if args.dead_letter_dir is None or not len(log):
             return
         from repro.faults import DEAD_LETTER_NAME
 
-        path = log.save(Path(dead_letter_dir) / DEAD_LETTER_NAME)
+        path = log.save(Path(args.dead_letter_dir) / DEAD_LETTER_NAME)
         print(f"{len(log)} dead letter(s) appended to {path}")
 
     reporter = None
     ticker = None
-    if progress:
+    if args.progress:
         from repro.obs import ProgressReporter, ProgressTicker
 
         reporter = ProgressReporter(telemetry)
@@ -515,24 +504,24 @@ def _cmd_run(
     uninstall = drain.install()
     try:
         result = archetype.run(
-            workdir,
+            args.workdir,
             source_params=source_params,
             backend=backend,
             checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            resume=args.resume or args.recover,
             on_event=reporter.on_event if reporter is not None else None,
             telemetry=telemetry,
             retry_policy=retry_policy,
-            on_error=on_error,
-            stage_timeout=stage_timeout,
+            on_error=args.on_error,
+            stage_timeout=args.stage_timeout,
             fault_injector=injector,
-            gates=gates,
-            quarantine_dir=quarantine_dir,
-            plan_mode=plan_mode,
-            calibration_dir=calibration_dir,
-            cluster=cluster,
+            gates=args.gates,
+            quarantine_dir=args.quarantine_dir,
+            plan_mode=args.plan_mode,
+            calibration_dir=args.calibration_dir,
+            cluster=args.cluster,
             drain=drain,
-            batch_size=batch_size,
+            batch_size=args.batch_size,
             recovery_report=recovery_report,
         )
     except CheckpointError as exc:
@@ -600,8 +589,8 @@ def _cmd_run(
             error = abs(actual - predicted) / predicted
             print(f"\npredicted {predicted:.4f} s, actual {actual:.4f} s "
                   f"(prediction error {error:.0%})")
-        if calibration_dir is not None:
-            print(f"calibration observations appended under {calibration_dir}")
+        if args.calibration_dir is not None:
+            print(f"calibration observations appended under {args.calibration_dir}")
     if run.quarantined:
         for q in run.quarantined:
             print(f"quarantined corrupt checkpoint for stage {q.stage_name!r} "
@@ -632,13 +621,13 @@ def _cmd_run(
         for crash in run.worker_crashes:
             print(f"  {crash.describe()}")
     _save_dead_letters(run.dead_letters)
-    if gates is not None:
+    if args.gates is not None:
         print(section("data readiness gates"))
-        print(f"policy: {gates}")
+        print(f"policy: {args.gates}")
         for report in run.gate_reports:
             print(f"  {report.summary()}")
         if run.records_quarantined:
-            where = quarantine_dir if quarantine_dir is not None else "(in-memory)"
+            where = args.quarantine_dir if args.quarantine_dir is not None else "(in-memory)"
             print(f"{run.records_quarantined} record(s) quarantined -> {where}")
     if run.degraded:
         degraded = [r.stage_name for r in run.results if r.degraded]
@@ -650,19 +639,19 @@ def _cmd_run(
             print(f"\nWARNING: run completed DEGRADED — stage(s) "
                   f"{', '.join(degraded)} exhausted their error policy and were "
                   f"skipped; outputs passed through unchanged")
-    if events:
+    if args.events:
         print(section("run events"))
         print(result.run.event_log())
-    if events_jsonl is not None:
+    if args.events_jsonl is not None:
         n = write_jsonl(
-            events_jsonl, (envelope("event", e.to_dict()) for e in result.run.events)
+            args.events_jsonl, (envelope("event", e.to_dict()) for e in result.run.events)
         )
-        print(f"{n} events written to {events_jsonl}")
+        print(f"{n} events written to {args.events_jsonl}")
     if telemetry is not None and trace_dir is not None:
         telemetry.export(JsonlTelemetrySink(trace_dir), events=result.run.events)
         print(f"trace written to {trace_dir} "
               f"({len(telemetry.tracer)} spans, {len(telemetry.metrics)} metrics)")
-    if archive_dir is not None and telemetry is not None:
+    if args.archive_dir is not None and telemetry is not None:
         from repro.obs.history import RunArchive
 
         if trace_dir is not None:
@@ -677,14 +666,14 @@ def _cmd_run(
                            for e in result.run.events],
             }
         ctx = result.run.context
-        record = RunArchive(archive_dir).archive(
+        record = RunArchive(args.archive_dir).archive(
             trace_src,
             manifest=result.manifest,
             schedule=ctx.schedule_record() if ctx is not None else None,
             certificate=ctx.readiness_certificate() if ctx is not None else None,
             labels={"domain": domain, "seed": str(seed)},
         )
-        print(f"run archived as {record.run_id} under {archive_dir}")
+        print(f"run archived as {record.run_id} under {args.archive_dir}")
     print(section("assessment"))
     print(f"Data Readiness Level: {result.readiness_level} / 5")
     print(MaturityMatrix.from_assessment(result.assessment).render_compact())
@@ -702,22 +691,9 @@ def _cmd_run(
     return 0
 
 
-def _cmd_plan_explain(
-    domain: str,
-    workdir: Optional[Path],
-    seed: int,
-    cluster: str,
-    calibration_dir: Optional[Path],
-    top: Optional[int],
-) -> int:
+def _cmd_plan_explain(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.domains import (
-        BioArchetype,
-        ClimateArchetype,
-        FusionArchetype,
-        MaterialsArchetype,
-    )
     from repro.sched import (
         CalibrationStore,
         choose_config,
@@ -725,18 +701,11 @@ def _cmd_plan_explain(
         resolve_cluster,
     )
 
-    classes = {
-        "climate": ClimateArchetype,
-        "fusion": FusionArchetype,
-        "bio": BioArchetype,
-        "materials": MaterialsArchetype,
-    }
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="repro-plan-"))
-    workdir = Path(workdir)
+    cluster, calibration_dir = args.cluster, args.calibration_dir
+    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="repro-plan-"))
     source_dir = workdir / "source"
     source_dir.mkdir(parents=True, exist_ok=True)
-    archetype = classes[domain](seed=seed)
+    archetype = _archetype(args.domain, args.seed)
     source_manifest = archetype.synthesize_source(source_dir)
     pipeline = archetype.build_pipeline(workdir / "shards")
     workload = estimate_workload(pipeline.plan, source_manifest)
@@ -750,7 +719,7 @@ def _cmd_plan_explain(
     spec = resolve_cluster(cluster)
     decision = choose_config(workload, spec, calibration=calibration)
     print(section(f"candidate ranking ({cluster})"))
-    print(decision.render_table(top=top))
+    print(decision.render_table(top=args.top))
     print(f"\n{decision.summary()}")
     if decision.calibration:
         factors = ", ".join(f"{s}x{f:.2f}" for s, f in decision.calibration)
@@ -759,20 +728,21 @@ def _cmd_plan_explain(
     return 0
 
 
-def _cmd_quarantine_list(directory: Path) -> int:
+def _cmd_quarantine_list(args: argparse.Namespace) -> int:
     from repro.gates import QuarantineStore
 
-    store = QuarantineStore(directory)
+    store = QuarantineStore(args.directory)
     print(store.render())
     return 0
 
 
-def _cmd_quarantine_show(directory: Path, fingerprint: str) -> int:
+def _cmd_quarantine_show(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.gates import QuarantineStore
 
-    store = QuarantineStore(directory)
+    fingerprint = args.fingerprint
+    store = QuarantineStore(args.directory)
     matches = [
         e
         for e in store.entries()
@@ -797,12 +767,10 @@ def _cmd_quarantine_show(directory: Path, fingerprint: str) -> int:
     return 0
 
 
-def _cmd_quarantine_redrive(
-    directory: Path, domain: str, output: Path, codec: str,
-    consume: bool = False,
-) -> int:
+def _cmd_quarantine_redrive(args: argparse.Namespace) -> int:
     from repro.gates import QuarantineStore, contracts_for_domain, redrive
 
+    directory, domain, output, consume = args.directory, args.domain, args.output, args.consume
     store = QuarantineStore(directory)
     if not len(store):
         print(f"error: quarantine under {directory} is empty", file=sys.stderr)
@@ -811,7 +779,7 @@ def _cmd_quarantine_redrive(
     if not contracts:
         print(f"error: domain {domain!r} declares no contracts", file=sys.stderr)
         return 1
-    report = redrive(store, contracts, output, codec_name=codec, consume=consume)
+    report = redrive(store, contracts, output, codec_name=args.codec, consume=consume)
     print(report.summary())
     if consume and report.promoted:
         print(f"{len(report.promoted)} promoted record(s) consumed "
@@ -832,9 +800,10 @@ def _check_trace_dir(trace_dir: Path) -> Optional[str]:
     return None
 
 
-def _cmd_telemetry_summary(trace_dir: Path, top: int) -> int:
+def _cmd_telemetry_summary(args: argparse.Namespace) -> int:
     from repro.obs import read_trace
 
+    trace_dir = args.trace_dir
     problem = _check_trace_dir(trace_dir)
     if problem is not None:
         print(problem, file=sys.stderr)
@@ -870,7 +839,7 @@ def _cmd_telemetry_summary(trace_dir: Path, top: int) -> int:
             g["items"] or "",
             g["errors"] or "",
         )
-        for name, g in ranked[: max(top, 1)]
+        for name, g in ranked[: max(args.top, 1)]
     ]
     traces = sorted({str(s.get("trace_id", "")) for s in spans})
     print(f"{len(spans)} spans across {len(traces)} trace(s); "
@@ -911,15 +880,12 @@ def _cmd_telemetry_summary(trace_dir: Path, top: int) -> int:
     return 0
 
 
-def _cmd_telemetry_export(
-    trace_dir: Path,
-    out_path: Optional[Path],
-    chrome_path: Optional[Path] = None,
-    prom_path: Optional[Path] = None,
-) -> int:
+def _cmd_telemetry_export(args: argparse.Namespace) -> int:
     from repro.obs import read_trace, write_chrome_trace, write_prometheus_text
     from repro.obs.sinks import write_jsonl
 
+    trace_dir = args.trace_dir
+    out_path, chrome_path, prom_path = args.jsonl, args.chrome, args.prom
     if out_path is None and chrome_path is None and prom_path is None:
         print("error: pick at least one of --jsonl, --chrome, --prom",
               file=sys.stderr)
@@ -949,9 +915,10 @@ def _cmd_telemetry_export(
     return 0
 
 
-def _cmd_telemetry_critical_path(trace_dir: Path, as_json: bool) -> int:
+def _cmd_telemetry_critical_path(args: argparse.Namespace) -> int:
     from repro.obs import analyze_trace
 
+    trace_dir = args.trace_dir
     problem = _check_trace_dir(trace_dir)
     if problem is not None:
         print(problem, file=sys.stderr)
@@ -961,7 +928,7 @@ def _cmd_telemetry_critical_path(trace_dir: Path, as_json: bool) -> int:
     except ValueError:
         print(f"error: no spans found under {trace_dir}", file=sys.stderr)
         return 1
-    if as_json:
+    if args.as_json:
         print(report.to_json(), end="")
         return 0
     print(f"pipeline {report.pipeline!r} on the {report.backend or '?'} backend: "
@@ -978,19 +945,13 @@ def _cmd_telemetry_critical_path(trace_dir: Path, as_json: bool) -> int:
     return 0
 
 
-def _cmd_telemetry_diff(
-    trace_dir: Path,
-    against: Optional[Path],
-    runs_root: Optional[Path],
-    last: int,
-    as_json: bool,
-    fail_on_regress: bool,
-) -> int:
+def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs import analyze_trace, diff_stage_seconds, load_baseline_stages
     from repro.obs.history import RunArchive
 
+    trace_dir, against, runs_root = args.trace_dir, args.against, args.runs_root
     if (against is None) == (runs_root is None):
         print("error: pick exactly one baseline: --against PATH or "
               "--runs-root DIR", file=sys.stderr)
@@ -1023,7 +984,7 @@ def _cmd_telemetry_diff(
             print(f"error: no previous {report.pipeline!r} runs archived "
                   f"under {runs_root}", file=sys.stderr)
             return 1
-        records = records[-max(last, 1):]
+        records = records[-max(args.last, 1):]
         history = [r.stage_seconds for r in records]
         label = f"runs:{runs_root}"
     diff = diff_stage_seconds(
@@ -1032,20 +993,21 @@ def _cmd_telemetry_diff(
         pipeline=report.pipeline,
         baseline_label=label,
     )
-    if as_json:
+    if args.as_json:
         print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:
         print(diff.summary())
         print()
         print(diff.render_table())
-    if fail_on_regress and diff.regressed:
+    if args.fail_on_regress and diff.regressed:
         return 3
     return 0
 
 
-def _cmd_runs_list(root: Path, pipeline: Optional[str]) -> int:
+def _cmd_runs_list(args: argparse.Namespace) -> int:
     from repro.obs.history import RunArchive
 
+    root, pipeline = args.root, args.pipeline
     records = RunArchive(root).records(pipeline=pipeline)
     if not records:
         what = f"{pipeline!r} runs" if pipeline else "runs"
@@ -1072,13 +1034,13 @@ def _cmd_runs_list(root: Path, pipeline: Optional[str]) -> int:
     return 0
 
 
-def _cmd_runs_show(root: Path, run_id: str) -> int:
+def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs.history import RunArchive
 
     try:
-        record = RunArchive(root).get(run_id)
+        record = RunArchive(args.root).get(args.run_id)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -1086,7 +1048,7 @@ def _cmd_runs_show(root: Path, run_id: str) -> int:
     return 0
 
 
-def _cmd_backends() -> int:
+def _cmd_backends(args: argparse.Namespace) -> int:
     rows = []
     for name in sorted(BACKENDS):
         cls = BACKENDS[name]
@@ -1117,11 +1079,11 @@ def _cmd_backends() -> int:
     return 0
 
 
-def _cmd_inspect(directory: Path) -> int:
+def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.io.shards import ShardError, ShardSet
 
     try:
-        shard_set = ShardSet(directory)
+        shard_set = ShardSet(args.directory)
     except ShardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1152,102 +1114,29 @@ def _cmd_inspect(directory: Path) -> int:
         return 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "matrix":
-        return _cmd_matrix()
-    if args.command == "archetypes":
-        return _cmd_archetypes()
-    if args.command == "templates":
-        return _cmd_templates(args.domain)
-    if args.command == "run":
-        return _cmd_run(
-            args.domain,
-            args.workdir,
-            args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            plan_mode=args.plan_mode,
-            calibration_dir=args.calibration_dir,
-            cluster=args.cluster,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=args.resume,
-            events=args.events,
-            events_jsonl=args.events_jsonl,
-            trace_dir=args.trace_dir,
-            progress=args.progress,
-            archive_dir=args.archive_dir,
-            retries=args.retries,
-            stage_timeout=args.stage_timeout,
-            on_error=args.on_error,
-            inject_faults=args.inject_faults,
-            gates=args.gates,
-            quarantine_dir=args.quarantine_dir,
-            dead_letter_dir=args.dead_letter_dir,
-            inject_bad_records=args.inject_bad_records,
-            batch_size=args.batch_size,
-            recover=args.recover,
-        )
-    if args.command == "backends":
-        return _cmd_backends()
-    if args.command == "plan":
-        return _cmd_plan_explain(
-            args.domain,
-            args.workdir,
-            args.seed,
-            args.cluster,
-            args.calibration_dir,
-            args.top,
-        )
-    if args.command == "quarantine":
-        if args.quarantine_command == "list":
-            return _cmd_quarantine_list(args.directory)
-        if args.quarantine_command == "show":
-            return _cmd_quarantine_show(args.directory, args.fingerprint)
-        return _cmd_quarantine_redrive(
-            args.directory, args.domain, args.output, args.codec,
-            consume=args.consume,
-        )
-    if args.command == "telemetry":
-        if args.telemetry_command == "summary":
-            return _cmd_telemetry_summary(args.trace_dir, args.top)
-        if args.telemetry_command == "critical-path":
-            return _cmd_telemetry_critical_path(args.trace_dir, args.as_json)
-        if args.telemetry_command == "diff":
-            return _cmd_telemetry_diff(
-                args.trace_dir,
-                args.against,
-                args.runs_root,
-                args.last,
-                args.as_json,
-                args.fail_on_regress,
-            )
-        return _cmd_telemetry_export(
-            args.trace_dir, args.jsonl, args.chrome, args.prom
-        )
-    if args.command == "runs":
-        if args.runs_command == "list":
-            return _cmd_runs_list(args.root, args.pipeline)
-        return _cmd_runs_show(args.root, args.run_id)
-    if args.command == "inspect":
-        return _cmd_inspect(args.directory)
-    if args.command == "crosswalk":
-        level = DataReadinessLevel(args.level)
-        # build a minimal assessment whose overall equals the requested level
-        from repro.core.assessment import StageAssessment
-        from repro.core.levels import DataProcessingStage
+def _cmd_crosswalk(args: argparse.Namespace) -> int:
+    from repro.core.assessment import StageAssessment
+    from repro.core.levels import DataProcessingStage
 
-        stages = {
-            stage: StageAssessment(
-                stage=stage, level=level, satisfied=[], missing_for_next=[],
-                notes=[],
-            )
-            for stage in DataProcessingStage
-        }
-        assessment = ReadinessAssessment(stages=stages, overall=level)
-        print(crosswalk_report(assessment))
-        return 0
-    raise AssertionError("unreachable")  # pragma: no cover
+    level = DataReadinessLevel(args.level)
+    # build a minimal assessment whose overall equals the requested level
+    stages = {
+        stage: StageAssessment(
+            stage=stage, level=level, satisfied=[], missing_for_next=[],
+            notes=[],
+        )
+        for stage in DataProcessingStage
+    }
+    assessment = ReadinessAssessment(stages=stages, overall=level)
+    print(crosswalk_report(assessment))
+    return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Parse *argv* and run the subcommand's handler (``set_defaults`` in
+    :func:`build_parser` binds one to every leaf parser)."""
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

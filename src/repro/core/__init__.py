@@ -44,12 +44,10 @@ from repro.core.plan import (
     fingerprint_payload,
 )
 from repro.core.runner import (
-    CheckpointError,
     Pipeline,
     PipelineContext,
     PipelineRun,
     PipelineRunner,
-    RunCheckpointer,
     RunEvent,
     RunEventKind,
     StageResult,
@@ -89,7 +87,6 @@ __all__ = [
     "ExecutionBackend", "SerialBackend", "ThreadedBackend", "SimSPMDBackend",
     "BACKENDS", "get_backend",
     "PipelineRunner", "RunEvent", "RunEventKind",
-    "RunCheckpointer", "CheckpointError",
     "FeedbackController", "FeedbackHistory", "FeedbackIteration",
     "FeedbackRule", "holdout_accuracy_evaluator",
     "ArchetypeEntry", "ArchetypeRegistry", "default_registry",

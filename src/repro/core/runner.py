@@ -8,9 +8,9 @@ explicit lifecycle (open -> per stage: gate-in, execute-with-policy,
 gate-out, commit -> finish) that publishes every moment once — as a typed
 :class:`RunEvent`, an audit entry, and telemetry — and owns the execution
 backend, the per-stage error policy (:mod:`repro.faults`), the data gates
-(:mod:`repro.gates`), checkpointed resume (:class:`RunCheckpointer`) and
-the write-ahead journal (:mod:`repro.durability`).  DESIGN.md, "Engine
-architecture", walks through the phases.
+(:mod:`repro.gates`) and checkpointed resume (snapshots and the write-ahead
+journal, both behind :class:`repro.durability.checkpoint.RunCheckpointer`).
+DESIGN.md, "Engine architecture", walks through the phases.
 
 Stage functions stay pure data transforms; capture is the engine's job.
 """
@@ -19,10 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
-import json
-import os
-import pickle
 import time
 from pathlib import Path
 from typing import (
@@ -40,13 +36,13 @@ from typing import (
 
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
-from repro.durability.atomic import (
-    atomic_write_bytes,
-    atomic_write_text,
-    sha256_path,
+from repro.durability.checkpoint import (
+    CheckpointError,
+    QuarantinedCheckpoint,
+    RunCheckpoint,
+    RunCheckpointer,
 )
 from repro.durability.fsfaults import activate as activate_disk_faults
-from repro.durability.journal import JOURNAL_NAME, RunJournal
 from repro.core.levels import DataProcessingStage
 from repro.core.payload import fingerprint_payload, walk_payload
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
@@ -59,7 +55,6 @@ from repro.gates.contracts import GatePolicy
 from repro.gates.gate import GateReport, GateViolation, apply_contract
 from repro.gates.quarantine import QuarantineStore
 from repro.governance.audit import AuditLog
-from repro.io.shards import ShardManifest
 from repro.obs import Telemetry
 from repro.obs.instrument import NullRecorder, recorder_for
 from repro.obs.tracing import Span
@@ -81,10 +76,6 @@ __all__ = [
     "PipelineRun",
     "RunEventKind",
     "RunEvent",
-    "CheckpointError",
-    "RunCheckpoint",
-    "QuarantinedCheckpoint",
-    "RunCheckpointer",
     "PipelineRunner",
 ]
 
@@ -296,9 +287,7 @@ class PipelineRun:
     #: work the run could not complete (failed or degraded stages)
     dead_letters: DeadLetterLog = dataclasses.field(default_factory=DeadLetterLog)
     #: checkpoints resume had to quarantine before finding a verifiable one
-    quarantined: List["QuarantinedCheckpoint"] = dataclasses.field(
-        default_factory=list
-    )
+    quarantined: List[QuarantinedCheckpoint] = dataclasses.field(default_factory=list)
     #: data-gate verdicts, one per contract evaluation, in order
     gate_reports: List[GateReport] = dataclasses.field(default_factory=list)
     #: worker crash/hang/lease-expiry events, when the backend supervises
@@ -452,225 +441,6 @@ class PipelineRun:
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-
-class CheckpointError(RuntimeError):
-    """A stored checkpoint is unusable (wrong plan, corrupt or stale payload)."""
-
-
-@dataclasses.dataclass
-class RunCheckpoint:
-    """The restorable state of the last completed stage."""
-
-    stage_index: int
-    stage_name: str
-    fingerprint: str
-    payload: Any
-    artifacts: Dict[str, Any]
-    evidence: ReadinessEvidence
-    #: the full completed-stage table: index -> {stage, fingerprints}
-    completed: Dict[int, Dict[str, str]]
-
-
-@dataclasses.dataclass(frozen=True)
-class QuarantinedCheckpoint:
-    """One checkpoint resume rejected and set aside instead of restoring.
-
-    The on-disk pickle (if any) is renamed to ``*.quarantined`` so it
-    stays available for post-mortem without ever being restored again.
-    """
-
-    stage_index: int
-    stage_name: str
-    reason: str
-    #: where the rejected payload snapshot was moved ("" if it was missing)
-    quarantined_path: str = ""
-
-
-class RunCheckpointer:
-    """Persists per-stage payload snapshots so a failed run can resume.
-
-    Layout under ``directory``: one ``stage-NNN.pkl`` pickle per completed
-    stage (payload + artifacts + evidence) and a ``run-state.json`` table
-    of completed stages with their payload fingerprints, guarded by the
-    plan fingerprint.  Both payload snapshots and state writes are atomic
-    (write-then-rename), so a crash mid-save leaves the previous
-    checkpoint intact, never a torn file under the real name.  A restored
-    payload is re-fingerprinted before use: :meth:`load_verified`
-    quarantines a snapshot that does not hash to its recorded fingerprint
-    and falls back to the newest earlier checkpoint that still verifies.
-    """
-
-    STATE_NAME = "run-state.json"
-
-    def __init__(self, directory: Union[str, Path]):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def state_path(self) -> Path:
-        return self.directory / self.STATE_NAME
-
-    def _payload_path(self, index: int) -> Path:
-        return self.directory / f"stage-{index:03d}.pkl"
-
-    def _load_state(self) -> Optional[Dict[str, Any]]:
-        if not self.state_path.exists():
-            return None
-        try:
-            return json.loads(self.state_path.read_text())
-        except json.JSONDecodeError:
-            return None
-
-    def save(
-        self,
-        plan: StagePlan,
-        index: int,
-        stage: PipelineStage,
-        input_fingerprint: str,
-        output_fingerprint: str,
-        payload: Any,
-        context: PipelineContext,
-    ) -> None:
-        """Snapshot one completed stage (payload, artifacts, evidence)."""
-        blob = {
-            "payload": payload,
-            "artifacts": dict(context.artifacts),
-            "evidence": context.evidence,
-        }
-        # atomic + durable: fsynced temp, rename, directory fsync — a
-        # crash mid-pickle leaves stage-NNN.pkl.tmp behind, never a torn
-        # snapshot under the restorable name, and a committed snapshot
-        # survives power loss
-        atomic_write_bytes(
-            self._payload_path(index), pickle.dumps(blob), site="checkpoint"
-        )
-        state = self._load_state()
-        if state is None or state.get("plan_fingerprint") != plan.fingerprint():
-            state = {"completed": []}
-        # a (re)run reaching stage k invalidates any stale later checkpoints
-        completed = {
-            int(row["index"]): row
-            for row in state["completed"]
-            if int(row["index"]) < index
-        }
-        completed[index] = {
-            "index": index,
-            "stage": stage.name,
-            "input_fingerprint": input_fingerprint,
-            "fingerprint": output_fingerprint,
-        }
-        self._write_state(plan, completed)
-
-    def _write_state(
-        self, plan: StagePlan, completed: Dict[int, Dict[str, Any]]
-    ) -> None:
-        """Atomically rewrite the completed-stage table (drop it if empty)."""
-        if not completed:
-            if self.state_path.exists():
-                self.state_path.unlink()
-            return
-        state = {
-            "pipeline": plan.name,
-            "plan_fingerprint": plan.fingerprint(),
-            "completed": [completed[i] for i in sorted(completed)],
-        }
-        atomic_write_text(
-            self.state_path,
-            json.dumps(state, indent=2, sort_keys=True),
-            site="run-state",
-        )
-
-    def _try_restore(self, row: Dict[str, Any], path: Path):
-        """Restore one snapshot; returns ``(blob, reason)`` — one is None."""
-        if not path.exists():
-            return None, "payload snapshot is missing"
-        try:
-            with open(path, "rb") as fh:
-                blob = pickle.load(fh)
-            payload = blob["payload"]
-        except Exception as exc:  # torn pickle, missing key, unpicklable
-            return None, f"payload snapshot is unreadable ({type(exc).__name__}: {exc})"
-        actual = fingerprint_payload(payload)
-        if actual != row["fingerprint"]:
-            return None, (
-                f"fingerprint mismatch: stored {str(row['fingerprint'])[:12]}, "
-                f"restored payload hashes to {actual[:12]}"
-            )
-        return blob, None
-
-    def load_verified(
-        self, plan: StagePlan
-    ) -> Tuple[Optional[RunCheckpoint], List[QuarantinedCheckpoint]]:
-        """Restore the newest checkpoint that survives verification.
-
-        Resume hardening: walks the completed stages newest-first,
-        renames every unusable (corrupt, fingerprint-mismatched) snapshot to
-        ``*.quarantined`` (preserved for post-mortem, never restored),
-        rewrites the state table to the surviving prefix, and returns the
-        last *verifiable* checkpoint plus the quarantine report.  With no
-        survivor the run starts fresh — ``(None, [quarantined...])``.
-
-        Still raises :class:`CheckpointError` for a plan-fingerprint
-        mismatch: that is a caller error, not storage corruption.
-        """
-        state = self._load_state()
-        if state is None or not state.get("completed"):
-            return None, []
-        if state.get("plan_fingerprint") != plan.fingerprint():
-            raise CheckpointError(
-                f"checkpoint in {self.directory} was written by a different "
-                f"plan than {plan.name!r}; refusing to resume"
-            )
-        completed = {int(row["index"]): row for row in state["completed"]}
-        quarantined: List[QuarantinedCheckpoint] = []
-        for index in sorted(completed, reverse=True):
-            row = completed[index]
-            path = self._payload_path(index)
-            blob, reason = self._try_restore(row, path)
-            if blob is None:
-                qpath = ""
-                if path.exists():
-                    qpath = str(path) + ".quarantined"
-                    os.replace(path, qpath)
-                quarantined.append(
-                    QuarantinedCheckpoint(
-                        stage_index=index,
-                        stage_name=str(row["stage"]),
-                        reason=str(reason),
-                        quarantined_path=qpath,
-                    )
-                )
-                continue
-            survivors = {i: r for i, r in completed.items() if i <= index}
-            if quarantined:
-                self._write_state(plan, survivors)
-            return (
-                RunCheckpoint(
-                    stage_index=index,
-                    stage_name=str(row["stage"]),
-                    fingerprint=str(row["fingerprint"]),
-                    payload=blob["payload"],
-                    artifacts=dict(blob.get("artifacts", {})),
-                    evidence=blob.get("evidence") or ReadinessEvidence(),
-                    completed=survivors,
-                ),
-                quarantined,
-            )
-        self._write_state(plan, {})
-        return None, quarantined
-
-    def clear(self) -> None:
-        """Drop all stored state (fresh-start escape hatch)."""
-        for path in self.directory.glob("stage-*.pkl"):
-            path.unlink()
-        if self.state_path.exists():
-            self.state_path.unlink()
-
-
-# ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
 
@@ -753,7 +523,6 @@ class PipelineRunner:
         *,
         backend: Union[str, ExecutionBackend, None] = None,
         checkpoint_dir: Union[str, Path, None] = None,
-        checkpointer: Optional[RunCheckpointer] = None,
         on_event: Optional[Callable[[RunEvent], None]] = None,
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.time,
@@ -768,18 +537,17 @@ class PipelineRunner:
         calibration_store: Optional["CalibrationStore"] = None,
         drain: Optional[DrainController] = None,
         batch_size: Optional[int] = None,
-        journal: Optional[RunJournal] = None,
         recovery_report: Optional["RecoveryReport"] = None,
     ):
         """The run options, declared once: ``Pipeline.run`` and
         ``DomainArchetype.run`` forward ``**runner_options`` here.
 
         ``backend`` (a name or instance) selects how stage internals fan
-        out.  ``checkpoint_dir`` (or a ready ``checkpointer``) snapshots
-        every completed stage so ``run(resume=True)`` restarts after the
-        last verifiable one; a write-ahead ``journal`` is auto-created
-        beside the checkpoints.  ``on_event`` receives every
-        :class:`RunEvent` as it happens, ``telemetry`` attaches a
+        out.  ``checkpoint_dir`` snapshots every completed stage and
+        journals its commit there, so ``run(resume=True)`` restarts after
+        the last journal-committed stage whose snapshot still verifies.
+        ``on_event`` receives every :class:`RunEvent` as it happens,
+        ``telemetry`` attaches a
         :class:`~repro.obs.Telemetry` collector (spans, metrics, resource
         profiles), and ``clock`` stamps event timestamps (inject a fake to
         pin them).  ``retry_policy`` / ``on_error`` / ``stage_timeout``
@@ -805,15 +573,10 @@ class PipelineRunner:
             raise ValueError(f"batch_size must be >= 0, got {batch_size}")
         self.plan = plan
         self.backend = get_backend(backend)
-        if checkpointer is None and checkpoint_dir is not None:
-            checkpointer = RunCheckpointer(checkpoint_dir)
+        self.checkpointer = (
+            RunCheckpointer(checkpoint_dir) if checkpoint_dir is not None else None
+        )
         self.fault_injector = fault_injector
-        if fault_injector is not None and checkpointer is not None:
-            checkpointer = fault_injector.wrap_checkpointer(checkpointer)
-        self.checkpointer = checkpointer
-        if journal is None and checkpointer is not None:
-            journal = RunJournal(Path(checkpointer.directory) / JOURNAL_NAME)
-        self.journal = journal
         self.recovery_report = recovery_report
         self.on_event = on_event
         self.telemetry = telemetry
@@ -958,13 +721,13 @@ class PipelineRunner:
     ) -> PipelineRun:
         """Execute the plan; provenance is captured per payload transition.
 
-        With ``resume=True`` (requires a checkpointer) the run restarts
-        after the last *verifiable* completed stage: stored payload
-        snapshots are verified against their recorded fingerprints,
-        corrupt or mismatched snapshots are quarantined (renamed to
-        ``*.quarantined``, reported as ``CHECKPOINT_QUARANTINED``
-        events), and the surviving prefix is replayed as
-        ``STAGE_SKIPPED`` events instead of being re-executed.
+        With ``resume=True`` (requires ``checkpoint_dir``) the run restarts
+        after the last journal-committed stage that *verifies*: its
+        snapshot must hash to the committed digest and its payload to the
+        recorded fingerprint; corrupt or mismatched snapshots are
+        quarantined (renamed to ``*.quarantined``, reported as
+        ``CHECKPOINT_QUARANTINED`` events), and the surviving prefix is
+        replayed as ``STAGE_SKIPPED`` events instead of being re-executed.
 
         The whole run executes with the fault injector's disk-fault
         schedule (if any) installed as the process-global tap on the
@@ -1025,11 +788,11 @@ class PipelineRunner:
             if lineage.record_for(fp) is None and fp not in lineage.entities:
                 # register the raw payload as a lineage root
                 context._capture(f"{self.plan.name}:source", [], fp, None, {"role": "source"})
-        if self.journal is not None:
+        if self.checkpointer is not None:
             # write-ahead: the journal names the run before any stage
             # mutates disk, so recovery can always tell which run the
             # on-disk state belongs to
-            self.journal.begin(
+            self.checkpointer.journal.begin(
                 pipeline=self.plan.name,
                 plan_fingerprint=self.plan.fingerprint(),
                 backend=base.name,
@@ -1094,11 +857,9 @@ class PipelineRunner:
         for index in range(checkpoint.stage_index + 1):
             row = checkpoint.completed.get(index)
             if row is None:
-                raise CheckpointError(
-                    f"checkpoint state has no record for stage index {index}"
-                )
+                raise CheckpointError(f"the journal has no commit for stage index {index}")
             stage = self.plan.stages[index]
-            fingerprint = str(row["fingerprint"])
+            fingerprint = str(row["output_fingerprint"])
             st.results.append(
                 StageResult(
                     stage_name=stage.name,
@@ -1159,6 +920,9 @@ class PipelineRunner:
             st.context.current_span = None
         self._commit(st, frame, output_report)
         if injector is not None:
+            if self.checkpointer is not None:
+                # chaos: damage the snapshot the journal just committed
+                injector.maybe_corrupt_checkpoint(self.checkpointer.snapshot_path(index), index)
             # post-stage crash point: the stage is fully committed
             # (checkpoint + journal); recovery must keep it
             injector.maybe_crash(index, "post")
@@ -1349,7 +1113,8 @@ class PipelineRunner:
     def _commit(
         self, st: _RunState, frame: _StageFrame, output_report: Optional[GateReport]
     ) -> None:
-        """Record the completed stage everywhere, then checkpoint + journal it."""
+        """Record the completed stage everywhere, then commit it (snapshot +
+        journal record, one call)."""
         stage, index = frame.stage, frame.index
         out_fp, out_bytes, out_items = walk_payload(st.payload)
         self._publish(
@@ -1383,29 +1148,11 @@ class PipelineRunner:
                 detail=f"{frame.records_quarantined} record(s) quarantined",
             )
         if self.checkpointer is not None:
-            self.checkpointer.save(
-                self.plan, index, stage, st.fingerprint, out_fp, st.payload, st.context
+            self.checkpointer.commit(
+                index, stage.name, st.fingerprint, out_fp, st.payload, st.context
             )
-            if self.journal is not None:
-                self._journal_stage(st, frame, out_fp)
+            st.recorder.count("journal_records_total", kind="stage-commit")
         st.fingerprint = out_fp
-
-    def _journal_stage(self, st: _RunState, frame: _StageFrame, out_fp: str) -> None:
-        """The stage-commit record: written only after the checkpoint hit
-        disk, carrying content digests so recovery verifies artifacts
-        instead of trusting them."""
-        artifacts: Dict[str, str] = {}
-        snapshot = Path(self.checkpointer.directory) / f"stage-{frame.index:03d}.pkl"
-        if snapshot.exists():
-            artifacts["checkpoint"] = sha256_path(snapshot)
-        manifest = st.context.artifacts.get("manifest")
-        if isinstance(manifest, ShardManifest):
-            artifacts["manifest"] = hashlib.sha256(manifest.to_json().encode("utf-8")).hexdigest()
-        self.journal.commit_stage(
-            index=frame.index, stage=frame.stage.name, output_fingerprint=out_fp,
-            artifacts=artifacts,
-        )
-        st.recorder.count("journal_records_total", kind="stage-commit")
 
     # -- finish ------------------------------------------------------------------
     def _finish(self, st: _RunState) -> PipelineRun:
@@ -1417,8 +1164,8 @@ class PipelineRunner:
             from repro.sched.calibrate import record_outcome
 
             stage_errors = record_outcome(decision, results, self.calibration_store)
-        if self.journal is not None:
-            self.journal.commit_run(output_fingerprint=st.fingerprint)
+        if self.checkpointer is not None:
+            self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
             st.recorder.count("journal_records_total", kind="run-commit")
         degraded = ", ".join(r.stage_name for r in results if r.degraded)
         self._publish(

@@ -2,14 +2,17 @@
 disk-fault injection, and driver-crash recovery.
 
 The paper's readiness levels treat pipeline outputs as trustworthy
-artifacts; this package is where that trust is earned.  Four pieces:
+artifacts; this package is where that trust is earned.  Five pieces:
 
 * :mod:`repro.durability.atomic` — the single fsync-disciplined
   atomic-commit primitive (tmp + fsync + ``os.replace`` + dir fsync,
   plus torn-tail-healing append) every artifact store goes through;
 * :mod:`repro.durability.journal` — the write-ahead run journal
   (``run-begin`` / ``stage-commit`` with artifact digests /
-  ``run-commit``) the runner threads through stage boundaries;
+  ``run-commit`` / ``recovery``), the one completed-stage table;
+* :mod:`repro.durability.checkpoint` — the checkpoint directory's one
+  owner: snapshot + journal record as a single stage commit, and the one
+  check that decides whether a committed snapshot can be trusted;
 * :mod:`repro.durability.fsfaults` — deterministic seeded disk-fault
   injection (ENOSPC, EIO, torn rename, lost unfsynced write) and
   driver crash points (``stage:N:pre|post``);
@@ -41,6 +44,7 @@ from repro.durability.fsfaults import (
 )
 from repro.durability.journal import (
     JOURNAL_NAME,
+    KIND_RECOVERY,
     KIND_RUN_BEGIN,
     KIND_RUN_COMMIT,
     KIND_STAGE_COMMIT,
@@ -68,6 +72,7 @@ __all__ = [
     "activate",
     "active_injector",
     "JOURNAL_NAME",
+    "KIND_RECOVERY",
     "KIND_RUN_BEGIN",
     "KIND_RUN_COMMIT",
     "KIND_STAGE_COMMIT",

@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import BinaryIO, Iterable, Iterator, Mapping, Tuple, Union
 
 from repro.durability import fsfaults
 
@@ -124,35 +124,57 @@ def atomic_write_json(path: PathLike, obj: object, *, site: str = "artifact") ->
     )
 
 
+def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[Tuple[int, bytes]]:
+    """``(offset, line)`` for each line of ``fh[:end]``, last line first.
+
+    Reads fixed 8 KiB blocks from the end, so a caller that stops at the
+    first whole line touches one block however long the log has grown.
+    Every line keeps its newline; only the file's last may lack one.
+    """
+    buffer, pos = b"", end
+    while pos > 0:
+        step = min(1 << 13, pos)
+        pos -= step
+        fh.seek(pos)
+        buffer = fh.read(step) + buffer
+        while True:
+            # the newline that ends the line *before* the buffer's last one
+            cut = buffer.rfind(b"\n", 0, len(buffer) - 1)
+            if cut < 0:
+                break  # the last line may continue into the previous block
+            yield pos + cut + 1, buffer[cut + 1 :]
+            buffer = buffer[: cut + 1]
+    if buffer:
+        yield 0, buffer
+
+
 def heal_torn_tail(path: PathLike) -> int:
     """Truncate a JSONL file back to its last complete, parseable line.
 
     A crash mid-append (or a lost unfsynced tail) leaves either a
     partial final line or trailing garbage; both are physically removed
     so subsequent appends produce a clean log.  Returns the number of
-    bytes removed (0 when the file is absent or already clean).
+    bytes removed (0 when the file is absent or already clean).  The
+    file is inspected backwards from EOF — every durable append heals
+    first, and must not pay for the whole log each time.
     """
     path = Path(path)
     if not path.exists():
         return 0
-    data = path.read_bytes()
-    keep = len(data)
-    while keep > 0:
-        chunk = data[:keep]
-        if chunk.endswith(b"\n"):
-            start = chunk.rfind(b"\n", 0, keep - 1) + 1
-            line = chunk[start : keep - 1]
-            if not line.strip():
-                break  # blank line: harmless, stop here
-            try:
-                json.loads(line.decode("utf-8"))
-                break  # last line is whole: the file is clean to `keep`
-            except (ValueError, UnicodeDecodeError):
-                keep = start
-        else:
-            # unterminated tail: drop back to the last newline
-            keep = chunk.rfind(b"\n") + 1
-    removed = len(data) - keep
+    with open(path, "rb") as fh:
+        size = keep = fh.seek(0, os.SEEK_END)
+        for start, line in _lines_backwards(fh, size):
+            if line.endswith(b"\n"):
+                if not line.strip():
+                    break  # blank line: harmless, stop here
+                try:
+                    json.loads(line.decode("utf-8"))
+                    break  # last line is whole: the file is clean to `keep`
+                except (ValueError, UnicodeDecodeError):
+                    pass
+            # an unterminated tail, or a whole line of garbage: drop it
+            keep = start
+    removed = size - keep
     if removed:
         with open(path, "rb+") as fh:
             fh.truncate(keep)

@@ -84,7 +84,6 @@ KNOWN_SITES = (
     "redrive-report",
     "run-index",
     "run-record",
-    "run-state",
     "shard",
 )
 

@@ -1,18 +1,19 @@
 """The write-ahead run journal: a run's on-disk state, reconstructible.
 
-The checkpointer snapshots payloads and the stores persist artifacts,
-but before this module nothing recorded *which* of those writes were
-committed as a unit — a driver crash left the recovery question ("what
-can I trust?") answerable only by heuristics.  The journal closes that
-gap with three durable, fsync-disciplined record types appended at run
-boundaries:
+The checkpointer snapshots payloads and the stores persist artifacts;
+the journal is the one record of *which* of those writes are committed —
+it is the completed-stage table resume and recovery both read.  Four
+durable, fsync-disciplined record types are appended at run boundaries:
 
 * ``run-begin`` — the run's identity: pipeline, plan fingerprint,
   backend, input fingerprint, and where it resumed from;
 * ``stage-commit`` — appended only *after* the stage's checkpoint hits
-  disk, carrying content digests of the committed artifacts (checkpoint
-  pickle, shard manifest) so recovery can verify rather than trust;
-* ``run-commit`` — the run finished; everything is final.
+  disk, carrying the stage's input and output payload fingerprints and
+  content digests of the committed artifacts (checkpoint pickle, shard
+  manifest) so resume and recovery verify rather than trust;
+* ``run-commit`` — the run finished; everything is final;
+* ``recovery`` — the recovery scanner's verdict: the stage a resume may
+  start from, and what it verified and discarded to get there.
 
 The invariant recovery relies on: **an artifact without a matching
 journal record is uncommitted and may be discarded; a journal record
@@ -40,6 +41,7 @@ __all__ = [
     "KIND_RUN_BEGIN",
     "KIND_STAGE_COMMIT",
     "KIND_RUN_COMMIT",
+    "KIND_RECOVERY",
     "JOURNAL_KINDS",
     "RunJournal",
     "JournalReplay",
@@ -50,11 +52,17 @@ JOURNAL_NAME = "journal.jsonl"
 KIND_RUN_BEGIN = "run-begin"
 KIND_STAGE_COMMIT = "stage-commit"
 KIND_RUN_COMMIT = "run-commit"
-JOURNAL_KINDS = (KIND_RUN_BEGIN, KIND_STAGE_COMMIT, KIND_RUN_COMMIT)
+KIND_RECOVERY = "recovery"
+JOURNAL_KINDS = (KIND_RUN_BEGIN, KIND_STAGE_COMMIT, KIND_RUN_COMMIT, KIND_RECOVERY)
+
+
+def _below(commits: Dict[int, Dict[str, object]], index: int) -> Dict[int, Dict[str, object]]:
+    """The commits a record at *index* does not supersede."""
+    return {i: record for i, record in commits.items() if i < index}
 
 
 class JournalReplay:
-    """The last run's journal segment, decoded for recovery.
+    """The last run's journal segment, decoded for resume and recovery.
 
     ``stage_commits`` maps stage index → its ``stage-commit`` record;
     ``committed`` lists those indices in order.
@@ -82,8 +90,9 @@ class JournalReplay:
 class RunJournal:
     """Append-only write-ahead journal for one checkpoint directory.
 
-    A resumed run appends a fresh ``run-begin``; replay always works
-    from the *last* begin, so the journal doubles as a crash history.
+    A resumed run appends a fresh ``run-begin`` and a recovery scan its
+    verdict; replay always works from the *last* begin, so the journal
+    doubles as a crash history.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -118,6 +127,7 @@ class RunJournal:
         stage: str,
         output_fingerprint: str,
         artifacts: Mapping[str, str],
+        input_fingerprint: str = "",
     ) -> None:
         """Record a stage commit; *artifacts* maps artifact name →
         sha256 content digest (e.g. ``checkpoint``, ``manifest``)."""
@@ -126,6 +136,7 @@ class RunJournal:
             {
                 "index": index,
                 "stage": stage,
+                "input_fingerprint": input_fingerprint,
                 "output_fingerprint": output_fingerprint,
                 "artifacts": dict(artifacts),
             },
@@ -134,8 +145,13 @@ class RunJournal:
     def commit_run(self, *, output_fingerprint: str) -> None:
         self._append(KIND_RUN_COMMIT, {"output_fingerprint": output_fingerprint})
 
+    def record_recovery(self, *, resume_index: int, **report: object) -> None:
+        """Record a recovery scan's verdict (its whole *report*): commits at
+        index >= *resume_index* are superseded, as by a ``run-begin``."""
+        self._append(KIND_RECOVERY, {"resume_index": resume_index, **report})
+
     def _append(self, kind: str, body: Mapping[str, object]) -> None:
-        record = {"schema": 1, "type": "journal", "kind": kind}
+        record = {"schema": 2, "type": "journal", "kind": kind}
         record.update(body)
         append_jsonl_durable(self.path, [record], site="journal")
 
@@ -152,11 +168,11 @@ class RunJournal:
     def last_run(self) -> JournalReplay:
         """Replay the journal into the state of the most recent run.
 
-        Stage commits accumulate *across* segments: a ``run-begin`` with
-        ``resume_index=k`` supersedes commits at index >= k but keeps the
-        restored prefix below it, and committing stage k invalidates any
-        stale commits above k — mirroring the checkpointer's own
-        completed-stage table.
+        Stage commits accumulate *across* segments: a ``run-begin`` or
+        ``recovery`` record with ``resume_index=k`` supersedes commits at
+        index >= k but keeps the prefix below it, and committing stage k
+        invalidates any stale commits above k.  The result is the
+        completed-stage table — there is no other.
         """
         begin: Optional[Dict[str, object]] = None
         stage_commits: Dict[int, Dict[str, object]] = {}
@@ -164,19 +180,13 @@ class RunJournal:
         for record in self.records():
             kind = record.get("kind")
             if kind == KIND_RUN_BEGIN:
-                begin = record
-                resume_index = int(record.get("resume_index", 0) or 0)
-                stage_commits = {
-                    index: rec
-                    for index, rec in stage_commits.items()
-                    if index < resume_index
-                }
-                run_commit = None
+                begin, run_commit = record, None
+                stage_commits = _below(stage_commits, int(record.get("resume_index", 0) or 0))
+            elif kind == KIND_RECOVERY:
+                stage_commits = _below(stage_commits, int(record["resume_index"]))
             elif kind == KIND_STAGE_COMMIT:
                 index = int(record["index"])
-                stage_commits = {
-                    i: rec for i, rec in stage_commits.items() if i < index
-                }
+                stage_commits = _below(stage_commits, index)
                 stage_commits[index] = record
             elif kind == KIND_RUN_COMMIT:
                 run_commit = record

@@ -12,12 +12,14 @@ can trust, in four deterministic steps:
 2. **Heal torn tails** — the journal (and any extra JSONL logs the
    caller names) are truncated back to their last complete record.
 3. **Replay the journal** — walk the committed stages oldest-first,
-   verifying each recorded artifact digest against the disk (checkpoint
-   pickle, shard manifest).  The first mismatch marks a torn commit:
-   that stage and everything after it are discarded.
-4. **Trim the checkpoint state** — stage snapshots without a surviving
-   journal commit are deleted and ``run-state.json`` is rewritten to
-   the verified prefix, so resume restarts from the last stage that
+   verifying each recorded artifact digest against the disk (the
+   checkpoint snapshot through the checkpointer's own ``verify``, the
+   shard manifest here).  The first mismatch marks a torn commit: that
+   stage and everything after it are discarded.
+4. **Record the verdict** — stage snapshots without a surviving journal
+   commit are deleted and a ``recovery`` record (``resume_index`` = the
+   first unverified stage) is appended to the journal, superseding the
+   discarded commits, so resume restarts from the last stage that
    provably committed.
 
 Everything the scanner does is observable: a ``recovery`` span plus
@@ -27,28 +29,19 @@ Everything the scanner does is observable: a ``recovery`` span plus
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.durability.atomic import (
-    atomic_write_text,
-    heal_torn_tail,
-    sha256_path,
-)
-from repro.durability.journal import JOURNAL_NAME, RunJournal
+from repro.durability.atomic import heal_torn_tail, sha256_path
+from repro.durability.checkpoint import RunCheckpointer
 
 __all__ = ["RecoveryReport", "recover_run"]
 
 #: temp-file patterns that are uncommitted by the commit protocol
 _PARTIAL_PATTERNS = ("*.tmp", "*.spool")
 
-_SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.pkl$")
-
 MANIFEST_NAME = "manifest.json"
-STATE_NAME = "run-state.json"
 
 
 @dataclass
@@ -119,48 +112,6 @@ def _heal_logs(paths: Iterable[Path], report: RecoveryReport) -> None:
             report.tails_healed[str(path)] = removed
 
 
-def _trim_state(checkpoint_dir: Path, keep: List[int], report: RecoveryReport) -> None:
-    """Delete snapshots outside the verified prefix; rewrite run-state."""
-    for snapshot in sorted(checkpoint_dir.glob("stage-*.pkl")):
-        match = _SNAPSHOT_RE.match(snapshot.name)
-        if match is None:
-            continue
-        index = int(match.group(1))
-        if index in keep:
-            continue
-        try:
-            snapshot.unlink()
-        except OSError:
-            continue
-        report.stages_discarded.append(index)
-    state_path = checkpoint_dir / STATE_NAME
-    if not state_path.exists():
-        return
-    try:
-        state = json.loads(state_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        state = None
-    if not isinstance(state, dict) or "completed" not in state:
-        state_path.unlink()
-        report.notes.append("run-state.json unreadable; removed")
-        return
-    completed = [
-        row
-        for row in state.get("completed", [])
-        if isinstance(row, dict) and int(row.get("index", -1)) in keep
-    ]
-    if not completed:
-        state_path.unlink()
-        return
-    if len(completed) != len(state.get("completed", [])):
-        state["completed"] = completed
-        atomic_write_text(
-            state_path,
-            json.dumps(state, indent=2, sort_keys=True),
-            site="run-state",
-        )
-
-
 def recover_run(
     checkpoint_dir: Union[str, Path],
     *,
@@ -189,49 +140,47 @@ def recover_run(
     try:
         _sweep_partials([checkpoint_dir, shards_path], report)
 
-        journal_path = checkpoint_dir / JOURNAL_NAME
-        logs = [journal_path] + [Path(p) for p in extra_jsonl]
-        _heal_logs(logs, report)
+        checkpointer = RunCheckpointer(checkpoint_dir)
+        journal = checkpointer.journal
+        _heal_logs([journal.path] + [Path(p) for p in extra_jsonl], report)
 
-        if not journal_path.exists():
+        if not journal.path.exists():
             report.notes.append("no journal: checkpoint state left untouched")
             return report
         report.journal_found = True
 
-        replay = RunJournal(journal_path).last_run()
+        replay = journal.last_run()
         report.run_committed = replay.run_committed
 
         verified: List[int] = []
         for index in replay.committed:
             record = replay.stage_commits[index]
-            artifacts = record.get("artifacts") or {}
-            ok = True
-            snapshot = checkpoint_dir / f"stage-{index:03d}.pkl"
-            want_checkpoint = artifacts.get("checkpoint")
-            if want_checkpoint:
-                if not snapshot.exists() or sha256_path(snapshot) != want_checkpoint:
-                    ok = False
-                    report.notes.append(
-                        f"stage {index}: checkpoint digest mismatch; discarded"
-                    )
-            want_manifest = artifacts.get("manifest")
-            if ok and want_manifest and shards_path is not None:
+            _, reason = checkpointer.verify(record, restore=False)
+            want_manifest = (record.get("artifacts") or {}).get("manifest")
+            if reason is None and want_manifest and shards_path is not None:
                 manifest_path = shards_path / MANIFEST_NAME
                 if (
                     not manifest_path.exists()
                     or sha256_path(manifest_path) != want_manifest
                 ):
-                    ok = False
-                    report.notes.append(
-                        f"stage {index}: manifest digest mismatch; discarded"
-                    )
-            if not ok:
+                    reason = "manifest digest mismatch"
+            if reason is not None:
+                report.notes.append(f"stage {index}: {reason}; discarded")
                 break
             verified.append(index)
         report.stages_committed = verified
         report.resume_index = (verified[-1] + 1) if verified else 0
 
-        _trim_state(checkpoint_dir, verified, report)
+        # a snapshot no surviving commit names is uncommitted: delete it
+        for index, snapshot in checkpointer.snapshots().items():
+            if index in verified:
+                continue
+            try:
+                snapshot.unlink()
+            except OSError:
+                continue
+            report.stages_discarded.append(index)
+        journal.record_recovery(**report.to_dict())
         return report
     finally:
         if telemetry is not None:

@@ -33,7 +33,6 @@ from repro.faults.errors import (
     is_transient,
 )
 from repro.faults.inject import (
-    ChaosCheckpointer,
     FaultInjectingBackend,
     FaultInjector,
     FaultSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "FaultSpec",
     "FaultInjector",
     "FaultInjectingBackend",
-    "ChaosCheckpointer",
     "InjectedFault",
     "InjectedFaultError",
     "DEAD_LETTER_NAME",

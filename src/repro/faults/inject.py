@@ -1,10 +1,10 @@
 """Deterministic fault injection: the chaos harness the parity tests run under.
 
-A :class:`FaultInjector` wraps the execution backend (and optionally the
-checkpointer) of a run and injects the faults real campaigns hit —
-transient exceptions in fanned-out tasks, slow tasks, torn shard files,
-corrupted checkpoint payloads — from a *seeded, schedule-independent*
-plan.  Every injection decision is a pure function of
+A :class:`FaultInjector` wraps the execution backend of a run and injects
+the faults real campaigns hit — transient exceptions in fanned-out tasks,
+slow tasks, torn shard files, corrupted checkpoint payloads (applied by
+the runner right after a stage commits) — from a *seeded,
+schedule-independent* plan.  Every injection decision is a pure function of
 ``(seed, site key, attempt number)``:
 
 * a map task's site key includes its **item index**, so whether task 7
@@ -44,7 +44,6 @@ __all__ = [
     "InjectedFault",
     "FaultInjector",
     "FaultInjectingBackend",
-    "ChaosCheckpointer",
 ]
 
 
@@ -192,7 +191,7 @@ class InjectedFault:
 
 
 class FaultInjector:
-    """Seeded chaos source; thread-safe; wraps backends and checkpointers."""
+    """Seeded chaos source; thread-safe; wraps backends."""
 
     def __init__(
         self,
@@ -347,8 +346,9 @@ class FaultInjector:
         return True
 
     def maybe_corrupt_checkpoint(self, path: Path, stage_index: int) -> bool:
-        """Truncate + bit-flip a just-written checkpoint payload (once per
-        scheduled stage index)."""
+        """Truncate + bit-flip a just-committed checkpoint snapshot (once per
+        scheduled stage index) — exactly the damage a node crash leaves
+        behind, which resume and recovery must refuse."""
         with self._lock:
             if (
                 stage_index not in self.spec.corrupt_checkpoints
@@ -392,9 +392,6 @@ class FaultInjector:
     # -- wrappers ----------------------------------------------------------------
     def wrap_backend(self, backend: ExecutionBackend) -> "FaultInjectingBackend":
         return FaultInjectingBackend(backend, self)
-
-    def wrap_checkpointer(self, checkpointer: Any) -> "ChaosCheckpointer":
-        return ChaosCheckpointer(checkpointer, self)
 
 
 class FaultInjectingBackend(ExecutionBackend):
@@ -478,38 +475,3 @@ class FaultInjectingBackend(ExecutionBackend):
 
     def describe(self) -> str:
         return f"{self.inner.describe()} [chaos seed={self.injector.spec.seed}]"
-
-
-class ChaosCheckpointer:
-    """Checkpointer proxy that corrupts scheduled payload snapshots.
-
-    Delegates everything to the wrapped
-    :class:`~repro.core.runner.RunCheckpointer`; after a save whose stage
-    index appears in ``spec.corrupt_checkpoints``, the on-disk pickle is
-    truncated and bit-flipped — exactly the torn write a node crash
-    leaves behind, which resume hardening must quarantine.
-    """
-
-    def __init__(self, inner: Any, injector: FaultInjector):
-        self.inner = inner
-        self.injector = injector
-
-    @property
-    def directory(self) -> Path:
-        return self.inner.directory
-
-    @property
-    def state_path(self) -> Path:
-        return self.inner.state_path
-
-    def save(self, plan: Any, index: int, *args: Any, **kwargs: Any) -> None:
-        self.inner.save(plan, index, *args, **kwargs)
-        self.injector.maybe_corrupt_checkpoint(
-            self.inner._payload_path(index), index
-        )
-
-    def load_verified(self, plan: Any) -> Any:
-        return self.inner.load_verified(plan)
-
-    def clear(self) -> None:
-        self.inner.clear()

@@ -5,13 +5,8 @@ import pytest
 
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
-from repro.core.runner import (
-    CheckpointError,
-    PipelineContext,
-    PipelineRunner,
-    RunCheckpointer,
-    RunEventKind,
-)
+from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
+from repro.durability.checkpoint import CheckpointError
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 
@@ -248,7 +243,8 @@ class TestCheckpointResume:
         run = runner.run(np.ones(2), resume=True)
         assert run.resumed_from == 0
         assert [q.stage_index for q in run.quarantined] == [1]
-        assert "fingerprint" in run.quarantined[0].reason
+        # the file no longer holds the bytes the journal committed
+        assert "digest mismatch" in run.quarantined[0].reason
         assert list(tmp_path.glob("*.quarantined"))
         kinds = [e.kind for e in run.events]
         assert RunEventKind.CHECKPOINT_QUARANTINED in kinds
@@ -295,14 +291,53 @@ class TestCheckpointResume:
         assert telemetry.metrics.value("runs_total", pipeline="p", status="error") == 1
         assert telemetry.tracer.find("run:p")[0].status.value == "error"
 
-    def test_checkpointer_clear(self, tmp_path):
-        checkpointer = RunCheckpointer(tmp_path)
-        runner = PipelineRunner(two_stage_plan(), checkpointer=checkpointer)
-        runner.run(np.ones(2))
-        assert list(tmp_path.glob("stage-*.pkl"))
-        checkpointer.clear()
-        assert not list(tmp_path.glob("stage-*.pkl"))
-        assert checkpointer.load_verified(two_stage_plan()) == (None, [])
+    def test_restored_payload_must_hash_to_committed_fingerprint(self, tmp_path):
+        # the second half of the shared check: the bytes on disk are the
+        # committed bytes, but the payload they unpickle to does not hash
+        # to the fingerprint the journal recorded for the stage
+        runner = PipelineRunner(two_stage_plan(), checkpoint_dir=tmp_path)
+        clean = runner.run(np.ones(2))
+        checkpointer = runner.checkpointer
+        checkpointer.commit(1, "b", "fp-in", "not-the-payload-fingerprint",
+                            clean.payload, clean.context)
+        run = runner.run(np.ones(2), resume=True)
+        assert run.resumed_from == 0
+        assert "fingerprint mismatch" in run.quarantined[0].reason
+        assert run.results[-1].output_fingerprint == clean.results[-1].output_fingerprint
+
+    def test_parent_format_directory_refused(self, tmp_path):
+        # a checkpoint directory as the previous release wrote it: the
+        # completed-stage table in run-state.json, schema-1 stage commits
+        # without input_fingerprint in the journal
+        import json
+
+        plan = two_stage_plan()
+        (tmp_path / "run-state.json").write_text(json.dumps({
+            "pipeline": "p", "plan_fingerprint": plan.fingerprint(),
+            "completed": [{"index": 0, "stage": "a", "input_fingerprint": "i",
+                           "fingerprint": "o"}],
+        }))
+        (tmp_path / "stage-000.pkl").write_bytes(b"old snapshot")
+        with open(tmp_path / "journal.jsonl", "w") as fh:
+            for body in (
+                {"kind": "run-begin", "pipeline": "p", "backend": "serial",
+                 "plan_fingerprint": plan.fingerprint(),
+                 "payload_fingerprint": "i", "resume_index": 0},
+                {"kind": "stage-commit", "index": 0, "stage": "a",
+                 "output_fingerprint": "o", "artifacts": {"checkpoint": "d"}},
+            ):
+                fh.write(json.dumps({"schema": 1, "type": "journal", **body}) + "\n")
+        runner = PipelineRunner(plan, checkpoint_dir=tmp_path)
+        with pytest.raises(CheckpointError, match="older release.*run-state.json"):
+            runner.run(np.ones(2), resume=True)
+        # refused, not repaired: nothing was renamed, deleted or appended
+        assert (tmp_path / "stage-000.pkl").read_bytes() == b"old snapshot"
+        assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == 2
+        # a fresh run over the same directory supersedes the old commits
+        run = runner.run(np.ones(2))
+        assert runner.checkpointer.journal.last_run().committed == [0, 1]
+        assert runner.run(np.ones(2), resume=True).resumed_from == 1
+        assert run.results[-1].output_fingerprint
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []

@@ -24,12 +24,7 @@ import pytest
 
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
-from repro.core.runner import (
-    CheckpointError,
-    PipelineContext,
-    PipelineRunner,
-    RunEventKind,
-)
+from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.domains import (
     BioArchetype,
     ClimateArchetype,
@@ -40,6 +35,7 @@ from repro.domains.bio.synthetic import BioSourceConfig
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.fusion.synthetic import FusionCampaignConfig
 from repro.domains.materials.synthetic import MaterialsSourceConfig
+from repro.durability.checkpoint import CheckpointError
 from repro.faults import FaultInjector, FaultSpec, OnError, RetryPolicy, VirtualClock
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore

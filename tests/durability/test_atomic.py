@@ -86,6 +86,41 @@ class TestTornTailHealing:
     def test_missing_file_is_noop(self, tmp_path):
         assert heal_torn_tail(tmp_path / "absent.jsonl") == 0
 
+    def test_torn_tail_behind_several_blocks_of_clean_lines(self, tmp_path):
+        # the scan reads 8 KiB blocks backwards from EOF: ~60 KiB of clean
+        # lines sit in front of the tear and must survive byte for byte
+        path = tmp_path / "log.jsonl"
+        good = "".join(json.dumps({"i": i, "pad": "x" * 100}) + "\n" for i in range(500))
+        assert len(good) > 7 * 8192
+        path.write_text(good + '{"i": 500, "pad": "xx')
+        assert heal_torn_tail(path) == len('{"i": 500, "pad": "xx')
+        assert path.read_text() == good
+        assert heal_torn_tail(path) == 0
+
+    def test_tail_of_several_unparseable_lines(self, tmp_path):
+        # whole-but-garbage lines (one longer than a block, so it spans a
+        # block boundary) are dropped back to the last parseable record
+        path = tmp_path / "log.jsonl"
+        good = json.dumps({"i": 1}) + "\n" + json.dumps({"i": 2}) + "\n"
+        garbage = "{not json\n" + "\x00" * 9000 + "\n" + "\xff\xfe\n" + '{"i": 3, "to'
+        path.write_bytes(good.encode() + garbage.encode("latin-1"))
+        assert heal_torn_tail(path) == len(garbage)
+        assert path.read_text() == good
+
+    def test_blank_line_stops_the_scan(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("not json\n\n")
+        assert heal_torn_tail(path) == 0
+        path.write_text("not json\n\n{torn")
+        assert heal_torn_tail(path) == len("{torn")
+        assert path.read_text() == "not json\n\n"
+
+    def test_file_of_only_garbage_is_emptied(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text("garbage\nmore garbage")
+        assert heal_torn_tail(path) == len("garbage\nmore garbage")
+        assert path.read_bytes() == b""
+
 
 class TestDurableAppend:
     def test_append_matches_write_jsonl_bytes(self, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
+from repro.durability.checkpoint import RunCheckpointer
 from repro.durability.fsfaults import SimulatedCrash
 from repro.durability.recover import recover_run
 from repro.faults import FaultInjector, FaultSpec
@@ -114,6 +115,22 @@ class TestKilledAtEveryJournalRecord:
         restored = [r for r in resumed.run.results if r.restored]
         assert len(restored) == committed
 
+    @pytest.mark.parametrize("crash_at", ALL_CRASH_POINTS)
+    def test_serial_plain_resume_bitwise(self, crash_at, tmp_path, clean_reference):
+        # no recover_run: resume reads the same journal and must restore
+        # exactly the prefix it committed
+        clean_result, clean_shards = clean_reference()
+        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
+        with pytest.raises(SimulatedCrash):
+            _run(work_dir, ckpt=ckpt, spec=f"crash-at={crash_at}")
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True)
+        _, index, phase = crash_at.split(":")
+        committed = int(index) + (phase == "post")
+        assert len([r for r in resumed.run.results if r.restored]) == committed
+        assert RunCheckpointer(ckpt).journal.last_run().committed == list(range(N_STAGES))
+        assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
+        assert _shard_bytes(work_dir / "shards") == clean_shards
+
     @pytest.mark.parametrize("backend", ["threaded", "simspmd", "process"])
     def test_other_backends_recover_bitwise(self, backend, tmp_path, clean_reference):
         _kill_recover_resume(
@@ -182,6 +199,59 @@ class TestKilledWithDiskFaultsUnderneath:
         )
         assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
         assert _shard_bytes(work_dir / "shards") == clean_shards
+
+
+class TestOneLedger:
+    """The journal is the completed-stage table: resume never restores a
+    stage it did not commit, and it records what was committed — not
+    what a later read of the disk happens to return."""
+
+    def test_plain_resume_restores_only_journal_committed_stages(
+        self, tmp_path, clean_reference
+    ):
+        # stage 2's snapshot lands, then its journal append dies (EIO):
+        # the journal says [0, 1], a snapshot for 2 sits on disk
+        clean_result, clean_shards = clean_reference()
+        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
+        with pytest.raises(OSError):
+            _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post")
+        checkpointer = RunCheckpointer(ckpt)
+        assert checkpointer.journal.last_run().committed == [0, 1]
+        assert sorted(checkpointer.snapshots()) == [0, 1, 2]
+
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True)  # no recover_run
+        assert resumed.run.resumed_from == 1
+        assert checkpointer.journal.last_run().committed == list(range(N_STAGES))
+        assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
+        assert _shard_bytes(work_dir / "shards") == clean_shards
+
+    def test_recovery_discards_a_snapshot_corrupted_after_commit(
+        self, tmp_path, clean_reference
+    ):
+        # the digest in the journal is of the bytes that were committed,
+        # so damage done to the file afterwards cannot pass for truth
+        clean_result, clean_shards = clean_reference()
+        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
+        _, injector = _run(work_dir, ckpt=ckpt, spec="corrupt-checkpoint=2")
+        assert injector.counts() == {"corrupt-checkpoint": 1}
+
+        report = recover_run(ckpt, shards_dir=work_dir / "shards")
+        assert report.resume_index == 2
+        assert report.stages_committed == [0, 1]
+        assert sorted(report.stages_discarded) == [2, 3, 4]
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, recovery_report=report)
+        assert resumed.run.resumed_from == 1
+        assert resumed.dataset.fingerprint() == clean_result.dataset.fingerprint()
+        assert _shard_bytes(work_dir / "shards") == clean_shards
+
+    def test_no_second_ledger_on_disk(self, tmp_path):
+        _run(tmp_path / "wd", ckpt=tmp_path / "ckpt")
+        names = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+        assert names == ["journal.jsonl"] + [f"stage-{i:03d}.pkl" for i in range(N_STAGES)]
+
+    def test_run_state_is_no_longer_a_fault_site(self):
+        with pytest.raises(ValueError, match="unknown disk fault site"):
+            FaultSpec.parse("eio=run-state:0")
 
 
 class TestJournalTelemetry:

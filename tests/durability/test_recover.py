@@ -1,12 +1,10 @@
 """The recovery scanner: discard the uncommitted, keep the proven."""
 
-import json
-
 import pytest
 
 from repro.durability.atomic import sha256_path
 from repro.durability.journal import JOURNAL_NAME, RunJournal
-from repro.durability.recover import MANIFEST_NAME, STATE_NAME, recover_run
+from repro.durability.recover import MANIFEST_NAME, recover_run
 from repro.obs import Telemetry
 
 
@@ -14,21 +12,6 @@ def _snapshot(ckpt, index, data=None):
     path = ckpt / f"stage-{index:03d}.pkl"
     path.write_bytes(data if data is not None else f"snapshot-{index}".encode())
     return path
-
-
-def _state(ckpt, indices):
-    (ckpt / STATE_NAME).write_text(
-        json.dumps(
-            {
-                "pipeline": "p",
-                "plan_fingerprint": "plan-abc",
-                "completed": [
-                    {"index": i, "stage": f"s{i}", "fingerprint": f"fp{i}"}
-                    for i in indices
-                ],
-            }
-        )
-    )
 
 
 def _committed_run(ckpt, n_stages):
@@ -50,7 +33,6 @@ def _committed_run(ckpt, n_stages):
             output_fingerprint=f"fp{i}",
             artifacts={"checkpoint": sha256_path(snapshot)},
         )
-    _state(ckpt, range(n_stages))
     return journal
 
 
@@ -80,11 +62,10 @@ class TestJournalReplay:
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
         _snapshot(ckpt, 0)
-        _state(ckpt, [0])
         report = recover_run(ckpt)
         assert not report.journal_found
         assert (ckpt / "stage-000.pkl").exists()
-        assert (ckpt / STATE_NAME).exists()
+        assert not (ckpt / JOURNAL_NAME).exists()
         assert any("no journal" in note for note in report.notes)
 
     def test_uncommitted_snapshot_discarded(self, tmp_path):
@@ -93,14 +74,12 @@ class TestJournalReplay:
         ckpt = tmp_path / "ckpt"
         _committed_run(ckpt, 2)
         _snapshot(ckpt, 2)
-        _state(ckpt, [0, 1, 2])
         report = recover_run(ckpt)
         assert report.stages_committed == [0, 1]
         assert report.stages_discarded == [2]
         assert report.resume_index == 2
         assert not (ckpt / "stage-002.pkl").exists()
-        state = json.loads((ckpt / STATE_NAME).read_text())
-        assert [row["index"] for row in state["completed"]] == [0, 1]
+        assert RunJournal(ckpt / JOURNAL_NAME).last_run().committed == [0, 1]
 
     def test_digest_mismatch_discards_stage_and_later(self, tmp_path):
         # a lost unfsynced write mangled stage 1's committed snapshot:
@@ -113,6 +92,15 @@ class TestJournalReplay:
         assert sorted(report.stages_discarded) == [1, 2]
         assert report.resume_index == 1
         assert any("digest mismatch" in note for note in report.notes)
+        # the verdict is a journal record: it supersedes the discarded
+        # commits exactly as a run-begin with resume_index=1 would
+        journal = RunJournal(ckpt / JOURNAL_NAME)
+        verdict = journal.records()[-1]
+        assert verdict["kind"] == "recovery"
+        assert verdict["resume_index"] == 1
+        assert verdict["stages_committed"] == [0]
+        assert sorted(verdict["stages_discarded"]) == [1, 2]
+        assert journal.last_run().committed == [0]
 
     def test_fully_committed_run_passes_verification(self, tmp_path):
         ckpt = tmp_path / "ckpt"

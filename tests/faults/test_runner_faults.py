@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
-from repro.core.runner import PipelineRunner, RunCheckpointer, RunEventKind
+from repro.core.runner import PipelineRunner, RunEventKind
+from repro.durability.checkpoint import RunCheckpointer
 from repro.faults import OnError, RetryPolicy
 from repro.faults import VirtualClock
 from repro.obs import Telemetry

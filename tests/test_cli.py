@@ -513,6 +513,17 @@ class TestProcessBackendCLI:
         assert code == 2
         assert "--workers requires --backend" in capsys.readouterr().err
 
+    def test_workers_without_backend_is_a_usage_error_under_auto_too(
+        self, tmp_path, capsys
+    ):
+        # the chooser picks its own width: a bare --workers used to be
+        # silently ignored under --plan auto
+        code = main(["run", "materials", "--workdir", str(tmp_path),
+                     "--plan", "auto", "--workers", "7"])
+        assert code == 2
+        assert "--workers requires --backend" in capsys.readouterr().err
+        assert not (tmp_path / "shards").exists()
+
     def test_workers_on_serial_is_a_usage_error(self, tmp_path, capsys):
         code = main(["run", "materials", "--workdir", str(tmp_path),
                      "--backend", "serial", "--workers", "4"])
