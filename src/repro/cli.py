@@ -607,6 +607,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(section("fault tolerance"))
         if injector is not None:
             print(injector.describe())
+            unfired = injector.unfired()
+            if unfired:
+                print(f"scheduled but never fired: {', '.join(unfired)}")
         print(f"retries spent: {run.total_retries} "
               f"(stage-level + task-level, across all stages)")
         for event in unenforceable:

@@ -161,6 +161,13 @@ class ExecutionBackend(abc.ABC):
         self.task_retry_stats = stats
         return self
 
+    def add_task_event_handler(
+        self, key: str, handler: Callable[[str, Dict[str, Any]], None]
+    ) -> None:
+        """Register a parent-side sink for events tasks emit from worker
+        processes.  In-process backends have no such channel — their tasks
+        act on the caller's objects directly — so the default is inert."""
+
     def run_task(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
         """Wrap a map task with this backend's task-level retry (if any).
 

@@ -42,15 +42,22 @@ from repro.durability.checkpoint import (
     RunCheckpoint,
     RunCheckpointer,
 )
-from repro.durability.fsfaults import activate as activate_disk_faults
+from repro.durability.fsfaults import activate
 from repro.core.levels import DataProcessingStage
 from repro.core.payload import fingerprint_payload, walk_payload
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.report import format_bytes, render_table
 from repro.faults.deadletter import DeadLetterLog, DeadLetterRecord
-from repro.faults.errors import OnError, StageTimeoutError, classify_fault, is_transient
+from repro.faults.errors import FaultKind, OnError, StageTimeoutError, classify_fault
 from repro.faults.inject import FaultInjector
-from repro.faults.retry import Clock, Deadline, RetryPolicy, RetryStats, SystemClock
+from repro.faults.retry import (
+    Clock,
+    Deadline,
+    RetryPolicy,
+    RetryStats,
+    SystemClock,
+    call_with_retry,
+)
 from repro.gates.contracts import GatePolicy
 from repro.gates.gate import GateReport, GateViolation, apply_contract
 from repro.gates.quarantine import QuarantineStore
@@ -454,6 +461,15 @@ _GATE_EVENTS = {
 }
 
 
+def _classify_stage_fault(error: BaseException) -> FaultKind:
+    """A blown stage budget is final — whether the deadline expired
+    post-hoc or a preemptive backend killed the lease — although
+    :class:`StageTimeoutError` is transient by taxonomy."""
+    if isinstance(error, StageTimeoutError):
+        return FaultKind.PERMANENT
+    return classify_fault(error)
+
+
 @dataclasses.dataclass
 class _RunState:
     """What one ``run()`` call accumulates, threaded through the lifecycle."""
@@ -533,7 +549,6 @@ class PipelineRunner:
         fault_clock: Optional[Clock] = None,
         gates: Union[GatePolicy, str, None] = None,
         quarantine_dir: Union[str, Path, None] = None,
-        quarantine_store: Optional[QuarantineStore] = None,
         calibration_store: Optional["CalibrationStore"] = None,
         drain: Optional[DrainController] = None,
         batch_size: Optional[int] = None,
@@ -557,7 +572,7 @@ class PipelineRunner:
         ``fault_clock`` is what backoff sleeps and deadlines run on
         (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
         ``"warn"``) turns the stages' contracts on, shedding records into
-        ``quarantine_dir`` (or a ready ``quarantine_store``).
+        ``quarantine_dir`` (in memory without one).
         ``calibration_store`` receives a scheduled run's predicted-vs-actual
         stage seconds.  ``drain`` is a cooperative stop flag: once it
         trips, the run stops at the next checkpoint-consistent point (a
@@ -588,9 +603,7 @@ class PipelineRunner:
             fault_clock = fault_injector.clock if fault_injector is not None else SystemClock()
         self.fault_clock = fault_clock
         self.gate_policy = GatePolicy.coerce(gates) if gates is not None else None
-        if quarantine_store is None and quarantine_dir is not None:
-            quarantine_store = QuarantineStore(quarantine_dir)
-        self.quarantine_store = quarantine_store
+        self.quarantine_dir = quarantine_dir
         self.calibration_store = calibration_store
         self.drain = drain
         self.batch_size = batch_size
@@ -729,13 +742,12 @@ class PipelineRunner:
         ``CHECKPOINT_QUARANTINED`` events), and the surviving prefix is
         replayed as ``STAGE_SKIPPED`` events instead of being re-executed.
 
-        The whole run executes with the fault injector's disk-fault
-        schedule (if any) installed as the process-global tap on the
-        atomic-commit primitives, so every artifact store — checkpoints,
-        manifests, journal, provenance, quarantine — is under injection.
+        The whole run executes with the fault injector (if any) installed
+        as the process-global tap on the atomic-commit primitives, so every
+        artifact store — checkpoints, manifests, journal, provenance,
+        quarantine — is under injection.
         """
-        injector = self.fault_injector
-        with activate_disk_faults(injector.disk_injector if injector is not None else None):
+        with activate(self.fault_injector):
             st = self._open(payload, context, resume)
             for index in range(st.start_index, len(self.plan.stages)):
                 self._run_stage(st, index)
@@ -758,12 +770,10 @@ class PipelineRunner:
             checkpoint, quarantined = self.checkpointer.load_verified(self.plan)
         base = self.backend
         recorder = recorder_for(self.telemetry, self.plan.name, base, self.fault_injector)
-        # explicit None test: an empty QuarantineStore is falsy (len == 0)
-        store = self.quarantine_store
         st = _RunState(
             context=context,
             recorder=recorder,
-            quarantine=store if store is not None else QuarantineStore(None),
+            quarantine=QuarantineStore(self.quarantine_dir),
             payload=payload,
             quarantined=quarantined,
         )
@@ -907,12 +917,12 @@ class PipelineRunner:
         try:
             self._gate_in(st, frame)
             try:
-                error = self._execute(st, frame)
+                self._execute(st, frame)
             except DrainInterrupt as exc:
                 # mid-stage drain from a draining backend: stop here —
                 # never retried, never dead-lettered
                 raise self._interrupted(st, exc, stage, index)
-            if error is not None:
+            except Exception as error:
                 self._give_up(st, frame, error)
                 return
             output_report = self._gate(st, frame, "output")
@@ -994,76 +1004,62 @@ class PipelineRunner:
             )
             st.fingerprint = gated_fp
 
-    def _execute(self, st: _RunState, frame: _StageFrame) -> Optional[BaseException]:
-        """Run ``stage.fn`` under the stage's error policy.
+    def _execute(self, st: _RunState, frame: _StageFrame) -> None:
+        """Run ``stage.fn`` under the stage's error policy, through the one
+        retry loop.
 
-        Returns None once an attempt succeeds (``st.payload`` is then the
-        stage's output), or the error that exhausted the policy.  A
-        :class:`DrainInterrupt` propagates.
+        Returns once an attempt succeeds (``st.payload`` is then the
+        stage's output); raises the error that exhausted the policy.  A
+        :class:`DrainInterrupt` is never retried (it classifies permanent).
         """
-        stage, policy, timeout = frame.stage, frame.policy, frame.timeout
+        stage, timeout = frame.stage, frame.timeout
+        policy = frame.policy or RetryPolicy(max_attempts=1)
         deadline = Deadline(timeout, clock=self.fault_clock) if timeout is not None else None
         task_before = st.task_stats.retries
+
+        def on_retry(attempt: int, error: BaseException, delay: float) -> None:
+            described = f"{type(error).__name__}: {error}"
+            self._publish(
+                st, K.STAGE_RETRIED, stage.name, frame.index, seconds=frame.elapsed,
+                detail=(
+                    f"attempt {attempt}/{policy.max_attempts} failed "
+                    f"({described}); retrying in {delay:.3f}s"
+                ),
+                audit={"attempt": attempt, "error": str(error)},
+                attempt=attempt, error=described, delay_s=delay,
+            )
+
         try:
-            while True:
-                frame.attempts += 1
-                error = self._attempt(st, frame, deadline)
-                if error is None:
-                    return None
-                timed_out = isinstance(error, StageTimeoutError) or (
-                    deadline is not None and deadline.expired()
-                )
-                retryable = (
-                    frame.mode is not OnError.FAIL
-                    and policy is not None
-                    and frame.attempts < policy.max_attempts
-                    and is_transient(error)
-                    and not timed_out
-                )
-                if not retryable:
-                    return error
-                delay = policy.delay(frame.attempts, key=f"{self.plan.name}:{stage.name}")
-                if deadline is not None:
-                    delay = min(delay, max(deadline.remaining(), 0.0))
-                described = f"{type(error).__name__}: {error}"
-                self._publish(
-                    st, K.STAGE_RETRIED, stage.name, frame.index, seconds=frame.elapsed,
-                    detail=(
-                        f"attempt {frame.attempts}/{policy.max_attempts} failed "
-                        f"({described}); retrying in {delay:.3f}s"
-                    ),
-                    audit={"attempt": frame.attempts, "error": str(error)},
-                    attempt=frame.attempts, error=described, delay_s=delay,
-                )
-                self.fault_clock.sleep(delay)
+            call_with_retry(
+                lambda: self._attempt(st, frame, deadline),
+                policy=policy,
+                clock=self.fault_clock,
+                key=f"{self.plan.name}:{stage.name}",
+                classify=_classify_stage_fault,
+                on_retry=on_retry,
+                deadline=deadline,
+            )
         finally:
             frame.task_retries = st.task_stats.retries - task_before
             st.recorder.count("task_retries_total", frame.task_retries, stage=stage.name)
 
-    def _attempt(
-        self, st: _RunState, frame: _StageFrame, deadline: Optional[Deadline]
-    ) -> Optional[BaseException]:
-        """One call of ``stage.fn``; its error (None = it produced the output)."""
-        error: Optional[BaseException] = None
+    def _attempt(self, st: _RunState, frame: _StageFrame, deadline: Optional[Deadline]) -> None:
+        """One call of ``stage.fn``: its output becomes ``st.payload``, or
+        it raises — the stage's own error, or a timeout."""
+        frame.attempts += 1
         started = time.perf_counter()
         try:
             candidate = frame.stage.fn(st.payload, st.context)
-        except DrainInterrupt:
-            raise
-        except Exception as exc:
-            error = exc
         finally:
             frame.elapsed += time.perf_counter() - started
-        if error is None and deadline is not None and deadline.expired():
+        if deadline is not None and deadline.expired():
             # cooperative (post-hoc) budget enforcement: the stage
             # finished, but blew its deadline on the fault clock
-            error = StageTimeoutError(
+            raise StageTimeoutError(
                 f"stage {frame.stage.name!r} exceeded its {frame.timeout:g}s budget "
                 f"({deadline.elapsed():.3f}s elapsed)"
             )
-        if error is None:
-            st.payload = candidate
-        return error
+        st.payload = candidate
 
     def _give_up(self, st: _RunState, frame: _StageFrame, error: BaseException) -> None:
         """Dead-letter the stage, then pass its input through (degraded) or

@@ -1,21 +1,23 @@
 """Durable runs: atomic artifact commits, a write-ahead run journal,
-disk-fault injection, and driver-crash recovery.
+the fault tap on the commit primitives, and driver-crash recovery.
 
 The paper's readiness levels treat pipeline outputs as trustworthy
 artifacts; this package is where that trust is earned.  Five pieces:
 
 * :mod:`repro.durability.atomic` — the single fsync-disciplined
   atomic-commit primitive (tmp + fsync + ``os.replace`` + dir fsync,
-  plus torn-tail-healing append) every artifact store goes through;
+  plus torn-tail-healing append) every artifact store goes through, and
+  the one JSONL line encoder / tolerant reader every log uses;
 * :mod:`repro.durability.journal` — the write-ahead run journal
   (``run-begin`` / ``stage-commit`` with artifact digests /
   ``run-commit`` / ``recovery``), the one completed-stage table;
 * :mod:`repro.durability.checkpoint` — the checkpoint directory's one
   owner: snapshot + journal record as a single stage commit, and the one
   check that decides whether a committed snapshot can be trusted;
-* :mod:`repro.durability.fsfaults` — deterministic seeded disk-fault
-  injection (ENOSPC, EIO, torn rename, lost unfsynced write) and
-  driver crash points (``stage:N:pre|post``);
+* :mod:`repro.durability.fsfaults` — what the commit primitives need to
+  run under chaos: the slot the run's one fault injector is installed
+  in, the store-site registry, the typed schedule points (disk faults,
+  driver crash at ``stage:N:pre|post``) and each disk fault's wreckage;
 * :mod:`repro.durability.recover` — the recovery scanner behind
   ``repro run --recover``: replay the journal, discard the
   uncommitted, resume from the last verified stage.
@@ -24,19 +26,19 @@ artifacts; this package is where that trust is earned.  Five pieces:
 from repro.durability.atomic import (
     append_jsonl_durable,
     atomic_write_bytes,
-    atomic_write_json,
     atomic_write_text,
     commit_file,
     fsync_dir,
     fsync_path,
     heal_torn_tail,
+    jsonl_line,
+    read_jsonl,
     sha256_path,
 )
 from repro.durability.fsfaults import (
     CRASH_PHASES,
     DISK_FAULT_KINDS,
     CrashPoint,
-    DiskFaultInjector,
     DiskFaultPoint,
     SimulatedCrash,
     activate,
@@ -56,17 +58,17 @@ from repro.durability.recover import RecoveryReport, recover_run
 __all__ = [
     "append_jsonl_durable",
     "atomic_write_bytes",
-    "atomic_write_json",
     "atomic_write_text",
     "commit_file",
     "fsync_dir",
     "fsync_path",
     "heal_torn_tail",
+    "jsonl_line",
+    "read_jsonl",
     "sha256_path",
     "CRASH_PHASES",
     "DISK_FAULT_KINDS",
     "CrashPoint",
-    "DiskFaultInjector",
     "DiskFaultPoint",
     "SimulatedCrash",
     "activate",

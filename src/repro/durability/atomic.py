@@ -6,17 +6,21 @@ the second needs the full fsync discipline — flush and fsync the temp
 file, rename it over the final name, then fsync the parent directory so
 the rename itself is durable.  Before this module, six stores each did
 some subset of that dance (most skipped fsync entirely); now they all
-call the same three functions:
+call the same functions:
 
-* :func:`atomic_write_bytes` / :func:`atomic_write_text` /
-  :func:`atomic_write_json` — whole-file commit: tmp + fsync +
-  ``os.replace`` + dir fsync;
+* :func:`atomic_write_bytes` / :func:`atomic_write_text` — whole-file
+  commit: tmp + fsync + ``os.replace`` + dir fsync;
 * :func:`commit_file` — the same commit for callers (like the streaming
   shard writer) that build their own temp file;
 * :func:`append_jsonl_durable` — append-only logs: heal any torn tail
   left by a previous crash, append, fsync.
 
-Every commit consults the process-global disk-fault injector
+The module that owns the commit owns the log format: :func:`jsonl_line`
+and :func:`read_jsonl` are the one line encoder and the one
+torn-line-tolerant reader every JSONL-backed store and telemetry sink
+uses, so what :func:`heal_torn_tail` would drop no reader returns.
+
+Every commit consults the process-global fault tap
 (:mod:`repro.durability.fsfaults`) so chaos tests exercise ENOSPC, EIO,
 torn renames, and lost unfsynced writes at exactly these choke points —
 one primitive to guard means one place to inject.
@@ -28,7 +32,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Tuple, Union
+from typing import BinaryIO, Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from repro.durability import fsfaults
 
@@ -38,7 +42,8 @@ __all__ = [
     "commit_file",
     "atomic_write_bytes",
     "atomic_write_text",
-    "atomic_write_json",
+    "jsonl_line",
+    "read_jsonl",
     "heal_torn_tail",
     "append_jsonl_durable",
     "sha256_path",
@@ -118,10 +123,32 @@ def atomic_write_text(
     return atomic_write_bytes(path, text.encode(encoding), site=site)
 
 
-def atomic_write_json(path: PathLike, obj: object, *, site: str = "artifact") -> Path:
-    return atomic_write_text(
-        path, json.dumps(obj, sort_keys=True, indent=2, default=str), site=site
-    )
+def jsonl_line(record: Mapping[str, object]) -> bytes:
+    """The one JSONL line encoder: sorted keys, ``str()`` for anything
+    JSON cannot express, UTF-8, one trailing newline."""
+    return (json.dumps(record, sort_keys=True, default=str) + "\n").encode("utf-8")
+
+
+def _parse_line(line: bytes) -> object:
+    """Decode one log line; ``ValueError`` marks it torn or garbage."""
+    return json.loads(line.decode("utf-8"))
+
+
+def read_jsonl(path: PathLike) -> List[Dict[str, object]]:
+    """Read a JSONL file, skipping blank and torn (crash-truncated) lines,
+    so a log reads the same before and after :func:`heal_torn_tail`."""
+    path = Path(path)
+    if not path.exists():
+        return []
+    out: List[Dict[str, object]] = []
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    out.append(_parse_line(line))
+                except ValueError:
+                    pass  # torn or garbage: exactly what healing would drop
+    return out
 
 
 def _lines_backwards(fh: BinaryIO, end: int) -> Iterator[Tuple[int, bytes]]:
@@ -168,9 +195,9 @@ def heal_torn_tail(path: PathLike) -> int:
                 if not line.strip():
                     break  # blank line: harmless, stop here
                 try:
-                    json.loads(line.decode("utf-8"))
+                    _parse_line(line)
                     break  # last line is whole: the file is clean to `keep`
-                except (ValueError, UnicodeDecodeError):
+                except ValueError:
                     pass
             # an unterminated tail, or a whole line of garbage: drop it
             keep = start
@@ -189,25 +216,21 @@ def append_jsonl_durable(
     records: Iterable[Mapping[str, object]],
     *,
     site: str = "append",
-    heal: bool = True,
 ) -> Path:
     """Append records to a JSONL log, durably.
 
     Heals any torn tail first (so one crashed append can never poison
-    the log for every later writer), serialises records exactly like
-    :func:`repro.obs.sinks.write_jsonl` (``sort_keys`` + ``default=str``),
-    then writes + fsyncs.  The parent directory is fsynced when the file
-    is first created, making the creation itself durable.
+    the log for every later writer), encodes each record with
+    :func:`jsonl_line`, then writes + fsyncs.  The parent directory is
+    fsynced when the file is first created, making the creation itself
+    durable.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     created = not path.exists()
-    if heal and not created:
+    if not created:
         heal_torn_tail(path)
-    payload = b"".join(
-        (json.dumps(record, sort_keys=True, default=str) + "\n").encode("utf-8")
-        for record in records
-    )
+    payload = b"".join(map(jsonl_line, records))
     injector = fsfaults.active_injector()
     kind = injector.fault_for(site) if injector is not None else None
     with open(path, "ab") as fh:

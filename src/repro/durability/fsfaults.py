@@ -1,47 +1,38 @@
-"""Deterministic disk-fault and driver-crash injection.
+"""The fault tap on the atomic-commit primitives, and the points it fires at.
 
-The durability layer makes two promises: every artifact commit is atomic
-and fsync-disciplined, and a run killed at any instant can be recovered
-to a state bitwise-identical to an uninterrupted run.  Neither promise
-is worth much untested, and real disks refuse to fail on schedule — so
-this module fakes the disk (and the driver) failing, deterministically:
+The durability layer promises that every artifact commit is atomic and
+fsync-disciplined, and that a run killed at any instant recovers to a
+state bitwise-identical to an uninterrupted run.  Neither promise is
+worth much untested, and real disks refuse to fail on schedule — so the
+commit primitives in :mod:`repro.durability.atomic` consult a *tap*
+before every guarded operation.  This module holds what the primitives
+need for that, and nothing that decides *when* a fault fires:
 
-* :class:`DiskFaultInjector` — a process-global tap the atomic-commit
-  primitives in :mod:`repro.durability.atomic` consult on every guarded
-  filesystem operation.  Each guarded op is numbered (globally and per
-  logical *site* such as ``"manifest"`` or ``"checkpoint"``), and the
-  injector's schedule names which op indices fail and how: ``enospc``
-  and ``eio`` leave a half-written temp file and raise the matching
-  ``OSError``; ``torn-rename`` simulates a non-atomic filesystem by
-  leaving garbage under the *final* name; ``lost-write`` simulates
-  acked-but-unfsynced pages vanishing at power loss.  The schedule is a
-  pure function of the spec — no wall clock, no randomness — so chaos
-  runs replay exactly.
-
-* :class:`CrashPoint` / :class:`SimulatedCrash` — driver death at a
-  stage boundary (``stage:N:pre|post``).  ``SimulatedCrash`` derives
-  from ``BaseException`` so the runner's stage retry loop (which catches
-  ``Exception``) cannot swallow it: a crash is not a stage failure, it
-  is the driver vanishing.  With ``kill=True`` the crash is a real
-  ``SIGKILL`` to the current process — used by the CI chaos smoke to
-  prove recovery against genuine process death, not a simulation of it.
-
-The active injector is a module-global slot (installed by the runner for
-the duration of a run via :func:`activate`) so every artifact store gets
-injection coverage through the shared atomic primitives without each
-store threading an injector parameter through its API.
+* the **tap slot** (:func:`activate` / :func:`active_injector`): a
+  process-global slot the runner fills with the run's
+  :class:`repro.faults.inject.FaultInjector`, so every artifact store is
+  under injection without threading an injector through its API.  The
+  tap is asked ``fault_for(site)`` once per guarded op; the injector
+  numbers the ops and keeps the one fault log;
+* the **site registry** :data:`KNOWN_SITES` and the typed schedule points
+  of the ``--inject-faults`` grammar: :class:`DiskFaultPoint` (a fault
+  kind at guarded-op ``N`` or ``site:N``) and :class:`CrashPoint` (driver
+  death at ``stage:N:pre|post``; ``kill`` makes it a real ``SIGKILL``);
+* the **fault mechanics** :func:`apply_commit_fault` /
+  :func:`apply_append_fault`: ``enospc`` and ``eio`` leave a half-written
+  temp file and raise the matching ``OSError``; ``torn-rename`` leaves
+  garbage under the *final* name, as a non-atomic filesystem would;
+  ``lost-write`` loses acked-but-unfsynced pages, as a power cut would.
 """
 
 from __future__ import annotations
 
 import errno
-import os
-import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Union
 
 __all__ = [
     "DISK_FAULT_KINDS",
@@ -50,27 +41,26 @@ __all__ = [
     "SimulatedCrash",
     "CrashPoint",
     "DiskFaultPoint",
-    "DiskFaultInjector",
     "active_injector",
     "activate",
     "apply_commit_fault",
     "apply_append_fault",
-    "crash",
 ]
 
-#: fault kinds the disk injector knows how to stage
+#: fault kinds :func:`apply_commit_fault` knows how to stage
 DISK_FAULT_KINDS = ("enospc", "eio", "torn-rename", "lost-write")
 
 #: crash phases relative to a stage: before it runs, after it commits
 CRASH_PHASES = ("pre", "post")
 
-#: any-site wildcard in a rendered DiskFaultPoint
+#: any-site wildcard: the point counts guarded ops globally
 ANY_SITE = "*"
 
 #: every logical site the artifact stores guard commits under; a typo'd
 #: site in a fault spec would otherwise never fire and the chaos run
 #: would silently test nothing
 KNOWN_SITES = (
+    "audit",
     "calibration",
     "checkpoint",
     "dead-letter",
@@ -91,10 +81,10 @@ KNOWN_SITES = (
 class SimulatedCrash(BaseException):
     """Driver death at an injected crash point.
 
-    ``BaseException``, not ``Exception``: the runner's stage-attempt loop
-    catches ``Exception`` to drive retries, and a crash must never be
-    retried — the driver is gone, the half-committed state stays on disk
-    for ``repro run --recover`` to heal.
+    ``BaseException``, not ``Exception``: the retry loop catches
+    ``Exception`` to drive retries, and a crash must never be retried —
+    the driver is gone, the half-committed state stays on disk for
+    ``repro run --recover`` to heal.
     """
 
     def __init__(self, site: str):
@@ -175,88 +165,28 @@ class DiskFaultPoint:
             )
         return cls(kind=kind, site=site or ANY_SITE, index=index)
 
-    @classmethod
-    def parse_rendered(cls, text: str) -> "DiskFaultPoint":
-        """Inverse of :meth:`render` (``kind:site:index``)."""
-        kind, _, rest = text.partition(":")
-        return cls.parse(kind, rest)
-
     def render(self) -> str:
-        return f"{self.kind}:{self.site}:{self.index}"
-
-
-class DiskFaultInjector:
-    """Numbers guarded filesystem ops and fires the scheduled faults.
-
-    Thread-safe: guarded ops may come from the runner thread and from
-    threaded-backend tasks concurrently.  Each scheduled point fires at
-    most once — a retried write draws a fresh op number and succeeds,
-    which is exactly how a transient full-disk clears in production.
-    """
-
-    def __init__(
-        self,
-        points: Tuple[DiskFaultPoint, ...],
-        *,
-        on_fault: Optional[Callable[[str, str], None]] = None,
-    ):
-        self._points = tuple(points)
-        self._lock = threading.Lock()
-        self._global_ops = 0
-        self._site_ops: Dict[str, int] = {}
-        self._fired: set = set()
-        self._on_fault = on_fault
-        #: (kind, site, global_op_index) for every fault actually fired
-        self.log: List[Tuple[str, str, int]] = []
-
-    def fault_for(self, site: str) -> Optional[str]:
-        """Advance the op counters for *site*; return the fault kind
-        scheduled for this op, or None."""
-        fired: Optional[DiskFaultPoint] = None
-        with self._lock:
-            global_index = self._global_ops
-            self._global_ops += 1
-            site_index = self._site_ops.get(site, 0)
-            self._site_ops[site] = site_index + 1
-            for point in self._points:
-                if point in self._fired:
-                    continue
-                hit = (point.site == ANY_SITE and point.index == global_index) or (
-                    point.site == site and point.index == site_index
-                )
-                if hit:
-                    self._fired.add(point)
-                    self.log.append((point.kind, site, global_index))
-                    fired = point
-                    break
-        if fired is None:
-            return None
-        if self._on_fault is not None:
-            self._on_fault(fired.kind, site)
-        return fired.kind
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for kind, _site, _index in self.log:
-            out[kind] = out.get(kind, 0) + 1
-        return out
+        """The ``--inject-faults`` entry that schedules this point."""
+        where = f"{self.index}" if self.site == ANY_SITE else f"{self.site}:{self.index}"
+        return f"{self.kind}={where}"
 
 
 # ---------------------------------------------------------------------------
 # the process-global active-injector slot
 
 
-_ACTIVE: List[Optional[DiskFaultInjector]] = [None]
+#: the tap: anything answering ``fault_for(site) -> Optional[str]``
+_ACTIVE: List[Optional[Any]] = [None]
 _ACTIVE_LOCK = threading.Lock()
 
 
-def active_injector() -> Optional[DiskFaultInjector]:
+def active_injector() -> Optional[Any]:
     """The injector currently tapping the atomic primitives (or None)."""
     return _ACTIVE[0]
 
 
 @contextmanager
-def activate(injector: Optional[DiskFaultInjector]) -> Iterator[None]:
+def activate(injector: Optional[Any]) -> Iterator[None]:
     """Install *injector* as the process-global disk-fault tap for the
     duration of the block.  No-op when *injector* is None."""
     if injector is None:
@@ -331,9 +261,3 @@ def apply_append_fault(kind: str, fh, payload: bytes, start: int) -> None:
     fh.truncate(start + len(half))
     raise OSError(errno.EIO, f"injected {kind} during append (torn tail)")
 
-
-def crash(point: CrashPoint) -> None:
-    """Die at *point*: real SIGKILL when ``kill``, else SimulatedCrash."""
-    if point.kill:
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise SimulatedCrash(point.render())

@@ -33,8 +33,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.durability.atomic import append_jsonl_durable
-from repro.obs.sinks import read_jsonl
+from repro.durability.atomic import append_jsonl_durable, read_jsonl
 
 __all__ = [
     "JOURNAL_NAME",

@@ -10,8 +10,9 @@ tolerance").  Four pieces:
   the runner and the backends use, with injectable clocks so tests never
   wall-sleep;
 * :mod:`repro.faults.inject` — the seeded :class:`FaultInjector` chaos
-  harness (transient faults, slow tasks, torn shards, corrupted
-  checkpoints) whose schedule is backend-independent;
+  harness, the one injector behind ``--inject-faults`` (task faults,
+  torn shards, corrupted checkpoints, disk faults at the commit
+  primitives, driver crashes), whose schedule is backend-independent;
 * :mod:`repro.faults.deadletter` — the record of work a run could not
   complete, keyed by payload fingerprint for re-driving.
 """

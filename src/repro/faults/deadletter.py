@@ -20,7 +20,9 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, Iterator, List, Union
 
+from repro.durability.atomic import atomic_write_bytes, jsonl_line, read_jsonl
 from repro.faults.errors import FaultKind
+from repro.obs.sinks import envelope
 
 __all__ = ["DEAD_LETTER_NAME", "DeadLetterRecord", "DeadLetterLog"]
 
@@ -128,29 +130,18 @@ class DeadLetterLog:
         old complete ledger or the new complete ledger — never a torn
         one growing silently at the tail.
         """
-        import json
-
-        from repro.durability.atomic import atomic_write_bytes
-        from repro.obs.sinks import envelope, read_jsonl
-
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         rows: List[Dict[str, object]] = []
         if append:
             rows.extend(read_jsonl(path))
         rows.extend(envelope("dead-letter", r.to_dict()) for r in self._records)
-        payload = b"".join(
-            (json.dumps(row, sort_keys=True, default=str) + "\n").encode("utf-8")
-            for row in rows
-        )
-        atomic_write_bytes(path, payload, site="dead-letter")
+        atomic_write_bytes(path, b"".join(map(jsonl_line, rows)), site="dead-letter")
         return path
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DeadLetterLog":
         """Rebuild a log from a :meth:`save` file (torn lines tolerated)."""
-        from repro.obs.sinks import read_jsonl
-
         log = cls()
         for row in read_jsonl(path):
             if row.get("type") != "dead-letter":

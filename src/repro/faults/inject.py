@@ -1,11 +1,17 @@
 """Deterministic fault injection: the chaos harness the parity tests run under.
 
-A :class:`FaultInjector` wraps the execution backend of a run and injects
-the faults real campaigns hit — transient exceptions in fanned-out tasks,
-slow tasks, torn shard files, corrupted checkpoint payloads (applied by
-the runner right after a stage commits) — from a *seeded,
-schedule-independent* plan.  Every injection decision is a pure function of
-``(seed, site key, attempt number)``:
+One :class:`FaultInjector` realises a run's whole ``--inject-faults``
+schedule (:meth:`FaultSpec.parse` is the one grammar; it holds typed
+points, parsed once).  It wraps the execution backend and injects the
+faults real campaigns hit — transient exceptions in fanned-out tasks,
+slow tasks, worker kills, torn shard files, corrupted checkpoint payloads
+(applied by the runner right after a stage commits), driver death at a
+stage boundary — and it *is* the tap the atomic-commit primitives consult
+(:func:`repro.durability.fsfaults.activate`), failing the scheduled
+guarded commits with ENOSPC / EIO / a torn rename / a lost unfsynced
+write.  One op numbering, one :attr:`~FaultInjector.log` — from a
+*seeded, schedule-independent* plan.  Every injection decision is a pure
+function of ``(seed, site key, attempt number)``:
 
 * a map task's site key includes its **item index**, so whether task 7
   of the regrid fan-out faults on its first attempt is identical under
@@ -13,8 +19,9 @@ schedule-independent* plan.  Every injection decision is a pure function of
   scheduling;
 * a retried task draws with an incremented attempt number, so "fails
   once then succeeds" schedules are expressible and reproducible;
-* op-level sites (``stats``, ``shard_write``) are numbered in call
-  order, which the engine keeps backend-independent.
+* op-level sites (``stats``, ``shard_write``) and guarded commits
+  (globally and per store site) are numbered in call order, which the
+  engine keeps backend-independent.
 
 The injected fault *schedule* is therefore bitwise identical across
 backends, which is what lets the test suite demand bitwise-identical
@@ -25,14 +32,22 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import signal
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.backends import ExecutionBackend
+from repro.durability.fsfaults import (
+    ANY_SITE,
+    DISK_FAULT_KINDS,
+    CrashPoint,
+    DiskFaultPoint,
+    SimulatedCrash,
+)
 from repro.io.shards import shard_table
 from repro.faults.errors import TransientFaultError, WorkerCrash
 from repro.faults.retry import Clock, SystemClock, _unit_draw
@@ -45,6 +60,10 @@ __all__ = [
     "FaultInjector",
     "FaultInjectingBackend",
 ]
+
+#: the three site-key shapes the injecting backend generates; a poison
+#: site of any other shape could never match a task
+_TASK_SITE = re.compile(r"(map#\d+\[\d+\]|stats#\d+|shard_write#\d+)")
 
 
 class InjectedFaultError(TransientFaultError):
@@ -83,17 +102,15 @@ class FaultSpec:
     #: task sites (e.g. ``map#2[5]``) that kill their worker on *every*
     #: attempt: the poison tasks the supervisor must detect and dead-letter
     poison_sites: Tuple[str, ...] = ()
-    #: scheduled disk faults in rendered ``kind:site:index`` form (see
-    #: :class:`repro.durability.fsfaults.DiskFaultPoint`): the Nth guarded
-    #: commit at a store site fails with ENOSPC / EIO / a torn rename /
-    #: a lost unfsynced write
-    disk_faults: Tuple[str, ...] = ()
-    #: driver crash point ``stage:N:pre|post`` ("" = no crash); fires once
-    crash_at: str = ""
-    #: real ``SIGKILL`` to the driver at the crash point instead of
-    #: raising :class:`~repro.durability.fsfaults.SimulatedCrash` — used
-    #: by the CI chaos smoke to prove recovery against true process death
-    crash_kill: bool = False
+    #: scheduled disk faults: the Nth guarded commit (globally, or at one
+    #: store site) fails with ENOSPC / EIO / a torn rename / a lost
+    #: unfsynced write
+    disk_faults: Tuple[DiskFaultPoint, ...] = ()
+    #: where the driver dies, once (None = no crash).  Its ``kill`` flag
+    #: makes that a real ``SIGKILL`` instead of a raised
+    #: :class:`~repro.durability.fsfaults.SimulatedCrash` — how the CI
+    #: chaos smoke proves recovery against true process death
+    crash_at: Optional[CrashPoint] = None
 
     def __post_init__(self) -> None:
         for name in ("transient_rate", "slow_rate", "worker_kill_rate"):
@@ -102,12 +119,12 @@ class FaultSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.slow_seconds < 0 or self.torn_shards < 0:
             raise ValueError("slow_seconds and torn_shards must be non-negative")
-        from repro.durability.fsfaults import CrashPoint, DiskFaultPoint
-
-        for rendered in self.disk_faults:
-            DiskFaultPoint.parse_rendered(rendered)  # raises on bad form
-        if self.crash_at:
-            CrashPoint.parse(self.crash_at)
+        for site in self.poison_sites:
+            if not _TASK_SITE.fullmatch(site):
+                raise ValueError(
+                    f"poison site must look like map#N[i], stats#N or "
+                    f"shard_write#N, got {site!r}"
+                )
 
     @classmethod
     def parse(cls, text: str) -> "FaultSpec":
@@ -125,11 +142,11 @@ class FaultSpec:
         ``torn-rename``, ``lost-write`` — e.g.
         ``enospc=manifest:0+checkpoint:2`` or ``eio=3``.  Driver crash:
         ``crash-at=stage:N:pre|post`` (``crash-kill=1`` makes it a real
-        SIGKILL instead of a simulated crash).
+        SIGKILL instead of a simulated crash, and is rejected without a
+        ``crash-at`` to apply to).
         """
-        from repro.durability.fsfaults import DISK_FAULT_KINDS, DiskFaultPoint
-
-        disk_faults: List[str] = []
+        disk_faults: List[DiskFaultPoint] = []
+        crash_at, crash_kill = "", False
         kwargs: Dict[str, Any] = {}
         for part in text.split(","):
             part = part.strip()
@@ -162,19 +179,21 @@ class FaultSpec:
                 )
             elif key in DISK_FAULT_KINDS:
                 disk_faults.extend(
-                    DiskFaultPoint.parse(key, v.strip()).render()
+                    DiskFaultPoint.parse(key, v.strip())
                     for v in value.split("+")
                     if v.strip()
                 )
             elif key == "crash-at":
-                kwargs["crash_at"] = value
+                crash_at = value
             elif key == "crash-kill":
-                kwargs["crash_kill"] = value.lower() in ("1", "true", "yes")
+                crash_kill = value.lower() in ("1", "true", "yes")
             else:
                 raise ValueError(f"unknown --inject-faults key {key!r}")
-        if disk_faults:
-            kwargs["disk_faults"] = tuple(disk_faults)
-        return cls(**kwargs)
+        if crash_at:
+            kwargs["crash_at"] = CrashPoint.parse(crash_at, kill=crash_kill)
+        elif crash_kill:
+            raise ValueError("crash-kill needs a crash-at=stage:N:pre|post to apply to")
+        return cls(disk_faults=tuple(disk_faults), **kwargs)
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -184,14 +203,16 @@ class FaultSpec:
 class InjectedFault:
     """One realised injection, for the run's fault accounting."""
 
-    kind: str  # "transient" | "slow" | "torn-shard" | "corrupt-checkpoint" | "worker-kill"
+    #: "transient" | "slow" | "torn-shard" | "corrupt-checkpoint" |
+    #: "worker-kill" | "crash" | "disk-<kind>"
+    kind: str
     site: str
     attempt: int
     detail: str = ""
 
 
 class FaultInjector:
-    """Seeded chaos source; thread-safe; wraps backends."""
+    """Seeded chaos source; thread-safe; wraps backends and taps commits."""
 
     def __init__(
         self,
@@ -208,27 +229,15 @@ class FaultInjector:
         #: sleeps for injected slow tasks go through this (virtual in tests)
         self.clock = clock or SystemClock()
         self._lock = threading.Lock()
-        self._attempts: Dict[str, int] = {}
-        self._op_counts: Dict[str, int] = {}
-        self._torn = 0
-        self._corrupted: List[int] = []
+        #: the one numbering: attempts per task site (``map#0[3]``), backend
+        #: ops (``map``, ``stats``, ``shard_write``) and guarded commits, per
+        #: store site and — under :data:`ANY_SITE` — globally
+        self._counts: Dict[str, int] = {}
+        #: one-shot schedule items already fired (disk points, checkpoint
+        #: indices, the crash point): a retried write draws a fresh op
+        #: number and succeeds, exactly as a transient full disk clears
+        self._fired: Set[object] = set()
         self.log: List[InjectedFault] = []
-        #: disk-fault tap installed on the atomic-commit primitives for
-        #: the run's duration (see :mod:`repro.durability.fsfaults`)
-        self.disk_injector = None
-        if self.spec.disk_faults:
-            from repro.durability.fsfaults import DiskFaultInjector, DiskFaultPoint
-
-            points = tuple(
-                DiskFaultPoint.parse_rendered(text) for text in self.spec.disk_faults
-            )
-            self.disk_injector = DiskFaultInjector(
-                points,
-                on_fault=lambda kind, site: self._record(
-                    InjectedFault(kind=f"disk-{kind}", site=site, attempt=1)
-                ),
-            )
-        self._crash_fired = False
 
     # -- accounting --------------------------------------------------------------
     def _record(self, fault: InjectedFault) -> None:
@@ -239,11 +248,11 @@ class FaultInjector:
         # via the task-event channel (no-op on in-process backends)
         ipc.emit_task_event("fault-injected", dataclasses.asdict(fault))
 
-    def _replay(self, payload: Mapping[str, Any]) -> None:
-        """Append a fault replicated from a worker process (no re-emit)."""
-        fault = InjectedFault(**payload)
-        with self._lock:
-            self.log.append(fault)
+    def _replay(self, kind: str, payload: Mapping[str, Any]) -> None:
+        """Task-event sink: append a fault replicated from a worker (no re-emit)."""
+        if kind == "fault-injected":
+            with self._lock:
+                self.log.append(InjectedFault(**payload))
 
     def counts(self) -> Dict[str, int]:
         """Realised injections by kind."""
@@ -260,19 +269,63 @@ class FaultInjector:
         body = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         return f"fault injector (seed={self.spec.seed}): {body}"
 
-    # -- decisions ---------------------------------------------------------------
-    def _next_attempt(self, site: str) -> int:
+    def unfired(self) -> List[str]:
+        """Scheduled points the log never saw fire, as ``--inject-faults``
+        entries: the part of the chaos spec this run did not test."""
+        spec = self.spec
         with self._lock:
-            attempt = self._attempts.get(site, 0) + 1
-            self._attempts[site] = attempt
-            return attempt
+            entries = [(fault.kind, fault.site) for fault in self.log]
+        torn = spec.torn_shards - sum(kind == "torn-shard" for kind, _ in entries)
+
+        def claim(kind: str, site: str = ANY_SITE) -> bool:
+            """Take one log entry of *kind* at *site* (``*``: at any site)."""
+            for entry in entries:
+                if entry[0] == kind and site in (ANY_SITE, entry[1]):
+                    entries.remove(entry)
+                    return True
+            return False
+
+        # site-scoped disk points claim their log entries before wildcards do
+        points = sorted(spec.disk_faults, key=lambda p: p.site == ANY_SITE)
+        out = [p.render() for p in points if not claim(f"disk-{p.kind}", p.site)]
+        if spec.crash_at is not None and not claim("crash"):
+            out.append(f"crash-at={spec.crash_at.render()}")
+        out += [f"poison-site={s}" for s in spec.poison_sites if not claim("worker-kill", s)]
+        out += [
+            f"corrupt-checkpoint={i}"
+            for i in spec.corrupt_checkpoints
+            if not claim("corrupt-checkpoint", f"stage-{i}")
+        ]
+        if torn > 0:
+            out.append(f"torn-shards={torn}")
+        return out
+
+    # -- decisions ---------------------------------------------------------------
+    def _take(self, key: str) -> int:
+        """The next 0-based index under *key*; call with the lock held."""
+        n = self._counts.get(key, 0)
+        self._counts[key] = n + 1
+        return n
 
     def next_op(self, op: str) -> str:
         """Allocate the next deterministic site key for a backend op."""
         with self._lock:
-            n = self._op_counts.get(op, 0)
-            self._op_counts[op] = n + 1
-            return f"{op}#{n}"
+            return f"{op}#{self._take(op)}"
+
+    def fault_for(self, site: str) -> Optional[str]:
+        """Number one guarded commit at *site*; the disk-fault kind
+        scheduled for it, or None.  What the commit primitives ask the
+        active tap (:mod:`repro.durability.atomic`)."""
+        with self._lock:
+            index = {ANY_SITE: self._take(ANY_SITE), site: self._take(site)}
+            for point in self.spec.disk_faults:
+                if point not in self._fired and index.get(point.site) == point.index:
+                    self._fired.add(point)
+                    break
+            else:
+                return None
+        self._record(InjectedFault(f"disk-{point.kind}", site, 1))
+        return point.kind
 
     def fault_point(self, site: str) -> None:
         """Maybe raise a transient fault or sleep, per the seeded schedule.
@@ -281,7 +334,8 @@ class FaultInjector:
         *site* advances on every call, so a retried unit draws fresh
         (deterministic) decisions.
         """
-        attempt = self._next_attempt(site)
+        with self._lock:
+            attempt = self._take(site) + 1
         spec = self.spec
         if spec.transient_rate > 0.0:
             if _unit_draw(spec.seed, f"transient|{site}", attempt) < spec.transient_rate:
@@ -337,9 +391,8 @@ class FaultInjector:
         """Tear one shard (garbage partial file at a real shard path) and
         report whether the simulated writer should now crash."""
         with self._lock:
-            if self._torn >= self.spec.torn_shards:
+            if self._take("torn-shards") >= self.spec.torn_shards:
                 return False
-            self._torn += 1
         directory.mkdir(parents=True, exist_ok=True)
         (directory / shard_name).write_bytes(b"RPS1\x00torn-by-fault-injector")
         self._record(InjectedFault("torn-shard", site, 1, shard_name))
@@ -349,13 +402,11 @@ class FaultInjector:
         """Truncate + bit-flip a just-committed checkpoint snapshot (once per
         scheduled stage index) — exactly the damage a node crash leaves
         behind, which resume and recovery must refuse."""
+        once = ("corrupt-checkpoint", stage_index)
         with self._lock:
-            if (
-                stage_index not in self.spec.corrupt_checkpoints
-                or stage_index in self._corrupted
-            ):
+            if stage_index not in self.spec.corrupt_checkpoints or once in self._fired:
                 return False
-            self._corrupted.append(stage_index)
+            self._fired.add(once)
         data = path.read_bytes()
         torn = bytearray(data[: max(len(data) // 2, 1)])
         torn[len(torn) // 2] ^= 0xFF
@@ -370,24 +421,24 @@ class FaultInjector:
         """Die at the scheduled crash point (once).
 
         Raises :class:`~repro.durability.fsfaults.SimulatedCrash`
-        (``BaseException`` — the runner's retry loop cannot catch it) or,
-        with ``crash-kill``, SIGKILLs the driver process for real.  The
+        (``BaseException`` — the retry loop cannot catch it) or, with
+        ``crash-kill``, SIGKILLs the driver process for real.  The
         half-committed on-disk state is left exactly as a power loss
         would leave it, for ``repro run --recover`` to heal.
         """
-        if not self.spec.crash_at:
-            return
-        from repro.durability.fsfaults import CrashPoint, crash
-
-        point = CrashPoint.parse(self.spec.crash_at, kill=self.spec.crash_kill)
+        point = self.spec.crash_at
         with self._lock:
-            if self._crash_fired:
+            if (
+                point is None
+                or point in self._fired
+                or (point.stage_index, point.phase) != (stage_index, phase)
+            ):
                 return
-            if point.stage_index != stage_index or point.phase != phase:
-                return
-            self._crash_fired = True
+            self._fired.add(point)
         self._record(InjectedFault("crash", point.render(), 1))
-        crash(point)
+        if point.kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise SimulatedCrash(point.render())
 
     # -- wrappers ----------------------------------------------------------------
     def wrap_backend(self, backend: ExecutionBackend) -> "FaultInjectingBackend":
@@ -409,18 +460,9 @@ class FaultInjectingBackend(ExecutionBackend):
         self.injector = injector
         self.name = inner.name
         # a crash-surviving backend executes tasks in worker processes:
-        # hook its task-event channel so faults injected there are
-        # replicated into this (parent-side) injector's log
-        target: Any = inner
-        while target is not None and not hasattr(target, "add_task_event_handler"):
-            target = getattr(target, "inner", None)
-        if target is not None:
-
-            def _on_task_event(kind: str, payload: Dict[str, Any]) -> None:
-                if kind == "fault-injected":
-                    injector._replay(payload)
-
-            target.add_task_event_handler("fault-injector", _on_task_event)
+        # faults injected there are replicated into this (parent-side)
+        # injector's log over its task-event channel
+        inner.add_task_event_handler("fault-injector", injector._replay)
 
     @property
     def width(self) -> int:

@@ -8,9 +8,10 @@ an injectable :class:`Clock`; production uses :class:`SystemClock`,
 tests use :class:`VirtualClock` and never wall-sleep.
 
 :func:`call_with_retry` is the one retry loop in the codebase — stage
-retries in :mod:`repro.core.runner` and task retries inside the
-execution backends both delegate here, so classification, deadline
-budgets, and retry accounting behave identically at every layer.
+retries (``PipelineRunner._execute``, which supplies the stage deadline
+and a classifier that makes a blown budget final) and task retries
+(``ExecutionBackend.run_task``) both run through it, so classification,
+deadline budgets, and retry accounting behave identically at every layer.
 """
 
 from __future__ import annotations

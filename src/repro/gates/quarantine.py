@@ -10,8 +10,9 @@ pipeline, stage, boundary, contract name + hash, policy, and the record
 fingerprint (the same content-hash key :mod:`repro.faults.deadletter`
 uses) — and deliberately **no** wall-clock timestamps or backend
 identity, so two runs of the same data produce byte-identical
-quarantine files regardless of scheduling.  The reader tolerates torn
-trailing lines the same way :mod:`repro.obs.sinks` does.
+quarantine files regardless of scheduling.  Lines are written and read
+with the one JSONL codec of :mod:`repro.durability.atomic` (torn
+trailing lines skipped).
 
 With ``directory=None`` the store is in-memory only (the runner's
 default when gating is enabled without a quarantine dir).
@@ -26,8 +27,10 @@ from typing import Any, Dict, List, Optional, Union
 from repro.durability.atomic import (
     append_jsonl_durable,
     atomic_write_bytes,
+    jsonl_line,
+    read_jsonl,
 )
-from repro.obs.sinks import envelope, read_jsonl
+from repro.obs.sinks import envelope
 
 __all__ = ["QUARANTINE_NAME", "QuarantineStore"]
 
@@ -87,15 +90,7 @@ class QuarantineStore:
             if str(e.get("record_fingerprint")) not in fps
         ]
         if self.directory is not None:
-            import json
-
-            payload = b"".join(
-                (
-                    json.dumps(envelope("quarantine", e), sort_keys=True, default=str)
-                    + "\n"
-                ).encode("utf-8")
-                for e in kept
-            )
+            payload = b"".join(jsonl_line(envelope("quarantine", e)) for e in kept)
             if payload or self.path.exists():
                 atomic_write_bytes(self.path, payload, site="quarantine")
             if self.records_dir.is_dir():

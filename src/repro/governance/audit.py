@@ -6,6 +6,11 @@ The audit log is an append-only sequence of events where each entry's hash
 covers the previous entry's hash — any retroactive edit, deletion, or
 reordering breaks verification, which is the property compliance reviews
 actually need.
+
+A file-backed log appends durably (:mod:`repro.durability.atomic`, site
+``audit``) and loads tolerantly: a crash mid-append costs only the entry
+being written — the surviving chain still verifies — while a damaged
+*middle* line is a sequence gap and raises :class:`AuditError`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import json
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
+
+from repro.durability.atomic import append_jsonl_durable, read_jsonl
 
 __all__ = ["AuditEvent", "AuditLog", "AuditError"]
 
@@ -107,17 +114,9 @@ class AuditLog:
     def __init__(self, path: Optional[Union[str, Path]] = None):
         self._events: List[AuditEvent] = []
         self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        assert self.path is not None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    self._events.append(AuditEvent.from_dict(json.loads(line)))
-        self.verify()
+        if self.path is not None:
+            self._events.extend(map(AuditEvent.from_dict, read_jsonl(self.path)))
+            self.verify()
 
     # -- writing ----------------------------------------------------------------
     def record(
@@ -144,11 +143,10 @@ class AuditLog:
             prev_hash=prev_hash,
             entry_hash=entry_hash,
         )
-        self._events.append(event)
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event.to_dict(), sort_keys=True))
-                fh.write("\n")
+            # file first: a failed append must not leave memory a link ahead
+            append_jsonl_durable(self.path, [event.to_dict()], site="audit")
+        self._events.append(event)
         return event
 
     # -- reading / verification -----------------------------------------------------

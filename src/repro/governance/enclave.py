@@ -146,7 +146,8 @@ class SecureEnclave:
         self._key = key
         self._store: Dict[str, _SealedEntry] = {}
         self._authorized: Set[str] = set()
-        self.audit = audit or AuditLog()
+        # explicit None test: an empty shared AuditLog is falsy (len == 0)
+        self.audit = audit if audit is not None else AuditLog()
 
     # -- administration ---------------------------------------------------------
     def authorize(self, user: str) -> None:

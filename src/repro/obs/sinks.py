@@ -14,17 +14,19 @@ one combined stream stays self-describing.  Two sinks ship:
   ``run --trace-dir`` layout the ``telemetry`` CLI reads back);
 * :class:`InMemorySink` — collects records in lists for tests.
 
-:func:`write_jsonl` / :func:`read_jsonl` are the shared line-level codec
-(append-friendly, torn trailing lines ignored on read, mirroring the
-provenance store's crash tolerance).
+:func:`write_jsonl` writes with — and :func:`read_jsonl` *is* — the one
+JSONL codec of :mod:`repro.durability.atomic` (sorted keys, torn lines
+skipped on read), so telemetry files and the durable stores share a
+line format by construction.
 """
 
 from __future__ import annotations
 
 import abc
-import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Union
+
+from repro.durability.atomic import jsonl_line, read_jsonl
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,30 +64,11 @@ def write_jsonl(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = 0
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+    with open(path, "ab" if append else "wb") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, default=str))
-            fh.write("\n")
+            fh.write(jsonl_line(record))
             n += 1
     return n
-
-
-def read_jsonl(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Read a JSONL file, skipping blank and torn (crash-truncated) lines."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    out: List[Dict[str, object]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return out
 
 
 class TelemetrySink(abc.ABC):

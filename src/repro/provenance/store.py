@@ -13,11 +13,10 @@ tail never accumulates, and readers see only whole records.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterator, List, Union
 
-from repro.durability.atomic import append_jsonl_durable, heal_torn_tail
+from repro.durability.atomic import append_jsonl_durable, heal_torn_tail, read_jsonl
 from repro.provenance.graph import LineageGraph
 from repro.provenance.record import ProvenanceRecord
 
@@ -40,19 +39,8 @@ class ProvenanceStore:
         return heal_torn_tail(self.path)
 
     def __iter__(self) -> Iterator[ProvenanceRecord]:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    blob = json.loads(line)
-                except json.JSONDecodeError:
-                    # torn final write after a crash: ignore, stay consistent
-                    continue
-                yield ProvenanceRecord.from_dict(blob)
+        # a torn final write after a crash is skipped: stay consistent
+        return map(ProvenanceRecord.from_dict, read_jsonl(self.path))
 
     def load(self) -> List[ProvenanceRecord]:
         self.heal()

@@ -25,8 +25,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
-from repro.durability.atomic import append_jsonl_durable
-from repro.obs.sinks import envelope, read_jsonl
+from repro.durability.atomic import append_jsonl_durable, read_jsonl
+from repro.obs.sinks import envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.decision import ScheduleDecision
@@ -66,8 +66,6 @@ class CalibrationStore:
         return self.directory / CALIBRATION_NAME if self.directory else None
 
     def _load(self) -> None:
-        if self.path is None or not self.path.exists():
-            return
         for row in read_jsonl(self.path):
             if row.get("type") != "calibration":
                 continue

@@ -134,27 +134,6 @@ class ProcessBackend(ExecutionBackend):
                 self.heartbeat_gap_max, supervisor.max_heartbeat_gap
             )
 
-    def crash_report(self) -> str:
-        """Human-readable supervision summary (the CLI's post-run report)."""
-        counters = self.worker_counters
-        if not self.crash_events and not any(counters.values()):
-            return "worker supervision: no crashes, hangs, or expired leases"
-        lines = [
-            "worker supervision: "
-            + ", ".join(
-                f"{key}={counters.get(key, 0)}"
-                for key in (
-                    "worker_restarts",
-                    "tasks_requeued",
-                    "leases_expired",
-                    "poison_tasks",
-                )
-            )
-        ]
-        for event in self.crash_events:
-            lines.append(f"  {event.describe()}")
-        return "\n".join(lines)
-
 
 # registration is idempotent and import-order safe: core.backends also
 # guard-imports this module at the end of its own body

@@ -6,8 +6,10 @@ run recorded — run events, audit trail, spans, metrics — to a
 wall-clock-free transcript and compares it with a golden file under
 ``goldens/transcript/``.  The goldens were generated at commit b9893f9
 (the last commit with the monolithic ``_run_impl``) by running this file
-as a script, so they pin the lifecycle refactor to the old behaviour.
-Never regenerate one to make a test pass.
+as a script, so they pin the lifecycle refactor to the old behaviour;
+``disk-chaos`` was generated the same way at d92d17b (the last commit with
+two fault injectors and the runner's private retry loop).  Never
+regenerate one to make a test pass.
 
 Two properties ride along: an untraced run emits the same event stream as
 a traced one, and every ``RUN_STARTED`` is followed by exactly one
@@ -57,8 +59,9 @@ ARCHETYPES = {
 _UNSTABLE_METRICS = {"worker_restarts_total", "leases_expired_total"}
 
 
-def transcript(events, context, telemetry):
-    """Everything one run recorded, minus wall-clock values and ids."""
+def transcript(events, context, telemetry, injector=None):
+    """Everything one run recorded, minus wall-clock values and ids (plus,
+    given the run's *injector*, its fault log in order)."""
     spans = collections.Counter(
         (
             span.name,
@@ -74,11 +77,15 @@ def transcript(events, context, telemetry):
             continue
         value = {"counter": row.get("value"), "histogram": row.get("count")}.get(row["kind"])
         metrics.append([row["name"], row["kind"], sorted(row["labels"].items()), value])
+    faults = {} if injector is None else {
+        "faults": [[f.kind, f.site, f.attempt, f.detail] for f in injector.log]
+    }
     return json.loads(json.dumps({
         "events": event_rows(events),
         "audit": [[a.action, a.subject, sorted(a.detail)] for a in context.audit],
         "spans": [[*key, count] for key, count in sorted(spans.items())],
         "metrics": metrics,
+        **faults,
     }))
 
 
@@ -171,6 +178,21 @@ def chaos_degraded(telemetry):
     }
 
 
+def disk_chaos(telemetry):
+    """Task, torn-shard and disk faults from one spec heal through retries:
+    the one golden with ``disk-*`` kinds, and with the injector's log — the
+    order of disk faults relative to task faults."""
+    clock = VirtualClock()
+    spec = "seed=7,rate=0.2,torn-shards=1,eio=manifest:0,enospc=shard:1"
+    injector = FaultInjector(FaultSpec.parse(spec), clock=clock)
+    run = archetype_run(
+        "climate", Path("work"), telemetry=telemetry(), checkpoint_dir=Path("ckpt"),
+        fault_injector=injector, fault_clock=clock,
+        retry_policy=RetryPolicy(max_attempts=4, seed=7),
+    )
+    return {"disk-chaos": (*run, injector)}
+
+
 def resume_after_failure(telemetry):
     def evict_stack(plan):
         plan.stages[plan.index_of("stack")].fn = failing("node evicted mid-structure")
@@ -216,6 +238,7 @@ SCENARIOS = {
     **{f"clean-{domain}": clean(domain) for domain in ARCHETYPES},
     "gated": gated_quarantine,
     "chaos": chaos_degraded,
+    "disk-chaos": disk_chaos,
     "resume": resume_after_failure,
     "process-kill": process_worker_kill,
 }
@@ -228,14 +251,14 @@ def golden(name):
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_traced_run_matches_frozen_transcript(scenario, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, (events, context, telemetry) in SCENARIOS[scenario](Telemetry).items():
-        assert transcript(events, context, telemetry) == golden(name), name
+    for name, run in SCENARIOS[scenario](Telemetry).items():
+        assert transcript(*run) == golden(name), name
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_untraced_run_emits_the_traced_event_stream(scenario, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for name, (events, _, _) in SCENARIOS[scenario](lambda: None).items():
+    for name, (events, *_) in SCENARIOS[scenario](lambda: None).items():
         assert json.loads(json.dumps(event_rows(events))) == golden(name)["events"], name
 
 
@@ -298,7 +321,7 @@ if __name__ == "__main__":  # regenerate the goldens (parent commit only)
     GOLDENS.mkdir(parents=True, exist_ok=True)
     for scenario in SCENARIOS.values():
         os.chdir(tempfile.mkdtemp())
-        for name, (events, context, telemetry) in scenario(Telemetry).items():
+        for name, run in scenario(Telemetry).items():
             (GOLDENS / f"{name}.json").write_text(
-                json.dumps(transcript(events, context, telemetry), indent=1) + "\n"
+                json.dumps(transcript(*run), indent=1) + "\n"
             )

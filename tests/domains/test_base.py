@@ -101,16 +101,15 @@ class TestContract:
 
 def test_run_forwards_every_runner_option(tmp_path):
     """``run(**runner_options)`` reaches ``PipelineRunner.__init__`` whole:
-    ready-made stores pass through, and a pinned ``clock`` stamps events."""
+    the quarantine directory is written, and a pinned ``clock`` stamps events."""
     from repro.domains import ClimateArchetype
     from repro.gates import QuarantineStore
 
-    store = QuarantineStore(None)
     config = ClimateSourceConfig(n_models=2, n_timesteps=12, seed=21, n_corrupt_models=1)
     result = ClimateArchetype(seed=21, config=config).run(
-        tmp_path, gates="quarantine", quarantine_store=store, clock=lambda: 7.0
+        tmp_path, gates="quarantine", quarantine_dir=tmp_path / "q", clock=lambda: 7.0
     )
-    assert len(store.entries()) == result.run.records_quarantined == 1
+    assert len(QuarantineStore(tmp_path / "q")) == result.run.records_quarantined == 1
     assert {e.timestamp for e in result.run.events} == {7.0}
     with pytest.raises(TypeError, match="no_such_option"):
         ClimateArchetype(seed=21, config=config).run(tmp_path, no_such_option=1)

@@ -1,25 +1,20 @@
 """The atomic-commit primitive and its disk-fault mechanics."""
 
 import json
-import os
 
 import pytest
 
 from repro.durability.atomic import (
     append_jsonl_durable,
     atomic_write_bytes,
-    atomic_write_json,
     atomic_write_text,
     commit_file,
     heal_torn_tail,
+    read_jsonl,
     sha256_path,
 )
-from repro.durability.fsfaults import (
-    DiskFaultInjector,
-    DiskFaultPoint,
-    activate,
-)
-from repro.obs.sinks import read_jsonl
+from repro.durability.fsfaults import DiskFaultPoint, activate
+from repro.faults import FaultInjector, FaultSpec
 
 
 class TestAtomicWrite:
@@ -34,14 +29,6 @@ class TestAtomicWrite:
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
         assert path.read_text() == "two"
-
-    def test_json_is_sorted_and_deterministic(self, tmp_path):
-        path = tmp_path / "a.json"
-        atomic_write_json(path, {"b": 2, "a": 1})
-        again = tmp_path / "b.json"
-        atomic_write_json(again, {"a": 1, "b": 2})
-        assert path.read_bytes() == again.read_bytes()
-        assert json.loads(path.read_text()) == {"a": 1, "b": 2}
 
     def test_commit_file_replaces_and_consumes_tmp(self, tmp_path):
         tmp = tmp_path / "x.tmp"
@@ -122,6 +109,53 @@ class TestTornTailHealing:
         assert path.read_bytes() == b""
 
 
+_LINES = "".join(json.dumps({"i": i}) + "\n" for i in range(3)).encode()
+
+#: every damaged-log shape TestTornTailHealing covers, as
+#: ``name -> (file bytes, the "i" of each record a reader must return)``
+DAMAGED_LOGS = {
+    "missing": (None, []),
+    "intact": (_LINES, [0, 1, 2]),
+    "unterminated-tail": (_LINES + b'{"i": 3, "tor', [0, 1, 2]),
+    "garbage-lines": (_LINES + b"\x00garbage\n{torn", [0, 1, 2]),
+    "unparseable-lines-spanning-a-block": (
+        _LINES + b"{not json\n" + b"\x00" * 9000 + b"\n\xff\xfe\n" + b'{"i": 3, "to',
+        [0, 1, 2],
+    ),
+    "tail-behind-several-blocks": (_LINES * 3000 + b'{"i": 3, "pad": "xx', [0, 1, 2] * 3000),
+    "blank-line-stops-the-scan": (b"not json\n\n{torn", []),
+    "only-garbage": (b"garbage\nmore garbage", []),
+}
+
+
+class TestOneCodec:
+    """The reader, the healer and the appender agree on what a line is."""
+
+    @pytest.mark.parametrize("case", sorted(DAMAGED_LOGS))
+    def test_read_heal_and_append_agree(self, case, tmp_path):
+        data, expected = DAMAGED_LOGS[case]
+        path, twin = tmp_path / "log.jsonl", tmp_path / "twin.jsonl"
+        if data is not None:
+            path.write_bytes(data)
+            twin.write_bytes(data)
+        before = read_jsonl(path)
+        assert [row["i"] for row in before] == expected
+        heal_torn_tail(path)
+        assert read_jsonl(path) == before  # healing drops only what reading skips
+        append_jsonl_durable(path, [{"i": 99}])
+        assert read_jsonl(path) == before + [{"i": 99}]
+        append_jsonl_durable(twin, [{"i": 99}])  # append heals by itself
+        assert twin.read_bytes() == path.read_bytes()
+
+    def test_obs_reads_and_writes_with_the_same_functions(self, tmp_path):
+        import repro.obs
+        from repro.durability import atomic
+
+        assert repro.obs.read_jsonl is repro.obs.sinks.read_jsonl is atomic.read_jsonl
+        line = atomic.jsonl_line({"b": tmp_path, "a": "é"})
+        assert line == b'{"a": "\\u00e9", "b": "%s"}\n' % str(tmp_path).encode()
+
+
 class TestDurableAppend:
     def test_append_matches_write_jsonl_bytes(self, tmp_path):
         from repro.obs.sinks import write_jsonl
@@ -144,7 +178,11 @@ class TestDurableAppend:
 
 
 def _one_fault(kind, site="*", index=0):
-    return DiskFaultInjector([DiskFaultPoint(kind=kind, site=site, index=index)])
+    return FaultInjector(FaultSpec(disk_faults=(DiskFaultPoint(kind, site, index),)))
+
+
+def _fired(injector):
+    return [(fault.kind, fault.site) for fault in injector.log]
 
 
 class TestDiskFaultMechanics:
@@ -157,7 +195,7 @@ class TestDiskFaultMechanics:
             with pytest.raises(OSError):
                 atomic_write_text(path, "after")
         assert path.read_text() == "before"
-        assert injector.counts() == {kind: 1}
+        assert injector.counts() == {f"disk-{kind}": 1}
 
     def test_enospc_errno(self, tmp_path):
         import errno
@@ -193,7 +231,7 @@ class TestDiskFaultMechanics:
                 atomic_write_text(path, "payload")
             atomic_write_text(path, "payload")  # retry draws a fresh op
         assert path.read_text() == "payload"
-        assert injector.counts() == {"eio": 1}
+        assert injector.counts() == {"disk-eio": 1}
 
     def test_site_scoped_fault_skips_other_sites(self, tmp_path):
         injector = _one_fault("eio", site="manifest", index=0)
@@ -201,7 +239,7 @@ class TestDiskFaultMechanics:
             atomic_write_text(tmp_path / "s", "x", site="shard")
             with pytest.raises(OSError):
                 atomic_write_text(tmp_path / "m", "y", site="manifest")
-        assert injector.log == [("eio", "manifest", 1)]  # global op 1
+        assert _fired(injector) == [("disk-eio", "manifest")]
 
     def test_append_fault_tears_tail_and_raises(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -222,17 +260,19 @@ class TestDiskFaultMechanics:
 
     def test_global_op_numbering_is_deterministic(self, tmp_path):
         def ops(injector):
+            failed = []
             with activate(injector):
-                for i in range(4):
+                for i, site in enumerate(["shard", "manifest", "shard", "journal", "shard"]):
                     try:
-                        atomic_write_text(tmp_path / f"f{i}", "x", site="shard")
+                        atomic_write_text(tmp_path / f"f{i}", "x", site=site)
                     except OSError:
-                        pass
-            return injector.log
+                        failed.append(i)
+            return failed, _fired(injector)
 
+        # global op 3 is the fourth guarded commit, whichever site it is at
         first = ops(_one_fault("eio", index=3))
         second = ops(_one_fault("eio", index=3))
-        assert first == second == [("eio", "shard", 3)]
+        assert first == second == ([3], [("disk-eio", "journal")])
 
     def test_unknown_site_rejected_at_parse(self):
         # a typo'd site would never fire and the chaos run would

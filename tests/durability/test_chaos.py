@@ -165,7 +165,7 @@ class TestKilledWithDiskFaultsUnderneath:
                     fault_injector=injector,
                     retry_policy=RetryPolicy(max_attempts=3, seed=7),
                 )
-            assert injector.disk_injector.counts() == {kind: 1}, site
+            assert injector.counts() == {f"disk-{kind}": 1, "crash": 1}, site
 
             report = recover_run(ckpt, shards_dir=work_dir / "shards")
             resumed, _ = _run(
@@ -267,3 +267,67 @@ class TestJournalTelemetry:
     def test_no_checkpoint_dir_means_no_journal(self, tmp_path):
         result, _ = _run(tmp_path / "wd")
         assert not list(tmp_path.glob("**/journal.jsonl"))
+
+
+class TestSiteRegistry:
+    """``KNOWN_SITES`` is closed at both ends: every guarded commit a store
+    makes is at a registered site (or a spec could not name it), and every
+    registered site is one some store commits at (or a spec naming it
+    would silently test nothing)."""
+
+    def test_stores_commit_only_at_known_sites_and_at_every_one(self, tmp_path):
+        import numpy as np
+
+        from repro.core.runner import PipelineContext, PipelineRunner
+        from repro.durability.fsfaults import KNOWN_SITES, activate
+        from repro.faults import DeadLetterLog
+        from repro.gates import ColumnCheck, QuarantineStore, StageContract, redrive
+        from repro.governance.audit import AuditLog
+        from repro.obs.history import RunArchive
+        from repro.obs.sinks import envelope
+        from repro.provenance.store import ProvenanceStore
+        from repro.sched import CalibrationStore, choose_config, estimate_workload
+
+        class RecordingTap:
+            def __init__(self):
+                self.sites = set()
+
+            def fault_for(self, site):
+                self.sites.add(site)
+
+        corrupt = ClimateSourceConfig(n_models=2, n_timesteps=6, seed=21, n_corrupt_models=1)
+        archetype = ClimateArchetype(seed=21, config=corrupt)
+        (tmp_path / "source").mkdir()
+        source = archetype.synthesize_source(tmp_path / "source")
+        plan = archetype.build_pipeline(tmp_path / "shards").plan
+        calibration = CalibrationStore(tmp_path / "cal")
+        plan = plan.with_schedule(
+            choose_config(estimate_workload(plan, source), calibration=calibration)
+        )
+        telemetry = Telemetry()
+        context = PipelineContext(provenance_store=ProvenanceStore(tmp_path / "prov.jsonl"))
+        tap = RecordingTap()
+        with activate(tap):
+            # one checkpointed, gated, provenance-stored, calibrated run ...
+            run = PipelineRunner(
+                plan, checkpoint_dir=tmp_path / "ckpt", gates="quarantine",
+                quarantine_dir=tmp_path / "q", calibration_store=calibration,
+                telemetry=telemetry,
+            ).run(source, context)
+            assert run.records_quarantined and calibration.observations()
+            # ... archived ...
+            RunArchive(tmp_path / "runs").archive({
+                "spans": [envelope("span", s.to_dict()) for s in telemetry.tracer.spans()],
+                "metrics": [envelope("metric", m) for m in telemetry.metrics.snapshot()],
+                "events": [envelope("event", e.to_dict()) for e in run.events],
+            })
+            # ... plus the dead-letter, audit and consume-mode re-drive paths
+            DeadLetterLog().save(tmp_path / "dead-letters.jsonl")
+            AuditLog(tmp_path / "audit.jsonl").record("alice", "read", "climate")
+            store = QuarantineStore(tmp_path / "q2")
+            gate = StageContract("g", checks=(ColumnCheck("bounds", "t", lo=0.0, hi=9.0),))
+            for record in ({"t": np.ones(2)}, {"t": np.ones(2), "meta": {"not": "a row"}}):
+                store.add({"contract": "g", "record_fingerprint": str(len(record))}, record)
+            report = redrive(store, {"g": gate}, tmp_path / "redrive", consume=True)
+            assert len(report.promoted) == 2
+        assert tap.sites == set(KNOWN_SITES)

@@ -37,7 +37,7 @@ def _toy_plan():
 
 
 def _run(ckpt, *, crash_at=None, resume=False):
-    injector = FaultInjector(FaultSpec(crash_at=crash_at)) if crash_at else None
+    injector = FaultInjector(FaultSpec.parse(f"crash-at={crash_at}")) if crash_at else None
     runner = PipelineRunner(_toy_plan(), checkpoint_dir=ckpt, fault_injector=injector)
     return runner.run(PAYLOAD, resume=resume)
 

@@ -197,7 +197,7 @@ class TestResumeAfterEnospc:
                 checkpoint_dir=ckpt,
                 fault_injector=injector,
             )
-        assert injector.disk_injector.counts() == {"enospc": 1}
+        assert injector.counts() == {"disk-enospc": 1}
 
         report = recover_run(ckpt, shards_dir=tmp_path / "chaos" / "shards")
         assert report.journal_found

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.backends import SerialBackend
+from repro.durability.fsfaults import CrashPoint, DiskFaultPoint
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -12,7 +13,47 @@ from repro.faults import (
 )
 
 
+#: the whole ``--inject-faults`` grammar: every key and operand form, and
+#: the typed schedule it parses to (once — points are never re-parsed)
+GRAMMAR = [
+    ("", {}),
+    ("seed=7", {"seed": 7}),
+    ("rate=0.1", {"transient_rate": 0.1}),
+    ("transient-rate=0.1", {"transient_rate": 0.1}),
+    ("Transient_Rate = 0.1", {"transient_rate": 0.1}),
+    ("slow-rate=0.2,slow-seconds=0.01", {"slow_rate": 0.2, "slow_seconds": 0.01}),
+    ("torn-shards=2", {"torn_shards": 2}),
+    ("corrupt-checkpoint=2", {"corrupt_checkpoints": (2,)}),
+    ("corrupt-checkpoint=2+4", {"corrupt_checkpoints": (2, 4)}),
+    ("kill-rate=0.3", {"worker_kill_rate": 0.3}),
+    ("worker-kill-rate=0.3", {"worker_kill_rate": 0.3}),
+    ("poison-site=map#0[3]", {"poison_sites": ("map#0[3]",)}),
+    ("poison-site=map#2[10]+stats#1+shard_write#0",
+     {"poison_sites": ("map#2[10]", "stats#1", "shard_write#0")}),
+    ("eio=3", {"disk_faults": (DiskFaultPoint("eio", "*", 3),)}),
+    ("enospc=manifest:0+checkpoint:2",
+     {"disk_faults": (DiskFaultPoint("enospc", "manifest", 0),
+                      DiskFaultPoint("enospc", "checkpoint", 2))}),
+    ("torn-rename=shard:1,lost_write=5,eio=audit:0",
+     {"disk_faults": (DiskFaultPoint("torn-rename", "shard", 1),
+                      DiskFaultPoint("lost-write", "*", 5),
+                      DiskFaultPoint("eio", "audit", 0))}),
+    ("crash-at=stage:3:post", {"crash_at": CrashPoint(3, "post")}),
+    ("crash-at=stage:0:pre,crash-kill=1", {"crash_at": CrashPoint(0, "pre", kill=True)}),
+    ("crash-kill=yes,crash-at=stage:0:pre", {"crash_at": CrashPoint(0, "pre", kill=True)}),
+    ("crash-at=stage:2:post,crash-kill=0", {"crash_at": CrashPoint(2, "post")}),
+    ("crash-kill=0", {}),
+    ("seed=7,rate=0.05,torn-shards=1,eio=manifest:0",
+     {"seed": 7, "transient_rate": 0.05, "torn_shards": 1,
+      "disk_faults": (DiskFaultPoint("eio", "manifest", 0),)}),
+]
+
+
 class TestFaultSpec:
+    @pytest.mark.parametrize("text, fields", GRAMMAR, ids=[text for text, _ in GRAMMAR])
+    def test_grammar(self, text, fields):
+        assert FaultSpec.parse(text) == FaultSpec(**fields)
+
     def test_parse_full_spec(self):
         spec = FaultSpec.parse(
             "seed=7, rate=0.1, slow-rate=0.2, slow-seconds=0.01,"
@@ -34,6 +75,13 @@ class TestFaultSpec:
 
     @pytest.mark.parametrize("text", [
         "seed", "bogus=1", "rate=1.5", "torn-shards=-1",
+        "slow-seconds=-1", "kill-rate=2", "corrupt-checkpoint=x",
+        # a spec that could never fire would silently test nothing
+        "eio=sharrd:1", "eio=x", "eio=-1", "eio=shard:",
+        "crash-at=banana", "crash-at=stage:1:during", "crash-at=stage:x:pre",
+        "crash-at=stage:-1:pre", "crash-kill=1",
+        "poison-site=mapp#0[3]", "poison-site=map#0", "poison-site=stats#1[2]",
+        "poison-site=map#0[3]+oops",
     ])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
@@ -133,6 +181,32 @@ class TestFilesystemChaos:
         path.write_bytes(payload)
         assert not injector.maybe_corrupt_checkpoint(path, 2)  # once only
         assert path.read_bytes() == payload
+
+    def test_unfired_names_what_the_log_never_saw(self, tmp_path):
+        injector = FaultInjector(FaultSpec.parse(
+            "torn-shards=2,corrupt-checkpoint=1+9,poison-site=map#0[1]+map#7[0],"
+            "eio=5+manifest:0,enospc=shard:4,crash-at=stage:9:post"
+        ))
+        everything = [
+            "eio=manifest:0", "enospc=shard:4", "eio=5", "crash-at=stage:9:post",
+            "poison-site=map#0[1]", "poison-site=map#7[0]",
+            "corrupt-checkpoint=1", "corrupt-checkpoint=9", "torn-shards=2",
+        ]
+        assert injector.unfired() == everything
+        injector.maybe_tear_shard(tmp_path, "x.rps", "shard_write#0")
+        (tmp_path / "stage-1.pkl").write_bytes(bytes(64))
+        injector.maybe_corrupt_checkpoint(tmp_path / "stage-1.pkl", 1)
+        with pytest.raises(Exception, match="poison task"):
+            injector.fault_point("map#0[1]")
+        assert injector.fault_for("manifest") == "eio"  # manifest:0
+        assert injector.fault_for("shard") is None
+        assert injector.unfired() == [
+            "enospc=shard:4", "eio=5", "crash-at=stage:9:post", "poison-site=map#7[0]",
+            "corrupt-checkpoint=9", "torn-shards=1",
+        ]
+        injector.maybe_crash(9, "pre")  # not the scheduled phase
+        assert "crash-at=stage:9:post" in injector.unfired()
+        assert FaultInjector(FaultSpec(seed=1, transient_rate=0.5)).unfired() == []
 
     def test_describe_summarises_injections(self, tmp_path):
         injector = FaultInjector(FaultSpec(seed=9, torn_shards=1))

@@ -182,6 +182,20 @@ class TestCallWithRetry:
             "retries": 1, "by_error": {"TimeoutError": 1},
         }
 
+    def test_classify_hook_can_make_a_transient_fault_final(self):
+        calls = []
+
+        def always():
+            calls.append(1)
+            raise TimeoutError("budget blown")
+
+        with pytest.raises(TimeoutError):
+            call_with_retry(
+                always, policy=RetryPolicy(max_attempts=5), clock=VirtualClock(),
+                classify=lambda exc: FaultKind.PERMANENT,
+            )
+        assert len(calls) == 1
+
     def test_deadline_blocks_retry_and_clamps_delay(self):
         clock = VirtualClock()
         deadline = Deadline(0.08, clock=clock)

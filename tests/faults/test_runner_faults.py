@@ -7,9 +7,11 @@ from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner, RunEventKind
 from repro.durability.checkpoint import RunCheckpointer
-from repro.faults import OnError, RetryPolicy
+from repro.durability.fsfaults import SimulatedCrash
+from repro.faults import OnError, RetryPolicy, StageTimeoutError
 from repro.faults import VirtualClock
 from repro.obs import Telemetry
+from repro.workers import DrainInterrupt
 
 S = DataProcessingStage
 
@@ -119,6 +121,29 @@ class TestStageRetry:
             PipelineRunner(plan).run(np.ones(2))
         assert len(fn.calls) == 1
 
+    def test_stage_backoff_is_the_policy_schedule_keyed_by_plan_and_stage(self):
+        clock = VirtualClock()
+        policy = RetryPolicy(max_attempts=4, seed=7)  # jittered: the key matters
+        plan = StagePlan.build("p", [PipelineStage("flaky", S.INGEST, flaky_fn(3))])
+        run = PipelineRunner(plan, retry_policy=policy, fault_clock=clock).run(np.ones(2))
+        assert run.results[0].attempts == 4
+        assert clock.slept == policy.delays(key="p:flaky") != policy.delays(key="")
+
+    @pytest.mark.parametrize("exc_type", [DrainInterrupt, SimulatedCrash])
+    def test_drain_and_crash_pass_straight_through_the_retry_loop(self, exc_type):
+        fn = flaky_fn(1, exc_type=exc_type)
+        plan = StagePlan.build("p", [PipelineStage("stopped", S.INGEST, fn)])
+        events = []
+        runner = PipelineRunner(
+            plan, retry_policy=RetryPolicy(max_attempts=4), fault_clock=VirtualClock(),
+            on_error=OnError.SKIP_DEGRADED, on_event=events.append,
+        )
+        with pytest.raises(exc_type):
+            runner.run(np.ones(2))
+        assert len(fn.calls) == 1
+        kinds = {e.kind for e in events}
+        assert not kinds & {RunEventKind.STAGE_RETRIED, RunEventKind.STAGE_DEGRADED}
+
 
 class TestStageTimeout:
     def test_blown_budget_fails_even_when_fn_succeeds(self):
@@ -158,6 +183,40 @@ class TestStageTimeout:
             runner.run(np.ones(2))
         assert len(calls) == 1
         assert info.value.dead_letters.records[0].error_type == "StageTimeoutError"
+
+    @pytest.mark.parametrize("stage_timeout", [None, 60.0])
+    def test_timeout_raised_inside_the_stage_is_not_retried(self, stage_timeout):
+        # the preemptive-backend case: a lease is killed and the stage body
+        # raises StageTimeoutError while the runner's own deadline (if it
+        # has one) is nowhere near expired
+        fn = flaky_fn(1, exc_type=StageTimeoutError)
+        plan = StagePlan.build("p", [PipelineStage("slow", S.INGEST, fn)])
+        runner = PipelineRunner(
+            plan, retry_policy=RetryPolicy(max_attempts=5), stage_timeout=stage_timeout,
+            fault_clock=VirtualClock(),
+        )
+        with pytest.raises(PipelineError) as info:
+            runner.run(np.ones(2))
+        assert len(fn.calls) == 1
+        assert info.value.dead_letters.records[0].attempts == 1
+
+    def test_deadline_shorter_than_the_backoff_clamps_the_sleep(self):
+        clock = VirtualClock()
+
+        def flaky(payload, ctx):
+            clock.advance(0.5)
+            raise TimeoutError("flake")
+
+        plan = StagePlan.build("p", [PipelineStage("flaky", S.INGEST, flaky)])
+        runner = PipelineRunner(
+            plan, retry_policy=RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.0),
+            stage_timeout=2.0, fault_clock=clock,
+        )
+        with pytest.raises(PipelineError) as info:
+            runner.run(np.ones(2))
+        # one 10 s backoff clamped to the 1.5 s left; then the budget is gone
+        assert clock.slept == [1.5]
+        assert info.value.dead_letters.records[0].attempts == 2
 
     def test_fast_stage_within_budget_passes(self):
         plan = StagePlan.build("p", [PipelineStage("a", S.INGEST, doubler)])

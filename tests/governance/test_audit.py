@@ -96,3 +96,45 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(AuditError):
             AuditLog(path)
+
+    def test_torn_tail_is_dropped_and_the_surviving_chain_verifies(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
+        log.record("alice", "ingest", "climate")
+        log.record("bob", "read", "climate")
+        with open(path, "ab") as fh:
+            fh.write(b'{"sequence": 2, "act')  # the driver died mid-append
+        resumed = AuditLog(path)
+        assert [e.actor for e in resumed] == ["alice", "bob"] and resumed.verify()
+        # the next append heals the tail physically; the chain continues
+        resumed.record("carol", "export", "climate")
+        assert [e.sequence for e in AuditLog(path)] == [0, 1, 2]
+        assert path.read_bytes().count(b"\n") == 3
+
+    def test_damaged_middle_line_still_raises(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
+        for subject in ("x", "y", "z"):
+            log.record("alice", "read", subject)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + lines[1][: len(lines[1]) // 2] + b"\n" + lines[2])
+        with pytest.raises(AuditError, match="sequence gap"):
+            AuditLog(path)
+
+    def test_appends_are_guarded_commits_at_the_audit_site(self, tmp_path):
+        from repro.durability.fsfaults import activate
+        from repro.faults import FaultInjector, FaultSpec
+
+        path = tmp_path / "audit.jsonl"
+        log = AuditLog(path)
+        log.record("alice", "ingest", "climate")
+        injector = FaultInjector(FaultSpec.parse("eio=audit:0"))
+        with activate(injector):
+            with pytest.raises(OSError):
+                log.record("bob", "read", "climate")
+        assert injector.counts() == {"disk-eio": 1}
+        assert [e.actor for e in AuditLog(path)] == ["alice"]  # torn tail skipped
+        # the failed append left memory and file in step: a retry chains on
+        assert len(log) == 1
+        log.record("bob", "read", "climate")
+        assert [e.actor for e in AuditLog(path)] == ["alice", "bob"]

@@ -99,6 +99,15 @@ class TestAccessControl:
         with pytest.raises(EnclaveError, match="closed"):
             session.read("clinical")
 
+    def test_a_shared_audit_log_is_used_even_while_empty(self):
+        from repro.governance.audit import AuditLog
+
+        log = AuditLog()  # empty, so falsy: len(log) == 0
+        enclave = SecureEnclave(key=b"0" * 32, audit=log)
+        enclave.authorize("alice")
+        assert enclave.audit is log
+        assert [e.action for e in log] == ["authorize"]
+
     def test_reads_are_audited(self, enclave):
         with enclave.session("alice") as session:
             session.read("clinical")

@@ -143,17 +143,11 @@ class TestStreamingWrite:
     def test_injected_commit_fault_cleans_and_retry_heals(self, tmp_path, rng):
         # a torn rename leaves garbage under the shard's final name (and
         # no siblings); the retried write must atomically replace it
-        from repro.durability.fsfaults import (
-            DiskFaultInjector,
-            DiskFaultPoint,
-            activate,
-        )
+        from repro.durability.fsfaults import activate
+        from repro.faults import FaultInjector, FaultSpec
 
         columns = {"x": rng.normal(size=32)}
-        injector = DiskFaultInjector(
-            [DiskFaultPoint(kind="torn-rename", site="shard", index=0)]
-        )
-        with activate(injector):
+        with activate(FaultInjector(FaultSpec.parse("torn-rename=shard:0"))):
             with pytest.raises(OSError):
                 write_shard(columns, tmp_path / "s.rps")
             assert [p.name for p in tmp_path.iterdir()] == ["s.rps"]  # garbage

@@ -401,6 +401,17 @@ class TestFaultToleranceCLI:
         assert "fault tolerance" in out
         assert "fault injector (seed=7):" in out
         assert "retries spent:" in out
+        assert "never fired" not in out  # everything scheduled fired
+
+    def test_scheduled_points_that_never_fired_are_named(self, tmp_path, capsys):
+        code = main([
+            "run", "materials", "--workdir", str(tmp_path), "--retries", "2",
+            "--inject-faults", "eio=manifest:0+manifest:7,crash-at=stage:9:post",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fault injector (seed=0): disk-eio=1\n" in out
+        assert "scheduled but never fired: eio=manifest:7, crash-at=stage:9:post\n" in out
 
     def test_fault_counters_reach_telemetry_summary(self, chaos_run, capsys):
         _, _, trace_dir = chaos_run
@@ -416,6 +427,15 @@ class TestFaultToleranceCLI:
         ])
         assert code == 2
         assert "--inject-faults" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("poison-site=mapp#0[3]", "poison site must look like"),
+        ("crash-kill=1", "crash-kill needs a crash-at"),
+    ])
+    def test_a_spec_that_could_never_fire_is_a_usage_error(self, spec, message, tmp_path, capsys):
+        code = main(["run", "materials", "--workdir", str(tmp_path), "--inject-faults", spec])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_negative_retries_is_a_usage_error(self, tmp_path, capsys):
         code = main([
