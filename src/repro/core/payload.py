@@ -54,6 +54,11 @@ are hashed in one ``sha256`` call per node; and ``str`` / ``int`` leaves —
 dict keys and node ids repeat once per record — are memoised for the
 duration of one walk.  ``float`` is never memoised: ``-0.0 == 0.0`` and
 ``nan != nan``, so equality is the wrong key for a repr-based digest.
+
+The array digests are the expensive part of a walk, and a checkpoint
+commit needs them again for the same arrays; :func:`walk_payload` hands
+them out (``array_digests=``) into a dict the caller owns for the one
+call, so no array is hashed twice and the walker keeps no state of its own.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ __all__ = ["walk_payload", "fingerprint_payload", "payload_nbytes", "payload_ite
 
 #: (hex digest as ASCII bytes — ``None`` on a size-only walk, content bytes)
 _Result = Tuple[Optional[bytes], int]
-#: ``str`` / ``int`` leaf -> its result, for the duration of one walk
-_Memo = Dict[Any, _Result]
+#: ``str`` / ``int`` leaf -> its result, for the duration of one walk (plus,
+#: under :data:`_ARRAY_DIGESTS`, the caller's array-digest collector)
+_Memo = Dict[Any, Any]
 #: ``id()`` of every container / object on the current path -> its depth
 _OnPath = Dict[int, int]
 #: ``handler(obj, hashing, memo, visiting) -> _Result``
@@ -87,10 +93,21 @@ _MEMO_MAX = 4096
 _MEMO_MAX_STR = 64
 
 _MISSING = object()
+#: memo key of the walk's array-digest collector: no ``str`` / ``int`` leaf
+#: equals it, so the per-walk state stays one dict and one argument
+_ARRAY_DIGESTS = object()
 
 
-def walk_payload(payload: Any) -> Tuple[str, int, int]:
+def walk_payload(
+    payload: Any, array_digests: Optional[Dict[int, str]] = None
+) -> Tuple[str, int, int]:
     """``(fingerprint, nbytes, items)`` of *payload* from one traversal.
+
+    With *array_digests* (a dict the caller owns) the walk also records
+    ``id(array) -> fingerprint_array digest`` for every plain C-contiguous
+    ``ndarray`` it hashes — the arrays whose memory is exactly the bytes
+    that digest covers.  The ids are only meaningful while *payload* keeps
+    the arrays alive and unmodified: use the dict at once and drop it.
 
     Raises
     ------
@@ -99,7 +116,8 @@ def walk_payload(payload: Any) -> Tuple[str, int, int]:
         default ``object.__repr__`` (which embeds a memory address and
         would hash differently on every run).
     """
-    digest, nbytes = _node(payload, True, {}, {})
+    memo: _Memo = {} if array_digests is None else {_ARRAY_DIGESTS: array_digests}
+    digest, nbytes = _node(payload, True, memo, {})
     assert digest is not None
     return digest.decode("ascii"), nbytes, payload_items(payload)
 
@@ -250,9 +268,15 @@ def _mapping(obj: Any, hashing: bool, memo: _Memo, visiting: _OnPath) -> _Result
     return (_hex(b"map:%d" % len(obj) + b"".join(entries)), total)
 
 
-def _array(obj: Any, hashing: bool, memo: Any, visiting: Any) -> _Result:
+def _array(obj: Any, hashing: bool, memo: _Memo, visiting: Any) -> _Result:
     """Arrays, and NumPy scalars (hashed as the 1-element array they coerce to)."""
-    return (fingerprint_array(obj).encode("ascii") if hashing else None, int(obj.nbytes))
+    if not hashing:
+        return (None, int(obj.nbytes))
+    digest = fingerprint_array(obj)
+    collector = memo.get(_ARRAY_DIGESTS)
+    if collector is not None and type(obj) is np.ndarray and obj.flags.c_contiguous:
+        collector[id(obj)] = digest
+    return (digest.encode("ascii"), int(obj.nbytes))
 
 
 def _bytes(obj: Any, hashing: bool, memo: Any, visiting: Any) -> _Result:

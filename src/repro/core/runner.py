@@ -1112,7 +1112,10 @@ class PipelineRunner:
         """Record the completed stage everywhere, then commit it (snapshot +
         journal record, one call)."""
         stage, index = frame.stage, frame.index
-        out_fp, out_bytes, out_items = walk_payload(st.payload)
+        # the snapshot stores each array under the digest this walk computes
+        # for it anyway; collected only when there is a snapshot to write
+        array_digests: Optional[Dict[int, str]] = {} if self.checkpointer is not None else None
+        out_fp, out_bytes, out_items = walk_payload(st.payload, array_digests)
         self._publish(
             st, K.STAGE_COMPLETED, stage.name, index, seconds=frame.elapsed, fingerprint=out_fp,
             audit={"seconds": frame.elapsed, "output": out_fp[:12]},
@@ -1144,9 +1147,19 @@ class PipelineRunner:
                 detail=f"{frame.records_quarantined} record(s) quarantined",
             )
         if self.checkpointer is not None:
-            self.checkpointer.commit(
-                index, stage.name, st.fingerprint, out_fp, st.payload, st.context
-            )
+            try:
+                self.checkpointer.commit(
+                    index, stage.name, st.fingerprint, out_fp, st.payload, st.context,
+                    array_digests,
+                )
+            except Exception as exc:
+                # a full disk, a torn journal append, an artifact that does
+                # not pickle: the stage ran but is not committed
+                detail = f"checkpoint commit failed for stage {stage.name!r}: {exc}"
+                failure = PipelineError(detail, stage_name=stage.name, stage_index=index)
+                raise self._fail(
+                    st, failure, stage, index, detail=detail, span_error=detail
+                ) from exc
             st.recorder.count("journal_records_total", kind="stage-commit")
         st.fingerprint = out_fp
 

@@ -12,8 +12,9 @@ artifacts; this package is where that trust is earned.  Five pieces:
   (``run-begin`` / ``stage-commit`` with artifact digests /
   ``run-commit`` / ``recovery``), the one completed-stage table;
 * :mod:`repro.durability.checkpoint` — the checkpoint directory's one
-  owner: snapshot + journal record as a single stage commit, and the one
-  check that decides whether a committed snapshot can be trusted;
+  owner: snapshot (streamed from array memory, each distinct array once)
+  + journal record as a single stage commit, and the one check that
+  decides whether a committed snapshot can be trusted;
 * :mod:`repro.durability.fsfaults` — what the commit primitives need to
   run under chaos: the slot the run's one fault injector is installed
   in, the store-site registry, the typed schedule points (disk faults,
@@ -34,6 +35,7 @@ from repro.durability.atomic import (
     jsonl_line,
     read_jsonl,
     sha256_path,
+    staged_write,
 )
 from repro.durability.fsfaults import (
     CRASH_PHASES,
@@ -66,6 +68,7 @@ __all__ = [
     "jsonl_line",
     "read_jsonl",
     "sha256_path",
+    "staged_write",
     "CRASH_PHASES",
     "DISK_FAULT_KINDS",
     "CrashPoint",

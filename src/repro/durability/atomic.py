@@ -10,8 +10,11 @@ call the same functions:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` — whole-file
   commit: tmp + fsync + ``os.replace`` + dir fsync;
-* :func:`commit_file` — the same commit for callers (like the streaming
-  shard writer) that build their own temp file;
+* :func:`staged_write` — the same commit for a caller that *streams* the
+  file (the checkpoint snapshot): it yields the open ``.tmp`` sibling,
+  commits it on a clean exit and removes it on any failure;
+* :func:`commit_file` — the guarded fsync + rename + dir-fsync step
+  itself, for a temp file the caller already wrote;
 * :func:`append_jsonl_durable` — append-only logs: heal any torn tail
   left by a previous crash, append, fsync.
 
@@ -28,6 +31,7 @@ one primitive to guard means one place to inject.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -40,6 +44,7 @@ __all__ = [
     "fsync_path",
     "fsync_dir",
     "commit_file",
+    "staged_write",
     "atomic_write_bytes",
     "atomic_write_text",
     "jsonl_line",
@@ -97,24 +102,35 @@ def commit_file(tmp: PathLike, final: PathLike, *, site: str = "artifact") -> No
     fsync_dir(final.parent)
 
 
-def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -> Path:
-    """Commit *data* under *path* atomically and durably."""
+@contextlib.contextmanager
+def staged_write(path: PathLike, *, site: str = "artifact") -> Iterator[BinaryIO]:
+    """Stream a file into its ``.tmp`` sibling, then commit it over *path*.
+
+    Yields the open temp file; a clean exit closes it and runs
+    :func:`commit_file` (one guarded commit under *site*), any failure —
+    in the caller's writes or in the commit — removes the partial and
+    re-raises, so *path* only ever holds a complete file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
+            yield fh
         commit_file(tmp, path, site=site)
     except BaseException:
-        if tmp.exists():
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
         raise
-    return path
+
+
+def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -> Path:
+    """Commit *data* under *path* atomically and durably."""
+    with staged_write(path, site=site) as fh:
+        fh.write(data)
+    return Path(path)
 
 
 def atomic_write_text(

@@ -2,38 +2,72 @@
 
 Layout under the directory, known to this module only:
 
-* ``stage-NNN.pkl`` — one pickled snapshot per completed stage (payload +
+* ``stage-NNN.pkl`` — one snapshot per completed stage (payload +
   artifacts + evidence), committed through the atomic primitive;
 * ``journal.jsonl`` — the write-ahead :class:`RunJournal`, the **only**
   record of which stages are committed;
 * ``stage-NNN.pkl.quarantined`` — snapshots a resume refused, kept for
   post-mortem and never restored.
 
+A snapshot is one self-contained file, and it is not ``pickle.load``-able::
+
+    magic | skeleton length | table length | skeleton | blob table | blobs
+    |<---------------------------- head --------------------------->|
+
+The *skeleton* is a protocol-5 pickle of the stage state whose array
+buffers were handed out-of-band, so array memory never enters the pickle;
+the *blob table* (JSON) lists every **distinct** buffer once — its
+``fingerprint_array`` digest, the dtype + shape token that digest starts
+with, its byte length — and maps each out-of-band slot of the skeleton to
+a blob; the blobs follow, each written once, straight from the array's
+memory.  Two arrays with equal content share a stored blob (and restore as
+two independent arrays); arrays pickle cannot hand out — non-contiguous,
+object-dtype, ``ndarray`` subclasses — stay in-band in the skeleton.
+
 A stage commits as one operation (:meth:`RunCheckpointer.commit`): the
 snapshot lands first, then the journal's ``stage-commit`` record carrying
-the sha256 of the bytes that were written.  A snapshot without a record is
-uncommitted; a record whose snapshot no longer hashes to it is a torn
-commit.  Resume (:meth:`RunCheckpointer.load_verified`) and recovery
+the sha256 of the **head** as it was written.  Every byte of the file is
+covered by that digest or by a blob digest inside it, and a blob digest is
+the one the runner's payload walk already computed for the same array —
+commit hashes an array itself only when the walk did not see it.  A
+snapshot without a record is uncommitted; a record whose snapshot no
+longer verifies is a torn commit.  Resume
+(:meth:`RunCheckpointer.load_verified`) and recovery
 (:func:`repro.durability.recover.recover_run`) both read the
 completed-stage table from ``RunJournal.last_run()`` and both decide
 whether a committed snapshot can be trusted by calling
-:meth:`RunCheckpointer.verify`.
+:meth:`RunCheckpointer.verify` — one pass over the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import re
+import struct
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    BinaryIO,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.core.evidence import ReadinessEvidence
 from repro.core.payload import fingerprint_payload
-from repro.durability.atomic import atomic_write_bytes, sha256_path
-from repro.durability.journal import JOURNAL_NAME, RunJournal
+from repro.durability.atomic import staged_write
+from repro.durability.journal import JOURNAL_NAME, JOURNAL_SCHEMA, RunJournal
+from repro.provenance.record import array_header, fingerprint_array
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.plan import StagePlan
@@ -47,6 +81,12 @@ __all__ = [
 ]
 
 _SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.pkl$")
+
+_MAGIC = b"RPSNAP3\n"
+#: magic, skeleton length, blob-table length
+_FIXED = struct.Struct("<8sQQ")
+#: verification that keeps nothing reads a snapshot through one such block
+_BLOCK = 1 << 20
 
 
 class CheckpointError(RuntimeError):
@@ -72,7 +112,7 @@ class RunCheckpoint:
 class QuarantinedCheckpoint:
     """One checkpoint resume rejected and set aside instead of restoring.
 
-    The on-disk pickle (if any) is renamed to ``*.quarantined`` so it
+    The on-disk snapshot (if any) is renamed to ``*.quarantined`` so it
     stays available for post-mortem without ever being restored again.
     """
 
@@ -110,28 +150,31 @@ class RunCheckpointer:
         output_fingerprint: str,
         payload: Any,
         context: "PipelineContext",
+        array_digests: Optional[Mapping[int, str]] = None,
     ) -> None:
         """Commit one completed stage: snapshot, then its journal record.
 
-        The recorded checkpoint digest is taken over the bytes handed to
-        the atomic primitive, never read back from disk — whatever happens
-        to the file afterwards, the journal says what was committed.
+        *array_digests* is what ``walk_payload(payload, array_digests)``
+        collected for this very payload (``id(array)`` → digest): those
+        arrays are written without being hashed again.  A wrong entry
+        cannot restore wrong data — :meth:`verify` re-hashes every blob.
+
+        The recorded checkpoint digest is taken over the head bytes handed
+        to the atomic primitive, never read back from disk — whatever
+        happens to the file afterwards, the journal says what was committed.
         """
         # io.shards needs core.dataset, which is still mid-import when
         # this package first loads (core.dataset -> provenance -> here)
         from repro.io.shards import ShardManifest
 
-        data = pickle.dumps(
-            {
-                "payload": payload,
-                "artifacts": dict(context.artifacts),
-                "evidence": context.evidence,
-            }
-        )
-        # atomic + durable: a crash mid-write leaves a *.tmp sibling,
-        # never a torn snapshot under the restorable name
-        atomic_write_bytes(self.snapshot_path(index), data, site="checkpoint")
-        artifacts = {"checkpoint": hashlib.sha256(data).hexdigest()}
+        state = {
+            "payload": payload,
+            "artifacts": dict(context.artifacts),
+            "evidence": context.evidence,
+        }
+        artifacts = {
+            "checkpoint": _write_snapshot(self.snapshot_path(index), state, array_digests or {})
+        }
         manifest = context.artifacts.get("manifest")
         if isinstance(manifest, ShardManifest):
             artifacts["manifest"] = hashlib.sha256(
@@ -150,30 +193,29 @@ class RunCheckpointer:
     ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
         """The one trust decision for a journal-committed snapshot.
 
-        Returns ``(blob, reason)`` — one is None.  The file must hash to
-        the sha256 its ``stage-commit`` *record* carries; with *restore*
-        (resume wants the payload back) the unpickled payload must also
-        hash to the recorded ``output_fingerprint``.  Recovery, which only
-        decides what stays on disk, stops after the byte check and gets an
-        empty blob.
+        Returns ``(blob, reason)`` — one is None.  One pass over the file:
+        its head must hash to the sha256 the ``stage-commit`` *record*
+        carries, every blob to its entry in the head's table, and nothing
+        may follow the last blob; with *restore* (resume wants the payload
+        back) each blob is read straight into the buffer its array will
+        own, and the rebuilt payload must also hash to the recorded
+        ``output_fingerprint``.  Recovery, which only decides what stays on
+        disk, stops after the byte check and gets an empty blob.
         """
-        path = self.snapshot_path(int(record["index"]))
-        if not path.exists():
-            return None, "payload snapshot is missing"
         recorded = str((record.get("artifacts") or {}).get("checkpoint"))
-        actual = sha256_path(path)
-        if actual != recorded:
-            return None, (
-                f"checkpoint digest mismatch: committed sha256 {recorded[:12]}, "
-                f"file hashes to {actual[:12]}"
-            )
+        try:
+            with open(self.snapshot_path(int(record["index"])), "rb") as fh:
+                skeleton, buffers = _read_snapshot(fh, recorded, restore)
+        except FileNotFoundError:
+            return None, "payload snapshot is missing"
+        except CheckpointError as exc:
+            return None, str(exc)
         if not restore:
             return {}, None
         try:
-            with open(path, "rb") as fh:
-                blob = pickle.load(fh)
+            blob = pickle.loads(skeleton, buffers=buffers)
             payload = blob["payload"]
-        except Exception as exc:  # torn pickle, missing key, unpicklable
+        except Exception as exc:  # missing key, a class that no longer unpickles
             return None, f"payload snapshot is unreadable ({type(exc).__name__}: {exc})"
         fingerprint = fingerprint_payload(payload)
         if fingerprint != record["output_fingerprint"]:
@@ -196,8 +238,9 @@ class RunCheckpointer:
         no survivor the run starts fresh — ``(None, [quarantined...])``.
 
         Raises :class:`CheckpointError` for a directory written by a
-        different plan or by a release that kept a second ledger: those
-        are caller errors, not storage corruption.
+        different plan or by a release with another journal schema (its
+        snapshots are another format): those are caller errors, not
+        storage corruption, and nothing on disk is touched.
         """
         replay = self.journal.last_run()
         commits = replay.stage_commits
@@ -208,12 +251,14 @@ class RunCheckpointer:
                 f"checkpoint in {self.directory} was written by a different "
                 f"plan than {plan.name!r}; refusing to resume"
             )
-        if any("input_fingerprint" not in record for record in commits.values()):
+        schemas = {record.get("schema") for record in commits.values()}
+        if schemas != {JOURNAL_SCHEMA}:
+            found = ", ".join(sorted(str(s) for s in schemas - {JOURNAL_SCHEMA}))
             raise CheckpointError(
                 f"checkpoint in {self.directory} was written by an older release "
-                "(schema-1 journal: its stage commits carry no input_fingerprint, "
-                "that lived in run-state.json); refusing to resume — start the "
-                "run again without resume"
+                f"(journal schema {found}; this release reads schema "
+                f"{JOURNAL_SCHEMA}, whose stage commits name a different snapshot "
+                "format); refusing to resume — start the run again without resume"
             )
         quarantined: List[QuarantinedCheckpoint] = []
         for index in sorted(commits, reverse=True):
@@ -241,3 +286,130 @@ class RunCheckpointer:
                 quarantined,
             )
         return None, quarantined
+
+
+# ---------------------------------------------------------------------------
+# the snapshot file
+# ---------------------------------------------------------------------------
+
+
+def _write_snapshot(path: Path, state: Any, array_digests: Mapping[int, str]) -> str:
+    """Stream *state* into a snapshot at *path*; returns the head's sha256.
+
+    Atomic + durable (one guarded commit, site ``checkpoint``): a crash
+    mid-write leaves a ``*.tmp`` sibling, never a torn snapshot under the
+    restorable name.
+    """
+    buffers: List[pickle.PickleBuffer] = []
+    skeleton = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
+    blobs: Dict[Tuple[str, str], int] = {}
+    entries: List[Tuple[str, str, int]] = []
+    slots: List[int] = []
+    memory: List[memoryview] = []
+    for buffer in buffers:
+        raw = buffer.raw()
+        owner = raw.obj
+        if not isinstance(owner, np.ndarray):
+            owner = np.frombuffer(raw, dtype=np.uint8)
+        # NumPy exports an array itself, or the transpose of a Fortran-
+        # ordered one: either way *owner*'s C-order bytes are the buffer
+        # (a 0-d array fingerprints, and so is described, as shape (1,))
+        prefix = array_header(np.ascontiguousarray(owner)).decode("ascii")
+        key = (array_digests.get(id(owner)) or fingerprint_array(owner), prefix)
+        if key not in blobs:
+            blobs[key] = len(entries)
+            entries.append((*key, raw.nbytes))
+            memory.append(raw)
+        slots.append(blobs[key])
+    table = json.dumps({"blobs": entries, "slots": slots}).encode("ascii")
+    head = hashlib.sha256()
+    with staged_write(path, site="checkpoint") as fh:
+        for piece in (_FIXED.pack(_MAGIC, len(skeleton), len(table)), skeleton, table):
+            head.update(piece)
+            fh.write(piece)
+        for raw in memory:
+            fh.write(raw)
+    return head.hexdigest()
+
+
+def _hash_into(fh: BinaryIO, nbytes: int, digest: Any, buffer: bytearray) -> None:
+    """Feed the next *nbytes* of *fh* to *digest* by way of *buffer*: one
+    that large ends up holding them, a smaller one is reused block by block."""
+    view, at = memoryview(buffer), 0
+    while nbytes:
+        if at == len(buffer):
+            at = 0  # smaller than the region: start over at its front
+        got = fh.readinto(view[at : at + min(nbytes, len(buffer) - at)])
+        if not got:
+            break  # a short file: the digest will not match
+        digest.update(view[at : at + got])
+        at += got
+        nbytes -= got
+
+
+def _read_snapshot(
+    fh: BinaryIO, recorded: str, restore: bool
+) -> Tuple[bytearray, List[bytearray]]:
+    """Verify an open snapshot front to back; with *restore*, keep it.
+
+    Returns ``(skeleton, buffers)`` — one writable buffer per out-of-band
+    slot, ready for ``pickle.loads(skeleton, buffers=...)`` — or, without
+    *restore*, nothing, having held at most one block.  Raises
+    :class:`CheckpointError` (always a ``digest mismatch``) for a file
+    that is not, byte for byte, what the commit recorded.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    fixed = fh.read(_FIXED.size)
+    magic, skeleton_len, table_len = (
+        _FIXED.unpack(fixed) if len(fixed) == _FIXED.size else (b"", 0, 0)
+    )
+    head_len = _FIXED.size + skeleton_len + table_len
+    if magic != _MAGIC or head_len > size:
+        raise CheckpointError(
+            "checkpoint digest mismatch: the file does not begin with a complete "
+            "snapshot head"
+        )
+    block = bytearray(_BLOCK)
+
+    def take(nbytes: int, digest: Any) -> bytearray:
+        """Hash the next *nbytes*: for a restore read once, into memory of
+        their own (the restored array will own it); else through the block."""
+        buffer = bytearray(nbytes) if restore else block
+        _hash_into(fh, nbytes, digest, buffer)
+        return buffer
+
+    head = hashlib.sha256(fixed)
+    skeleton = take(skeleton_len, head)
+    table_bytes = fh.read(table_len)
+    head.update(table_bytes)
+    if head.hexdigest() != recorded:
+        raise CheckpointError(
+            f"checkpoint digest mismatch: committed sha256 {recorded[:12]}, "
+            f"snapshot head hashes to {head.hexdigest()[:12]}"
+        )
+    table = json.loads(table_bytes)
+    described = head_len + sum(nbytes for _, _, nbytes in table["blobs"])
+    if described != size:
+        raise CheckpointError(
+            f"checkpoint digest mismatch: the head describes a {described}-byte "
+            f"snapshot, the file holds {size}"
+        )
+    stored: List[bytearray] = []
+    for number, (want, prefix, nbytes) in enumerate(table["blobs"]):
+        digest = hashlib.sha256(prefix.encode("ascii"))
+        stored.append(take(nbytes, digest))
+        if digest.hexdigest() != want:
+            raise CheckpointError(
+                f"checkpoint digest mismatch: blob {number} ({nbytes} bytes) hashes "
+                f"to {digest.hexdigest()[:12]}, the snapshot's table says {want[:12]}"
+            )
+    if not restore:
+        return bytearray(), []
+    # slots that shared a stored blob were distinct arrays: each restores
+    # into memory of its own, the first into the buffer the blob was read to
+    taken = set()
+    buffers = []
+    for blob in table["slots"]:
+        buffers.append(bytearray(stored[blob]) if blob in taken else stored[blob])
+        taken.add(blob)
+    return skeleton, buffers

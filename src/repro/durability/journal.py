@@ -9,8 +9,9 @@ durable, fsync-disciplined record types are appended at run boundaries:
   backend, input fingerprint, and where it resumed from;
 * ``stage-commit`` — appended only *after* the stage's checkpoint hits
   disk, carrying the stage's input and output payload fingerprints and
-  content digests of the committed artifacts (checkpoint pickle, shard
-  manifest) so resume and recovery verify rather than trust;
+  content digests of the committed artifacts (the checkpoint snapshot's
+  head, the shard manifest) so resume and recovery verify rather than
+  trust;
 * ``run-commit`` — the run finished; everything is final;
 * ``recovery`` — the recovery scanner's verdict: the stage a resume may
   start from, and what it verified and discarded to get there.
@@ -37,6 +38,7 @@ from repro.durability.atomic import append_jsonl_durable, read_jsonl
 
 __all__ = [
     "JOURNAL_NAME",
+    "JOURNAL_SCHEMA",
     "KIND_RUN_BEGIN",
     "KIND_STAGE_COMMIT",
     "KIND_RUN_COMMIT",
@@ -47,6 +49,9 @@ __all__ = [
 ]
 
 JOURNAL_NAME = "journal.jsonl"
+#: bumped whenever a record's meaning changes; 3: a stage commit's
+#: ``checkpoint`` digest covers the snapshot's head, not the whole file
+JOURNAL_SCHEMA = 3
 
 KIND_RUN_BEGIN = "run-begin"
 KIND_STAGE_COMMIT = "stage-commit"
@@ -150,7 +155,7 @@ class RunJournal:
         self._append(KIND_RECOVERY, {"resume_index": resume_index, **report})
 
     def _append(self, kind: str, body: Mapping[str, object]) -> None:
-        record = {"schema": 2, "type": "journal", "kind": kind}
+        record = {"schema": JOURNAL_SCHEMA, "type": "journal", "kind": kind}
         record.update(body)
         append_jsonl_durable(self.path, [record], site="journal")
 

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "ProvenanceRecord",
     "contiguous_bytes",
+    "array_header",
     "fingerprint_array",
     "fingerprint_bytes",
     "fingerprint_params",
@@ -48,12 +49,16 @@ def contiguous_bytes(array: np.ndarray) -> Union[bytes, np.ndarray]:
     return array.reshape(-1).view(np.uint8)
 
 
+def array_header(array: np.ndarray) -> bytes:
+    """The dtype + shape token :func:`fingerprint_array` hashes ahead of a
+    C-contiguous array's bytes."""
+    return array.dtype.str.encode() + repr(array.shape).encode()
+
+
 def fingerprint_array(array: np.ndarray) -> str:
     """Content hash of one array (dtype + shape + bytes)."""
     array = np.ascontiguousarray(array)
-    digest = hashlib.sha256()
-    digest.update(array.dtype.str.encode())
-    digest.update(repr(array.shape).encode())
+    digest = hashlib.sha256(array_header(array))
     digest.update(contiguous_bytes(array))
     return digest.hexdigest()
 

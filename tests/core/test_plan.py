@@ -545,6 +545,26 @@ class TestDigestFormatIdentity:
             GOLDEN["dict-object"][1] == GOLDEN["dict-object-after-cached-property-read"][1]
         )
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_collecting_array_digests_changes_no_golden(self, name):
+        build, digest = GOLDEN[name]
+        assert walk_payload(build(), {})[0] == digest
+
+    def test_array_digests_cover_exactly_the_plain_c_contiguous_arrays(self):
+        plain = np.arange(12.0).reshape(3, 4)
+        fortran = np.asfortranarray(plain)
+        strided = plain[:, ::2]
+        payload = {"plain": plain, "again": [plain], "fortran": fortran, "strided": strided,
+                   "scalar": np.float64(2.0), "zero_d": np.array(1.5),
+                   "dataset": Dataset.from_arrays({"x": np.arange(3.0)})}
+        collected = {}
+        fingerprint = walk_payload(payload, collected)[0]
+        assert fingerprint == walk_payload(payload)[0]
+        assert collected == {
+            id(plain): fingerprint_array(plain),
+            id(payload["zero_d"]): fingerprint_array(payload["zero_d"]),
+        }
+
     def test_opaque_object_still_raises_inside_containers(self):
         with pytest.raises(TypeError, match="opaque"):
             fingerprint_payload({"deep": [1, (object(),)]})

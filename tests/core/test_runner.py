@@ -229,16 +229,13 @@ class TestCheckpointResume:
             )
 
     def test_corrupted_checkpoint_quarantined_on_resume(self, tmp_path):
-        import pickle
-
         runner = PipelineRunner(two_stage_plan(), checkpoint_dir=tmp_path)
         clean = runner.run(np.ones(2))
         blob_path = sorted(tmp_path.glob("stage-*.pkl"))[-1]
-        with open(blob_path, "rb") as fh:
-            blob = pickle.load(fh)
-        blob["payload"] = blob["payload"] + 99.0
-        with open(blob_path, "wb") as fh:
-            pickle.dump(blob, fh)
+        # the payload array's bytes are the snapshot's last blob: flip one
+        damaged = bytearray(blob_path.read_bytes())
+        damaged[-1] ^= 0x01
+        blob_path.write_bytes(bytes(damaged))
         # a resuming run quarantines it and falls back to stage 0
         run = runner.run(np.ones(2), resume=True)
         assert run.resumed_from == 0
@@ -306,38 +303,49 @@ class TestCheckpointResume:
         assert run.results[-1].output_fingerprint == clean.results[-1].output_fingerprint
 
     def test_parent_format_directory_refused(self, tmp_path):
-        # a checkpoint directory as the previous release wrote it: the
-        # completed-stage table in run-state.json, schema-1 stage commits
-        # without input_fingerprint in the journal
+        # a checkpoint directory as an earlier release wrote it — schema 1:
+        # the completed-stage table in run-state.json, stage commits without
+        # input_fingerprint; schema 2: one ledger already, but plain-pickle
+        # snapshots whose whole-file sha256 the journal recorded
+        import hashlib
         import json
+        import pickle
 
         plan = two_stage_plan()
-        (tmp_path / "run-state.json").write_text(json.dumps({
-            "pipeline": "p", "plan_fingerprint": plan.fingerprint(),
-            "completed": [{"index": 0, "stage": "a", "input_fingerprint": "i",
-                           "fingerprint": "o"}],
-        }))
-        (tmp_path / "stage-000.pkl").write_bytes(b"old snapshot")
-        with open(tmp_path / "journal.jsonl", "w") as fh:
-            for body in (
-                {"kind": "run-begin", "pipeline": "p", "backend": "serial",
-                 "plan_fingerprint": plan.fingerprint(),
-                 "payload_fingerprint": "i", "resume_index": 0},
-                {"kind": "stage-commit", "index": 0, "stage": "a",
-                 "output_fingerprint": "o", "artifacts": {"checkpoint": "d"}},
-            ):
-                fh.write(json.dumps({"schema": 1, "type": "journal", **body}) + "\n")
-        runner = PipelineRunner(plan, checkpoint_dir=tmp_path)
-        with pytest.raises(CheckpointError, match="older release.*run-state.json"):
-            runner.run(np.ones(2), resume=True)
-        # refused, not repaired: nothing was renamed, deleted or appended
-        assert (tmp_path / "stage-000.pkl").read_bytes() == b"old snapshot"
-        assert len((tmp_path / "journal.jsonl").read_text().splitlines()) == 2
-        # a fresh run over the same directory supersedes the old commits
-        run = runner.run(np.ones(2))
-        assert runner.checkpointer.journal.last_run().committed == [0, 1]
-        assert runner.run(np.ones(2), resume=True).resumed_from == 1
-        assert run.results[-1].output_fingerprint
+        old_snapshot = pickle.dumps({"payload": np.ones(2) * 2, "artifacts": {}, "evidence": None})
+        for schema in (1, 2):
+            directory = tmp_path / f"schema-{schema}"
+            directory.mkdir()
+            (directory / "stage-000.pkl").write_bytes(old_snapshot)
+            commit = {"kind": "stage-commit", "index": 0, "stage": "a", "output_fingerprint": "o",
+                      "artifacts": {"checkpoint": hashlib.sha256(old_snapshot).hexdigest()}}
+            if schema == 1:
+                (directory / "run-state.json").write_text(json.dumps({
+                    "pipeline": "p", "plan_fingerprint": plan.fingerprint(),
+                    "completed": [{"index": 0, "stage": "a", "input_fingerprint": "i",
+                                   "fingerprint": "o"}],
+                }))
+            else:
+                commit["input_fingerprint"] = "i"
+            with open(directory / "journal.jsonl", "w") as fh:
+                for body in (
+                    {"kind": "run-begin", "pipeline": "p", "backend": "serial",
+                     "plan_fingerprint": plan.fingerprint(),
+                     "payload_fingerprint": "i", "resume_index": 0},
+                    commit,
+                ):
+                    fh.write(json.dumps({"schema": schema, "type": "journal", **body}) + "\n")
+            runner = PipelineRunner(plan, checkpoint_dir=directory)
+            with pytest.raises(CheckpointError, match=f"older release.*journal schema {schema};"):
+                runner.run(np.ones(2), resume=True)
+            # refused, not repaired: nothing was renamed, deleted or appended
+            assert (directory / "stage-000.pkl").read_bytes() == old_snapshot
+            assert len((directory / "journal.jsonl").read_text().splitlines()) == 2
+            # a fresh run over the same directory supersedes the old commits
+            run = runner.run(np.ones(2))
+            assert runner.checkpointer.journal.last_run().committed == [0, 1]
+            assert runner.run(np.ones(2), resume=True).resumed_from == 1
+            assert run.results[-1].output_fingerprint
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []

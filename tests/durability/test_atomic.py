@@ -12,6 +12,7 @@ from repro.durability.atomic import (
     heal_torn_tail,
     read_jsonl,
     sha256_path,
+    staged_write,
 )
 from repro.durability.fsfaults import DiskFaultPoint, activate
 from repro.faults import FaultInjector, FaultSpec
@@ -29,6 +30,31 @@ class TestAtomicWrite:
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
         assert path.read_text() == "two"
+
+    def test_staged_write_streams_then_commits_once(self, tmp_path):
+        path = tmp_path / "deep" / "a.bin"
+        # a fault on the site's second guarded commit: one write = one commit
+        with activate(FaultInjector(FaultSpec.parse("eio=checkpoint:1"))):
+            with staged_write(path, site="checkpoint") as fh:
+                fh.write(b"one ")
+                fh.write(memoryview(b"two"))
+                assert not path.exists()  # nothing under the final name yet
+            assert path.read_bytes() == b"one two"
+            with pytest.raises(OSError):
+                with staged_write(path, site="checkpoint") as fh:
+                    fh.write(b"never lands")
+        assert path.read_bytes() == b"one two"
+        assert [p.name for p in path.parent.iterdir()] == ["a.bin"]
+
+    def test_staged_write_failure_removes_the_partial_and_keeps_the_old(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            with staged_write(path) as fh:
+                fh.write(b"half of the new")
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
     def test_commit_file_replaces_and_consumes_tmp(self, tmp_path):
         tmp = tmp_path / "x.tmp"

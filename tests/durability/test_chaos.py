@@ -6,8 +6,11 @@ shards and a manifest **bitwise identical** to an uninterrupted run.
 The reference is always the strictest one: a clean serial run.
 """
 
+import errno
+
 import pytest
 
+from repro.core.plan import PipelineError
 from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
@@ -185,7 +188,9 @@ class TestKilledWithDiskFaultsUnderneath:
         injector = FaultInjector(
             FaultSpec.parse("eio=journal:3,crash-at=stage:3:post")
         )
-        with pytest.raises((SimulatedCrash, OSError)):
+        # a failed commit is a failed run (the OSError is its cause), and
+        # it ends the run before the scheduled kill is ever reached
+        with pytest.raises(PipelineError, match="checkpoint commit failed") as info:
             ClimateArchetype(seed=21, **KWARGS).run(
                 work_dir,
                 backend="serial",
@@ -193,6 +198,7 @@ class TestKilledWithDiskFaultsUnderneath:
                 fault_injector=injector,
                 retry_policy=RetryPolicy(max_attempts=3, seed=7),
             )
+        assert info.value.__cause__.errno == errno.EIO
         report = recover_run(ckpt, shards_dir=work_dir / "shards")
         resumed, _ = _run(
             work_dir, ckpt=ckpt, resume=True, recovery_report=report
@@ -213,8 +219,9 @@ class TestOneLedger:
         # the journal says [0, 1], a snapshot for 2 sits on disk
         clean_result, clean_shards = clean_reference()
         work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
-        with pytest.raises(OSError):
+        with pytest.raises(PipelineError) as info:
             _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post")
+        assert info.value.__cause__.errno == errno.EIO
         checkpointer = RunCheckpointer(ckpt)
         assert checkpointer.journal.last_run().committed == [0, 1]
         assert sorted(checkpointer.snapshots()) == [0, 1, 2]

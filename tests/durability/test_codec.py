@@ -6,7 +6,9 @@ from it.  ``goldens/store-lines.json`` was generated at d92d17b — the last
 commit with four hand-copied line encoders and three read loops — by
 running this file as a script, so it pins the shared codec in
 ``repro.durability.atomic`` to the bytes each copy wrote.  Never regenerate
-it to make a test pass.
+it to make a test pass.  (One hand edit since: the ``journal`` scenario's
+``"schema": 2`` became ``3`` when the snapshot format changed — a record's
+content, not its encoding.)
 """
 
 import json

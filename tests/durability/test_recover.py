@@ -1,24 +1,42 @@
 """The recovery scanner: discard the uncommitted, keep the proven."""
 
+import errno
+
+import numpy as np
 import pytest
 
-from repro.durability.atomic import sha256_path
+from repro.core.dataset import Schema
+from repro.core.payload import fingerprint_payload
+from repro.core.plan import PipelineError
+from repro.core.runner import PipelineContext
+from repro.durability.checkpoint import RunCheckpointer
 from repro.durability.journal import JOURNAL_NAME, RunJournal
 from repro.durability.recover import MANIFEST_NAME, recover_run
+from repro.io.shards import ShardManifest
 from repro.obs import Telemetry
 
 
 def _snapshot(ckpt, index, data=None):
+    """Bytes under a snapshot's name that no commit wrote."""
     path = ckpt / f"stage-{index:03d}.pkl"
     path.write_bytes(data if data is not None else f"snapshot-{index}".encode())
     return path
 
 
+def _commit(checkpointer, index, **artifacts):
+    """Commit stage *index* honestly: a real snapshot, then its record."""
+    payload = np.arange(4.0) + index
+    context = PipelineContext(agent="p")
+    context.artifacts.update(artifacts)
+    checkpointer.commit(
+        index, f"s{index}", f"fp{index - 1}", fingerprint_payload(payload), payload, context
+    )
+
+
 def _committed_run(ckpt, n_stages):
     """A checkpoint dir where every stage committed honestly."""
-    ckpt.mkdir(parents=True, exist_ok=True)
-    journal = RunJournal(ckpt / JOURNAL_NAME)
-    journal.begin(
+    checkpointer = RunCheckpointer(ckpt)
+    checkpointer.journal.begin(
         pipeline="p",
         plan_fingerprint="plan-abc",
         backend="serial",
@@ -26,14 +44,8 @@ def _committed_run(ckpt, n_stages):
         resume_index=0,
     )
     for i in range(n_stages):
-        snapshot = _snapshot(ckpt, i)
-        journal.commit_stage(
-            index=i,
-            stage=f"s{i}",
-            output_fingerprint=f"fp{i}",
-            artifacts={"checkpoint": sha256_path(snapshot)},
-        )
-    return journal
+        _commit(checkpointer, i)
+    return checkpointer.journal
 
 
 class TestPartialSweep:
@@ -102,6 +114,24 @@ class TestJournalReplay:
         assert sorted(verdict["stages_discarded"]) == [1, 2]
         assert journal.last_run().committed == [0]
 
+    def test_plain_pickle_snapshot_discarded_even_if_its_sha256_matches(self, tmp_path):
+        # the previous release's snapshots were plain pickles under the same
+        # name, recorded by whole-file sha256: recovery must not trust one
+        import hashlib
+        import pickle
+
+        ckpt = tmp_path / "ckpt"
+        journal = _committed_run(ckpt, 1)
+        old = pickle.dumps({"payload": np.ones(2), "artifacts": {}, "evidence": None})
+        _snapshot(ckpt, 1, old)
+        journal.commit_stage(
+            index=1, stage="s1", input_fingerprint="i", output_fingerprint="o",
+            artifacts={"checkpoint": hashlib.sha256(old).hexdigest()},
+        )
+        report = recover_run(ckpt)
+        assert report.stages_committed == [0] and report.stages_discarded == [1]
+        assert any("digest mismatch" in note for note in report.notes)
+
     def test_fully_committed_run_passes_verification(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         journal = _committed_run(ckpt, 3)
@@ -116,25 +146,17 @@ class TestJournalReplay:
         ckpt = tmp_path / "ckpt"
         shards = tmp_path / "shards"
         shards.mkdir()
-        (shards / MANIFEST_NAME).write_text('{"shards": []}')
-        ckpt.mkdir()
-        snapshot = _snapshot(ckpt, 0)
-        journal = RunJournal(ckpt / JOURNAL_NAME)
-        journal.begin(
+        manifest = ShardManifest("d", Schema([]), {})
+        (shards / MANIFEST_NAME).write_text(manifest.to_json())
+        checkpointer = RunCheckpointer(ckpt)
+        checkpointer.journal.begin(
             pipeline="p",
             plan_fingerprint="plan-abc",
             backend="serial",
             payload_fingerprint="fp-in",
         )
-        journal.commit_stage(
-            index=0,
-            stage="shard",
-            output_fingerprint="fp0",
-            artifacts={
-                "checkpoint": sha256_path(snapshot),
-                "manifest": sha256_path(shards / MANIFEST_NAME),
-            },
-        )
+        _commit(checkpointer, 0, manifest=manifest)
+        assert "manifest" in checkpointer.journal.last_run().stage_commits[0]["artifacts"]
         assert recover_run(ckpt, shards_dir=shards).stages_committed == [0]
         # now the manifest is torn: the recorded digest no longer matches
         (shards / MANIFEST_NAME).write_text('{"shards"')
@@ -190,13 +212,14 @@ class TestResumeAfterEnospc:
 
         ckpt = tmp_path / "ckpt"
         injector = FaultInjector(FaultSpec.parse("enospc=checkpoint:2"))
-        with pytest.raises(OSError):
+        with pytest.raises(PipelineError) as info:
             ClimateArchetype(seed=21, **kwargs).run(
                 tmp_path / "chaos",
                 backend="serial",
                 checkpoint_dir=ckpt,
                 fault_injector=injector,
             )
+        assert info.value.__cause__.errno == errno.ENOSPC
         assert injector.counts() == {"disk-enospc": 1}
 
         report = recover_run(ckpt, shards_dir=tmp_path / "chaos" / "shards")
