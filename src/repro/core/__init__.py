@@ -7,9 +7,7 @@ from repro.core.levels import (
     DOMAIN_STAGE_VERBS,
     DataProcessingStage,
     DataReadinessLevel,
-    minimum_level_for_stage,
     stage_applicable,
-    stages_for_level,
 )
 from repro.core.dataset import (
     Dataset,
@@ -66,15 +64,13 @@ from repro.core.templates import (
     StageTemplate,
     TemplatedPipelineBuilder,
     builtin_template,
-    register_template,
 )
 from repro.core.crosswalk import crosswalk_report, to_metric_clusters, to_noaa_maturity
 from repro.core.principles import PrincipleScorecard, evaluate_principles
 
 __all__ = [
     "CANONICAL_PIPELINE", "DOMAIN_STAGE_VERBS", "DataProcessingStage",
-    "DataReadinessLevel", "minimum_level_for_stage", "stage_applicable",
-    "stages_for_level",
+    "DataReadinessLevel", "stage_applicable",
     "Dataset", "DatasetMetadata", "FieldRole", "FieldSpec", "Modality",
     "Schema", "SchemaError",
     "EvidenceKind", "EvidenceItem", "ReadinessEvidence",
@@ -91,7 +87,7 @@ __all__ = [
     "FeedbackRule", "holdout_accuracy_evaluator",
     "ArchetypeEntry", "ArchetypeRegistry", "default_registry",
     "BUILTIN_TEMPLATES", "DomainTemplate", "StageTemplate",
-    "TemplatedPipelineBuilder", "builtin_template", "register_template",
+    "TemplatedPipelineBuilder", "builtin_template",
     "crosswalk_report", "to_metric_clusters", "to_noaa_maturity",
     "PrincipleScorecard", "evaluate_principles",
 ]

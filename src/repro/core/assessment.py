@@ -72,10 +72,6 @@ class StageAssessment:
     missing_for_next: List[EvidenceKind]
     notes: List[str]
 
-    @property
-    def at_max(self) -> bool:
-        return self.level is DataReadinessLevel.AI_READY
-
 
 @dataclasses.dataclass(frozen=True)
 class ReadinessAssessment:

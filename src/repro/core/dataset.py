@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -214,10 +214,6 @@ class Schema:
         gone = set(names)
         return Schema(f for f in self if f.name not in gone)
 
-    def select(self, names: Sequence[str]) -> "Schema":
-        """Return a new schema with only the named fields, in given order."""
-        return Schema(self[n] for n in names)
-
 
 @dataclasses.dataclass
 class DatasetMetadata:
@@ -231,15 +227,6 @@ class DatasetMetadata:
     license: str = "unspecified"
     modality: Modality = Modality.TABULAR
     extra: Dict[str, object] = dataclasses.field(default_factory=dict)
-
-    def evolve(self, **changes: object) -> "DatasetMetadata":
-        meta = dataclasses.replace(self, extra=dict(self.extra))
-        for key, value in changes.items():
-            if hasattr(meta, key) and key != "extra":
-                setattr(meta, key, value)
-            else:
-                meta.extra[key] = value
-        return meta
 
 
 class Dataset:
@@ -351,10 +338,6 @@ class Dataset:
         cols = {k: v for k, v in self._columns.items() if k not in set(names)}
         return Dataset(cols, self.schema.drop(*names), self.metadata)
 
-    def select_columns(self, names: Sequence[str]) -> "Dataset":
-        cols = {n: self[n] for n in names}
-        return Dataset(cols, self.schema.select(names), self.metadata)
-
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset/reorder by integer indices (or boolean mask)."""
         indices = np.asarray(indices)
@@ -367,26 +350,6 @@ class Dataset:
 
     def head(self, n: int) -> "Dataset":
         return self.take(np.arange(min(n, self._n)))
-
-    def with_metadata(self, **changes: object) -> "Dataset":
-        return Dataset(
-            self._columns, self.schema, self.metadata.evolve(**changes), validate=False
-        )
-
-    @staticmethod
-    def concat(datasets: Sequence["Dataset"]) -> "Dataset":
-        """Concatenate along the sample axis; schemas must match exactly."""
-        if not datasets:
-            raise ValueError("concat of zero datasets")
-        first = datasets[0]
-        for other in datasets[1:]:
-            if other.schema != first.schema:
-                raise SchemaError("cannot concat datasets with differing schemas")
-        cols = {
-            name: np.concatenate([d[name] for d in datasets], axis=0)
-            for name in first.schema.names
-        }
-        return Dataset(cols, first.schema, first.metadata, validate=False)
 
     # -- features / labels convenience -----------------------------------------
     def feature_matrix(self, dtype: np.dtype = np.float64) -> np.ndarray:

@@ -196,9 +196,6 @@ class ReadinessEvidence:
         value = item.metrics.get(key)
         return None if value is None else float(value)
 
-    def for_stage(self, stage: DataProcessingStage) -> List[EvidenceItem]:
-        return [item for item in self._items if item.kind.stage is stage]
-
     def kinds(self) -> List[EvidenceKind]:
         """Distinct kinds present, in first-recorded order."""
         seen: Dict[EvidenceKind, None] = {}
@@ -208,30 +205,3 @@ class ReadinessEvidence:
 
     def copy(self) -> "ReadinessEvidence":
         return ReadinessEvidence(list(self._items))
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        """JSON-serializable dump, for provenance stores and reports."""
-        return [
-            {
-                "kind": item.kind.name,
-                "detail": item.detail,
-                "metrics": dict(item.metrics),
-                "recorded_by": item.recorded_by,
-                "timestamp": item.timestamp,
-            }
-            for item in self._items
-        ]
-
-    @classmethod
-    def from_dicts(cls, rows: List[Mapping[str, object]]) -> "ReadinessEvidence":
-        items = [
-            EvidenceItem(
-                kind=EvidenceKind[str(row["kind"])],
-                detail=str(row.get("detail", "")),
-                metrics={k: float(v) for k, v in dict(row.get("metrics", {})).items()},
-                recorded_by=str(row.get("recorded_by", "")),
-                timestamp=float(row.get("timestamp", 0.0)),
-            )
-            for row in rows
-        ]
-        return cls(items)

@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.dataset import Dataset
 
 __all__ = [
-    "EvaluationResult",
     "FeedbackRule",
     "FeedbackIteration",
     "FeedbackHistory",
@@ -34,14 +33,6 @@ __all__ = [
 Evaluator = Callable[[Dataset], Dict[str, float]]
 #: a refiner maps a dataset to an improved dataset
 Refiner = Callable[[Dataset], Dataset]
-
-
-@dataclasses.dataclass(frozen=True)
-class EvaluationResult:
-    metrics: Dict[str, float]
-
-    def __getitem__(self, key: str) -> float:
-        return self.metrics[key]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,17 +59,6 @@ class FeedbackIteration:
 class FeedbackHistory:
     iterations: List[FeedbackIteration]
     final_dataset: Dataset
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.iterations)
-
-    def metric_series(self, key: str) -> List[float]:
-        return [it.metrics.get(key, float("nan")) for it in self.iterations]
-
-    def converged(self) -> bool:
-        """True when the final iteration triggered no refinement."""
-        return bool(self.iterations) and not self.iterations[-1].triggered_rules
 
 
 class FeedbackController:

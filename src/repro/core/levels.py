@@ -18,7 +18,7 @@ table can be regenerated verbatim by :mod:`repro.core.matrix`.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 class DataReadinessLevel(enum.IntEnum):
@@ -44,19 +44,6 @@ class DataReadinessLevel(enum.IntEnum):
     def description(self) -> str:
         """One-line summary of what the level certifies."""
         return _LEVEL_DESCRIPTIONS[self]
-
-    @classmethod
-    def from_label(cls, label: str) -> "DataReadinessLevel":
-        """Parse a level from its label (case-insensitive, ``-``/``_`` agnostic)."""
-        norm = label.strip().lower().replace("-", " ").replace("_", " ")
-        for level, text in _LEVEL_LABELS.items():
-            if text.lower().replace("-", " ") == norm:
-                return level
-        # Accept bare enum names too ("raw", "ai ready").
-        for level in cls:
-            if level.name.lower().replace("_", " ") == norm:
-                return level
-        raise ValueError(f"unknown readiness level label: {label!r}")
 
 
 class DataProcessingStage(enum.IntEnum):
@@ -202,16 +189,6 @@ def stage_applicable(
     Shard column only becomes meaningful at level 5 (Fully AI-ready).
     """
     return int(stage) <= int(level)
-
-
-def stages_for_level(level: DataReadinessLevel) -> List[DataProcessingStage]:
-    """All processing stages that apply at *level*, in pipeline order."""
-    return [s for s in DataProcessingStage if stage_applicable(level, s)]
-
-
-def minimum_level_for_stage(stage: DataProcessingStage) -> DataReadinessLevel:
-    """The lowest readiness level at which *stage* becomes applicable."""
-    return DataReadinessLevel(int(stage))
 
 
 #: Canonical order of the abstracted workflow, for display and validation.

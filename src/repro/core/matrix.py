@@ -100,30 +100,6 @@ class MaturityMatrix:
                 cells[(level, stage)] = MatrixCell(level, stage, status, text)
         return cls(cells)
 
-    # -- queries ----------------------------------------------------------------
-    def achieved_levels(self) -> Dict[DataProcessingStage, DataReadinessLevel]:
-        """Highest achieved level per stage (RAW when nothing achieved)."""
-        out: Dict[DataProcessingStage, DataReadinessLevel] = {}
-        for stage in DataProcessingStage:
-            best = DataReadinessLevel.RAW
-            for level in DataReadinessLevel:
-                cell = self._cells[(level, stage)]
-                if cell.status is CellStatus.ACHIEVED:
-                    best = level
-            out[stage] = best
-        return out
-
-    def frontier(self) -> List[MatrixCell]:
-        """The lowest PENDING cell in each stage column — the work queue."""
-        cells: List[MatrixCell] = []
-        for stage in DataProcessingStage:
-            for level in DataReadinessLevel:
-                cell = self._cells[(level, stage)]
-                if cell.status is CellStatus.PENDING:
-                    cells.append(cell)
-                    break
-        return cells
-
     # -- rendering ----------------------------------------------------------------
     @staticmethod
     def _wrap(text: str, width: int) -> List[str]:

@@ -199,13 +199,6 @@ class StagePlan:
                 return i
         raise KeyError(f"plan {self.name!r} has no stage {stage_name!r}")
 
-    def processing_stages(self) -> List[DataProcessingStage]:
-        """Distinct canonical stages covered, in order."""
-        seen: Dict[DataProcessingStage, None] = {}
-        for stage in self.stages:
-            seen.setdefault(stage.processing_stage)
-        return list(seen)
-
     def fingerprint(self) -> str:
         """Stable identity of the plan's *shape*: names, tags, hints, params.
 

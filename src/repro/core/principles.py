@@ -118,8 +118,8 @@ def evaluate_principles(
             and evidence.has(EvidenceKind.METADATA_ENRICHED),
             signals=signals,
             recommendation=(
-                "export through a schema-carrying container (shard set with "
-                "manifest, or export_dataset) and record metadata evidence"
+                "write a shard set whose manifest carries the schema "
+                "(ctx.backend.shard_write) and record metadata evidence"
             ),
         )
     )

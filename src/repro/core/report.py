@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["render_table", "render_kv", "section", "format_bytes", "format_seconds"]
+__all__ = ["render_table", "section", "format_bytes", "format_seconds"]
 
 
 def render_table(
@@ -32,15 +32,6 @@ def render_table(
     lines = [fmt_row(list(headers)), fmt_row(["-" * w for w in widths])]
     lines.extend(fmt_row(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def render_kv(pairs: Sequence[tuple], indent: int = 2) -> str:
-    """Aligned key: value block."""
-    if not pairs:
-        return ""
-    key_width = max(len(str(k)) for k, _ in pairs)
-    pad = " " * indent
-    return "\n".join(f"{pad}{str(k):<{key_width}} : {v}" for k, v in pairs)
 
 
 def section(title: str, *, char: str = "=") -> str:

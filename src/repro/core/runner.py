@@ -1223,10 +1223,6 @@ class Pipeline:
     def stage_names(self) -> List[str]:
         return self.plan.stage_names
 
-    def processing_stages(self) -> List[DataProcessingStage]:
-        """Distinct canonical stages covered, in order."""
-        return self.plan.processing_stages()
-
     def describe(self) -> str:
         return self.plan.describe()
 

@@ -45,7 +45,6 @@ __all__ = [
     "TemplatedPipelineBuilder",
     "BUILTIN_TEMPLATES",
     "builtin_template",
-    "register_template",
     "registered_templates",
 ]
 
@@ -337,8 +336,6 @@ BUILTIN_TEMPLATES: Dict[str, DomainTemplate] = {
     domain: _build_builtin(domain) for domain in _DOMAIN_OPERATIONS
 }
 
-_REGISTRY: Dict[str, DomainTemplate] = dict(BUILTIN_TEMPLATES)
-
 
 def builtin_template(domain: str) -> DomainTemplate:
     """One of the four Table 1 templates."""
@@ -350,14 +347,5 @@ def builtin_template(domain: str) -> DomainTemplate:
         ) from None
 
 
-def register_template(template: DomainTemplate, *, overwrite: bool = False) -> None:
-    """Add a new domain template to the registry."""
-    if template.domain in _REGISTRY and not overwrite:
-        raise TemplateError(
-            f"template {template.domain!r} already registered (pass overwrite=True)"
-        )
-    _REGISTRY[template.domain] = template
-
-
 def registered_templates() -> List[str]:
-    return sorted(_REGISTRY)
+    return sorted(BUILTIN_TEMPLATES)

@@ -1,11 +1,6 @@
 """Climate archetype: download -> regrid -> normalize -> shard."""
 
 from repro.domains.climate.pipeline import ClimateArchetype, GriddedSource
-from repro.domains.climate.patches import (
-    PatchSpec,
-    extract_patches,
-    reassemble_patches,
-)
 from repro.domains.climate.synthetic import (
     ClimateSourceConfig,
     generate_model_dataset,
@@ -13,9 +8,6 @@ from repro.domains.climate.synthetic import (
 )
 
 __all__ = [
-    "PatchSpec",
-    "extract_patches",
-    "reassemble_patches",
     "ClimateArchetype",
     "GriddedSource",
     "ClimateSourceConfig",

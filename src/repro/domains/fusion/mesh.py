@@ -85,9 +85,6 @@ class TriangularMesh:
             - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
         )
 
-    def total_area(self) -> float:
-        return float(np.abs(self._signed_areas()).sum())
-
     def bounds(self) -> Tuple[float, float, float, float]:
         """(r_min, r_max, z_min, z_max)."""
         return (

@@ -60,9 +60,6 @@ class ShotTreeStore:
             int(p.stem.split("_")[1]) for p in self.directory.glob("shot_*.h5l")
         )
 
-    def has_shot(self, shot: int) -> bool:
-        return self._path(shot).exists()
-
     def signal_names(self, shot: int) -> List[str]:
         """Diagnostic nodes present in a shot (sparse shots differ!)."""
         with self._open(shot) as fh:

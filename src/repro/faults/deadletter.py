@@ -92,12 +92,6 @@ class DeadLetterLog:
     def records(self) -> List[DeadLetterRecord]:
         return list(self._records)
 
-    def for_stage(self, stage_name: str) -> List[DeadLetterRecord]:
-        return [r for r in self._records if r.stage_name == stage_name]
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [r.to_dict() for r in self._records]
-
     def render(self) -> str:
         """One aligned line per dead letter (the CLI fault report body)."""
         if not self._records:

@@ -195,9 +195,6 @@ class FaultSpec:
             raise ValueError("crash-kill needs a crash-at=stage:N:pre|post to apply to")
         return cls(disk_faults=tuple(disk_faults), **kwargs)
 
-    def to_dict(self) -> Dict[str, object]:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class InjectedFault:
@@ -216,15 +213,10 @@ class FaultInjector:
 
     def __init__(
         self,
-        spec: Optional[FaultSpec] = None,
+        spec: FaultSpec,
         *,
         clock: Optional[Clock] = None,
-        **overrides: Any,
     ):
-        if spec is None:
-            spec = FaultSpec(**overrides)
-        elif overrides:
-            spec = dataclasses.replace(spec, **overrides)
         self.spec = spec
         #: sleeps for injected slow tasks go through this (virtual in tests)
         self.clock = clock or SystemClock()

@@ -159,9 +159,6 @@ class AuditLog:
     def events_for(self, subject: str) -> List[AuditEvent]:
         return [e for e in self._events if e.subject == subject]
 
-    def actions_by(self, actor: str) -> List[AuditEvent]:
-        return [e for e in self._events if e.actor == actor]
-
     def verify(self) -> bool:
         """Walk the chain; raise :class:`AuditError` on any break."""
         prev = _GENESIS

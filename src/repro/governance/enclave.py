@@ -181,11 +181,6 @@ class SecureEnclave:
     def holdings(self) -> List[str]:
         return sorted(self._store)
 
-    def raw_blob(self, name: str, column: str) -> bytes:
-        """The sealed ciphertext — what an attacker with disk access sees."""
-        entry = self._entry(name)
-        return entry.column_blobs[column]
-
     # -- gated access -------------------------------------------------------------------
     def session(self, user: str) -> EnclaveSession:
         """Open an audited session; denied users never get a handle."""

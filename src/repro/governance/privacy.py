@@ -164,10 +164,6 @@ class PrivacyScanner:
             seen.setdefault((finding.column, finding.category), finding)
         return sorted(seen.values(), key=lambda f: (f.column, f.category))
 
-    def sensitive_columns(self, dataset: Dataset) -> List[str]:
-        """Distinct columns with at least one finding."""
-        return sorted({f.column for f in self.scan(dataset)})
-
     def is_clean(self, dataset: Dataset) -> bool:
         """True when no detector fires — required for secure release."""
         return not self.scan(dataset)

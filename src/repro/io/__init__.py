@@ -10,16 +10,14 @@ Formats provided (see DESIGN.md for the substitution rationale):
 * :mod:`repro.io.grib` — packed/encoded gridded source format
 """
 
-from repro.io.compression import available_codecs, get_codec
+from repro.io.compression import get_codec
 from repro.io.chunking import (
     ChunkPlan,
-    plan_balanced_shards,
     plan_shards_by_bytes,
     plan_shards_by_count,
     read_balance,
 )
 from repro.io.serialization import pack_array, unpack_array
-from repro.io.dataset_io import export_dataset, import_dataset
 from repro.io.stream import ShardStreamer
 from repro.io.shards import (
     ShardManifest,
@@ -30,15 +28,11 @@ from repro.io.shards import (
 )
 
 __all__ = [
-    "available_codecs",
     "get_codec",
     "ChunkPlan",
-    "plan_balanced_shards",
     "plan_shards_by_bytes",
     "plan_shards_by_count",
     "read_balance",
-    "export_dataset",
-    "import_dataset",
     "ShardStreamer",
     "pack_array",
     "unpack_array",

@@ -11,16 +11,12 @@ benchmarks, and the parallel-FS simulator all agree on layouts.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Iterator, List, Sequence, Tuple
 
 __all__ = [
     "ChunkPlan",
     "plan_shards_by_count",
     "plan_shards_by_bytes",
-    "plan_balanced_shards",
-    "chunk_grid",
-    "iter_chunk_slices",
     "read_balance",
 ]
 
@@ -103,76 +99,6 @@ def plan_shards_by_bytes(
     n_shards = max(1, round(total / target_shard_bytes))
     n_shards = min(n_shards, max(1, n_samples))
     return plan_shards_by_count(n_samples, n_shards)
-
-
-def plan_balanced_shards(
-    sample_bytes: Sequence[int], n_shards: int
-) -> ChunkPlan:
-    """Contiguous partition balanced by *byte* weight, not sample count.
-
-    For skewed records (variable-length fusion windows serialized with
-    per-sample metadata) equal-count shards can be badly byte-imbalanced.
-    A simple linear sweep targets ``total/n_shards`` bytes per shard, which
-    for contiguous partitions is within one sample of optimal.
-    """
-    n = len(sample_bytes)
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    total = sum(int(b) for b in sample_bytes)
-    target = total / n_shards if n_shards else 0
-    boundaries = [0]
-    acc = 0
-    for i, size in enumerate(sample_bytes):
-        acc += int(size)
-        # close the current shard when it reached its target, unless doing so
-        # would leave fewer samples than shards still to fill
-        shards_left = n_shards - len(boundaries)
-        samples_left = n - (i + 1)
-        if (
-            len(boundaries) < n_shards
-            and acc >= target * len(boundaries)
-            and samples_left >= shards_left
-        ):
-            boundaries.append(i + 1)
-    while len(boundaries) < n_shards:
-        boundaries.append(boundaries[-1])
-    boundaries.append(n)
-    return ChunkPlan(n_samples=n, boundaries=tuple(boundaries))
-
-
-def chunk_grid(shape: Sequence[int], chunk_shape: Sequence[int]) -> List[Tuple[slice, ...]]:
-    """All chunk slices of an N-D array cut by *chunk_shape*.
-
-    Edge chunks are clipped to the array bounds.  Chunks are emitted in
-    C order (last axis fastest) to match on-disk layout.
-    """
-    if len(shape) != len(chunk_shape):
-        raise ValueError("shape and chunk_shape rank mismatch")
-    if any(c <= 0 for c in chunk_shape):
-        raise ValueError("chunk_shape entries must be positive")
-    counts = [math.ceil(s / c) if s else 0 for s, c in zip(shape, chunk_shape)]
-    grid: List[Tuple[slice, ...]] = []
-
-    def rec(axis: int, prefix: Tuple[slice, ...]) -> None:
-        if axis == len(shape):
-            grid.append(prefix)
-            return
-        for i in range(counts[axis]):
-            start = i * chunk_shape[axis]
-            stop = min(start + chunk_shape[axis], shape[axis])
-            rec(axis + 1, prefix + (slice(start, stop),))
-
-    if all(counts):
-        rec(0, ())
-    return grid
-
-
-def iter_chunk_slices(n: int, chunk: int) -> Iterator[slice]:
-    """1-D chunk slices covering ``range(n)``."""
-    if chunk <= 0:
-        raise ValueError("chunk must be positive")
-    for start in range(0, n, chunk):
-        yield slice(start, min(start + chunk, n))
 
 
 def read_balance(shard_bytes: Sequence[int], n_readers: int) -> float:

@@ -20,7 +20,6 @@ __all__ = [
     "LzmaCodec",
     "get_codec",
     "codec_from_id",
-    "available_codecs",
     "CodecError",
 ]
 
@@ -110,11 +109,6 @@ _BY_NAME: Dict[str, type] = {
     LzmaCodec.name: LzmaCodec,
 }
 _BY_ID: Dict[int, type] = {c.codec_id: c for c in (RawCodec, ZlibCodec, LzmaCodec)}
-
-
-def available_codecs() -> Dict[str, int]:
-    """Mapping of registered codec names to their ids."""
-    return {name: cls.codec_id for name, cls in _BY_NAME.items()}
 
 
 def get_codec(name: str, level: Optional[int] = None) -> Codec:

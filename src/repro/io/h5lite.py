@@ -145,14 +145,6 @@ class H5LiteFile:
         }
         return path
 
-    def set_attrs(self, path: str, **attrs: object) -> None:
-        """Attach attributes to an existing object."""
-        self._require_mode("w")
-        path = _normalize(path)
-        if path not in self._index:
-            raise H5LiteError(f"no object at {path}")
-        self._index[path]["attrs"].update(attrs)  # type: ignore[union-attr]
-
     # -- reading -----------------------------------------------------------------
     def read(self, path: str) -> np.ndarray:
         """Load a dataset by path."""

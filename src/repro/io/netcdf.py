@@ -124,13 +124,6 @@ class NCDataset:
             if not (len(var.dims) == 1 and var.dims[0] == name)
         )
 
-    def coordinate_variables(self) -> List[str]:
-        return sorted(
-            name
-            for name, var in self.variables.items()
-            if len(var.dims) == 1 and var.dims[0] == name
-        )
-
     def __repr__(self) -> str:
         return (
             f"NCDataset(dims={self.dimensions}, variables={sorted(self.variables)})"

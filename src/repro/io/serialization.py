@@ -28,7 +28,6 @@ __all__ = [
     "unpack_array",
     "unpack_array_from",
     "SerializationError",
-    "array_block_overhead",
 ]
 
 MAGIC = b"RPA1"
@@ -39,11 +38,6 @@ _TAIL_FMT = "<QQI"  # raw_nbytes, payload_nbytes, crc32
 
 class SerializationError(ValueError):
     """Malformed or corrupt array block."""
-
-
-def array_block_overhead(ndim: int, dtype_str_len: int) -> int:
-    """Header bytes for an array block (excluding payload)."""
-    return struct.calcsize(_HEADER_FMT) + 8 * ndim + struct.calcsize(_TAIL_FMT) + dtype_str_len
 
 
 def _dtype_str(dtype: np.dtype) -> str:

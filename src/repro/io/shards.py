@@ -35,7 +35,7 @@ from repro.core.dataset import (
     Modality,
     Schema,
 )
-from repro.durability.atomic import atomic_write_text, commit_file
+from repro.durability.atomic import atomic_write_text, staged_write
 from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
 from repro.io.serialization import pack_array, unpack_array
@@ -160,7 +160,6 @@ def write_shard(
     peak = 0
     digest = hashlib.sha256()
     spool = path.with_name(path.name + ".spool")
-    tmp = path.with_name(path.name + ".tmp")
     try:
         with open(spool, "wb") as sp:
             for name in sorted(columns):
@@ -173,7 +172,7 @@ def write_shard(
         header = json.dumps(
             {"n_samples": n_samples, "columns": index}, sort_keys=True
         ).encode()
-        with open(tmp, "wb") as fh, open(spool, "rb") as sp:
+        with staged_write(path, site="shard") as fh, open(spool, "rb") as sp:
             for chunk in (MAGIC, _HEADER_LEN.pack(len(header)), header):
                 fh.write(chunk)
                 digest.update(chunk)
@@ -183,16 +182,10 @@ def write_shard(
                     break
                 fh.write(chunk)
                 digest.update(chunk)
-        commit_file(tmp, path, site="shard")
     finally:
         # a raise anywhere above — packing, the copy loop, or the commit —
-        # must not leak either sibling; the committed rename already
-        # consumed tmp on the success path
-        for partial in (spool, tmp):
-            try:
-                partial.unlink()
-            except FileNotFoundError:
-                pass
+        # must not leak the spool; staged_write removes its own .tmp
+        spool.unlink(missing_ok=True)
     _last_write_peak_buffer = peak
     nbytes = 4 + _HEADER_LEN.size + len(header) + offset
     return ShardInfo(

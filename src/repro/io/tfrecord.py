@@ -174,10 +174,6 @@ class Example:
         self.features: Dict[str, Tuple[str, list]] = dict(features or {})
 
     # -- ergonomic setters -----------------------------------------------------
-    def bytes_feature(self, name: str, values: Sequence[bytes]) -> "Example":
-        self.features[name] = ("bytes", [bytes(v) for v in values])
-        return self
-
     def float_feature(self, name: str, values: Union[Sequence[float], np.ndarray]) -> "Example":
         arr = np.asarray(values, dtype=np.float32).ravel()
         self.features[name] = ("float", arr.tolist())
@@ -203,12 +199,6 @@ class Example:
         if kind != "float":
             raise TFRecordError(f"feature {name!r} is {kind}, not float")
         return np.asarray(values, dtype=np.float32)
-
-    def int64_array(self, name: str) -> np.ndarray:
-        kind, values = self.features[name]
-        if kind != "int64":
-            raise TFRecordError(f"feature {name!r} is {kind}, not int64")
-        return np.asarray(values, dtype=np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Example):

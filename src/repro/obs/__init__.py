@@ -30,7 +30,7 @@ On top of that raw substrate sits the analytics layer:
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.obs.analyze import (
     CriticalPathEntry,
@@ -186,16 +186,4 @@ class Telemetry:
                 sink.emit_event(event.to_dict())  # type: ignore[attr-defined]
         if close:
             sink.close()
-        return sink
-
-    def export_jsonl(
-        self, directory: Union[str, "JsonlTelemetrySink"], *, events: Iterable[object] = ()
-    ) -> JsonlTelemetrySink:
-        """Convenience: export to a JSONL trace directory."""
-        sink = (
-            directory
-            if isinstance(directory, JsonlTelemetrySink)
-            else JsonlTelemetrySink(directory)
-        )
-        self.export(sink, events=events, close=True)
         return sink

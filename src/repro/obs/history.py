@@ -138,13 +138,6 @@ class RunRecord:
             labels={str(k): str(v) for k, v in (row.get("labels") or {}).items()},
         )
 
-    def summary_line(self) -> str:
-        return (
-            f"{self.run_id}  {self.pipeline:<12} {self.backend:<9} "
-            f"{self.status:<6} {self.total_wall_s:>9.4f}s "
-            f"{len(self.stage_seconds):>2} stage(s)"
-        )
-
 
 def _record_hash(record: Mapping[str, Any]) -> str:
     """Content address of a record (run_id and labels excluded)."""

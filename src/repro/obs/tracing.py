@@ -203,19 +203,9 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def finished_spans(self) -> List[Span]:
-        return [s for s in self.spans() if s.ended]
-
     def find(self, name: str) -> List[Span]:
         """All spans with exactly this name, in start order."""
         return [s for s in self.spans() if s.name == name]
-
-    def children_of(self, parent: Union[Span, str]) -> List[Span]:
-        parent_id = parent.span_id if isinstance(parent, Span) else parent
-        return [s for s in self.spans() if s.parent_id == parent_id]
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [s.to_dict() for s in self.spans()]
 
     def __len__(self) -> int:
         with self._lock:

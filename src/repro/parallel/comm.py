@@ -3,10 +3,9 @@
 Leadership-facility pipelines are SPMD programs over MPI.  This module
 reproduces the mpi4py programming model — ranks, point-to-point
 ``send``/``recv``, and the collectives the readiness pipelines use
-(``bcast``, ``scatter``, ``gather``, ``allgather``, ``reduce``,
-``allreduce``, ``alltoall``, ``barrier``) — on top of per-pair message
-queues and threads, so the *identical code paths* a real MPI port would
-take are exercised deterministically on a single node.
+(``bcast``, ``gather``, ``reduce``, ``allreduce``) — on top of per-pair
+message queues and threads, so the *identical code paths* a real MPI port
+would take are exercised deterministically on a single node.
 
 Semantics follow mpi4py's lowercase (object) API: collectives are
 implemented on top of point-to-point messaging rooted at rank 0, so
@@ -17,8 +16,7 @@ implementation and can be compared against the tree schedules in
 Use :func:`run_spmd` to launch an SPMD function across a world::
 
     def main(comm):
-        part = comm.scatter(chunks if comm.rank == 0 else None)
-        local = part.sum()
+        local = chunks[comm.rank].sum()
         return comm.allreduce(local)
 
     results = run_spmd(4, main)
@@ -29,9 +27,7 @@ from __future__ import annotations
 import dataclasses
 import queue
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.payload import payload_nbytes
 
@@ -45,8 +41,8 @@ class CommError(RuntimeError):
 class PeerFailedError(CommError):
     """This rank was waiting on a world in which another rank has failed.
 
-    Collateral damage, like a broken barrier: :func:`run_spmd` reports the
-    failing rank's own exception in preference to it.
+    Collateral damage: :func:`run_spmd` reports the failing rank's own
+    exception in preference to it.
     """
 
 
@@ -77,16 +73,14 @@ class SimWorld:
         self._queues: Dict[Tuple[int, int], "queue.Queue[Any]"] = {
             (src, dst): queue.Queue() for src in range(size) for dst in range(size)
         }
-        self._barrier = threading.Barrier(size)
         self._stashes: List[List[Tuple[int, int, Any]]] = [[] for _ in range(size)]
 
     def fail(self) -> None:
-        """A rank died: release every peer blocked in a barrier or ``recv``.
+        """A rank died: release every peer blocked in a ``recv``.
 
         Without this a peer waiting on the dead rank discovers the failure
         only by sitting out :attr:`SimComm.TIMEOUT`.
         """
-        self._barrier.abort()
         for channel in self._queues.values():
             channel.put(_WORLD_FAILED)
 
@@ -110,13 +104,6 @@ class SimComm:
         self.rank = rank
         self.size = world.size
         self.stats = CommStats()
-
-    # -- mpi4py-style accessors --------------------------------------------------
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
 
     # -- point-to-point ------------------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -155,16 +142,7 @@ class SimComm:
                 return obj
             stash.append((source, t, obj))
 
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Combined send+receive (deadlock-free under the buffered model)."""
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
-
     # -- collectives -----------------------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank in the world has entered the barrier."""
-        self._world._barrier.wait(timeout=self.TIMEOUT)
-
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Broadcast *obj* from *root* to every rank; returns the object."""
         tag = -1001
@@ -173,20 +151,6 @@ class SimComm:
                 if dest != root:
                     self.send(obj, dest, tag)
             return obj
-        return self.recv(root, tag)
-
-    def scatter(self, sendobj: Optional[Sequence[Any]] = None, root: int = 0) -> Any:
-        """Scatter a length-``size`` sequence from *root*; each rank gets one item."""
-        tag = -1002
-        if self.rank == root:
-            if sendobj is None or len(sendobj) != self.size:
-                raise CommError(
-                    f"root must pass a sequence of exactly {self.size} items"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(sendobj[dest], dest, tag)
-            return sendobj[root]
         return self.recv(root, tag)
 
     def gather(self, sendobj: Any, root: int = 0) -> Optional[List[Any]]:
@@ -201,11 +165,6 @@ class SimComm:
             return out
         self.send(sendobj, root, tag)
         return None
-
-    def allgather(self, sendobj: Any) -> List[Any]:
-        """Gather to rank 0 then broadcast: every rank gets the full list."""
-        gathered = self.gather(sendobj, root=0)
-        return self.bcast(gathered, root=0)
 
     def reduce(
         self,
@@ -229,33 +188,6 @@ class SimComm:
         """Reduce at rank 0, then broadcast the result to all."""
         reduced = self.reduce(sendobj, op=op, root=0)
         return self.bcast(reduced, root=0)
-
-    def alltoall(self, sendobj: Sequence[Any]) -> List[Any]:
-        """Each rank sends item *j* to rank *j*; receives one from each."""
-        if len(sendobj) != self.size:
-            raise CommError(f"alltoall needs exactly {self.size} items")
-        tag = -1004
-        for dest in range(self.size):
-            if dest != self.rank:
-                self.send(sendobj[dest], dest, tag)
-        out: List[Any] = [None] * self.size
-        out[self.rank] = sendobj[self.rank]
-        for src in range(self.size):
-            if src != self.rank:
-                out[src] = self.recv(src, tag)
-        return out
-
-    # -- buffer-style helpers (mpi4py uppercase idiom) ------------------------------
-    def Bcast(self, array: np.ndarray, root: int = 0) -> None:
-        """In-place broadcast of a NumPy array (like ``comm.Bcast``)."""
-        data = self.bcast(array if self.rank == root else None, root=root)
-        if self.rank != root:
-            np.copyto(array, data)
-
-    def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-        """Element-wise sum allreduce into *recvbuf*."""
-        total = self.allreduce(np.asarray(sendbuf))
-        np.copyto(recvbuf, total)
 
     def __repr__(self) -> str:
         return f"SimComm(rank={self.rank}, size={self.size})"
@@ -296,11 +228,11 @@ def run_spmd(
     if alive and not errors:
         raise CommError(f"{len(alive)} rank(s) did not finish within {timeout}s")
     if errors:
-        # a broken barrier or an interrupted receive is collateral damage
-        # from some rank's real failure — surface the root cause, not the echo
+        # an interrupted receive is collateral damage from some rank's real
+        # failure — surface the root cause, not the echo
         def priority(entry: Tuple[int, BaseException]) -> Tuple[int, int]:
             rank, exc = entry
-            collateral = isinstance(exc, (threading.BrokenBarrierError, PeerFailedError))
+            collateral = isinstance(exc, PeerFailedError)
             return (1 if collateral else 0, rank)
 
         _, exc = sorted(errors, key=priority)[0]

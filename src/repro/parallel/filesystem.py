@@ -109,10 +109,6 @@ class ParallelFileSystem:
     def n_osts(self) -> int:
         return len(self.osts)
 
-    @property
-    def aggregate_bandwidth(self) -> float:
-        return sum(o.bandwidth for o in self.osts)
-
     def default_stripe(self, stripe_count: Optional[int] = None,
                        stripe_size: int = 1 << 20, offset: int = 0) -> FileStripe:
         return FileStripe(
@@ -242,18 +238,3 @@ class ParallelFileSystem:
         ]
         results = self.simulate_io(transfers)
         return max(r.seconds for r in results) if results else 0.0
-
-    def aggregate_write_bandwidth(
-        self,
-        n_clients: int,
-        bytes_per_client: int,
-        stripe_count: Optional[int] = None,
-        stripe_size: int = 1 << 20,
-    ) -> float:
-        """Aggregate achieved bandwidth for the collective write."""
-        makespan = self.collective_write_time(
-            n_clients, bytes_per_client, stripe_count, stripe_size
-        )
-        if makespan <= 0:
-            return 0.0
-        return n_clients * bytes_per_client / makespan

@@ -56,10 +56,6 @@ class ReductionSchedule:
     def n_rounds(self) -> int:
         return max((s.round for s in self.steps), default=0) + 1 if self.steps else 0
 
-    @property
-    def n_messages(self) -> int:
-        return len(self.steps)
-
     def max_inbox(self) -> int:
         """Largest number of messages any rank receives in one round."""
         counts: dict = {}

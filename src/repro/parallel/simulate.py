@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.parallel.cluster import ClusterSpec
 
@@ -377,21 +377,3 @@ class PipelineScalingModel:
         return ScalingCurve(
             workload=workload, cluster_name=self.cluster.name, points=points
         )
-
-    def stripe_sweep(
-        self,
-        workload: WorkloadSpec,
-        ranks: int,
-        stripe_counts: Sequence[int],
-    ) -> Dict[int, float]:
-        """Shard-write makespan vs stripe count at fixed rank count."""
-        nodes = max(1, math.ceil(ranks / self.cluster.ranks_per_node))
-        fs = self.cluster.filesystem
-        out = {}
-        for sc in stripe_counts:
-            out[sc] = fs.collective_write_time(
-                n_clients=nodes,
-                bytes_per_client=_ceil_div(workload.output_bytes, nodes),
-                stripe_count=sc,
-            )
-        return out

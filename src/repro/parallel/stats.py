@@ -22,7 +22,7 @@ hypothesis property tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class RunningMoments:
         if self.count == 0:
             return np.zeros(self.shape)
         return self.m2 / self.count
-
-    def sample_variance(self) -> np.ndarray:
-        """Unbiased variance (ddof=1); zeros when count < 2."""
-        if self.count < 2:
-            return np.zeros(self.shape)
-        return self.m2 / (self.count - 1)
 
     @property
     def std(self) -> np.ndarray:
@@ -267,16 +261,3 @@ class FeatureStats:
     @property
     def std(self) -> np.ndarray:
         return self.moments.std
-
-
-def merge_all(parts: Sequence[RunningMoments]) -> RunningMoments:
-    """Fold a sequence of accumulators into one (left fold)."""
-    if not parts:
-        raise ValueError("merge_all of zero accumulators")
-    acc = parts[0].copy()
-    for part in parts[1:]:
-        acc.merge(part)
-    return acc
-
-
-__all__.append("merge_all")

@@ -3,7 +3,6 @@
 from repro.provenance.record import (
     ProvenanceRecord,
     fingerprint_array,
-    fingerprint_bytes,
     fingerprint_params,
 )
 from repro.provenance.graph import LineageError, LineageGraph
@@ -12,7 +11,6 @@ from repro.provenance.store import ProvenanceStore
 __all__ = [
     "ProvenanceRecord",
     "fingerprint_array",
-    "fingerprint_bytes",
     "fingerprint_params",
     "LineageError",
     "LineageGraph",

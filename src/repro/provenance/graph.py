@@ -83,51 +83,11 @@ class LineageGraph:
         self._require(entity)
         return set(nx.ancestors(self._graph, entity))
 
-    def descendants(self, entity: str) -> Set[str]:
-        """Impact set: everything derived (transitively) from this entity."""
-        self._require(entity)
-        return set(nx.descendants(self._graph, entity))
-
-    def derivation_chain(self, entity: str) -> List[ProvenanceRecord]:
-        """Records on the path raw -> ... -> entity, in execution order.
-
-        Collects every record whose output is an ancestor of (or is)
-        *entity*, topologically sorted — a complete, replayable recipe.
-        """
-        self._require(entity)
-        relevant = self.ancestors(entity) | {entity}
-        chain = [
-            record
-            for record in self._records.values()
-            if record.output in relevant
-        ]
-        order = {node: i for i, node in enumerate(nx.topological_sort(self._graph))}
-        chain.sort(key=lambda r: (order.get(r.output, 0), r.timestamp))
-        return chain
-
     def roots(self) -> List[str]:
         """Entities with no recorded producer — the raw acquisitions."""
         return sorted(
             node for node in self._graph.nodes if self._graph.in_degree(node) == 0
         )
-
-    def leaves(self) -> List[str]:
-        """Entities nothing was derived from — the current artifacts."""
-        return sorted(
-            node for node in self._graph.nodes if self._graph.out_degree(node) == 0
-        )
-
-    def same_recipe(self, a: str, b: str) -> bool:
-        """True when *a* and *b* were produced by identical activity chains.
-
-        Compares (activity, params_fingerprint) sequences — the
-        reproducibility check: same inputs + same recipe must mean same
-        fingerprint, so differing fingerprints with a same recipe flag
-        non-determinism.
-        """
-        chain_a = [(r.activity, r.params_fingerprint) for r in self.derivation_chain(a)]
-        chain_b = [(r.activity, r.params_fingerprint) for r in self.derivation_chain(b)]
-        return chain_a == chain_b
 
     def verify_connected(self, entity: str) -> bool:
         """True when *entity* traces back to at least one root acquisition."""

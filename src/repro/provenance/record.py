@@ -27,14 +27,8 @@ __all__ = [
     "contiguous_bytes",
     "array_header",
     "fingerprint_array",
-    "fingerprint_bytes",
     "fingerprint_params",
 ]
-
-
-def fingerprint_bytes(data: bytes) -> str:
-    """SHA-256 hex digest of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def contiguous_bytes(array: np.ndarray) -> Union[bytes, np.ndarray]:

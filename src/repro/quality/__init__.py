@@ -4,41 +4,30 @@ from repro.quality.metrics import (
     QualityReport,
     class_balance,
     completeness,
-    coverage,
-    effective_classes,
     imbalance_ratio,
     noise_estimate,
     outlier_rate,
     quality_report,
 )
 from repro.quality.validation import (
-    ConstraintValidator,
     ValidationIssue,
     ValidationResult,
     check_bounds,
-    check_conservation,
     check_finite,
     check_monotonic,
     check_precision,
     validate_schema,
 )
 from repro.quality.datasheet import Datasheet, build_datasheet
-from repro.quality.drift import (
-    DriftReport,
-    FeatureDrift,
-    detect_drift,
-    feature_drift,
-    population_stability_index,
-)
+from repro.quality.drift import population_stability_index
 
 __all__ = [
-    "QualityReport", "class_balance", "completeness", "coverage",
-    "effective_classes", "imbalance_ratio", "noise_estimate", "outlier_rate",
+    "QualityReport", "class_balance", "completeness",
+    "imbalance_ratio", "noise_estimate", "outlier_rate",
     "quality_report",
-    "ConstraintValidator", "ValidationIssue", "ValidationResult",
-    "check_bounds", "check_conservation", "check_finite", "check_monotonic",
+    "ValidationIssue", "ValidationResult",
+    "check_bounds", "check_finite", "check_monotonic",
     "check_precision", "validate_schema",
     "Datasheet", "build_datasheet",
-    "DriftReport", "FeatureDrift", "detect_drift", "feature_drift",
     "population_stability_index",
 ]

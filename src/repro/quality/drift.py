@@ -3,34 +3,17 @@
 Section 2.1 makes the pipeline iterative and Section 5 asks for "feedback
 loops from model evaluation" — both need a way to notice that a new data
 drop no longer looks like what the normalizers and models were fitted on.
-This module provides per-feature drift statistics and a dataset-level
-report:
-
-* **PSI** (population stability index) — the industry-standard binned
-  divergence with the usual 0.1/0.25 watch/act thresholds;
-* **Kolmogorov-Smirnov** statistic + p-value (via :mod:`scipy.stats`) for
-  a distribution-free test;
-* mean/std shift in reference-sigma units, the quantity that directly
-  invalidates fitted z-score normalizers.
+This module provides the per-feature statistic the drift gate
+(:class:`repro.gates.contracts.DriftCheck`) evaluates: **PSI** (population
+stability index) — the industry-standard binned divergence with the usual
+0.1/0.25 watch/act thresholds.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Sequence
-
 import numpy as np
-from scipy import stats as scipy_stats
 
-from repro.core.dataset import Dataset
-
-__all__ = [
-    "FeatureDrift",
-    "DriftReport",
-    "population_stability_index",
-    "feature_drift",
-    "detect_drift",
-]
+__all__ = ["population_stability_index"]
 
 #: conventional PSI thresholds
 PSI_WATCH = 0.1
@@ -66,116 +49,3 @@ def population_stability_index(
     ref_frac = np.maximum(ref_counts / reference.size, 1e-6)
     cur_frac = np.maximum(cur_counts / current.size, 1e-6)
     return float(((cur_frac - ref_frac) * np.log(cur_frac / ref_frac)).sum())
-
-
-@dataclasses.dataclass(frozen=True)
-class FeatureDrift:
-    """Drift statistics for one feature."""
-
-    name: str
-    psi: float
-    ks_statistic: float
-    ks_pvalue: float
-    mean_shift_sigmas: float
-    std_ratio: float
-
-    @property
-    def severity(self) -> str:
-        """``stable`` / ``watch`` / ``act`` by PSI convention."""
-        if self.psi >= PSI_ACT:
-            return "act"
-        if self.psi >= PSI_WATCH:
-            return "watch"
-        return "stable"
-
-
-def feature_drift(
-    name: str, reference: np.ndarray, current: np.ndarray, n_bins: int = 10
-) -> FeatureDrift:
-    """Compute all drift statistics for one feature column."""
-    reference = np.asarray(reference, dtype=np.float64).ravel()
-    current = np.asarray(current, dtype=np.float64).ravel()
-    reference = reference[np.isfinite(reference)]
-    current = current[np.isfinite(current)]
-    psi = population_stability_index(reference, current, n_bins)
-    if reference.size and current.size:
-        ks = scipy_stats.ks_2samp(reference, current)
-        ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
-    else:
-        ks_stat, ks_p = 0.0, 1.0
-    ref_std = reference.std() if reference.size else 0.0
-    sigma = ref_std if ref_std > 0 else 1.0
-    mean_shift = (
-        abs(float(current.mean() - reference.mean())) / sigma
-        if reference.size and current.size
-        else 0.0
-    )
-    std_ratio = (
-        float(current.std() / sigma) if current.size and ref_std > 0 else 1.0
-    )
-    return FeatureDrift(
-        name=name,
-        psi=psi,
-        ks_statistic=ks_stat,
-        ks_pvalue=ks_p,
-        mean_shift_sigmas=mean_shift,
-        std_ratio=std_ratio,
-    )
-
-
-@dataclasses.dataclass
-class DriftReport:
-    """Dataset-level drift verdict."""
-
-    features: List[FeatureDrift]
-
-    @property
-    def drifted(self) -> List[FeatureDrift]:
-        return [f for f in self.features if f.severity != "stable"]
-
-    @property
-    def stable(self) -> bool:
-        return not self.drifted
-
-    def worst(self) -> Optional[FeatureDrift]:
-        if not self.features:
-            return None
-        return max(self.features, key=lambda f: f.psi)
-
-    def refit_required(self) -> bool:
-        """True when any feature moved enough to invalidate fitted
-        normalization statistics (PSI act-level or > 0.5 sigma mean shift)."""
-        return any(
-            f.psi >= PSI_ACT or f.mean_shift_sigmas > 0.5 for f in self.features
-        )
-
-    def summary(self) -> str:
-        worst = self.worst()
-        return (
-            f"{len(self.drifted)}/{len(self.features)} features drifted; "
-            f"worst: {worst.name} (PSI {worst.psi:.3f}, {worst.severity})"
-            if worst
-            else "no features compared"
-        )
-
-
-def detect_drift(
-    reference: Dataset,
-    current: Dataset,
-    columns: Optional[Sequence[str]] = None,
-    n_bins: int = 10,
-) -> DriftReport:
-    """Compare numeric scalar columns shared by two dataset versions."""
-    if columns is None:
-        columns = [
-            spec.name
-            for spec in reference.schema
-            if spec.shape == ()
-            and np.issubdtype(spec.dtype, np.number)
-            and spec.name in current.schema
-        ]
-    features = [
-        feature_drift(name, reference[name], current[name], n_bins)
-        for name in columns
-    ]
-    return DriftReport(features=features)

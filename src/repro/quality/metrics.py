@@ -20,9 +20,7 @@ __all__ = [
     "completeness",
     "class_balance",
     "imbalance_ratio",
-    "effective_classes",
     "noise_estimate",
-    "coverage",
     "outlier_rate",
     "QualityReport",
     "quality_report",
@@ -56,20 +54,6 @@ def imbalance_ratio(labels: np.ndarray) -> float:
     return float(counts.max() / counts.min())
 
 
-def effective_classes(labels: np.ndarray) -> float:
-    """Exponential of label entropy — "how many classes, effectively".
-
-    Equal to the class count for balanced data; collapses toward 1 as
-    imbalance grows.  A scale-free alternative to the imbalance ratio.
-    """
-    balance = class_balance(labels)
-    if not balance:
-        return 0.0
-    fractions = np.asarray(list(balance.values()))
-    entropy = -(fractions * np.log(fractions)).sum()
-    return float(np.exp(entropy))
-
-
 def noise_estimate(series: np.ndarray) -> float:
     """Noise-to-signal estimate via first differences.
 
@@ -88,26 +72,6 @@ def noise_estimate(series: np.ndarray) -> float:
         return 0.0
     noise_sigma = np.diff(series).std() / np.sqrt(2.0)
     return float(noise_sigma / signal_std)
-
-
-def coverage(values: np.ndarray, lo: float, hi: float, n_bins: int = 20) -> float:
-    """Fraction of an expected range actually populated with data.
-
-    Bins ``[lo, hi]`` and reports the occupied-bin fraction — low coverage
-    flags "incomplete observational coverage" (Section 5) such as a
-    climate archive missing whole latitude bands.
-    """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    values = np.asarray(values, dtype=np.float64).ravel()
-    values = values[np.isfinite(values)]
-    inside = values[(values >= lo) & (values <= hi)]
-    if inside.size == 0:
-        return 0.0
-    bins = np.clip(
-        ((inside - lo) / (hi - lo) * n_bins).astype(int), 0, n_bins - 1
-    )
-    return float(np.unique(bins).size / n_bins)
 
 
 def outlier_rate(values: np.ndarray, n_sigma: float = 5.0) -> float:

@@ -10,7 +10,7 @@ pipelines can distinguish hard failures from advisories.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -23,9 +23,7 @@ __all__ = [
     "check_finite",
     "check_bounds",
     "check_precision",
-    "check_conservation",
     "check_monotonic",
-    "ConstraintValidator",
 ]
 
 
@@ -148,51 +146,6 @@ def check_precision(
     return []
 
 
-def check_conservation(
-    before: np.ndarray,
-    after: np.ndarray,
-    *,
-    weights_before: Optional[np.ndarray] = None,
-    weights_after: Optional[np.ndarray] = None,
-    rtol: float = 1e-3,
-    quantity: str = "integral",
-) -> List[ValidationIssue]:
-    """Weighted-total conservation across a transform (regrid, rescale).
-
-    Compares weighted means so grids of different resolution are
-    comparable; the default weights are uniform.
-    """
-    before = np.asarray(before, dtype=np.float64)
-    after = np.asarray(after, dtype=np.float64)
-    wb = np.ones_like(before) if weights_before is None else np.asarray(weights_before)
-    wa = np.ones_like(after) if weights_after is None else np.asarray(weights_after)
-    if before.size == 0 or after.size == 0 or wb.sum() == 0 or wa.sum() == 0:
-        return [
-            ValidationIssue(
-                check="conservation",
-                column=quantity,
-                severity="error",
-                message="no data to compare (empty array or zero total weight)",
-            )
-        ]
-    mean_before = float((before * wb).sum() / wb.sum())
-    mean_after = float((after * wa).sum() / wa.sum())
-    scale = max(abs(mean_before), abs(mean_after), 1e-30)
-    if abs(mean_before - mean_after) / scale > rtol:
-        return [
-            ValidationIssue(
-                check="conservation",
-                column=quantity,
-                severity="error",
-                message=(
-                    f"weighted mean changed {mean_before:.6g} -> {mean_after:.6g} "
-                    f"(rtol {rtol})"
-                ),
-            )
-        ]
-    return []
-
-
 def check_monotonic(
     values: np.ndarray, column: str = "-", strictly: bool = True
 ) -> List[ValidationIssue]:
@@ -222,62 +175,3 @@ def check_monotonic(
             )
         ]
     return []
-
-
-class ConstraintValidator:
-    """A reusable bundle of per-column physical constraints."""
-
-    def __init__(self) -> None:
-        self._checks: List[Tuple[str, Callable[[Dataset], List[ValidationIssue]]]] = []
-
-    def require_finite(self, column: str) -> "ConstraintValidator":
-        self._checks.append(
-            (f"finite:{column}", lambda ds: check_finite(ds[column], column))
-        )
-        return self
-
-    def require_bounds(self, column: str, lo: float, hi: float) -> "ConstraintValidator":
-        self._checks.append(
-            (f"bounds:{column}", lambda ds: check_bounds(ds[column], lo, hi, column))
-        )
-        return self
-
-    def require_precision(self, column: str, minimum_bits: int = 32) -> "ConstraintValidator":
-        self._checks.append(
-            (
-                f"precision:{column}",
-                lambda ds: check_precision(ds[column], minimum_bits, column),
-            )
-        )
-        return self
-
-    def require(
-        self, name: str, fn: Callable[[Dataset], List[ValidationIssue]]
-    ) -> "ConstraintValidator":
-        """Attach an arbitrary dataset-level constraint."""
-        self._checks.append((name, fn))
-        return self
-
-    def validate(self, dataset: Dataset) -> ValidationResult:
-        """Run every registered check; a crashing check becomes an issue.
-
-        Checks referencing absent columns, zero-row/zero-column datasets,
-        or non-numeric dtypes must degrade to structured errors — a
-        validator that raises mid-audit loses every finding after the
-        crash point.
-        """
-        issues: List[ValidationIssue] = list(validate_schema(dataset).issues)
-        for name, fn in self._checks:
-            kind, _, column = name.partition(":")
-            try:
-                issues.extend(fn(dataset))
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                issues.append(
-                    ValidationIssue(
-                        check=kind or name,
-                        column=column or "-",
-                        severity="error",
-                        message=f"check could not run: {type(exc).__name__}: {exc}",
-                    )
-                )
-        return ValidationResult(issues=issues)

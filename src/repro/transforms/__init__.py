@@ -25,22 +25,10 @@ from repro.transforms.normalize import (
 )
 from repro.transforms.encode import (
     DNA_ALPHABET,
-    OneHotEncoder,
-    OrdinalEncoder,
     Vocabulary,
-    dna_decode,
     dna_one_hot,
-    one_hot_dataset_column,
 )
-from repro.transforms.augment import (
-    add_gaussian_noise,
-    amplitude_scale,
-    augment_batch,
-    flip,
-    rotate90,
-    smote_like,
-    time_jitter,
-)
+from repro.transforms.augment import flip, smote_like
 from repro.transforms.label import (
     UNLABELED,
     NearestCentroidModel,
@@ -51,12 +39,8 @@ from repro.transforms.label import (
 )
 from repro.transforms.features import (
     SelectionReport,
-    correlation_filter,
-    derivative_features,
     mutual_information,
-    rolling_features,
     select_k_best,
-    variance_threshold,
 )
 from repro.transforms.split import (
     SplitSpec,
@@ -80,14 +64,11 @@ __all__ = [
     "harmonize_units", "impute", "missing_fraction", "missing_mask", "UnitConverter",
     "LogNormalizer", "MinMaxNormalizer", "Normalizer", "RobustNormalizer",
     "ZScoreNormalizer", "make_normalizer", "normalize_dataset",
-    "DNA_ALPHABET", "OneHotEncoder", "OrdinalEncoder", "Vocabulary",
-    "dna_decode", "dna_one_hot", "one_hot_dataset_column",
-    "add_gaussian_noise", "amplitude_scale", "augment_batch", "flip",
-    "rotate90", "smote_like", "time_jitter",
+    "DNA_ALPHABET", "Vocabulary", "dna_one_hot",
+    "flip", "smote_like",
     "UNLABELED", "NearestCentroidModel", "PseudoLabelResult",
     "labeled_fraction", "propagate_labels", "pseudo_label",
-    "SelectionReport", "correlation_filter", "derivative_features",
-    "mutual_information", "rolling_features", "select_k_best", "variance_threshold",
+    "SelectionReport", "mutual_information", "select_k_best",
     "SplitSpec", "group_split", "random_split", "stratified_split", "temporal_split",
     "Signal", "align_signals", "common_time_base", "resample",
     "sliding_windows", "window_series",

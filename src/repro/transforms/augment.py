@@ -1,4 +1,4 @@
-"""Data augmentation: rotations, flips, noise, jitter, and SMOTE-like synthesis.
+"""Data augmentation: flips and SMOTE-like synthesis.
 
 Section 2.1: "where scientific datasets contain an insufficient number of
 samples, certain data augmentation techniques may be employed ... such as
@@ -14,27 +14,14 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "rotate90",
     "flip",
-    "add_gaussian_noise",
-    "time_jitter",
-    "amplitude_scale",
     "smote_like",
-    "augment_batch",
     "AugmentError",
 ]
 
 
 class AugmentError(ValueError):
     """Invalid augmentation parameters."""
-
-
-def rotate90(images: np.ndarray, k: int = 1) -> np.ndarray:
-    """Rotate a batch of images ``(n, H, W, ...)`` by ``k * 90`` degrees."""
-    images = np.asarray(images)
-    if images.ndim < 3:
-        raise AugmentError("expected a batch of at-least-2D images")
-    return np.rot90(images, k=k, axes=(1, 2)).copy()
 
 
 def flip(images: np.ndarray, axis: str = "horizontal") -> np.ndarray:
@@ -47,56 +34,6 @@ def flip(images: np.ndarray, axis: str = "horizontal") -> np.ndarray:
     if axis == "vertical":
         return images[:, ::-1].copy()
     raise AugmentError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-
-
-def add_gaussian_noise(
-    batch: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    relative_sigma: float = 0.01,
-) -> np.ndarray:
-    """Add zero-mean Gaussian noise scaled to the batch's own std.
-
-    Scaling by per-feature std keeps physical fields physical: a 1%
-    perturbation of a 250-310 K temperature field stays in-range, which an
-    absolute sigma would not guarantee.
-    """
-    if relative_sigma < 0:
-        raise AugmentError("relative_sigma must be non-negative")
-    batch = np.asarray(batch, dtype=np.float64)
-    sigma = batch.std(axis=0, keepdims=True) * relative_sigma
-    return batch + rng.normal(0.0, 1.0, size=batch.shape) * sigma
-
-
-def time_jitter(
-    series: np.ndarray, rng: np.random.Generator, max_shift: int = 3
-) -> np.ndarray:
-    """Circularly shift each series ``(n, T, ...)`` by a random offset.
-
-    The standard cheap augmentation for diagnostic windows; circular shift
-    preserves sample statistics exactly.
-    """
-    series = np.asarray(series)
-    if series.ndim < 2:
-        raise AugmentError("expected (n, T, ...) series batch")
-    if max_shift < 0:
-        raise AugmentError("max_shift must be non-negative")
-    out = np.empty_like(series)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=series.shape[0])
-    for i, s in enumerate(shifts):
-        out[i] = np.roll(series[i], int(s), axis=0)
-    return out
-
-
-def amplitude_scale(
-    batch: np.ndarray, rng: np.random.Generator, spread: float = 0.05
-) -> np.ndarray:
-    """Scale each sample by a random factor in ``[1-spread, 1+spread]``."""
-    if not 0 <= spread < 1:
-        raise AugmentError("spread must be in [0, 1)")
-    batch = np.asarray(batch, dtype=np.float64)
-    factors = rng.uniform(1 - spread, 1 + spread, size=(batch.shape[0],))
-    return batch * factors.reshape((-1,) + (1,) * (batch.ndim - 1))
 
 
 def smote_like(
@@ -134,22 +71,3 @@ def smote_like(
     )
     synthetic_labels = np.full(n_synthetic, minority_class, dtype=labels.dtype)
     return synthetic, synthetic_labels
-
-
-def augment_batch(
-    batch: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    noise_sigma: float = 0.01,
-    jitter: int = 0,
-    scale_spread: float = 0.0,
-) -> np.ndarray:
-    """Compose the cheap augmentations in a standard order."""
-    out = np.asarray(batch, dtype=np.float64)
-    if noise_sigma:
-        out = add_gaussian_noise(out, rng, relative_sigma=noise_sigma)
-    if jitter and out.ndim >= 2:
-        out = time_jitter(out, rng, max_shift=jitter)
-    if scale_spread:
-        out = amplitude_scale(out, rng, spread=scale_spread)
-    return out

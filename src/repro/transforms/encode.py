@@ -1,8 +1,8 @@
 """Encoding: categorical variables, vocabularies, and sequence one-hot.
 
 "Managing categorical variables" (Section 2.1) plus the bio archetype's
-one-hot DNA encoding (Section 3.3, Enformer).  Encoders are fitted objects
-with an explicit vocabulary so train/test encoding is consistent and
+one-hot DNA encoding (Section 3.3, Enformer).  A :class:`Vocabulary` is an
+explicit fitted mapping so train/test encoding is consistent and
 serializable for provenance.
 """
 
@@ -12,15 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dataset import Dataset, FieldRole, FieldSpec
-
 __all__ = [
     "Vocabulary",
-    "OrdinalEncoder",
-    "OneHotEncoder",
     "dna_one_hot",
-    "dna_decode",
-    "one_hot_dataset_column",
     "EncodingError",
     "DNA_ALPHABET",
 ]
@@ -83,12 +77,6 @@ class Vocabulary:
     def values(self) -> List[object]:
         return list(self._values)
 
-    def index_of(self, value: object) -> int:
-        try:
-            return self._index[value]
-        except KeyError:
-            raise EncodingError(f"value {value!r} not in vocabulary") from None
-
     def encode(self, column: np.ndarray, *, unknown: Optional[int] = None) -> np.ndarray:
         """Vectorized value->index mapping.
 
@@ -141,54 +129,6 @@ class Vocabulary:
         return values[indices]
 
 
-class OrdinalEncoder:
-    """Category -> dense integer codes, one vocabulary per fitted column."""
-
-    def __init__(self) -> None:
-        self.vocabulary: Optional[Vocabulary] = None
-
-    def fit(self, column: np.ndarray) -> "OrdinalEncoder":
-        self.vocabulary = Vocabulary.fit(column)
-        return self
-
-    def transform(self, column: np.ndarray) -> np.ndarray:
-        if self.vocabulary is None:
-            raise EncodingError("OrdinalEncoder used before fit()")
-        return self.vocabulary.encode(column)
-
-    def inverse_transform(self, codes: np.ndarray) -> np.ndarray:
-        if self.vocabulary is None:
-            raise EncodingError("OrdinalEncoder used before fit()")
-        return self.vocabulary.decode(codes)
-
-
-class OneHotEncoder:
-    """Category -> one-hot rows (float32, shape ``(n, |vocab|)``)."""
-
-    def __init__(self) -> None:
-        self.vocabulary: Optional[Vocabulary] = None
-
-    def fit(self, column: np.ndarray) -> "OneHotEncoder":
-        self.vocabulary = Vocabulary.fit(column)
-        return self
-
-    def transform(self, column: np.ndarray) -> np.ndarray:
-        if self.vocabulary is None:
-            raise EncodingError("OneHotEncoder used before fit()")
-        codes = self.vocabulary.encode(column)
-        out = np.zeros((codes.size, len(self.vocabulary)), dtype=np.float32)
-        out[np.arange(codes.size), codes.ravel()] = 1.0
-        return out
-
-    def inverse_transform(self, matrix: np.ndarray) -> np.ndarray:
-        if self.vocabulary is None:
-            raise EncodingError("OneHotEncoder used before fit()")
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.vocabulary):
-            raise EncodingError("one-hot matrix has wrong width")
-        return self.vocabulary.decode(matrix.argmax(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # DNA sequences (bio archetype)
 # ---------------------------------------------------------------------------
@@ -220,44 +160,3 @@ def dna_one_hot(sequence: str | bytes) -> np.ndarray:
     out[np.nonzero(known)[0], codes[known]] = 1.0
     out[~known] = 0.25
     return out
-
-
-def dna_decode(matrix: np.ndarray) -> str:
-    """Inverse of :func:`dna_one_hot` (N for uniform rows)."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[1] != 4:
-        raise EncodingError("expected a (len, 4) one-hot matrix")
-    chars = []
-    for row in matrix:
-        if np.allclose(row, 0.25):
-            chars.append("N")
-        else:
-            chars.append(DNA_ALPHABET[int(row.argmax())])
-    return "".join(chars)
-
-
-def one_hot_dataset_column(dataset: Dataset, column: str) -> Tuple[Dataset, OneHotEncoder]:
-    """Replace a categorical column with its one-hot expansion.
-
-    The new column is named ``{column}_onehot`` with per-sample shape
-    ``(|vocab|,)``; the original column is dropped.  Uses the schema's
-    declared categories when present so absent-but-legal categories still
-    get a slot.
-    """
-    spec = dataset.schema[column]
-    encoder = OneHotEncoder()
-    if spec.categories is not None:
-        encoder.vocabulary = Vocabulary(spec.categories)
-    else:
-        encoder.fit(dataset[column])
-    assert encoder.vocabulary is not None
-    matrix = encoder.transform(dataset[column])
-    new_spec = FieldSpec(
-        name=f"{column}_onehot",
-        dtype=np.dtype(np.float32),
-        shape=(len(encoder.vocabulary),),
-        role=FieldRole.FEATURE,
-        description=f"one-hot of {column!r} over {encoder.vocabulary.values}",
-    )
-    out = dataset.with_column(new_spec, matrix).drop_columns(column)
-    return out, encoder

@@ -1,25 +1,19 @@
-"""Feature engineering: selection and physics-style derived features.
+"""Feature engineering: selection.
 
 Figure 1's "feature engineering" step: "select the most informative set of
-features or combination of features on which to train" (Section 2.1), plus
-the fusion archetype's "computes derivative-based features from
-diagnostics" (Section 3.2).
+features or combination of features on which to train" (Section 2.1).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 __all__ = [
-    "variance_threshold",
-    "correlation_filter",
     "mutual_information",
     "select_k_best",
-    "derivative_features",
-    "rolling_features",
     "SelectionReport",
     "FeatureError",
 ]
@@ -37,72 +31,6 @@ class SelectionReport:
     dropped: Tuple[int, ...]
     scores: Dict[int, float]
     method: str
-
-    @property
-    def n_kept(self) -> int:
-        return len(self.kept)
-
-
-def variance_threshold(
-    features: np.ndarray, threshold: float = 1e-10
-) -> SelectionReport:
-    """Drop (near-)constant columns — the redundant-fields filter.
-
-    Table 1 lists "redundant fields" as a climate readiness challenge;
-    constant or duplicated variables are the most common form.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise FeatureError("expected a (n, k) feature matrix")
-    variances = features.var(axis=0)
-    kept = tuple(int(i) for i in np.flatnonzero(variances > threshold))
-    dropped = tuple(int(i) for i in np.flatnonzero(variances <= threshold))
-    return SelectionReport(
-        kept=kept,
-        dropped=dropped,
-        scores={int(i): float(v) for i, v in enumerate(variances)},
-        method="variance",
-    )
-
-
-def correlation_filter(
-    features: np.ndarray, max_abs_correlation: float = 0.98
-) -> SelectionReport:
-    """Drop features nearly collinear with an earlier-kept feature.
-
-    Greedy in column order: feature *j* is dropped when ``|corr(j, i)|``
-    exceeds the bound for some kept ``i < j``.  Catches the duplicated /
-    rescaled variables that plague merged multi-source archives.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise FeatureError("expected a (n, k) feature matrix")
-    n, k = features.shape
-    if n < 2 or k == 0:
-        return SelectionReport(tuple(range(k)), (), {}, "correlation")
-    std = features.std(axis=0)
-    safe = np.where(std == 0, 1.0, std)
-    z = (features - features.mean(axis=0)) / safe
-    corr = (z.T @ z) / n
-    kept: List[int] = []
-    dropped: List[int] = []
-    scores: Dict[int, float] = {}
-    for j in range(k):
-        if std[j] == 0:
-            dropped.append(j)
-            scores[j] = 1.0
-            continue
-        worst = 0.0
-        collinear = False
-        for i in kept:
-            c = abs(float(corr[i, j]))
-            worst = max(worst, c)
-            if c > max_abs_correlation:
-                collinear = True
-                break
-        scores[j] = worst
-        (dropped if collinear else kept).append(j)
-    return SelectionReport(tuple(kept), tuple(dropped), scores, "correlation")
 
 
 def mutual_information(
@@ -154,72 +82,3 @@ def select_k_best(
     kept = tuple(sorted(order[:k]))
     dropped = tuple(sorted(order[k:]))
     return SelectionReport(kept, dropped, scores, method="mutual_information")
-
-
-def derivative_features(
-    series: np.ndarray, dt: float = 1.0, orders: Sequence[int] = (1,)
-) -> np.ndarray:
-    """Finite-difference derivatives of time series ``(n, T)`` or ``(n, T, C)``.
-
-    Returns an array with one derivative block per requested order,
-    concatenated along the channel axis; first/second order use central
-    differences via :func:`numpy.gradient` (edge-aware).
-    """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim == 2:
-        series = series[:, :, None]
-        squeeze = True
-    elif series.ndim == 3:
-        squeeze = False
-    else:
-        raise FeatureError("expected (n, T) or (n, T, C) series")
-    if dt <= 0:
-        raise FeatureError("dt must be positive")
-    blocks = []
-    for order in orders:
-        if order < 1:
-            raise FeatureError("derivative order must be >= 1")
-        d = series
-        for _ in range(order):
-            d = np.gradient(d, dt, axis=1)
-        blocks.append(d)
-    out = np.concatenate(blocks, axis=2)
-    if squeeze and out.shape[2] == 1:
-        return out[:, :, 0]
-    return out
-
-
-def rolling_features(
-    series: np.ndarray, window: int, statistics: Sequence[str] = ("mean", "std")
-) -> np.ndarray:
-    """Per-window summary features over time series ``(n, T)``.
-
-    Produces shape ``(n, n_windows, len(statistics))`` using
-    non-overlapping windows — the "slices high-rate sensor streams into
-    fixed time windows" step of the DIII-D pipeline, with summaries.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 2:
-        raise FeatureError("expected (n, T) series")
-    if window < 1:
-        raise FeatureError("window must be >= 1")
-    n, t = series.shape
-    n_windows = t // window
-    if n_windows == 0:
-        raise FeatureError(f"window {window} longer than series {t}")
-    trimmed = series[:, : n_windows * window].reshape(n, n_windows, window)
-    columns = []
-    for stat in statistics:
-        if stat == "mean":
-            columns.append(trimmed.mean(axis=2))
-        elif stat == "std":
-            columns.append(trimmed.std(axis=2))
-        elif stat == "min":
-            columns.append(trimmed.min(axis=2))
-        elif stat == "max":
-            columns.append(trimmed.max(axis=2))
-        elif stat == "ptp":
-            columns.append(trimmed.max(axis=2) - trimmed.min(axis=2))
-        else:
-            raise FeatureError(f"unknown statistic {stat!r}")
-    return np.stack(columns, axis=2)

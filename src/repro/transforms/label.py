@@ -91,10 +91,6 @@ class NearestCentroidModel:
         exp = np.exp(logits)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def confidence(self, features: np.ndarray) -> np.ndarray:
-        """Max class probability per sample."""
-        return self.predict_proba(features).max(axis=1)
-
 
 @dataclasses.dataclass(frozen=True)
 class PseudoLabelRound:

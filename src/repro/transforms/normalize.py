@@ -1,11 +1,9 @@
-"""Normalization: fitted, invertible, and streaming-statistics-backed.
+"""Normalization: fitted transforms whose parameters are recorded.
 
 "Normalizing by mean and standard deviation" is the transform every domain
 archetype shares (Sections 2.1, 3.1-3.4).  Normalizers here follow the
-fit/transform/inverse_transform contract, can be *fit from merged
-parallel statistics* (:class:`~repro.parallel.stats.FeatureStats`) so the
-same object works in SPMD pipelines, and serialize to plain dicts for
-provenance capture.
+fit/transform contract and serialize to plain dicts for provenance
+capture.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.dataset import Dataset, FieldRole
-from repro.parallel.stats import FeatureStats
 
 __all__ = [
     "Normalizer",
@@ -34,7 +31,7 @@ class NormalizationError(ValueError):
 
 
 class Normalizer:
-    """Base fit/transform/inverse contract."""
+    """Base fit/transform contract."""
 
     name = "base"
 
@@ -44,16 +41,7 @@ class Normalizer:
     def fit(self, values: np.ndarray) -> "Normalizer":
         raise NotImplementedError
 
-    def fit_from_stats(self, stats: FeatureStats) -> "Normalizer":
-        """Fit from pre-computed (possibly distributed) statistics."""
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot fit from streaming statistics"
-        )
-
     def transform(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def fit_transform(self, values: np.ndarray) -> np.ndarray:
@@ -66,19 +54,6 @@ class Normalizer:
     # -- provenance ---------------------------------------------------------
     def params(self) -> Dict[str, object]:
         raise NotImplementedError
-
-    @staticmethod
-    def from_params(blob: Dict[str, object]) -> "Normalizer":
-        name = str(blob["name"])
-        cls = {
-            ZScoreNormalizer.name: ZScoreNormalizer,
-            MinMaxNormalizer.name: MinMaxNormalizer,
-            RobustNormalizer.name: RobustNormalizer,
-            LogNormalizer.name: LogNormalizer,
-        }.get(name)
-        if cls is None:
-            raise NormalizationError(f"unknown normalizer {name!r}")
-        return cls._from_params(blob)
 
 
 class ZScoreNormalizer(Normalizer):
@@ -99,23 +74,10 @@ class ZScoreNormalizer(Normalizer):
         self.fitted = True
         return self
 
-    def fit_from_stats(self, stats: FeatureStats) -> "ZScoreNormalizer":
-        if stats.count == 0:
-            raise NormalizationError("cannot fit from empty statistics")
-        self.mean = np.array(stats.mean, dtype=np.float64)
-        self.std = np.array(stats.std, dtype=np.float64)
-        self.fitted = True
-        return self
-
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._require_fitted()
         std = np.where(np.asarray(self.std) < self.epsilon, 1.0, self.std)
         return (np.asarray(values, dtype=np.float64) - self.mean) / std
-
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        std = np.where(np.asarray(self.std) < self.epsilon, 1.0, self.std)
-        return np.asarray(values, dtype=np.float64) * std + self.mean
 
     def params(self) -> Dict[str, object]:
         self._require_fitted()
@@ -124,14 +86,6 @@ class ZScoreNormalizer(Normalizer):
             "mean": np.asarray(self.mean).tolist(),
             "std": np.asarray(self.std).tolist(),
         }
-
-    @classmethod
-    def _from_params(cls, blob: Dict[str, object]) -> "ZScoreNormalizer":
-        out = cls()
-        out.mean = np.asarray(blob["mean"], dtype=np.float64)
-        out.std = np.asarray(blob["std"], dtype=np.float64)
-        out.fitted = True
-        return out
 
 
 class MinMaxNormalizer(Normalizer):
@@ -155,14 +109,6 @@ class MinMaxNormalizer(Normalizer):
         self.fitted = True
         return self
 
-    def fit_from_stats(self, stats: FeatureStats) -> "MinMaxNormalizer":
-        if stats.count == 0:
-            raise NormalizationError("cannot fit from empty statistics")
-        self.data_min = np.array(stats.extrema.min, dtype=np.float64)
-        self.data_max = np.array(stats.extrema.max, dtype=np.float64)
-        self.fitted = True
-        return self
-
     def _span(self) -> np.ndarray:
         span = np.asarray(self.data_max) - np.asarray(self.data_min)
         return np.where(span == 0, 1.0, span)
@@ -172,11 +118,6 @@ class MinMaxNormalizer(Normalizer):
         unit = (np.asarray(values, dtype=np.float64) - self.data_min) / self._span()
         return unit * (self.hi - self.lo) + self.lo
 
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        unit = (np.asarray(values, dtype=np.float64) - self.lo) / (self.hi - self.lo)
-        return unit * self._span() + self.data_min
-
     def params(self) -> Dict[str, object]:
         self._require_fitted()
         return {
@@ -185,15 +126,6 @@ class MinMaxNormalizer(Normalizer):
             "data_min": np.asarray(self.data_min).tolist(),
             "data_max": np.asarray(self.data_max).tolist(),
         }
-
-    @classmethod
-    def _from_params(cls, blob: Dict[str, object]) -> "MinMaxNormalizer":
-        lo, hi = blob["range"]  # type: ignore[misc]
-        out = cls((float(lo), float(hi)))
-        out.data_min = np.asarray(blob["data_min"], dtype=np.float64)
-        out.data_max = np.asarray(blob["data_max"], dtype=np.float64)
-        out.fitted = True
-        return out
 
 
 class RobustNormalizer(Normalizer):
@@ -220,11 +152,6 @@ class RobustNormalizer(Normalizer):
         iqr = np.where(np.asarray(self.iqr) < self.epsilon, 1.0, self.iqr)
         return (np.asarray(values, dtype=np.float64) - self.median) / iqr
 
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        iqr = np.where(np.asarray(self.iqr) < self.epsilon, 1.0, self.iqr)
-        return np.asarray(values, dtype=np.float64) * iqr + self.median
-
     def params(self) -> Dict[str, object]:
         self._require_fitted()
         return {
@@ -233,20 +160,12 @@ class RobustNormalizer(Normalizer):
             "iqr": np.asarray(self.iqr).tolist(),
         }
 
-    @classmethod
-    def _from_params(cls, blob: Dict[str, object]) -> "RobustNormalizer":
-        out = cls()
-        out.median = np.asarray(blob["median"], dtype=np.float64)
-        out.iqr = np.asarray(blob["iqr"], dtype=np.float64)
-        out.fitted = True
-        return out
-
 
 class LogNormalizer(Normalizer):
     """``log1p`` for strictly non-negative, heavy-tailed quantities.
 
     Composes a z-score in log space so the output is both compressed and
-    centred; the inverse restores original units exactly.
+    centred.
     """
 
     name = "log"
@@ -270,21 +189,10 @@ class LogNormalizer(Normalizer):
             raise NormalizationError("log normalizer requires non-negative values")
         return self._inner.transform(np.log1p(values))
 
-    def inverse_transform(self, values: np.ndarray) -> np.ndarray:
-        self._require_fitted()
-        return np.expm1(self._inner.inverse_transform(values))
-
     def params(self) -> Dict[str, object]:
         self._require_fitted()
         inner = self._inner.params()
         return {"name": self.name, "inner": inner}
-
-    @classmethod
-    def _from_params(cls, blob: Dict[str, object]) -> "LogNormalizer":
-        out = cls()
-        out._inner = ZScoreNormalizer._from_params(blob["inner"])  # type: ignore[arg-type]
-        out.fitted = True
-        return out
 
 
 def make_normalizer(name: str, **kwargs: object) -> Normalizer:
@@ -311,8 +219,7 @@ def normalize_dataset(
     """Fit-and-apply a normalizer per numeric feature column.
 
     Returns the normalized dataset and the fitted normalizers keyed by
-    column, which pipelines persist for provenance and for denormalizing
-    model outputs.
+    column, which pipelines persist for provenance.
     """
     if columns is None:
         columns = tuple(

@@ -55,17 +55,6 @@ class TestLedger:
         evidence.record(EvidenceKind.BASIC_LABELS, "no metric")
         assert evidence.metric(EvidenceKind.BASIC_LABELS, "labeled_fraction") is None
 
-    def test_for_stage_filters(self):
-        evidence = ReadinessEvidence()
-        evidence.record(EvidenceKind.ACQUIRED)
-        evidence.record(EvidenceKind.INITIAL_ALIGNMENT)
-        evidence.record(EvidenceKind.VALIDATED_INGEST)
-        ingest = evidence.for_stage(DataProcessingStage.INGEST)
-        assert [i.kind for i in ingest] == [
-            EvidenceKind.ACQUIRED,
-            EvidenceKind.VALIDATED_INGEST,
-        ]
-
     def test_kinds_first_recorded_order(self):
         evidence = ReadinessEvidence()
         evidence.record(EvidenceKind.VALIDATED_INGEST)
@@ -92,17 +81,3 @@ class TestLedger:
         b = a.copy()
         b.record(EvidenceKind.VALIDATED_INGEST)
         assert len(a) == 1 and len(b) == 2
-
-    def test_dict_round_trip(self):
-        evidence = ReadinessEvidence()
-        evidence.record(
-            EvidenceKind.COMPREHENSIVE_LABELS,
-            "all labelled",
-            recorded_by="transform",
-            labeled_fraction=0.99,
-        )
-        back = ReadinessEvidence.from_dicts(evidence.to_dicts())
-        assert back.has(EvidenceKind.COMPREHENSIVE_LABELS)
-        assert back.metric(EvidenceKind.COMPREHENSIVE_LABELS, "labeled_fraction") == 0.99
-        item = back.latest(EvidenceKind.COMPREHENSIVE_LABELS)
-        assert item is not None and item.recorded_by == "transform"

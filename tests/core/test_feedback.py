@@ -41,8 +41,8 @@ class TestController:
             max_iterations=3,
         )
         history = controller.run(separable_dataset)
-        assert history.n_iterations == 1
-        assert history.converged()
+        assert len(history.iterations) == 1
+        assert not history.iterations[-1].triggered_rules
 
     def test_label_scarcity_cycle_improves_coverage(self, separable_dataset):
         rule = FeedbackRule(
@@ -57,10 +57,10 @@ class TestController:
             max_iterations=5,
         )
         history = controller.run(separable_dataset)
-        fractions = history.metric_series("labeled_fraction")
+        fractions = [it.metrics["labeled_fraction"] for it in history.iterations]
         assert fractions[0] < 0.3
         assert fractions[-1] > 0.9
-        assert history.converged()
+        assert not history.iterations[-1].triggered_rules
         # final dataset actually carries the propagated labels
         final_frac = float(
             (history.final_dataset["label"] != UNLABELED).mean()
@@ -79,9 +79,8 @@ class TestController:
             max_iterations=3,
         )
         history = controller.run(separable_dataset)
-        assert history.n_iterations == 3  # never converges within budget
+        assert len(history.iterations) == 3  # never converges within budget
         assert all(it.triggered_rules == ("always",) for it in history.iterations)
-        assert not history.converged()
 
     def test_max_iterations_validated(self, separable_dataset):
         with pytest.raises(ValueError):

@@ -1,16 +1,12 @@
 """Readiness levels, processing stages, and the staircase rule."""
 
-import pytest
-
 from repro.core.levels import (
     CANONICAL_PIPELINE,
     DOMAIN_STAGE_VERBS,
     MATRIX_CELL_DESCRIPTIONS,
     DataProcessingStage,
     DataReadinessLevel,
-    minimum_level_for_stage,
     stage_applicable,
-    stages_for_level,
 )
 
 
@@ -26,21 +22,6 @@ class TestLevels:
         assert DataReadinessLevel.RAW.label == "1 - Raw"
         assert DataReadinessLevel.AI_READY.label == "5 - Fully AI-ready"
         assert DataReadinessLevel.FEATURE_ENGINEERED.label == "4 - Feature-engineered"
-
-    def test_from_label_parses_all(self):
-        for level in DataReadinessLevel:
-            assert DataReadinessLevel.from_label(level.label) is level
-
-    def test_from_label_case_and_separator_insensitive(self):
-        assert DataReadinessLevel.from_label("AI READY") is DataReadinessLevel.AI_READY
-        assert (
-            DataReadinessLevel.from_label("feature_engineered")
-            is DataReadinessLevel.FEATURE_ENGINEERED
-        )
-
-    def test_from_label_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown"):
-            DataReadinessLevel.from_label("level 6")
 
     def test_every_level_has_description(self):
         for level in DataReadinessLevel:
@@ -68,16 +49,6 @@ class TestStaircase:
         for level in DataReadinessLevel:
             for stage in DataProcessingStage:
                 assert stage_applicable(level, stage) == (int(stage) <= int(level))
-
-    def test_raw_only_ingest(self):
-        assert stages_for_level(DataReadinessLevel.RAW) == [DataProcessingStage.INGEST]
-
-    def test_ai_ready_spans_all(self):
-        assert stages_for_level(DataReadinessLevel.AI_READY) == list(DataProcessingStage)
-
-    def test_minimum_level_for_stage(self):
-        assert minimum_level_for_stage(DataProcessingStage.SHARD) is DataReadinessLevel.AI_READY
-        assert minimum_level_for_stage(DataProcessingStage.INGEST) is DataReadinessLevel.RAW
 
     def test_cell_descriptions_cover_exactly_the_applicable_cells(self):
         applicable = {

@@ -54,24 +54,10 @@ class TestFromAssessment:
     def test_partial_evidence_mixes_achieved_and_pending(self):
         assessment = ReadinessAssessor().assess(evidence_up_to(DataReadinessLevel.CLEANED))
         matrix = MaturityMatrix.from_assessment(assessment)
-        achieved = matrix.achieved_levels()
-        assert achieved[DataProcessingStage.INGEST] is DataReadinessLevel.CLEANED
-        assert achieved[DataProcessingStage.PREPROCESS] is DataReadinessLevel.CLEANED
+        for stage in (DataProcessingStage.INGEST, DataProcessingStage.PREPROCESS):
+            assert matrix[(DataReadinessLevel.CLEANED, stage)].status is CellStatus.ACHIEVED
         cell = matrix[(DataReadinessLevel.LABELED, DataProcessingStage.INGEST)]
         assert cell.status is CellStatus.PENDING
-
-    def test_frontier_is_lowest_pending_per_stage(self):
-        assessment = ReadinessAssessor().assess(evidence_up_to(DataReadinessLevel.CLEANED))
-        matrix = MaturityMatrix.from_assessment(assessment)
-        frontier = matrix.frontier()
-        frontier_by_stage = {c.stage: c.level for c in frontier}
-        assert frontier_by_stage[DataProcessingStage.INGEST] is DataReadinessLevel.LABELED
-        assert frontier_by_stage[DataProcessingStage.TRANSFORM] is DataReadinessLevel.LABELED
-        assert frontier_by_stage[DataProcessingStage.SHARD] is DataReadinessLevel.AI_READY
-
-    def test_fully_ready_frontier_empty(self):
-        assessment = ReadinessAssessor().assess(evidence_up_to(DataReadinessLevel.AI_READY))
-        assert MaturityMatrix.from_assessment(assessment).frontier() == []
 
     def test_render_with_marks(self):
         assessment = ReadinessAssessor().assess(evidence_up_to(DataReadinessLevel.LABELED))

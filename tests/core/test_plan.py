@@ -73,12 +73,6 @@ class TestStagePlanIntrospection:
         with pytest.raises(KeyError):
             plan.index_of("missing")
 
-    def test_processing_stages_deduplicated(self):
-        plan = StagePlan.build(
-            "p", [stage("a", S.INGEST), stage("b"), stage("c")]
-        )
-        assert plan.processing_stages() == [S.INGEST, S.TRANSFORM]
-
     def test_describe_renders_hints(self):
         plan = StagePlan.build(
             "p", [stage("regrid", S.PREPROCESS, parallelism=Parallelism.MAP)]

@@ -3,7 +3,6 @@
 from repro.core.report import (
     format_bytes,
     format_seconds,
-    render_kv,
     render_table,
     section,
 )
@@ -33,14 +32,6 @@ class TestRenderTable:
 
 
 class TestOtherHelpers:
-    def test_render_kv_aligns_keys(self):
-        block = render_kv([("short", 1), ("much-longer-key", 2)])
-        lines = block.splitlines()
-        assert lines[0].index(":") == lines[1].index(":")
-
-    def test_render_kv_empty(self):
-        assert render_kv([]) == ""
-
     def test_section_header(self):
         header = section("Results")
         assert "Results" in header

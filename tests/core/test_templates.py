@@ -13,7 +13,6 @@ from repro.core.templates import (
     TemplateError,
     TemplatedPipelineBuilder,
     builtin_template,
-    register_template,
     registered_templates,
 )
 
@@ -82,10 +81,6 @@ class TestValidation:
             )
         capped = DomainTemplate(domain="no-audit", modality="x", stages=tuple(stages))
         assert capped.max_attainable_level() is DataReadinessLevel.FEATURE_ENGINEERED
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(TemplateError, match="already registered"):
-            register_template(builtin_template("climate"))
 
 
 def toy_template() -> DomainTemplate:

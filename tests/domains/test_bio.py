@@ -99,7 +99,7 @@ class TestPipeline:
         enclave = result.run.context.artifacts["enclave"]
         assert enclave.holdings() == ["bio-fused"]
         enclave.audit.verify()
-        blob = enclave.raw_blob("bio-fused", "subject")
+        blob = enclave._store["bio-fused"].column_blobs["subject"]
         for token in result.dataset["subject"][:3].tolist():
             assert token.encode() not in blob
 

@@ -27,7 +27,6 @@ class TestMeshModel:
     def test_tokamak_mesh_well_formed(self, mesh):
         assert mesh.n_nodes > 100
         assert mesh.n_triangles > 150
-        assert mesh.total_area() > 0
 
     def test_edge_packing_densifies_outer_rings(self):
         mesh = tokamak_mesh(n_radial=10, n_poloidal=24, edge_packing=2.0)

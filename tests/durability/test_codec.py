@@ -99,7 +99,7 @@ def dead_letters(root):
             input_fingerprint="a" * 8, action="degraded", timestamp=7.0,
         ))
         log.save(path)
-    return path, DeadLetterLog.load(path).to_dicts()
+    return path, [r.to_dict() for r in DeadLetterLog.load(path).records]
 
 
 def audit(root):

@@ -1,5 +1,7 @@
 """The seeded fault injector: spec parsing, determinism, filesystem chaos."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.backends import SerialBackend
@@ -89,8 +91,8 @@ class TestFaultSpec:
 
     def test_roundtrip_to_dict(self):
         spec = FaultSpec(seed=3, transient_rate=0.1)
-        assert spec.to_dict()["seed"] == 3
-        assert spec.to_dict()["transient_rate"] == 0.1
+        assert dataclasses.asdict(spec)["seed"] == 3
+        assert dataclasses.asdict(spec)["transient_rate"] == 0.1
 
 
 def _schedule(injector, sites):

@@ -260,7 +260,7 @@ class TestSkipDegraded:
 
     def test_degraded_stage_is_dead_lettered_for_redrive(self):
         run = self._degraded_run()
-        records = run.dead_letters.for_stage("doomed")
+        records = [r for r in run.dead_letters.records if r.stage_name == "doomed"]
         assert len(records) == 1
         assert records[0].action == "degraded"
         assert records[0].input_fingerprint == run.results[0].output_fingerprint
@@ -331,7 +331,7 @@ class TestCheckpointHardening:
             fault_clock=VirtualClock(),
             telemetry=telemetry,
         ).run(np.ones(2))
-        spans = {s.name: s for s in telemetry.tracer.finished_spans()}
+        spans = {s.name: s for s in telemetry.tracer.spans() if s.ended}
         events = spans["stage:flaky"].events
         assert [e["name"] for e in events] == ["retry"]
         assert events[0]["attempt"] == 1

@@ -68,7 +68,6 @@ class TestQueries:
         log.record("b", "read", "ds2")
         log.record("a", "write", "ds1")
         assert len(log.events_for("ds1")) == 2
-        assert len(log.actions_by("b")) == 1
 
 
 class TestPersistence:

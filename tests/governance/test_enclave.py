@@ -51,11 +51,11 @@ class TestSealing:
         assert np.array_equal(back["patient_name"], sensitive_dataset["patient_name"])
 
     def test_at_rest_bytes_do_not_leak_plaintext(self, enclave):
-        blob = enclave.raw_blob("clinical", "patient_name")
+        blob = enclave._store["clinical"].column_blobs["patient_name"]
         assert b"Person" not in blob
 
     def test_ciphertext_integrity_protected(self, enclave):
-        blob = bytearray(enclave.raw_blob("clinical", "value"))
+        blob = bytearray(enclave._store["clinical"].column_blobs["value"])
         blob[20] ^= 0xFF
         enclave._store["clinical"].column_blobs["value"] = bytes(blob)
         with enclave.session("alice") as session:

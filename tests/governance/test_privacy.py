@@ -70,7 +70,7 @@ class TestCombined:
         assert len(keys) == len(set(keys))
 
     def test_sensitive_columns(self, phi_dataset):
-        columns = PrivacyScanner().sensitive_columns(phi_dataset)
+        columns = {f.column for f in PrivacyScanner().scan(phi_dataset)}
         assert "ssn" in columns and "secret_score" in columns
         assert "temperature" not in columns
 

@@ -1,14 +1,9 @@
-"""Chunk-plan invariants: completeness, balance, grid coverage."""
+"""Chunk-plan invariants: completeness, balance."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.io.chunking import (
-    ChunkPlan,
-    chunk_grid,
-    iter_chunk_slices,
-    plan_balanced_shards,
     plan_shards_by_bytes,
     plan_shards_by_count,
     read_balance,
@@ -60,69 +55,6 @@ class TestPlanByBytes:
             plan_shards_by_bytes(10, 0, 100)
         with pytest.raises(ValueError):
             plan_shards_by_bytes(10, 8, 0)
-
-
-class TestBalancedPlan:
-    def test_covers_all_samples_in_order(self):
-        sizes = [100, 1, 1, 1, 100, 1, 1, 1, 100]
-        plan = plan_balanced_shards(sizes, 3)
-        assert plan.boundaries[0] == 0 and plan.boundaries[-1] == len(sizes)
-        assert sum(plan.sizes) == len(sizes)
-
-    def test_skewed_weights_better_than_count_split(self):
-        rng = np.random.default_rng(0)
-        sizes = np.concatenate([rng.integers(1, 5, 90), rng.integers(500, 1000, 10)])
-        rng.shuffle(sizes)
-        by_count = plan_shards_by_count(len(sizes), 5)
-        balanced = plan_balanced_shards(sizes.tolist(), 5)
-
-        def byte_imbalance(plan: ChunkPlan) -> float:
-            loads = [int(sizes[sl].sum()) for sl in plan]
-            return max(loads) / (sum(loads) / len(loads))
-
-        assert byte_imbalance(balanced) <= byte_imbalance(by_count)
-
-    @given(
-        st.lists(st.integers(1, 100), min_size=1, max_size=80),
-        st.integers(1, 8),
-    )
-    def test_property_complete(self, sizes, k):
-        plan = plan_balanced_shards(sizes, k)
-        assert plan.boundaries[0] == 0
-        assert plan.boundaries[-1] == len(sizes)
-        assert all(a <= b for a, b in zip(plan.boundaries, plan.boundaries[1:]))
-
-
-class TestChunkGrid:
-    def test_covers_2d_array_exactly_once(self):
-        grid = chunk_grid((10, 7), (4, 3))
-        mask = np.zeros((10, 7), dtype=int)
-        for slices in grid:
-            mask[slices] += 1
-        assert (mask == 1).all()
-
-    def test_c_order_emission(self):
-        grid = chunk_grid((4, 4), (2, 2))
-        starts = [(s[0].start, s[1].start) for s in grid]
-        assert starts == [(0, 0), (0, 2), (2, 0), (2, 2)]
-
-    def test_rank_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            chunk_grid((4, 4), (2,))
-
-    def test_zero_size_axis_gives_empty_grid(self):
-        assert chunk_grid((0, 4), (2, 2)) == []
-
-
-class TestIterChunkSlices:
-    def test_covers_range(self):
-        slices = list(iter_chunk_slices(10, 3))
-        assert [s.start for s in slices] == [0, 3, 6, 9]
-        assert slices[-1].stop == 10
-
-    def test_bad_chunk(self):
-        with pytest.raises(ValueError):
-            list(iter_chunk_slices(10, 0))
 
 
 class TestReadBalance:

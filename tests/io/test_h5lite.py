@@ -18,7 +18,7 @@ def sample_file(tmp_path, rng):
     with H5LiteFile(path, "w") as fh:
         for name, array in data.items():
             fh.create_dataset(name, array, attrs={"source": "test"})
-        fh.set_attrs("/climate", institution="ORNL-sim")
+        fh.create_group("/climate", attrs={"institution": "ORNL-sim"})
     return path, data
 
 

@@ -43,7 +43,6 @@ class TestModel:
             gridded.create_variable("bad", ["time"], rng.normal(size=(6, 4)))
 
     def test_coordinate_vs_data_variables(self, gridded):
-        assert gridded.coordinate_variables() == ["lat", "lon", "time"]
         assert gridded.data_variables() == ["tas"]
 
     def test_units_accessor(self, gridded):

@@ -127,17 +127,15 @@ class TestStreamingWrite:
             write_shard({"x": Boom()}, tmp_path / "s.rps")
         assert [p.name for p in tmp_path.iterdir()] == []
 
-    def test_failed_commit_cleans_both_siblings(self, tmp_path, rng, monkeypatch):
+    def test_failed_commit_cleans_both_siblings(self, tmp_path, rng):
         # regression: a raise *after* the spool→tmp copy (in the atomic
         # commit itself) used to leak the .tmp sibling
-        import repro.io.shards as shards_mod
+        from repro.durability.fsfaults import activate
+        from repro.faults import FaultInjector, FaultSpec
 
-        def explode(tmp, final, **kwargs):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(shards_mod, "commit_file", explode)
-        with pytest.raises(OSError):
-            write_shard({"x": rng.normal(size=32)}, tmp_path / "s.rps")
+        with activate(FaultInjector(FaultSpec.parse("eio=shard:0"))):
+            with pytest.raises(OSError):
+                write_shard({"x": rng.normal(size=32)}, tmp_path / "s.rps")
         assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_injected_commit_fault_cleans_and_retry_heals(self, tmp_path, rng):

@@ -170,7 +170,9 @@ class TestTelemetryExport:
         telemetry = Telemetry()
         with telemetry.tracer.span("work"):
             telemetry.metrics.counter("done").inc()
-        telemetry.export_jsonl(tmp_path / "trace", events=[{"kind": "x"}])
+        telemetry.export(
+            JsonlTelemetrySink(tmp_path / "trace"), events=[{"kind": "x"}], close=True
+        )
         trace = read_trace(tmp_path / "trace")
         assert trace["spans"][0]["name"] == "work"
         assert trace["metrics"][0]["name"] == "done"

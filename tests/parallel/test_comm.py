@@ -31,15 +31,6 @@ class TestPointToPoint:
 
         assert run_spmd(2, main)[1] == ("first", "second")
 
-    def test_sendrecv_ring(self):
-        def main(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left, tag=5)
-
-        results = run_spmd(4, main)
-        assert results == [3, 0, 1, 2]
-
     def test_invalid_dest(self):
         def main(comm):
             comm.send(1, dest=99)
@@ -56,18 +47,15 @@ class TestCollectives:
 
         assert all(r == {"key": [1, 2]} for r in run_spmd(4, main))
 
-    def test_scatter_gather_round_trip(self):
+    def test_gather_at_root(self):
         def main(comm):
-            chunks = [[i, i * i] for i in range(comm.size)] if comm.rank == 0 else None
-            mine = comm.scatter(chunks, root=0)
-            assert mine == [comm.rank, comm.rank**2]
-            return comm.gather(mine, root=0)
+            return comm.gather([comm.rank, comm.rank**2], root=0)
 
         results = run_spmd(3, main)
         assert results[0] == [[0, 0], [1, 1], [2, 4]]
         assert results[1] is None
 
-    def test_scatter_wrong_length(self):
+    def test_root_error_wakes_blocked_peers(self):
         """The root's error is reported, and promptly.
 
         Ranks 1 and 2 are blocked in ``recv`` when rank 0 raises; they must
@@ -75,10 +63,12 @@ class TestCollectives:
         below the root cause), not left to sit out ``SimComm.TIMEOUT``.
         """
         def main(comm):
-            comm.scatter([1], root=0)
+            if comm.rank == 0:
+                comm.send(1, dest=99)
+            comm.recv(source=0)
 
         start = time.monotonic()
-        with pytest.raises(CommError, match="exactly") as excinfo:
+        with pytest.raises(CommError, match="out of range") as excinfo:
             run_spmd(3, main)
         assert time.monotonic() - start < 2.0
         assert not isinstance(excinfo.value, PeerFailedError)
@@ -92,10 +82,6 @@ class TestCollectives:
                 world.comm(0).recv(source=1)
         assert time.monotonic() - start < 2.0
 
-    def test_allgather(self):
-        results = run_spmd(4, lambda comm: comm.allgather(comm.rank * 10))
-        assert all(r == [0, 10, 20, 30] for r in results)
-
     def test_reduce_sum_at_root(self):
         def main(comm):
             return comm.reduce(comm.rank + 1, root=2)
@@ -108,41 +94,6 @@ class TestCollectives:
         results = run_spmd(4, lambda comm: comm.allreduce(comm.rank, op=max))
         assert results == [3, 3, 3, 3]
 
-    def test_alltoall(self):
-        def main(comm):
-            out = [f"{comm.rank}->{j}" for j in range(comm.size)]
-            received = comm.alltoall(out)
-            return received
-
-        results = run_spmd(3, main)
-        assert results[1] == ["0->1", "1->1", "2->1"]
-
-    def test_barrier_all_reach(self):
-        def main(comm):
-            comm.barrier()
-            return True
-
-        assert run_spmd(5, main) == [True] * 5
-
-    def test_numpy_bcast_in_place(self):
-        def main(comm):
-            buffer = np.arange(6.0) if comm.rank == 0 else np.zeros(6)
-            comm.Bcast(buffer, root=0)
-            return buffer
-
-        for result in run_spmd(3, main):
-            assert np.array_equal(result, np.arange(6.0))
-
-    def test_numpy_allreduce(self):
-        def main(comm):
-            send = np.full(4, float(comm.rank))
-            recv = np.empty(4)
-            comm.Allreduce(send, recv)
-            return recv
-
-        for result in run_spmd(4, main):
-            assert np.array_equal(result, np.full(4, 6.0))  # 0+1+2+3
-
 
 class TestDriver:
     def test_world_size_one(self):
@@ -152,9 +103,9 @@ class TestDriver:
         def main(comm):
             if comm.rank == 1:
                 raise RuntimeError("rank 1 died")
-            comm.barrier()
+            comm.recv(source=1)
 
-        with pytest.raises((RuntimeError, Exception), match="rank 1 died|Barrier"):
+        with pytest.raises(RuntimeError, match="rank 1 died"):
             run_spmd(3, main)
 
     def test_invalid_world_size(self):

@@ -63,13 +63,13 @@ class TestStructure:
     def test_flat_one_round_p_minus_1_messages(self):
         schedule = flat_schedule(9)
         assert schedule.n_rounds == 1
-        assert schedule.n_messages == 8
+        assert len(schedule.steps) == 8
         assert schedule.max_inbox() == 8
 
     def test_tree_log_rounds(self):
         schedule = tree_schedule(16, fanin=2)
         assert schedule.n_rounds == 4
-        assert schedule.n_messages == 15
+        assert len(schedule.steps) == 15
         assert schedule.max_inbox() == 1
 
     def test_tree_fanin_trades_rounds_for_inbox(self):
@@ -81,7 +81,7 @@ class TestStructure:
     def test_butterfly_rounds_and_messages(self):
         schedule = butterfly_schedule(8)
         assert schedule.n_rounds == 3
-        assert schedule.n_messages == 24  # P * log2(P)
+        assert len(schedule.steps) == 24  # P * log2(P)
         assert schedule.result_ranks == tuple(range(8))
 
     def test_bad_fanin(self):

@@ -9,7 +9,6 @@ from repro.provenance.record import (
     ProvenanceRecord,
     contiguous_bytes,
     fingerprint_array,
-    fingerprint_bytes,
     fingerprint_params,
 )
 
@@ -64,9 +63,6 @@ class TestFingerprints:
 
     def test_params_value_sensitive(self):
         assert fingerprint_params({"k": 3}) != fingerprint_params({"k": 4})
-
-    def test_bytes_hash(self):
-        assert len(fingerprint_bytes(b"abc")) == 64
 
 
 class TestRecord:

@@ -1,4 +1,4 @@
-"""Quality metrics: completeness, balance, noise, coverage."""
+"""Quality metrics: completeness, balance, noise, outliers."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.quality.metrics import (
     class_balance,
     completeness,
-    coverage,
-    effective_classes,
     imbalance_ratio,
     noise_estimate,
     outlier_rate,
@@ -36,13 +34,6 @@ class TestBalance:
         assert imbalance_ratio(np.asarray([0, 1, 0, 1])) == 1.0
         assert imbalance_ratio(np.asarray([])) == 1.0
 
-    def test_effective_classes(self):
-        balanced = np.repeat(np.arange(4), 25)
-        assert effective_classes(balanced) == pytest.approx(4.0)
-        skewed = np.asarray([0] * 97 + [1, 2, 3])
-        assert effective_classes(skewed) < 1.5
-        assert effective_classes(np.asarray([])) == 0.0
-
 
 class TestNoise:
     def test_smooth_signal_low_noise(self):
@@ -70,23 +61,6 @@ class TestNoise:
     def test_degenerate_inputs(self):
         assert noise_estimate(np.ones(100)) == 0.0
         assert noise_estimate(np.asarray([1.0])) == 0.0
-
-
-class TestCoverage:
-    def test_full_coverage(self, rng):
-        values = rng.uniform(0, 10, 5000)
-        assert coverage(values, 0, 10, n_bins=20) == 1.0
-
-    def test_gap_detected(self, rng):
-        values = np.concatenate([rng.uniform(0, 4, 1000), rng.uniform(6, 10, 1000)])
-        assert coverage(values, 0, 10, n_bins=20) == pytest.approx(0.8, abs=0.1)
-
-    def test_out_of_range_data(self, rng):
-        assert coverage(rng.uniform(100, 200, 100), 0, 10) == 0.0
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            coverage(np.zeros(3), 5, 5)
 
 
 class TestOutlierRate:

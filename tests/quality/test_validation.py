@@ -3,9 +3,7 @@
 import numpy as np
 
 from repro.quality.validation import (
-    ConstraintValidator,
     check_bounds,
-    check_conservation,
     check_finite,
     check_monotonic,
     check_precision,
@@ -45,18 +43,6 @@ class TestChecks:
         assert issues
         assert check_monotonic(np.asarray([1.0, 1.0]), strictly=False) == []
 
-    def test_conservation_pass_and_fail(self, rng):
-        before = rng.normal(10, 1, size=(8, 8))
-        assert check_conservation(before, before * 1.0001, rtol=1e-3) == []
-        issues = check_conservation(before, before * 1.5, rtol=1e-3)
-        assert issues and issues[0].check == "conservation"
-
-    def test_conservation_weighted(self):
-        """Different resolutions compare via weighted means."""
-        before = np.full(100, 5.0)
-        after = np.full(10, 5.0)
-        assert check_conservation(before, after) == []
-
 
 class TestHardening:
     """Degenerate inputs become structured issues, never tracebacks.
@@ -75,56 +61,6 @@ class TestHardening:
         assert [i.severity for i in issues] == ["error"]
         assert "cannot be ordered" in issues[0].message
 
-    def test_conservation_empty_arrays(self):
-        issues = check_conservation(np.asarray([]), np.asarray([1.0]))
-        assert issues and "no data to compare" in issues[0].message
-
-    def test_conservation_zero_total_weight(self):
-        before = np.full(4, 5.0)
-        issues = check_conservation(
-            before, before, weights_before=np.zeros(4), weights_after=np.ones(4)
-        )
-        assert issues and issues[0].severity == "error"
-
-    def test_validator_missing_column_becomes_issue(self, small_dataset):
-        result = (
-            ConstraintValidator()
-            .require_finite("no_such_column")
-            .require_finite("x1")
-            .validate(small_dataset)
-        )
-        assert not result.ok
-        [issue] = result.errors
-        assert issue.check == "finite"
-        assert issue.column == "no_such_column"
-        assert "check could not run" in issue.message
-
-    def test_validator_survives_zero_row_dataset(self):
-        from repro.core.dataset import Dataset
-
-        empty = Dataset.from_arrays({"t": np.zeros((0,))})
-        validator = (
-            ConstraintValidator()
-            .require_finite("t")
-            .require_bounds("t", 150, 350)
-            .require("conserved", lambda ds: check_conservation(ds["t"], ds["t"]))
-        )
-        result = validator.validate(empty)
-        # finite/bounds on zero rows are vacuously fine; conservation
-        # reports "no data" instead of dividing by a zero weight sum
-        assert [i.check for i in result.errors] == ["conservation"]
-
-    def test_validator_crashing_custom_check_is_contained(self, small_dataset):
-        def explode(ds):
-            raise RuntimeError("boom")
-
-        result = ConstraintValidator().require("custom", explode).validate(
-            small_dataset
-        )
-        [issue] = result.errors
-        assert issue.check == "custom"
-        assert "RuntimeError: boom" in issue.message
-
 
 class TestSchemaValidation:
     def test_valid_dataset(self, small_dataset):
@@ -135,39 +71,3 @@ class TestSchemaValidation:
         result = validate_schema(small_dataset)
         assert not result.ok
         assert result.errors[0].check == "schema"
-
-
-class TestConstraintValidator:
-    def test_bundle(self, small_dataset):
-        validator = (
-            ConstraintValidator()
-            .require_finite("x1")
-            .require_bounds("x2", -100, 100)
-            .require_precision("grid", 32)
-        )
-        assert validator.validate(small_dataset).ok
-
-    def test_violations_collected(self, rng):
-        from repro.core.dataset import Dataset
-
-        ds = Dataset.from_arrays({
-            "t": np.asarray([np.nan, 500.0, 250.0]),
-        })
-        validator = (
-            ConstraintValidator().require_finite("t").require_bounds("t", 150, 350)
-        )
-        result = validator.validate(ds)
-        assert not result.ok
-        checks = {i.check for i in result.issues}
-        assert checks == {"finite", "bounds"}
-
-    def test_custom_constraint(self, small_dataset):
-        from repro.quality.validation import ValidationIssue
-
-        def labels_present(ds):
-            if (ds["label"] >= 0).all():
-                return []
-            return [ValidationIssue("labels", "label", "error", "negative labels")]
-
-        validator = ConstraintValidator().require("labels", labels_present)
-        assert validator.validate(small_dataset).ok

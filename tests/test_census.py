@@ -1,0 +1,108 @@
+"""The reachability census: clean on this repo, and it finds what is planted."""
+
+import importlib.util
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPT = REPO / "tools" / "census.py"
+
+_spec = importlib.util.spec_from_file_location("census", SCRIPT)
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+PLANTED = {
+    "src/repro/__init__.py": "",
+    "src/repro/__main__.py": "from repro.cli import main\n\nmain()\n",
+    "src/repro/cli.py": (
+        "from repro.pkg import Thing, via_init\n\n\n"
+        "def main():\n    print(f'{via_init()} {Thing().live()}')\n"
+    ),
+    "src/repro/pkg/__init__.py": (
+        "from repro.pkg.core import Thing, _helper, only_tested, probe, via_init\n"
+        "from repro.pkg.orphan import orphan_fn\n\n"
+        "__all__ = ['Thing', 'only_tested', 'orphan_fn', 'probe', 'via_init']\n"
+    ),
+    "src/repro/pkg/core.py": (
+        "def via_init():\n    return 1\n\n\n"
+        "def _helper():\n    return 2\n\n\n"
+        "def only_tested():\n    return _helper()\n\n\n"
+        "def probe():\n    return 3\n\n\n"
+        "class Thing:\n"
+        "    def live(self):\n        '''See also documented_only and \"only_tested\".'''\n        return 4\n\n"
+        "    def documented_only(self):\n        return 5  # only_tested? no: a comment is not a use\n"
+    ),
+    "src/repro/pkg/orphan.py": "def orphan_fn():\n    return 6\n",
+    "tests/test_core.py": (
+        "from repro.pkg import only_tested, probe\n"
+        "from repro.pkg.orphan import orphan_fn\n\n\n"
+        "def test_all():\n    assert only_tested() + probe() + orphan_fn()\n"
+    ),
+    "benchmarks/bench_nothing.py": "import json\n",
+    "benchmarks/readiness/tests/test_harness.py": "from repro.pkg.orphan import orphan_fn\n",
+}
+
+
+@pytest.fixture
+def planted(tmp_path):
+    for name, text in PLANTED.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
+
+
+def test_this_repo_has_nothing_unreached_outside_keep():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--check"], capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, ""), done.stdout
+    assert len(census.KEEP) <= 12
+    for reason in census.KEEP.values():
+        assert reason in ("test-seam", "safety") or reason.startswith("pending: ROADMAP item ")
+
+
+def test_planted_tree_findings(planted):
+    found = "\n".join(census.census(planted, {"repro.pkg.core.probe": "test-seam"}))
+    assert "module repro.pkg.orphan has no importer" in found
+    assert "repro.pkg.core.only_tested is reached by nothing but tests" in found
+    assert "repro.pkg.core.Thing.documented_only is reached" in found  # a docstring is no use
+    assert "repro.pkg.core._helper is reached" in found  # fixpoint: its only caller is dead
+    # used by a root through the package __init__ re-export, or kept: not flagged
+    for live in ("via_init", "Thing.live", "Thing is", "probe", "repro.cli"):
+        assert live not in found, found
+    assert found.count("\n") == 3
+
+
+def test_keep_table_cannot_rot(planted):
+    found = census.census(planted, {
+        "repro.pkg.core.via_init": "test-seam",
+        "repro.pkg.core.gone": "safety",
+        "repro.pkg.core.probe": "test-seam",
+    })
+    assert "KEEP repro.pkg.core.via_init: reached without it, drop the entry" in found
+    assert "KEEP repro.pkg.core.gone: no such definition" in found
+    assert not any("probe" in line for line in found)
+
+
+def test_check_exits_1_and_names_the_definition(planted):
+    (planted / "tools").mkdir()
+    shutil.copy(SCRIPT, planted / "tools" / "census.py")
+    done = subprocess.run(
+        [sys.executable, "tools/census.py", "--check"],
+        cwd=planted, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "src/repro/pkg/core.py:9: repro.pkg.core.only_tested" in done.stdout
+    listing = subprocess.run(
+        [sys.executable, "tools/census.py"], cwd=planted, capture_output=True, text=True
+    )
+    assert (listing.returncode, listing.stdout) == (0, done.stdout)
+    usage = subprocess.run(
+        [sys.executable, "tools/census.py", "--fix"], cwd=planted, capture_output=True, text=True
+    )
+    assert usage.returncode == 1 and "Reachability census" in usage.stderr

@@ -5,24 +5,12 @@ import pytest
 
 from repro.transforms.augment import (
     AugmentError,
-    add_gaussian_noise,
-    amplitude_scale,
-    augment_batch,
     flip,
-    rotate90,
     smote_like,
-    time_jitter,
 )
 
 
 class TestGeometric:
-    def test_rotate90_four_times_identity(self, rng):
-        images = rng.normal(size=(3, 5, 7))
-        assert np.array_equal(rotate90(images, k=4), images)
-
-    def test_rotate90_shape_swap(self, rng):
-        images = rng.normal(size=(2, 5, 7))
-        assert rotate90(images, k=1).shape == (2, 7, 5)
 
     def test_flip_twice_identity(self, rng):
         images = rng.normal(size=(2, 4, 4))
@@ -35,45 +23,7 @@ class TestGeometric:
 
     def test_batch_dim_required(self, rng):
         with pytest.raises(AugmentError):
-            rotate90(rng.normal(size=(4, 4)))
-
-
-class TestNoise:
-    def test_relative_scaling(self, rng):
-        batch = rng.normal(0, 10.0, size=(2000, 2))
-        noisy = add_gaussian_noise(batch, rng, relative_sigma=0.01)
-        added = noisy - batch
-        assert added.std() == pytest.approx(0.1, rel=0.2)
-
-    def test_zero_sigma_identity(self, rng):
-        batch = rng.normal(size=(10, 2))
-        assert np.array_equal(add_gaussian_noise(batch, rng, relative_sigma=0.0), batch)
-
-    def test_negative_sigma_rejected(self, rng):
-        with pytest.raises(AugmentError):
-            add_gaussian_noise(np.zeros((2, 2)), rng, relative_sigma=-1)
-
-
-class TestTimeJitter:
-    def test_preserves_per_sample_statistics(self, rng):
-        series = rng.normal(size=(10, 50))
-        jittered = time_jitter(series, rng, max_shift=5)
-        assert np.allclose(np.sort(jittered, axis=1), np.sort(series, axis=1))
-
-    def test_zero_shift_identity(self, rng):
-        series = rng.normal(size=(3, 20))
-        assert np.array_equal(time_jitter(series, rng, max_shift=0), series)
-
-
-class TestAmplitudeScale:
-    def test_factors_bounded(self, rng):
-        batch = np.ones((100, 4))
-        scaled = amplitude_scale(batch, rng, spread=0.1)
-        assert scaled.min() >= 0.9 and scaled.max() <= 1.1
-
-    def test_bad_spread(self, rng):
-        with pytest.raises(AugmentError):
-            amplitude_scale(np.ones((2, 2)), rng, spread=1.5)
+            flip(rng.normal(size=(4, 4)))
 
 
 class TestSmote:
@@ -104,16 +54,3 @@ class TestSmote:
         synthetic, synth_labels = smote_like(features, labels, 1, rng, n_synthetic=90)
         combined = np.concatenate([labels, synth_labels])
         assert imbalance_ratio(combined) == 1.0
-
-
-class TestComposed:
-    def test_augment_batch_runs_all(self, rng):
-        batch = rng.normal(size=(8, 32))
-        out = augment_batch(batch, rng, noise_sigma=0.01, jitter=2, scale_spread=0.05)
-        assert out.shape == batch.shape
-        assert not np.array_equal(out, batch)
-
-    def test_augment_batch_noop(self, rng):
-        batch = rng.normal(size=(4, 8))
-        out = augment_batch(batch, rng, noise_sigma=0.0, jitter=0, scale_spread=0.0)
-        assert np.array_equal(out, batch)

@@ -2,17 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.transforms.encode import (
-    DNA_ALPHABET,
     EncodingError,
-    OneHotEncoder,
-    OrdinalEncoder,
     Vocabulary,
-    dna_decode,
     dna_one_hot,
-    one_hot_dataset_column,
 )
 
 
@@ -158,38 +152,6 @@ class TestVectorizedEncode:
         assert vocab.encode(column).tolist() == [1, 0]
 
 
-class TestOrdinalEncoder:
-    def test_round_trip(self):
-        column = np.asarray(["lo", "hi", "mid", "lo"])
-        encoder = OrdinalEncoder().fit(column)
-        codes = encoder.transform(column)
-        assert np.array_equal(encoder.inverse_transform(codes), column)
-
-    def test_unfitted(self):
-        with pytest.raises(EncodingError, match="before fit"):
-            OrdinalEncoder().transform(np.asarray(["a"]))
-
-
-class TestOneHotEncoder:
-    def test_shape_and_rows_sum_to_one(self):
-        column = np.asarray(["a", "b", "c", "a"])
-        matrix = OneHotEncoder().fit(column).transform(column)
-        assert matrix.shape == (4, 3)
-        assert np.allclose(matrix.sum(axis=1), 1.0)
-
-    def test_round_trip(self):
-        column = np.asarray([2, 0, 1, 2])
-        encoder = OneHotEncoder().fit(column)
-        assert np.array_equal(
-            encoder.inverse_transform(encoder.transform(column)), column
-        )
-
-    def test_wrong_width_rejected(self):
-        encoder = OneHotEncoder().fit(np.asarray(["a", "b"]))
-        with pytest.raises(EncodingError, match="width"):
-            encoder.inverse_transform(np.zeros((2, 5)))
-
-
 class TestDNA:
     def test_canonical_bases(self):
         matrix = dna_one_hot("ACGT")
@@ -207,45 +169,8 @@ class TestDNA:
         with pytest.raises(EncodingError, match="invalid DNA"):
             dna_one_hot("ACGX")
 
-    def test_decode_inverse(self):
-        sequence = "ACGTNNACGT"
-        assert dna_decode(dna_one_hot(sequence)) == sequence
-
-    def test_decode_shape_check(self):
-        with pytest.raises(EncodingError, match="one-hot"):
-            dna_decode(np.zeros((3, 5)))
-
-    @given(st.text(alphabet=DNA_ALPHABET + "N", max_size=64))
-    def test_property_round_trip(self, sequence):
-        assert dna_decode(dna_one_hot(sequence)) == sequence
-
     def test_bytes_input(self):
         assert np.array_equal(dna_one_hot(b"ACGT"), dna_one_hot("ACGT"))
 
     def test_empty_sequence(self):
         assert dna_one_hot("").shape == (0, 4)
-
-
-class TestDatasetOneHot:
-    def test_column_replaced_with_expansion(self):
-        from repro.core.dataset import Dataset, FieldSpec, Schema
-
-        ds = Dataset(
-            {"cat": np.asarray(["x", "y", "x"])},
-            Schema([FieldSpec("cat", np.dtype("U1"), categories=("x", "y", "z"))]),
-        )
-        out, encoder = one_hot_dataset_column(ds, "cat")
-        assert "cat" not in out and "cat_onehot" in out
-        # declared categories give a slot even to absent 'z'
-        assert out["cat_onehot"].shape == (3, 3)
-        assert encoder.vocabulary.values == ["x", "y", "z"]
-
-    def test_without_declared_categories_fits_observed(self, small_dataset):
-        from repro.core.dataset import FieldSpec
-
-        ds = small_dataset.with_column(
-            FieldSpec("color", np.dtype("U5")),
-            np.asarray(["red", "blue"] * 25, dtype="U5"),
-        )
-        out, encoder = one_hot_dataset_column(ds, "color")
-        assert out["color_onehot"].shape == (50, 2)

@@ -33,7 +33,7 @@ class TestModel:
         model = NearestCentroidModel().fit(features, truth)
         near = np.asarray([[-3.0, -3.0]])
         boundary = np.asarray([[0.0, 0.0]])
-        assert model.confidence(near)[0] > model.confidence(boundary)[0]
+        assert model.predict_proba(near).max() > model.predict_proba(boundary).max()
 
     def test_proba_rows_sum_to_one(self, two_clusters):
         features, truth = two_clusters
