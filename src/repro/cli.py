@@ -369,7 +369,7 @@ def _cmd_templates(args: argparse.Namespace) -> int:
 
 
 def _archetype(domain: str, seed: int):
-    """The named domain's archetype (imported here: the domains pull in scipy)."""
+    """The named domain's archetype, seeded with *seed*."""
     from repro.domains import all_archetypes
 
     return next(a for a in all_archetypes(seed) if a.domain == domain)

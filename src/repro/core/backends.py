@@ -65,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.core.dataset import Dataset
 from repro.io.compression import get_codec
 from repro.io.shards import (
+    BlockPacker,
     ShardManifest,
     commit_manifest,
     shard_table,
@@ -121,6 +122,13 @@ class ExecutionBackend(abc.ABC):
     #: does a dying worker get recovered instead of failing the stage?
     preemptive_timeout: bool = False
     survives_worker_crash: bool = False
+
+    #: does :meth:`map` run its items one after another, in order, on the
+    #: calling thread?  Then :meth:`shard_write` has idle cores to compress
+    #: column blocks on ahead of the writer; a backend that already fans
+    #: shards out packs inline (a pool inside each worker only adds
+    #: contention, and a forked worker inherits no threads)
+    packs_ahead: bool = False
 
     #: the supervision surface, declared here so the runner never probes
     #: for it: a cooperative stop flag checked between task grants, the
@@ -313,15 +321,22 @@ class ExecutionBackend(abc.ABC):
         Each entry of the shard table is written independently through
         :meth:`map`; the manifest is assembled in deterministic
         split/index order afterwards, so shard contents and accounting
-        match across backends byte for byte.
+        match across backends byte for byte.  Where :meth:`map` walks the
+        table in order on this thread (:attr:`packs_ahead`), column blocks
+        are compressed ahead of the writer on the packer's threads, which
+        live no longer than this call.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         codec = get_codec(codec_name, codec_level)
-        written = self.map(
-            lambda entry: write_table_entry(dataset, directory, codec, entry),
-            shard_table(splits, shards_per_split),
-        )
+        table = shard_table(splits, shards_per_split)
+        with BlockPacker(
+            dataset, dataset.schema.names, table, codec, ahead=self.packs_ahead
+        ) as packer:
+            written = self.map(
+                lambda index: write_table_entry(packer, directory, index),
+                range(len(table)),
+            )
         return commit_manifest(
             dataset, directory, splits, written, codec_name=codec_name,
             written_by_ranks=self.width, certificate=certificate, schedule=schedule,
@@ -346,6 +361,7 @@ class SerialBackend(ExecutionBackend):
     """Reference backend: every operation inline, one item at a time."""
 
     name = "serial"
+    packs_ahead = True
 
     def map(
         self,

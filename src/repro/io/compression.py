@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import lzma
 import zlib
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "Codec",
@@ -22,6 +22,10 @@ __all__ = [
     "codec_from_id",
     "CodecError",
 ]
+
+
+#: input bytes handed to one ``deflate`` call
+_ZLIB_SLICE = 256 << 10
 
 
 class CodecError(ValueError):
@@ -38,7 +42,18 @@ class Codec(abc.ABC):
 
     @abc.abstractmethod
     def compress(self, data: bytes) -> bytes:
-        """Compress *data*; must be reversible by :meth:`decompress`."""
+        """Compress *data* (any flat bytes-like); must be reversible by
+        :meth:`decompress`."""
+
+    def compress_chunks(self, data: bytes) -> List[bytes]:
+        """:meth:`compress` as bytes-like pieces whose concatenation is
+        its result.
+
+        What the block writers call: they put the pieces out one after
+        another, so a codec run on a helper thread never makes the one
+        large allocation a joined payload would be.
+        """
+        return [self.compress(data)]
 
     @abc.abstractmethod
     def decompress(self, data: bytes) -> bytes:
@@ -57,6 +72,10 @@ class RawCodec(Codec):
     def compress(self, data: bytes) -> bytes:
         return bytes(data)
 
+    def compress_chunks(self, data: bytes) -> List[bytes]:
+        # the caller's own buffer: a writer puts it out without a copy
+        return [data]
+
     def decompress(self, data: bytes) -> bytes:
         return bytes(data)
 
@@ -73,7 +92,23 @@ class ZlibCodec(Codec):
         self.level = level
 
     def compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
+        return b"".join(self.compress_chunks(data))
+
+    def compress_chunks(self, data: bytes) -> List[bytes]:
+        if self.level == 0:
+            # stored blocks are cut by how much input one call sees: only
+            # the one-shot call reproduces the one-shot bytes
+            return [zlib.compress(data, 0)]
+        # deflate output does not depend on how its input is sliced, and
+        # slices keep every allocation of this call small
+        deflate = zlib.compressobj(self.level)
+        view = memoryview(data)
+        chunks = [
+            deflate.compress(view[start : start + _ZLIB_SLICE])
+            for start in range(0, view.nbytes, _ZLIB_SLICE)
+        ]
+        chunks.append(deflate.flush())
+        return [chunk for chunk in chunks if chunk]
 
     def decompress(self, data: bytes) -> bytes:
         try:

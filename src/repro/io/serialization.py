@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from repro.io.compression import Codec, RawCodec, codec_from_id
 
 __all__ = [
     "pack_array",
+    "prepare_block",
+    "frame_block",
     "unpack_array",
     "unpack_array_from",
     "SerializationError",
@@ -45,9 +47,15 @@ def _dtype_str(dtype: np.dtype) -> str:
     return dtype.str
 
 
-def pack_array(array: np.ndarray, codec: Optional[Codec] = None) -> bytes:
-    """Serialize *array* into one self-describing block."""
-    codec = codec or RawCodec()
+def prepare_block(array: np.ndarray, codec: Codec) -> Tuple[bytes, bytes, memoryview]:
+    """First third of :func:`pack_array`: validate *array* and lay it flat.
+
+    Returns ``(head, dtype_token, raw)``: the block's fixed header and
+    shape, its dtype token, and a flat byte view of the C-contiguous
+    array memory (no copy of an array that already is) for
+    :meth:`Codec.compress_chunks` — the one third that may run on
+    another thread.
+    """
     array = np.asarray(array)
     if array.dtype.kind == "O":
         raise SerializationError("object-dtype arrays cannot be serialized")
@@ -57,19 +65,41 @@ def pack_array(array: np.ndarray, codec: Optional[Codec] = None) -> bytes:
     # taken from the original array
     shape_tuple = array.shape
     contiguous = np.ascontiguousarray(array)
-    raw = contiguous.tobytes()
-    payload = codec.compress(raw)
     dtype_token = _dtype_str(contiguous.dtype).encode("ascii")
     if len(dtype_token) > 0xFFFF:
         raise SerializationError("dtype token too long")
     if len(shape_tuple) > 0xFF:
         raise SerializationError("too many dimensions")
-    header = struct.pack(
+    head = struct.pack(
         _HEADER_FMT, MAGIC, _VERSION, codec.codec_id, len(dtype_token), len(shape_tuple)
+    ) + struct.pack(f"<{len(shape_tuple)}Q", *shape_tuple)
+    # a uint8 view rather than memoryview.cast: cast refuses zero-size,
+    # big-endian, `|S` and `<U` buffers
+    raw = memoryview(contiguous.reshape(-1).view(np.uint8))
+    return head, dtype_token, raw
+
+
+def frame_block(
+    head: bytes, dtype_token: bytes, raw_nbytes: int, chunks: Sequence[bytes]
+) -> List[bytes]:
+    """Last third of :func:`pack_array`: the block as the pieces a writer
+    may put out one after another — its checksummed header, then the
+    compressed *chunks* of its payload, never joined here."""
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    payload_nbytes = sum(len(chunk) for chunk in chunks)
+    tail = struct.pack(_TAIL_FMT, raw_nbytes, payload_nbytes, crc & 0xFFFFFFFF)
+    return [b"".join((head, tail, dtype_token)), *chunks]
+
+
+def pack_array(array: np.ndarray, codec: Optional[Codec] = None) -> bytes:
+    """Serialize *array* into one self-describing block."""
+    codec = codec or RawCodec()
+    head, dtype_token, raw = prepare_block(array, codec)
+    return b"".join(
+        frame_block(head, dtype_token, raw.nbytes, codec.compress_chunks(raw))
     )
-    shape = struct.pack(f"<{len(shape_tuple)}Q", *shape_tuple)
-    tail = struct.pack(_TAIL_FMT, len(raw), len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-    return b"".join((header, shape, tail, dtype_token, payload))
 
 
 def unpack_array_from(buffer: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:

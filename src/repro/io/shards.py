@@ -18,12 +18,29 @@ checksummed, optionally compressed block from
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
+import os
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -38,7 +55,7 @@ from repro.core.dataset import (
 from repro.durability.atomic import atomic_write_text, staged_write
 from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
-from repro.io.serialization import pack_array, unpack_array
+from repro.io.serialization import frame_block, prepare_block, unpack_array
 
 __all__ = [
     "ShardError",
@@ -48,6 +65,7 @@ __all__ = [
     "ShardInfo",
     "ShardManifest",
     "shard_table",
+    "BlockPacker",
     "write_table_entry",
     "commit_manifest",
     "write_shard_set",
@@ -63,16 +81,22 @@ MANIFEST_NAME = "manifest.json"
 #: spool -> final copy granularity for the streaming shard writer
 _COPY_BLOCK = 1 << 20
 
-#: peak transient buffer (bytes) held by the most recent
-#: :func:`write_shard` call in this process: the largest single packed
-#: column block (the copy loop adds at most one fixed ``_COPY_BLOCK``
-#: buffer on top).  Benchmarks read this to show peak RSS stays bounded
-#: by one block — not the whole shard — as batch sizes grow
+#: a pack-ahead whose threads are all busy still submits the next block
+#: while the raw bytes it has in flight are under this
+PACK_AHEAD_BYTES = 4 << 20
+
+#: peak transient buffer (bytes) of the most recent shard write in this
+#: process: the high-water mark of its block stream — raw bytes gathered
+#: but not yet handed to the writer, or the largest single packed block,
+#: whichever is larger (the copy loop adds at most one fixed
+#: ``_COPY_BLOCK`` buffer on top).  Packed inline that is one block; under
+#: a pack-ahead it is the look-ahead, bounded by :class:`BlockPacker` —
+#: never the whole shard, as batch sizes grow
 _last_write_peak_buffer = 0
 
 
 def last_write_peak_buffer() -> int:
-    """Peak packed-block bytes buffered by the most recent write_shard."""
+    """Peak block bytes buffered by the most recent shard write."""
     return _last_write_peak_buffer
 
 
@@ -125,50 +149,212 @@ def schema_from_dicts(rows: Sequence[Dict[str, object]]) -> Schema:
 # single shard files
 # ---------------------------------------------------------------------------
 
-def write_shard(
-    columns: Dict[str, np.ndarray],
-    path: Union[str, Path],
-    codec: Optional[Codec] = None,
-) -> "ShardInfo":
-    """Write one shard file; returns its :class:`ShardInfo` accounting.
+def _usable_cpus() -> List[int]:
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API off Linux
+        return list(range(os.cpu_count() or 1))
 
-    The write *streams*: each column is packed and immediately spooled to
-    a ``.spool`` sibling (the ``RPS1`` header precedes the blocks, so
-    every block length must be known before any block byte can land in
-    the final file), then the spool is copied block-wise into the ``.tmp``
-    sibling behind the header.  Peak memory is one packed column block
-    plus a fixed copy buffer — never the sum of all blocks — so RSS stays
-    bounded as shard (or batch) sizes grow.  Bytes and checksum are
-    identical to a buffered write of the same columns.
 
-    The write is crash-safe: bytes land in a ``.tmp`` sibling which is
-    atomically renamed over *path* only once complete, so a crashed (or
-    chaos-injected) writer leaves either the previous shard intact or
-    stray ``.tmp``/``.spool`` siblings — never a torn file under the real
-    shard name — and a retried write heals any garbage a torn attempt
-    left at *path*.
+def _start_apart(order: Iterator[int], cpus: Sequence[int]) -> None:
+    """Pool-thread initializer: start the i-th thread on the i-th usable
+    CPU, then hand it straight back to the scheduler.
+
+    Measured on the 2-vCPU benchmark VM: woken next to their creator, both
+    compress threads stayed on its core for whole runs (wall == cpu, the
+    other core idle — the guest does not wake a task onto a halted vCPU);
+    started apart they stay apart.  Nothing is left pinned.
     """
+    try:
+        os.sched_setaffinity(0, {cpus[next(order) % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # pragma: no cover - placement is best effort
+        pass
+
+
+class BlockPacker:
+    """Packs the column blocks of one shard table, entry by entry.
+
+    ``stream(k).blocks()`` yields entry *k*'s ``(column, block)`` pairs in
+    sorted-column order, each block — a list of pieces to write out — exactly
+    :func:`~repro.io.serialization.pack_array` of the gathered column.
+    Gathering, framing and every error surface on the calling thread, at
+    the block they belong to; only ``codec.compress_chunks`` may run
+    elsewhere:
+
+    * inline (the default) each call packs its own entry, one block at a
+      time, and shares nothing — safe under backends that fan the table
+      out over threads, ranks or forked workers;
+    * with ``ahead=True`` — and a table of more raw bytes than
+      ``PACK_AHEAD_BYTES``; a smaller one is packed inline all the same —
+      the packer owns a pool of ``min(2, usable CPUs)`` threads and one
+      stream over the whole table, which keeps compressing ahead of the
+      writer — across shard boundaries — while fewer than that many
+      blocks are in flight or their raw bytes are under
+      ``PACK_AHEAD_BYTES``.  So what waits between gather and writer is at
+      most *threads* blocks, or the budget plus the one block that crossed
+      it, whichever is larger.  It is for one consumer walking the table
+      in order; an entry asked for out of order, or again after a failed
+      attempt, drops the look-ahead and is packed afresh from there.
+
+    Close it (it is a context manager) before the call that made it
+    returns: no thread outlives that, whatever unwinds through it.
+    """
+
+    def __init__(
+        self,
+        columns: Union[Dataset, Mapping[str, np.ndarray]],
+        names: Iterable[str],
+        table: Sequence["ShardEntry"],
+        codec: Codec,
+        *,
+        ahead: bool = False,
+    ):
+        self.columns = columns
+        self.names = sorted(names)
+        self.table = table
+        self.codec = codec
+        if ahead:
+            # a table the look-ahead would swallow whole has nothing to
+            # run ahead of: it is packed inline, threadless
+            row_nbytes = sum(
+                columns[name].dtype.itemsize * math.prod(columns[name].shape[1:])
+                for name in self.names
+            )
+            ahead = row_nbytes * sum(len(rows) for _, _, rows in table) > PACK_AHEAD_BYTES
+        #: compress threads (0: inline) — two, or the one CPU there is —
+        #: and the pool that runs them
+        cpus = _usable_cpus()
+        self.threads = min(2, len(cpus)) if ahead else 0
+        #: raw bytes in flight under which one more block is submitted
+        self.budget = PACK_AHEAD_BYTES if ahead else 0
+        self.pool = (
+            concurrent.futures.ThreadPoolExecutor(
+                self.threads,
+                thread_name_prefix="shard-pack",
+                initializer=_start_apart,
+                initargs=(itertools.count(), cpus),
+            )
+            if ahead
+            else None
+        )
+        self._stream: Optional[_BlockStream] = None
+
+    def __enter__(self) -> "BlockPacker":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._stream is not None:
+            self._stream.close()
+            # the stream points back here: left in place, the cycle would
+            # keep the dataset alive until the collector next runs
+            self._stream = None
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def stream(self, index: int) -> "_BlockStream":
+        """The stream whose next blocks are those of entry *index*."""
+        if self.pool is None:
+            return _BlockStream(self, index, index + 1)
+        if self._stream is None or self._stream.head != index * len(self.names):
+            if self._stream is not None:
+                self._stream.close()
+            self._stream = _BlockStream(self, index, len(self.table))
+        return self._stream
+
+
+class _BlockStream:
+    """The blocks of table entries ``[start, stop)`` in order, packed ahead
+    of their consumer as far as the packer's bound admits."""
+
+    def __init__(self, packer: BlockPacker, start: int, stop: int):
+        self._packer = packer
+        n_columns = len(packer.names)
+        #: flat ``entry * n_columns + column`` positions: the next block the
+        #: consumer gets, the next to submit, one past the last
+        self.head = self._cursor = start * n_columns
+        self._end = stop * n_columns
+        #: submitted, not yet consumed: (raw view, head, dtype token, chunks)
+        self._pending: Deque[
+            Tuple[Optional[memoryview], bytes, bytes, concurrent.futures.Future]
+        ] = collections.deque()
+        self._held = 0
+        self.peak = 0
+
+    def _submit(self, position: int) -> None:
+        packer = self._packer
+        entry, column = divmod(position, len(packer.names))
+        head = token = b""
+        raw = None
+        try:
+            values = np.asarray(packer.columns[packer.names[column]])
+            rows = packer.table[entry][2]
+            head, token, raw = prepare_block(
+                values if rows is None else values[rows], packer.codec
+            )
+            if packer.pool is not None:
+                chunks = packer.pool.submit(packer.codec.compress_chunks, raw)
+            else:
+                chunks = concurrent.futures.Future()
+                chunks.set_result(packer.codec.compress_chunks(raw))
+        except Exception as exc:
+            # like a pool thread's, a calling-thread error is raised where
+            # its block is consumed: everything before it still commits
+            chunks = concurrent.futures.Future()
+            chunks.set_exception(exc)
+        # the raw view stays referenced here so that the calling thread,
+        # not whichever pool thread finishes with it, frees the gather
+        self._pending.append((raw, head, token, chunks))
+        self._held += raw.nbytes if raw is not None else 0
+        self.peak = max(self.peak, self._held)
+
+    def blocks(self) -> Iterator[Tuple[str, List[bytes]]]:
+        """``(column, pieces of its block)`` for the entry at the stream's head."""
+        for name in self._packer.names:
+            while self._cursor < self._end and (
+                len(self._pending) < max(1, self._packer.threads)
+                or self._held < self._packer.budget
+            ):
+                self._submit(self._cursor)
+                self._cursor += 1
+            raw, head, token, chunks = self._pending.popleft()
+            nbytes = raw.nbytes if raw is not None else 0
+            self.head += 1
+            self._held -= nbytes
+            pieces = frame_block(head, token, nbytes, chunks.result())
+            del raw
+            self.peak = max(self.peak, sum(map(len, pieces)))
+            yield name, pieces
+
+    def close(self) -> None:
+        """Drop the look-ahead: cancel what has not started, wait out what
+        has (a running job still holds its raw buffer)."""
+        futures = [chunks for *_, chunks in self._pending]
+        for future in futures:
+            future.cancel()
+        concurrent.futures.wait(futures)
+        self._pending.clear()
+        self._held = 0
+
+
+def _write_blocks(path: Path, n_samples: int, stream: _BlockStream) -> "ShardInfo":
+    """Spool the next entry's blocks off *stream*, then commit them as *path*."""
     global _last_write_peak_buffer
-    path = Path(path)
-    codec = codec or RawCodec()
-    lengths = {v.shape[0] for v in columns.values()}
-    if len(lengths) > 1:
-        raise ShardError(f"columns disagree on sample count: {sorted(lengths)}")
-    n_samples = lengths.pop() if lengths else 0
     index: Dict[str, Dict[str, object]] = {}
     offset = 0
-    peak = 0
     digest = hashlib.sha256()
     spool = path.with_name(path.name + ".spool")
     try:
         with open(spool, "wb") as sp:
-            for name in sorted(columns):
-                block = pack_array(np.asarray(columns[name]), codec)
-                index[name] = {"offset": offset, "length": len(block)}
-                sp.write(block)
-                offset += len(block)
-                peak = max(peak, len(block))
-                del block
+            for name, pieces in stream.blocks():
+                length = sum(map(len, pieces))
+                index[name] = {"offset": offset, "length": length}
+                sp.writelines(pieces)
+                offset += length
+                del pieces
         header = json.dumps(
             {"n_samples": n_samples, "columns": index}, sort_keys=True
         ).encode()
@@ -186,7 +372,7 @@ def write_shard(
         # a raise anywhere above — packing, the copy loop, or the commit —
         # must not leak the spool; staged_write removes its own .tmp
         spool.unlink(missing_ok=True)
-    _last_write_peak_buffer = peak
+    _last_write_peak_buffer = stream.peak
     nbytes = 4 + _HEADER_LEN.size + len(header) + offset
     return ShardInfo(
         path=path.name,
@@ -194,6 +380,42 @@ def write_shard(
         nbytes=nbytes,
         checksum=digest.hexdigest(),
     )
+
+
+def write_shard(
+    columns: Dict[str, np.ndarray],
+    path: Union[str, Path],
+    codec: Optional[Codec] = None,
+) -> "ShardInfo":
+    """Write one shard file; returns its :class:`ShardInfo` accounting.
+
+    The write *streams*: each column is packed and immediately spooled to
+    a ``.spool`` sibling (the ``RPS1`` header precedes the blocks, so
+    every block length must be known before any block byte can land in
+    the final file), then the spool is copied block-wise into the ``.tmp``
+    sibling behind the header.  Peak memory is one packed column block
+    plus a fixed copy buffer — never the sum of all blocks — so RSS stays
+    bounded as shard (or batch) sizes grow.  (The shards of a table
+    written through a pack-ahead :class:`BlockPacker` take the same path
+    with a wider bound: that packer's *threads* blocks, or
+    ``PACK_AHEAD_BYTES`` of raw columns plus the block that crossed it,
+    whichever is larger — still not the shard;
+    :func:`last_write_peak_buffer` reports what was reached.)  Bytes and
+    checksum are identical to a buffered write of the same columns.
+
+    The write is crash-safe: bytes land in a ``.tmp`` sibling which is
+    atomically renamed over *path* only once complete, so a crashed (or
+    chaos-injected) writer leaves either the previous shard intact or
+    stray ``.tmp``/``.spool`` siblings — never a torn file under the real
+    shard name — and a retried write heals any garbage a torn attempt
+    left at *path*.
+    """
+    lengths = {v.shape[0] for v in columns.values()}
+    if len(lengths) > 1:
+        raise ShardError(f"columns disagree on sample count: {sorted(lengths)}")
+    n_samples = lengths.pop() if lengths else 0
+    packer = BlockPacker(columns, columns, [("", 0, None)], codec or RawCodec())
+    return _write_blocks(Path(path), n_samples, packer.stream(0))
 
 
 def read_shard(
@@ -300,8 +522,9 @@ class ShardManifest:
         )
 
 
-#: one row of the global shard table: (split, shard index, row indices)
-ShardEntry = Tuple[str, int, np.ndarray]
+#: one row of the global shard table: (split, shard index, row indices —
+#: ``None`` inside :func:`write_shard`, whose columns are the shard)
+ShardEntry = Tuple[str, int, Optional[np.ndarray]]
 
 
 def shard_table(
@@ -334,12 +557,12 @@ def shard_table(
 
 
 def write_table_entry(
-    dataset: Dataset, directory: Path, codec: Codec, entry: ShardEntry
+    packer: BlockPacker, directory: Path, index: int
 ) -> Tuple[str, int, ShardInfo]:
-    """Write the shard file of one :func:`shard_table` entry."""
-    split, i, rows = entry
-    columns = {name: dataset[name][rows] for name in dataset.schema.names}
-    return split, i, write_shard(columns, directory / f"{split}-{i:05d}.rps", codec)
+    """Write the shard file of entry *index* of *packer*'s shard table."""
+    split, i, rows = packer.table[index]
+    path = directory / f"{split}-{i:05d}.rps"
+    return split, i, _write_blocks(path, len(rows), packer.stream(index))
 
 
 def commit_manifest(
@@ -413,10 +636,11 @@ def write_shard_set(
     codec = get_codec(codec_name, codec_level)
     if splits is None:
         splits = {"all": np.arange(dataset.n_samples)}
-    written = [
-        write_table_entry(dataset, directory, codec, entry)
-        for entry in shard_table(splits, shards_per_split, plan)
-    ]
+    table = shard_table(splits, shards_per_split, plan)
+    with BlockPacker(dataset, dataset.schema.names, table, codec, ahead=True) as packer:
+        written = [
+            write_table_entry(packer, directory, index) for index in range(len(table))
+        ]
     return commit_manifest(
         dataset, directory, splits, written, codec_name=codec_name, certificate=certificate
     )

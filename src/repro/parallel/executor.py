@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.io.shards import (
+    BlockPacker,
     ShardManifest,
     commit_manifest,
     shard_table,
@@ -136,10 +137,12 @@ def distributed_shard_write(
     codec = get_codec(codec_name, codec_level)
 
     table = shard_table(splits, shards_per_split)
+    # ranks already run side by side: each packs its own shards inline
+    packer = BlockPacker(dataset, dataset.schema.names, table, codec)
 
     def worker(comm: SimComm) -> Optional[ShardManifest]:
         local = [
-            write_table_entry(dataset, directory, codec, table[j])
+            write_table_entry(packer, directory, j)
             for j in range(comm.rank, len(table), comm.size)
         ]
         gathered = comm.gather(local, root=0)

@@ -1,5 +1,8 @@
 """Codec registry behaviour and round-trips."""
 
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +71,27 @@ class TestRoundTrips:
     def test_lzma_round_trip(self, data):
         codec = LzmaCodec(preset=0)
         assert codec.decompress(codec.compress(data)) == data
+
+    @pytest.mark.parametrize("level", range(10))
+    def test_zlib_chunks_join_to_the_one_shot_bytes(self, level, monkeypatch):
+        # shard bytes are pinned by digests taken with zlib.compress: the
+        # sliced deflate must reproduce it at every level (0 stores, and
+        # stored blocks *do* depend on the slicing — hence its own branch)
+        from repro.io import compression
+
+        monkeypatch.setattr(compression, "_ZLIB_SLICE", 4096)
+        rng = np.random.default_rng(level)
+        codec = ZlibCodec(level)
+        for data in (
+            b"",
+            b"x",
+            rng.integers(0, 4, 70_001, dtype=np.uint8).tobytes(),
+            rng.normal(size=9_000).astype(np.float32).tobytes(),
+            bytes(20_000),
+        ):
+            chunks = codec.compress_chunks(memoryview(data))
+            assert b"".join(chunks) == codec.compress(data) == zlib.compress(data, level)
+            assert all(chunks)
 
     def test_zlib_actually_compresses_redundant_data(self):
         data = b"abcd" * 10_000

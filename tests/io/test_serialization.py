@@ -1,11 +1,14 @@
 """Array block wire format: round-trips, corruption detection, streams."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.io.compression import ZlibCodec
+from repro.io.compression import RawCodec, ZlibCodec
 from repro.io.serialization import (
     SerializationError,
     pack_array,
@@ -15,6 +18,55 @@ from repro.io.serialization import (
 
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_]
+
+
+def _copying_pack(array, codec):
+    """The block as it was built while ``pack_array`` still copied the
+    array out with ``tobytes()``: the byte oracle for the view it hands
+    the codec now."""
+    array = np.asarray(array)
+    contiguous = np.ascontiguousarray(array)
+    raw = contiguous.tobytes()
+    payload = codec.compress(raw)
+    token = contiguous.dtype.str.encode("ascii")
+    return b"".join((
+        struct.pack("<4sBBHB", b"RPA1", 1, codec.codec_id, len(token), array.ndim),
+        struct.pack(f"<{array.ndim}Q", *array.shape),
+        struct.pack("<QQI", len(raw), len(payload), zlib.crc32(payload) & 0xFFFFFFFF),
+        token,
+        payload,
+    ))
+
+
+class TestPackWithoutTheCopy:
+    """A flat view of the array memory packs to the bytes the copy did."""
+
+    ARRAYS = {
+        "zero-dim": np.array(3.5),
+        "zero-rows": np.empty((0, 5), dtype=np.float32),
+        "zero-trailing": np.empty((3, 0), dtype=np.int64),
+        "big-endian": np.arange(12, dtype=">f8").reshape(3, 4),
+        "bytes": np.asarray([b"ab", b"c", b""], dtype="S2"),
+        "unicode": np.asarray(["alpha", "beta"], dtype="<U8"),
+        "bool": np.asarray([[True, False], [False, True]]),
+        "fortran": np.asfortranarray(np.arange(24.0).reshape(6, 4)),
+        "strided": np.arange(40, dtype=np.int32)[::3],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    @pytest.mark.parametrize("codec", [RawCodec(), ZlibCodec(3)], ids=["raw", "zlib"])
+    def test_bytes_match_the_copying_packer(self, name, codec):
+        array = self.ARRAYS[name]
+        block = pack_array(array, codec)
+        assert block == _copying_pack(array, codec)
+        back = unpack_array(block)
+        assert back.dtype == array.dtype and back.shape == array.shape
+        assert back.tobytes() == np.ascontiguousarray(array).tobytes()
+
+    def test_raw_codec_still_returns_bytes(self):
+        view = memoryview(np.arange(4, dtype=np.uint8))
+        assert type(RawCodec().compress(view)) is bytes
+        assert RawCodec().compress_chunks(view) == [view]  # and copies nothing
 
 
 class TestRoundTrip:
