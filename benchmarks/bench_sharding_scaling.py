@@ -3,7 +3,7 @@
 Paper artifact: "Efficient training at this scale requires high-throughput,
 parallel file I/O" (the ClimaX 10 TB example).  Two measurements:
 
-1. **real parallel shard writes** — `distributed_shard_write` at 1..8
+1. **real parallel shard writes** — `SimSPMDBackend.shard_write` at 1..8
    ranks on this machine (threads share one disk, so this shows the
    code path, not scaling);
 2. **modelled strong scaling** — the striped-filesystem model sweeps rank
@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.backends import SimSPMDBackend
 from repro.core.dataset import Dataset
 from repro.core.report import format_bytes, format_seconds, render_table
 from repro.parallel.cluster import commodity_cluster, leadership_system
-from repro.parallel.executor import distributed_shard_write
 from repro.parallel.simulate import PipelineScalingModel, WorkloadSpec
 
 
@@ -34,9 +34,8 @@ def make_dataset(n=4000, width=64, seed=0):
 
 def parallel_write(dataset, tmp_path, ranks):
     splits = {"train": np.arange(dataset.n_samples)}
-    return distributed_shard_write(
-        dataset, tmp_path / f"r{ranks}", splits,
-        n_ranks=ranks, shards_per_split=8,
+    return SimSPMDBackend(n_ranks=ranks).shard_write(
+        dataset, tmp_path / f"r{ranks}", splits, shards_per_split=8,
     )
 
 

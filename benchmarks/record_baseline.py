@@ -6,9 +6,10 @@ the code they measure so every PR carries its own perf trajectory:
 - ``BENCH_fig1.json`` — wall time of the Figure-1 end-to-end pipeline
   (``bench_fig1_pipeline.run_figure1_steps``), with per-stage seconds
   read back from the engine's own ``stage_seconds`` histogram;
-- ``BENCH_sharding.json`` — the parallel shard-write path at 1..8 ranks
-  plus the modelled 10 TB strong-scaling sweep (knee and I/O-crossover
-  rank counts per cluster).
+- ``BENCH_sharding.json`` — the rank-parallel shard-write path
+  (``SimSPMDBackend.shard_write``) at 1..8 ranks plus the modelled
+  10 TB strong-scaling sweep (knee and I/O-crossover rank counts per
+  cluster).
 
 Usage::
 

@@ -71,11 +71,7 @@ from repro.io.shards import (
     shard_table,
     write_table_entry,
 )
-from repro.parallel.executor import (
-    distributed_shard_write,
-    distributed_stats,
-    parallel_map,
-)
+from repro.parallel.executor import distributed_stats, parallel_map
 from repro.parallel.partition import block_partition
 from repro.parallel.stats import FeatureStats
 
@@ -339,7 +335,7 @@ class ExecutionBackend(abc.ABC):
             )
         return commit_manifest(
             dataset, directory, splits, written, codec_name=codec_name,
-            written_by_ranks=self.width, certificate=certificate, schedule=schedule,
+            certificate=certificate, schedule=schedule,
         )
 
     @classmethod
@@ -412,11 +408,12 @@ class SimSPMDBackend(ExecutionBackend):
     """SPMD backend over the in-process MPI-like :class:`SimComm` world.
 
     Wraps the drivers of :mod:`repro.parallel.executor` — ``parallel_map``
-    for fan-out, ``distributed_stats`` for the partition/allreduce
-    statistics pattern, and ``distributed_shard_write`` for rank-parallel
-    shard export with rank-0 manifest assembly — behind the common
-    backend protocol, so pipelines exercise the exact communication
-    pattern a leadership-facility MPI port would use.
+    for fan-out (shard export included: the inherited
+    :meth:`~ExecutionBackend.shard_write` writes rank-parallel through it
+    and gathers to rank 0) and ``distributed_stats`` for the
+    partition/allreduce statistics pattern — behind the common backend
+    protocol, so pipelines exercise the exact communication pattern a
+    leadership-facility MPI port would use.
     """
 
     name = "simspmd"
@@ -456,17 +453,6 @@ class SimSPMDBackend(ExecutionBackend):
         # the same left fold over the same block partition as the base
         # implementation, keeping results bitwise identical
         return distributed_stats(data, n_ranks=partitions, strategy="block")
-
-    def shard_write(
-        self,
-        dataset: Dataset,
-        directory: Union[str, Path],
-        splits: Dict[str, np.ndarray],
-        **options: Any,
-    ) -> ShardManifest:
-        return distributed_shard_write(
-            dataset, directory, splits, n_ranks=self.n_ranks, **options
-        )
 
 
 #: name -> backend class; extend by registering new classes here or by

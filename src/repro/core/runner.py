@@ -855,6 +855,8 @@ class PipelineRunner:
         context.artifacts.update(checkpoint.artifacts)
         if len(context.evidence) == 0 and len(checkpoint.evidence) > 0:
             context.evidence = checkpoint.evidence
+        if not context.gate_reports:
+            context.gate_reports = list(checkpoint.gate_reports)
         if context.provenance_store is not None:
             # rebuild lineage continuity for the skipped prefix and require
             # the restored payload to be a known entity in the stored chain
@@ -870,6 +872,9 @@ class PipelineRunner:
                 raise CheckpointError(f"the journal has no commit for stage index {index}")
             stage = self.plan.stages[index]
             fingerprint = str(row["output_fingerprint"])
+            shed = sum(
+                r.records_quarantined for r in context.gate_reports if r.stage_index == index
+            )
             st.results.append(
                 StageResult(
                     stage_name=stage.name,
@@ -879,6 +884,8 @@ class PipelineRunner:
                     output_fingerprint=fingerprint,
                     evidence_recorded=0,
                     restored=True,
+                    degraded=bool(shed),
+                    records_quarantined=shed,
                 )
             )
             self._publish(

@@ -3,7 +3,8 @@
 Layout under the directory, known to this module only:
 
 * ``stage-NNN.pkl`` — one snapshot per completed stage (payload +
-  artifacts + evidence), committed through the atomic primitive;
+  artifacts + evidence + gate reports), committed through the atomic
+  primitive;
 * ``journal.jsonl`` — the write-ahead :class:`RunJournal`, the **only**
   record of which stages are committed;
 * ``stage-NNN.pkl.quarantined`` — snapshots a resume refused, kept for
@@ -72,6 +73,7 @@ from repro.provenance.record import array_header, fingerprint_array
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.plan import StagePlan
     from repro.core.runner import PipelineContext
+    from repro.gates.gate import GateReport
 
 __all__ = [
     "CheckpointError",
@@ -103,6 +105,9 @@ class RunCheckpoint:
     payload: Any
     artifacts: Dict[str, Any]
     evidence: ReadinessEvidence
+    #: the gate verdicts of the restored prefix, which the readiness
+    #: certificate of the resumed run is built from
+    gate_reports: List["GateReport"]
     #: the completed-stage table up to ``stage_index``: index -> the
     #: journal's ``stage-commit`` record
     completed: Dict[int, Dict[str, Any]]
@@ -171,6 +176,7 @@ class RunCheckpointer:
             "payload": payload,
             "artifacts": dict(context.artifacts),
             "evidence": context.evidence,
+            "gate_reports": list(context.gate_reports),
         }
         artifacts = {
             "checkpoint": _write_snapshot(self.snapshot_path(index), state, array_digests or {})
@@ -281,6 +287,7 @@ class RunCheckpointer:
                     payload=blob["payload"],
                     artifacts=dict(blob.get("artifacts", {})),
                     evidence=blob.get("evidence") or ReadinessEvidence(),
+                    gate_reports=list(blob.get("gate_reports", ())),
                     completed={i: r for i, r in commits.items() if i <= index},
                 ),
                 quarantined,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.durability.atomic import (
     append_jsonl_durable,
@@ -38,11 +38,20 @@ QUARANTINE_NAME = "quarantine.jsonl"
 
 
 class QuarantineStore:
-    """Append-only store of quarantined records and their identities."""
+    """Append-only store of quarantined records and their identities.
+
+    The log holds each entry once, across runs as well as within one: an
+    entry whose line the log already holds is not appended again.  A stage
+    re-executed after a crash, a failed commit or a recovery — or a second
+    run of the same data into the same directory — re-quarantines the same
+    records, and the log reads as if they had been quarantined once.
+    """
 
     def __init__(self, directory: Union[str, Path, None] = None):
         self.directory = Path(directory) if directory is not None else None
         self._entries: List[Dict[str, object]] = []
+        #: the log's lines, read on the first add after opening (or a discard)
+        self._logged: Optional[Set[bytes]] = None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
 
@@ -55,7 +64,15 @@ class QuarantineStore:
         return self.directory / "records" if self.directory else None
 
     def add(self, entry: Dict[str, object], record: Any) -> None:
-        """Quarantine one record: append its entry, persist its payload."""
+        """Quarantine one record: append its entry (unless the log already
+        holds it), persist its payload."""
+        line = jsonl_line(envelope("quarantine", entry))
+        if self._logged is None:
+            on_disk = self.path is not None and self.path.exists()
+            self._logged = set(self.path.read_bytes().splitlines(True)) if on_disk else set()
+        if line in self._logged:
+            return
+        self._logged.add(line)
         self._entries.append(dict(entry))
         if self.directory is None:
             return
@@ -84,6 +101,7 @@ class QuarantineStore:
         before = self.entries()
         kept = [e for e in before if str(e.get("record_fingerprint")) not in fps]
         removed = len(before) - len(kept)
+        self._logged = None
         self._entries = [
             e
             for e in self._entries

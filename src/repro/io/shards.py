@@ -572,7 +572,6 @@ def commit_manifest(
     written: Iterable[Tuple[str, int, ShardInfo]],
     *,
     codec_name: str,
-    written_by_ranks: Optional[int] = None,
     certificate: Optional[Mapping[str, Any]] = None,
     schedule: Optional[Mapping[str, Any]] = None,
 ) -> ShardManifest:
@@ -592,8 +591,6 @@ def commit_manifest(
         "version": dataset.metadata.version,
         "modality": dataset.metadata.modality.value,
     }
-    if written_by_ranks is not None:
-        metadata["written_by_ranks"] = written_by_ranks
     if certificate is not None:
         metadata["readiness_certificate"] = dict(certificate)
     if schedule is not None:

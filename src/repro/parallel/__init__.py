@@ -3,11 +3,7 @@ statistics, reduction schedules, and the filesystem/cluster scaling models.
 """
 
 from repro.parallel.comm import CommError, SimComm, SimWorld, run_spmd
-from repro.parallel.executor import (
-    distributed_shard_write,
-    distributed_stats,
-    parallel_map,
-)
+from repro.parallel.executor import distributed_stats, parallel_map
 from repro.parallel.partition import (
     balanced_partition,
     block_partition,
@@ -34,7 +30,6 @@ __all__ = [
     "SimComm",
     "SimWorld",
     "run_spmd",
-    "distributed_shard_write",
     "distributed_stats",
     "parallel_map",
     "balanced_partition",

@@ -1,32 +1,20 @@
 """High-level parallel execution drivers built on SimComm.
 
 Pipelines shouldn't hand-roll SPMD boilerplate.  This module provides the
-three patterns the archetype pipelines actually use:
+two patterns the archetype pipelines actually use:
 
 * :func:`parallel_map` — embarrassingly parallel map over items, with
   partitioning strategy choice and per-rank result concatenation.
 * :func:`distributed_stats` — the canonical "partition, accumulate local
   moments, allreduce-merge" pattern for normalization statistics.
-* :func:`distributed_shard_write` — each rank writes its own shards, rank
-  0 assembles the manifest (the parallel-write pattern of the Shard stage).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dataset import Dataset
-from repro.io.shards import (
-    BlockPacker,
-    ShardManifest,
-    commit_manifest,
-    shard_table,
-    write_table_entry,
-)
-from repro.io.compression import get_codec
 from repro.parallel.comm import SimComm, run_spmd
 from repro.parallel.partition import (
     Assignment,
@@ -39,7 +27,6 @@ from repro.parallel.stats import FeatureStats
 __all__ = [
     "parallel_map",
     "distributed_stats",
-    "distributed_shard_write",
 ]
 
 
@@ -112,49 +99,3 @@ def distributed_stats(
 
     return run_spmd(n_ranks, worker)[0]
 
-
-def distributed_shard_write(
-    dataset: Dataset,
-    directory: Union[str, Path],
-    splits: Dict[str, np.ndarray],
-    n_ranks: int = 4,
-    *,
-    shards_per_split: int = 4,
-    codec_name: str = "raw",
-    codec_level: Optional[int] = None,
-    certificate: Optional[Mapping[str, Any]] = None,
-    schedule: Optional[Mapping[str, Any]] = None,
-) -> ShardManifest:
-    """Parallel shard export: shards are distributed cyclically over ranks.
-
-    Every rank writes its assigned shard files independently (no
-    coordination during the write, matching the file-per-shard pattern);
-    rank 0 gathers the :class:`ShardInfo` accounting and writes the
-    manifest.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    codec = get_codec(codec_name, codec_level)
-
-    table = shard_table(splits, shards_per_split)
-    # ranks already run side by side: each packs its own shards inline
-    packer = BlockPacker(dataset, dataset.schema.names, table, codec)
-
-    def worker(comm: SimComm) -> Optional[ShardManifest]:
-        local = [
-            write_table_entry(packer, directory, j)
-            for j in range(comm.rank, len(table), comm.size)
-        ]
-        gathered = comm.gather(local, root=0)
-        if comm.rank != 0:
-            return None
-        written = [row for part in gathered for row in part]
-        return commit_manifest(
-            dataset, directory, splits, written, codec_name=codec_name,
-            written_by_ranks=comm.size, certificate=certificate, schedule=schedule,
-        )
-
-    results = run_spmd(n_ranks, worker)
-    manifest = results[0]
-    assert manifest is not None
-    return manifest

@@ -1,7 +1,5 @@
 """Backend protocol: resolution, map ordering, and the bitwise parity contract."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,8 @@ from repro.core.backends import (
     ThreadedBackend,
     get_backend,
 )
-from repro.io.shards import MANIFEST_NAME
 from repro.parallel.executor import distributed_stats
+from tests.parity import shard_digests
 
 ALL_BACKENDS = [SerialBackend(), ThreadedBackend(workers=3), SimSPMDBackend(n_ranks=3)]
 IDS = [b.name for b in ALL_BACKENDS]
@@ -89,41 +87,15 @@ class TestStatsParity:
 
 
 class TestShardWriteParity:
-    @staticmethod
-    def _write(backend, dataset, directory):
-        n = dataset.n_samples
-        splits = {
-            "train": np.arange(0, int(n * 0.8)),
-            "val": np.arange(int(n * 0.8), n),
-        }
-        return backend.shard_write(
-            dataset, directory, splits, shards_per_split=3,
-            codec_name="zlib", codec_level=2,
-        )
-
     def test_shard_files_byte_identical(self, small_dataset, tmp_path):
-        dirs = {}
+        """Shards and manifest bytes, every backend (the oracle's digest)."""
+        n = small_dataset.n_samples
+        splits = {"train": np.arange(0, int(n * 0.8)), "val": np.arange(int(n * 0.8), n)}
+        written = []
         for backend in ALL_BACKENDS:
-            out = tmp_path / backend.name
-            self._write(backend, small_dataset, out)
-            dirs[backend.name] = out
-        reference = dirs["serial"]
-        shard_names = sorted(p.name for p in reference.glob("*.rps"))
-        assert shard_names  # the writer actually produced shards
-        for name, directory in dirs.items():
-            assert sorted(p.name for p in directory.glob("*.rps")) == shard_names
-            for shard in shard_names:
-                assert (directory / shard).read_bytes() == (
-                    reference / shard
-                ).read_bytes(), f"{name}:{shard} diverged"
-
-    def test_manifests_identical_modulo_width(self, small_dataset, tmp_path):
-        manifests = {}
-        for backend in ALL_BACKENDS:
-            out = tmp_path / backend.name
-            self._write(backend, small_dataset, out)
-            manifests[backend.name] = json.loads((out / MANIFEST_NAME).read_text())
-        widths = {"serial": 1, "threaded": 3, "simspmd": 3}
-        for name, manifest in manifests.items():
-            assert manifest["metadata"].pop("written_by_ranks") == widths[name]
-        assert manifests["serial"] == manifests["threaded"] == manifests["simspmd"]
+            backend.shard_write(
+                small_dataset, tmp_path / backend.name, splits, shards_per_split=3,
+                codec_name="zlib", codec_level=2,
+            )
+            written.append(shard_digests(tmp_path / backend.name))
+        assert len(written[0]) == 7 and all(w == written[0] for w in written)

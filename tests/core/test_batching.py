@@ -1,7 +1,5 @@
 """Batched execution: deterministic slicing, map_batches parity, empty shards."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from repro.core.backends import (
 from repro.core.dataset import Dataset, DatasetMetadata, FieldRole, FieldSpec, Schema
 from repro.io.shards import MANIFEST_NAME, ShardSet
 from repro.workers.backend import ProcessBackend
+from tests.parity import shard_digests
 
 
 def _local_backends():
@@ -170,30 +169,16 @@ class TestEmptyDatasetSharding:
             "train": np.arange(small_dataset.n_samples),
             "test": np.array([], dtype=np.int64),
         }
-        dirs = {}
+        written = []
         for backend in _all_backends():
-            out = tmp_path / backend.name
-            backend.shard_write(
-                small_dataset, out, splits, shards_per_split=3,
+            manifest = backend.shard_write(
+                small_dataset, tmp_path / backend.name, splits, shards_per_split=3,
                 codec_name="zlib", codec_level=2,
             )
-            dirs[backend.name] = out
-        reference = dirs["serial"]
-        names = sorted(p.name for p in reference.glob("*.rps"))
-        assert names and all(n.startswith("train-") for n in names)
-        widths = {"serial": 1, "threaded": 3, "simspmd": 3, "process": 2}
-        manifests = {}
-        for name, directory in dirs.items():
-            assert sorted(p.name for p in directory.glob("*.rps")) == names
-            for shard in names:
-                assert (directory / shard).read_bytes() == (
-                    reference / shard
-                ).read_bytes(), f"{name}:{shard} diverged"
-            blob = json.loads((directory / MANIFEST_NAME).read_text())
-            assert blob["splits"]["test"] == []
-            assert blob["metadata"].pop("written_by_ranks") == widths[name]
-            manifests[name] = blob
-        assert len({json.dumps(m, sort_keys=True) for m in manifests.values()}) == 1
+            assert manifest.splits["test"] == []
+            written.append(shard_digests(tmp_path / backend.name))
+        assert list(written[0]) == [f"train-{i:05d}.rps" for i in range(3)] + [MANIFEST_NAME]
+        assert all(w == written[0] for w in written)
 
 
 def _batch_plan(name="bt"):

@@ -1,94 +1,29 @@
 """Backend parity and resume on the domain archetypes.
 
 The acceptance contract of the layered engine: Serial, Threaded, SimSPMD,
-and Process backends run every domain pipeline end-to-end with
-byte-identical output fingerprints, and a run interrupted at the structure
-stage resumes from its checkpoint without re-executing ingest/preprocess.
+and Process backends run every domain pipeline end-to-end to byte-identical
+artifacts (the parity oracle, ``tests/parity.py``), and a run interrupted at
+the structure stage resumes from its checkpoint without re-executing
+ingest/preprocess.
 """
-
-import json
 
 import pytest
 
 from repro.core.plan import PipelineError
 from repro.core.runner import PipelineContext
-from repro.domains import (
-    BioArchetype,
-    ClimateArchetype,
-    FusionArchetype,
-    MaterialsArchetype,
-)
-from repro.domains.bio.synthetic import BioSourceConfig
+from repro.domains import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
-from repro.domains.fusion.synthetic import FusionCampaignConfig
-from repro.domains.materials.synthetic import MaterialsSourceConfig
-from repro.io.shards import MANIFEST_NAME
 from repro.provenance.store import ProvenanceStore
-
-BACKEND_NAMES = ["serial", "threaded", "simspmd", "process"]
-
-ARCHETYPES = {
-    "climate": (
-        ClimateArchetype,
-        {"config": ClimateSourceConfig(n_models=2, n_timesteps=12, seed=21)},
-    ),
-    "fusion": (
-        FusionArchetype,
-        {"config": FusionCampaignConfig(n_shots=10, seed=21)},
-    ),
-    "bio": (
-        BioArchetype,
-        {"config": BioSourceConfig(n_subjects=40, sequence_length=128, seed=21)},
-    ),
-    "materials": (
-        MaterialsArchetype,
-        {"config": MaterialsSourceConfig(n_structures=60, seed=21)},
-    ),
-}
+from tests.parity import ARCHETYPES, Config, assert_parity
 
 CLIMATE_CONFIG = ClimateSourceConfig(n_models=2, n_timesteps=18, seed=11)
 
 
 @pytest.mark.parametrize("domain", sorted(ARCHETYPES))
-def test_backends_produce_identical_fingerprints(domain, tmp_path):
-    """Every stage of every domain pipeline is bitwise backend-independent."""
-    cls, kwargs = ARCHETYPES[domain]
-    per_backend = {}
-    for name in BACKEND_NAMES:
-        result = cls(seed=21, **kwargs).run(tmp_path / name, backend=name)
-        per_backend[name] = result
-    reference = per_backend["serial"]
-    ref_fps = [r.output_fingerprint for r in reference.run.results]
-    for name, result in per_backend.items():
-        fps = [r.output_fingerprint for r in result.run.results]
-        assert fps == ref_fps, f"{domain}/{name} diverged from serial"
-        assert result.dataset.fingerprint() == reference.dataset.fingerprint()
-        assert result.run.backend_name == name
-
-
-def test_climate_shard_outputs_byte_identical(tmp_path):
-    """Shard files match byte-for-byte; manifests differ only in writer width."""
-    shard_dirs = {}
-    for name in BACKEND_NAMES:
-        ClimateArchetype(seed=11, config=CLIMATE_CONFIG).run(
-            tmp_path / name, backend=name
-        )
-        shard_dirs[name] = tmp_path / name / "shards"
-    reference = shard_dirs["serial"]
-    shard_names = sorted(p.name for p in reference.glob("*.rps"))
-    assert shard_names
-    manifests = {}
-    for name, directory in shard_dirs.items():
-        assert sorted(p.name for p in directory.glob("*.rps")) == shard_names
-        for shard in shard_names:
-            assert (directory / shard).read_bytes() == (
-                reference / shard
-            ).read_bytes(), f"{name}:{shard} diverged"
-        manifests[name] = json.loads((directory / MANIFEST_NAME).read_text())
-    for manifest in manifests.values():
-        manifest["metadata"].pop("written_by_ranks")
-    for name in BACKEND_NAMES[1:]:
-        assert manifests[name] == manifests["serial"], f"{name} manifest diverged"
+def test_backends_produce_identical_fingerprints(domain):
+    """Every stage, shard and manifest of every domain is backend-independent."""
+    for name in ("threaded", "simspmd", "process"):
+        assert_parity(domain, Config(), Config(backend=name, workers=4))
 
 
 class TestClimateResume:

@@ -1,9 +1,7 @@
-"""The checkpoint directory's one owner, and the ledger invariant.
-
-Whatever sequence of crashes, recoveries and resumes a checkpoint
-directory goes through, the journal's completed-stage table stays a
-gap-free prefix, every snapshot on disk is one the journal names, and a
-run that completes lands on the clean run's bytes.
+"""The checkpoint directory's one owner: commit, the snapshot format, and
+a commit that fails.  (Whatever sequence of crashes, recoveries and resumes
+a checkpoint directory goes through is the state machine in
+``tests/test_parity.py``.)
 """
 
 import builtins
@@ -11,9 +9,7 @@ import dataclasses
 import errno
 import hashlib
 import pickle
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,6 @@ from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.durability import checkpoint
 from repro.durability.checkpoint import RunCheckpointer
-from repro.durability.fsfaults import SimulatedCrash
 from repro.durability.recover import recover_run
 from repro.faults import FaultInjector, FaultSpec
 
@@ -170,7 +165,7 @@ class TestSnapshotFormat:
         checkpointer, record, _, _ = committed
         assert checkpointer.verify(record, restore=False) == ({}, None)
         blob, reason = checkpointer.verify(record, restore=True)
-        assert reason is None and sorted(blob) == ["artifacts", "evidence", "payload"]
+        assert reason is None and sorted(blob) == ["artifacts", "evidence", "gate_reports", "payload"]
 
     def test_verification_block_smaller_than_every_region(self, committed, monkeypatch):
         monkeypatch.setattr(checkpoint, "_BLOCK", 7)  # regions span many blocks
@@ -379,58 +374,3 @@ class TestCommitFailure:
         assert "error (stage 'regrid'): checkpoint commit failed" in err
         assert "partial trace written" in err
 
-
-CRASH_POINTS = st.sampled_from(
-    [f"stage:{index}:{phase}" for index in range(N_STAGES) for phase in ("pre", "post")]
-)
-STEPS = st.one_of(
-    st.just(("recover", None)),
-    st.tuples(st.just("resume-crash"), CRASH_POINTS),
-    st.just(("resume", None)),
-)
-
-
-class TestLedgerInvariant:
-    @pytest.fixture(scope="class")
-    def clean(self):
-        return _run(None)
-
-    @settings(max_examples=40, deadline=None)
-    @given(first_crash=CRASH_POINTS, steps=st.lists(STEPS, max_size=5))
-    def test_any_crash_recover_resume_sequence(self, clean, first_crash, steps):
-        """A fresh run that dies, then any mix of recovery scans, resumes
-        that die again, and resumes that finish.  (Only the first run is
-        fresh: a second fresh run supersedes the old commits in the journal
-        and leaves their snapshots for ``recover_run`` to delete.)"""
-        with tempfile.TemporaryDirectory() as scratch:
-            ckpt = Path(scratch) / "ckpt"
-            checkpointer = RunCheckpointer(ckpt)
-
-            def check(completed=None):
-                committed = checkpointer.journal.last_run().committed
-                assert committed == list(range(len(committed)))
-                assert set(checkpointer.snapshots()) <= set(committed)
-                if completed is not None:
-                    assert committed == list(range(N_STAGES))
-                    assert (
-                        completed.results[-1].output_fingerprint
-                        == clean.results[-1].output_fingerprint
-                    )
-                    assert np.array_equal(completed.payload, clean.payload)
-
-            # a fresh run always dies: every crash point lies inside the plan
-            with pytest.raises(SimulatedCrash):
-                _run(ckpt, crash_at=first_crash)
-            check()
-            for step, crash_at in steps:
-                if step == "recover":
-                    report = recover_run(ckpt)
-                    assert report.stages_discarded == []
-                    check()
-                    continue
-                try:
-                    completed = _run(ckpt, crash_at=crash_at, resume=True)
-                except SimulatedCrash:
-                    completed = None  # the point lay beyond the restored prefix
-                check(completed)
-            check(_run(ckpt, resume=True))

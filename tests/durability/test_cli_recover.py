@@ -1,19 +1,7 @@
 """``repro run`` crash injection and ``--recover`` at the CLI surface."""
 
-import hashlib
-
 from repro.cli import main
-
-
-def _shard_hashes(directory):
-    files = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in directory.glob("*.rps")
-    }
-    files["manifest.json"] = hashlib.sha256(
-        (directory / "manifest.json").read_bytes()
-    ).hexdigest()
-    return files
+from tests.parity import shard_digests
 
 
 class TestCrashAndRecover:
@@ -48,7 +36,7 @@ class TestCrashAndRecover:
         out = capsys.readouterr().out
         assert "resume from stage 4" in out
         assert "restored" in out
-        assert _shard_hashes(tmp_path / "chaos" / "shards") == _shard_hashes(
+        assert shard_digests(tmp_path / "chaos" / "shards") == shard_digests(
             tmp_path / "clean" / "shards"
         )
 

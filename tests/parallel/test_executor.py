@@ -1,14 +1,11 @@
-"""High-level SPMD drivers: map, distributed stats, parallel shard writes."""
+"""High-level SPMD drivers: map, distributed stats, rank-parallel shard writes."""
 
 import numpy as np
 import pytest
 
+from repro.core.backends import SimSPMDBackend
 from repro.io.shards import ShardSet
-from repro.parallel.executor import (
-    distributed_shard_write,
-    distributed_stats,
-    parallel_map,
-)
+from repro.parallel.executor import distributed_stats, parallel_map
 
 
 class TestParallelMap:
@@ -62,21 +59,22 @@ class TestDistributedStats:
 
 
 class TestDistributedShardWrite:
+    """SimSPMD writes shards through the one writer, fanned out over ranks."""
+
     def test_manifest_matches_serial_export(self, tmp_path, small_dataset):
         n = small_dataset.n_samples
         splits = {"train": np.arange(0, 40), "test": np.arange(40, n)}
-        manifest = distributed_shard_write(
-            small_dataset, tmp_path / "par", splits, n_ranks=3,
+        manifest = SimSPMDBackend(n_ranks=3).shard_write(
+            small_dataset, tmp_path / "par", splits,
             shards_per_split=4, codec_name="zlib", codec_level=1,
         )
         assert manifest.n_samples == n
         assert manifest.split_samples("train") == 40
-        assert manifest.metadata["written_by_ranks"] == 3
 
     def test_shard_set_readable_and_verifiable(self, tmp_path, small_dataset):
         splits = {"all": np.arange(small_dataset.n_samples)}
-        distributed_shard_write(
-            small_dataset, tmp_path / "par", splits, n_ranks=4, shards_per_split=5
+        SimSPMDBackend(n_ranks=4).shard_write(
+            small_dataset, tmp_path / "par", splits, shards_per_split=5
         )
         shard_set = ShardSet(tmp_path / "par")
         shard_set.verify()
@@ -85,7 +83,7 @@ class TestDistributedShardWrite:
 
     def test_single_rank_degenerate_case(self, tmp_path, small_dataset):
         splits = {"all": np.arange(small_dataset.n_samples)}
-        manifest = distributed_shard_write(
-            small_dataset, tmp_path / "one", splits, n_ranks=1, shards_per_split=2
+        manifest = SimSPMDBackend(n_ranks=1).shard_write(
+            small_dataset, tmp_path / "one", splits, shards_per_split=2
         )
         assert manifest.n_shards == 2

@@ -3,9 +3,9 @@
 Acceptance contract of the cost-model-driven planner: an auto-planned
 run selects its configuration via simulation, embeds the decision record
 in run events / span attributes / the shard manifest, records the
-``schedule_prediction_error`` metric, feeds the calibration store, and —
-the bitwise-parity contract — writes shard payloads byte-identical to a
-fixed-plan run of the same pipeline.
+``schedule_prediction_error`` metric, and feeds the calibration store.
+Planning changes the schedule, never the bytes: the auto run's shards are
+the serial reference's of the parity oracle (``tests/parity.py``).
 """
 
 import json
@@ -14,13 +14,13 @@ import pytest
 
 from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype, MaterialsArchetype
-from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.materials.synthetic import MaterialsSourceConfig
-from repro.io.shards import MANIFEST_NAME
+from repro.io.shards import MANIFEST_NAME, ShardManifest
 from repro.obs import Telemetry
 from repro.sched import CalibrationStore, ScheduleDecision
+from tests.parity import ARCHETYPES, assert_reference
 
-CLIMATE = {"config": ClimateSourceConfig(n_models=2, n_timesteps=12, seed=21)}
+CLIMATE = {"config": ARCHETYPES["climate"][1]}
 MATERIALS = {"config": MaterialsSourceConfig(n_structures=40, seed=21)}
 
 
@@ -46,6 +46,13 @@ def test_auto_run_selects_and_embeds_decision(tmp_path):
     assert embedded == decision.to_dict()
     on_disk = json.loads((tmp_path / "auto" / "shards" / MANIFEST_NAME).read_text())
     assert on_disk["metadata"]["schedule_decision"] == decision.to_dict()
+    # planning changes the schedule, never the bytes: less the decision,
+    # every artifact is the serial reference's
+    path = tmp_path / "auto" / "shards" / MANIFEST_NAME
+    manifest = ShardManifest.from_json(path.read_text())
+    del manifest.metadata["schedule_decision"]
+    path.write_text(manifest.to_json())
+    assert_reference("climate", result, tmp_path / "auto")
 
 
 def test_fixed_run_has_no_decision(tmp_path):
@@ -113,29 +120,6 @@ def test_persisted_calibration_deterministically_changes_prediction(tmp_path):
         calibration=CalibrationStore(tmp_path / "cal-snapshot"),
     )
     assert replayed.to_dict() == second.schedule.to_dict()
-
-
-def test_auto_shard_bytes_match_fixed_run_with_same_config(tmp_path):
-    """Planning changes the schedule, never the bytes (parity contract)."""
-    from repro.sched import build_backend
-
-    auto = _auto_run(tmp_path)
-    fixed = ClimateArchetype(seed=21, **CLIMATE).run(
-        tmp_path / "fixed", backend=build_backend(auto.schedule)
-    )
-    assert auto.dataset.fingerprint() == fixed.dataset.fingerprint()
-    auto_dir = tmp_path / "auto" / "shards"
-    fixed_dir = tmp_path / "fixed" / "shards"
-    shard_names = sorted(p.name for p in auto_dir.glob("*.rps"))
-    assert shard_names == sorted(p.name for p in fixed_dir.glob("*.rps"))
-    assert shard_names
-    for name in shard_names:
-        assert (auto_dir / name).read_bytes() == (fixed_dir / name).read_bytes()
-    # manifests agree everywhere except the (auto-only) decision record
-    auto_manifest = json.loads((auto_dir / MANIFEST_NAME).read_text())
-    fixed_manifest = json.loads((fixed_dir / MANIFEST_NAME).read_text())
-    auto_manifest["metadata"].pop("schedule_decision")
-    assert auto_manifest == fixed_manifest
 
 
 def test_auto_plan_works_on_other_domains(tmp_path):

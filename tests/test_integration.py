@@ -9,6 +9,7 @@ corruption/violation scenarios that must fail loudly, not silently.
 import numpy as np
 import pytest
 
+from repro.core.backends import SimSPMDBackend
 from repro.core.dataset import Dataset
 from repro.core.plan import PipelineError
 from repro.io.shards import ShardError, ShardSet
@@ -30,25 +31,10 @@ class TestPipelineToTrainer:
     """Archetype output -> streamer -> training batches, with verification."""
 
     def test_streamer_over_archetype_shards(self, climate_result, tmp_path):
-        shard_dir = climate_result.run.context.artifacts["manifest"]
-        directory = None
-        # the archetype wrote into <workdir>/shards; find it via the manifest files
-        # the manifest object doesn't store its dir, so reconstruct from result
-        # (integration point: ShardSet only needs the directory)
-        import pathlib
-
-        # locate by searching for manifest.json beside the run
-        for candidate in pathlib.Path(climate_result.run.context.artifacts.get(
-                "tfrecord_dir", tmp_path)).parents:
-            pass
-        # simpler: re-export through distributed write into tmp_path
-        from repro.parallel.executor import distributed_shard_write
-
+        # re-export the archetype's dataset rank-parallel into tmp_path
         ds = climate_result.dataset
-        manifest = distributed_shard_write(
-            ds, tmp_path / "restream",
-            {"train": np.arange(ds.n_samples)},
-            n_ranks=2, shards_per_split=4,
+        SimSPMDBackend(n_ranks=2).shard_write(
+            ds, tmp_path / "restream", {"train": np.arange(ds.n_samples)}, shards_per_split=4,
         )
         shard_set = ShardSet(tmp_path / "restream")
         shard_set.verify()
@@ -60,12 +46,9 @@ class TestPipelineToTrainer:
         assert batch["tas"].shape[1:] == (16, 32)
 
     def test_two_rank_training_sees_disjoint_shards(self, climate_result, tmp_path):
-        from repro.parallel.executor import distributed_shard_write
-
         ds = climate_result.dataset
-        distributed_shard_write(
-            ds, tmp_path / "ranks", {"train": np.arange(ds.n_samples)},
-            n_ranks=2, shards_per_split=6,
+        SimSPMDBackend(n_ranks=2).shard_write(
+            ds, tmp_path / "ranks", {"train": np.arange(ds.n_samples)}, shards_per_split=6,
         )
         shard_set = ShardSet(tmp_path / "ranks")
         seen = []
@@ -112,12 +95,9 @@ class TestProvenanceSessions:
 
 class TestFailureInjection:
     def test_corrupt_shard_blocks_training(self, climate_result, tmp_path):
-        from repro.parallel.executor import distributed_shard_write
-
         ds = climate_result.dataset
-        distributed_shard_write(
-            ds, tmp_path / "corrupt", {"train": np.arange(ds.n_samples)},
-            n_ranks=1, shards_per_split=3,
+        SimSPMDBackend(n_ranks=1).shard_write(
+            ds, tmp_path / "corrupt", {"train": np.arange(ds.n_samples)}, shards_per_split=3,
         )
         shard_set = ShardSet(tmp_path / "corrupt")
         victim = next((tmp_path / "corrupt").glob("train-*.rps"))

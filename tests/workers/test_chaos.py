@@ -2,10 +2,12 @@
 
 Seeded worker kills land mid-stage (real ``SIGKILL``, real respawns) and
 the supervised backend still completes the climate and fusion pipelines
-with shard files **bitwise identical** to a clean serial run — crash
-recovery must be invisible in the output.  A poison task (one that kills
-every worker it touches) is the exception that proves the rule: it is
-dead-lettered under ``skip-degraded`` instead of looping forever.
+to artifacts **byte-identical** to a clean serial run (the parity oracle,
+``tests/parity.py``, which also checks every in-worker kill was re-leased)
+— crash recovery must be invisible in the output.  A poison task (one
+that kills every worker it touches) is the exception that proves the
+rule: it is dead-lettered under ``skip-degraded`` instead of looping
+forever.
 """
 
 import numpy as np
@@ -14,117 +16,30 @@ import pytest
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
-from repro.domains import ClimateArchetype, FusionArchetype
-from repro.domains.climate.synthetic import ClimateSourceConfig
-from repro.domains.fusion.synthetic import FusionCampaignConfig
 from repro.faults import FaultInjector, FaultSpec, PoisonTaskError
-from repro.io.shards import MANIFEST_NAME
-
-ARCHETYPES = {
-    "climate": (
-        ClimateArchetype,
-        {"config": ClimateSourceConfig(n_models=2, n_timesteps=12, seed=21)},
-    ),
-    "fusion": (
-        FusionArchetype,
-        {"config": FusionCampaignConfig(n_shots=10, seed=21)},
-    ),
-}
+from tests.parity import IN_WORKER_KILL, Config, assert_parity, faults_fired
 
 # the schedule the CI proc-chaos-smoke job also runs: ~20% of task
 # leases SIGKILL their worker on the first draw; every kill is
 # re-leased and recovers (seed 3 never draws three in a row)
-CHAOS = FaultSpec(seed=3, worker_kill_rate=0.2)
+CHAOS = Config(backend="process", workers=3, faults="seed=3,kill-rate=0.2")
 
 
-def _shard_bytes(directory):
-    files = {p.name: p.read_bytes() for p in directory.glob("*.rps")}
-    assert files, f"no shards under {directory}"
-    return files
+@pytest.mark.parametrize("domain", ["climate", "fusion"])
+def test_worker_kill_chaos_is_bitwise_invisible(domain):
+    # the oracle holds tasks_requeued == in-worker kills and a respawn per
+    # kill; the schedule must really kill inside a worker for that to bite
+    assert_parity(domain, Config(), CHAOS)
+    assert faults_fired(domain, CHAOS)[IN_WORKER_KILL], "no worker died"
 
 
-@pytest.mark.parametrize("domain", sorted(ARCHETYPES))
-def test_worker_kill_chaos_is_bitwise_invisible(domain, tmp_path):
-    cls, kwargs = ARCHETYPES[domain]
-    clean = cls(seed=21, **kwargs).run(tmp_path / "clean", backend="serial")
-    injector = FaultInjector(CHAOS)
-    chaos = cls(seed=21, **kwargs).run(
-        tmp_path / "chaos", backend="process", fault_injector=injector
-    )
-
-    # workers really died and were really respawned; kills at bracketed
-    # sites happened inside a worker (lease re-queued), kills at op-level
-    # sites fired in the parent and healed through stage-level retry
-    kills = [f for f in injector.log if f.kind == "worker-kill"]
-    task_kills = [f for f in kills if "[" in f.site]
-    assert task_kills, "chaos schedule injected no in-worker kills"
-    assert chaos.run.worker_counters["tasks_requeued"] == len(task_kills)
-    assert chaos.run.worker_counters["worker_restarts"] >= 1
-    assert chaos.run.worker_counters.get("poison_tasks", 0) == 0
-    assert all(e.requeued for e in chaos.run.worker_crashes)
-    assert not chaos.run.degraded
-    assert len(chaos.run.dead_letters) == 0
-
-    # ...invisibly: bitwise parity with the clean serial run
-    clean_fps = [r.output_fingerprint for r in clean.run.results]
-    chaos_fps = [r.output_fingerprint for r in chaos.run.results]
-    assert chaos_fps == clean_fps, f"{domain} diverged under worker kills"
-    assert chaos.dataset.fingerprint() == clean.dataset.fingerprint()
-    assert _shard_bytes(tmp_path / "chaos" / "shards") == _shard_bytes(
-        tmp_path / "clean" / "shards"
-    )
-    import json
-
-    manifests = []
-    for d in ("clean", "chaos"):
-        blob = json.loads((tmp_path / d / "shards" / MANIFEST_NAME).read_text())
-        blob["metadata"].pop("written_by_ranks")
-        manifests.append(blob)
-    assert manifests[0] == manifests[1]
-
-
-def test_batched_worker_kill_chaos_is_bitwise_invisible(tmp_path):
-    """Worker kills over a *batched* climate run change nothing on disk.
-
-    The chaos process run executes the regrid stage through
-    ``map_batches`` (chunks of 3 fields per lease) while the reference
-    run is clean, serial, and per-record — crash recovery and batching
-    together must still be invisible in shards and manifests.
-    """
-    cls, kwargs = ARCHETYPES["climate"]
-    clean = cls(seed=21, **kwargs).run(tmp_path / "clean", backend="serial")
-    # batching shrinks the lease count, so the per-record schedule's seed
-    # draws no in-worker kill here; seed 11 lands one on a chunk lease
-    injector = FaultInjector(FaultSpec(seed=11, worker_kill_rate=0.2))
-    chaos = cls(seed=21, **kwargs).run(
-        tmp_path / "chaos",
-        backend="process",
-        fault_injector=injector,
-        batch_size=3,
-    )
-
-    kills = [f for f in injector.log if f.kind == "worker-kill"]
-    task_kills = [f for f in kills if "[" in f.site]
-    assert task_kills, "chaos schedule injected no in-worker kills"
-    assert chaos.run.worker_counters["tasks_requeued"] == len(task_kills)
-    assert not chaos.run.degraded
-    assert len(chaos.run.dead_letters) == 0
-
-    clean_fps = [r.output_fingerprint for r in clean.run.results]
-    chaos_fps = [r.output_fingerprint for r in chaos.run.results]
-    assert chaos_fps == clean_fps, "batched chaos run diverged"
-    assert chaos.dataset.fingerprint() == clean.dataset.fingerprint()
-    assert _shard_bytes(tmp_path / "chaos" / "shards") == _shard_bytes(
-        tmp_path / "clean" / "shards"
-    )
-    import json
-
-    manifests = []
-    for d in ("clean", "chaos"):
-        blob = json.loads((tmp_path / d / "shards" / MANIFEST_NAME).read_text())
-        blob["metadata"].pop("written_by_ranks")
-        manifests.append(blob)
-    assert manifests[0] == manifests[1]
+def test_batched_worker_kill_chaos_is_bitwise_invisible():
+    """Worker kills over a *batched* climate run (chunks of 3 fields per
+    lease) change nothing on disk either.  Batching shrinks the lease
+    count, so the per-record seed draws no kill here; seed 11 does."""
+    batched = Config(backend="process", workers=3, batch_size=3, faults="seed=11,kill-rate=0.2")
+    assert_parity("climate", Config(), batched)
+    assert faults_fired("climate", batched)[IN_WORKER_KILL], "no worker died"
 
 
 def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):

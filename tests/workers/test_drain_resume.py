@@ -11,26 +11,14 @@ import pytest
 
 from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype
-from repro.domains.climate.synthetic import ClimateSourceConfig
-from repro.io.shards import MANIFEST_NAME
 from repro.workers import DrainController, DrainInterrupt
+from tests.parity import ARCHETYPES, assert_reference
 
-CONFIG = ClimateSourceConfig(n_models=2, n_timesteps=12, seed=21)
+CONFIG = ARCHETYPES["climate"][1]
 
 #: every backend wired for drain: in-process backends stop at stage
 #: boundaries; the process backend also stops between task grants
 BOUNDARY_BACKENDS = ["serial", "threaded", "simspmd", "process"]
-
-
-def _shard_bytes(directory):
-    files = {p.name: p.read_bytes() for p in directory.glob("*.rps")}
-    assert files, f"no shards under {directory}"
-    return files
-
-
-def _reference_run(tmp_path):
-    ClimateArchetype(seed=21, config=CONFIG).run(tmp_path / "ref", backend="serial")
-    return _shard_bytes(tmp_path / "ref" / "shards")
 
 
 @pytest.mark.parametrize("backend", BOUNDARY_BACKENDS)
@@ -64,7 +52,7 @@ def test_boundary_drain_then_resume_is_bitwise_identical(backend, tmp_path):
     )
     restored = [r.stage_name for r in result.run.results if r.restored]
     assert restored == ["download", "regrid", "normalize"]
-    assert _shard_bytes(work / "shards") == _reference_run(tmp_path)
+    assert_reference("climate", result, work)
 
 
 def test_mid_stage_drain_on_process_backend(tmp_path):
@@ -98,16 +86,7 @@ def test_mid_stage_drain_on_process_backend(tmp_path):
     )
     restored = [r.stage_name for r in result.run.results if r.restored]
     assert restored == ["download", "regrid", "normalize", "stack"]
-    assert _shard_bytes(work / "shards") == _reference_run(tmp_path)
-    # manifests of the resumed run match an uninterrupted serial run's
-    ref_manifest = (tmp_path / "ref" / "shards" / MANIFEST_NAME).read_text()
-    got_manifest = (work / "shards" / MANIFEST_NAME).read_text()
-    import json
-
-    ref_blob, got_blob = json.loads(ref_manifest), json.loads(got_manifest)
-    ref_blob["metadata"].pop("written_by_ranks")
-    got_blob["metadata"].pop("written_by_ranks")
-    assert got_blob == ref_blob
+    assert_reference("climate", result, work)
 
 
 def test_drain_before_first_stage_leaves_no_partial_output(tmp_path):
