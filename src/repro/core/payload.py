@@ -59,31 +59,60 @@ The array digests are the expensive part of a walk, and a checkpoint
 commit needs them again for the same arrays; :func:`walk_payload` hands
 them out (``array_digests=``) into a dict the caller owns for the one
 call, so no array is hashed twice and the walker keeps no state of its own.
+
+They are also the part that can run on another core (``hashlib`` releases
+the GIL): *digest-ahead*.  The first time a hashing walk meets a
+qualifying array — a plain, C-contiguous, non-object ``ndarray`` of
+``AHEAD_MIN_BYTES`` or more — inside a container (a sequence, a mapping, a
+structurally hashed object), it looks at that container's direct
+children; if at least two of them qualify, it submits
+:func:`fingerprint_array` of each to a helper pool, and the array visits
+take the results in visiting order.  Every other digest — small, strided
+or Fortran-order arrays, NumPy scalars, a ``Dataset``'s own single-stream
+``fingerprint()`` — is computed inline, as is everything on a 1-CPU host.
+(The look is made from the first large child, not on entering the
+container: a walk meets tens of thousands of small dicts for every one
+that holds large arrays, and a scan of each cost the walk ~12 %.)  The
+pool (:func:`repro.core.helper_pool.helper_pool`) is started by the first
+container that qualifies and shut down before the walk returns or raises;
+the ``id -> pending digest`` map holds its arrays (so an id cannot be
+reused while it waits), lives for that one call, and each entry is dropped
+when its array is visited — it is not a memo across walks.  Helper threads
+only read existing array memory, and the digests are the very ones an
+inline walk computes.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import enum
 import functools
 import inspect
 import pathlib
 from hashlib import sha256
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.helper_pool import helper_pool, helper_threads
 from repro.provenance.record import fingerprint_array
 
 __all__ = ["walk_payload", "fingerprint_payload", "payload_nbytes", "payload_items"]
 
+#: the smallest array a hashing walk digests ahead on a helper thread (and
+#: only beside a sibling that qualifies too); smaller ones hash inline
+AHEAD_MIN_BYTES = 1 << 20
+
 #: (hex digest as ASCII bytes — ``None`` on a size-only walk, content bytes)
 _Result = Tuple[Optional[bytes], int]
 #: ``str`` / ``int`` leaf -> its result, for the duration of one walk (plus,
+#: on a hashing walk, its :class:`_DigestAhead` under :data:`_AHEAD` and,
 #: under :data:`_ARRAY_DIGESTS`, the caller's array-digest collector)
 _Memo = Dict[Any, Any]
-#: ``id()`` of every container / object on the current path -> its depth
-_OnPath = Dict[int, int]
+#: ``id()`` of every container / object on the current path, outermost
+#: first -> its children (what digest-ahead looks at)
+_OnPath = Dict[int, Any]
 #: ``handler(obj, hashing, memo, visiting) -> _Result``
 _Handler = Callable[[Any, bool, _Memo, _OnPath], _Result]
 
@@ -93,9 +122,68 @@ _MEMO_MAX = 4096
 _MEMO_MAX_STR = 64
 
 _MISSING = object()
-#: memo key of the walk's array-digest collector: no ``str`` / ``int`` leaf
-#: equals it, so the per-walk state stays one dict and one argument
+#: memo keys of the walk's array-digest collector and of its digest-ahead:
+#: no ``str`` / ``int`` leaf equals them, so the per-walk state stays one
+#: dict and one argument
 _ARRAY_DIGESTS = object()
+_AHEAD = object()
+
+
+class _DigestAhead:
+    """The digest-ahead of one hashing walk (see the module docstring)."""
+
+    __slots__ = ("pool", "pending", "scanned")
+
+    def __init__(self) -> None:
+        #: started by the first container that qualifies; ``False`` once
+        #: the host has said it has one usable CPU
+        self.pool: Any = None
+        #: ``id(array) -> (array, its digest future)``, until it is visited
+        self.pending: Dict[int, Tuple[np.ndarray, concurrent.futures.Future]] = {}
+        #: the children last looked at, so a container is looked at once
+        self.scanned: Any = None
+
+    def digest(self, array: Any, visiting: _OnPath) -> str:
+        """*array*'s digest: computed ahead, or inline."""
+        entry = self.pending.pop(id(array), None)
+        if entry is None and visiting and _qualifies(array):
+            # the innermost container on the path is *array*'s parent
+            children = next(reversed(visiting.values()))
+            if children is not self.scanned:
+                self.scanned = children
+                self._submit(children.values() if isinstance(children, dict) else children)
+                entry = self.pending.pop(id(array), None)
+        return fingerprint_array(array) if entry is None else entry[1].result()
+
+    def _submit(self, children: Iterable[Any]) -> None:
+        """Start the digests of a container's qualifying children, if two."""
+        arrays = {id(child): child for child in children if _qualifies(child)}
+        if len(arrays) < 2:
+            return
+        if self.pool is None:
+            threads = helper_threads()
+            self.pool = helper_pool("digest-ahead", threads) if threads > 1 else False
+        if not self.pool:
+            return
+        for key, array in arrays.items():
+            if key not in self.pending:
+                self.pending[key] = (array, self.pool.submit(fingerprint_array, array))
+
+    def close(self) -> None:
+        """Cancel what has not started, wait out what has."""
+        if self.pool:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+        self.pending.clear()
+        self.scanned = None
+
+
+def _qualifies(child: Any) -> bool:
+    return (
+        type(child) is np.ndarray
+        and child.nbytes >= AHEAD_MIN_BYTES
+        and child.flags.c_contiguous
+        and not child.dtype.hasobject
+    )
 
 
 def walk_payload(
@@ -116,8 +204,14 @@ def walk_payload(
         default ``object.__repr__`` (which embeds a memory address and
         would hash differently on every run).
     """
-    memo: _Memo = {} if array_digests is None else {_ARRAY_DIGESTS: array_digests}
-    digest, nbytes = _node(payload, True, memo, {})
+    ahead = _DigestAhead()
+    memo: _Memo = {_AHEAD: ahead}
+    if array_digests is not None:
+        memo[_ARRAY_DIGESTS] = array_digests
+    try:
+        digest, nbytes = _node(payload, True, memo, {})
+    finally:
+        ahead.close()
     assert digest is not None
     return digest.decode("ascii"), nbytes, payload_items(payload)
 
@@ -211,7 +305,7 @@ def _node(obj: Any, hashing: bool, memo: _Memo, visiting: _OnPath) -> _Result:
 
 def _backref(key: int, hashing: bool, visiting: _OnPath) -> _Result:
     """A node already on the current path: name how far up, add no bytes."""
-    levels_up = len(visiting) - visiting[key]
+    levels_up = len(visiting) - list(visiting).index(key)
     return (_hex(b"cycle:%d" % levels_up) if hashing else None, 0)
 
 
@@ -219,7 +313,7 @@ def _sequence(obj: Any, hashing: bool, memo: _Memo, visiting: _OnPath) -> _Resul
     key = id(obj)
     if key in visiting:
         return _backref(key, hashing, visiting)
-    visiting[key] = len(visiting)
+    visiting[key] = obj
     # streamed into the digest: a long list must not pin every child digest
     digest = sha256(b"seq:%d" % len(obj)) if hashing else None
     total = 0
@@ -250,7 +344,7 @@ def _mapping(obj: Any, hashing: bool, memo: _Memo, visiting: _OnPath) -> _Result
     key = id(obj)
     if key in visiting:
         return _backref(key, hashing, visiting)
-    visiting[key] = len(visiting)
+    visiting[key] = obj
     total = 0
     entries = []
     for k, value in obj.items():
@@ -272,7 +366,10 @@ def _array(obj: Any, hashing: bool, memo: _Memo, visiting: Any) -> _Result:
     """Arrays, and NumPy scalars (hashed as the 1-element array they coerce to)."""
     if not hashing:
         return (None, int(obj.nbytes))
-    digest = fingerprint_array(obj)
+    if obj.nbytes >= AHEAD_MIN_BYTES:
+        digest = memo[_AHEAD].digest(obj, visiting)
+    else:
+        digest = fingerprint_array(obj)
     collector = memo.get(_ARRAY_DIGESTS)
     if collector is not None and type(obj) is np.ndarray and obj.flags.c_contiguous:
         collector[id(obj)] = digest
@@ -363,7 +460,6 @@ def _structural(cls: type, names: Optional[Tuple[str, ...]]) -> _Handler:
         key = id(obj)
         if key in visiting:
             return _backref(key, hashing, visiting)
-        visiting[key] = len(visiting)
         if names is None:
             attrs = obj.__dict__
             pairs = [(name, attrs[name]) for name in sorted(attrs) if name not in cached]
@@ -373,6 +469,7 @@ def _structural(cls: type, names: Optional[Tuple[str, ...]]) -> _Handler:
                 (name, value) for name in names
                 if (value := getattr(obj, name, _MISSING)) is not _MISSING
             ]
+        visiting[key] = [value for _, value in pairs]
         total = 0
         parts = [prefix]
         for name, value in pairs:

@@ -143,7 +143,7 @@ class ClimateArchetype(DomainArchetype):
                 var = nc[name]
                 if var.dims != ("time", "lat", "lon"):
                     continue
-                variables[name] = var.data.astype(np.float64)
+                variables[name] = var.data.astype(np.float64, copy=False)
                 units[name] = var.units or ""
             sources.append(
                 GriddedSource(

@@ -77,7 +77,9 @@ class RawCodec(Codec):
         return [data]
 
     def decompress(self, data: bytes) -> bytes:
-        return bytes(data)
+        # the caller's own buffer (a block decoder's payload view): it makes
+        # the one copy itself
+        return data
 
 
 class ZlibCodec(Codec):

@@ -8,20 +8,31 @@ An *array block* is::
     crc32(u32 of payload) | dtype_str | payload
 
 Integers are little-endian.  The CRC covers the (possibly compressed)
-payload, so corruption of bytes on disk is detected before decompression.
+payload, so corruption of bytes on disk is detected before decompression;
+the header is checked on its own (a dtype token NumPy can read and decode
+from bytes, a ``raw_nbytes`` equal to ``prod(shape) * itemsize``), so
+every malformed block raises :class:`SerializationError`.
 Object-dtype arrays are rejected: scientific shard formats carry numeric
 tensors and fixed-width strings only (Section 2.2's precision discussion).
+
+Copies: packing hands the codec a flat view of the array memory (a raw
+block is written straight from it); decoding slices the payload as a view
+of the caller's buffer, runs the CRC and a raw "decompress" over that
+view, and copies once into the returned array.  A reader that ``read()``\\ s
+a block from a file therefore holds each byte twice — its read buffer and
+the array — and only while one block is being decoded.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.io.compression import Codec, RawCodec, codec_from_id
+from repro.io.compression import Codec, CodecError, RawCodec, codec_from_id
 
 __all__ = [
     "pack_array",
@@ -102,14 +113,31 @@ def pack_array(array: np.ndarray, codec: Optional[Codec] = None) -> bytes:
     )
 
 
+def _block_dtype(token: memoryview) -> np.dtype:
+    """The dtype a block header names, or :class:`SerializationError` —
+    the CRC covers only the payload, so a corrupt header must be caught
+    here, not as a ``UnicodeDecodeError`` or a NumPy error."""
+    try:
+        dtype = np.dtype(bytes(token).decode("ascii"))
+    except (UnicodeDecodeError, TypeError, ValueError, SyntaxError) as exc:
+        raise SerializationError(f"bad dtype token {bytes(token)!r}") from exc
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise SerializationError(f"dtype {dtype.str} cannot be decoded from bytes")
+    return dtype
+
+
 def unpack_array_from(buffer: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     """Deserialize one block starting at *offset*.
 
     Returns ``(array, next_offset)`` so callers can walk a stream of
-    concatenated blocks.
+    concatenated blocks.  The array is the block's one copy: the payload
+    is CRC-checked and (raw) decoded as a view of *buffer*, then copied
+    out once, so the result is writeable, owns its memory and does not
+    keep *buffer* alive.
     """
+    buffer = memoryview(buffer).cast("B")
     header_size = struct.calcsize(_HEADER_FMT)
-    if len(buffer) - offset < header_size:
+    if buffer.nbytes - offset < header_size:
         raise SerializationError("truncated block header")
     magic, version, codec_id, dtype_len, ndim = struct.unpack_from(
         _HEADER_FMT, buffer, offset
@@ -129,20 +157,29 @@ def unpack_array_from(buffer: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     except struct.error as exc:
         raise SerializationError("truncated block tail") from exc
     pos += struct.calcsize(_TAIL_FMT)
-    dtype_token = bytes(buffer[pos : pos + dtype_len]).decode("ascii")
+    token = buffer[pos : pos + dtype_len]
+    if token.nbytes != dtype_len:
+        raise SerializationError("truncated dtype token")
+    dtype = _block_dtype(token)
+    if raw_nbytes != math.prod(shape) * dtype.itemsize:
+        raise SerializationError(
+            f"declared size {raw_nbytes} != {dtype.str} x {shape} (corrupt header)"
+        )
     pos += dtype_len
-    payload = bytes(buffer[pos : pos + payload_nbytes])
-    if len(payload) != payload_nbytes:
+    payload = buffer[pos : pos + payload_nbytes]
+    if payload.nbytes != payload_nbytes:
         raise SerializationError("truncated payload")
     pos += payload_nbytes
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
         raise SerializationError("payload CRC mismatch (corrupt block)")
-    raw = codec_from_id(codec_id).decompress(payload)
+    try:
+        raw = codec_from_id(codec_id).decompress(payload)
+    except CodecError as exc:  # an unknown or wrong codec id
+        raise SerializationError(f"undecodable payload: {exc}") from exc
     if len(raw) != raw_nbytes:
         raise SerializationError(
             f"decompressed size {len(raw)} != declared {raw_nbytes}"
         )
-    dtype = np.dtype(dtype_token)
     array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return array, pos
 

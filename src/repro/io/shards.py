@@ -22,10 +22,8 @@ import collections
 import concurrent.futures
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
-import os
 import struct
 from pathlib import Path
 from typing import (
@@ -52,6 +50,7 @@ from repro.core.dataset import (
     Modality,
     Schema,
 )
+from repro.core.helper_pool import helper_pool, helper_threads
 from repro.durability.atomic import atomic_write_text, staged_write
 from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
@@ -149,29 +148,6 @@ def schema_from_dicts(rows: Sequence[Dict[str, object]]) -> Schema:
 # single shard files
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> List[int]:
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity API off Linux
-        return list(range(os.cpu_count() or 1))
-
-
-def _start_apart(order: Iterator[int], cpus: Sequence[int]) -> None:
-    """Pool-thread initializer: start the i-th thread on the i-th usable
-    CPU, then hand it straight back to the scheduler.
-
-    Measured on the 2-vCPU benchmark VM: woken next to their creator, both
-    compress threads stayed on its core for whole runs (wall == cpu, the
-    other core idle — the guest does not wake a task onto a halted vCPU);
-    started apart they stay apart.  Nothing is left pinned.
-    """
-    try:
-        os.sched_setaffinity(0, {cpus[next(order) % len(cpus)]})
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):  # pragma: no cover - placement is best effort
-        pass
-
-
 class BlockPacker:
     """Packs the column blocks of one shard table, entry by entry.
 
@@ -222,22 +198,11 @@ class BlockPacker:
                 for name in self.names
             )
             ahead = row_nbytes * sum(len(rows) for _, _, rows in table) > PACK_AHEAD_BYTES
-        #: compress threads (0: inline) — two, or the one CPU there is —
-        #: and the pool that runs them
-        cpus = _usable_cpus()
-        self.threads = min(2, len(cpus)) if ahead else 0
+        #: compress threads (0: inline) and the pool that runs them
+        self.threads = helper_threads() if ahead else 0
         #: raw bytes in flight under which one more block is submitted
         self.budget = PACK_AHEAD_BYTES if ahead else 0
-        self.pool = (
-            concurrent.futures.ThreadPoolExecutor(
-                self.threads,
-                thread_name_prefix="shard-pack",
-                initializer=_start_apart,
-                initargs=(itertools.count(), cpus),
-            )
-            if ahead
-            else None
-        )
+        self.pool = helper_pool("shard-pack", self.threads) if ahead else None
         self._stream: Optional[_BlockStream] = None
 
     def __enter__(self) -> "BlockPacker":

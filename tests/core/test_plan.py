@@ -7,11 +7,14 @@ import functools
 import hashlib
 import inspect
 import pathlib
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import payload as walker
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
 from repro.core.levels import DataProcessingStage
 from repro.core.payload import payload_items, payload_nbytes, walk_payload
@@ -626,3 +629,175 @@ class TestDigestFormatIdentity:
         # a shared reference is not a cycle: it hashes as the content it is
         shared = [2.0]
         assert fingerprint_payload([shared, shared]) == fingerprint_payload([[2.0], [2.0]])
+
+
+# ---------------------------------------------------------------------------
+# digest-ahead: sibling arrays hashed on helper threads, same digests
+# ---------------------------------------------------------------------------
+
+
+def _all_ahead(patch):
+    """Every qualifying sibling digested ahead, on two helper threads
+    whatever the host."""
+    patch.setattr(walker, "AHEAD_MIN_BYTES", 0)
+    patch.setattr(walker, "helper_threads", lambda: 2)
+
+
+@pytest.fixture
+def every_array_ahead(monkeypatch):
+    """:func:`_all_ahead`, and the names of the threads that hashed."""
+    ran_on = []
+
+    def recording(array):
+        ran_on.append(threading.current_thread().name)
+        return fingerprint_array(array)
+
+    _all_ahead(monkeypatch)
+    monkeypatch.setattr(walker, "fingerprint_array", recording)
+    return ran_on
+
+
+class TestDigestAheadIdentity(TestDigestFormatIdentity):
+    """Every digest-format test above, unedited, with every plain
+    C-contiguous sibling array digested ahead."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _every_array_ahead(self):
+        with pytest.MonkeyPatch.context() as patch:
+            _all_ahead(patch)
+            yield
+
+    # a Hypothesis test belongs to one class: the generated-payload tests
+    # are wrapped again here, around the very same bodies
+    _base = TestDigestFormatIdentity
+    test_matches_the_reference_ladder = given(_payloads)(
+        _base.test_matches_the_reference_ladder.hypothesis.inner_test
+    )
+    test_copies_and_key_order_do_not_matter = given(_payloads)(
+        _base.test_copies_and_key_order_do_not_matter.hypothesis.inner_test
+    )
+    test_fused_walk_equals_the_separate_entry_points = given(_payloads)(
+        _base.test_fused_walk_equals_the_separate_entry_points.hypothesis.inner_test
+    )
+    test_memoised_leaves_hash_as_cold_ones = given(
+        st.lists(_payloads, min_size=1, max_size=3), st.integers(2, 4)
+    )(_base.test_memoised_leaves_hash_as_cold_ones.hypothesis.inner_test)
+
+
+_plain = st.builds(
+    lambda n, dtype: np.arange(n).astype(dtype),
+    st.integers(0, 6),
+    st.sampled_from(["<f8", "<i4", ">f4", "<U3"]),
+)
+_siblings = st.lists(
+    st.one_of(
+        _plain,
+        _plain.map(lambda a: np.asfortranarray(np.stack([a, a]))),  # Fortran-order
+        _plain.map(lambda a: a[::2]),  # strided (when it has 2+ elements)
+        st.just(np.array([1, "a", None], dtype=object)),  # object dtype
+        st.floats(allow_nan=False).map(np.array),  # 0-d
+        st.just(np.empty((0, 3))),  # zero-size
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),  # NumPy scalar
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _with_repeats(arrays, data):
+    """Some of *arrays* visited again: the same objects, twice."""
+    return arrays + data.draw(st.lists(st.sampled_from(arrays), max_size=3))
+
+
+def _containers(arrays):
+    """The same siblings as a list, a tuple, a dict and an object's attributes."""
+    return [
+        list(arrays),
+        tuple(arrays),
+        {f"k{i}": a for i, a in enumerate(arrays)},
+        [_GoldPoint(arrays[0], arrays[-1]), {"nested": list(arrays)}],
+    ]
+
+
+def _no_pool(*args):
+    raise AssertionError("a helper pool was started")
+
+
+class TestDigestAhead:
+    @given(_siblings, st.data())
+    def test_generated_siblings_walk_as_inline(self, arrays, data):
+        payloads = _containers(_with_repeats(arrays, data))
+        inline = []
+        for payload in payloads:
+            collected = {}
+            inline.append((walk_payload(payload, collected), collected))
+        with pytest.MonkeyPatch.context() as patch:
+            _all_ahead(patch)
+            for payload, expected in zip(payloads, inline):
+                collected = {}
+                assert (walk_payload(payload, collected), collected) == expected
+                assert expected[0][0] == _reference_fingerprint(payload)
+
+    def test_siblings_are_hashed_on_the_helper_threads(self, every_array_ahead):
+        arrays = [np.arange(n, dtype=np.float64) for n in (3, 4, 5)]
+        fortran = np.asfortranarray(np.ones((2, 3)))
+        payload = {"arrays": arrays, "fortran": fortran, "strided": arrays[2][::2]}
+        assert walk_payload(payload)[0] == _reference_fingerprint(payload)
+        # the list's three siblings ahead; the dict has no plain sibling,
+        # so its Fortran and strided arrays hash inline
+        helpers = [name for name in every_array_ahead if name.startswith("digest-ahead")]
+        assert len(helpers) == 3 and len(every_array_ahead) == 5
+
+    def test_small_arrays_and_lone_siblings_stay_inline(self, monkeypatch):
+        monkeypatch.setattr(walker, "helper_pool", _no_pool)
+        big = np.zeros(walker.AHEAD_MIN_BYTES // 8)
+        small = np.zeros(walker.AHEAD_MIN_BYTES // 8 - 1)
+        walk_payload([big, small, {"one": big}, np.asfortranarray(np.zeros((2, big.size)))])
+        walk_payload([big, big])  # the same array twice is one array
+
+    def test_size_only_walks_and_one_cpu_hosts_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(walker, "helper_pool", _no_pool)
+        big = [np.zeros(walker.AHEAD_MIN_BYTES // 8) for _ in range(3)]
+        payload_nbytes(big)
+        monkeypatch.setattr(walker, "helper_threads", lambda: 1)
+        assert walk_payload(big)[0] == _reference_fingerprint(big)
+
+    def test_threads_are_gone_after_the_walk(self, every_array_ahead):
+        before = threading.active_count()
+        walk_payload([np.zeros(1000), np.ones(1000)])
+        assert threading.active_count() == before
+        assert every_array_ahead[0].startswith("digest-ahead")
+
+    def test_threads_are_gone_when_an_opaque_object_raises_mid_flight(self, monkeypatch):
+        calls = []
+
+        def slow(array):
+            calls.append(array.size)
+            time.sleep(0.1)  # still hashing when the walk reaches object()
+            return fingerprint_array(array)
+
+        _all_ahead(monkeypatch)
+        monkeypatch.setattr(walker, "fingerprint_array", slow)
+        before = threading.active_count()
+        with pytest.raises(TypeError, match="opaque"):
+            walk_payload([object(), np.zeros(1), np.zeros(2), np.zeros(3)])
+        assert threading.active_count() == before
+        # two helper threads: the third digest was still queued, and cancelled
+        assert len(calls) < 3
+
+    def test_a_helper_side_error_surfaces_with_its_own_type(self, monkeypatch):
+        class DigestFailed(Exception):
+            pass
+
+        def failing(array):
+            if threading.current_thread() is not threading.main_thread():
+                raise DigestFailed("disk went away under a mapped array")
+            return fingerprint_array(array)
+
+        _all_ahead(monkeypatch)
+        monkeypatch.setattr(walker, "fingerprint_array", failing)
+        before = threading.active_count()
+        with pytest.raises(DigestFailed, match="disk went away"):
+            walk_payload({"a": np.zeros(4), "b": np.ones(4)})
+        assert threading.active_count() == before
+

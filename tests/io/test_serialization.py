@@ -8,13 +8,19 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.dataset import Dataset
+from repro.governance.enclave import SecureEnclave
+from repro.io.adios import BPReader, BPWriter
 from repro.io.compression import RawCodec, ZlibCodec
+from repro.io.h5lite import H5LiteFile
+from repro.io.netcdf import NCDataset, read_netcdf, write_netcdf
 from repro.io.serialization import (
     SerializationError,
     pack_array,
     unpack_array,
     unpack_array_from,
 )
+from repro.io.shards import read_shard, write_shard
 
 
 DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_]
@@ -170,3 +176,135 @@ class TestStreams:
         out[0] = 42.0
         assert original[0] != 42.0 or out[0] == original[0]
         assert out.flags.writeable
+
+
+#: byte offset of a 1-D block's dtype token
+_TOKEN_AT = struct.calcsize("<4sBBHB") + 8 + struct.calcsize("<QQI")
+
+
+def _rewritten(block, at, new):
+    corrupt = bytearray(block)
+    corrupt[at : at + len(new)] = new
+    return bytes(corrupt)
+
+
+class TestCorruptHeader:
+    """The CRC covers only the payload: a corrupt header is caught on its own,
+    as a :class:`SerializationError`, never as a NumPy or codec error."""
+
+    BLOCK = pack_array(np.arange(10, dtype="<f4"))
+
+    @pytest.mark.parametrize(
+        "token, match",
+        [
+            (b"<\xe94", "dtype token"),  # not ASCII
+            (b"<z4", "dtype token"),  # not a dtype
+            (b"|O8", "cannot be decoded"),  # object pointers
+            (b"|V0", "cannot be decoded"),  # zero width
+            (b"<f8", "declared size"),  # 10 x f4 read as f8: 5 elements
+            (b"<i2", "declared size"),
+        ],
+        ids=["non-ascii", "unknown", "object", "zero-width", "wider", "narrower"],
+    )
+    def test_dtype_token(self, token, match):
+        assert self.BLOCK[_TOKEN_AT : _TOKEN_AT + 3] == b"<f4"
+        with pytest.raises(SerializationError, match=match):
+            unpack_array(_rewritten(self.BLOCK, _TOKEN_AT, token))
+
+    def test_shape_disagreeing_with_raw_nbytes(self):
+        at = struct.calcsize("<4sBBHB")
+        with pytest.raises(SerializationError, match="declared size"):
+            unpack_array(_rewritten(self.BLOCK, at, struct.pack("<Q", 11)))
+
+    @pytest.mark.parametrize("codec", [RawCodec(), ZlibCodec(3)], ids=["raw", "zlib"])
+    def test_every_flipped_header_bit(self, codec):
+        """An array (a token flip such as ``<`` -> ``>`` can still name a
+        valid dtype) or a :class:`SerializationError` — nothing else."""
+        block = pack_array(np.arange(10, dtype="<f4"), codec)
+        for at in range(_TOKEN_AT + 3):
+            for bit in range(8):
+                corrupt = bytearray(block)
+                corrupt[at] ^= 1 << bit
+                try:
+                    out = unpack_array(bytes(corrupt))
+                except SerializationError:
+                    continue
+                assert out.shape == (10,) and out.dtype.itemsize == 4, (at, bit)
+
+
+@pytest.mark.parametrize("codec", [RawCodec(), ZlibCodec(3)], ids=["raw", "zlib"])
+class TestDecodeStillRefuses:
+    def test_flipped_payload_byte(self, codec, rng):
+        block = pack_array(rng.normal(size=64), codec)
+        for at in (len(block) - 1, len(block) - 40):
+            corrupt = bytearray(block)
+            corrupt[at] ^= 0x10
+            with pytest.raises(SerializationError, match="CRC"):
+                unpack_array(bytes(corrupt))
+
+    def test_every_truncation(self, codec, rng):
+        block = pack_array(rng.normal(size=6), codec)
+        for end in range(len(block)):
+            with pytest.raises(SerializationError, match="truncated"):
+                unpack_array(block[:end])
+
+    def test_trailing_bytes(self, codec, rng):
+        block = pack_array(rng.normal(size=6), codec)
+        with pytest.raises(SerializationError, match="1 trailing"):
+            unpack_array(block + b"\x00")
+
+    def test_decoded_array_holds_no_view_of_the_buffer(self, codec, rng):
+        array = rng.normal(size=(5, 3))
+        buffer = bytearray(pack_array(array, codec))
+        out = unpack_array(buffer)
+        del buffer[:]  # BufferError while any view of it is alive
+        assert out.base is None and out.flags.writeable
+        assert np.array_equal(out, array)
+
+
+def _via_netcdf(tmp_path, array):
+    nc = NCDataset()
+    nc.create_dimension("row", array.shape[0])
+    nc.create_dimension("col", array.shape[1])
+    nc.create_variable("v", ["row", "col"], array)
+    return read_netcdf(write_netcdf(nc, tmp_path / "v.ncl"))["v"].data
+
+
+def _via_shard(tmp_path, array):
+    write_shard({"v": array}, tmp_path / "v.rps")
+    return read_shard(tmp_path / "v.rps")["v"]
+
+
+def _via_h5lite(tmp_path, array):
+    with H5LiteFile(tmp_path / "v.h5l", "w") as fh:
+        fh.create_dataset("/v", array)
+    with H5LiteFile(tmp_path / "v.h5l", "r") as fh:
+        return fh.read("/v")
+
+
+def _via_adios(tmp_path, array):
+    with BPWriter(tmp_path / "v.bp") as writer:
+        writer.begin_step()
+        writer.write("v", array)
+        writer.end_step()
+    with BPReader(tmp_path / "v.bp") as reader:
+        return reader.read(0, "v")
+
+
+def _via_enclave(tmp_path, array):
+    enclave = SecureEnclave(key=b"0" * 32)
+    enclave.ingest("d", Dataset.from_arrays({"v": array}))
+    enclave.authorize("u")
+    with enclave.session("u") as session:
+        return session.read("d")["v"]
+
+
+@pytest.mark.parametrize(
+    "read_back", [_via_netcdf, _via_shard, _via_h5lite, _via_adios, _via_enclave],
+    ids=["netcdf", "shard", "h5lite", "adios", "enclave"],
+)
+def test_every_reader_returns_writeable_arrays_that_own_their_memory(read_back, tmp_path, rng):
+    array = rng.normal(size=(7, 3))
+    out = read_back(tmp_path, array)
+    assert np.array_equal(out, array)
+    assert out.flags.writeable and out.base is None
