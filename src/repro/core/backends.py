@@ -34,11 +34,22 @@ this when retries are enabled), each task is retried in place on
 transient faults.  Because :meth:`map` returns results in input order,
 a retried partition re-enters the merge at its original position — the
 bitwise-parity contract survives retries by construction.
+
+**One decoration point.**  A backend implements only the hook-free
+:meth:`~ExecutionBackend.fan_out`; the public ops on the base class call
+the run's :attr:`~ExecutionBackend.hooks` around it.  A run installs
+``(recorder, injector)``, in that order: the telemetry
+:class:`~repro.obs.instrument.RunRecorder` counts and spans each op, then
+the :class:`~repro.faults.inject.FaultInjector` numbers it and injects its
+faults.  ``stats`` and ``shard_write`` fan out through the primitive, so
+their inner tasks are neither numbered nor spanned.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import MappingProxyType
@@ -47,6 +58,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -119,22 +131,24 @@ class ExecutionBackend(abc.ABC):
     preemptive_timeout: bool = False
     survives_worker_crash: bool = False
 
-    #: does :meth:`map` run its items one after another, in order, on the
-    #: calling thread?  Then :meth:`shard_write` has idle cores to compress
+    #: does :meth:`fan_out` run its items one after another, in order, on
+    #: the calling thread?  Then :meth:`shard_write` has idle cores to compress
     #: column blocks on ahead of the writer; a backend that already fans
     #: shards out packs inline (a pool inside each worker only adds
     #: contention, and a forked worker inherits no threads)
     packs_ahead: bool = False
 
-    #: the supervision surface, declared here so the runner never probes
-    #: for it: a cooperative stop flag checked between task grants, the
-    #: per-lease deadline (seconds) a preemptive backend kills at, and the
-    #: crash / counter / heartbeat tallies a supervising backend keeps,
-    #: and the (open, close) callables telemetry installs to span each
-    #: worker lease.  In-process backends leave these inert defaults alone
+    #: the run's decorations (module docstring), installed by the runner for
+    #: one run and cleared after it; an empty slot is the bare hot path
+    hooks: Tuple[Any, ...] = ()
+
+    #: the supervision surface only ``ProcessBackend`` acts on, declared here
+    #: because the runner and the recorder read it on every backend: a
+    #: run-scoped stop flag checked between task grants, the per-lease
+    #: deadline (s) a preemptive backend kills at, and its crash / counter /
+    #: heartbeat tallies
     drain: Optional["DrainController"] = None
     lease_timeout: Optional[float] = None
-    worker_span_hooks: Optional[Tuple[Callable[..., Any], Callable[..., None]]] = None
     crash_events: Sequence[Any] = ()
     worker_counters: Mapping[str, int] = MappingProxyType({})
     heartbeat_gap_max: float = 0.0
@@ -165,13 +179,6 @@ class ExecutionBackend(abc.ABC):
         self.task_retry_stats = stats
         return self
 
-    def add_task_event_handler(
-        self, key: str, handler: Callable[[str, Dict[str, Any]], None]
-    ) -> None:
-        """Register a parent-side sink for events tasks emit from worker
-        processes.  In-process backends have no such channel — their tasks
-        act on the caller's objects directly — so the default is inert."""
-
     def run_task(self, fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
         """Wrap a map task with this backend's task-level retry (if any).
 
@@ -182,7 +189,7 @@ class ExecutionBackend(abc.ABC):
         policy = self.task_retry
         if policy is None:
             return fn
-        # lazy import: repro.faults.inject imports this module
+        # lazy import: the repro.faults package imports this module
         from repro.faults.retry import call_with_retry
 
         clock = self.task_clock
@@ -210,6 +217,20 @@ class ExecutionBackend(abc.ABC):
         return resilient
 
     @abc.abstractmethod
+    def fan_out(
+        self, fn: Callable[[Any], Any], items: Sequence[Any], *,
+        weights: Optional[Sequence[float]] = None,
+    ) -> List[Any]:
+        """The hook-free primitive under every op: apply ``run_task(fn)``
+        to every item, results in input order."""
+
+    @contextlib.contextmanager
+    def _hooked(self, op: str, tasks: int, **facts: Any) -> Iterator[List[Any]]:
+        """Enter each hook's ``backend_op(self, op, tasks, **facts)``, the first
+        outermost, and yield what each yields (``map``: a ``wrap(task, indexed)``)."""
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(h.backend_op(self, op, tasks, **facts)) for h in self.hooks]
+
     def map(
         self,
         fn: Callable[[Any], Any],
@@ -224,6 +245,26 @@ class ExecutionBackend(abc.ABC):
         optional load-balancing hint (ignored by backends that cannot
         use it).
         """
+        return self._map(fn, items, weights)
+
+    def _map(
+        self, fn: Callable[[Any], Any], items: Sequence[Any],
+        weights: Optional[Sequence[float]], **facts: Any,
+    ) -> List[Any]:
+        if not self.hooks:
+            # untraced and fault-free: the task itself, unwrapped
+            return self.fan_out(fn, items, weights=weights)
+        items = list(items)
+
+        def task(indexed: Tuple[int, Any]) -> Any:
+            return fn(indexed[1])
+
+        with self._hooked("map", len(items), **facts) as wraps:
+            for wrap in wraps:
+                # a later hook's wrap encloses an earlier one's: the
+                # injector's fault point runs outside the recorder's span
+                task = functools.partial(wrap, task)
+            return self.fan_out(task, list(enumerate(items)), weights=weights)
 
     def map_batches(
         self,
@@ -261,7 +302,8 @@ class ExecutionBackend(abc.ABC):
             weights = list(weights)
             chunk_weights = [float(sum(weights[s])) for s in slices]
         out: List[Any] = []
-        for s, results in zip(slices, self.map(fn, chunks, weights=chunk_weights)):
+        # the hooks see the slice grid: batching telemetry is logical too
+        for s, results in zip(slices, self._map(fn, chunks, chunk_weights, batches=slices)):
             results = list(results)
             expected = s.stop - s.start
             if len(results) != expected:
@@ -284,6 +326,11 @@ class ExecutionBackend(abc.ABC):
         partition grid is fixed by the caller, not the backend, so the
         result is bitwise identical across backends.
         """
+        with self._hooked("stats", partitions, rows=len(data)):
+            return self.reduce_stats(data, partitions)
+
+    def reduce_stats(self, data: np.ndarray, partitions: int) -> FeatureStats:
+        """The hook-free reduction under :meth:`stats`."""
         data = np.asarray(data, dtype=np.float64)
         assignments = block_partition(data.shape[0], partitions, None)
         shape = tuple(data.shape[1:])
@@ -294,7 +341,7 @@ class ExecutionBackend(abc.ABC):
                 local.update(data[assignment.indices])
             return local
 
-        partials = self.map(partial, assignments)
+        partials = self.fan_out(partial, assignments)
         acc = partials[0]
         for part in partials[1:]:
             acc.merge(part)
@@ -315,28 +362,31 @@ class ExecutionBackend(abc.ABC):
         """Export *dataset* as a shard set, parallelising over shard files.
 
         Each entry of the shard table is written independently through
-        :meth:`map`; the manifest is assembled in deterministic
+        :meth:`fan_out`; the manifest is assembled in deterministic
         split/index order afterwards, so shard contents and accounting
-        match across backends byte for byte.  Where :meth:`map` walks the
-        table in order on this thread (:attr:`packs_ahead`), column blocks
-        are compressed ahead of the writer on the packer's threads, which
-        live no longer than this call.
+        match across backends byte for byte.  Where :meth:`fan_out` walks
+        the table in order on this thread (:attr:`packs_ahead`), column
+        blocks are compressed ahead of the writer on the packer's threads,
+        which live no longer than this call.
         """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        codec = get_codec(codec_name, codec_level)
         table = shard_table(splits, shards_per_split)
-        with BlockPacker(
-            dataset, dataset.schema.names, table, codec, ahead=self.packs_ahead
-        ) as packer:
-            written = self.map(
-                lambda index: write_table_entry(packer, directory, index),
-                range(len(table)),
+        with self._hooked(
+            "shard_write", len(table), codec=codec_name, table=table, directory=directory
+        ):
+            directory.mkdir(parents=True, exist_ok=True)
+            codec = get_codec(codec_name, codec_level)
+            with BlockPacker(
+                dataset, dataset.schema.names, table, codec, ahead=self.packs_ahead
+            ) as packer:
+                written = self.fan_out(
+                    lambda index: write_table_entry(packer, directory, index),
+                    range(len(table)),
+                )
+            return commit_manifest(
+                dataset, directory, splits, written, codec_name=codec_name,
+                certificate=certificate, schedule=schedule,
             )
-        return commit_manifest(
-            dataset, directory, splits, written, codec_name=codec_name,
-            certificate=certificate, schedule=schedule,
-        )
 
     @classmethod
     def capabilities(cls) -> Dict[str, bool]:
@@ -345,9 +395,6 @@ class ExecutionBackend(abc.ABC):
             "preemptive_timeout": bool(cls.preemptive_timeout),
             "survives_worker_crash": bool(cls.survives_worker_crash),
         }
-
-    def describe(self) -> str:
-        return f"{self.name} (width={self.width})"
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r} width={self.width}>"
@@ -359,7 +406,7 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     packs_ahead = True
 
-    def map(
+    def fan_out(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
@@ -389,7 +436,7 @@ class ThreadedBackend(ExecutionBackend):
     def width(self) -> int:
         return self.workers
 
-    def map(
+    def fan_out(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
@@ -428,7 +475,7 @@ class SimSPMDBackend(ExecutionBackend):
     def width(self) -> int:
         return self.n_ranks
 
-    def map(
+    def fan_out(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
@@ -446,9 +493,7 @@ class SimSPMDBackend(ExecutionBackend):
             weights=weights,
         )
 
-    def stats(
-        self, data: np.ndarray, *, partitions: int = DEFAULT_STATS_PARTITIONS
-    ) -> FeatureStats:
+    def reduce_stats(self, data: np.ndarray, partitions: int) -> FeatureStats:
         # world size == partition count: rank-order allreduce merge is then
         # the same left fold over the same block partition as the base
         # implementation, keeping results bitwise identical

@@ -63,7 +63,7 @@ from repro.gates.gate import GateReport, GateViolation, apply_contract
 from repro.gates.quarantine import QuarantineStore
 from repro.governance.audit import AuditLog
 from repro.obs import Telemetry
-from repro.obs.instrument import NullRecorder, recorder_for
+from repro.obs.instrument import NullRecorder, RunRecorder
 from repro.obs.tracing import Span
 from repro.provenance.graph import LineageGraph
 from repro.provenance.record import ProvenanceRecord
@@ -745,20 +745,27 @@ class PipelineRunner:
         The whole run executes with the fault injector (if any) installed
         as the process-global tap on the atomic-commit primitives, so every
         artifact store — checkpoints, manifests, journal, provenance,
-        quarantine — is under injection.
+        quarantine — is under injection.  What the run installs on its
+        backend is cleared when it ends, so a reused backend starts clean.
         """
         with activate(self.fault_injector):
-            st = self._open(payload, context, resume)
-            for index in range(st.start_index, len(self.plan.stages)):
-                self._run_stage(st, index)
-            return self._finish(st)
+            try:
+                st = self._open(payload, context, resume)
+                for index in range(st.start_index, len(self.plan.stages)):
+                    self._run_stage(st, index)
+                return self._finish(st)
+            finally:
+                backend = self.backend
+                backend.hooks = ()
+                backend.drain = backend.lease_timeout = None
+                backend.configure_retry(None)
 
     # -- open --------------------------------------------------------------------
     def _open(
         self, payload: Any, context: Optional[PipelineContext], resume: bool
     ) -> _RunState:
-        """Load the checkpoint, stack the backend, write the run-start
-        records, restore (or root the lineage), begin the journal."""
+        """Load the checkpoint, install the run on its backend, write the
+        run-start records, restore (or root the lineage), begin the journal."""
         context = context or PipelineContext(agent=self.plan.name)
         context.telemetry = self.telemetry
         context.schedule_decision = self.plan.schedule
@@ -769,7 +776,14 @@ class PipelineRunner:
                 raise PipelineError("resume requested but the runner has no checkpointer")
             checkpoint, quarantined = self.checkpointer.load_verified(self.plan)
         base = self.backend
-        recorder = recorder_for(self.telemetry, self.plan.name, base, self.fault_injector)
+        # the one traced-or-not decision: a traced run's recorder is also its
+        # first backend hook, so its op span encloses the injector's faults
+        recorder, hooks = NullRecorder(), ()
+        if self.telemetry is not None:
+            recorder = RunRecorder(self.telemetry, self.plan.name, base, self.fault_injector)
+            hooks = (recorder,)
+        if self.fault_injector is not None:
+            hooks += (self.fault_injector,)
         st = _RunState(
             context=context,
             recorder=recorder,
@@ -778,14 +792,11 @@ class PipelineRunner:
             quarantined=quarantined,
         )
         base.configure_retry(None, clock=self.fault_clock, stats=st.task_stats)
-        if self.drain is not None:
-            # draining backends check the flag between task grants, so a
-            # signal stops the run mid-stage, not just at boundaries
-            base.drain = self.drain
-        backend = base
-        if self.fault_injector is not None:
-            backend = self.fault_injector.wrap_backend(backend)
-        context.backend = recorder.wrap_backend(backend)
+        # draining backends check the flag between task grants, so a
+        # signal stops the run mid-stage, not just at boundaries
+        base.drain = self.drain
+        base.hooks = hooks
+        context.backend = base
         self._announce(st, checkpoint)
         if checkpoint is not None:
             try:

@@ -34,7 +34,6 @@ from repro.faults.errors import (
     is_transient,
 )
 from repro.faults.inject import (
-    FaultInjectingBackend,
     FaultInjector,
     FaultSpec,
     InjectedFault,
@@ -71,7 +70,6 @@ __all__ = [
     "call_with_retry",
     "FaultSpec",
     "FaultInjector",
-    "FaultInjectingBackend",
     "InjectedFault",
     "InjectedFaultError",
     "DEAD_LETTER_NAME",

@@ -2,7 +2,8 @@
 
 One :class:`FaultInjector` realises a run's whole ``--inject-faults``
 schedule (:meth:`FaultSpec.parse` is the one grammar; it holds typed
-points, parsed once).  It wraps the execution backend and injects the
+points, parsed once).  As the execution backend's last hook
+(:attr:`~repro.core.backends.ExecutionBackend.hooks`) it injects the
 faults real campaigns hit — transient exceptions in fanned-out tasks,
 slow tasks, worker kills, torn shard files, corrupted checkpoint payloads
 (applied by the runner right after a stage commits), driver death at a
@@ -30,17 +31,17 @@ backends, which is what lets the test suite demand bitwise-identical
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import re
 import signal
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-import numpy as np
-
-from repro.core.backends import ExecutionBackend
 from repro.durability.fsfaults import (
     ANY_SITE,
     DISK_FAULT_KINDS,
@@ -48,7 +49,6 @@ from repro.durability.fsfaults import (
     DiskFaultPoint,
     SimulatedCrash,
 )
-from repro.io.shards import shard_table
 from repro.faults.errors import TransientFaultError, WorkerCrash
 from repro.faults.retry import Clock, SystemClock, _unit_draw
 from repro.workers import ipc
@@ -58,11 +58,10 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "FaultInjector",
-    "FaultInjectingBackend",
 ]
 
-#: the three site-key shapes the injecting backend generates; a poison
-#: site of any other shape could never match a task
+#: the three site-key shapes :meth:`FaultInjector.backend_op` generates; a
+#: poison site of any other shape could never match a task
 _TASK_SITE = re.compile(r"(map#\d+\[\d+\]|stats#\d+|shard_write#\d+)")
 
 
@@ -240,7 +239,7 @@ class FaultInjector:
         # via the task-event channel (no-op on in-process backends)
         ipc.emit_task_event("fault-injected", dataclasses.asdict(fault))
 
-    def _replay(self, kind: str, payload: Mapping[str, Any]) -> None:
+    def replay(self, kind: str, payload: Mapping[str, Any]) -> None:
         """Task-event sink: append a fault replicated from a worker (no re-emit)."""
         if kind == "fault-injected":
             with self._lock:
@@ -432,80 +431,32 @@ class FaultInjector:
             os.kill(os.getpid(), signal.SIGKILL)
         raise SimulatedCrash(point.render())
 
-    # -- wrappers ----------------------------------------------------------------
-    def wrap_backend(self, backend: ExecutionBackend) -> "FaultInjectingBackend":
-        return FaultInjectingBackend(backend, self)
+    # -- the backend hook --------------------------------------------------------
+    @contextlib.contextmanager
+    def backend_op(
+        self, backend: Any, op: str, tasks: int, *,
+        table: Sequence[Any] = (), directory: Optional[Path] = None, **_: Any,
+    ) -> Iterator[Optional[Callable[..., Any]]]:
+        """As a backend hook: number one op (``map#N``, ``stats#N``,
+        ``shard_write#N``) and inject its faults.  A ``map`` task's fault is
+        retried in place by the backend's task-level retry, an op-level
+        fault escapes the stage to the runner's stage-level policy."""
+        site = self.next_op(op)
+        if op != "map":
+            if table:
+                split, i = table[0][:2]
+                if self.maybe_tear_shard(directory, f"{split}-{i:05d}.rps", site):
+                    # the torn file is on disk; now "crash" the writer — the
+                    # stage-level retry must overwrite it atomically
+                    raise InjectedFaultError(f"{site}(torn)", 1)
+            self.fault_point(site)
+            yield None
+            return
 
-
-class FaultInjectingBackend(ExecutionBackend):
-    """Chaos proxy around a real backend.
-
-    Sits between the (optional) telemetry instrumentation and the real
-    backend, so injected faults flow through the same retry machinery as
-    real ones: per-task faults are retried by the inner backend's
-    task-level retry, op-level faults escape the stage and are retried
-    by the runner's stage-level policy.
-    """
-
-    def __init__(self, inner: ExecutionBackend, injector: FaultInjector):
-        self.inner = inner
-        self.injector = injector
-        self.name = inner.name
-        # a crash-surviving backend executes tasks in worker processes:
-        # faults injected there are replicated into this (parent-side)
-        # injector's log over its task-event channel
-        inner.add_task_event_handler("fault-injector", injector._replay)
-
-    @property
-    def width(self) -> int:
-        return self.inner.width
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
-        items = list(items)
-        site = self.injector.next_op("map")
-
-        def chaotic(indexed: Tuple[int, Any]) -> Any:
-            index, item = indexed
+        def chaotic(task: Callable[[Any], Any], indexed: Tuple[int, Any]) -> Any:
             # site key carries the item index: the schedule is a property
             # of the logical task, never of thread/rank scheduling
-            self.injector.fault_point(f"{site}[{index}]")
-            return fn(item)
+            self.fault_point(f"{site}[{indexed[0]}]")
+            return task(indexed)
 
-        return self.inner.map(chaotic, list(enumerate(items)), weights=weights)
-
-    def stats(self, data: np.ndarray, **kwargs: Any) -> Any:
-        self.injector.fault_point(self.injector.next_op("stats"))
-        return self.inner.stats(data, **kwargs)
-
-    def shard_write(
-        self,
-        dataset: Any,
-        directory: Union[str, Path],
-        splits: Dict[str, np.ndarray],
-        *,
-        shards_per_split: int = 4,
-        **options: Any,
-    ) -> Any:
-        site = self.injector.next_op("shard_write")
-        table = shard_table(splits, shards_per_split)
-        if table:
-            split, i, _ = table[0]
-            if self.injector.maybe_tear_shard(
-                Path(directory), f"{split}-{i:05d}.rps", site
-            ):
-                # the torn file is on disk; now "crash" the writer — the
-                # stage-level retry must overwrite it atomically
-                raise InjectedFaultError(f"{site}(torn)", 1)
-        self.injector.fault_point(site)
-        return self.inner.shard_write(
-            dataset, directory, splits, shards_per_split=shards_per_split, **options
-        )
-
-    def describe(self) -> str:
-        return f"{self.inner.describe()} [chaos seed={self.injector.spec.seed}]"
+        yield chaotic

@@ -1,14 +1,22 @@
-"""Backend instrumentation: observed work counts that prove parity.
+"""Run telemetry: one run's lifecycle and backend work as spans and metrics.
 
-:class:`InstrumentedBackend` wraps any
-:class:`~repro.core.backends.ExecutionBackend` and records, for every
-backend operation a stage performs:
+The runner publishes every lifecycle moment (one
+:class:`~repro.core.runner.RunEvent` plus the facts telemetry wants) to a
+recorder; :class:`RunRecorder` turns them into the run/stage spans, span
+events and metrics.  An untraced run talks to a :class:`NullRecorder`
+instead, so past opening the run the runner never asks whether telemetry
+is attached.
+
+A telemetered run also installs its recorder as the first of the
+backend's :attr:`~repro.core.backends.ExecutionBackend.hooks`, so for
+every backend operation a stage performs it records:
 
 * an operation span (``backend.map`` / ``backend.stats`` /
   ``backend.shard_write``) parented under the current stage span;
-* a per-task child span for each fanned-out :meth:`map` item (worker
+* a per-task child span for each fanned-out ``map`` item (worker
   threads receive the parent explicitly, so attribution survives the
-  thread hop);
+  thread hop), and on a supervising backend a ``worker.task`` span per
+  lease;
 * ``backend_tasks_total`` and ``backend_ops_total`` counters labelled by
   pipeline, stage, operation, and backend.
 
@@ -16,62 +24,38 @@ Task counts are **logical**: ``map`` counts its items, ``stats`` counts
 its partition grid, ``shard_write`` counts the global shard table — the
 same numbers regardless of which backend executes them.  The engine's
 bitwise-parity contract therefore extends to telemetry: serial,
-threaded, and simspmd runs of one plan record identical work counts
-(enforced by tests).
-
-The wrapper is installed by :class:`~repro.core.runner.PipelineRunner`
-as ``context.backend`` for the duration of a telemetered run; stages
-keep calling the plain backend protocol and never see the difference.
-
-:class:`RunRecorder` is the other half of a telemetered run: the runner
-publishes every lifecycle moment (one :class:`~repro.core.runner.RunEvent`
-plus the facts telemetry wants) to a recorder, and this one turns them
-into the run/stage spans, span events and metrics.  An untraced run talks
-to a :class:`NullRecorder` instead, so the runner never asks whether
-telemetry is attached.
+threaded, simspmd and process runs of one plan record identical work
+counts (enforced by tests).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import contextlib
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
-    List,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-import numpy as np
-
-from repro.core.backends import (
-    DEFAULT_STATS_PARTITIONS,
-    ExecutionBackend,
-    batch_slices,
-)
-from repro.io.shards import shard_table
+from repro.core.backends import ExecutionBackend
 from repro.obs.resources import ResourceProfiler, throughput
 from repro.obs.tracing import Span, SpanStatus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.core.dataset import Dataset
     from repro.core.runner import RunEvent
     from repro.faults.inject import FaultInjector
-    from repro.io.shards import ShardManifest
     from repro.obs import Telemetry
-    from repro.parallel.stats import FeatureStats
 
 __all__ = [
-    "InstrumentedBackend",
     "BATCH_SIZE_BUCKETS",
     "NullRecorder",
     "RunRecorder",
-    "recorder_for",
 ]
 
 #: bucket bounds for the records-per-batch histogram — counts, not
@@ -79,195 +63,15 @@ __all__ = [
 BATCH_SIZE_BUCKETS: tuple = (1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0)
 
 
-class InstrumentedBackend(ExecutionBackend):
-    """Telemetry-recording proxy around a real execution backend."""
-
-    def __init__(
-        self,
-        inner: ExecutionBackend,
-        telemetry: "Telemetry",
-        *,
-        pipeline: str = "",
-    ):
-        self.inner = inner
-        self.telemetry = telemetry
-        self.pipeline = pipeline
-        #: set by the runner before each stage executes
-        self.stage_name: str = ""
-        self.stage_span: Optional[Span] = None
-        self.name = inner.name
-
-    @property
-    def width(self) -> int:
-        return self.inner.width
-
-    def activate_stage(self, stage_name: str, stage_span: Optional[Span]) -> None:
-        """Point subsequent operations at the currently executing stage."""
-        self.stage_name = stage_name
-        self.stage_span = stage_span
-
-    # -- worker-process spans (supervised backends) ------------------------------
-    def _open_worker_span(
-        self, *, task_id: str, worker: int, index: int, attempt: int
-    ) -> Span:
-        return self.telemetry.tracer.start_span(
-            "worker.task",
-            parent=self.stage_span,
-            backend=self.inner.name,
-            stage=self.stage_name,
-            task_id=task_id,
-            worker=worker,
-            index=index,
-            attempt=attempt,
-        )
-
-    def _close_worker_span(self, span: Span, error: Optional[str] = None) -> None:
-        if error:
-            self.telemetry.tracer.end_span(
-                span, status=SpanStatus.ERROR, error=error
-            )
-        else:
-            self.telemetry.tracer.end_span(span)
-
-    # -- recording helpers -------------------------------------------------------
-    def _labels(self, op: str) -> Dict[str, object]:
-        return {
-            "pipeline": self.pipeline,
-            "stage": self.stage_name,
-            "backend": self.inner.name,
-            "op": op,
-        }
-
-    def _count(self, op: str, tasks: int) -> None:
-        metrics = self.telemetry.metrics
-        metrics.counter("backend_ops_total", **self._labels(op)).inc()
-        metrics.counter("backend_tasks_total", **self._labels(op)).inc(tasks)
-
-    # -- the backend protocol ----------------------------------------------------
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
-        items = list(items)
-        self._count("map", len(items))
-        tracer = self.telemetry.tracer
-        with tracer.span(
-            f"backend.map:{self.stage_name}",
-            parent=self.stage_span,
-            backend=self.inner.name,
-            tasks=len(items),
-        ) as op_span:
-
-            def traced(item: Any) -> Any:
-                # parent passed explicitly: worker threads have no ambient span
-                with tracer.span(
-                    "backend.task",
-                    parent=op_span,
-                    backend=self.inner.name,
-                    stage=self.stage_name,
-                    op="map",
-                ):
-                    return fn(item)
-
-            return self.inner.map(traced, items, weights=weights)
-
-    def map_batches(
-        self,
-        fn: Callable[[Sequence[Any]], Sequence[Any]],
-        items: Sequence[Any],
-        *,
-        batch_size: Optional[int] = None,
-        record_fn: Optional[Callable[[Any], Any]] = None,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
-        items = list(items)
-        if batch_size:
-            # logical batching telemetry: the slice grid is a pure
-            # function of (len(items), batch_size), so these counts are
-            # identical on every backend — parity extends to batching
-            labels = {
-                "pipeline": self.pipeline,
-                "stage": self.stage_name,
-                "backend": self.inner.name,
-            }
-            metrics = self.telemetry.metrics
-            slices = batch_slices(len(items), int(batch_size))
-            metrics.counter("stage_batches_total", **labels).inc(len(slices))
-            histogram = metrics.histogram(
-                "stage_batch_size", buckets=BATCH_SIZE_BUCKETS, **labels
-            )
-            for s in slices:
-                histogram.observe(s.stop - s.start)
-        # the base implementation routes through self.map either way, so
-        # op/task spans and backend_*_total counters come along for free
-        return super().map_batches(
-            fn,
-            items,
-            batch_size=batch_size,
-            record_fn=record_fn,
-            weights=weights,
-        )
-
-    def stats(
-        self, data: np.ndarray, *, partitions: int = DEFAULT_STATS_PARTITIONS
-    ) -> "FeatureStats":
-        # logical task count == partition grid, identical on every backend
-        self._count("stats", partitions)
-        with self.telemetry.tracer.span(
-            f"backend.stats:{self.stage_name}",
-            parent=self.stage_span,
-            backend=self.inner.name,
-            tasks=partitions,
-            rows=int(np.asarray(data).shape[0]),
-        ):
-            return self.inner.stats(data, partitions=partitions)
-
-    def shard_write(
-        self,
-        dataset: "Dataset",
-        directory: Union[str, Path],
-        splits: Dict[str, np.ndarray],
-        *,
-        shards_per_split: int = 4,
-        codec_name: str = "raw",
-        **options: Any,
-    ) -> "ShardManifest":
-        # logical task count == the global shard table every backend cuts
-        n_shards = len(shard_table(splits, shards_per_split))
-        self._count("shard_write", n_shards)
-        with self.telemetry.tracer.span(
-            f"backend.shard_write:{self.stage_name}",
-            parent=self.stage_span,
-            backend=self.inner.name,
-            tasks=n_shards,
-            codec=codec_name,
-        ) as op_span:
-            manifest = self.inner.shard_write(
-                dataset, directory, splits,
-                shards_per_split=shards_per_split, codec_name=codec_name, **options,
-            )
-            op_span.set_attributes(shards=manifest.n_shards, samples=manifest.n_samples)
-            return manifest
-
-    def describe(self) -> str:
-        return f"{self.inner.describe()} [instrumented]"
-
-
 class NullRecorder:
     """The recorder of an untraced run: every lifecycle moment is dropped.
 
-    The backend is *not* wrapped, so with no Telemetry attached stages
-    fan out through the bare backend — the untraced hot path.
+    It is never installed as a backend hook, so with no Telemetry attached
+    stages fan out through the bare backend — the untraced hot path.
     """
 
     #: the span of the stage most recently started (None when untraced)
     stage_span: Optional[Span] = None
-
-    def wrap_backend(self, backend: ExecutionBackend) -> ExecutionBackend:
-        return backend
 
     def span_annotations(self) -> Dict[str, object]:
         """Provenance annotations linking a record to the stage's span."""
@@ -292,8 +96,8 @@ _WORKER_METRICS = {
 class RunRecorder(NullRecorder):
     """Turns one run's lifecycle moments into spans, span events and metrics.
 
-    *backend* is the real (unwrapped) backend — its name labels the spans
-    and its supervision tallies (``crash_events`` / ``worker_counters`` /
+    *backend* is the run's backend — its name labels the spans and its
+    supervision tallies (``crash_events`` / ``worker_counters`` /
     ``heartbeat_gap_max``) are flushed per stage; *injector* is the run's
     fault injector, whose realised injections are flushed the same way.
     """
@@ -310,21 +114,68 @@ class RunRecorder(NullRecorder):
         self.backend = backend
         self.injector = injector
         self.run_span: Optional[Span] = None
-        self._instrumented: Optional[InstrumentedBackend] = None
         self._profiler = ResourceProfiler()
         #: where the open stage began in the injector log, the backend's
         #: crash log and its supervision counters
         self._marks: Tuple[int, int, Dict[str, int]] = (0, 0, {})
 
-    def wrap_backend(self, backend: ExecutionBackend) -> ExecutionBackend:
-        self._instrumented = proxy = InstrumentedBackend(
-            backend, self.telemetry, pipeline=self.pipeline
+    # -- the backend hook --------------------------------------------------------
+    @contextlib.contextmanager
+    def backend_op(
+        self, backend: ExecutionBackend, op: str, tasks: int, *,
+        batches: Sequence[slice] = (), table: Sequence[Any] = (), directory: Any = None,
+        **attributes: Any,
+    ) -> Iterator[Optional[Callable[..., Any]]]:
+        """As a backend hook: count one op and span it, and each ``map`` task.
+        ``batches`` is a batched ``map``'s slice grid, ``table`` a
+        ``shard_write``'s shard table (``directory`` is the injector's);
+        the other facts (``rows``, ``codec``) label the op span."""
+        stage = self.stage_span.attributes["stage"]
+        labels = {"pipeline": self.pipeline, "stage": stage, "backend": backend.name}
+        metrics, tracer = self.telemetry.metrics, self.telemetry.tracer
+        if batches:
+            # the slice grid is a pure function of (len(items), batch_size),
+            # so batching telemetry is identical on every backend too
+            metrics.counter("stage_batches_total", **labels).inc(len(batches))
+            histogram = metrics.histogram("stage_batch_size", buckets=BATCH_SIZE_BUCKETS, **labels)
+            for s in batches:
+                histogram.observe(s.stop - s.start)
+        metrics.counter("backend_ops_total", op=op, **labels).inc()
+        metrics.counter("backend_tasks_total", op=op, **labels).inc(tasks)
+        with tracer.span(
+            f"backend.{op}:{stage}", parent=self.stage_span,
+            backend=backend.name, tasks=tasks, **attributes,
+        ) as op_span:
+            if op != "map":
+                yield None
+                if table:
+                    # what the manifest counts, set once the write succeeded
+                    op_span.set_attributes(
+                        shards=len(table), samples=sum(len(rows) for _, _, rows in table)
+                    )
+                return
+
+            def traced(task: Callable[[Any], Any], indexed: Tuple[int, Any]) -> Any:
+                # parent passed explicitly: worker threads have no ambient span
+                with tracer.span(
+                    "backend.task", parent=op_span, backend=backend.name, stage=stage, op="map"
+                ):
+                    return task(indexed)
+
+            yield traced
+
+    def open_worker_span(self, **lease: object) -> Span:
+        """A supervising backend's lease (``task_id``, ``worker``, ``index``,
+        ``attempt``), spanned parent-side: a forked tracer's spans would die
+        with the worker process."""
+        return self.telemetry.tracer.start_span(
+            "worker.task", parent=self.stage_span, backend=self.backend.name,
+            stage=self.stage_span.attributes["stage"], **lease,
         )
-        # a supervising backend runs tasks in worker *processes*, where a
-        # forked tracer's spans die with the worker: parent-side hooks make
-        # each lease a real "worker.task" span under the live stage span
-        self.backend.worker_span_hooks = (proxy._open_worker_span, proxy._close_worker_span)
-        return proxy
+
+    def close_worker_span(self, span: Span, error: Optional[str] = None) -> None:
+        status = SpanStatus.ERROR if error else SpanStatus.OK
+        self.telemetry.tracer.end_span(span, status=status, error=error or "")
 
     def span_annotations(self) -> Dict[str, object]:
         return {"span_id": self.stage_span.span_id, "trace_id": self.stage_span.trace_id}
@@ -411,7 +262,6 @@ class RunRecorder(NullRecorder):
             parallelism=stage.parallelism.value,
             backend=self.backend.name,
         )
-        self._instrumented.activate_stage(stage.name, self.stage_span)
         self._profiler.start()
         self._marks = (
             len(self.injector.log) if self.injector is not None else 0,
@@ -520,15 +370,3 @@ class RunRecorder(NullRecorder):
         "run-failed": _run_failed,
         "run-interrupted": _run_interrupted,
     }
-
-
-def recorder_for(
-    telemetry: Optional["Telemetry"],
-    pipeline: str,
-    backend: ExecutionBackend,
-    injector: Optional["FaultInjector"] = None,
-) -> NullRecorder:
-    """The recorder a run reports to: real with a Telemetry, a no-op without."""
-    if telemetry is None:
-        return NullRecorder()
-    return RunRecorder(telemetry, pipeline, backend, injector)

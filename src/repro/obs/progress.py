@@ -8,10 +8,10 @@ this module folds both into a pollable surface:
   callback (and hand it the run's :class:`~repro.obs.Telemetry`), then
   poll :meth:`snapshot` from any thread.  Stage transitions arrive via
   events; task counts are read live from the ``backend_tasks_total``
-  counters the :class:`~repro.obs.instrument.InstrumentedBackend`
-  maintains — and because those counts are *logical*, the reported
-  progress is identical on the serial, threaded, and simspmd backends
-  (the parity contract extended to progress).
+  counters the run's :class:`~repro.obs.instrument.RunRecorder`
+  maintains as a backend hook — and because those counts are *logical*,
+  the reported progress is identical on every backend (the parity
+  contract extended to progress).
 * **ETA** — with a :class:`~repro.sched.decision.ScheduleDecision`
   attached, the remaining time is the cost model's predicted seconds
   for the stages not yet finished, rescaled by the observed

@@ -1,11 +1,11 @@
 """``ProcessBackend``: the supervised multi-process execution backend.
 
 Registered as ``"process"`` in :data:`repro.core.backends.BACKENDS`.
-Each :meth:`map` fan-out forks a fresh pool of worker processes and
-drives it through a :class:`~repro.workers.supervisor.WorkerSupervisor`;
-:meth:`stats` and :meth:`shard_write` are inherited from the base
+Each :meth:`fan_out` forks a fresh pool of worker processes and drives
+it through a :class:`~repro.workers.supervisor.WorkerSupervisor`;
+``map``, ``stats`` and ``shard_write`` are inherited from the base
 protocol, so they decompose into the same partition grid / shard table
-``map`` calls as every other backend.
+fan-outs as on every other backend.
 
 **Parity.**  Workers may finish out of order, crash, and be respawned;
 none of it is visible in the results: the supervisor reassembles values
@@ -19,9 +19,10 @@ worker death* (``survives_worker_crash``) and *enforces deadlines
 preemptively* (``preemptive_timeout``) — a hung or overrunning task's
 worker is really killed, not politely asked.
 
-Fork start method is required: map tasks are closures over datasets,
-injectors, and telemetry wrappers that do not pickle; fork inheritance
-hands them to the workers for free, and only results cross the pipes.
+Fork start method is required: map tasks are closures over datasets and
+over the run's hook wrappers (fault points, task spans) that do not
+pickle; fork inheritance hands them to the workers for free, and only
+results cross the pipes.
 """
 
 from __future__ import annotations
@@ -77,13 +78,11 @@ class ProcessBackend(ExecutionBackend):
         #: widest heartbeat silence observed (feeds the heartbeat gauge)
         self.heartbeat_gap_max = 0.0
         self._map_count = 0
-        self._event_handlers: Dict[str, Callable[[str, Dict[str, Any]], None]] = {}
+
+    def _replay_task_retry(self, kind: str, payload: Dict[str, Any]) -> None:
         # in-worker task retries tally into a forked RetryStats the parent
         # never sees; replay them into the parent-side tally so retry
         # accounting is backend-independent (see run_task.on_retry)
-        self.add_task_event_handler("task-retry", self._replay_task_retry)
-
-    def _replay_task_retry(self, kind: str, payload: Dict[str, Any]) -> None:
         if kind == "task-retry" and self.task_retry_stats is not None:
             self.task_retry_stats.record(str(payload.get("error_type", "Exception")))
 
@@ -91,28 +90,27 @@ class ProcessBackend(ExecutionBackend):
     def width(self) -> int:
         return self.workers
 
-    def add_task_event_handler(
-        self, key: str, handler: Callable[[str, Dict[str, Any]], None]
-    ) -> None:
-        """Register a parent-side sink for worker task events.
-
-        Keyed so re-wrapping the backend across runs replaces, never
-        stacks, a layer's handler (duplicates would double-count).
-        """
-        self._event_handlers[key] = handler
-
-    def map(
+    def fan_out(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         *,
         weights: Optional[Sequence[float]] = None,
     ) -> List[Any]:
+        # lazy imports: importing either module imports this one first
+        from repro.faults.inject import FaultInjector
+        from repro.obs.instrument import RunRecorder
+
         items = list(items)
         if not items:
             return []
         label = f"proc-map#{self._map_count}"
         self._map_count += 1
+        # the run's hooks reach into the workers: faults injected in one
+        # replay into the injector's log, and the recorder spans each lease
+        # parent-side (a forked tracer's spans die with the worker)
+        handlers = [self._replay_task_retry]
+        handlers += [h.replay for h in self.hooks if isinstance(h, FaultInjector)]
         supervisor = WorkerSupervisor(
             min(self.workers, len(items)),
             label=label,
@@ -124,8 +122,8 @@ class ProcessBackend(ExecutionBackend):
             counters=self.worker_counters,
             crash_events=self.crash_events,
             task_retry_stats=self.task_retry_stats,
-            event_handlers=list(self._event_handlers.values()),
-            span_hooks=self.worker_span_hooks,
+            event_handlers=handlers,
+            recorder=next((h for h in self.hooks if isinstance(h, RunRecorder)), None),
         )
         try:
             return supervisor.run(self.run_task(fn), items)

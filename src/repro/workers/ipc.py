@@ -1,9 +1,9 @@
 """Worker-side IPC context: how code discovers it runs inside a worker.
 
 The supervised process backend (:mod:`repro.workers.supervisor`) forks
-worker processes that execute ordinary map tasks — including wrappers
-the engine layered on above the backend (fault injection, telemetry
-tracing, task retries).  Those layers sometimes need to behave
+worker processes that execute ordinary map tasks — including what the
+run's backend hooks wrap around them (fault injection, telemetry
+tracing) and task retries.  Those layers sometimes need to behave
 differently inside a worker:
 
 * the fault injector's worker-kill fault must ``SIGKILL`` the *worker*

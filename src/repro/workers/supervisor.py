@@ -114,7 +114,7 @@ class WorkerSupervisor:
         crash_events: Optional[List[WorkerCrashEvent]] = None,
         task_retry_stats: Any = None,
         event_handlers: Sequence[Callable[[str, Dict[str, Any]], None]] = (),
-        span_hooks: Any = None,
+        recorder: Any = None,
         shutdown_grace: float = 2.0,
     ):
         self.n_workers = max(1, int(n_workers))
@@ -133,8 +133,8 @@ class WorkerSupervisor:
         self.crash_events = crash_events if crash_events is not None else []
         self.task_retry_stats = task_retry_stats
         self.event_handlers = list(event_handlers)
-        #: (open, close) span callables installed by the telemetry layer
-        self.span_hooks = span_hooks
+        #: the run's telemetry recorder: it spans each lease parent-side
+        self.recorder = recorder
         self.shutdown_grace = shutdown_grace
         self._ctx = get_context("fork")
         self._workers: Dict[int, _WorkerHandle] = {}
@@ -206,8 +206,8 @@ class WorkerSupervisor:
             task_id = f"{self.label}[{index}]@{attempt}"
             now = time.monotonic()
             span = None
-            if self.span_hooks is not None:
-                span = self.span_hooks[0](
+            if self.recorder is not None:
+                span = self.recorder.open_worker_span(
                     task_id=task_id,
                     worker=handle.worker_id,
                     index=index,
@@ -421,8 +421,8 @@ class WorkerSupervisor:
 
     # -- teardown ----------------------------------------------------------------
     def _end_span(self, lease: Lease, error: Optional[str] = None) -> None:
-        if lease.span is not None and self.span_hooks is not None:
-            self.span_hooks[1](lease.span, error)
+        if lease.span is not None and self.recorder is not None:
+            self.recorder.close_worker_span(lease.span, error)
             lease.span = None
 
     def _shutdown(self) -> None:

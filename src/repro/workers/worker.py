@@ -15,9 +15,9 @@ worker -> supervisor
     finally ``("result", wid, task_id, index, value)`` or
     ``("error", wid, task_id, index, blob)``.
 
-Workers are forked per ``map`` call, so the task function and item list
+Workers are forked per fan-out, so the task function and item list
 arrive by fork inheritance — closures over numpy arrays, datasets, and
-injector/telemetry wrappers all work without pickling; only *results*
+the run's hook wrappers all work without pickling; only *results*
 cross the pipe.  A lost heartbeat is the supervisor's hang signal; a
 dead pipe / process sentinel is its crash signal.  One lock serialises
 every ``conn.send`` because the heartbeat thread and the task thread

@@ -10,6 +10,12 @@ from repro.core.backends import (
     ThreadedBackend,
     get_backend,
 )
+from repro.core.levels import DataProcessingStage
+from repro.core.plan import PipelineStage, StagePlan
+from repro.core.runner import PipelineRunner
+from repro.faults import FaultInjector, FaultSpec, RetryPolicy
+from repro.obs import Telemetry
+from repro.obs.instrument import RunRecorder
 from repro.parallel.executor import distributed_stats
 from tests.parity import shard_digests
 
@@ -99,3 +105,46 @@ class TestShardWriteParity:
             )
             written.append(shard_digests(tmp_path / backend.name))
         assert len(written[0]) == 7 and all(w == written[0] for w in written)
+
+
+def _fan_plan(seen):
+    def fan(payload, ctx):
+        seen.append((ctx.backend, ctx.backend.hooks))
+        return np.asarray(ctx.backend.map(_double, list(payload)))
+
+    return StagePlan.build("p", [PipelineStage("fan", DataProcessingStage.TRANSFORM, fan)])
+
+
+def _double(x):
+    return 2.0 * x
+
+
+class TestHooks:
+    """One decoration point: stages see the real backend, hooks ride on it."""
+
+    def test_untraced_fault_free_run_fans_out_the_task_itself(self):
+        received = []
+
+        class Spy(SerialBackend):
+            def fan_out(self, fn, items, *, weights=None):
+                received.append((fn, self.task_retry))
+                return super().fan_out(fn, items, weights=weights)
+
+        PipelineRunner(_fan_plan([]), backend=Spy()).run(np.arange(3.0))
+        ((fn, retry),) = received
+        assert fn is _double and retry is None
+
+    def test_traced_chaos_run_hands_stages_the_real_backend(self):
+        seen = []
+        injector = FaultInjector(FaultSpec(seed=1, transient_rate=0.3))
+        runner = PipelineRunner(
+            _fan_plan(seen), telemetry=Telemetry(), fault_injector=injector,
+            retry_policy=RetryPolicy(max_attempts=8, base_delay=0.0, jitter=0.0),
+        )
+        run = runner.run(np.arange(8.0))
+        np.testing.assert_array_equal(run.payload, np.arange(8.0) * 2.0)
+        ((backend, hooks),) = seen
+        assert backend is runner.backend and type(backend) is SerialBackend
+        assert [type(h) for h in hooks] == [RunRecorder, FaultInjector]
+        assert hooks[1] is injector and injector.counts()["transient"] > 0
+        assert runner.backend.hooks == ()

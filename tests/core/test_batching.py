@@ -107,9 +107,9 @@ class TestMapBatches:
         seen = []
 
         class Spy(SerialBackend):
-            def map(self, fn, items, *, weights=None):
+            def fan_out(self, fn, items, *, weights=None):
                 seen.append(list(weights) if weights is not None else None)
-                return super().map(fn, items, weights=weights)
+                return super().fan_out(fn, items, weights=weights)
 
         Spy().map_batches(
             _square_batch,

@@ -9,6 +9,7 @@ from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.durability.checkpoint import CheckpointError
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
+from repro.workers import DrainController, DrainInterrupt, ProcessBackend
 
 S = DataProcessingStage
 
@@ -357,3 +358,36 @@ class TestCheckpointResume:
         checkpoint, _ = runner.checkpointer.load_verified(plan)
         assert checkpoint.stage_index == 2
         assert sorted(checkpoint.completed) == [0, 1, 2]
+
+
+def fan_plan():
+    def fan(payload, ctx):
+        return np.asarray(ctx.backend.map(lambda x: x * 2.0, list(payload)))
+
+    return StagePlan.build("p", [PipelineStage("fan", S.TRANSFORM, fan)])
+
+
+class TestRunScopedBackendState:
+    """What a run installs on its backend is gone when the run ends."""
+
+    def test_traced_run_leaves_no_telemetry_on_a_reused_backend(self):
+        backend = ProcessBackend(workers=2)
+        telemetry = Telemetry()
+        PipelineRunner(fan_plan(), backend=backend, telemetry=telemetry).run(np.arange(4.0))
+        assert len(telemetry.tracer.find("worker.task")) == 4
+        PipelineRunner(fan_plan(), backend=backend).run(np.arange(4.0))
+        assert len(telemetry.tracer.find("worker.task")) == 4
+        assert backend.hooks == ()
+
+    def test_tripped_drain_does_not_outlive_its_run(self):
+        backend = ProcessBackend(workers=2)
+        drain = DrainController()
+        with pytest.raises(DrainInterrupt):
+            PipelineRunner(
+                two_stage_plan(), backend=backend, drain=drain,
+                on_event=lambda e: e.kind is RunEventKind.STAGE_COMPLETED
+                and drain.request("test drain"),
+            ).run(np.ones(2))
+        run = PipelineRunner(fan_plan(), backend=backend).run(np.arange(4.0))
+        np.testing.assert_array_equal(run.payload, np.arange(4.0) * 2.0)
+        assert backend.drain is None and backend.task_retry is None

@@ -217,22 +217,24 @@ class TestFilesystemChaos:
         assert injector.describe() == "fault injector (seed=9): torn-shard=1"
 
 
-class TestFaultInjectingBackend:
+class TestInjectorHook:
+    """The injector installed as the bare backend's one hook."""
+
     def test_map_faults_healed_by_task_retry_preserve_order(self):
         clock = VirtualClock()
         injector = FaultInjector(FaultSpec(seed=7, transient_rate=0.3), clock=clock)
-        base = SerialBackend()
-        base.configure_retry(
+        backend = SerialBackend()
+        backend.configure_retry(
             RetryPolicy(max_attempts=8, jitter=0.0), clock=clock
         )
-        backend = injector.wrap_backend(base)
+        backend.hooks = (injector,)
         result = backend.map(lambda x: x * 2, list(range(32)))
         assert result == [x * 2 for x in range(32)]
         assert injector.counts().get("transient", 0) > 0
-        base.configure_retry(None)
 
     def test_map_fault_without_retry_escapes(self):
         injector = FaultInjector(FaultSpec(seed=7, transient_rate=1.0))
-        backend = injector.wrap_backend(SerialBackend())
+        backend = SerialBackend()
+        backend.hooks = (injector,)
         with pytest.raises(InjectedFaultError):
             backend.map(lambda x: x, [1, 2, 3])

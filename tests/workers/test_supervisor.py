@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.backends import BACKENDS, get_backend
 from repro.faults import (
-    FaultInjectingBackend,
     FaultInjector,
     FaultSpec,
     PoisonTaskError,
@@ -251,41 +250,43 @@ class TestLeaseDeadlines:
 class TestInjectedChaos:
     """The seeded fault injector drives worker kills through the same path."""
 
+    @staticmethod
+    def _chaotic(workers, spec):
+        injector = FaultInjector(spec)
+        backend = ProcessBackend(workers=workers)
+        backend.hooks = (injector,)
+        return backend, injector
+
     def test_seeded_worker_kills_recover_bitwise(self):
-        spec = FaultSpec.parse("seed=3, kill-rate=0.25")
-        backend = FaultInjectingBackend(ProcessBackend(workers=3), FaultInjector(spec))
+        backend, injector = self._chaotic(3, FaultSpec.parse("seed=3, kill-rate=0.25"))
         items = list(range(12))
         assert backend.map(_square, items) == [i * i for i in items]
-        inner = backend.inner
-        assert inner.worker_counters["tasks_requeued"] >= 1
+        assert backend.worker_counters["tasks_requeued"] >= 1
         # in-worker injections were replayed into the parent-side log
-        kills = [f for f in backend.injector.log if f.kind == "worker-kill"]
-        assert len(kills) == inner.worker_counters["tasks_requeued"]
+        kills = [f for f in injector.log if f.kind == "worker-kill"]
+        assert len(kills) == backend.worker_counters["tasks_requeued"]
 
     def test_poison_site_routes_to_poison_error(self):
-        spec = FaultSpec.parse("seed=7, poison-site=map#0[4]")
-        backend = FaultInjectingBackend(ProcessBackend(workers=2), FaultInjector(spec))
+        backend, injector = self._chaotic(2, FaultSpec.parse("seed=7, poison-site=map#0[4]"))
         with pytest.raises(PoisonTaskError) as info:
             backend.map(_square, list(range(8)))
         assert info.value.task_id == "proc-map#0[4]@3"
-        assert backend.inner.worker_counters["poison_tasks"] == 1
-        poisons = [f for f in backend.injector.log if f.detail == "poison"]
+        assert backend.worker_counters["poison_tasks"] == 1
+        poisons = [f for f in injector.log if f.detail == "poison"]
         assert len(poisons) == 3  # one injection per doomed lease attempt
 
     def test_in_worker_retries_replay_into_parent_stats(self):
         """Task retries tally in a forked RetryStats; events replay them."""
         from repro.faults.retry import RetryStats
 
-        spec = FaultSpec(seed=3, transient_rate=0.2)
-        base = ProcessBackend(workers=3)
-        backend = FaultInjectingBackend(base, FaultInjector(spec))
+        backend, injector = self._chaotic(3, FaultSpec(seed=3, transient_rate=0.2))
         stats = RetryStats()
-        base.configure_retry(
+        backend.configure_retry(
             RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0), stats=stats
         )
         assert backend.map(_square, list(range(10))) == [i * i for i in range(10)]
         snap = stats.snapshot()
         assert snap["retries"] == 8  # seed=3 schedule, verified against serial
         assert snap["by_error"] == {"InjectedFaultError": 8}
-        transients = [f for f in backend.injector.log if f.kind == "transient"]
+        transients = [f for f in injector.log if f.kind == "transient"]
         assert len(transients) == 8
