@@ -67,7 +67,8 @@ def read_bp(path):
 
 
 def write_tfr(path, features, labels, codec):
-    # TFRecord does not compress payloads itself; codec ignored (like raw TF)
+    # TFRecord does not compress payloads itself; codec ignored (like raw TF).
+    # One Example built and encoded per record.
     with TFRecordWriter(path) as writer:
         for i in range(N_SAMPLES):
             writer.write_example(
@@ -75,6 +76,14 @@ def write_tfr(path, features, labels, codec):
                 .float_feature("features", features[i])
                 .int64_feature("label", [int(labels[i])])
             )
+
+
+def write_tfr_rows(path, features, labels, codec):
+    # the same records encoded from whole columns, as the fusion export does
+    with TFRecordWriter(path) as writer:
+        writer.write_rows(
+            {"features": ("float", features), "label": ("int64", labels)}, range(N_SAMPLES)
+        )
 
 
 def read_tfr(path):
@@ -88,6 +97,7 @@ FORMATS = {
     "h5lite": (write_h5, read_h5),
     "adios-bp": (write_bp, read_bp),
     "tfrecord": (write_tfr, read_tfr),
+    "tfrecord-rows": (write_tfr_rows, read_tfr),
 }
 
 
@@ -129,9 +139,14 @@ def test_format_comparison(benchmark, tmp_path, write_report):
         )
         + "\n\nShape expectations that hold: columnar containers (rps/h5lite/"
         "adios) read faster than the per-record tfrecord stream; zlib trades "
-        "write throughput for size on smooth scientific fields."
+        "write throughput for size on smooth scientific fields.  tfrecord "
+        "encodes one Example per record; tfrecord-rows writes the same bytes "
+        "from whole columns."
     )
     write_report("FMT_formats", report)
+    assert (tmp_path / "tfrecord-raw.bin").read_bytes() == (
+        tmp_path / "tfrecord-rows-raw.bin"
+    ).read_bytes()
     by_key = {(r[0], r[1]): r for r in rows}
     # compression helps smooth data in every container format
     for fmt in ("rps-shard", "h5lite", "adios-bp"):

@@ -38,7 +38,7 @@ from repro.domains.fusion.synthetic import (
     synthesize_campaign,
 )
 from repro.gates import ColumnCheck, StageContract
-from repro.io.tfrecord import Example, TFRecordWriter
+from repro.io.tfrecord import TFRecordWriter
 from repro.parallel.stats import RunningMoments
 from repro.sched import StageCostHint
 from repro.quality.metrics import noise_estimate
@@ -74,6 +74,40 @@ CONTRACTS: Dict[tuple, StageContract] = {
         validate_schema=True,
     ),
 }
+
+
+def window_features(windows: np.ndarray, dt: float) -> np.ndarray:
+    """Derivative-based physics features of every window of an ``(n, T, C)``
+    block: per-channel mean, std and peak-to-peak, then the mean, min and
+    std of dIp/dt, the mirnov envelope's mean and its growth (second half
+    minus first) — ``(n, 3C + 5)`` float64.
+
+    Bitwise those of one ``(T, C)`` window at a time.  A window's per-channel
+    reduction over axis 0 adds its rows in time order, the inner loop over
+    C; the same reduction over axis 0 of a C-contiguous time-major
+    ``(T, n, C)`` copy adds the same rows in the same order, the inner loop
+    over ``n * C``, so one call serves the whole block.  Each 1-D feature
+    reduces one contiguous row of ``(n, T)``, pairwise like the 1-D call.
+    A layout that makes T the contiguous axis before a sum or mean would
+    switch the per-channel sums to pairwise summation and move the bits.
+    """
+    windows = np.ascontiguousarray(windows)
+    steps = np.ascontiguousarray(windows.transpose(1, 0, 2))
+    dip = np.gradient(windows[:, :, CHANNEL_ORDER.index("ip")], dt, axis=1)
+    envelope = np.abs(windows[:, :, CHANNEL_ORDER.index("mirnov")])
+    half = windows.shape[1] // 2
+    extras = [
+        dip.mean(axis=1),
+        dip.min(axis=1),  # current quench shows as a large negative dIp/dt
+        dip.std(axis=1),
+        envelope.mean(axis=1),
+        envelope[:, half:].mean(axis=1) - envelope[:, :half].mean(axis=1),
+    ]
+    return np.concatenate(
+        [steps.mean(axis=0), steps.std(axis=0), np.ptp(steps, axis=0),
+         np.stack(extras, axis=1)],
+        axis=1,
+    )
 
 
 @dataclasses.dataclass
@@ -260,12 +294,16 @@ class FusionArchetype(DomainArchetype):
         return normalized
 
     def _window(self, shots: List[AlignedShot], ctx: PipelineContext) -> Dataset:
-        """window: fixed windows + derivative physics features + pseudo-labels."""
+        """window: fixed windows + derivative physics features + pseudo-labels.
+
+        Each shot's windows are one ``(n, window, C)`` block: tensors,
+        features and labels are computed for the whole block at once.
+        """
         tensors: List[np.ndarray] = []
         features: List[np.ndarray] = []
-        labels: List[int] = []
-        shot_ids: List[int] = []
-        starts: List[float] = []
+        labels: List[np.ndarray] = []
+        shot_ids: List[np.ndarray] = []
+        starts: List[np.ndarray] = []
         for shot in shots:
             t_starts, windows = window_series(
                 shot.times, shot.matrix, self.window, self.stride
@@ -273,24 +311,27 @@ class FusionArchetype(DomainArchetype):
             if windows.shape[0] == 0:
                 continue
             quench = float(shot.attrs.get("quench_time", -1.0))
-            labeled = bool(shot.attrs.get("labeled", False))
             disruptive = bool(shot.attrs.get("disruptive", False))
-            for start, win in zip(t_starts, windows):
-                tensors.append(win.astype(np.float32))
-                features.append(self._physics_features(win))
-                end = start + self.window * self.dt
-                if not labeled:
-                    labels.append(UNLABELED)
-                elif disruptive and quench >= 0 and end >= quench - WARNING_HORIZON:
-                    labels.append(1)
-                else:
-                    labels.append(0)
-                shot_ids.append(shot.shot)
-                starts.append(float(start))
+            ends = t_starts + self.window * self.dt
+            if not shot.attrs.get("labeled", False):
+                label = np.full(ends.size, UNLABELED, dtype=np.int64)
+            elif disruptive and quench >= 0:
+                label = (ends >= quench - WARNING_HORIZON).astype(np.int64)
+            else:
+                label = np.zeros(ends.size, dtype=np.int64)
+            tensors.append(windows.astype(np.float32))
+            features.append(window_features(windows, self.dt))
+            labels.append(label)
+            shot_ids.append(np.full(ends.size, shot.shot, dtype=np.int64))
+            starts.append(t_starts)
         if not tensors:
             raise ValueError("no windows produced; shots shorter than the window")
-        feature_matrix = np.stack(features)
-        label_array = np.asarray(labels, dtype=np.int64)
+        window_tensor = np.concatenate(tensors)
+        feature_matrix = np.concatenate(features)
+        label_array = np.concatenate(labels)
+        shot_array = np.concatenate(shot_ids)
+        start_array = np.concatenate(starts)
+        del tensors
         before = labeled_fraction(label_array)
         result = pseudo_label(feature_matrix, label_array, confidence_threshold=0.75)
         final_labels = result.labels
@@ -301,21 +342,21 @@ class FusionArchetype(DomainArchetype):
             resolved = final_labels != UNLABELED
             dropped_unresolved = int((~resolved).sum())
             keep_idx = np.flatnonzero(resolved)
-            tensors = [tensors[i] for i in keep_idx.tolist()]
+            window_tensor = window_tensor[keep_idx]
             feature_matrix = feature_matrix[keep_idx]
             final_labels = final_labels[keep_idx]
-            shot_ids = [shot_ids[i] for i in keep_idx.tolist()]
-            starts = [starts[i] for i in keep_idx.tolist()]
+            shot_array = shot_array[keep_idx]
+            start_array = start_array[keep_idx]
         after = labeled_fraction(final_labels)
         ctx.add_artifact("pseudo_label_rounds", result.rounds)
         ctx.add_artifact("dropped_unresolved_windows", dropped_unresolved)
         dataset = Dataset(
             {
-                "window": np.stack(tensors),
+                "window": window_tensor,
                 "features": feature_matrix.astype(np.float32),
                 "disruptive": final_labels,
-                "shot": np.asarray(shot_ids, dtype=np.int64),
-                "t_start": np.asarray(starts, dtype=np.float64),
+                "shot": shot_array,
+                "t_start": start_array,
             },
             Schema(
                 [
@@ -367,28 +408,6 @@ class FusionArchetype(DomainArchetype):
         ctx.add_artifact("dataset", dataset)
         return dataset
 
-    def _physics_features(self, window: np.ndarray) -> np.ndarray:
-        """Derivative-based features from one (T, C) window."""
-        ip = window[:, CHANNEL_ORDER.index("ip")]
-        mirnov = window[:, CHANNEL_ORDER.index("mirnov")]
-        dip = np.gradient(ip, self.dt)
-        envelope = np.abs(mirnov)
-        half = envelope.size // 2
-        growth = envelope[half:].mean() - envelope[:half].mean()
-        per_channel = np.concatenate(
-            [window.mean(axis=0), window.std(axis=0), np.ptp(window, axis=0)]
-        )
-        extras = np.asarray(
-            [
-                dip.mean(),
-                dip.min(),  # current quench shows as a large negative dIp/dt
-                dip.std(),
-                envelope.mean(),
-                growth,
-            ]
-        )
-        return np.concatenate([per_channel, extras]).astype(np.float64)
-
     def _shard(self, dataset: Dataset, ctx: PipelineContext) -> Dataset:
         """shard: per-shot group split, TFRecords + native shard set."""
         splits = group_split(dataset["shot"], SplitSpec(0.7, 0.15, 0.15))
@@ -405,19 +424,17 @@ class FusionArchetype(DomainArchetype):
         # TFRecord export (the archetype's declared format)
         tf_dir = self._output_dir / "tfrecord"
         tf_dir.mkdir(parents=True, exist_ok=True)
+        columns = {
+            "window": ("float", dataset["window"]),
+            "features": ("float", dataset["features"]),
+            "disruptive": ("int64", dataset["disruptive"]),
+            "shot": ("int64", dataset["shot"]),
+        }
         n_records = 0
         for split, indices in splits.items():
             with TFRecordWriter(tf_dir / f"{split}.tfrecord") as writer:
-                for i in indices.tolist():
-                    example = (
-                        Example()
-                        .float_feature("window", dataset["window"][i].ravel())
-                        .float_feature("features", dataset["features"][i])
-                        .int64_feature("disruptive", [int(dataset["disruptive"][i])])
-                        .int64_feature("shot", [int(dataset["shot"][i])])
-                    )
-                    writer.write_example(example)
-                    n_records += 1
+                writer.write_rows(columns, indices)
+                n_records += writer.n_records
         ctx.add_artifact("manifest", manifest)
         ctx.add_artifact("tfrecord_dir", tf_dir)
         ctx.record(

@@ -12,14 +12,25 @@ not a dependency, this module implements the format from the spec:
   decoder for the ``Example``/``Features``/``Feature`` message family
   (``bytes_list`` / ``float_list`` / ``int64_list``), so the payloads have
   genuine protobuf structure.
+* **One columnar encoder** — :func:`_encode` is the only writer of the wire
+  format.  It takes whole columns (one row per record) plus row indices,
+  builds each feature's key, tags and length headers once per column (once
+  per distinct length for int64 / bytes features), and per row adds only
+  the row's ``<f4`` bytes or int64 varints; :meth:`TFRecordWriter.write_rows`
+  frames and writes a bounded batch of rows at a time.  One
+  :class:`Example` is its one-row case, so both paths write the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
+from functools import partial
+from itertools import chain, repeat
+from operator import add
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +44,8 @@ __all__ = [
 ]
 
 FeatureValue = Union[Sequence[bytes], Sequence[float], Sequence[int], np.ndarray]
+#: ``name -> (kind, values)``: the columns :meth:`TFRecordWriter.write_rows` encodes
+Columns = Mapping[str, Tuple[str, Any]]
 
 
 class TFRecordError(ValueError):
@@ -43,9 +56,22 @@ class TFRecordError(ValueError):
 # record framing
 # ---------------------------------------------------------------------------
 
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+
+
 def _masked_crc(data: bytes) -> int:
     crc = zlib.crc32(data) & 0xFFFFFFFF
     return (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+
+
+def _framed(records: Iterable[bytes]) -> Iterator[bytes]:
+    """Each record's frame: ``length | crc(length)``, ``data``, ``crc(data)``."""
+    for data in records:
+        length = _U64.pack(len(data))
+        yield length + _U32.pack(_masked_crc(length))
+        yield data
+        yield _U32.pack(_masked_crc(data))
 
 
 class TFRecordWriter:
@@ -57,12 +83,15 @@ class TFRecordWriter:
         self._n = 0
 
     def write(self, data: bytes) -> None:
-        length = struct.pack("<Q", len(data))
-        self._fh.write(length)
-        self._fh.write(struct.pack("<I", _masked_crc(length)))
-        self._fh.write(data)
-        self._fh.write(struct.pack("<I", _masked_crc(data)))
+        self._fh.writelines(_framed([data]))
         self._n += 1
+
+    def write_rows(self, columns: Columns, rows: Sequence[int]) -> None:
+        """One ``Example`` record per row index in *rows* of *columns*
+        (see :func:`_encode`), framed and written a bounded batch at a time."""
+        for batch in _encode(columns, rows):
+            self._fh.writelines(_framed(batch))
+            self._n += len(batch)
 
     def write_example(self, example: "Example") -> None:
         self.write(encode_example(example))
@@ -120,19 +149,6 @@ class TFRecordReader:
 # protobuf wire format (subset: varint + length-delimited)
 # ---------------------------------------------------------------------------
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
-        value &= (1 << 64) - 1  # two's-complement for negative int64
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
@@ -151,12 +167,6 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
 
 def _tag(field: int, wire_type: int) -> int:
     return (field << 3) | wire_type
-
-
-def _write_len_delimited(out: bytearray, field: int, payload: bytes) -> None:
-    _write_varint(out, _tag(field, 2))
-    _write_varint(out, len(payload))
-    out.extend(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -210,45 +220,137 @@ class Example:
         return f"Example({kinds})"
 
 
-def _encode_feature(kind: str, values: list) -> bytes:
-    inner = bytearray()
-    if kind == "bytes":
-        for v in values:
-            _write_len_delimited(inner, 1, bytes(v))
-        field = 1
-    elif kind == "float":
-        packed = np.asarray(values, dtype="<f4").tobytes()
-        body = bytearray()
-        _write_len_delimited(body, 1, packed)  # packed repeated float
-        inner = body
-        field = 2
-    elif kind == "int64":
-        body = bytearray()
-        packed = bytearray()
-        for v in values:
-            _write_varint(packed, int(v))
-        _write_len_delimited(body, 1, bytes(packed))  # packed repeated int64
-        inner = body
-        field = 3
-    else:  # pragma: no cover - guarded by setters
-        raise TFRecordError(f"unknown feature kind {kind!r}")
-    feature = bytearray()
-    _write_len_delimited(feature, field, bytes(inner))
-    return bytes(feature)
+# ---------------------------------------------------------------------------
+# the encoder: whole columns in, one Example per row out
+# ---------------------------------------------------------------------------
+
+#: ``Feature`` oneof field of each kind (bytes_list / float_list / int64_list)
+_FIELD = {"bytes": 1, "float": 2, "int64": 3}
+#: wire dtype of the packed kinds
+_DTYPE = {"float": np.dtype("<f4"), "int64": np.dtype("<i8")}
+#: rows encoded per batch hold about this many value bytes
+BATCH_BYTES = 1 << 22
+#: the one-byte varints
+_BYTE = [bytes([value]) for value in range(0x80)]
+
+
+def _varint(value: int) -> bytes:
+    """A non-negative int below 2**64 as a protobuf varint."""
+    if value <= 0x7F:
+        return _BYTE[value]
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def _per_size(build: Callable[[int], bytes], sizes: Iterable[int]) -> List[bytes]:
+    """``build(size)`` for each of *sizes*, built once per distinct size."""
+    cache: Dict[int, bytes] = {}
+    return [cache.get(size) or cache.setdefault(size, build(size)) for size in sizes]
+
+
+def _entry_head(key: bytes, kind: str, size: int) -> bytes:
+    """Everything of one ``Features.feature`` map entry, its own tag and
+    length included, before the *size* bytes of its values (*key* is the
+    encoded name field).  float / int64 values are one packed field; bytes
+    values are already a ``BytesList`` message."""
+    packed = b"" if kind == "bytes" else b"\x0a" + _varint(size)
+    list_size = len(packed) + size
+    feature = bytes([_tag(_FIELD[kind], 2)]) + _varint(list_size)
+    value = b"\x12" + _varint(len(feature) + list_size) + feature + packed
+    return b"\x0a" + _varint(len(key) + len(value) + size) + key + value
+
+
+def _bytes_list(name: str, values: Iterable[Any]) -> bytes:
+    """One row of a bytes feature as a ``BytesList`` message."""
+    out: List[bytes] = []
+    for value in values:
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise TFRecordError(
+                f"bytes feature {name!r} holds a {type(value).__name__}, not bytes"
+            )
+        value = bytes(value)
+        out += (b"\x0a", _varint(len(value)), value)
+    return b"".join(out)
+
+
+def _column(name: str, kind: str, values: Any) -> np.ndarray:
+    """A float / int64 column as ``(rows, values per row)``."""
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.asarray(values, dtype=_DTYPE[kind])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise TFRecordError(f"{kind} feature {name!r}: {exc}") from None
+    if values.ndim == 0:
+        raise TFRecordError(f"{kind} feature {name!r} needs one row per record")
+    return values.reshape(len(values), math.prod(values.shape[1:]))
+
+
+def _feature_rows(
+    name: str, key: bytes, kind: str, values: Any, batch: np.ndarray
+) -> Tuple[Iterable[bytes], List[Any], Iterable[int]]:
+    """One feature of the rows in *batch*: each row's entry head, its value
+    bytes, and the entry's size."""
+    if kind == "float":
+        block = np.ascontiguousarray(values[batch], dtype=_DTYPE[kind])
+        data = memoryview(block.reshape(-1).view(np.uint8))
+        width = block.shape[1] * block.itemsize
+        head = _entry_head(key, kind, width)
+        rows = [data[i * width : (i + 1) * width] for i in range(len(batch))]
+        return repeat(head), rows, repeat(len(head) + width)
+    if kind == "int64":
+        ints = values[batch].astype(_DTYPE[kind], copy=False).tolist()
+        # two's complement: a negative value is ten bytes
+        varint = {v: _varint(v & 0xFFFFFFFFFFFFFFFF) for v in set(chain.from_iterable(ints))}
+        rows = [b"".join([varint[v] for v in row]) for row in ints]
+    else:
+        rows = [_bytes_list(name, values[i]) for i in batch.tolist()]
+    heads = _per_size(partial(_entry_head, key, kind), [len(row) for row in rows])
+    return heads, rows, [len(head) + len(row) for head, row in zip(heads, rows)]
+
+
+def _encode(columns: Columns, rows: Sequence[int]) -> Iterator[List[bytes]]:
+    """The ``Example`` protobuf bytes of each row in *rows*, in batches of
+    about :data:`BATCH_BYTES` of values — the one writer of the wire format.
+
+    *columns* maps each feature name to ``(kind, values)``: ``"float"`` and
+    ``"int64"`` values are an array with one row per record (a row's values
+    are its raveled sub-array); ``"bytes"`` values hold one sequence of
+    bytes-like values per record.  Features go out in name order.
+    """
+    features = []
+    row_bytes = 0
+    for name in sorted(columns):
+        kind, values = columns[name]
+        if kind not in _FIELD:
+            raise TFRecordError(f"unknown feature kind {kind!r} for {name!r}")
+        if kind in _DTYPE:
+            values = _column(name, kind, values)
+            row_bytes += _DTYPE[kind].itemsize * values.shape[1]
+        encoded = name.encode("utf-8")
+        features.append((name, b"\x0a" + _varint(len(encoded)) + encoded, kind, values))
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    step = max(1, BATCH_BYTES // max(1, row_bytes))
+    for start in range(0, len(rows), step):
+        batch = rows[start : start + step]
+        parts: List[Iterable[Any]] = []
+        sizes = [0] * len(batch)  # each row's Features message
+        for feature in features:
+            heads, values, entry_sizes = _feature_rows(*feature, batch)
+            parts += (heads, values)
+            sizes = list(map(add, sizes, entry_sizes))
+        tops = _per_size(lambda size: b"\x0a" + _varint(size), sizes)
+        yield [b"".join(row) for row in zip(tops, *parts)]
 
 
 def encode_example(example: Example) -> bytes:
-    """Encode to protobuf bytes (Example > Features > map<string, Feature>)."""
-    features_msg = bytearray()
-    for name in sorted(example.features):
-        kind, values = example.features[name]
-        entry = bytearray()
-        _write_len_delimited(entry, 1, name.encode("utf-8"))
-        _write_len_delimited(entry, 2, _encode_feature(kind, values))
-        _write_len_delimited(features_msg, 1, bytes(entry))
-    out = bytearray()
-    _write_len_delimited(out, 1, bytes(features_msg))
-    return bytes(out)
+    """Encode to protobuf bytes (Example > Features > map<string, Feature>):
+    the one-row case of the column encoder."""
+    columns = {name: (kind, [values]) for name, (kind, values) in example.features.items()}
+    return next(_encode(columns, [0]))[0]
 
 
 def _read_len_delimited(data: bytes, pos: int) -> Tuple[bytes, int]:

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.domains.fusion.pipeline import CHANNEL_ORDER, FusionArchetype
+from repro.domains.fusion.pipeline import CHANNEL_ORDER, FusionArchetype, window_features
 from repro.domains.fusion.shottree import ShotTreeError, ShotTreeStore
 from repro.domains.fusion.synthetic import (
     FusionCampaignConfig,
@@ -85,6 +86,59 @@ class TestSyntheticCampaign:
     def test_campaign_writes_all_shots(self, tmp_path):
         manifest = synthesize_campaign(tmp_path, CONFIG)
         assert len(manifest["shots"]) == CONFIG.n_shots
+
+
+def per_window_features(window, dt):
+    """The per-window formula the block kernel replaced, body unchanged."""
+    ip = window[:, CHANNEL_ORDER.index("ip")]
+    mirnov = window[:, CHANNEL_ORDER.index("mirnov")]
+    dip = np.gradient(ip, dt)
+    envelope = np.abs(mirnov)
+    half = envelope.size // 2
+    growth = envelope[half:].mean() - envelope[:half].mean()
+    per_channel = np.concatenate(
+        [window.mean(axis=0), window.std(axis=0), np.ptp(window, axis=0)]
+    )
+    extras = np.asarray(
+        [
+            dip.mean(),
+            dip.min(),  # current quench shows as a large negative dIp/dt
+            dip.std(),
+            envelope.mean(),
+            growth,
+        ]
+    )
+    return np.concatenate([per_channel, extras]).astype(np.float64)
+
+
+@st.composite
+def shots(draw):
+    """One shot's ``(n, T, C)`` window block: any window count, odd or even
+    lengths, magnitudes from subnormal squares to overflowing sums, and
+    optionally a channel that never moves (std 0)."""
+    n = draw(st.integers(1, 40))
+    length = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1.0, 1e8, 1e150, 1e300]))
+    windows = rng.normal(size=(n, length, len(CHANNEL_ORDER))) * scale
+    constant = draw(st.none() | st.integers(0, len(CHANNEL_ORDER) - 1))
+    if constant is not None:
+        windows[:, :, constant] = draw(st.floats(-1e300, 1e300))
+    return windows
+
+
+class TestWindowFeatures:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(windows=shots(), dt=st.sampled_from([1e-3, 0.37]))
+    @example(windows=np.arange(8.0).reshape(1, 2, 4), dt=1e-3)
+    @example(windows=np.ones((3, 3, 4)), dt=1e-3)
+    def test_block_kernel_is_bitwise_the_per_window_formula(self, windows, dt):
+        with np.errstate(all="ignore"):  # the largest magnitudes overflow, alike
+            block = window_features(windows, dt)
+            reference = [per_window_features(window, dt) for window in windows]
+        assert block.shape == (len(windows), 3 * len(CHANNEL_ORDER) + 5)
+        for i, row in enumerate(reference):
+            assert block[i].tobytes() == row.tobytes(), i
 
 
 class TestPipeline:

@@ -1,11 +1,12 @@
 """The parity oracle: the byte-identity contract, stated once.
 
 Same plan + same input => the same artifact, whatever produces it.  Every
-``*.rps`` shard, the ``manifest.json`` bytes, a gated run's
-``quarantine.jsonl`` bytes, every stage's output fingerprint and the final
-dataset fingerprint are equal on every backend and width, batched or per
-record, under any fault schedule the engine heals, and across a driver
-crash that ``recover_run`` (or a plain resume) finishes.
+``*.rps`` shard, the ``manifest.json`` bytes, every ``tfrecord/*.tfrecord``
+export, a gated run's ``quarantine.jsonl`` bytes, every stage's output
+fingerprint and the final dataset fingerprint are equal on every backend
+and width, batched or per record, under any fault schedule the engine
+heals, and across a driver crash that ``recover_run`` (or a plain resume)
+finishes.
 
 :func:`assert_parity` is the one check.  ``tests/test_parity.py`` searches
 it with generated configurations; suites that drive a run by other means
@@ -105,16 +106,19 @@ def _sha256(path: Path) -> str:
 
 
 def shard_digests(directory: Union[str, Path]) -> Dict[str, str]:
-    """sha256 of every ``*.rps`` shard and of ``manifest.json`` in *directory*."""
+    """sha256 of every ``*.rps`` shard, of ``manifest.json`` and of every
+    TFRecord export (``tfrecord/*.tfrecord``, fusion's) in *directory*."""
     directory = Path(directory)
-    paths = sorted(directory.glob("*.rps")) + [directory / MANIFEST_NAME]
-    return {path.name: _sha256(path) for path in paths}
+    paths = (sorted(directory.glob("*.rps")) + [directory / MANIFEST_NAME]
+             + sorted(directory.glob("tfrecord/*.tfrecord")))
+    return {path.relative_to(directory).as_posix(): _sha256(path) for path in paths}
 
 
 def _digests(result, work: Path) -> Dict[str, str]:
     """What an archetype run under *work* produced, in pipeline order:
-    stage output fingerprints, shards, manifest, quarantine log (when the
-    run was gated into ``work/q``), final dataset fingerprint."""
+    stage output fingerprints, shards, manifest, TFRecord exports,
+    quarantine log (when the run was gated into ``work/q``), final dataset
+    fingerprint."""
     out = {f"stage {i} ({r.stage_name})": r.output_fingerprint
            for i, r in enumerate(result.run.results)}
     out.update(shard_digests(work / "shards"))

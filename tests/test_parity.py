@@ -103,6 +103,23 @@ def _search(phases=tuple(Phase)):
 test_generated_configurations_keep_parity = _search()
 
 
+#: sha256 of the fusion reference run's TFRecord export (the transcript-size
+#: campaign), taken while each record was still built as an ``Example`` and
+#: encoded on its own
+TFRECORD_GOLDEN = {
+    "tfrecord/test.tfrecord": "90f8f2be03a01f66c5a8231b281ce9a8ca421cd8dda725794fd5af19fa0c6921",
+    "tfrecord/train.tfrecord": "94156fe65112e46c73af82f1241d12ad0eac20fdb7f25124335cd039d5ab4a3e",
+    "tfrecord/val.tfrecord": "c616b1e68ec00f16b405f88b0f6a7432cb8fe51c7780a2d62102746bb47873cf",
+}
+
+
+def test_fusion_tfrecord_export_matches_its_per_record_golden():
+    digests = parity.digests_of("fusion")
+    assert {name: digests[name] for name in digests if name.startswith("tfrecord/")} == (
+        TFRECORD_GOLDEN
+    )
+
+
 # -- one checkpoint directory, any history ------------------------------------------
 
 
