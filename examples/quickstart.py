@@ -12,7 +12,9 @@ Walks the shortest useful path through the public API:
 5. render a datasheet;
 6. enforce a data contract as a readiness gate: quarantine the records
    that violate it, then re-drive the quarantine after fixing the
-   contract.
+   contract;
+7. measure two execution configurations and let the planner pick the
+   faster one.
 
 Run:  python examples/quickstart.py
 """
@@ -218,38 +220,23 @@ def main() -> None:
     print(redrive_report.summary())
     print(f"promoted shard: {redrive_report.shard_path}")
 
-    print(section("7. cost-model-driven planning (plan explain)"))
-    from repro.sched import (
-        CalibrationStore,
-        choose_config,
-        estimate_workload,
-        resolve_cluster,
-    )
+    print(section("7. measured planning (plan explain)"))
+    from repro.sched import CalibrationStore, choose_config, store_key
 
-    # predict: size the plan's per-stage byte flows from the raw payload,
-    # then sweep backend × workers × stripes × batch through the cluster
-    # simulator — exactly what `repro plan explain` / `run --plan auto` do
-    workload = estimate_workload(pipeline.plan, raw)
-    print(workload.describe())
-    decision = choose_config(workload, resolve_cluster("workstation"))
-    print()
-    print(decision.render_table(top=5))
-    print(decision.summary())
-
-    # calibrate: feed measured stage_seconds back, and the next choice
-    # deterministically reflects this machine instead of the bare model
+    # every run given a calibration store files its stage seconds under the
+    # configuration that ran them; `run --plan auto` then runs the one with
+    # the lowest summed per-stage medians for this pipeline, host and input
+    # size — exactly what `repro plan explain` prints
     store = CalibrationStore(work_dir / "calibration")
-    for stage_name, predicted in decision.predicted_stage_seconds:
-        actual = next(
-            r.seconds for r in run.results if r.stage_name == stage_name
-        )
-        store.observe(workload.pipeline, stage_name, predicted, actual)
-    calibrated = choose_config(
-        workload, resolve_cluster("workstation"), calibration=store
-    )
-    print(f"\nuncalibrated prediction: {decision.predicted_seconds:.4f}s")
-    print(f"calibrated prediction  : {calibrated.predicted_seconds:.4f}s "
-          f"({len(calibrated.calibration)} stage factor(s) applied)")
+    key = store_key(pipeline.name, raw)
+    print(f"store key: {key.label()}")
+    print(choose_config(key, pipeline.stage_names, store).summary())
+    for backend in ("serial", "threaded"):
+        pipeline.run(raw, backend=backend, calibration_store=store)
+    decision = choose_config(key, pipeline.stage_names, store)
+    print()
+    print(decision.render_table())
+    print(decision.summary())
     print(f"\nworkspace: {work_dir}")
 
 

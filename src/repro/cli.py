@@ -7,7 +7,7 @@ technical readiness"; this CLI is that tool::
     python -m repro archetypes                # render Table 1 (registry)
     python -m repro templates [DOMAIN]        # preprocessing templates
     python -m repro run DOMAIN --workdir DIR  # run an archetype end-to-end
-    python -m repro plan explain DOMAIN       # rank candidate configs by cost
+    python -m repro plan explain DOMAIN       # what --plan auto would run, and why
     python -m repro backends                  # list execution backends
     python -m repro inspect SHARD_DIR         # verify + describe a shard set
     python -m repro telemetry summary DIR     # slowest spans of a trace
@@ -44,12 +44,13 @@ produce bitwise-identical shards.  Data readiness gates ride it too:
 splitting violating records into ``--quarantine-dir`` while survivors
 ship (``--inject-bad-records N`` seeds deliberately corrupt sources to
 catch), and ``--dead-letter-dir`` persists the run's dead letters as a
-durable JSONL ledger.  Cost-model planning closes the loop from the
-scaling simulator to the scheduler: ``run --plan auto`` prices every
-candidate configuration through :mod:`repro.parallel.simulate`, runs the
-predicted-fastest one, and feeds observed stage timings back through
-``--calibration-dir``; ``plan explain`` shows the same ranking without
-running anything.  ``quarantine list/show/re-drive`` reads a
+durable JSONL ledger.  ``--calibration-dir`` records every run's
+measured stage seconds under the backend, width and batch size that ran
+them, and ``run --plan auto`` runs the configuration with the lowest
+summed per-stage medians measured for this pipeline, host and source
+size (the ``fixed`` default when nothing is measured); ``plan explain``
+prints the same choice and its measured table without running anything.
+``quarantine list/show/re-drive`` reads a
 quarantine back and replays it through the current contracts, promoting
 records that now pass.  ``telemetry`` reads a trace directory back:
 ``summary`` tables the slowest stages, ``critical-path`` prints the span
@@ -113,26 +114,22 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--backend", choices=sorted(BACKENDS), default=None,
                      help="execution backend for data-parallel stage internals "
-                          "(default: serial, or the cost model's pick under "
-                          "--plan auto)")
+                          "(default: serial; not with --plan auto)")
     run.add_argument("--workers", type=int, default=None, metavar="N",
                      help="parallel width for the chosen --backend (threaded/"
                           "process worker count, simspmd rank count); "
                           "requires --backend")
     run.add_argument("--plan", choices=["fixed", "auto"], default="fixed",
                      dest="plan_mode",
-                     help="'auto' prices every (backend x workers x stripe x "
-                          "batch) candidate through the scaling model and runs "
-                          "the predicted-fastest one; the decision record is "
+                     help="'auto' runs the backend x workers x batch "
+                          "configuration --calibration-dir has measured fastest "
+                          "for this pipeline, host and source size (serial when "
+                          "nothing is measured); the decision record is "
                           "embedded in events, spans, and the shard manifest")
     run.add_argument("--calibration-dir", type=Path, default=None,
-                     help="persist predicted-vs-actual stage timings here "
-                          "(content-addressed JSONL); later auto-planned runs "
-                          "correct their predictions with these observations")
-    run.add_argument("--cluster", choices=["workstation", "commodity", "leadership"],
-                     default="workstation",
-                     help="modelled machine the chooser prices candidates "
-                          "against (default workstation)")
+                     help="record this run's measured stage seconds here under "
+                          "the configuration that ran them (content-addressed "
+                          "JSONL); --plan auto chooses from these measurements")
     run.add_argument("--checkpoint-dir", type=Path, default=None,
                      help="persist per-stage checkpoints under this directory")
     run.add_argument("--resume", action="store_true",
@@ -192,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=int, default=None, metavar="N",
                      help="records per batch for stages that declare the batch "
                           "capability (bitwise identical to the per-record "
-                          "path; default: per-record, or the cost model's "
-                          "pick under --plan auto)")
+                          "path; default: per-record; not with --plan auto)")
     run.add_argument("--inject-bad-records", type=int, default=None, metavar="N",
                      help="synthesize N deliberately corrupt source records "
                           "(climate: poisoned models, fusion: poisoned shots) so "
@@ -203,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     backends.set_defaults(handler=_cmd_backends)
 
     plan = sub.add_parser(
-        "plan", help="cost-model planning: inspect what 'run --plan auto' would do"
+        "plan", help="measured planning: inspect what 'run --plan auto' would do"
     )
     plan_sub = plan.add_subparsers(dest="plan_command", required=True)
     explain = plan_sub.add_parser(
         "explain",
-        help="estimate a domain's workload and rank every candidate config",
+        help="show the store key, the measured configurations and the pick",
     )
     explain.set_defaults(handler=_cmd_plan_explain)
     explain.add_argument("domain", choices=["climate", "fusion", "bio", "materials"])
@@ -216,11 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="where the synthesized source goes (default: a "
                               "temporary directory)")
     explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument("--cluster",
-                         choices=["workstation", "commodity", "leadership"],
-                         default="workstation")
     explain.add_argument("--calibration-dir", type=Path, default=None,
-                         help="apply persisted correction factors from this store")
+                         help="choose from the measurements in this store")
     explain.add_argument("--top", type=int, default=None,
                          help="show only the N best candidates")
 
@@ -426,12 +419,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --batch-size must be >= 1", file=sys.stderr)
         return 2
     if backend is None and args.workers is not None:
-        # auto included: the chooser picks its own width, so a bare
-        # --workers would be silently ignored
         print("error: --workers requires --backend", file=sys.stderr)
         return 2
-    # a fixed plan defaults to serial; under auto, an unset backend lets
-    # the cost-model chooser pick (an explicit --backend always wins)
+    if args.plan_mode == "auto" and (backend is not None or args.batch_size is not None):
+        # the manifest must name the config that ran, so auto takes no override
+        print("error: --plan auto picks the backend, width and batch size itself; "
+              "drop --backend/--workers/--batch-size or use --plan fixed",
+              file=sys.stderr)
+        return 2
     if backend is None and args.plan_mode != "auto":
         backend = "serial"
     if args.workers is not None:
@@ -475,7 +470,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(recovery_report.summary())
     archetype = _archetype(domain, seed)
     if backend is None:
-        how = "cost-model-chosen"
+        how = "auto-planned"
     elif isinstance(backend, str):
         how = backend
     else:
@@ -519,7 +514,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             quarantine_dir=args.quarantine_dir,
             plan_mode=args.plan_mode,
             calibration_dir=args.calibration_dir,
-            cluster=args.cluster,
             drain=drain,
             batch_size=args.batch_size,
             recovery_report=recovery_report,
@@ -578,8 +572,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         decision = result.schedule
         print(section("schedule decision"))
         print(decision.summary())
-        print()
-        print(decision.render_table(top=5))
+        if decision.candidates:
+            print()
+            print(decision.render_table(top=5))
         executed = {r.stage_name for r in run.results if not r.restored and not r.degraded}
         predicted = sum(s for name, s in decision.predicted_stage_seconds
                         if name in executed)
@@ -589,8 +584,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             error = abs(actual - predicted) / predicted
             print(f"\npredicted {predicted:.4f} s, actual {actual:.4f} s "
                   f"(prediction error {error:.0%})")
-        if args.calibration_dir is not None:
-            print(f"calibration observations appended under {args.calibration_dir}")
+    if args.calibration_dir is not None:
+        print(f"calibration observations appended under {args.calibration_dir}")
     if run.quarantined:
         for q in run.quarantined:
             print(f"quarantined corrupt checkpoint for stage {q.stage_name!r} "
@@ -695,38 +690,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_explain(args: argparse.Namespace) -> int:
+    import contextlib
     import tempfile
 
-    from repro.sched import (
-        CalibrationStore,
-        choose_config,
-        estimate_workload,
-        resolve_cluster,
-    )
+    from repro.sched import CalibrationStore, choose_config, store_key
 
-    cluster, calibration_dir = args.cluster, args.calibration_dir
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="repro-plan-"))
-    source_dir = workdir / "source"
-    source_dir.mkdir(parents=True, exist_ok=True)
-    archetype = _archetype(args.domain, args.seed)
-    source_manifest = archetype.synthesize_source(source_dir)
-    pipeline = archetype.build_pipeline(workdir / "shards")
-    workload = estimate_workload(pipeline.plan, source_manifest)
-    print(section("estimated workload"))
-    print(workload.describe())
+    with contextlib.ExitStack() as stack:
+        workdir = args.workdir or Path(
+            stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-plan-"))
+        )
+        source_dir = workdir / "source"
+        source_dir.mkdir(parents=True, exist_ok=True)
+        archetype = _archetype(args.domain, args.seed)
+        source_manifest = archetype.synthesize_source(source_dir)
+        plan = archetype.build_pipeline(workdir / "shards").plan
+        key = store_key(plan.name, source_manifest)
     calibration = None
-    if calibration_dir is not None:
-        calibration = CalibrationStore(calibration_dir)
-        print(f"\ncalibration store: {len(calibration)} observation(s) "
-              f"from {calibration_dir}")
-    spec = resolve_cluster(cluster)
-    decision = choose_config(workload, spec, calibration=calibration)
-    print(section(f"candidate ranking ({cluster})"))
+    if args.calibration_dir is not None:
+        calibration = CalibrationStore(args.calibration_dir)
+        print(f"calibration store: {len(calibration)} observation(s) "
+              f"from {args.calibration_dir}")
+    print(f"store key: {key.label()}")
+    decision = choose_config(key, plan.stage_names, calibration)
+    print(section("measured configurations"))
     print(decision.render_table(top=args.top))
     print(f"\n{decision.summary()}")
-    if decision.calibration:
-        factors = ", ".join(f"{s}x{f:.2f}" for s, f in decision.calibration)
-        print(f"calibration factors applied: {factors}")
     print(f"decision hash: {decision.content_hash()[:16]}")
     return 0
 

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.retry import RetryPolicy
     from repro.gates.contracts import StageContract
     from repro.sched.decision import ScheduleDecision
-    from repro.sched.estimate import StageCostHint
 
 __all__ = [
     "PipelineError",
@@ -118,10 +117,6 @@ class PipelineStage:
     input_contract: Optional["StageContract"] = None
     #: data contract enforced on the stage's *output* payload
     output_contract: Optional["StageContract"] = None
-    #: cost annotation for the scheduler (see :mod:`repro.sched`): how
-    #: this stage scales its bytes and how much compute it spends.  Like
-    #: the fault policy, planning metadata — excluded from the fingerprint
-    cost: Optional["StageCostHint"] = None
     #: capability flag: the stage's backend fan-out can consume items in
     #: deterministic contiguous batches (it calls
     #: :meth:`~repro.core.backends.ExecutionBackend.map_batches` with a
@@ -148,7 +143,7 @@ class StagePlan:
 
     name: str
     stages: Tuple[PipelineStage, ...]
-    #: the cost-model decision this plan was scheduled under (see
+    #: the measured decision this plan was scheduled under (see
     #: :mod:`repro.sched`); None for fixed-config runs.  An execution
     #: concern, excluded from the fingerprint: scheduling the same plan
     #: differently must not invalidate its checkpoints

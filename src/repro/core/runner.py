@@ -74,7 +74,7 @@ from repro.workers.drain import DrainController, DrainInterrupt
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durability.recover import RecoveryReport
     from repro.sched.calibrate import CalibrationStore
-    from repro.sched.decision import ScheduleDecision
+    from repro.sched.decision import ScheduleDecision, StoreKey
 
 __all__ = [
     "Pipeline",
@@ -116,7 +116,7 @@ class PipelineContext:
         self.current_span: Optional[Span] = None
         #: gate verdicts accumulated by a gated run, in evaluation order
         self.gate_reports: List[GateReport] = []
-        #: the cost-model decision this run executes under (set by a
+        #: the measured decision this run executes under (set by a
         #: PipelineRunner from plan.schedule; None for fixed-config runs)
         self.schedule_decision: Optional["ScheduleDecision"] = None
         #: records-per-batch for the *currently executing* stage: set by a
@@ -488,6 +488,8 @@ class _RunState:
     dead_letters: DeadLetterLog = dataclasses.field(default_factory=DeadLetterLog)
     quarantined: List[QuarantinedCheckpoint] = dataclasses.field(default_factory=list)
     task_stats: RetryStats = dataclasses.field(default_factory=RetryStats)
+    #: where the calibration store files this run's stage seconds
+    store_key: Optional["StoreKey"] = None
 
 
 @dataclasses.dataclass
@@ -573,16 +575,17 @@ class PipelineRunner:
         (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
         ``"warn"``) turns the stages' contracts on, shedding records into
         ``quarantine_dir`` (in memory without one).
-        ``calibration_store`` receives a scheduled run's predicted-vs-actual
-        stage seconds.  ``drain`` is a cooperative stop flag: once it
-        trips, the run stops at the next checkpoint-consistent point (a
-        stage boundary, or mid-stage on a draining backend) with a
+        ``calibration_store`` receives every executed stage's seconds,
+        filed under the backend, width and batch size that ran them (see
+        :mod:`repro.sched.calibrate`).  ``drain`` is a cooperative stop
+        flag: once it trips, the run stops at the next
+        checkpoint-consistent point (a stage boundary, or mid-stage on a
+        draining backend) with a
         :class:`~repro.workers.drain.DrainInterrupt`.  ``batch_size`` is
-        records per batch for ``batch=True`` stages — it wins over the
-        schedule decision's ``batch_records``; ``None`` with no schedule,
-        or ``0``, keeps the per-record path (bitwise identical either
-        way).  ``recovery_report``, from a pre-run recovery scan, opens
-        the run with a ``RUN_RECOVERED`` event.
+        records per batch for ``batch=True`` stages; ``None`` or ``0``
+        keeps the per-record path (bitwise identical either way).
+        ``recovery_report``, from a pre-run recovery scan, opens the run
+        with a ``RUN_RECOVERED`` event.
         """
         if batch_size is not None and batch_size < 0:
             raise ValueError(f"batch_size must be >= 0, got {batch_size}")
@@ -621,23 +624,12 @@ class PipelineRunner:
         timeout = stage.timeout if stage.timeout is not None else self.stage_timeout
         return mode, policy, timeout
 
-    def _stage_batch(
-        self, stage: PipelineStage, decision: Optional["ScheduleDecision"]
-    ) -> Optional[int]:
-        """Effective records-per-batch for one stage (None = per-record).
-
-        Only stages that declared the ``batch`` capability batch at all;
-        for those, an explicit runner ``batch_size`` wins, then the
-        schedule decision's ``batch_records`` (the chooser's sweep already
-        prices batch candidates), else the per-record path.
-        """
-        if not stage.batch:
-            return None
-        if self.batch_size is not None:
-            return int(self.batch_size) or None
-        if decision is not None:
-            return int(decision.chosen.batch_records) or None
-        return None
+    def _batch_records(self) -> int:
+        """Records per batch the plan's ``batch=True`` stages run with
+        (0 = per-record, also when no stage declares the capability)."""
+        if not any(stage.batch for stage in self.plan.stages):
+            return 0
+        return int(self.batch_size or 0)
 
     # -- the two funnels: publish and fail ---------------------------------------
     def _publish(
@@ -791,6 +783,10 @@ class PipelineRunner:
             payload=payload,
             quarantined=quarantined,
         )
+        if self.calibration_store is not None:
+            from repro.sched.calibrate import store_key
+
+            st.store_key = store_key(self.plan.name, payload)
         base.configure_retry(None, clock=self.fault_clock, stats=st.task_stats)
         # draining backends check the flag between task grants, so a
         # signal stops the run mid-stage, not just at boundaries
@@ -923,7 +919,7 @@ class PipelineRunner:
             injector.maybe_crash(index, "pre")
         mode, policy, timeout = self._stage_policy(stage)
         frame = _StageFrame(stage, index, mode, policy, timeout, len(st.context.evidence))
-        st.context.stage_batch_size = self._stage_batch(stage, self.plan.schedule)
+        st.context.stage_batch_size = (self.batch_size or None) if stage.batch else None
         self.backend.task_retry = policy
         # preemptive deadline: a supervising backend SIGKILLs a worker
         # whose lease outlives the stage budget
@@ -1184,13 +1180,15 @@ class PipelineRunner:
     # -- finish ------------------------------------------------------------------
     def _finish(self, st: _RunState) -> PipelineRun:
         decision, results = self.plan.schedule, st.results
-        stage_errors: Dict[str, float] = {}
-        if decision is not None:
-            # close the predict -> run -> calibrate loop: measured stage
-            # seconds flow back into the calibration store
+        if self.calibration_store is not None:
+            # what ran here becomes a candidate for the next --plan auto
             from repro.sched.calibrate import record_outcome
+            from repro.sched.decision import CandidateConfig
 
-            stage_errors = record_outcome(decision, results, self.calibration_store)
+            executed = CandidateConfig(
+                self.backend.name, self.backend.width, self._batch_records()
+            )
+            record_outcome(self.calibration_store, st.store_key, executed, results)
         if self.checkpointer is not None:
             self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
             st.recorder.count("journal_records_total", kind="run-commit")
@@ -1200,7 +1198,6 @@ class PipelineRunner:
             fingerprint=st.fingerprint, detail=f"degraded stages: {degraded}" if degraded else "",
             audit={"output": st.fingerprint[:12]},
             results=results, restored=st.start_index, decision=decision,
-            stage_errors=stage_errors,
         )
         return PipelineRun(
             pipeline_name=self.plan.name,

@@ -115,32 +115,37 @@ class DomainArchetype(abc.ABC):
         resume: bool = False,
         plan_mode: str = "fixed",
         calibration_dir: Union[str, Path, None] = None,
-        cluster: Any = None,
-        backend: Any = None,
         calibration_store: Optional["CalibrationStore"] = None,
         **runner_options: Any,
     ) -> ArchetypeResult:
         """Synthesize a source, run the pipeline, assess, detect challenges.
 
-        ``backend``, ``calibration_store`` and ``runner_options`` are the
-        keyword options of :class:`~repro.core.runner.PipelineRunner`
-        (``checkpoint_dir=``, ``telemetry=``, ``gates=``, ...), declared
-        and documented there — the two named here are the ones planning
-        reads; ``resume=True`` restarts a checkpointed run.
+        ``calibration_store`` and ``runner_options`` are the keyword
+        options of :class:`~repro.core.runner.PipelineRunner`
+        (``backend=``, ``batch_size=``, ``checkpoint_dir=``,
+        ``telemetry=``, ``gates=``, ...), declared and documented there;
+        ``resume=True`` restarts a checkpointed run.
 
-        ``plan_mode="auto"`` closes the cost-model loop (see
-        :mod:`repro.sched`): the plan's workload is estimated from the
-        synthesized source, every (backend x workers x stripe x batch)
-        candidate is priced through the scaling model, and the
-        predicted-fastest feasible configuration is executed — the
-        resulting :class:`~repro.sched.ScheduleDecision` rides in the run
-        events, spans, and shard manifest.  ``calibration_dir`` (or a
-        ready ``calibration_store``) feeds observed stage timings back
-        into the next prediction; ``cluster`` names the modelled
-        machine (``"workstation"``/``"commodity"``/``"leadership"`` or a
-        :class:`~repro.parallel.cluster.ClusterSpec`).  An explicit
-        ``backend=`` always wins over the chooser.
+        ``calibration_dir`` (or a ready ``calibration_store``) records
+        every executed stage's seconds under the configuration that ran
+        (see :mod:`repro.sched`).  ``plan_mode="auto"`` then runs the
+        configuration with the lowest summed per-stage medians measured
+        for this pipeline, host and source size — or the ``fixed``
+        default when nothing is measured — and the resulting
+        :class:`~repro.sched.ScheduleDecision` rides in the run events,
+        spans and shard manifest.  Auto picks the backend, width and
+        batch size itself, so ``backend=`` or ``batch_size=`` with it is
+        a ``ValueError``.
         """
+        if plan_mode not in ("fixed", "auto"):
+            raise ValueError(f"unknown plan_mode {plan_mode!r} (use 'fixed' or 'auto')")
+        overridden = [k for k in ("backend", "batch_size") if runner_options.get(k) is not None]
+        if plan_mode == "auto" and overridden:
+            # the manifest must name the config that ran, so auto takes no override
+            raise ValueError(
+                "plan_mode='auto' picks the backend, width and batch size itself; "
+                f"drop {', '.join(overridden)} or use plan_mode='fixed'"
+            )
         work_dir = Path(work_dir)
         source_dir = work_dir / "source"
         output_dir = work_dir / "shards"
@@ -148,35 +153,28 @@ class DomainArchetype(abc.ABC):
         source_manifest = self.synthesize_source(source_dir, **(source_params or {}))
         pipeline = self.build_pipeline(output_dir, **(pipeline_options or {}))
         decision: Optional["ScheduleDecision"] = None
-        if plan_mode not in ("fixed", "auto"):
-            raise ValueError(f"unknown plan_mode {plan_mode!r} (use 'fixed' or 'auto')")
         if calibration_store is None and calibration_dir is not None:
             from repro.sched import CalibrationStore
 
             calibration_store = CalibrationStore(calibration_dir)
         if plan_mode == "auto":
-            from repro.sched import (
-                build_backend,
-                choose_config,
-                estimate_workload,
-                resolve_cluster,
-            )
+            from repro.sched import build_backend, choose_config, store_key
 
-            workload = estimate_workload(pipeline.plan, source_manifest)
             decision = choose_config(
-                workload,
-                resolve_cluster(cluster),
-                calibration=calibration_store,
+                store_key(pipeline.plan.name, source_manifest),
+                pipeline.plan.stage_names,
+                calibration_store,
             )
             pipeline.plan = pipeline.plan.with_schedule(decision)
-            if backend is None:
-                backend = build_backend(decision)
+            runner_options.update(
+                backend=build_backend(decision.chosen),
+                batch_size=decision.chosen.batch_records,
+            )
         context = PipelineContext(agent=f"{self.domain}-pipeline")
         run = pipeline.run(
             source_manifest,
             context,
             resume=resume,
-            backend=backend,
             calibration_store=calibration_store,
             **runner_options,
         )

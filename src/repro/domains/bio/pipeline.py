@@ -45,7 +45,6 @@ from repro.governance.anonymize import anonymize_dataset, pseudonymize
 from repro.governance.enclave import SecureEnclave
 from repro.governance.policy import hipaa_deidentified_policy
 from repro.governance.privacy import PrivacyScanner
-from repro.sched import StageCostHint
 from repro.transforms.encode import dna_one_hot
 from repro.transforms.split import SplitSpec, random_split
 
@@ -410,25 +409,16 @@ class BioArchetype(DomainArchetype):
             [
                 PipelineStage("acquire", DataProcessingStage.INGEST, self._acquire,
                               on_error=OnError.RETRY,
-                              output_contract=CONTRACTS[("acquire", "output")],
-                              cost=StageCostHint(reads_source=True)),
-                PipelineStage("encode", DataProcessingStage.PREPROCESS, self._encode,
-                              # one-hot blows each base up to 4 float32 lanes
-                              cost=StageCostHint(output_ratio=4.0)),
+                              output_contract=CONTRACTS[("acquire", "output")]),
+                PipelineStage("encode", DataProcessingStage.PREPROCESS, self._encode),
                 PipelineStage("anonymize", DataProcessingStage.TRANSFORM, self._anonymize,
-                              params={"k": self.k},
-                              # scan + rewrite of the clinical modality
-                              cost=StageCostHint(compute_passes=2.0)),
+                              params={"k": self.k}),
                 PipelineStage("fuse", DataProcessingStage.STRUCTURE, self._fuse,
-                              output_contract=CONTRACTS[("fuse", "output")],
-                              cost=StageCostHint(output_ratio=0.9)),
+                              output_contract=CONTRACTS[("fuse", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"secure": True},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY,
-                              # zlib on mostly-zero one-hot compresses hard
-                              cost=StageCostHint(output_ratio=0.3,
-                                                 writes_shards=True)),
+                              on_error=OnError.RETRY),
             ],
         )
 

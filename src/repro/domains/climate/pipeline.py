@@ -41,7 +41,6 @@ from repro.domains.climate.synthetic import (
 from repro.gates import ColumnCheck, DriftCheck, StageContract
 from repro.io.grib import read_grib
 from repro.io.netcdf import read_netcdf
-from repro.sched import StageCostHint
 from repro.quality.validation import check_finite, check_monotonic
 from repro.transforms.cleaning import UnitConverter
 from repro.transforms.normalize import ZScoreNormalizer
@@ -488,33 +487,20 @@ class ClimateArchetype(DomainArchetype):
                 PipelineStage("download", DataProcessingStage.INGEST, self._ingest,
                               description="decode NetCDF-like + GRIB-like sources",
                               on_error=OnError.RETRY,
-                              output_contract=CONTRACTS[("download", "output")],
-                              cost=StageCostHint(reads_source=True,
-                                                 compute_passes=1.0)),
+                              output_contract=CONTRACTS[("download", "output")]),
                 PipelineStage("regrid", DataProcessingStage.PREPROCESS, self._regrid,
                               params={"target": self.target_grid.shape},
                               parallelism=Parallelism.MAP,
-                              batch=True,
-                              # remap weights + apply; output shrinks onto
-                              # the coarse target grid
-                              cost=StageCostHint(output_ratio=0.5,
-                                                 compute_passes=2.0)),
+                              batch=True),
                 PipelineStage("normalize", DataProcessingStage.TRANSFORM, self._normalize,
                               params={"method": "zscore", "ranks": self.n_ranks},
-                              parallelism=Parallelism.REDUCE,
-                              # Welford pass + transform pass
-                              cost=StageCostHint(compute_passes=2.0)),
+                              parallelism=Parallelism.REDUCE),
                 PipelineStage("stack", DataProcessingStage.STRUCTURE, self._structure,
-                              output_contract=CONTRACTS[("stack", "output")],
-                              # float64 -> float32 tensors, extras dropped
-                              cost=StageCostHint(output_ratio=0.5)),
+                              output_contract=CONTRACTS[("stack", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"codec": "zlib"},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY,
-                              # zlib level 3 on float tensors
-                              cost=StageCostHint(output_ratio=0.6,
-                                                 writes_shards=True)),
+                              on_error=OnError.RETRY),
             ],
         )
 

@@ -40,7 +40,6 @@ from repro.domains.fusion.synthetic import (
 from repro.gates import ColumnCheck, StageContract
 from repro.io.tfrecord import TFRecordWriter
 from repro.parallel.stats import RunningMoments
-from repro.sched import StageCostHint
 from repro.quality.metrics import noise_estimate
 from repro.transforms.align import Signal, align_signals, window_series
 from repro.transforms.label import UNLABELED, labeled_fraction, pseudo_label
@@ -456,32 +455,19 @@ class FusionArchetype(DomainArchetype):
                 PipelineStage("extract", DataProcessingStage.INGEST, self._extract,
                               description="shot-level reads from the MDSplus-like store",
                               on_error=OnError.RETRY,
-                              output_contract=CONTRACTS[("extract", "output")],
-                              cost=StageCostHint(reads_source=True)),
+                              output_contract=CONTRACTS[("extract", "output")]),
                 PipelineStage("align", DataProcessingStage.PREPROCESS, self._align,
                               params={"dt": self.dt},
-                              parallelism=Parallelism.MAP,
-                              # resampling onto the common base grows the
-                              # slow channels
-                              cost=StageCostHint(output_ratio=1.5,
-                                                 compute_passes=2.0)),
+                              parallelism=Parallelism.MAP),
                 PipelineStage("normalize", DataProcessingStage.TRANSFORM, self._normalize,
-                              parallelism=Parallelism.REDUCE,
-                              # per-shot partials + transform pass
-                              cost=StageCostHint(compute_passes=2.0)),
+                              parallelism=Parallelism.REDUCE),
                 PipelineStage("window", DataProcessingStage.STRUCTURE, self._window,
                               params={"window": self.window, "stride": self.stride},
-                              output_contract=CONTRACTS[("window", "output")],
-                              # float32 windows + features; unresolved dropped
-                              cost=StageCostHint(output_ratio=0.6,
-                                                 compute_passes=2.0)),
+                              output_contract=CONTRACTS[("window", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"formats": ["rps", "tfrecord"]},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY,
-                              # zlib shards + TFRecord duplicate export
-                              cost=StageCostHint(output_ratio=1.2,
-                                                 writes_shards=True)),
+                              on_error=OnError.RETRY),
             ],
         )
 

@@ -48,7 +48,6 @@ from repro.domains.materials.synthetic import (
 from repro.gates import ColumnCheck, StageContract
 from repro.io.adios import BPWriter
 from repro.quality.metrics import imbalance_ratio
-from repro.sched import StageCostHint
 from repro.transforms.augment import smote_like
 from repro.transforms.normalize import ZScoreNormalizer
 from repro.transforms.split import SplitSpec, stratified_split
@@ -396,29 +395,17 @@ class MaterialsArchetype(DomainArchetype):
             [
                 PipelineStage("parse", DataProcessingStage.INGEST, self._parse,
                               on_error=OnError.RETRY,
-                              output_contract=CONTRACTS[("parse", "output")],
-                              # binary arrays are denser than the JSON text
-                              cost=StageCostHint(reads_source=True,
-                                                 output_ratio=0.7)),
-                PipelineStage("normalize", DataProcessingStage.PREPROCESS, self._normalize,
-                              cost=StageCostHint(compute_passes=2.0)),
+                              output_contract=CONTRACTS[("parse", "output")]),
+                PipelineStage("normalize", DataProcessingStage.PREPROCESS, self._normalize),
                 PipelineStage("encode", DataProcessingStage.TRANSFORM, self._encode,
-                              parallelism=Parallelism.MAP,
-                              # neighbor search dominates; graphs add edges
-                              cost=StageCostHint(output_ratio=1.3,
-                                                 compute_passes=3.0)),
+                              parallelism=Parallelism.MAP),
                 PipelineStage("graph", DataProcessingStage.STRUCTURE, self._structure,
                               params={"oversample_to_ratio": self.oversample_to_ratio},
-                              output_contract=CONTRACTS[("graph", "output")],
-                              # graphs collapse to fixed descriptors
-                              cost=StageCostHint(output_ratio=0.2)),
+                              output_contract=CONTRACTS[("graph", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"formats": ["rps", "adios-like"]},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY,
-                              # zlib shards + ADIOS-like graph container
-                              cost=StageCostHint(output_ratio=1.1,
-                                                 writes_shards=True)),
+                              on_error=OnError.RETRY),
             ],
         )
 

@@ -40,7 +40,6 @@ from repro.obs.analyze import (
     analyze_trace,
     build_span_tree,
     critical_path,
-    geometric_mean,
     median,
     median_mad,
     stage_rollups,
@@ -104,7 +103,6 @@ __all__ = [
     "analyze_trace",
     "median",
     "median_mad",
-    "geometric_mean",
     # history
     "RunArchive",
     "RunRecord",

@@ -21,12 +21,9 @@ module is the question-answering layer on top of a trace directory:
   JSON byte-identically (sorted keys, values rounded to fixed
   precision, no wall-clock re-stamping).
 
-The shared robust statistics live here too — :func:`median`,
-:func:`median_mad`, :func:`geometric_mean` — because three subsystems
-now need one comparison codepath: cross-run regression diffing
-(:mod:`repro.obs.history`), the CI bench gate
-(``benchmarks/record_baseline.py``), and the scheduler's calibration
-store (:mod:`repro.sched.calibrate`).
+The robust statistics cross-run regression diffing
+(:mod:`repro.obs.history`) prices its comparisons through live here too:
+:func:`median` and :func:`median_mad`.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ __all__ = [
     "analyze_trace",
     "median",
     "median_mad",
-    "geometric_mean",
 ]
 
 #: bump when TraceReport's serialized shape changes
@@ -96,18 +92,6 @@ def median_mad(values: Sequence[float]) -> Tuple[float, float]:
     center = median(values)
     deviations = [abs(float(v) - center) for v in values]
     return center, median(deviations)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (1.0 when empty).
-
-    The right average for multiplicative quantities — calibration
-    ratios, speedups — where 2x and 0.5x should cancel exactly.
-    """
-    positive = [float(v) for v in values if v > 0]
-    if not positive:
-        return 1.0
-    return math.exp(sum(math.log(v) for v in positive) / len(positive))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -204,24 +203,32 @@ class RunRecorder(NullRecorder):
                 schedule_config=decision.chosen.label(),
                 schedule_predicted_s=decision.predicted_seconds,
                 schedule_candidates=len(decision.candidates),
-                schedule_cluster=decision.cluster,
                 schedule_hash=decision.content_hash()[:12],
             )
 
     def _run_completed(
         self, event: "RunEvent", *, results: Sequence[Any], restored: int, decision: Any,
-        stage_errors: Mapping[str, float],
     ) -> None:
         if decision is not None:
-            # the run's prediction error as first-class metrics
-            executed = [r for r in results if not r.restored and not r.degraded]
-            names = {r.stage_name for r in executed}
-            predicted = sum(s for name, s in decision.predicted_stage_seconds if name in names)
+            # the run's prediction error as first-class metrics: measured
+            # seconds against the medians the choice was made on
+            predictions = decision.stage_predictions()
+            executed = [
+                r for r in results
+                if not r.restored and not r.degraded and r.stage_name in predictions
+            ]
+            predicted = sum(predictions[r.stage_name] for r in executed)
             actual = sum(r.seconds for r in executed)
             error = abs(actual - predicted) / predicted if predicted > 0 else 0.0
             self._gauge("schedule_prediction_error", error)
-            for stage_name, stage_error in stage_errors.items():
-                self._gauge("schedule_prediction_error", stage_error, stage=stage_name)
+            for r in executed:
+                stage_predicted = predictions[r.stage_name]
+                if stage_predicted > 0:
+                    self._gauge(
+                        "schedule_prediction_error",
+                        abs(r.seconds - stage_predicted) / stage_predicted,
+                        stage=r.stage_name,
+                    )
             self.run_span.set_attributes(
                 schedule_actual_s=actual, schedule_prediction_error=error
             )

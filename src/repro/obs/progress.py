@@ -12,12 +12,8 @@ this module folds both into a pollable surface:
   maintains as a backend hook — and because those counts are *logical*,
   the reported progress is identical on every backend (the parity
   contract extended to progress).
-* **ETA** — with a :class:`~repro.sched.decision.ScheduleDecision`
-  attached, the remaining time is the cost model's predicted seconds
-  for the stages not yet finished, rescaled by the observed
-  actual/predicted ratio of the stages already done (live
-  self-calibration).  Without a decision it falls back to the mean
-  completed-stage duration times the stages remaining.
+* **ETA** — the mean completed-stage duration times the stages
+  remaining.
 * :class:`ProgressTicker` — a daemon thread that prints one progress
   line whenever the snapshot changes; ``run --progress`` drives it, and
   the future async job service will stream the same snapshots.
@@ -34,7 +30,6 @@ from typing import IO, TYPE_CHECKING, Callable, Dict, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import RunEvent
     from repro.obs import Telemetry
-    from repro.sched.decision import ScheduleDecision
 
 __all__ = ["ProgressSnapshot", "ProgressReporter", "ProgressTicker"]
 
@@ -99,11 +94,9 @@ class ProgressReporter:
         telemetry: Optional["Telemetry"] = None,
         *,
         total_stages: Optional[int] = None,
-        decision: Optional["ScheduleDecision"] = None,
         clock: Callable[[], float] = time.time,
     ):
         self.telemetry = telemetry
-        self.decision = decision
         self._clock = clock
         self._lock = threading.Lock()
         self._pipeline = ""
@@ -114,8 +107,6 @@ class ProgressReporter:
         self._total = total_stages
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
-        #: stage name -> measured seconds, for ETA self-calibration
-        self._stage_seconds: Dict[str, float] = {}
 
     # -- event intake (the runner's on_event callback) ---------------------------
     def on_event(self, event: "RunEvent") -> None:
@@ -136,8 +127,6 @@ class ProgressReporter:
                 )
             elif kind in ("stage-completed", "stage-skipped"):
                 self._stages_done += 1
-                if event.stage_name:
-                    self._stage_seconds[event.stage_name] = event.seconds
                 if self._stage == (event.stage_name or ""):
                     self._stage = ""
             elif kind == "stage-degraded":
@@ -180,22 +169,6 @@ class ProgressReporter:
     def _eta(self, elapsed: float, done: int, total: Optional[int]) -> Optional[float]:
         if self._status != "running":
             return None
-        if self.decision is not None:
-            predictions = self.decision.stage_predictions()
-            finished = {
-                name: s for name, s in self._stage_seconds.items() if name in predictions
-            }
-            predicted_done = sum(predictions[name] for name in finished)
-            actual_done = sum(finished.values())
-            remaining = sum(
-                sec for name, sec in predictions.items() if name not in finished
-            )
-            scale = (
-                actual_done / predicted_done
-                if predicted_done > 1e-9 and actual_done > 0
-                else 1.0
-            )
-            return remaining * scale
         if total and done:
             mean = elapsed / done
             return mean * max(total - done, 0)

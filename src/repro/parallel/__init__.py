@@ -16,7 +16,6 @@ from repro.parallel.cluster import (
     ClusterSpec,
     commodity_cluster,
     leadership_system,
-    workstation,
 )
 from repro.parallel.simulate import (
     PipelineScalingModel,
@@ -46,7 +45,6 @@ __all__ = [
     "ClusterSpec",
     "commodity_cluster",
     "leadership_system",
-    "workstation",
     "PipelineScalingModel",
     "ScalingCurve",
     "ScalingPoint",

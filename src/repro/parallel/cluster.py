@@ -14,7 +14,7 @@ import dataclasses
 
 from repro.parallel.filesystem import ParallelFileSystem
 
-__all__ = ["ClusterSpec", "workstation", "commodity_cluster", "leadership_system"]
+__all__ = ["ClusterSpec", "commodity_cluster", "leadership_system"]
 
 
 @dataclasses.dataclass
@@ -59,19 +59,6 @@ class ClusterSpec:
             raise ValueError("rates must be positive")
         if self.interconnect_latency < 0:
             raise ValueError("latency must be non-negative")
-
-
-def workstation() -> ClusterSpec:
-    """A single box with local SSD-ish storage: the no-HPC baseline."""
-    return ClusterSpec(
-        name="workstation",
-        n_nodes=1,
-        ranks_per_node=8,
-        preprocess_rate=400e6,
-        nic_bandwidth=2e9,
-        interconnect_latency=1e-6,
-        filesystem=ParallelFileSystem(n_osts=1, ost_bandwidth=2e9),
-    )
 
 
 def commodity_cluster(n_nodes: int = 16) -> ClusterSpec:

@@ -17,15 +17,6 @@ speedup while compute dominates, a knee where filesystem contention takes
 over, and an Amdahl plateau set by serial fractions.  Tests assert those
 *shape* properties (monotone regions, knee within the sweep, plateau
 level), not absolute seconds.
-
-Besides the whole-pass :class:`WorkloadSpec`, the model prices one
-pipeline *stage* at a time: a :class:`StageWorkload` describes a single
-stage's bytes, compute passes, and parallel pattern, and
-:meth:`PipelineScalingModel.evaluate_stage` returns its
-:class:`StageCost` breakdown.  This per-stage surface is what the
-scheduler (:mod:`repro.sched`) sweeps candidate configurations through
-— the cost model as a planning component, not just a faithfulness
-device.
 """
 
 from __future__ import annotations
@@ -38,8 +29,6 @@ from repro.parallel.cluster import ClusterSpec
 
 __all__ = [
     "WorkloadSpec",
-    "StageWorkload",
-    "StageCost",
     "ScalingPoint",
     "ScalingCurve",
     "PipelineScalingModel",
@@ -84,67 +73,6 @@ class WorkloadSpec:
     compute_passes: float = 2.0
     stats_vector_bytes: float = 64 * 1024
     serial_fraction: float = 1e-4
-
-
-@dataclasses.dataclass(frozen=True)
-class StageWorkload:
-    """One pipeline stage's slice of a pass, for per-stage costing.
-
-    Attributes
-    ----------
-    name:
-        Stage name as it appears in the plan (e.g. ``"normalize"``).
-    input_bytes / output_bytes:
-        Bytes entering and leaving this stage.
-    compute_passes:
-        Transform passes over the stage's input bytes.
-    parallelism:
-        The stage's parallel pattern: ``"none"`` (serial), ``"map"``
-        (embarrassingly parallel), ``"reduce"`` (partials + allreduce),
-        or ``"write"`` (parallel shard export).
-    items:
-        Record/file count, used to charge per-request latency for
-        batched writes.
-    reads_source / writes_shards:
-        Whether the stage moves its bytes through the filesystem model
-        (ingest stages read, shard stages write).
-    stats_vector_bytes:
-        Allreduce message size for ``"reduce"`` stages.
-    serial_fraction:
-        Amdahl term for this stage's work.
-    """
-
-    name: str
-    input_bytes: float
-    output_bytes: float
-    compute_passes: float = 1.0
-    parallelism: str = "none"
-    items: int = 1
-    reads_source: bool = False
-    writes_shards: bool = False
-    stats_vector_bytes: float = 64 * 1024
-    serial_fraction: float = 1e-4
-
-
-@dataclasses.dataclass(frozen=True)
-class StageCost:
-    """Per-stage predicted cost breakdown at a candidate configuration."""
-
-    name: str
-    ranks: int
-    compute_seconds: float
-    comm_seconds: float
-    io_seconds: float
-    serial_seconds: float
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.compute_seconds
-            + self.comm_seconds
-            + self.io_seconds
-            + self.serial_seconds
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -257,118 +185,6 @@ class PipelineScalingModel:
             io_seconds=io,
             serial_seconds=serial,
         )
-
-    def evaluate_stage(
-        self,
-        stage: StageWorkload,
-        ranks: int,
-        *,
-        stripe_count: Optional[int] = None,
-        batch_records: Optional[int] = None,
-        ipc_per_task_s: Optional[float] = None,
-    ) -> StageCost:
-        """Price one stage at *ranks* workers with optional I/O tuning.
-
-        Serial stages (``parallelism == "none"``) compute at width 1
-        regardless of *ranks*; parallel stages divide their compute over
-        all ranks.  ``"reduce"`` stages pay the statistics allreduce;
-        parallel ``"map"``/``"write"`` stages pay a light coordination
-        term (two latency rounds per tree level).  Stages that touch the
-        filesystem pay the striped collective-transfer model, with
-        *stripe_count* overriding the default layout and *batch_records*
-        setting how many records share one write request (fewer, larger
-        requests amortize per-request latency).
-
-        ``ipc_per_task_s`` charges a per-task marshalling cost for
-        backends that move results between processes (the supervised
-        ``process`` backend pickles every task result over a pipe).  The
-        supervisor consumes results serially, so the charge scales with
-        the stage's item count, **not** divided by the worker width.
-        """
-        if ranks < 1:
-            raise ValueError("ranks must be >= 1")
-        if ranks > self.cluster.max_ranks:
-            raise ValueError(
-                f"{ranks} ranks exceeds cluster capacity {self.cluster.max_ranks}"
-            )
-        width = 1 if stage.parallelism == "none" else ranks
-        compute_bytes = stage.input_bytes * stage.compute_passes
-        parallel_bytes = compute_bytes * (1.0 - stage.serial_fraction)
-        compute = parallel_bytes / (self.cluster.preprocess_rate * width)
-        serial = (
-            compute_bytes * stage.serial_fraction / self.cluster.preprocess_rate
-        )
-        comm = 0.0
-        if width > 1:
-            rounds = max(1, math.ceil(math.log2(max(width, 2))))
-            if stage.parallelism == "reduce":
-                beta = 1.0 / self.cluster.nic_bandwidth
-                comm = rounds * (
-                    self.cluster.interconnect_latency
-                    + stage.stats_vector_bytes * beta
-                )
-            else:
-                # map/write coordination: scatter + gather latency rounds
-                comm = 2 * rounds * self.cluster.interconnect_latency
-        if ipc_per_task_s is not None and stage.parallelism != "none":
-            comm += stage.items * ipc_per_task_s
-        io = 0.0
-        if stage.reads_source or stage.writes_shards:
-            nodes = max(1, math.ceil(width / self.cluster.ranks_per_node))
-            fs = self.cluster.filesystem
-            read_time = 0.0
-            write_time = 0.0
-            if stage.reads_source and stage.input_bytes > 0:
-                read_time = fs.collective_write_time(
-                    n_clients=nodes,
-                    bytes_per_client=_ceil_div(stage.input_bytes, nodes),
-                    stripe_count=stripe_count,
-                )
-            if stage.writes_shards and stage.output_bytes > 0:
-                write_time = fs.collective_write_time(
-                    n_clients=nodes,
-                    bytes_per_client=_ceil_div(stage.output_bytes, nodes),
-                    stripe_count=stripe_count,
-                )
-                if batch_records is not None and batch_records >= 1:
-                    n_requests = max(1, math.ceil(stage.items / batch_records))
-                    write_time += fs.osts[0].latency * _ceil_div(
-                        n_requests, nodes
-                    )
-            moved = (stage.input_bytes if stage.reads_source else 0.0) + (
-                stage.output_bytes if stage.writes_shards else 0.0
-            )
-            nic_floor = moved / (nodes * self.cluster.nic_bandwidth)
-            io = max(read_time + write_time, nic_floor)
-        return StageCost(
-            name=stage.name,
-            ranks=width,
-            compute_seconds=compute,
-            comm_seconds=comm,
-            io_seconds=io,
-            serial_seconds=serial,
-        )
-
-    def evaluate_stages(
-        self,
-        stages: Sequence[StageWorkload],
-        ranks: int,
-        *,
-        stripe_count: Optional[int] = None,
-        batch_records: Optional[int] = None,
-        ipc_per_task_s: Optional[float] = None,
-    ) -> List[StageCost]:
-        """Price a whole plan stage-by-stage at one configuration."""
-        return [
-            self.evaluate_stage(
-                s,
-                ranks,
-                stripe_count=stripe_count,
-                batch_records=batch_records,
-                ipc_per_task_s=ipc_per_task_s,
-            )
-            for s in stages
-        ]
 
     def sweep(
         self, workload: WorkloadSpec, rank_counts: Sequence[int]

@@ -1,49 +1,42 @@
-"""Cost-model-driven scheduling: the simulator picks the plan.
+"""Measured planning: ``--plan auto`` runs the fastest configuration this
+host has measured.
 
-The paper's Section 2.2 cost model (:mod:`repro.parallel.simulate`,
-:mod:`repro.parallel.filesystem`) stops being an inert faithfulness
-device here and becomes a production scheduling component.  The loop:
+The loop:
 
-1. **estimate** (:mod:`repro.sched.estimate`) — derive a per-stage
-   workload description from the plan plus domain payload-size hints;
-2. **choose** (:mod:`repro.sched.chooser`) — sweep candidate
-   configurations (backend × workers × stripe count × batch size)
-   through :class:`~repro.parallel.simulate.PipelineScalingModel` and
-   pick the predicted-fastest feasible one;
-3. **run** — the runner executes under the chosen config, records the
-   :class:`~repro.sched.decision.ScheduleDecision` in run events, span
-   attributes, and the shard manifest, and emits the
-   ``schedule_prediction_error`` metric;
-4. **calibrate** (:mod:`repro.sched.calibrate`) — predicted vs actual
-   ``stage_seconds`` feed per-(pipeline, stage) correction factors that
-   deterministically sharpen the next run's predictions.
+1. **record** (:mod:`repro.sched.calibrate`) — every run that carries a
+   :class:`CalibrationStore` files its executed per-stage seconds under
+   the configuration that ran (backend, width, batch) and a
+   :class:`StoreKey`: the pipeline, the host's usable CPU count and the
+   source's size bucket.  Fixed runs feed it exactly like auto runs.
+2. **choose** (:mod:`repro.sched.chooser`) — among the configurations
+   with an observation for every stage under the run's key, pick the
+   lowest sum of per-stage medians; with nothing measured, run the
+   ``fixed`` default (serial, width 1, per-record) as mode ``fallback``.
+3. **run** — the runner executes exactly the chosen configuration,
+   records the :class:`~repro.sched.decision.ScheduleDecision` in run
+   events, span attributes and the shard manifest, and emits the
+   ``schedule_prediction_error`` metric (measured stage seconds against
+   the medians the choice was made on).
 
-The bitwise-parity contract is preserved by construction: the chooser
-selects *which* backend executes (and at what width), while stripe count
-is model-advisory — it shapes predictions and is recorded in the
-decision, but never changes what bytes a backend writes.  The chosen
-``batch_records`` *is* executed: under ``plan_mode="auto"`` the runner
-feeds it to stages that declare the ``batch`` capability (see
-:meth:`~repro.core.backends.ExecutionBackend.map_batches`), which is
-safe for the same reason — batched and per-record execution are bitwise
-identical by contract.
+The bitwise-parity contract is preserved by construction: every backend,
+width and batch size writes the same bytes, so the chooser only decides
+how long the run takes.
 """
 
-from repro.sched.calibrate import CALIBRATION_NAME, CalibrationStore, record_outcome
-from repro.sched.chooser import (
+from repro.sched.calibrate import (
+    CALIBRATION_NAME,
+    CalibrationStore,
+    record_outcome,
+    source_nbytes,
+    store_key,
+)
+from repro.sched.chooser import FIXED_DEFAULT, build_backend, choose_config
+from repro.sched.decision import (
+    SCHEDULE_SCHEMA,
     CandidateConfig,
     CandidateEvaluation,
-    build_backend,
-    choose_config,
-    enumerate_candidates,
-    resolve_cluster,
-)
-from repro.sched.decision import SCHEDULE_SCHEMA, ScheduleDecision
-from repro.sched.estimate import (
-    PlanWorkload,
-    StageCostHint,
-    estimate_workload,
-    source_nbytes,
+    ScheduleDecision,
+    StoreKey,
 )
 
 __all__ = [
@@ -51,15 +44,13 @@ __all__ = [
     "CalibrationStore",
     "CandidateConfig",
     "CandidateEvaluation",
-    "PlanWorkload",
+    "FIXED_DEFAULT",
     "SCHEDULE_SCHEMA",
     "ScheduleDecision",
-    "StageCostHint",
+    "StoreKey",
     "build_backend",
     "choose_config",
-    "enumerate_candidates",
-    "estimate_workload",
     "record_outcome",
-    "resolve_cluster",
     "source_nbytes",
+    "store_key",
 ]

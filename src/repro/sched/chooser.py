@@ -1,235 +1,88 @@
-"""Candidate enumeration and the predicted-fastest choice.
+"""The measured choice: the fastest configuration this host has run.
 
-:func:`enumerate_candidates` spans the configuration space — execution
-backend × worker count × filesystem stripe count × write batch size —
-clamped to what the cluster model can actually host.
-:func:`choose_config` prices every candidate with
-:meth:`~repro.parallel.simulate.PipelineScalingModel.evaluate_stage`,
-multiplies in the calibration store's per-stage correction factors, and
-picks the feasible candidate with the lowest predicted makespan
-(deterministic tie-break on the config tuple).  Any estimation failure
-degrades to a serial fallback decision instead of blocking the run —
-scheduling is an optimisation, never a new failure mode.
+:func:`choose_config` reads the calibration store under one
+:class:`~repro.sched.decision.StoreKey`.  A configuration is a candidate
+when every stage of the plan has at least one observation under it; its
+prediction is the sum of its per-stage median seconds, and the lowest
+sum wins (deterministic tie-break on the config tuple).  With nothing
+measured the decision is the ``fixed`` default — serial, width 1,
+per-record — as mode ``fallback``, so a cold store runs exactly what
+``--plan fixed`` runs.
 
-:func:`build_backend` is the single point where a decision becomes an
-:class:`~repro.core.backends.ExecutionBackend` instance.
+:func:`build_backend` is the single point where a configuration becomes
+an :class:`~repro.core.backends.ExecutionBackend` instance.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import statistics
+from typing import List, Optional, Sequence
 
-from repro.core.backends import get_backend
-from repro.parallel.cluster import (
-    ClusterSpec,
-    commodity_cluster,
-    leadership_system,
-    workstation,
-)
-from repro.parallel.simulate import PipelineScalingModel
+from repro.core.backends import ExecutionBackend, get_backend
 from repro.sched.calibrate import CalibrationStore
 from repro.sched.decision import (
     CandidateConfig,
     CandidateEvaluation,
     ScheduleDecision,
+    StoreKey,
 )
-from repro.sched.estimate import PlanWorkload
 
-__all__ = [
-    "enumerate_candidates",
-    "choose_config",
-    "build_backend",
-    "resolve_cluster",
-]
+__all__ = ["FIXED_DEFAULT", "choose_config", "build_backend"]
 
-#: parallel widths the sweep tries (clamped to the cluster)
-_WIDTHS = (2, 4, 8)
+#: what ``--plan fixed`` runs when nothing is set
+FIXED_DEFAULT = CandidateConfig("serial", 1, 0)
 
-#: write batch sizes (records per write request) the sweep tries
-_BATCHES = (256, 1024)
-
-#: per-task IPC overhead charged to the ``process`` backend: every task
-#: result is pickled over a pipe and consumed serially by the supervisor,
-#: so process candidates price strictly above threaded at equal width —
-#: the chooser only picks ``process`` when its fault tolerance is asked
-#: for explicitly, never on speed
-_PROCESS_IPC_S = 2e-4
-
-_CLUSTERS = {
-    "workstation": workstation,
-    "commodity": commodity_cluster,
-    "leadership": leadership_system,
-}
-
-
-def resolve_cluster(spec) -> ClusterSpec:
-    """A :class:`ClusterSpec` from a preset name, an instance, or None."""
-    if spec is None:
-        return workstation()
-    if isinstance(spec, ClusterSpec):
-        return spec
-    try:
-        return _CLUSTERS[str(spec)]()
-    except KeyError:
-        raise ValueError(
-            f"unknown cluster preset {spec!r}; choose from {sorted(_CLUSTERS)}"
-        ) from None
-
-
-def enumerate_candidates(cluster: ClusterSpec) -> List[CandidateConfig]:
-    """The deterministic candidate grid for one cluster.
-
-    Serial runs at width 1 by definition; threaded and simspmd sweep
-    the width grid up to the cluster's rank capacity.  Stripe counts
-    cover the unstriped, lightly striped, and fully striped layouts of
-    the attached filesystem.
-    """
-    stripes = sorted({1, min(4, cluster.filesystem.n_osts), cluster.filesystem.n_osts})
-    widths = [w for w in _WIDTHS if w <= cluster.max_ranks] or [1]
-    configs: List[CandidateConfig] = []
-    for stripe in stripes:
-        for batch in _BATCHES:
-            configs.append(CandidateConfig("serial", 1, stripe, batch))
-            for backend in ("threaded", "simspmd", "process"):
-                for width in widths:
-                    configs.append(CandidateConfig(backend, width, stripe, batch))
-    return configs
-
-
-def _fallback_decision(
-    pipeline: str,
-    reason: str,
-    *,
-    cluster_name: str = "",
-    workload_fingerprint: str = "",
-    candidates: Tuple[CandidateEvaluation, ...] = (),
-    calibration: Tuple[Tuple[str, float], ...] = (),
-) -> ScheduleDecision:
-    return ScheduleDecision(
-        pipeline=pipeline,
-        mode="fallback",
-        chosen=CandidateConfig("serial", 1, 1, _BATCHES[0]),
-        predicted_seconds=0.0,
-        predicted_stage_seconds=(),
-        candidates=candidates,
-        calibration=calibration,
-        workload_fingerprint=workload_fingerprint,
-        cluster=cluster_name,
-        reason=reason,
-    )
+#: backend name -> the constructor argument that sets its width
+_WIDTH_ARGUMENT = {"threaded": "workers", "process": "workers", "simspmd": "n_ranks"}
 
 
 def choose_config(
-    workload: PlanWorkload,
-    cluster=None,
-    *,
-    calibration: Optional[CalibrationStore] = None,
-    candidates: Optional[Sequence[CandidateConfig]] = None,
+    key: StoreKey, stages: Sequence[str], calibration: Optional[CalibrationStore]
 ) -> ScheduleDecision:
-    """Pick the predicted-fastest feasible configuration for *workload*.
-
-    Every candidate is priced stage by stage through the scaling model;
-    calibration factors (when a store is supplied) scale each stage's
-    prediction by the machine's observed actual/predicted ratio.  The
-    result records the full candidate table, so ``plan explain`` and the
-    shard manifest can show the road not taken.
-    """
-    try:
-        cluster = resolve_cluster(cluster)
-        model = PipelineScalingModel(cluster)
-        grid = list(candidates) if candidates is not None else enumerate_candidates(cluster)
-        factors: Tuple[Tuple[str, float], ...] = ()
-        if calibration is not None:
-            # identity factors are dropped: an empty store yields the same
-            # decision bytes as no store at all
-            factors = tuple(
-                sorted(
-                    (s.name, f)
-                    for s in workload.stages
-                    if (f := calibration.factor(workload.pipeline, s.name)) != 1.0
-                )
+    """Pick the measured-fastest configuration for the plan's *stages*."""
+    measured = calibration.measured(key) if calibration is not None else {}
+    candidates: List[CandidateEvaluation] = []
+    for config, by_stage in measured.items():
+        if not all(by_stage.get(stage) for stage in stages):
+            continue
+        stage_seconds = tuple((stage, statistics.median(by_stage[stage])) for stage in stages)
+        candidates.append(
+            CandidateEvaluation(
+                config=config,
+                predicted_seconds=sum(seconds for _, seconds in stage_seconds),
+                stage_seconds=stage_seconds,
+                runs=min(len(by_stage[stage]) for stage in stages),
             )
-        factor_map = dict(factors)
-        evaluations: List[CandidateEvaluation] = []
-        for config in grid:
-            try:
-                costs = model.evaluate_stages(
-                    workload.stages,
-                    config.workers,
-                    stripe_count=config.stripe_count,
-                    batch_records=config.batch_records,
-                    ipc_per_task_s=(
-                        _PROCESS_IPC_S if config.backend == "process" else None
-                    ),
-                )
-            except (ValueError, RuntimeError) as exc:
-                evaluations.append(
-                    CandidateEvaluation(
-                        config=config,
-                        feasible=False,
-                        predicted_seconds=0.0,
-                        reason=str(exc),
-                    )
-                )
-                continue
-            stage_seconds = tuple(
-                (c.name, c.total_seconds * factor_map.get(c.name, 1.0)) for c in costs
-            )
-            evaluations.append(
-                CandidateEvaluation(
-                    config=config,
-                    feasible=True,
-                    predicted_seconds=sum(sec for _, sec in stage_seconds),
-                    stage_seconds=stage_seconds,
-                )
-            )
-        feasible = [e for e in evaluations if e.feasible]
-        if not feasible:
-            return _fallback_decision(
-                workload.pipeline,
-                "no feasible candidate on this cluster",
-                cluster_name=cluster.name,
-                workload_fingerprint=workload.fingerprint(),
-                candidates=tuple(evaluations),
-                calibration=factors,
-            )
-        best = min(
-            feasible,
-            key=lambda e: (
-                e.predicted_seconds,
-                e.config.backend,
-                e.config.workers,
-                e.config.stripe_count,
-                e.config.batch_records,
-            ),
         )
+    candidates.sort(
+        key=lambda c: (
+            c.predicted_seconds, c.config.backend, c.config.workers, c.config.batch_records
+        )
+    )
+    if not candidates:
         return ScheduleDecision(
-            pipeline=workload.pipeline,
-            mode="auto",
-            chosen=best.config,
-            predicted_seconds=best.predicted_seconds,
-            predicted_stage_seconds=best.stage_seconds,
-            candidates=tuple(evaluations),
-            calibration=factors,
-            workload_fingerprint=workload.fingerprint(),
-            cluster=cluster.name,
+            key=key,
+            mode="fallback",
+            chosen=FIXED_DEFAULT,
+            predicted_seconds=0.0,
+            predicted_stage_seconds=(),
+            candidates=(),
+            reason=f"nothing measured for {key.label()}",
         )
-    except Exception as exc:  # estimation must never block a run
-        return _fallback_decision(
-            workload.pipeline,
-            f"estimation failed ({type(exc).__name__}: {exc}); serial fallback",
-        )
+    best = candidates[0]
+    return ScheduleDecision(
+        key=key,
+        mode="auto",
+        chosen=best.config,
+        predicted_seconds=best.predicted_seconds,
+        predicted_stage_seconds=best.stage_seconds,
+        candidates=tuple(candidates),
+    )
 
 
-def build_backend(decision: ScheduleDecision):
-    """Instantiate the decision's chosen execution backend."""
-    chosen = decision.chosen
-    if chosen.backend == "serial" or chosen.workers <= 1:
-        return get_backend("serial")
-    if chosen.backend == "simspmd":
-        return get_backend("simspmd", n_ranks=chosen.workers)
-    if chosen.backend == "threaded":
-        return get_backend("threaded", workers=chosen.workers)
-    if chosen.backend == "process":
-        return get_backend("process", workers=chosen.workers)
-    return get_backend(chosen.backend)
+def build_backend(config: CandidateConfig) -> ExecutionBackend:
+    """Instantiate *config*'s backend at its width."""
+    argument = _WIDTH_ARGUMENT.get(config.backend)
+    if argument is None:
+        return get_backend(config.backend)
+    return get_backend(config.backend, **{argument: config.workers})

@@ -1,14 +1,12 @@
-"""The schedule decision record: what was considered, what was chosen.
+"""The schedule decision record: what was measured, what was chosen.
 
 A :class:`ScheduleDecision` is the audit artifact of one planning pass —
-every candidate configuration with its predicted seconds, the chosen
-config, the calibration factors that shaped the prediction, and the
-workload/cluster identity the prediction was made against.  It is
+the :class:`StoreKey` it was made under, every measured configuration
+with its summed per-stage median seconds, and the chosen one.  It is
 embedded in run events, span attributes, and the shard manifest
 (alongside the readiness certificate), and follows the same determinism
-discipline as the gates subsystem: **no timestamps, no backend identity
-beyond the chosen config**, so two planning passes over the same
-workload and calibration state serialize byte-identically.
+discipline as the gates subsystem: **no timestamps**, so two planning
+passes over the same calibration-store state serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -20,88 +18,91 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.report import render_table
 
-__all__ = ["SCHEDULE_SCHEMA", "CandidateConfig", "CandidateEvaluation", "ScheduleDecision"]
+__all__ = [
+    "SCHEDULE_SCHEMA",
+    "StoreKey",
+    "CandidateConfig",
+    "CandidateEvaluation",
+    "ScheduleDecision",
+]
 
 #: bump when the decision record's serialized shape changes
-SCHEDULE_SCHEMA = 1
+SCHEDULE_SCHEMA = 2
+
+
+@dataclasses.dataclass(frozen=True)
+class StoreKey:
+    """Where a run's measurements are filed and looked up.
+
+    ``cpus`` is the host's usable CPU count and ``size_bucket`` the bit
+    length of the source's byte count, so sources within a factor of two
+    of each other share measurements.
+    """
+
+    pipeline: str
+    cpus: int
+    size_bucket: int
+
+    def label(self) -> str:
+        return (
+            f"pipeline {self.pipeline!r} on {self.cpus} CPU(s), "
+            f"source size bucket {self.size_bucket}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
 class CandidateConfig:
-    """One point of the configuration sweep.
-
-    ``backend`` and ``workers`` actually instantiate execution, and
-    ``batch_records`` is fed by the runner to stages declaring the
-    ``batch`` capability (bitwise identical to per-record execution by
-    contract); ``stripe_count`` stays model-advisory — it tunes the
-    predicted filesystem cost and is recorded for the facility
-    operator, but never changes the bytes a local backend writes.
-    """
+    """One executable configuration: backend, its width, and the records
+    per batch fed to ``batch=True`` stages (0 = per-record)."""
 
     backend: str
     workers: int
-    stripe_count: int
     batch_records: int
 
     def label(self) -> str:
-        return (
-            f"{self.backend}x{self.workers}"
-            f"/stripe{self.stripe_count}/batch{self.batch_records}"
-        )
+        return f"{self.backend}x{self.workers}/batch{self.batch_records}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "stripe_count": self.stripe_count,
-            "batch_records": self.batch_records,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, row: Mapping[str, Any]) -> "CandidateConfig":
         return cls(
             backend=str(row["backend"]),
             workers=int(row["workers"]),
-            stripe_count=int(row["stripe_count"]),
             batch_records=int(row["batch_records"]),
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class CandidateEvaluation:
-    """One candidate's predicted cost (or why it was infeasible)."""
+    """One measured configuration and what it is predicted to cost."""
 
     config: CandidateConfig
-    feasible: bool
+    #: sum of the per-stage medians
     predicted_seconds: float
-    #: stage name -> calibrated predicted seconds (empty when infeasible)
-    stage_seconds: Tuple[Tuple[str, float], ...] = ()
-    reason: str = ""
+    #: stage name -> median measured seconds, in plan order
+    stage_seconds: Tuple[Tuple[str, float], ...]
+    #: observations behind the least-measured stage
+    runs: int
 
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "config": self.config.to_dict(),
-            "feasible": self.feasible,
             "predicted_seconds": self.predicted_seconds,
+            "stage_seconds": dict(self.stage_seconds),
+            "runs": self.runs,
         }
-        if self.stage_seconds:
-            out["stage_seconds"] = {name: sec for name, sec in self.stage_seconds}
-        if self.reason:
-            out["reason"] = self.reason
-        return out
 
     @classmethod
     def from_dict(cls, row: Mapping[str, Any]) -> "CandidateEvaluation":
-        stage_seconds = tuple(
-            (str(name), float(sec))
-            for name, sec in (row.get("stage_seconds") or {}).items()
-        )
         return cls(
             config=CandidateConfig.from_dict(row["config"]),
-            feasible=bool(row["feasible"]),
             predicted_seconds=float(row["predicted_seconds"]),
-            stage_seconds=stage_seconds,
-            reason=str(row.get("reason", "")),
+            stage_seconds=tuple(
+                (str(name), float(sec)) for name, sec in row["stage_seconds"].items()
+            ),
+            runs=int(row["runs"]),
         )
 
 
@@ -109,65 +110,55 @@ class CandidateEvaluation:
 class ScheduleDecision:
     """The outcome of one planning pass, ready to embed anywhere.
 
-    ``mode`` is ``"auto"`` for a model-driven choice and ``"fallback"``
-    when estimation or the sweep failed and the serial backend was
-    chosen defensively (``reason`` says why).
+    ``mode`` is ``"auto"`` when the chosen config is the measured fastest
+    and ``"fallback"`` when nothing under the key was measured and the
+    ``fixed`` default was chosen (``reason`` says why).  ``candidates``
+    are ranked fastest first.
     """
 
-    pipeline: str
+    key: StoreKey
     mode: str
     chosen: CandidateConfig
     predicted_seconds: float
-    #: stage name -> calibrated predicted seconds for the chosen config
+    #: stage name -> median measured seconds of the chosen config
     predicted_stage_seconds: Tuple[Tuple[str, float], ...]
     candidates: Tuple[CandidateEvaluation, ...]
-    #: per-stage calibration factors applied ((stage, factor); empty = cold)
-    calibration: Tuple[Tuple[str, float], ...]
-    workload_fingerprint: str
-    cluster: str
     reason: str = ""
 
+    @property
+    def pipeline(self) -> str:
+        return self.key.pipeline
+
     def stage_predictions(self) -> Dict[str, float]:
-        return {name: sec for name, sec in self.predicted_stage_seconds}
+        return dict(self.predicted_stage_seconds)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe, deterministic serialization (manifest embedding)."""
         return {
             "schema": SCHEDULE_SCHEMA,
-            "pipeline": self.pipeline,
+            "pipeline": self.key.pipeline,
+            "cpus": self.key.cpus,
+            "size_bucket": self.key.size_bucket,
             "mode": self.mode,
             "chosen": self.chosen.to_dict(),
             "predicted_seconds": self.predicted_seconds,
-            "predicted_stage_seconds": {
-                name: sec for name, sec in self.predicted_stage_seconds
-            },
+            "predicted_stage_seconds": dict(self.predicted_stage_seconds),
             "candidates": [c.to_dict() for c in self.candidates],
-            "calibration": {name: factor for name, factor in self.calibration},
-            "workload_fingerprint": self.workload_fingerprint,
-            "cluster": self.cluster,
             "reason": self.reason,
         }
 
     @classmethod
     def from_dict(cls, row: Mapping[str, Any]) -> "ScheduleDecision":
         return cls(
-            pipeline=str(row["pipeline"]),
+            key=StoreKey(str(row["pipeline"]), int(row["cpus"]), int(row["size_bucket"])),
             mode=str(row["mode"]),
             chosen=CandidateConfig.from_dict(row["chosen"]),
             predicted_seconds=float(row["predicted_seconds"]),
             predicted_stage_seconds=tuple(
                 (str(name), float(sec))
-                for name, sec in (row.get("predicted_stage_seconds") or {}).items()
+                for name, sec in row["predicted_stage_seconds"].items()
             ),
-            candidates=tuple(
-                CandidateEvaluation.from_dict(c) for c in row.get("candidates", [])
-            ),
-            calibration=tuple(
-                (str(name), float(f))
-                for name, f in (row.get("calibration") or {}).items()
-            ),
-            workload_fingerprint=str(row.get("workload_fingerprint", "")),
-            cluster=str(row.get("cluster", "")),
+            candidates=tuple(CandidateEvaluation.from_dict(c) for c in row["candidates"]),
             reason=str(row.get("reason", "")),
         )
 
@@ -177,45 +168,32 @@ class ScheduleDecision:
         return hashlib.sha256(encoded).hexdigest()
 
     def summary(self) -> str:
-        calibrated = "calibrated" if self.calibration else "uncalibrated"
+        measured = (
+            f" predicted {self.predicted_seconds:.4f}s, fastest of "
+            f"{len(self.candidates)} measured config(s)"
+            if self.mode == "auto"
+            else ""
+        )
         return (
-            f"{self.mode}: {self.chosen.label()} predicted "
-            f"{self.predicted_seconds:.4f}s over {len(self.candidates)} "
-            f"candidate(s) on {self.cluster} ({calibrated})"
+            f"{self.mode}: {self.chosen.label()}{measured}"
             + (f" — {self.reason}" if self.reason else "")
         )
 
     def render_table(self, top: Optional[int] = None) -> str:
-        """The candidate table `plan explain` prints, fastest first."""
-        ranked = sorted(
-            self.candidates,
-            key=lambda c: (
-                not c.feasible,
-                c.predicted_seconds if c.feasible else float("inf"),
+        """The measured table `plan explain` prints, fastest first."""
+        rows: List[Tuple[Any, ...]] = [
+            (
+                "->" if c.config == self.chosen else "",
                 c.config.backend,
                 c.config.workers,
-                c.config.stripe_count,
                 c.config.batch_records,
-            ),
-        )
-        if top is not None:
-            ranked = ranked[:top]
-        rows: List[Tuple[Any, ...]] = []
-        for c in ranked:
-            marker = "->" if c.config == self.chosen else ""
-            rows.append(
-                (
-                    marker,
-                    c.config.backend,
-                    c.config.workers,
-                    c.config.stripe_count,
-                    c.config.batch_records,
-                    f"{c.predicted_seconds:.4f}" if c.feasible else "-",
-                    "ok" if c.feasible else f"infeasible: {c.reason}",
-                )
+                c.runs,
+                f"{c.predicted_seconds:.4f}",
             )
+            for c in self.candidates[:top]
+        ]
         return render_table(
-            ["", "backend", "workers", "stripes", "batch", "pred s", "status"],
+            ["", "backend", "workers", "batch", "runs", "sum of stage medians (s)"],
             rows,
-            align_right=[False, False, True, True, True, True, False],
+            align_right=[False, False, True, True, True, True],
         )

@@ -240,27 +240,37 @@ class TestRunnerWiring:
         ]
 
     def test_stage_batch_precedence(self):
-        from types import SimpleNamespace
-
+        """The runner's ``batch_size`` is a stage's one source of batch
+        size: a schedule decision riding on the plan does not batch by
+        itself (an auto run hands its chosen batch to the runner), and a
+        stage without the capability never batches."""
+        from repro.core.levels import DataProcessingStage
+        from repro.core.plan import PipelineStage, StagePlan
         from repro.core.runner import PipelineRunner
+        from repro.sched import CandidateConfig, ScheduleDecision, StoreKey
 
-        plan = _batch_plan()
-        stage = plan.stages[0]
-        decision = SimpleNamespace(chosen=SimpleNamespace(batch_records=256))
-        # explicit runner batch_size beats the schedule decision
-        assert PipelineRunner(plan, batch_size=8)._stage_batch(stage, decision) == 8
-        # no explicit size: the decision's batch_records applies
-        assert PipelineRunner(plan)._stage_batch(stage, decision) == 256
-        # neither: per-record
-        assert PipelineRunner(plan)._stage_batch(stage, None) is None
-        # a stage without the capability never batches
-        import dataclasses
+        seen = []
 
-        unbatched = dataclasses.replace(stage, batch=False)
-        assert (
-            PipelineRunner(plan, batch_size=8)._stage_batch(unbatched, decision)
-            is None
+        def spy(payload, ctx):
+            seen.append(ctx.stage_batch_size)
+            return payload
+
+        plan = StagePlan.build("bt", [
+            PipelineStage("batched", DataProcessingStage.INGEST, spy, batch=True),
+            PipelineStage("per-record", DataProcessingStage.TRANSFORM, spy),
+        ])
+        decision = ScheduleDecision(
+            key=StoreKey("bt", 2, 0), mode="auto",
+            chosen=CandidateConfig("serial", 1, 256), predicted_seconds=0.0,
+            predicted_stage_seconds=(), candidates=(),
         )
+        for runner in (
+            PipelineRunner(plan, batch_size=8),
+            PipelineRunner(plan.with_schedule(decision)),
+            PipelineRunner(plan.with_schedule(decision), batch_size=8),
+        ):
+            runner.run(None)
+        assert seen == [8, None, None, None, 8, None]
 
     def test_negative_batch_size_rejected_up_front(self):
         from repro.core.runner import PipelineRunner

@@ -6,9 +6,11 @@ from it.  ``goldens/store-lines.json`` was generated at d92d17b — the last
 commit with four hand-copied line encoders and three read loops — by
 running this file as a script, so it pins the shared codec in
 ``repro.durability.atomic`` to the bytes each copy wrote.  Never regenerate
-it to make a test pass.  (One hand edit since: the ``journal`` scenario's
-``"schema": 2`` became ``3`` when the snapshot format changed — a record's
-content, not its encoding.)
+it to make a test pass.  (Two edits since, both of a record's content,
+not its encoding: the ``journal`` scenario's ``"schema": 2`` became ``3``
+when the snapshot format changed, and the ``calibration`` scenario was
+re-frozen when observations became stage seconds filed by store key and
+executed config.)
 """
 
 import json
@@ -25,7 +27,7 @@ from repro.governance.audit import AuditLog
 from repro.obs.history import RunArchive
 from repro.provenance.record import ProvenanceRecord
 from repro.provenance.store import ProvenanceStore
-from repro.sched.calibrate import CalibrationStore
+from repro.sched import CalibrationStore, CandidateConfig, StoreKey
 
 GOLDEN = Path(__file__).parent / "goldens" / "store-lines.json"
 
@@ -51,10 +53,11 @@ def provenance(root):
 
 
 def calibration(root):
-    store = CalibrationStore(root)
-    store.observe("p", "regrid", 1.5, 3.0)
-    store.observe("p", "stack", 0.25, 0.125)
-    return store.path, CalibrationStore(root).factors("p")
+    store, key = CalibrationStore(root), StoreKey("p", 2, 24)
+    store.observe(key, CandidateConfig("serial", 1, 0), "regrid", 3.0)
+    store.observe(key, CandidateConfig("threaded", 2, 256), "stack", 0.125)
+    measured = CalibrationStore(root).measured(key)
+    return store.path, {config.label(): seconds for config, seconds in measured.items()}
 
 
 def _quarantined(root):

@@ -14,7 +14,6 @@ from repro.obs.analyze import (
     analyze_trace,
     build_span_tree,
     critical_path,
-    geometric_mean,
     median,
     median_mad,
     stage_rollups,
@@ -70,13 +69,6 @@ class TestRobustStats:
         center, mad = median_mad([1.0, 2.0, 3.0, 4.0, 100.0])
         assert center == 3.0
         assert mad == 1.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([]) == 1.0
-        assert geometric_mean([2.0, 0.5]) == pytest.approx(1.0)
-        assert geometric_mean([4.0, 4.0]) == pytest.approx(4.0)
-        # non-positive ratios carry no multiplicative signal
-        assert geometric_mean([0.0, -3.0, 2.0]) == pytest.approx(2.0)
 
 
 class TestBuildSpanTree:

@@ -38,14 +38,6 @@ def fan_plan(n_map_items=6):
     ])
 
 
-class FakeDecision:
-    def __init__(self, predictions):
-        self._predictions = dict(predictions)
-
-    def stage_predictions(self):
-        return dict(self._predictions)
-
-
 class TestEventFolding:
     def test_stage_transitions(self):
         reporter = ProgressReporter()
@@ -95,16 +87,6 @@ class TestEta:
         # 2 of 4 stages in 4s -> 2 remaining at 2s each
         assert snap.eta_s == pytest.approx(4.0)
         assert snap.fraction == pytest.approx(0.5)
-
-    def test_cost_model_predictions_rescaled_by_observation(self):
-        decision = FakeDecision({"a": 1.0, "b": 1.0, "c": 2.0})
-        reporter = ProgressReporter(decision=decision, total_stages=3,
-                                    clock=lambda: 0.0)
-        reporter.on_event(event("run-started", ts=0.0))
-        # stage a predicted 1s, took 2s: remaining predictions scale 2x
-        reporter.on_event(event("stage-completed", stage="a", seconds=2.0))
-        snap = reporter.snapshot()
-        assert snap.eta_s == pytest.approx((1.0 + 2.0) * 2.0)
 
     def test_no_eta_before_any_signal(self):
         reporter = ProgressReporter()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.cluster import commodity_cluster, leadership_system, workstation
+from repro.parallel.cluster import commodity_cluster, leadership_system
 from repro.parallel.simulate import PipelineScalingModel, WorkloadSpec
 
 
@@ -68,18 +68,18 @@ class TestShape:
 
 class TestValidation:
     def test_rank_bounds(self, workload):
-        model = PipelineScalingModel(workstation())
+        model = PipelineScalingModel(commodity_cluster(1))
         with pytest.raises(ValueError, match="exceeds"):
             model.evaluate(workload, 10**6)
         with pytest.raises(ValueError, match="ranks"):
             model.evaluate(workload, 0)
 
     def test_throughput_positive(self, workload):
-        model = PipelineScalingModel(workstation())
+        model = PipelineScalingModel(commodity_cluster(1))
         point = model.evaluate(workload, 4)
         assert point.throughput(workload.input_bytes) > 0
 
     def test_cluster_presets_validate(self):
-        for cluster in (workstation(), commodity_cluster(), leadership_system()):
+        for cluster in (commodity_cluster(), leadership_system()):
             cluster.validate()
             assert cluster.max_ranks >= 8

@@ -1,14 +1,16 @@
-"""End-to-end auto-planning: the simulator-to-scheduler loop, closed.
+"""End-to-end auto-planning: measure, choose, run what was chosen.
 
-Acceptance contract of the cost-model-driven planner: an auto-planned
-run selects its configuration via simulation, embeds the decision record
-in run events / span attributes / the shard manifest, records the
-``schedule_prediction_error`` metric, and feeds the calibration store.
+Acceptance contract of the measured planner: an auto-planned run executes
+the configuration with the lowest summed per-stage medians measured
+under its store key (the fixed default when nothing is), embeds the
+decision record in run events / span attributes / the shard manifest,
+records the ``schedule_prediction_error`` metric, and feeds the store.
 Planning changes the schedule, never the bytes: the auto run's shards are
 the serial reference's of the parity oracle (``tests/parity.py``).
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -17,30 +19,54 @@ from repro.domains import ClimateArchetype, MaterialsArchetype
 from repro.domains.materials.synthetic import MaterialsSourceConfig
 from repro.io.shards import MANIFEST_NAME, ShardManifest
 from repro.obs import Telemetry
-from repro.sched import CalibrationStore, ScheduleDecision
+from repro.sched import (
+    CalibrationStore,
+    CandidateConfig,
+    ScheduleDecision,
+    choose_config,
+    store_key,
+)
 from tests.parity import ARCHETYPES, assert_reference
 
 CLIMATE = {"config": ARCHETYPES["climate"][1]}
 MATERIALS = {"config": MaterialsSourceConfig(n_structures=40, seed=21)}
+SERIAL = CandidateConfig("serial", 1, 0)
+THREADED = CandidateConfig("threaded", 2, 0)
+
+
+def _climate():
+    return ClimateArchetype(seed=21, **CLIMATE)
 
 
 def _auto_run(tmp_path, name="auto", **kwargs):
-    return ClimateArchetype(seed=21, **CLIMATE).run(
-        tmp_path / name, plan_mode="auto", **kwargs
-    )
+    return _climate().run(tmp_path / name, plan_mode="auto", **kwargs)
+
+
+def _warm_store(tmp_path, seconds_by_config):
+    """A store in which each given config measured every climate stage at
+    the given seconds, under the key the climate runs below file under."""
+    arch = _climate()
+    source = arch.synthesize_source(tmp_path / "key-src")
+    plan = arch.build_pipeline(tmp_path / "key-shards").plan
+    key = store_key(plan.name, source)
+    store = CalibrationStore(tmp_path / "cal")
+    for config, seconds in seconds_by_config.items():
+        for stage in plan.stage_names:
+            store.observe(key, config, stage, seconds)
+    return store
 
 
 def test_auto_run_selects_and_embeds_decision(tmp_path):
-    result = _auto_run(tmp_path)
+    store = _warm_store(tmp_path, {SERIAL: 0.5, THREADED: 0.2})
+    result = _auto_run(tmp_path, calibration_store=store)
     decision = result.schedule
     assert isinstance(decision, ScheduleDecision)
     assert decision.mode == "auto"
     assert decision.pipeline == "climate"
-    assert len(decision.candidates) > 1
-    # the chosen backend actually executed
-    assert result.run.backend_name == (
-        "serial" if decision.chosen.workers <= 1 else decision.chosen.backend
-    )
+    assert [c.config for c in decision.candidates] == [THREADED, SERIAL]
+    # the chosen config is the one that executed
+    assert decision.chosen == THREADED
+    assert (result.run.backend_name, result.run.context.backend.width) == ("threaded", 2)
     # ... and the manifest carries the full decision record
     embedded = result.manifest.metadata["schedule_decision"]
     assert embedded == decision.to_dict()
@@ -56,14 +82,15 @@ def test_auto_run_selects_and_embeds_decision(tmp_path):
 
 
 def test_fixed_run_has_no_decision(tmp_path):
-    result = ClimateArchetype(seed=21, **CLIMATE).run(tmp_path / "fixed")
+    result = _climate().run(tmp_path / "fixed")
     assert result.schedule is None
     assert "schedule_decision" not in result.manifest.metadata
 
 
 def test_auto_run_emits_event_span_and_error_metric(tmp_path):
+    store = _warm_store(tmp_path, {SERIAL: 0.5})
     telemetry = Telemetry()
-    result = _auto_run(tmp_path, telemetry=telemetry)
+    result = _auto_run(tmp_path, telemetry=telemetry, calibration_store=store)
     decision = result.schedule
     scheduled = [
         e for e in result.run.events if e.kind is RunEventKind.RUN_SCHEDULED
@@ -78,6 +105,7 @@ def test_auto_run_emits_event_span_and_error_metric(tmp_path):
     assert "schedule_prediction_error" in attrs
     error = telemetry.metrics.get("schedule_prediction_error", pipeline="climate")
     assert error is not None and error.value >= 0.0
+    assert decision.predicted_stage_seconds
     for stage_name, _ in decision.predicted_stage_seconds:
         per_stage = telemetry.metrics.get(
             "schedule_prediction_error", pipeline="climate", stage=stage_name
@@ -86,40 +114,40 @@ def test_auto_run_emits_event_span_and_error_metric(tmp_path):
 
 
 def test_auto_run_feeds_the_calibration_store(tmp_path):
-    store = CalibrationStore(tmp_path / "cal")
+    store = _warm_store(tmp_path, {THREADED: 0.5})
+    before = len(store)
     result = _auto_run(tmp_path, calibration_store=store)
-    assert len(store) == len(result.run.results)
-    factors = store.factors("climate")
-    assert set(factors) == {r.stage_name for r in result.run.results}
-    # the persisted store reloads with identical factors
-    assert CalibrationStore(tmp_path / "cal").factors("climate") == factors
+    assert len(store) == before + len(result.run.results)
+    key = result.schedule.key
+    measured = store.measured(key)[THREADED]
+    assert {stage: seconds[-1] for stage, seconds in measured.items()} == {
+        r.stage_name: r.seconds for r in result.run.results
+    }
+    # the persisted store reloads with the same measurements
+    assert CalibrationStore(tmp_path / "cal").measured(key) == store.measured(key)
 
 
 def test_persisted_calibration_deterministically_changes_prediction(tmp_path):
+    # a cold store runs the fixed default and records it
     first = _auto_run(tmp_path, name="run1",
                       calibration_store=CalibrationStore(tmp_path / "cal"))
-    assert first.schedule.calibration == ()
+    assert first.schedule.mode == "fallback"
+    assert first.run.backend_name == "serial"
     # snapshot the store state run2 will plan against (run2 appends to it)
-    import shutil
-
     shutil.copytree(tmp_path / "cal", tmp_path / "cal-snapshot")
     second = _auto_run(tmp_path, name="run2",
                        calibration_store=CalibrationStore(tmp_path / "cal"))
-    assert second.schedule.calibration != ()
-    assert second.schedule.predicted_seconds != first.schedule.predicted_seconds
+    assert second.schedule.mode == "auto"
+    assert second.schedule.stage_predictions() == {
+        r.stage_name: r.seconds for r in first.run.results
+    }
     # ... deterministically: replaying the choice from the same store state
     # reproduces the second decision byte-for-byte
-    from repro.sched import choose_config, estimate_workload, resolve_cluster
-
-    arch = ClimateArchetype(seed=21, **CLIMATE)
-    src = arch.synthesize_source(tmp_path / "replay-src")
-    plan = arch.build_pipeline(tmp_path / "replay-shards").plan
+    plan = _climate().build_pipeline(tmp_path / "replay-shards").plan
     replayed = choose_config(
-        estimate_workload(plan, src),
-        resolve_cluster(None),
-        calibration=CalibrationStore(tmp_path / "cal-snapshot"),
+        second.schedule.key, plan.stage_names, CalibrationStore(tmp_path / "cal-snapshot")
     )
-    assert replayed.to_dict() == second.schedule.to_dict()
+    assert json.dumps(replayed.to_dict()) == json.dumps(second.schedule.to_dict())
 
 
 def test_auto_plan_works_on_other_domains(tmp_path):
@@ -127,16 +155,18 @@ def test_auto_plan_works_on_other_domains(tmp_path):
     result = MaterialsArchetype(seed=21, **MATERIALS).run(
         tmp_path / "mat", plan_mode="auto"
     )
-    assert result.schedule is not None and result.schedule.mode == "auto"
+    assert result.schedule is not None and result.schedule.mode == "fallback"
     assert result.manifest.metadata["schedule_decision"]["pipeline"] == "materials"
 
 
-def test_explicit_backend_overrides_the_chooser(tmp_path):
-    result = _auto_run(tmp_path, backend="serial")
-    assert result.run.backend_name == "serial"
-    assert result.schedule is not None  # decision still recorded
+@pytest.mark.parametrize("override", [{"backend": "serial"}, {"batch_size": 64}],
+                         ids=["backend", "batch_size"])
+def test_explicit_backend_under_auto_is_rejected(tmp_path, override):
+    with pytest.raises(ValueError, match="picks the backend, width and batch size"):
+        _auto_run(tmp_path, **override)
+    assert not (tmp_path / "auto").exists()
 
 
 def test_unknown_plan_mode_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="plan_mode"):
-        ClimateArchetype(seed=21, **CLIMATE).run(tmp_path, plan_mode="chaotic")
+        _climate().run(tmp_path, plan_mode="chaotic")

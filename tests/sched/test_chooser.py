@@ -1,189 +1,155 @@
-"""Candidate sweep and choice: determinism, calibration, fallbacks."""
+"""The measured choice: candidates, medians, tie-break, fallback, replay."""
 
 import json
 
-import numpy as np
-import pytest
-
 from repro.core.backends import SerialBackend, SimSPMDBackend, ThreadedBackend
 from repro.workers import ProcessBackend
-from repro.core.levels import DataProcessingStage
-from repro.core.plan import Parallelism, PipelineStage, StagePlan
-from repro.parallel.cluster import leadership_system, workstation
 from repro.sched import (
+    FIXED_DEFAULT,
     CalibrationStore,
     CandidateConfig,
     ScheduleDecision,
-    StageCostHint,
+    StoreKey,
     build_backend,
     choose_config,
-    enumerate_candidates,
-    estimate_workload,
-    resolve_cluster,
 )
 
-
-def _noop(payload, ctx):
-    return payload
-
-
-def _workload(nbytes=4_000_000):
-    plan = StagePlan.build(
-        "demo",
-        [
-            PipelineStage("ingest", DataProcessingStage.INGEST, _noop),
-            PipelineStage("map", DataProcessingStage.PREPROCESS, _noop,
-                          parallelism=Parallelism.MAP,
-                          cost=StageCostHint(compute_passes=2.0)),
-            PipelineStage("write", DataProcessingStage.SHARD, _noop,
-                          parallelism=Parallelism.WRITE),
-        ],
-    )
-    return estimate_workload(plan, {"x": np.zeros(nbytes, dtype=np.uint8)})
+KEY = StoreKey("demo", 2, 22)
+STAGES = ("ingest", "map", "write")
+SERIAL = CandidateConfig("serial", 1, 0)
+THREADED = CandidateConfig("threaded", 2, 0)
+SIMSPMD = CandidateConfig("simspmd", 2, 0)
+PROCESS = CandidateConfig("process", 2, 0)
 
 
-def test_grid_covers_backends_widths_stripes_batches():
-    grid = enumerate_candidates(leadership_system())
-    backends = {c.backend for c in grid}
-    assert backends == {"serial", "threaded", "simspmd", "process"}
-    assert {c.workers for c in grid if c.backend == "serial"} == {1}
-    assert len({c.stripe_count for c in grid}) >= 2
-    assert len({c.batch_records for c in grid}) == 2
-    # deterministic enumeration order
-    assert [c.label() for c in grid] == [
-        c.label() for c in enumerate_candidates(leadership_system())
-    ]
-
-
-def test_widths_clamped_to_cluster_capacity():
-    ws = workstation()
-    assert all(c.workers <= ws.max_ranks for c in enumerate_candidates(ws))
-
-
-def test_decision_is_byte_deterministic():
-    """Same workload + same calibration state => byte-identical decisions."""
-    store = CalibrationStore()
-    store.observe("demo", "map", 1.0, 3.0)
-    blobs = set()
-    for _ in range(3):
-        decision = choose_config(_workload(), workstation(), calibration=store)
-        blobs.add(json.dumps(decision.to_dict(), sort_keys=True))
-    assert len(blobs) == 1
+def _feed(store, config, *runs, key=KEY, stages=STAGES):
+    """One observation per stage per run; a run is one number (every stage
+    took that long) or a tuple of per-stage seconds.  Observations are
+    content-addressed, so a repeated number under one stage counts once."""
+    for run in runs:
+        seconds = run if isinstance(run, tuple) else (run,) * len(stages)
+        for stage, sec in zip(stages, seconds):
+            store.observe(key, config, stage, sec)
+    return store
 
 
 def test_empty_store_equals_no_store():
-    """A cold calibration store must not perturb the decision bytes."""
-    bare = choose_config(_workload(), workstation())
-    cold = choose_config(_workload(), workstation(), calibration=CalibrationStore())
+    """A cold store and no store both run the fixed default, byte-identically."""
+    bare = choose_config(KEY, STAGES, None)
+    cold = choose_config(KEY, STAGES, CalibrationStore())
     assert bare.content_hash() == cold.content_hash()
-    assert bare.calibration == ()
+    assert bare.mode == "fallback"
+    assert bare.candidates == () and bare.predicted_stage_seconds == ()
+
+
+def test_cold_store_falls_back_to_the_fixed_default():
+    decision = choose_config(KEY, STAGES, CalibrationStore())
+    assert decision.mode == "fallback"
+    assert decision.chosen == FIXED_DEFAULT == CandidateConfig("serial", 1, 0)
+    assert KEY.label() in decision.reason
+    assert isinstance(build_backend(decision.chosen), SerialBackend)
 
 
 def test_chooses_predicted_fastest_feasible():
-    decision = choose_config(_workload(), workstation())
+    """The pick is the lowest sum of per-stage medians (not means)."""
+    store = CalibrationStore()
+    # serial's means are dragged up by one slow run; its medians are 1.0
+    _feed(store, SERIAL, 0.9, 1.0, 9.0)
+    _feed(store, THREADED, 1.4, 1.5, 1.6)
+    _feed(store, PROCESS, (0.5, 2.0, 2.0))
+    decision = choose_config(KEY, STAGES, store)
     assert decision.mode == "auto"
-    feasible = [c for c in decision.candidates if c.feasible]
-    assert feasible
-    assert decision.predicted_seconds == min(c.predicted_seconds for c in feasible)
-    assert decision.chosen in {c.config for c in feasible}
+    assert decision.chosen == SERIAL
+    assert decision.predicted_seconds == 3.0
+    assert decision.stage_predictions() == {"ingest": 1.0, "map": 1.0, "write": 1.0}
+    ranked = [(c.config, c.predicted_seconds, c.runs) for c in decision.candidates]
+    # threaded and process tie at 4.5: the config tuple orders them
+    assert ranked == [(SERIAL, 3.0, 3), (PROCESS, 4.5, 1), (THREADED, 4.5, 3)]
+
+
+def test_ties_break_on_the_config_tuple():
+    store = CalibrationStore()
+    for config in (SIMSPMD, THREADED, CandidateConfig("threaded", 2, 64), PROCESS):
+        _feed(store, config, 1.0)
+    decision = choose_config(KEY, STAGES, store)
+    assert decision.chosen == PROCESS  # "process" < "simspmd" < "threaded"
+    assert [c.config for c in decision.candidates] == [
+        PROCESS, SIMSPMD, THREADED, CandidateConfig("threaded", 2, 64),
+    ]
+
+
+def test_config_missing_a_stage_is_not_a_candidate():
+    store = CalibrationStore()
+    _feed(store, SERIAL, 1.0)
+    _feed(store, THREADED, 0.1, stages=STAGES[:2])  # never reached "write"
+    decision = choose_config(KEY, STAGES, store)
+    assert [c.config for c in decision.candidates] == [SERIAL]
+    assert decision.chosen == SERIAL
+
+
+def test_other_cpu_count_or_size_bucket_is_not_a_candidate():
+    store = CalibrationStore()
+    _feed(store, THREADED, 0.1, key=StoreKey("demo", 8, 22))
+    _feed(store, SIMSPMD, 0.1, key=StoreKey("demo", 2, 23))
+    _feed(store, PROCESS, 0.1, key=StoreKey("other", 2, 22))
+    assert choose_config(KEY, STAGES, store).mode == "fallback"
+    _feed(store, SERIAL, 1.0)
+    decision = choose_config(KEY, STAGES, store)
+    assert [c.config for c in decision.candidates] == [SERIAL]
+
+
+def test_process_is_picked_only_when_measured_fastest():
+    store = CalibrationStore()
+    _feed(store, SERIAL, 1.0, 1.1, 0.9)
+    _feed(store, PROCESS, 1.4, 1.3, 1.5)
+    assert choose_config(KEY, STAGES, store).chosen == SERIAL
+    _feed(store, PROCESS, 0.2, 0.21, 0.22, 0.23)  # now its medians win
+    assert choose_config(KEY, STAGES, store).chosen == PROCESS
+
+
+def test_decision_is_byte_deterministic():
+    """The same observations, fed in any order, give byte-identical decisions."""
+    runs = {SERIAL: (1.0, 1.2, 0.9), THREADED: (0.8, 1.1, 1.3), PROCESS: (2.0, 1.9, 2.2)}
+    blobs = set()
+    for order in (list(runs), list(reversed(list(runs)))):
+        store = CalibrationStore()
+        for config in order:
+            _feed(store, config, *runs[config])
+        blobs.add(json.dumps(choose_config(KEY, STAGES, store).to_dict(), sort_keys=True))
+    assert len(blobs) == 1
 
 
 def test_calibration_changes_the_prediction():
-    baseline = choose_config(_workload(), workstation())
-    store = CalibrationStore()
-    store.observe("demo", "map", 1.0, 10.0)
-    calibrated = choose_config(_workload(), workstation(), calibration=store)
-    assert calibrated.predicted_seconds != baseline.predicted_seconds
-    factors = dict(calibrated.calibration)
-    assert factors["map"] == pytest.approx(10.0)
-    assert calibrated.content_hash() != baseline.content_hash()
-
-
-def test_estimation_failure_falls_back_to_serial():
-    """A raising workload yields a serial fallback, never an exception."""
-
-    class ExplodingWorkload:
-        pipeline = "demo"
-
-        @property
-        def stages(self):
-            raise RuntimeError("boom")
-
-        def fingerprint(self):
-            raise RuntimeError("boom")
-
-    decision = choose_config(ExplodingWorkload(), workstation())
-    assert decision.mode == "fallback"
-    assert decision.chosen == CandidateConfig("serial", 1, 1, 256)
-    assert "boom" in decision.reason
-    assert isinstance(build_backend(decision), SerialBackend)
-
-
-def test_per_candidate_failure_marks_infeasible_only():
-    """One infeasible candidate doesn't poison the rest of the sweep."""
-    grid = [
-        CandidateConfig("serial", 1, 1, 256),
-        # beyond any cluster capacity: evaluate_stage raises ValueError
-        CandidateConfig("simspmd", 10**9, 1, 256),
-    ]
-    decision = choose_config(_workload(), workstation(), candidates=grid)
-    assert decision.mode == "auto"
-    by_label = {c.config.label(): c for c in decision.candidates}
-    assert by_label["serialx1/stripe1/batch256"].feasible
-    assert not by_label["simspmdx1000000000/stripe1/batch256"].feasible
-    assert by_label["simspmdx1000000000/stripe1/batch256"].reason
+    store = _feed(CalibrationStore(), SERIAL, 1.0)
+    before = choose_config(KEY, STAGES, store)
+    _feed(store, SERIAL, 3.0, 3.5)
+    after = choose_config(KEY, STAGES, store)
+    assert (before.predicted_seconds, after.predicted_seconds) == (3.0, 9.0)
+    assert after.content_hash() != before.content_hash()
 
 
 def test_build_backend_instantiates_the_chosen_config():
-    base = choose_config(_workload(), workstation())
-
-    def with_chosen(backend, workers):
-        import dataclasses
-
-        return dataclasses.replace(
-            base, chosen=CandidateConfig(backend, workers, 1, 256)
-        )
-
-    assert isinstance(build_backend(with_chosen("serial", 1)), SerialBackend)
-    threaded = build_backend(with_chosen("threaded", 4))
+    assert isinstance(build_backend(SERIAL), SerialBackend)
+    threaded = build_backend(CandidateConfig("threaded", 4, 0))
     assert isinstance(threaded, ThreadedBackend) and threaded.width == 4
-    spmd = build_backend(with_chosen("simspmd", 8))
+    spmd = build_backend(CandidateConfig("simspmd", 8, 0))
     assert isinstance(spmd, SimSPMDBackend) and spmd.width == 8
-    proc = build_backend(with_chosen("process", 4))
+    proc = build_backend(CandidateConfig("process", 4, 256))
     assert isinstance(proc, ProcessBackend) and proc.width == 4
 
 
-def test_process_candidates_price_above_threaded_at_equal_width():
-    """The per-task IPC charge keeps the chooser off process on speed alone."""
-    decision = choose_config(_workload(), workstation())
-    by_label = {e.config.label(): e for e in decision.candidates}
-    for label, evaluation in by_label.items():
-        if not label.startswith("processx") or not evaluation.feasible:
-            continue
-        twin = by_label.get(label.replace("processx", "threadedx"))
-        if twin is not None and twin.feasible:
-            assert evaluation.predicted_seconds > twin.predicted_seconds
-    assert decision.chosen.backend != "process"
-
-
-def test_resolve_cluster_accepts_presets_and_instances():
-    assert resolve_cluster(None).name == workstation().name
-    assert resolve_cluster("leadership").name == leadership_system().name
-    spec = workstation()
-    assert resolve_cluster(spec) is spec
-    with pytest.raises(ValueError):
-        resolve_cluster("laptop-of-theseus")
-
-
 def test_decision_roundtrips_through_dict():
-    decision = choose_config(_workload(), workstation())
-    recovered = ScheduleDecision.from_dict(decision.to_dict())
-    assert recovered == decision
-    assert recovered.content_hash() == decision.content_hash()
+    store = _feed(CalibrationStore(), SERIAL, 1.0, 2.0)
+    _feed(store, THREADED, 0.5)
+    for decision in (choose_config(KEY, STAGES, store), choose_config(KEY, STAGES, None)):
+        recovered = ScheduleDecision.from_dict(decision.to_dict())
+        assert recovered == decision
+        assert recovered.content_hash() == decision.content_hash()
 
 
 def test_render_table_marks_the_chosen_row():
-    decision = choose_config(_workload(), workstation())
-    table = decision.render_table(top=3)
-    assert "->" in table
-    assert decision.chosen.backend in table
+    store = _feed(CalibrationStore(), SERIAL, 1.0)
+    _feed(store, THREADED, 0.5)
+    decision = choose_config(KEY, STAGES, store)
+    table = decision.render_table(top=1)
+    assert "->" in table and "threaded" in table and "serial" not in table

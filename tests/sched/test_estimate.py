@@ -1,58 +1,9 @@
-"""Workload estimation: plan + payload -> sized per-stage byte flows."""
+"""Sizing a run: the source bytes behind its calibration-store key."""
 
 import numpy as np
 
-from repro.core.levels import DataProcessingStage
-from repro.core.plan import Parallelism, PipelineStage, StagePlan
-from repro.sched import PlanWorkload, StageCostHint, estimate_workload, source_nbytes
-
-
-def _noop(payload, ctx):
-    return payload
-
-
-def _plan(hints=None):
-    hints = hints or {}
-    return StagePlan.build(
-        "demo",
-        [
-            PipelineStage("ingest", DataProcessingStage.INGEST, _noop,
-                          cost=hints.get("ingest")),
-            PipelineStage("map", DataProcessingStage.PREPROCESS, _noop,
-                          parallelism=Parallelism.MAP, cost=hints.get("map")),
-            PipelineStage("write", DataProcessingStage.SHARD, _noop,
-                          parallelism=Parallelism.WRITE, cost=hints.get("write")),
-        ],
-    )
-
-
-def test_bytes_chain_through_hints():
-    """Each stage's input is its predecessor's output times the hint ratio."""
-    workload = estimate_workload(
-        _plan({"map": StageCostHint(output_ratio=0.5, compute_passes=3.0)}),
-        {"blob": np.zeros(1_000_000, dtype=np.uint8)},
-    )
-    ingest, mapped, write = workload.stages
-    assert ingest.input_bytes == workload.input_bytes
-    assert mapped.input_bytes == ingest.output_bytes
-    assert mapped.output_bytes == mapped.input_bytes * 0.5
-    assert mapped.compute_passes == 3.0
-    assert write.input_bytes == mapped.output_bytes
-
-
-def test_io_flags_infer_from_position_and_parallelism():
-    """First stage reads source; WRITE stages write shards; hints override."""
-    workload = estimate_workload(_plan(), {"x": np.zeros(10)})
-    ingest, mapped, write = workload.stages
-    assert ingest.reads_source and not ingest.writes_shards
-    assert not mapped.reads_source and not mapped.writes_shards
-    assert write.writes_shards and not write.reads_source
-
-    hinted = estimate_workload(
-        _plan({"map": StageCostHint(reads_source=True, writes_shards=True)}),
-        {"x": np.zeros(10)},
-    )
-    assert hinted.stages[1].reads_source and hinted.stages[1].writes_shards
+from repro.core.helper_pool import _usable_cpus
+from repro.sched import StoreKey, source_nbytes, store_key
 
 
 def test_source_nbytes_prefers_on_disk_manifest(tmp_path):
@@ -67,33 +18,14 @@ def test_source_nbytes_prefers_on_disk_manifest(tmp_path):
     assert source_nbytes(np.zeros(100, dtype=np.float64)) >= 800
 
 
-def test_empty_payload_floors_input_bytes():
-    """A tiny payload must not collapse all candidates to zero seconds."""
-    workload = estimate_workload(_plan(), {})
-    assert workload.input_bytes >= 1024.0
-
-
-def test_fingerprint_is_deterministic_and_content_sensitive():
-    payload = {"x": np.zeros(1000, dtype=np.float64)}
-    w1 = estimate_workload(_plan(), payload)
-    w2 = estimate_workload(_plan(), payload)
-    assert isinstance(w1, PlanWorkload)
-    assert w1.fingerprint() == w2.fingerprint()
-    w3 = estimate_workload(
-        _plan({"map": StageCostHint(output_ratio=0.25)}), payload
-    )
-    assert w3.fingerprint() != w1.fingerprint()
-
-
-def test_cost_hint_excluded_from_plan_fingerprint():
-    """Annotating a pipeline with hints must not invalidate checkpoints."""
-    bare = _plan().fingerprint()
-    hinted = _plan({"map": StageCostHint(output_ratio=0.1)}).fingerprint()
-    assert bare == hinted
-
-
-def test_describe_tables_every_stage():
-    workload = estimate_workload(_plan(), {"x": np.zeros(10)})
-    text = workload.describe()
-    for stage in workload.stages:
-        assert stage.name in text
+def test_store_key_buckets_sources_by_bit_length(tmp_path):
+    """Sources within a factor of two share a bucket; the CPU count is the
+    host's usable one."""
+    path = tmp_path / "src.bin"
+    keys = []
+    for size in (1024, 2047, 2048):
+        path.write_bytes(b"x" * size)
+        keys.append(store_key("demo", {"files": [str(path)]}))
+    cpus = len(_usable_cpus())
+    assert keys == [StoreKey("demo", cpus, 11), StoreKey("demo", cpus, 11),
+                    StoreKey("demo", cpus, 12)]

@@ -446,18 +446,44 @@ class TestFaultToleranceCLI:
 
 
 class TestPlanCLI:
+    def _feed(self, tmp_path, *extra):
+        """One fixed materials run recording into the store under tmp_path."""
+        work = tmp_path / ("w" + "-".join(extra))
+        assert main(["run", "materials", "--workdir", str(work),
+                     "--calibration-dir", str(tmp_path / "cal"), *extra]) == 0
+
     def test_plan_explain_ranks_candidates(self, tmp_path, capsys):
+        self._feed(tmp_path)
+        self._feed(tmp_path, "--backend", "threaded", "--workers", "2")
+        capsys.readouterr()
         assert main([
-            "plan", "explain", "materials", "--workdir", str(tmp_path),
-            "--top", "4",
+            "plan", "explain", "materials", "--workdir", str(tmp_path / "explain"),
+            "--calibration-dir", str(tmp_path / "cal"), "--top", "4",
         ]) == 0
         out = capsys.readouterr().out
-        assert "estimated workload" in out
-        assert "candidate ranking" in out
-        assert "->" in out  # the chosen row is marked
+        assert "store key: pipeline 'materials' on" in out
+        table = out.split("measured configurations")[1]
+        assert " serial " in table and " threaded " in table
+        assert table.count("->") == 1  # the pick is marked
+        assert "auto: " in out
         assert "decision hash:" in out
 
+    def test_plan_explain_leaves_nothing_behind(self, tmp_path, capsys, monkeypatch):
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        assert main(["plan", "explain", "materials",
+                     "--calibration-dir", str(tmp_path / "cal")]) == 0
+        assert "fallback: serialx1/batch0" in capsys.readouterr().out
+        # the synthesized source went, and reading the store created nothing
+        assert list(scratch.iterdir()) == []
+        assert not (tmp_path / "cal").exists()
+
     def test_run_plan_auto_embeds_decision(self, tmp_path, capsys):
+        self._feed(tmp_path)
         assert main([
             "run", "materials", "--workdir", str(tmp_path / "run"),
             "--plan", "auto", "--calibration-dir", str(tmp_path / "cal"),
@@ -474,14 +500,17 @@ class TestPlanCLI:
         assert manifest["metadata"]["schedule_decision"]["mode"] == "auto"
         assert (tmp_path / "cal" / "calibration.jsonl").exists()
 
-    def test_explicit_backend_wins_over_auto(self, tmp_path, capsys):
-        assert main([
-            "run", "materials", "--workdir", str(tmp_path),
-            "--plan", "auto", "--backend", "serial",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "on the serial backend" in out
-        assert "schedule decision" in out
+    @pytest.mark.parametrize("override", [
+        ["--backend", "serial"],
+        ["--backend", "threaded", "--workers", "2"],
+        ["--batch-size", "64"],
+    ], ids=["backend", "workers", "batch_size"])
+    def test_explicit_backend_under_auto_is_a_usage_error(self, tmp_path, capsys, override):
+        code = main(["run", "materials", "--workdir", str(tmp_path), "--plan", "auto",
+                     *override])
+        assert code == 2
+        assert "--plan auto picks the backend" in capsys.readouterr().err
+        assert not (tmp_path / "shards").exists()
 
 
 class TestProcessBackendCLI:
