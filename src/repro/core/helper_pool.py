@@ -1,11 +1,13 @@
 """The one way this package starts helper threads.
 
-Two loops hand bulk bytes to a small pool while their caller walks on in
-order: the shard writer's pack-ahead (:class:`repro.io.shards.BlockPacker`
-compresses column blocks) and the payload walker's digest-ahead
-(:func:`repro.core.payload.walk_payload` hashes sibling arrays).  Both do
-work that releases the GIL — ``zlib`` and ``hashlib`` — and both size and
-start their pool here.
+Three loops hand bulk bytes to a small pool while their caller walks on
+in order: the shard writer's pack-ahead (:class:`repro.io.shards.BlockPacker`
+compresses column blocks), the shard reader's decode-ahead
+(:class:`repro.io.shards.ShardSet` reads, checks and inflates the next
+shards) and the payload walker's digest-ahead
+(:func:`repro.core.payload.walk_payload` hashes sibling arrays).  All do
+work that releases the GIL — ``zlib``, file reads and ``hashlib`` — and all
+size and start their pool here.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ __all__ = [
 ]
 
 
-#: input bytes handed to one ``deflate`` call
+#: input bytes handed to one ``deflate`` call, and the most output one
+#: bounded ``inflate`` call returns
 _ZLIB_SLICE = 256 << 10
 
 
@@ -59,6 +60,17 @@ class Codec(abc.ABC):
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress`."""
 
+    def decompress_into(self, data: bytes, out: memoryview) -> int:
+        """:meth:`decompress` *data* into the writable byte view *out*.
+
+        Returns the decompressed size, which the caller checks against
+        ``len(out)``: bytes beyond *out* are counted, never written.  What
+        the block decoders call; the zlib codec inflates in pieces of at
+        most 256 KiB, so a zlib block decoded on a helper thread never
+        makes an allocation the size of the block.
+        """
+        return _put(out, 0, self.decompress(data))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -77,8 +89,7 @@ class RawCodec(Codec):
         return [data]
 
     def decompress(self, data: bytes) -> bytes:
-        # the caller's own buffer (a block decoder's payload view): it makes
-        # the one copy itself
+        # the caller's own buffer: no copy
         return data
 
 
@@ -118,6 +129,27 @@ class ZlibCodec(Codec):
         except zlib.error as exc:
             raise CodecError(f"zlib payload corrupt: {exc}") from exc
 
+    def decompress_into(self, data: bytes, out: memoryview) -> int:
+        inflate = zlib.decompressobj()
+        view = memoryview(data)
+        size = 0
+        try:
+            for start in range(0, view.nbytes, _ZLIB_SLICE):
+                tail = view[start : start + _ZLIB_SLICE]
+                while not inflate.eof:
+                    piece = inflate.decompress(tail, _ZLIB_SLICE)
+                    size = _put(out, size, piece)
+                    tail = inflate.unconsumed_tail
+                    # a full piece may leave output pending past the slice
+                    if not tail and len(piece) < _ZLIB_SLICE:
+                        break
+        except zlib.error as exc:
+            raise CodecError(f"zlib payload corrupt: {exc}") from exc
+        if not inflate.eof:
+            # a stream cut short: the one-shot call raises what it always did
+            return super().decompress_into(data, out)
+        return size
+
 
 class LzmaCodec(Codec):
     """LZMA/XZ: best ratio, slowest; for cold archival shards."""
@@ -138,6 +170,14 @@ class LzmaCodec(Codec):
             return lzma.decompress(data)
         except lzma.LZMAError as exc:
             raise CodecError(f"lzma payload corrupt: {exc}") from exc
+
+
+def _put(out: memoryview, size: int, piece: bytes) -> int:
+    """Copy *piece* into *out* at *size* (what fits of it); the new size."""
+    end = min(size + len(piece), len(out))
+    if end > size:
+        out[size:end] = memoryview(piece)[: end - size]
+    return size + len(piece)
 
 
 _BY_NAME: Dict[str, type] = {

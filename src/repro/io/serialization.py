@@ -17,10 +17,11 @@ tensors and fixed-width strings only (Section 2.2's precision discussion).
 
 Copies: packing hands the codec a flat view of the array memory (a raw
 block is written straight from it); decoding slices the payload as a view
-of the caller's buffer, runs the CRC and a raw "decompress" over that
-view, and copies once into the returned array.  A reader that ``read()``\\ s
-a block from a file therefore holds each byte twice — its read buffer and
-the array — and only while one block is being decoded.
+of the caller's buffer, runs the CRC over that view, and has the codec
+write the decoded bytes straight into the returned array — its one copy.
+A reader that ``read()``\\ s a block from a file therefore holds each byte
+twice — its read buffer and the array — and only while one block is being
+decoded.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +40,9 @@ __all__ = [
     "prepare_block",
     "frame_block",
     "unpack_array",
-    "unpack_array_from",
+    "ArrayBlock",
+    "read_block",
+    "read_one_block",
     "SerializationError",
 ]
 
@@ -126,14 +129,43 @@ def _block_dtype(token: memoryview) -> np.dtype:
     return dtype
 
 
-def unpack_array_from(buffer: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
-    """Deserialize one block starting at *offset*.
+class ArrayBlock(NamedTuple):
+    """One block's checked header and a view of its (still encoded) payload."""
 
-    Returns ``(array, next_offset)`` so callers can walk a stream of
-    concatenated blocks.  The array is the block's one copy: the payload
-    is CRC-checked and (raw) decoded as a view of *buffer*, then copied
-    out once, so the result is writeable, owns its memory and does not
-    keep *buffer* alive.
+    codec_id: int
+    dtype: np.dtype
+    shape: Tuple[int, ...]
+    crc: int
+    payload: memoryview
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+    def decode_into(self, out: np.ndarray) -> None:
+        """CRC-check the payload and decode it into *out* — a C-contiguous
+        array of the block's ``nbytes`` — which is the block's one copy."""
+        if not out.flags.c_contiguous or out.nbytes != self.nbytes:
+            # reshape would copy a strided array: the bytes would land nowhere
+            raise ValueError(f"decode_into needs a C-contiguous array of {self.nbytes} bytes")
+        if (zlib.crc32(self.payload) & 0xFFFFFFFF) != self.crc:
+            raise SerializationError("payload CRC mismatch (corrupt block)")
+        # a uint8 view rather than memoryview.cast, for the reason
+        # prepare_block gives
+        target = memoryview(out.reshape(-1).view(np.uint8))
+        try:
+            size = codec_from_id(self.codec_id).decompress_into(self.payload, target)
+        except CodecError as exc:  # an unknown or wrong codec id
+            raise SerializationError(f"undecodable payload: {exc}") from exc
+        if size != self.nbytes:
+            raise SerializationError(f"decompressed size {size} != declared {self.nbytes}")
+
+
+def read_block(buffer: bytes, offset: int = 0) -> Tuple[ArrayBlock, int]:
+    """Parse and check the header of the block starting at *offset*.
+
+    Returns ``(block, next_offset)``; the block's payload is a view of
+    *buffer*, decoded by :meth:`ArrayBlock.decode_into`.
     """
     buffer = memoryview(buffer).cast("B")
     header_size = struct.calcsize(_HEADER_FMT)
@@ -169,24 +201,27 @@ def unpack_array_from(buffer: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     payload = buffer[pos : pos + payload_nbytes]
     if payload.nbytes != payload_nbytes:
         raise SerializationError("truncated payload")
-    pos += payload_nbytes
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-        raise SerializationError("payload CRC mismatch (corrupt block)")
-    try:
-        raw = codec_from_id(codec_id).decompress(payload)
-    except CodecError as exc:  # an unknown or wrong codec id
-        raise SerializationError(f"undecodable payload: {exc}") from exc
-    if len(raw) != raw_nbytes:
-        raise SerializationError(
-            f"decompressed size {len(raw)} != declared {raw_nbytes}"
-        )
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    return array, pos
+    return ArrayBlock(codec_id, dtype, shape, crc, payload), pos + payload_nbytes
+
+
+def read_one_block(buffer: bytes) -> ArrayBlock:
+    """:func:`read_block` of a buffer that holds exactly one block — checked
+    before the block is decoded."""
+    block, end = read_block(buffer, 0)
+    size = memoryview(buffer).nbytes
+    if end != size:
+        raise SerializationError(f"{size - end} trailing bytes after block")
+    return block
 
 
 def unpack_array(block: bytes) -> np.ndarray:
-    """Deserialize a buffer containing exactly one block."""
-    array, end = unpack_array_from(block, 0)
-    if end != len(block):
-        raise SerializationError(f"{len(block) - end} trailing bytes after block")
+    """Deserialize a buffer containing exactly one block.
+
+    The array is the block's one copy: the payload is CRC-checked as a
+    view of *block* and decoded straight into a new array, so the result
+    is writeable, owns its memory and does not keep *block* alive.
+    """
+    parsed = read_one_block(block)
+    array = np.empty(parsed.shape, dtype=parsed.dtype)
+    parsed.decode_into(array)
     return array

@@ -14,6 +14,13 @@ Shard file layout (``RPS1``)::
 Columns are whole-shard arrays (columnar within a shard), each a
 checksummed, optionally compressed block from
 :mod:`repro.io.serialization`.
+
+The writer compresses blocks ahead of itself (:class:`BlockPacker`); the
+reader decodes shards ahead of its caller (``ShardSet._decode``): one path
+under :meth:`ShardSet.load_split`, :meth:`ShardSet.iter_shards` and the
+streamer, which reads, checks and inflates the next shards on the helper
+pool while the caller takes earlier ones, straight into the arrays the
+caller allocated — for ``load_split``, the rows of the split's columns.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import struct
 from pathlib import Path
 from typing import (
     Any,
+    BinaryIO,
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -54,7 +63,7 @@ from repro.core.helper_pool import helper_pool, helper_threads
 from repro.durability.atomic import atomic_write_text, staged_write
 from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
-from repro.io.serialization import frame_block, prepare_block, unpack_array
+from repro.io.serialization import frame_block, prepare_block, read_one_block, unpack_array
 
 __all__ = [
     "ShardError",
@@ -383,21 +392,26 @@ def write_shard(
     return _write_blocks(Path(path), n_samples, packer.stream(0))
 
 
+def _read_header(fh: BinaryIO) -> Tuple[Dict[str, Any], int]:
+    """The ``RPS1`` header of the open shard *fh*, and where its blocks start."""
+    magic = fh.read(4)
+    if magic != MAGIC:
+        raise ShardError(f"bad magic {magic!r}; not a shard file")
+    raw = fh.read(_HEADER_LEN.size)
+    if len(raw) < _HEADER_LEN.size:
+        raise ShardError("truncated shard header")
+    (header_len,) = _HEADER_LEN.unpack(raw)
+    header = json.loads(fh.read(header_len).decode("utf-8"))
+    return header, fh.tell()
+
+
 def read_shard(
     path: Union[str, Path], columns: Optional[Sequence[str]] = None
 ) -> Dict[str, np.ndarray]:
     """Load a shard's columns (all, or a projection)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ShardError(f"bad magic {magic!r}; not a shard file")
-        raw = fh.read(_HEADER_LEN.size)
-        if len(raw) < _HEADER_LEN.size:
-            raise ShardError("truncated shard header")
-        (header_len,) = _HEADER_LEN.unpack(raw)
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        data_start = fh.tell()
+        header, data_start = _read_header(fh)
         wanted = list(header["columns"]) if columns is None else list(columns)
         out: Dict[str, np.ndarray] = {}
         for name in wanted:
@@ -407,6 +421,62 @@ def read_shard(
             fh.seek(data_start + int(meta["offset"]))
             out[name] = unpack_array(fh.read(int(meta["length"])))
     return out
+
+
+class _ShardRead:
+    """One manifest shard's wanted blocks, planned on the calling thread.
+
+    Everything a shard read allocates is allocated here: the buffer its
+    blocks are read into, and — by *target* — the arrays they decode into.
+    :meth:`run` (on a helper thread, or inline) then reads, checks and
+    inflates with no allocation the size of a block.
+    """
+
+    def __init__(
+        self,
+        path: Path,
+        info: "ShardInfo",
+        names: Sequence[str],
+        target: Callable[[], Dict[str, np.ndarray]],
+    ):
+        self.path = path
+        self.info = info
+        with open(path, "rb") as fh:
+            header, data_start = _read_header(fh)
+        metas = header["columns"]
+        for name in names:
+            if name not in metas:
+                raise ShardError(f"shard has no column {name!r}")
+        self.out = target()
+        #: (file offset, column, length) of each wanted block, in file order
+        self.spans = sorted(
+            (data_start + int(metas[name]["offset"]), name, int(metas[name]["length"]))
+            for name in names
+        )
+        self.buffer = np.empty(sum(length for *_, length in self.spans), dtype=np.uint8)
+
+    def run(self) -> Dict[str, np.ndarray]:
+        view = memoryview(self.buffer)
+        with open(self.path, "rb") as fh:
+            for offset, name, length in self.spans:
+                fh.seek(offset)
+                block = read_one_block(view[: fh.readinto(view[:length])])
+                view = view[length:]
+                out = self.out[name]
+                # nothing lands in *out* unless the block is what it must be
+                if block.dtype != out.dtype or block.shape[1:] != out.shape[1:] or not block.shape:
+                    raise ShardError(
+                        f"{self.info.path}: column {name!r} is {block.dtype.str} x "
+                        f"{block.shape[1:]} per sample, the schema says {out.dtype.str} x "
+                        f"{out.shape[1:]}"
+                    )
+                if block.shape[0] != out.shape[0]:
+                    raise ShardError(
+                        f"{self.info.path}: column {name!r} holds {block.shape[0]} rows, "
+                        f"the manifest says {self.info.n_samples}"
+                    )
+                block.decode_into(out)
+        return self.out
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +697,49 @@ class ShardSet:
 
         Two independent checks per shard: the on-disk byte size must equal
         the manifest's ``nbytes`` (a cheap torn/truncated-write detector),
-        and the recomputed sha256 must match the recorded checksum.
+        and the recomputed sha256 must match the recorded checksum.  The
+        file is hashed through one ``_COPY_BLOCK`` buffer, never held whole.
         """
+        block = memoryview(bytearray(_COPY_BLOCK))
         for split, shards in self.manifest.splits.items():
             for info in shards:
-                data = (self.directory / info.path).read_bytes()
-                if len(data) != info.nbytes:
+                path = self.directory / info.path
+                size = path.stat().st_size
+                if size != info.nbytes:
                     raise ShardError(
                         f"size mismatch for {info.path} in split {split!r}: "
-                        f"manifest says {info.nbytes} bytes, file has {len(data)}"
+                        f"manifest says {info.nbytes} bytes, file has {size}"
                     )
                 digest = hashlib.sha256()
-                digest.update(data)
+                with open(path, "rb") as fh:
+                    while n := fh.readinto(block):
+                        digest.update(block[:n])
                 if digest.hexdigest() != info.checksum:
                     raise ShardError(
                         f"checksum mismatch for {info.path} in split {split!r}"
                     )
+
+    def _shards(self, split: str) -> List[ShardInfo]:
+        shards = self.manifest.splits.get(split)
+        if shards is None:
+            raise ShardError(f"no split {split!r}; have {self.splits}")
+        return shards
+
+    def read_shards(
+        self, infos: Sequence[ShardInfo], columns: Optional[Sequence[str]] = None
+    ) -> Iterator[Dict[str, np.ndarray]]:
+        """Yield the columns (all, or a projection) of each shard of *infos*
+        in order, decoded ahead of the caller (see :meth:`_decode`)."""
+        schema = self.manifest.schema
+        names = list(schema.names if columns is None else columns)
+
+        def fresh(k: int) -> Dict[str, np.ndarray]:
+            return {
+                name: np.empty((infos[k].n_samples, *schema[name].shape), schema[name].dtype)
+                for name in names
+            }
+
+        return self._decode(infos, names, fresh)
 
     def iter_shards(
         self, split: str, *, rank: int = 0, world: int = 1
@@ -652,27 +749,29 @@ class ShardSet:
         ``rank``/``world`` implement the standard distributed-loader
         contract: rank *r* of *w* reads shards ``r, r+w, r+2w, ...``.
         """
-        shards = self.manifest.splits.get(split)
-        if shards is None:
-            raise ShardError(f"no split {split!r}; have {self.splits}")
+        shards = self._shards(split)
         if not 0 <= rank < world:
             raise ShardError(f"invalid rank {rank} for world size {world}")
-        for info in shards[rank::world]:
-            yield read_shard(self.directory / info.path)
+        yield from self.read_shards(shards[rank::world])
 
     def load_split(self, split: str) -> Dataset:
-        """Materialize an entire split back into a :class:`Dataset`."""
-        parts = list(self.iter_shards(split))
+        """Materialize an entire split back into a :class:`Dataset`.
+
+        Each column is allocated once, from the manifest's row counts, and
+        every shard's block is decoded straight into its rows.
+        """
+        shards = self._shards(split)
         schema = self.manifest.schema
-        if not parts:
-            columns = {
-                f.name: np.empty((0, *f.shape), dtype=f.dtype) for f in schema
-            }
-        else:
-            columns = {
-                name: np.concatenate([p[name] for p in parts], axis=0)
-                for name in schema.names
-            }
+        starts = np.cumsum([0] + [info.n_samples for info in shards]).tolist()
+        columns = {
+            f.name: np.empty((starts[-1], *f.shape), dtype=f.dtype) for f in schema
+        }
+
+        def rows(k: int) -> Dict[str, np.ndarray]:
+            return {name: column[starts[k] : starts[k + 1]] for name, column in columns.items()}
+
+        for _ in self._decode(shards, schema.names, rows):
+            pass
         meta = DatasetMetadata(
             name=self.manifest.dataset_name,
             domain=str(self.manifest.metadata.get("domain", "generic")),
@@ -683,3 +782,56 @@ class ShardSet:
             ),
         )
         return Dataset(columns, schema, meta)
+
+    def _decode(
+        self,
+        infos: Sequence[ShardInfo],
+        names: Sequence[str],
+        target: Callable[[int], Dict[str, np.ndarray]],
+    ) -> Iterator[Dict[str, np.ndarray]]:
+        """Decode-ahead: yield ``target(k)`` for each shard *k* of *infos*,
+        in order, with the shard's *names* blocks decoded into it.
+
+        The one read path of :meth:`load_split`, :meth:`iter_shards` and
+        :class:`~repro.io.stream.ShardStreamer`.  A shard is planned — its
+        header read, its read buffer and *target* allocated — on the calling
+        thread; it is read, CRC-checked, checked against the manifest and
+        schema, and inflated by :meth:`_ShardRead.run` on a helper pool of
+        ``min(2, usable CPUs)`` threads, which keeps at most *threads*
+        shards in flight ahead of the caller.  With nothing to overlap — a
+        1-CPU host, or one shard — each shard is run inline, threadless,
+        when it is taken.  An error in shard *k*, on either thread, is
+        raised when shard *k* is taken, after shards ``0..k-1`` were
+        yielded.  The pool lives for one call (or one generator, closed or
+        abandoned) and no thread outlives it.
+        """
+        threads = helper_threads() if len(infos) > 1 else 1
+        pool = helper_pool("shard-decode", threads) if threads > 1 else None
+        pending: Deque[concurrent.futures.Future] = collections.deque()
+        try:
+            for k in range(len(infos)):
+                for ahead in range(k + len(pending), min(k + threads, len(infos))):
+                    pending.append(self._submit(pool, infos[ahead], names, lambda: target(ahead)))
+                yield pending.popleft().result()
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _submit(
+        self,
+        pool: Optional[concurrent.futures.ThreadPoolExecutor],
+        info: ShardInfo,
+        names: Sequence[str],
+        target: Callable[[], Dict[str, np.ndarray]],
+    ) -> concurrent.futures.Future:
+        decoded: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            plan = _ShardRead(self.directory / info.path, info, names, target)
+            if pool is not None:
+                return pool.submit(plan.run)
+            decoded.set_result(plan.run())
+        except Exception as exc:
+            # like a pool thread's, a calling-thread error is raised where
+            # its shard is taken
+            decoded.set_exception(exc)
+        return decoded

@@ -9,6 +9,9 @@ set into the iterator a training loop actually consumes:
   batches are well mixed without ever holding the full split;
 * fixed-size batches with an explicit drop-last/keep-last policy;
 * deterministic given a seed, as reproducible training requires.
+
+Shards are read through :meth:`ShardSet.read_shards`, the shard set's one
+decode path, so the next shards inflate while the current one is batched.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.io.shards import ShardSet, read_shard
+from repro.io.shards import ShardSet
 
 __all__ = ["ShardStreamer", "StreamError"]
 
@@ -153,11 +156,8 @@ class ShardStreamer:
         pending: List[Batch] = []
         pending_rows = 0
         threshold = self.shuffle_buffer if self.shuffle else self.batch_size
-        for shard_idx in my_indices:
-            info = infos[shard_idx]
-            shard = read_shard(
-                self.shard_set.directory / info.path, columns=self.columns
-            )
+        mine = [infos[shard_idx] for shard_idx in my_indices]
+        for info, shard in zip(mine, self.shard_set.read_shards(mine, self.columns)):
             pending.append(shard)
             pending_rows += info.n_samples
             if pending_rows >= threshold:

@@ -108,3 +108,57 @@ class TestRoundTrips:
         payload[-3] ^= 0xFF
         with pytest.raises(CodecError, match="corrupt"):
             LzmaCodec().decompress(bytes(payload))
+
+
+class TestDecompressInto:
+    """What the block decoders call: :meth:`Codec.decompress`'s bytes, written
+    into the caller's buffer (by zlib, inflated in pieces of bounded size)."""
+
+    CODECS = [RawCodec(), ZlibCodec(0), ZlibCodec(1), LzmaCodec(0)]
+
+    @pytest.mark.parametrize("codec", CODECS, ids=["raw", "zlib0", "zlib1", "lzma"])
+    def test_writes_what_decompress_returns(self, codec, monkeypatch):
+        from repro.io import compression
+
+        # pieces far smaller than the data: every loop of the bounded inflate runs
+        monkeypatch.setattr(compression, "_ZLIB_SLICE", 4096)
+        rng = np.random.default_rng(4)
+        for data in (b"", b"x", bytes(50_000), rng.integers(0, 4, 30_001, dtype=np.uint8).tobytes()):
+            payload = codec.compress(data)
+            out = bytearray(len(data))
+            assert codec.decompress_into(payload, memoryview(out)) == len(data)
+            assert out == data
+            # what does not fit is counted, never written
+            short = bytearray(len(data) // 3)
+            assert codec.decompress_into(payload, memoryview(short)) == len(data)
+            assert short == data[: len(short)]
+
+    @pytest.mark.parametrize("codec", [ZlibCodec(4), LzmaCodec(0)], ids=["zlib", "lzma"])
+    @pytest.mark.parametrize("damage", ["cut", "flip"])
+    def test_a_bad_stream_raises_what_decompress_raises(self, codec, damage):
+        payload = bytearray(codec.compress(b"hello world" * 100))
+        if damage == "cut":
+            del payload[-9:]
+        else:
+            payload[len(payload) // 2] ^= 0xFF
+        with pytest.raises(CodecError) as one_shot:
+            codec.decompress(bytes(payload))
+        with pytest.raises(CodecError) as into:
+            codec.decompress_into(bytes(payload), memoryview(bytearray(1100)))
+        assert str(into.value) == str(one_shot.value)
+
+    def test_zlib_makes_no_allocation_the_size_of_the_block(self):
+        import tracemalloc
+
+        data = bytes(16 << 20)  # inflates ~1000x: one bounded piece per call
+        payload = ZlibCodec(1).compress(data)
+        out = np.empty(len(data), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            assert ZlibCodec(1).decompress_into(payload, memoryview(out)) == len(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few pieces, not the block
+        assert peak < len(data) // 8
+        assert not out.any()

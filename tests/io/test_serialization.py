@@ -17,8 +17,8 @@ from repro.io.netcdf import NCDataset, read_netcdf, write_netcdf
 from repro.io.serialization import (
     SerializationError,
     pack_array,
+    read_block,
     unpack_array,
-    unpack_array_from,
 )
 from repro.io.shards import read_shard, write_shard
 
@@ -164,11 +164,19 @@ class TestStreams:
         offset = 0
         out = []
         while offset < len(stream):
-            array, offset = unpack_array_from(stream, offset)
-            out.append(array)
+            block, offset = read_block(stream, offset)
+            out.append(np.empty(block.shape, block.dtype))
+            block.decode_into(out[-1])
         assert len(out) == 5
         for a, b in zip(arrays, out):
             assert np.array_equal(a, b)
+
+    def test_decode_into_refuses_a_target_it_cannot_fill_in_place(self):
+        block, _ = read_block(pack_array(np.arange(6.0)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            block.decode_into(np.empty((6, 2))[:, 0])
+        with pytest.raises(ValueError, match="48 bytes"):
+            block.decode_into(np.empty(5))
 
     def test_unpack_returns_independent_copy(self, rng):
         original = rng.normal(size=8)

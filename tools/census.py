@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 # The only survivors, each kept whole: qualified name -> "test-seam" (tests of other
-# behaviour rely on it) | "safety" | "pending: ROADMAP item N".
+# behaviour rely on it) | "safety" | "pending: ROADMAP item N" (or "N(x)").
 KEEP = {
     "repro.faults.retry.VirtualClock": "test-seam",
     "repro.faults.retry.RetryPolicy.delays": "test-seam",
@@ -28,7 +28,7 @@ KEEP = {
     "repro.governance.enclave.SecureEnclave.revoke": "safety",
     "repro.governance.enclave.SecureEnclave.is_authorized": "safety",
     "repro.provenance.store.ProvenanceStore.verify_chain": "safety",
-    "repro.io.stream.ShardStreamer": "pending: ROADMAP item 2",
+    "repro.io.stream.ShardStreamer": "pending: ROADMAP item 1(e)",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
