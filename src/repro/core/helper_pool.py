@@ -2,9 +2,10 @@
 
 Three loops hand bulk bytes to a small pool while their caller walks on
 in order: the shard writer's pack-ahead (:class:`repro.io.shards.BlockPacker`
-compresses column blocks), the shard reader's decode-ahead
-(:class:`repro.io.shards.ShardSet` reads, checks and inflates the next
-shards) and the payload walker's digest-ahead
+compresses column blocks), the block readers' decode-ahead
+(:func:`decode_ahead` — ``read_netcdf``, ``read_shard`` and
+:class:`repro.io.shards.ShardSet` read, check and decode the next blocks)
+and the payload walker's digest-ahead
 (:func:`repro.core.payload.walk_payload` hashes sibling arrays).  All do
 work that releases the GIL — ``zlib``, file reads and ``hashlib`` — and all
 size and start their pool here.
@@ -12,12 +13,15 @@ size and start their pool here.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import os
-from typing import Iterator, List, Sequence
+from typing import Callable, Deque, Iterator, List, Optional, Sequence, TypeVar
 
-__all__ = ["helper_threads", "helper_pool"]
+__all__ = ["helper_threads", "helper_pool", "decode_ahead"]
+
+T = TypeVar("T")
 
 
 def _usable_cpus() -> List[int]:
@@ -57,3 +61,49 @@ def helper_pool(name: str, threads: int) -> concurrent.futures.ThreadPoolExecuto
         initializer=_start_apart,
         initargs=(itertools.count(), _usable_cpus()),
     )
+
+
+def decode_ahead(
+    name: str, count: int, plan: Callable[[int], Callable[[], T]]
+) -> Iterator[T]:
+    """Decode-ahead: yield ``plan(k)()`` for each ``k in range(count)``, in order.
+
+    ``plan(k)`` runs on the calling thread — everything job *k* allocates
+    is allocated there — and returns the job, which runs on a pool of
+    ``min(2, usable CPUs)`` threads named *name*, at most that many jobs in
+    flight ahead of the caller.  With nothing to overlap — a 1-CPU host, or
+    one job — each job is planned and run inline, threadless, when it is
+    taken.  An error in job *k*, planned or run, on either thread, is
+    raised when job *k* is taken, after jobs ``0..k-1`` were yielded.  The
+    pool lives for one call (or one generator, finished, closed or
+    abandoned) and no thread outlives it.
+    """
+    threads = helper_threads() if count > 1 else 1
+    pool = helper_pool(name, threads) if threads > 1 else None
+    pending: Deque[concurrent.futures.Future] = collections.deque()
+    try:
+        for k in range(count):
+            for ahead in range(k + len(pending), min(k + threads, count)):
+                pending.append(_submit(pool, plan, ahead))
+            yield pending.popleft().result()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _submit(
+    pool: Optional[concurrent.futures.ThreadPoolExecutor],
+    plan: Callable[[int], Callable[[], T]],
+    k: int,
+) -> concurrent.futures.Future:
+    done: concurrent.futures.Future = concurrent.futures.Future()
+    try:
+        job = plan(k)
+        if pool is not None:
+            return pool.submit(job)
+        done.set_result(job())
+    except Exception as exc:
+        # like a pool thread's, a calling-thread error is raised where its
+        # job is taken
+        done.set_exception(exc)
+    return done

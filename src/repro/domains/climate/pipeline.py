@@ -181,7 +181,9 @@ class ClimateArchetype(DomainArchetype):
                     source.units[name] = target_units
         missing = float(
             np.mean([
-                np.isnan(v).mean() for s in sources for v in s.variables.values()
+                np.count_nonzero(np.isnan(v)) / v.size
+                for s in sources
+                for v in s.variables.values()
             ])
         )
         grids = sorted({s.grid.shape for s in sources})

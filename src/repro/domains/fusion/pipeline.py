@@ -165,14 +165,11 @@ class FusionArchetype(DomainArchetype):
         records: List[ShotRecord] = []
         skipped = 0
         for shot in store.shots():
-            names = store.signal_names(shot)
-            if "ip" not in names or "mirnov" not in names:
+            signals, attrs = store.read_shot(shot)
+            if "ip" not in signals or "mirnov" not in signals:
                 skipped += 1  # unusable without current + magnetics
                 continue
-            signals = {name: store.read_signal(shot, name) for name in names}
-            records.append(
-                ShotRecord(shot=shot, signals=signals, attrs=store.shot_attrs(shot))
-            )
+            records.append(ShotRecord(shot=shot, signals=signals, attrs=attrs))
         if not records:
             raise ValueError("campaign contains no usable shots")
         sparse = sum(1 for r in records if r.missing_channels)

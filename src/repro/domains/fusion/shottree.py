@@ -11,8 +11,7 @@ node, shot-level attributes for labels and campaign metadata.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Union
-
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.io.h5lite import H5LiteFile
 from repro.transforms.align import Signal
@@ -60,26 +59,24 @@ class ShotTreeStore:
             int(p.stem.split("_")[1]) for p in self.directory.glob("shot_*.h5l")
         )
 
-    def signal_names(self, shot: int) -> List[str]:
-        """Diagnostic nodes present in a shot (sparse shots differ!)."""
+    def read_shot(self, shot: int) -> Tuple[Dict[str, Signal], Dict[str, object]]:
+        """A shot's diagnostics — by node name, sorted; sparse shots differ —
+        and its attributes, read through one open of its tree."""
         with self._open(shot) as fh:
             children = fh.list("/signals") if fh.exists("/signals") else []
-            return sorted(c.rsplit("/", 1)[-1] for c in children)
-
-    def read_signal(self, shot: int, name: str) -> Signal:
-        """Fetch one diagnostic as a :class:`Signal`."""
-        with self._open(shot) as fh:
-            node = f"/signals/{name}"
-            if not fh.exists(f"{node}/values"):
-                raise ShotTreeError(f"shot {shot} has no signal {name!r}")
-            times = fh.read(f"{node}/times")
-            values = fh.read(f"{node}/values")
-            units = str(fh.attrs(f"{node}/values").get("units", "")) or None
-        return Signal(name=name, times=times, values=values, units=units)
-
-    def shot_attrs(self, shot: int) -> Dict[str, object]:
-        with self._open(shot) as fh:
-            return fh.attrs("/")
+            signals: Dict[str, Signal] = {}
+            for name in sorted(c.rsplit("/", 1)[-1] for c in children):
+                node = f"/signals/{name}"
+                if not fh.exists(f"{node}/values"):
+                    raise ShotTreeError(f"shot {shot} has no signal {name!r}")
+                units = str(fh.attrs(f"{node}/values").get("units", "")) or None
+                signals[name] = Signal(
+                    name=name,
+                    times=fh.read(f"{node}/times"),
+                    values=fh.read(f"{node}/values"),
+                    units=units,
+                )
+            return signals, fh.attrs("/")
 
     def _open(self, shot: int) -> H5LiteFile:
         path = self._path(shot)

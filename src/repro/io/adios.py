@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.io.compression import Codec, RawCodec
-from repro.io.serialization import pack_array, unpack_array
+from repro.io.serialization import pack_array, plan_entry
 
 __all__ = ["BPWriter", "BPReader", "BPError"]
 
@@ -144,8 +144,12 @@ class BPReader:
         entry = self._step(step).get(name)
         if entry is None:
             raise BPError(f"step {step} has no variable {name!r}")
-        self._fh.seek(int(entry["offset"]))
-        return unpack_array(self._fh.read(int(entry["length"])))
+
+        def refuse(why: str) -> BPError:
+            return BPError(f"{self.path}: step {step} variable {name!r}: {why}")
+
+        fd = self._fh.fileno()
+        return plan_entry(fd, entry, refuse).run(fd)
 
     def read_all(self, name: str) -> List[np.ndarray]:
         """Load *name* from every step that has it, in step order."""

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.io.compression import Codec, RawCodec
-from repro.io.serialization import pack_array, unpack_array
+from repro.io.serialization import pack_array, plan_entry
 
 __all__ = ["H5LiteFile", "H5LiteError"]
 
@@ -150,9 +150,12 @@ class H5LiteFile:
         """Load a dataset by path."""
         self._require_mode("r")
         entry = self._entry(path, kind="dataset")
-        self._fh.seek(int(entry["offset"]))  # type: ignore[arg-type]
-        block = self._fh.read(int(entry["length"]))  # type: ignore[arg-type]
-        return unpack_array(block)
+
+        def refuse(why: str) -> H5LiteError:
+            return H5LiteError(f"{self.path}: dataset {_normalize(path)}: {why}")
+
+        fd = self._fh.fileno()
+        return plan_entry(fd, entry, refuse).run(fd)
 
     def attrs(self, path: str) -> Attrs:
         """Attributes of any object."""

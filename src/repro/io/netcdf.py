@@ -16,15 +16,18 @@ files programmatically (used by the synthetic CMIP-like generator).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import struct
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.helper_pool import decode_ahead
 from repro.io.compression import Codec, RawCodec
-from repro.io.serialization import pack_array, unpack_array
+from repro.io.serialization import pack_array, plan_entry
 
 __all__ = ["NCVariable", "NCDataset", "write_netcdf", "read_netcdf", "NetCDFError"]
 
@@ -170,7 +173,15 @@ def write_netcdf(
 
 
 def read_netcdf(path: Union[str, Path]) -> NCDataset:
-    """Load a file written by :func:`write_netcdf` back into memory."""
+    """Load a file written by :func:`write_netcdf` back into memory.
+
+    Each variable's block is planned on the calling thread — its header
+    checked against the file header's entry (a disagreement is a
+    :class:`NetCDFError` naming the file and the variable, before any byte
+    lands) and its array allocated — and read, checked and decoded ahead
+    of the caller on the helper pool
+    (:func:`~repro.core.helper_pool.decode_ahead`).
+    """
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -185,8 +196,18 @@ def read_netcdf(path: Union[str, Path]) -> NCDataset:
         dataset = NCDataset(attrs=header.get("attrs", {}))
         for name, size in header["dimensions"].items():
             dataset.create_dimension(name, size)
-        for name, meta in header["variables"].items():
-            fh.seek(data_start + int(meta["offset"]))
-            data = unpack_array(fh.read(int(meta["length"])))
-            dataset.create_variable(name, meta["dims"], data, meta.get("attrs", {}))
+        variables = list(header["variables"].items())
+        fd = fh.fileno()
+
+        def plan(k: int) -> Callable[[], np.ndarray]:
+            name, meta = variables[k]
+
+            def refuse(why: str) -> NetCDFError:
+                return NetCDFError(f"{path}: variable {name!r}: {why}")
+
+            return functools.partial(plan_entry(fd, meta, refuse, base=data_start).run, fd)
+
+        with contextlib.closing(decode_ahead("netcdf-decode", len(variables), plan)) as arrays:
+            for (name, meta), data in zip(variables, arrays):
+                dataset.create_variable(name, meta["dims"], data, meta.get("attrs", {}))
     return dataset

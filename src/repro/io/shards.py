@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -59,11 +61,11 @@ from repro.core.dataset import (
     Modality,
     Schema,
 )
-from repro.core.helper_pool import helper_pool, helper_threads
+from repro.core.helper_pool import decode_ahead, helper_pool, helper_threads
 from repro.durability.atomic import atomic_write_text, staged_write
 from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
-from repro.io.serialization import frame_block, prepare_block, read_one_block, unpack_array
+from repro.io.serialization import BlockRead, frame_block, prepare_block
 
 __all__ = [
     "ShardError",
@@ -405,78 +407,37 @@ def _read_header(fh: BinaryIO) -> Tuple[Dict[str, Any], int]:
     return header, fh.tell()
 
 
+def _plan_block(
+    fd: int, data_start: int, meta: Mapping[str, Any], shard: str, name: str
+) -> BlockRead:
+    """The planned read of column *name*'s block, as the shard's index
+    entry *meta* places it."""
+
+    def refuse(why: str) -> ShardError:
+        return ShardError(f"{shard}: column {name!r}: {why}")
+
+    return BlockRead(fd, data_start + int(meta["offset"]), int(meta["length"]), refuse)
+
+
 def read_shard(
     path: Union[str, Path], columns: Optional[Sequence[str]] = None
 ) -> Dict[str, np.ndarray]:
-    """Load a shard's columns (all, or a projection)."""
+    """Load a shard's columns (all, or a projection), decoded ahead."""
     path = Path(path)
     with open(path, "rb") as fh:
         header, data_start = _read_header(fh)
         wanted = list(header["columns"]) if columns is None else list(columns)
-        out: Dict[str, np.ndarray] = {}
-        for name in wanted:
-            meta = header["columns"].get(name)
+        fd = fh.fileno()
+
+        def plan(k: int) -> Callable[[], np.ndarray]:
+            meta = header["columns"].get(wanted[k])
             if meta is None:
-                raise ShardError(f"shard has no column {name!r}")
-            fh.seek(data_start + int(meta["offset"]))
-            out[name] = unpack_array(fh.read(int(meta["length"])))
-    return out
+                raise ShardError(f"shard has no column {wanted[k]!r}")
+            read = _plan_block(fd, data_start, meta, path.name, wanted[k])
+            return functools.partial(read.into(np.empty(read.shape, read.dtype)).run, fd)
 
-
-class _ShardRead:
-    """One manifest shard's wanted blocks, planned on the calling thread.
-
-    Everything a shard read allocates is allocated here: the buffer its
-    blocks are read into, and — by *target* — the arrays they decode into.
-    :meth:`run` (on a helper thread, or inline) then reads, checks and
-    inflates with no allocation the size of a block.
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        info: "ShardInfo",
-        names: Sequence[str],
-        target: Callable[[], Dict[str, np.ndarray]],
-    ):
-        self.path = path
-        self.info = info
-        with open(path, "rb") as fh:
-            header, data_start = _read_header(fh)
-        metas = header["columns"]
-        for name in names:
-            if name not in metas:
-                raise ShardError(f"shard has no column {name!r}")
-        self.out = target()
-        #: (file offset, column, length) of each wanted block, in file order
-        self.spans = sorted(
-            (data_start + int(metas[name]["offset"]), name, int(metas[name]["length"]))
-            for name in names
-        )
-        self.buffer = np.empty(sum(length for *_, length in self.spans), dtype=np.uint8)
-
-    def run(self) -> Dict[str, np.ndarray]:
-        view = memoryview(self.buffer)
-        with open(self.path, "rb") as fh:
-            for offset, name, length in self.spans:
-                fh.seek(offset)
-                block = read_one_block(view[: fh.readinto(view[:length])])
-                view = view[length:]
-                out = self.out[name]
-                # nothing lands in *out* unless the block is what it must be
-                if block.dtype != out.dtype or block.shape[1:] != out.shape[1:] or not block.shape:
-                    raise ShardError(
-                        f"{self.info.path}: column {name!r} is {block.dtype.str} x "
-                        f"{block.shape[1:]} per sample, the schema says {out.dtype.str} x "
-                        f"{out.shape[1:]}"
-                    )
-                if block.shape[0] != out.shape[0]:
-                    raise ShardError(
-                        f"{self.info.path}: column {name!r} holds {block.shape[0]} rows, "
-                        f"the manifest says {self.info.n_samples}"
-                    )
-                block.decode_into(out)
-        return self.out
+        with contextlib.closing(decode_ahead("shard-decode", len(wanted), plan)) as arrays:
+            return dict(zip(wanted, arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -793,45 +754,62 @@ class ShardSet:
         in order, with the shard's *names* blocks decoded into it.
 
         The one read path of :meth:`load_split`, :meth:`iter_shards` and
-        :class:`~repro.io.stream.ShardStreamer`.  A shard is planned — its
-        header read, its read buffer and *target* allocated — on the calling
-        thread; it is read, CRC-checked, checked against the manifest and
-        schema, and inflated by :meth:`_ShardRead.run` on a helper pool of
-        ``min(2, usable CPUs)`` threads, which keeps at most *threads*
-        shards in flight ahead of the caller.  With nothing to overlap — a
-        1-CPU host, or one shard — each shard is run inline, threadless,
-        when it is taken.  An error in shard *k*, on either thread, is
-        raised when shard *k* is taken, after shards ``0..k-1`` were
-        yielded.  The pool lives for one call (or one generator, closed or
-        abandoned) and no thread outlives it.
+        :class:`~repro.io.stream.ShardStreamer`, run by
+        :func:`~repro.core.helper_pool.decode_ahead`: a shard is planned
+        on the calling thread (:meth:`_plan`) and read, CRC-checked and
+        inflated on the helper pool, at most ``min(2, usable CPUs)`` shards
+        ahead of the caller; an error in shard *k* is raised when shard *k*
+        is taken.
         """
-        threads = helper_threads() if len(infos) > 1 else 1
-        pool = helper_pool("shard-decode", threads) if threads > 1 else None
-        pending: Deque[concurrent.futures.Future] = collections.deque()
-        try:
-            for k in range(len(infos)):
-                for ahead in range(k + len(pending), min(k + threads, len(infos))):
-                    pending.append(self._submit(pool, infos[ahead], names, lambda: target(ahead)))
-                yield pending.popleft().result()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+        return decode_ahead(
+            "shard-decode", len(infos), lambda k: self._plan(infos[k], names, lambda: target(k))
+        )
 
-    def _submit(
+    def _plan(
         self,
-        pool: Optional[concurrent.futures.ThreadPoolExecutor],
         info: ShardInfo,
         names: Sequence[str],
         target: Callable[[], Dict[str, np.ndarray]],
-    ) -> concurrent.futures.Future:
-        decoded: concurrent.futures.Future = concurrent.futures.Future()
-        try:
-            plan = _ShardRead(self.directory / info.path, info, names, target)
-            if pool is not None:
-                return pool.submit(plan.run)
-            decoded.set_result(plan.run())
-        except Exception as exc:
-            # like a pool thread's, a calling-thread error is raised where
-            # its shard is taken
-            decoded.set_exception(exc)
-        return decoded
+    ) -> Callable[[], Dict[str, np.ndarray]]:
+        """Plan one shard's wanted blocks, in file order, and return the job
+        that reads them.
+
+        Everything a shard read allocates is allocated here — *target*'s
+        arrays and the compressed payloads' read buffers — and every block
+        is checked against its manifest entry and the schema (row count,
+        dtype, per-sample shape) before any byte lands in *target*.
+        """
+        path = self.directory / info.path
+        with open(path, "rb") as fh:
+            header, data_start = _read_header(fh)
+            metas = header["columns"]
+            for name in names:
+                if name not in metas:
+                    raise ShardError(f"shard has no column {name!r}")
+            out = target()
+            reads = []
+            for _, name in sorted((int(metas[name]["offset"]), name) for name in names):
+                read = _plan_block(fh.fileno(), data_start, metas[name], info.path, name)
+                column = out[name]
+                if not read.shape or (read.dtype, read.shape[1:]) != (
+                    column.dtype, column.shape[1:]
+                ):
+                    raise ShardError(
+                        f"{info.path}: column {name!r} is {read.dtype.str} x "
+                        f"{read.shape[1:]} per sample, the schema says {column.dtype.str} x "
+                        f"{column.shape[1:]}"
+                    )
+                if read.shape[0] != column.shape[0]:
+                    raise ShardError(
+                        f"{info.path}: column {name!r} holds {read.shape[0]} rows, "
+                        f"the manifest says {info.n_samples}"
+                    )
+                reads.append(read.into(column))
+
+        def run() -> Dict[str, np.ndarray]:
+            with open(path, "rb") as fh:
+                for read in reads:
+                    read.run(fh.fileno())
+            return out
+
+        return run

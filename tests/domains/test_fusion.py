@@ -28,10 +28,12 @@ class TestShotTree:
         store = ShotTreeStore(tmp_path)
         signal = Signal("ip", np.linspace(0, 1, 50), rng.normal(size=50), units="MA")
         store.write_shot(1000, {"ip": signal}, attrs={"disruptive": True})
-        back = store.read_signal(1000, "ip")
+        signals, attrs = store.read_shot(1000)
+        back = signals["ip"]
+        assert np.array_equal(back.times, signal.times)
         assert np.array_equal(back.values, signal.values)
         assert back.units == "MA"
-        assert store.shot_attrs(1000)["disruptive"] is True
+        assert attrs["disruptive"] is True
 
     def test_shot_listing(self, tmp_path, rng):
         store = ShotTreeStore(tmp_path)
@@ -42,18 +44,17 @@ class TestShotTree:
     def test_missing_shot_and_signal(self, tmp_path, rng):
         store = ShotTreeStore(tmp_path)
         store.write_shot(1, {"ip": Signal("ip", np.arange(3.0), np.zeros(3))}, {})
-        with pytest.raises(ShotTreeError):
-            store.read_signal(2, "ip")
-        with pytest.raises(ShotTreeError):
-            store.read_signal(1, "density")
+        with pytest.raises(ShotTreeError, match="no tree for shot 2"):
+            store.read_shot(2)
+        assert "density" not in store.read_shot(1)[0]
 
     def test_signal_names_vary_by_shot(self, tmp_path, rng):
         store = ShotTreeStore(tmp_path)
         s = Signal("ip", np.arange(3.0), np.zeros(3))
         store.write_shot(1, {"ip": s}, {})
         store.write_shot(2, {"ip": s, "mirnov": Signal("mirnov", np.arange(3.0), np.zeros(3))}, {})
-        assert store.signal_names(1) == ["ip"]
-        assert store.signal_names(2) == ["ip", "mirnov"]
+        assert list(store.read_shot(1)[0]) == ["ip"]
+        assert list(store.read_shot(2)[0]) == ["ip", "mirnov"]
 
 
 class TestSyntheticCampaign:

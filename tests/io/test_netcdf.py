@@ -1,5 +1,9 @@
 """NetCDF-like model consistency and file round-trips."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -92,3 +96,44 @@ class TestFileRoundTrip:
         back = read_netcdf(write_netcdf(nc, tmp_path / "e.ncl"))
         assert back.attrs["note"] == "empty"
         assert back.variables == {}
+
+
+class TestHeaderAgainstBlocks:
+    """A file-header entry must describe its block; it used to be read back
+    as whatever the block held."""
+
+    def _rewrite_header(self, path, edit):
+        raw = path.read_bytes()
+        (size,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8 : 8 + size])
+        edit(header["variables"])
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + size :])
+
+    def test_a_dtype_and_shape_the_block_does_not_hold(self, tmp_path):
+        nc = NCDataset()
+        nc.create_dimension("x", 4)
+        nc.create_variable("v", ["x"], np.arange(4.0))
+        path = write_netcdf(nc, tmp_path / "v.ncl")
+
+        def retype(variables):
+            variables["v"].update(dtype="<i2", shape=[99])
+
+        self._rewrite_header(path, retype)
+        with pytest.raises(NetCDFError, match=re.escape(
+            f"{path}: variable 'v': the index says <i2 x (99,), its block holds <f8 x (4,)"
+        )):
+            read_netcdf(path)
+
+    def test_a_length_past_the_end_of_the_file(self, gridded, tmp_path):
+        path = write_netcdf(gridded, tmp_path / "a.ncl")
+        last = "time"  # variables are written in name order
+
+        def lengthen(variables):
+            variables[last]["length"] += 8
+
+        self._rewrite_header(path, lengthen)
+        with pytest.raises(NetCDFError, match=re.escape(
+            f"{path}: variable 'time': length "
+        ) + r"\d+ runs 8 bytes past the end of the file"):
+            read_netcdf(path)

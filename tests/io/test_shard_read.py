@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import json
 import re
+import struct
 import threading
 from pathlib import Path
 
@@ -23,9 +24,8 @@ from repro.domains.climate import ClimateArchetype
 from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.fusion import FusionArchetype
 from repro.domains.fusion.synthetic import FusionCampaignConfig
-from repro.io import shards
 from repro.io.serialization import SerializationError
-from repro.io.shards import MANIFEST_NAME, ShardError, ShardSet, write_shard_set
+from repro.io.shards import MANIFEST_NAME, ShardError, ShardSet, read_shard, write_shard_set
 from repro.io.stream import ShardStreamer
 
 
@@ -331,6 +331,27 @@ def test_a_dtype_or_shape_the_schema_disagrees_with_is_refused(
         ShardSet(tmp_path).load_split("all")
 
 
+def test_a_block_length_past_the_end_of_the_shard_is_refused(tmp_path):
+    """The shard's own column index must describe its blocks: a length that
+    runs past the end of the file used to be read back all the same."""
+    manifest = _four_shards(tmp_path, codec="raw")
+    path = tmp_path / manifest.splits["all"][1].path
+    raw = path.read_bytes()
+    (size,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8 : 8 + size])
+    last = max(header["columns"], key=lambda name: header["columns"][name]["offset"])
+    header["columns"][last]["length"] += 8
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text + raw[8 + size :])
+    says = re.escape(f"all-00001.rps: column {last!r}: length ") + r"\d+ runs 8 bytes past"
+    for mode in ("inline", "ahead"):
+        with decoding(mode):
+            with pytest.raises(ShardError, match=says):
+                ShardSet(tmp_path).load_split("all")
+            with pytest.raises(ShardError, match=says):
+                read_shard(path)
+
+
 def test_verify_names_a_truncated_shard_by_size(tmp_path):
     manifest = _four_shards(tmp_path)
     info = manifest.splits["all"][1]
@@ -379,7 +400,7 @@ def test_nothing_to_overlap_starts_no_thread(tmp_path, monkeypatch, cpus, shards
     def no_pool(*args):
         raise AssertionError("a helper pool was started")
 
-    monkeypatch.setattr(shards, "helper_pool", no_pool)
+    monkeypatch.setattr(helper_pool, "helper_pool", no_pool)
     shard_set = ShardSet(tmp_path)
     assert shard_set.load_split("all").n_samples == 40
     assert sum(len(shard["x"]) for shard in shard_set.iter_shards("all")) == 40
