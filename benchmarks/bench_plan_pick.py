@@ -6,13 +6,13 @@ such a decision rest on evidence.  For the four archetypes at the
 readiness harness's source sizes (``benchmarks/readiness/workloads.py``)
 plus the ``climate_durable`` input, the bench
 
-1. checks that a cold calibration store plans the ``--plan fixed``
+1. checks that a cold (empty) ledger plans the ``--plan fixed``
    default (serial, width 1, per-record);
-2. feeds one store with ``FEED_ROUNDS`` alternating rounds of fixed runs
+2. feeds one ledger with ``FEED_ROUNDS`` alternating rounds of fixed runs
    of serial, threaded x2, simspmd x2 and process x2;
 3. runs ``MEASURE_ROUNDS`` more rounds of those four plus ``--plan
-   auto`` against the same store (every run keeps recording), each round
-   starting one configuration later than the last;
+   auto`` against the same ledger (every run keeps appending its row),
+   each round starting one configuration later than the last;
 4. asserts that every configuration auto picked measures within
    ``TOLERANCE`` of the best fixed configuration: the median wall of its
    fixed runs over all rounds against the lowest such median.
@@ -39,18 +39,18 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.core.report import render_table
-from repro.sched import FIXED_DEFAULT, CalibrationStore, CandidateConfig, build_backend
+from repro.sched import FIXED_DEFAULT, CandidateConfig, build_backend
 
 sys.path.insert(0, str(Path(__file__).parent / "readiness"))
 from adapter import archetype, synthesize  # noqa: E402
 from workloads import MAX_WORKERS, WORKLOADS  # noqa: E402
 
-SEED = 127
+SEED = 181
 FEED_ROUNDS = 3
 MEASURE_ROUNDS = 9
 TOLERANCE = 0.10
 
-#: the fixed configurations fed to the store, all per-record
+#: the fixed configurations fed to the ledger, all per-record
 FIXED = tuple(
     CandidateConfig(backend, width, 0)
     for backend, width in (("serial", 1), ("threaded", MAX_WORKERS),
@@ -76,8 +76,8 @@ def plan_pick(root: Path, name: str) -> Dict[str, object]:
     w = WORKLOADS[name]
     manifest = synthesize(w.domain, SEED, root / name / "source", w.source)
     subject = archetype(w.domain, SEED, manifest)
-    store = CalibrationStore(root / name / "cal")
-    cold = subject.run(root / name / "cold", plan_mode="auto", calibration_store=CalibrationStore())
+    store = root / name / "store"
+    cold = subject.run(root / name / "cold", plan_mode="auto", ledger=root / name / "empty")
     shutil.rmtree(root / name / "cold")
     walls: Dict[str, List[float]] = {config.label(): [] for config in FIXED}
     walls["auto"] = []
@@ -89,10 +89,10 @@ def plan_pick(root: Path, name: str) -> Dict[str, object]:
         for config in arms[shift:] + arms[:shift]:
             if config is None:
                 wall, result = _timed_run(subject, root / name / "run",
-                                          calibration_store=store, plan_mode="auto")
+                                          ledger=store, plan_mode="auto")
                 picks.append(result.schedule.chosen.label())
             else:
-                wall, _ = _timed_run(subject, root / name / "run", calibration_store=store,
+                wall, _ = _timed_run(subject, root / name / "run", ledger=store,
                                      backend=build_backend(config))
             walls[config.label() if config else "auto"].append(wall)
     shutil.rmtree(root / name, ignore_errors=True)
@@ -138,7 +138,7 @@ def test_plan_pick(benchmark, tmp_path, write_report):
             ["input", *labels, "best fixed", "auto picked", "pick / best", "auto / best"],
             rows,
         )
-        + "\n\ncold store: "
+        + "\n\ncold ledger: "
         + "; ".join(f"{name} {r['cold'][0]} {r['cold'][1].label()}" for name, r in results.items())
         + f"\nauto's picks within {TOLERANCE:.0%} of the best fixed median on "
         f"{sum(r['pick_ratio'] <= 1.0 + TOLERANCE for r in results.values())}/{len(results)}"

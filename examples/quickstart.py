@@ -221,19 +221,20 @@ def main() -> None:
     print(f"promoted shard: {redrive_report.shard_path}")
 
     print(section("7. measured planning (plan explain)"))
-    from repro.sched import CalibrationStore, choose_config, store_key
+    from repro.sched import Ledger, choose_config, store_key
 
-    # every run given a calibration store files its stage seconds under the
-    # configuration that ran them; `run --plan auto` then runs the one with
-    # the lowest summed per-stage medians for this pipeline, host and input
-    # size — exactly what `repro plan explain` prints
-    store = CalibrationStore(work_dir / "calibration")
+    # every run given a ledger appends one row to <store>/ledger.jsonl: its
+    # stage seconds under the configuration that ran them; `run --plan auto`
+    # then runs the one with the lowest summed per-stage medians for this
+    # pipeline, host and input size — exactly what `repro plan explain`
+    # prints, and `repro runs list` tables the same rows
+    ledger = Ledger(work_dir / "store")
     key = store_key(pipeline.name, raw)
     print(f"store key: {key.label()}")
-    print(choose_config(key, pipeline.stage_names, store).summary())
+    print(choose_config(key, pipeline.stage_names, ledger).summary())
     for backend in ("serial", "threaded"):
-        pipeline.run(raw, backend=backend, calibration_store=store)
-    decision = choose_config(key, pipeline.stage_names, store)
+        pipeline.run(raw, backend=backend, ledger=ledger.directory)
+    decision = choose_config(key, pipeline.stage_names, ledger)
     print()
     print(decision.render_table())
     print(decision.summary())

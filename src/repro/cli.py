@@ -12,9 +12,9 @@ technical readiness"; this CLI is that tool::
     python -m repro inspect SHARD_DIR         # verify + describe a shard set
     python -m repro telemetry summary DIR     # slowest spans of a trace
     python -m repro telemetry critical-path DIR  # what set the wall time
-    python -m repro telemetry diff DIR --against BENCH_fig1.json
+    python -m repro telemetry diff DIR --store-dir STORE
     python -m repro telemetry export DIR --chrome trace.json
-    python -m repro runs list RUNS_ROOT       # browse archived runs
+    python -m repro runs list STORE           # browse the ledger of runs
     python -m repro crosswalk LEVEL           # NOAA/METRIC crosswalks
     python -m repro quarantine list DIR       # records a gate split out
     python -m repro quarantine re-drive DIR --domain D --output OUT
@@ -44,27 +44,25 @@ produce bitwise-identical shards.  Data readiness gates ride it too:
 splitting violating records into ``--quarantine-dir`` while survivors
 ship (``--inject-bad-records N`` seeds deliberately corrupt sources to
 catch), and ``--dead-letter-dir`` persists the run's dead letters as a
-durable JSONL ledger.  ``--calibration-dir`` records every run's
-measured stage seconds under the backend, width and batch size that ran
-them, and ``run --plan auto`` runs the configuration with the lowest
-summed per-stage medians measured for this pipeline, host and source
-size (the ``fixed`` default when nothing is measured); ``plan explain``
-prints the same choice and its measured table without running anything.
+durable JSONL log.  ``--store-dir`` appends the finished run's row to
+the store's ``ledger.jsonl`` (stage seconds under the backend, width and
+batch size that ran them), and ``run --plan auto`` runs the
+configuration with the lowest summed per-stage medians the ledger holds
+for this pipeline, host and source size (the ``fixed`` default when
+nothing is measured); ``plan explain`` prints the same choice and its
+measured table without running anything.
 ``quarantine list/show/re-drive`` reads a
 quarantine back and replays it through the current contracts, promoting
 records that now pass.  ``telemetry`` reads a trace directory back:
 ``summary`` tables the slowest stages, ``critical-path`` prints the span
 chain that determined the wall time plus per-stage rollups (skew,
-stragglers, p50/p95/p99), ``diff`` compares per-stage seconds against
-archived runs or a committed ``BENCH_*.json`` baseline with a robust
-median+MAD threshold, and ``export`` writes combined JSONL
+stragglers, p50/p95/p99), ``diff`` compares per-stage engine seconds
+against the ledger's other runs or a committed ``BENCH_*.json`` baseline
+with a robust median+MAD threshold, and ``export`` writes combined JSONL
 (``--jsonl``), Chrome/Perfetto ``trace_event`` JSON (``--chrome``), or
 Prometheus text exposition (``--prom``).  ``run --progress`` streams
 live progress (stage, tasks done, ETA) to stderr while the run executes,
-``run --archive-dir`` archives the finished run (trace analysis,
-manifest identity, schedule, readiness certificate) into a
-content-addressed ``runs/`` root, and ``runs list/show`` browses that
-archive.
+and ``runs list/show`` browses the ledger.
 
 Everything the CLI prints is produced by the same public API the examples
 use; the CLI adds no behaviour of its own.
@@ -122,14 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--plan", choices=["fixed", "auto"], default="fixed",
                      dest="plan_mode",
                      help="'auto' runs the backend x workers x batch "
-                          "configuration --calibration-dir has measured fastest "
-                          "for this pipeline, host and source size (serial when "
-                          "nothing is measured); the decision record is "
-                          "embedded in events, spans, and the shard manifest")
-    run.add_argument("--calibration-dir", type=Path, default=None,
-                     help="record this run's measured stage seconds here under "
-                          "the configuration that ran them (content-addressed "
-                          "JSONL); --plan auto chooses from these measurements")
+                          "configuration the --store-dir ledger measured "
+                          "fastest for this pipeline, host and source size "
+                          "(serial when nothing is measured); the decision "
+                          "record is embedded in events, spans, and the "
+                          "shard manifest")
+    run.add_argument("--store-dir", type=Path, default=None,
+                     help="append this run's row (stage seconds under the "
+                          "configuration that ran them) to ledger.jsonl "
+                          "here, which --plan auto and 'runs' read")
     run.add_argument("--checkpoint-dir", type=Path, default=None,
                      help="persist per-stage checkpoints under this directory")
     run.add_argument("--resume", action="store_true",
@@ -151,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--progress", action="store_true",
                      help="stream live progress (stage, tasks done, ETA) to "
                           "stderr while the run executes")
-    run.add_argument("--archive-dir", type=Path, default=None,
-                     help="archive the run (trace analysis, manifest identity, "
-                          "schedule, readiness certificate) under this "
-                          "content-addressed runs/ root; later runs diff "
-                          "against it with 'telemetry diff --runs-root'")
     run.add_argument("--retries", type=int, default=None, metavar="N",
                      help="retry stages/tasks up to N times on transient faults "
                           "(deterministic seeded backoff)")
@@ -212,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="where the synthesized source goes (default: a "
                               "temporary directory)")
     explain.add_argument("--seed", type=int, default=0)
-    explain.add_argument("--calibration-dir", type=Path, default=None,
-                         help="choose from the measurements in this store")
+    explain.add_argument("--store-dir", type=Path, default=None,
+                         help="choose from the runs in this store's ledger")
     explain.add_argument("--top", type=int, default=None,
                          help="show only the N best candidates")
 
@@ -284,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the full TraceReport as deterministic JSON")
     diff = telemetry_sub.add_parser(
         "diff",
-        help="compare a run's per-stage seconds against archived runs or a "
+        help="compare a run's per-stage seconds against the ledger or a "
              "committed BENCH_*.json baseline (robust median+MAD threshold)",
     )
     diff.set_defaults(handler=_cmd_telemetry_diff)
     diff.add_argument("trace_dir", type=Path)
     diff.add_argument("--against", type=Path, default=None, metavar="PATH",
-                      help="baseline file: a BENCH_*.json, an archived "
-                           "record.json, or a serialized TraceReport")
-    diff.add_argument("--runs-root", type=Path, default=None, metavar="DIR",
-                      help="diff against the previous archived runs of the "
-                           "same pipeline under this runs/ root")
+                      help="baseline file: a BENCH_*.json or a serialized "
+                           "TraceReport")
+    diff.add_argument("--store-dir", type=Path, default=None, metavar="DIR",
+                      help="diff against the other runs of the same pipeline "
+                           "in this store's ledger")
     diff.add_argument("--last", type=int, default=10, metavar="N",
-                      help="use at most the N most recent archived runs "
+                      help="use at most the N most recent ledger runs "
                            "(default 10)")
     diff.add_argument("--json", action="store_true", dest="as_json",
                       help="emit the diff as deterministic JSON")
@@ -304,19 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exit 3 when any stage regressed (CI gate mode)")
 
     runs = sub.add_parser(
-        "runs", help="browse a content-addressed run archive (run --archive-dir)"
+        "runs", help="browse the ledger of finished runs (run --store-dir)"
     )
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
-    runs_list = runs_sub.add_parser("list", help="list archived runs")
+    runs_list = runs_sub.add_parser("list", help="list the ledger's runs")
     runs_list.set_defaults(handler=_cmd_runs_list)
-    runs_list.add_argument("root", type=Path)
+    runs_list.add_argument("store_dir", type=Path)
     runs_list.add_argument("--pipeline", default=None,
                            help="only runs of this pipeline")
     runs_show = runs_sub.add_parser(
-        "show", help="show one archived run by id (prefix ok)"
+        "show", help="show one ledger row by run id (prefix ok)"
     )
     runs_show.set_defaults(handler=_cmd_runs_show)
-    runs_show.add_argument("root", type=Path)
+    runs_show.add_argument("store_dir", type=Path)
     runs_show.add_argument("run_id")
 
     inspect = sub.add_parser("inspect", help="verify and describe a shard set")
@@ -455,9 +449,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"warning: --stage-timeout on the {backend_cls.name} backend is enforced "
                   "post-hoc only (a hung task is not killed); use --backend "
                   "process for preemptive enforcement", file=sys.stderr)
-    # --progress and --archive-dir both need telemetry even without a trace dir
-    want_telemetry = trace_dir is not None or args.progress or args.archive_dir is not None
-    telemetry = Telemetry() if want_telemetry else None
+    # --progress needs telemetry even without a trace dir
+    telemetry = Telemetry() if trace_dir is not None or args.progress else None
     recovery_report = None
     if args.recover:
         from repro.durability import recover_run
@@ -513,7 +506,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             gates=args.gates,
             quarantine_dir=args.quarantine_dir,
             plan_mode=args.plan_mode,
-            calibration_dir=args.calibration_dir,
+            ledger=args.store_dir,
             drain=drain,
             batch_size=args.batch_size,
             recovery_report=recovery_report,
@@ -584,8 +577,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             error = abs(actual - predicted) / predicted
             print(f"\npredicted {predicted:.4f} s, actual {actual:.4f} s "
                   f"(prediction error {error:.0%})")
-    if args.calibration_dir is not None:
-        print(f"calibration observations appended under {args.calibration_dir}")
+    if args.store_dir is not None:
+        from repro.sched import LEDGER_NAME
+
+        print(f"run filed in {args.store_dir / LEDGER_NAME}")
     if run.quarantined:
         for q in run.quarantined:
             print(f"quarantined corrupt checkpoint for stage {q.stage_name!r} "
@@ -649,29 +644,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry.export(JsonlTelemetrySink(trace_dir), events=result.run.events)
         print(f"trace written to {trace_dir} "
               f"({len(telemetry.tracer)} spans, {len(telemetry.metrics)} metrics)")
-    if args.archive_dir is not None and telemetry is not None:
-        from repro.obs.history import RunArchive
-
-        if trace_dir is not None:
-            trace_src = trace_dir
-        else:
-            trace_src = {
-                "spans": [envelope("span", s.to_dict())
-                          for s in telemetry.tracer.spans()],
-                "metrics": [envelope("metric", m)
-                            for m in telemetry.metrics.snapshot()],
-                "events": [envelope("event", e.to_dict())
-                           for e in result.run.events],
-            }
-        ctx = result.run.context
-        record = RunArchive(args.archive_dir).archive(
-            trace_src,
-            manifest=result.manifest,
-            schedule=ctx.schedule_record() if ctx is not None else None,
-            certificate=ctx.readiness_certificate() if ctx is not None else None,
-            labels={"domain": domain, "seed": str(seed)},
-        )
-        print(f"run archived as {record.run_id} under {args.archive_dir}")
     print(section("assessment"))
     print(f"Data Readiness Level: {result.readiness_level} / 5")
     print(MaturityMatrix.from_assessment(result.assessment).render_compact())
@@ -693,7 +665,7 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
-    from repro.sched import CalibrationStore, choose_config, store_key
+    from repro.sched import Ledger, choose_config, store_key
 
     with contextlib.ExitStack() as stack:
         workdir = args.workdir or Path(
@@ -705,13 +677,12 @@ def _cmd_plan_explain(args: argparse.Namespace) -> int:
         source_manifest = archetype.synthesize_source(source_dir)
         plan = archetype.build_pipeline(workdir / "shards").plan
         key = store_key(plan.name, source_manifest)
-    calibration = None
-    if args.calibration_dir is not None:
-        calibration = CalibrationStore(args.calibration_dir)
-        print(f"calibration store: {len(calibration)} observation(s) "
-              f"from {args.calibration_dir}")
+    ledger = None
+    if args.store_dir is not None:
+        ledger = Ledger(args.store_dir)
+        print(f"ledger: {len(ledger.rows())} run(s) in {ledger.path}")
     print(f"store key: {key.label()}")
-    decision = choose_config(key, plan.stage_names, calibration)
+    decision = choose_config(key, plan.stage_names, ledger)
     print(section("measured configurations"))
     print(decision.render_table(top=args.top))
     print(f"\n{decision.summary()}")
@@ -940,22 +911,25 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs import analyze_trace, diff_stage_seconds, load_baseline_stages
-    from repro.obs.history import RunArchive
+    from repro.obs import read_trace, trace_stage_seconds
+    from repro.sched import Ledger
 
-    trace_dir, against, runs_root = args.trace_dir, args.against, args.runs_root
-    if (against is None) == (runs_root is None):
+    trace_dir, against, store_dir = args.trace_dir, args.against, args.store_dir
+    if (against is None) == (store_dir is None):
         print("error: pick exactly one baseline: --against PATH or "
-              "--runs-root DIR", file=sys.stderr)
+              "--store-dir DIR", file=sys.stderr)
         return 2
     problem = _check_trace_dir(trace_dir)
     if problem is not None:
         print(problem, file=sys.stderr)
         return 1
+    trace = read_trace(trace_dir)
     try:
-        report = analyze_trace(trace_dir)
+        pipeline = analyze_trace(trace).pipeline
     except ValueError:
         print(f"error: no spans found under {trace_dir}", file=sys.stderr)
         return 1
+    current = trace_stage_seconds(trace["metrics"])
     if against is not None:
         try:
             label, stages = load_baseline_stages(against)
@@ -964,26 +938,17 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
             return 1
         history = [stages]
     else:
-        archive = RunArchive(runs_root)
-        current = report.to_dict()
-        # exclude the archived copy of this very run, if present
-        records = [
-            r for r in archive.records(pipeline=report.pipeline)
-            if r.report != current
-        ]
-        if not records:
-            print(f"error: no previous {report.pipeline!r} runs archived "
-                  f"under {runs_root}", file=sys.stderr)
+        # never diff a run against its own row: the same engine seconds
+        history = [
+            r.stage_seconds() for r in Ledger(store_dir).rows(pipeline)
+            if r.stage_seconds() != current
+        ][-max(args.last, 1):]
+        if not history:
+            print(f"error: no other {pipeline!r} runs in the ledger "
+                  f"under {store_dir}", file=sys.stderr)
             return 1
-        records = records[-max(args.last, 1):]
-        history = [r.stage_seconds for r in records]
-        label = f"runs:{runs_root}"
-    diff = diff_stage_seconds(
-        report.stage_seconds,
-        history,
-        pipeline=report.pipeline,
-        baseline_label=label,
-    )
+        label = f"ledger:{store_dir}"
+    diff = diff_stage_seconds(current, history, pipeline=pipeline, baseline_label=label)
     if args.as_json:
         print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:
@@ -996,46 +961,46 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_list(args: argparse.Namespace) -> int:
-    from repro.obs.history import RunArchive
+    from repro.sched import Ledger
 
-    root, pipeline = args.root, args.pipeline
-    records = RunArchive(root).records(pipeline=pipeline)
-    if not records:
+    ledger, pipeline = Ledger(args.store_dir), args.pipeline
+    rows = ledger.rows(pipeline)
+    if not rows:
         what = f"{pipeline!r} runs" if pipeline else "runs"
-        print(f"error: no archived {what} under {root}", file=sys.stderr)
+        print(f"error: no {what} in {ledger.path}", file=sys.stderr)
         return 1
-    rows = [
+    table = [
         (
-            r.run_id,
-            r.pipeline,
-            r.backend or "?",
+            r.run_id[:16],
+            r.key.pipeline,
+            r.config.label(),
             r.status,
-            f"{r.total_wall_s:.4f}",
-            len(r.stage_seconds),
+            f"{sum(r.stage_seconds().values()):.4f}",
+            len(r.stages),
         )
-        for r in records
+        for r in rows
     ]
     print(render_table(
-        ["run id", "pipeline", "backend", "status", "wall s", "stages"],
-        rows,
+        ["run id", "pipeline", "config", "status", "stage s", "stages"],
+        table,
         align_right=[False, False, False, False, True, True],
     ))
-    print(f"\n{len(records)} archived run(s); inspect one with: "
-          f"repro runs show {root} RUN_ID")
+    print(f"\n{len(rows)} run(s); inspect one with: "
+          f"repro runs show {args.store_dir} RUN_ID")
     return 0
 
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs.history import RunArchive
+    from repro.sched import Ledger
 
     try:
-        record = RunArchive(args.root).get(args.run_id)
+        row = Ledger(args.store_dir).get(args.run_id)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
-    print(_json.dumps(record.to_dict(), indent=2, sort_keys=True))
+    print(_json.dumps(row.to_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -3,7 +3,7 @@
 The run layer needs three facts about every stage output — a
 deterministic content hash (provenance, checkpoint verification,
 quarantine keys), a content size in bytes and a logical item count
-(telemetry, stage summaries, the scheduler's calibration).  This module
+(telemetry, stage summaries, the ledger's source sizing).  This module
 is the only code that walks a payload; :func:`walk_payload` returns all
 three from a single pass, and :func:`fingerprint_payload` /
 :func:`payload_nbytes` / :func:`payload_items` are entry points over the

@@ -73,7 +73,6 @@ from repro.workers.drain import DrainController, DrainInterrupt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durability.recover import RecoveryReport
-    from repro.sched.calibrate import CalibrationStore
     from repro.sched.decision import ScheduleDecision, StoreKey
 
 __all__ = [
@@ -488,7 +487,7 @@ class _RunState:
     dead_letters: DeadLetterLog = dataclasses.field(default_factory=DeadLetterLog)
     quarantined: List[QuarantinedCheckpoint] = dataclasses.field(default_factory=list)
     task_stats: RetryStats = dataclasses.field(default_factory=RetryStats)
-    #: where the calibration store files this run's stage seconds
+    #: where the ledger files this run's row
     store_key: Optional["StoreKey"] = None
 
 
@@ -551,7 +550,7 @@ class PipelineRunner:
         fault_clock: Optional[Clock] = None,
         gates: Union[GatePolicy, str, None] = None,
         quarantine_dir: Union[str, Path, None] = None,
-        calibration_store: Optional["CalibrationStore"] = None,
+        ledger: Union[str, Path, None] = None,
         drain: Optional[DrainController] = None,
         batch_size: Optional[int] = None,
         recovery_report: Optional["RecoveryReport"] = None,
@@ -575,9 +574,10 @@ class PipelineRunner:
         (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
         ``"warn"``) turns the stages' contracts on, shedding records into
         ``quarantine_dir`` (in memory without one).
-        ``calibration_store`` receives every executed stage's seconds,
-        filed under the backend, width and batch size that ran them (see
-        :mod:`repro.sched.calibrate`).  ``drain`` is a cooperative stop
+        ``ledger`` is a store directory whose ``ledger.jsonl`` gains one
+        row when the run finishes: every executed stage's seconds and
+        items, filed under the backend, width and batch size that ran
+        them (see :mod:`repro.sched.ledger`).  ``drain`` is a cooperative stop
         flag: once it trips, the run stops at the next
         checkpoint-consistent point (a stage boundary, or mid-stage on a
         draining backend) with a
@@ -607,7 +607,7 @@ class PipelineRunner:
         self.fault_clock = fault_clock
         self.gate_policy = GatePolicy.coerce(gates) if gates is not None else None
         self.quarantine_dir = quarantine_dir
-        self.calibration_store = calibration_store
+        self.ledger = ledger
         self.drain = drain
         self.batch_size = batch_size
 
@@ -783,8 +783,8 @@ class PipelineRunner:
             payload=payload,
             quarantined=quarantined,
         )
-        if self.calibration_store is not None:
-            from repro.sched.calibrate import store_key
+        if self.ledger is not None:
+            from repro.sched.ledger import store_key
 
             st.store_key = store_key(self.plan.name, payload)
         base.configure_retry(None, clock=self.fault_clock, stats=st.task_stats)
@@ -1178,17 +1178,32 @@ class PipelineRunner:
         st.fingerprint = out_fp
 
     # -- finish ------------------------------------------------------------------
+    def _file_ledger_row(self, st: _RunState) -> None:
+        """What ran here becomes a candidate for the next ``--plan auto``."""
+        from repro.obs.resources import sample_resources
+        from repro.sched.decision import CandidateConfig
+        from repro.sched.ledger import Ledger, LedgerRow
+
+        decision, certificate = self.plan.schedule, st.context.readiness_certificate()
+        Ledger(self.ledger).append(LedgerRow(
+            key=st.store_key,
+            config=CandidateConfig(self.backend.name, self.backend.width, self._batch_records()),
+            status="degraded" if any(r.degraded for r in st.results) else "ok",
+            # restored and degraded stages carry no execution signal
+            stages=tuple(
+                (r.stage_name, r.seconds, r.items)
+                for r in st.results if not r.restored and not r.degraded
+            ),
+            output_fingerprint=st.fingerprint,
+            schedule_hash=decision.content_hash() if decision is not None else "",
+            certificate=str(certificate["status"]) if certificate is not None else "",
+            peak_rss_bytes=sample_resources().max_rss_bytes,
+        ))
+
     def _finish(self, st: _RunState) -> PipelineRun:
         decision, results = self.plan.schedule, st.results
-        if self.calibration_store is not None:
-            # what ran here becomes a candidate for the next --plan auto
-            from repro.sched.calibrate import record_outcome
-            from repro.sched.decision import CandidateConfig
-
-            executed = CandidateConfig(
-                self.backend.name, self.backend.width, self._batch_records()
-            )
-            record_outcome(self.calibration_store, st.store_key, executed, results)
+        if self.ledger is not None:
+            self._file_ledger_row(st)
         if self.checkpointer is not None:
             self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
             st.recorder.count("journal_records_total", kind="run-commit")

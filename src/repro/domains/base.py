@@ -31,7 +31,7 @@ from repro.core.runner import Pipeline, PipelineContext, PipelineRun
 from repro.io.shards import ShardManifest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sched import CalibrationStore, ScheduleDecision
+    from repro.sched import ScheduleDecision
 
 __all__ = ["ArchetypeResult", "DomainArchetype"]
 
@@ -114,28 +114,25 @@ class DomainArchetype(abc.ABC):
         pipeline_options: Optional[Dict[str, Any]] = None,
         resume: bool = False,
         plan_mode: str = "fixed",
-        calibration_dir: Union[str, Path, None] = None,
-        calibration_store: Optional["CalibrationStore"] = None,
         **runner_options: Any,
     ) -> ArchetypeResult:
         """Synthesize a source, run the pipeline, assess, detect challenges.
 
-        ``calibration_store`` and ``runner_options`` are the keyword
-        options of :class:`~repro.core.runner.PipelineRunner`
-        (``backend=``, ``batch_size=``, ``checkpoint_dir=``,
-        ``telemetry=``, ``gates=``, ...), declared and documented there;
-        ``resume=True`` restarts a checkpointed run.
+        ``runner_options`` are the keyword options of
+        :class:`~repro.core.runner.PipelineRunner` (``backend=``,
+        ``batch_size=``, ``checkpoint_dir=``, ``telemetry=``, ``gates=``,
+        ``ledger=``, ...), declared and documented there; ``resume=True``
+        restarts a checkpointed run.
 
-        ``calibration_dir`` (or a ready ``calibration_store``) records
-        every executed stage's seconds under the configuration that ran
-        (see :mod:`repro.sched`).  ``plan_mode="auto"`` then runs the
-        configuration with the lowest summed per-stage medians measured
-        for this pipeline, host and source size — or the ``fixed``
-        default when nothing is measured — and the resulting
-        :class:`~repro.sched.ScheduleDecision` rides in the run events,
-        spans and shard manifest.  Auto picks the backend, width and
-        batch size itself, so ``backend=`` or ``batch_size=`` with it is
-        a ``ValueError``.
+        ``ledger=`` (a store directory) files the run's executed stage
+        seconds under the configuration that ran (see :mod:`repro.sched`).
+        ``plan_mode="auto"`` then runs the configuration with the lowest
+        summed per-stage medians measured for this pipeline, host and
+        source size — or the ``fixed`` default when nothing is measured —
+        and the resulting :class:`~repro.sched.ScheduleDecision` rides in
+        the run events, spans and shard manifest.  Auto picks the backend,
+        width and batch size itself, so ``backend=`` or ``batch_size=``
+        with it is a ``ValueError``.
         """
         if plan_mode not in ("fixed", "auto"):
             raise ValueError(f"unknown plan_mode {plan_mode!r} (use 'fixed' or 'auto')")
@@ -153,17 +150,14 @@ class DomainArchetype(abc.ABC):
         source_manifest = self.synthesize_source(source_dir, **(source_params or {}))
         pipeline = self.build_pipeline(output_dir, **(pipeline_options or {}))
         decision: Optional["ScheduleDecision"] = None
-        if calibration_store is None and calibration_dir is not None:
-            from repro.sched import CalibrationStore
-
-            calibration_store = CalibrationStore(calibration_dir)
         if plan_mode == "auto":
-            from repro.sched import build_backend, choose_config, store_key
+            from repro.sched import Ledger, build_backend, choose_config, store_key
 
+            ledger = runner_options.get("ledger")
             decision = choose_config(
                 store_key(pipeline.plan.name, source_manifest),
                 pipeline.plan.stage_names,
-                calibration_store,
+                Ledger(ledger) if ledger is not None else None,
             )
             pipeline.plan = pipeline.plan.with_schedule(decision)
             runner_options.update(
@@ -171,13 +165,7 @@ class DomainArchetype(abc.ABC):
                 batch_size=decision.chosen.batch_records,
             )
         context = PipelineContext(agent=f"{self.domain}-pipeline")
-        run = pipeline.run(
-            source_manifest,
-            context,
-            resume=resume,
-            calibration_store=calibration_store,
-            **runner_options,
-        )
+        run = pipeline.run(source_manifest, context, resume=resume, **runner_options)
         dataset = context.artifacts.get("dataset")
         if not isinstance(dataset, Dataset):
             raise RuntimeError(

@@ -61,10 +61,10 @@ ANY_SITE = "*"
 #: would silently test nothing
 KNOWN_SITES = (
     "audit",
-    "calibration",
     "checkpoint",
     "dead-letter",
     "journal",
+    "ledger",
     "manifest",
     "promoted-record",
     "provenance",
@@ -72,8 +72,6 @@ KNOWN_SITES = (
     "quarantine-record",
     "redrive-marker",
     "redrive-report",
-    "run-index",
-    "run-record",
     "shard",
 )
 

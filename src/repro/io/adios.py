@@ -107,6 +107,13 @@ class BPReader:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self._fh = open(self.path, "rb")
+        try:
+            self._steps: List[Dict[str, Dict[str, object]]] = self._load_footer()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _load_footer(self) -> List[Dict[str, Dict[str, object]]]:
         head = self._fh.read(4)
         if head != MAGIC:
             raise BPError(f"bad magic {head!r}; not a BP-like file")
@@ -116,8 +123,7 @@ class BPReader:
             raise BPError("missing trailer; file was not sealed")
         end = self._fh.seek(0, 2) - _TRAILER.size
         self._fh.seek(offset)
-        footer = json.loads(self._fh.read(end - offset).decode("utf-8"))
-        self._steps: List[Dict[str, Dict[str, object]]] = footer["steps"]
+        return json.loads(self._fh.read(end - offset).decode("utf-8"))["steps"]
 
     @property
     def n_steps(self) -> int:

@@ -73,7 +73,11 @@ class H5LiteFile:
             self._index["/"] = {"kind": "group", "attrs": {}}
         else:
             self._fh = open(self.path, "rb")
-            self._load_index()
+            try:
+                self._load_index()
+            except BaseException:
+                self._fh.close()
+                raise
 
     # -- index management -----------------------------------------------------
     def _load_index(self) -> None:

@@ -19,8 +19,10 @@ On top of that raw substrate sits the analytics layer:
 * :mod:`~repro.obs.analyze` — span-tree reconstruction, critical path,
   per-stage rollups with straggler detection, and the deterministic
   :class:`TraceReport`;
-* :mod:`~repro.obs.history` — the content-addressed :class:`RunArchive`
-  and robust cross-run regression diffing (:func:`diff_stage_seconds`);
+* :mod:`~repro.obs.history` — robust cross-run regression diffing
+  (:func:`diff_stage_seconds`) of a trace's engine stage seconds against
+  the ledger's earlier runs (:mod:`repro.sched.ledger`) or a committed
+  baseline;
 * :mod:`~repro.obs.progress` — the thread-safe :class:`ProgressReporter`
   behind ``run --progress``;
 * :mod:`~repro.obs.export` — Chrome/Perfetto ``trace_event`` and
@@ -43,6 +45,7 @@ from repro.obs.analyze import (
     median,
     median_mad,
     stage_rollups,
+    trace_stage_seconds,
 )
 from repro.obs.export import (
     to_chrome_trace,
@@ -51,9 +54,7 @@ from repro.obs.export import (
     write_prometheus_text,
 )
 from repro.obs.history import (
-    RunArchive,
     RunDiff,
-    RunRecord,
     StageDiff,
     diff_stage_seconds,
     load_baseline_stages,
@@ -104,11 +105,10 @@ __all__ = [
     "median",
     "median_mad",
     # history
-    "RunArchive",
-    "RunRecord",
     "StageDiff",
     "RunDiff",
     "regression_limit",
+    "trace_stage_seconds",
     "diff_stage_seconds",
     "load_baseline_stages",
     # progress

@@ -47,6 +47,7 @@ __all__ = [
     "critical_path",
     "stage_rollups",
     "analyze_trace",
+    "trace_stage_seconds",
     "median",
     "median_mad",
 ]
@@ -339,6 +340,12 @@ def _stage_histograms(
     return out
 
 
+def trace_stage_seconds(metrics: Sequence[Mapping[str, object]]) -> Dict[str, float]:
+    """Stage name -> engine seconds (``StageResult.seconds``, what a
+    ledger row files); span wall also holds the runner's bookkeeping."""
+    return {stage: hist.sum for stage, hist in _stage_histograms(metrics).items()}
+
+
 def stage_rollups(
     roots: Sequence[SpanNode],
     metrics: Sequence[Mapping[str, object]] = (),
@@ -530,7 +537,7 @@ def analyze_trace(
     """Analyze a trace directory (or pre-read trace dict) into a report.
 
     Raises :class:`ValueError` when the trace holds no spans — callers
-    (the CLI, the run archive) turn that into a friendly error.
+    (the CLI) turn that into a friendly error.
     """
     if isinstance(trace, (str, Path)):
         trace = read_trace(trace)

@@ -1,9 +1,9 @@
 """The measured choice: the fastest configuration this host has run.
 
-:func:`choose_config` reads the calibration store under one
+:func:`choose_config` reads the ledger's rows under one
 :class:`~repro.sched.decision.StoreKey`.  A configuration is a candidate
-when every stage of the plan has at least one observation under it; its
-prediction is the sum of its per-stage median seconds, and the lowest
+when every stage of the plan was executed by at least one of its runs;
+its prediction is the sum of its per-stage median seconds, and the lowest
 sum wins (deterministic tie-break on the config tuple).  With nothing
 measured the decision is the ``fixed`` default — serial, width 1,
 per-record — as mode ``fallback``, so a cold store runs exactly what
@@ -16,16 +16,16 @@ an :class:`~repro.core.backends.ExecutionBackend` instance.
 from __future__ import annotations
 
 import statistics
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.backends import ExecutionBackend, get_backend
-from repro.sched.calibrate import CalibrationStore
 from repro.sched.decision import (
     CandidateConfig,
     CandidateEvaluation,
     ScheduleDecision,
     StoreKey,
 )
+from repro.sched.ledger import Ledger
 
 __all__ = ["FIXED_DEFAULT", "choose_config", "build_backend"]
 
@@ -37,10 +37,16 @@ _WIDTH_ARGUMENT = {"threaded": "workers", "process": "workers", "simspmd": "n_ra
 
 
 def choose_config(
-    key: StoreKey, stages: Sequence[str], calibration: Optional[CalibrationStore]
+    key: StoreKey, stages: Sequence[str], ledger: Optional[Ledger]
 ) -> ScheduleDecision:
     """Pick the measured-fastest configuration for the plan's *stages*."""
-    measured = calibration.measured(key) if calibration is not None else {}
+    # config -> stage -> the seconds of every run that executed it
+    measured: Dict[CandidateConfig, Dict[str, List[float]]] = {}
+    for row in ledger.rows(key.pipeline) if ledger is not None else ():
+        if row.key == key:
+            by_stage = measured.setdefault(row.config, {})
+            for stage, seconds in row.stage_seconds().items():
+                by_stage.setdefault(stage, []).append(seconds)
     candidates: List[CandidateEvaluation] = []
     for config, by_stage in measured.items():
         if not all(by_stage.get(stage) for stage in stages):

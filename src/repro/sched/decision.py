@@ -6,7 +6,7 @@ with its summed per-stage median seconds, and the chosen one.  It is
 embedded in run events, span attributes, and the shard manifest
 (alongside the readiness certificate), and follows the same determinism
 discipline as the gates subsystem: **no timestamps**, so two planning
-passes over the same calibration-store state serialize byte-identically.
+passes over the same ledger state serialize byte-identically.
 """
 
 from __future__ import annotations

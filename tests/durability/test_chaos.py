@@ -128,6 +128,11 @@ class TestOneLedger:
         with pytest.raises(ValueError, match="unknown disk fault site"):
             FaultSpec.parse("eio=run-state:0")
 
+    @pytest.mark.parametrize("site", ["calibration", "run-index", "run-record"])
+    def test_the_ledger_replaced_these_fault_sites(self, site):
+        with pytest.raises(ValueError, match="unknown disk fault site"):
+            FaultSpec.parse(f"eio={site}:0")
+
 
 class TestJournalTelemetry:
     def test_journal_records_counted_per_kind(self, tmp_path):
@@ -158,10 +163,8 @@ class TestSiteRegistry:
         from repro.faults import DeadLetterLog
         from repro.gates import ColumnCheck, QuarantineStore, StageContract, redrive
         from repro.governance.audit import AuditLog
-        from repro.obs.history import RunArchive
-        from repro.obs.sinks import envelope
         from repro.provenance.store import ProvenanceStore
-        from repro.sched import CalibrationStore
+        from repro.sched import Ledger
 
         class RecordingTap:
             def __init__(self):
@@ -175,24 +178,15 @@ class TestSiteRegistry:
         (tmp_path / "source").mkdir()
         source = archetype.synthesize_source(tmp_path / "source")
         plan = archetype.build_pipeline(tmp_path / "shards").plan
-        calibration = CalibrationStore(tmp_path / "cal")
-        telemetry = Telemetry()
         context = PipelineContext(provenance_store=ProvenanceStore(tmp_path / "prov.jsonl"))
         tap = RecordingTap()
         with activate(tap):
-            # one checkpointed, gated, provenance-stored, calibrated run ...
+            # one checkpointed, gated, provenance-stored run filed in the ledger ...
             run = PipelineRunner(
                 plan, checkpoint_dir=tmp_path / "ckpt", gates="quarantine",
-                quarantine_dir=tmp_path / "q", calibration_store=calibration,
-                telemetry=telemetry,
+                quarantine_dir=tmp_path / "q", ledger=tmp_path / "store",
             ).run(source, context)
-            assert run.records_quarantined and len(calibration)
-            # ... archived ...
-            RunArchive(tmp_path / "runs").archive({
-                "spans": [envelope("span", s.to_dict()) for s in telemetry.tracer.spans()],
-                "metrics": [envelope("metric", m) for m in telemetry.metrics.snapshot()],
-                "events": [envelope("event", e.to_dict()) for e in run.events],
-            })
+            assert run.records_quarantined and Ledger(tmp_path / "store").rows()
             # ... plus the dead-letter, audit and consume-mode re-drive paths
             DeadLetterLog().save(tmp_path / "dead-letters.jsonl")
             AuditLog(tmp_path / "audit.jsonl").record("alice", "read", "climate")

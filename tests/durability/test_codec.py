@@ -10,7 +10,9 @@ it to make a test pass.  (Two edits since, both of a record's content,
 not its encoding: the ``journal`` scenario's ``"schema": 2`` became ``3``
 when the snapshot format changed, and the ``calibration`` scenario was
 re-frozen when observations became stage seconds filed by store key and
-executed config.)
+executed config.  The ``calibration`` and ``run_index`` scenarios then
+became one ``ledger`` scenario, frozen when both stores became the
+ledger of finished runs.)
 """
 
 import json
@@ -24,10 +26,9 @@ from repro.durability.journal import RunJournal
 from repro.faults import DeadLetterLog, DeadLetterRecord, FaultKind
 from repro.gates import QuarantineStore
 from repro.governance.audit import AuditLog
-from repro.obs.history import RunArchive
 from repro.provenance.record import ProvenanceRecord
 from repro.provenance.store import ProvenanceStore
-from repro.sched import CalibrationStore, CandidateConfig, StoreKey
+from repro.sched import CandidateConfig, Ledger, LedgerRow, StoreKey
 
 GOLDEN = Path(__file__).parent / "goldens" / "store-lines.json"
 
@@ -52,12 +53,22 @@ def provenance(root):
     return store.path, [record.to_dict() for record in store]
 
 
-def calibration(root):
-    store, key = CalibrationStore(root), StoreKey("p", 2, 24)
-    store.observe(key, CandidateConfig("serial", 1, 0), "regrid", 3.0)
-    store.observe(key, CandidateConfig("threaded", 2, 256), "stack", 0.125)
-    measured = CalibrationStore(root).measured(key)
-    return store.path, {config.label(): seconds for config, seconds in measured.items()}
+def ledger(root):
+    """Two runs filed, the first twice: the reader counts it once."""
+    key, log = StoreKey("p", 2, 24), Ledger(root)
+    first = LedgerRow(
+        key=key, config=CandidateConfig("serial", 1, 0), status="ok",
+        stages=(("regrid", 3.0, 4), ("stack", 0.5, 141)), output_fingerprint="b" * 8,
+        peak_rss_bytes=1 << 20,
+    )
+    second = LedgerRow(
+        key=key, config=CandidateConfig("threaded", 2, 256), status="degraded",
+        stages=(("regrid", 0.125, 4),), output_fingerprint="c" * 8, schedule_hash="d" * 8,
+        certificate="degraded", peak_rss_bytes=1 << 21,
+    )
+    for row in (first, second, first):
+        log.append(row)
+    return log.path, [row.to_dict() for row in Ledger(root).rows()]
 
 
 def _quarantined(root):
@@ -80,15 +91,6 @@ def quarantine_discard(root):
     store = _quarantined(root)
     store.discard(["aa11"])
     return store.path, store.entries()
-
-
-def run_index(root):
-    span = {"schema": 1, "type": "span", "name": "run:p", "span_id": "s1", "parent_id": None,
-            "start": 0.0, "end": 2.5, "duration": 2.5, "status": "ok", "events": [],
-            "attributes": {"pipeline": "p", "backend": "serial"}}
-    archive = RunArchive(root)
-    archive.archive({"spans": [span], "metrics": [], "events": []}, labels={"seed": "1"})
-    return archive.index_path, [record.run_id for record in archive.records()]
 
 
 def dead_letters(root):
@@ -116,8 +118,8 @@ def audit(root):
 
 SCENARIOS = {
     fn.__name__: fn
-    for fn in (journal, provenance, calibration, quarantine, quarantine_discard,
-               run_index, dead_letters, audit)
+    for fn in (journal, provenance, ledger, quarantine, quarantine_discard,
+               dead_letters, audit)
 }
 
 

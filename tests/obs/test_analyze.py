@@ -37,19 +37,23 @@ def span(name, span_id, start, end, parent=None, status="ok", attrs=None):
     }
 
 
-def traced_run(tmp_path, n_map_items=8):
-    """A real telemetered run whose trace holds stage + backend.task spans."""
+def ana_plan(n_map_items):
+    """A two-stage plan whose first stage fans out *n_map_items* tasks."""
 
     def fan(payload, ctx):
         ctx.backend.map(lambda i: i * 2, list(range(n_map_items)))
         return payload
 
-    plan = StagePlan.build("ana", [
+    return StagePlan.build("ana", [
         PipelineStage("fan", S.INGEST, fan),
         PipelineStage("double", S.TRANSFORM, lambda p, ctx: p * 2),
     ])
+
+
+def traced_run(tmp_path, n_map_items=8):
+    """A real telemetered run whose trace holds stage + backend.task spans."""
     telemetry = Telemetry()
-    run = PipelineRunner(plan, telemetry=telemetry).run(np.ones(4))
+    run = PipelineRunner(ana_plan(n_map_items), telemetry=telemetry).run(np.ones(4))
     sink = InMemorySink()
     telemetry.export(sink, events=run.events)
     return {"spans": sink.spans, "metrics": sink.metrics, "events": sink.events}

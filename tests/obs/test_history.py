@@ -1,4 +1,4 @@
-"""Run archive: content addressing, idempotence, and cross-run diffing."""
+"""The ledger as a run archive, and cross-run diffing."""
 
 import json
 
@@ -6,12 +6,11 @@ import pytest
 
 from repro.obs.analyze import analyze_trace
 from repro.obs.history import (
-    RunArchive,
-    RunRecord,
     diff_stage_seconds,
     load_baseline_stages,
     regression_limit,
 )
+from repro.sched import CandidateConfig, Ledger, LedgerRow, StoreKey
 
 from .test_analyze import traced_run
 
@@ -86,113 +85,109 @@ class TestDiff:
         assert "REGRESSED" in diff.summary()
 
 
+def _row(pipeline="ana", seconds=1.0):
+    return LedgerRow(key=StoreKey(pipeline, 2, 10), config=CandidateConfig("serial", 1, 0),
+                     status="ok", stages=(("fan", seconds, 4), ("double", seconds, 4)))
+
+
 class TestArchive:
+    """The ledger as the archive of finished runs."""
+
     def test_archive_and_read_back(self, tmp_path):
-        trace = traced_run(tmp_path)
-        archive = RunArchive(tmp_path / "runs")
-        record = archive.archive(trace, labels={"seed": "0"})
-        assert len(record.run_id) == 16
-        assert record.pipeline == "ana"
-        assert record.labels == {"seed": "0"}
-        assert len(archive) == 1
-        fetched = archive.get(record.run_id[:6])
-        assert fetched.run_id == record.run_id
-        assert fetched.stage_seconds == record.stage_seconds
+        import numpy as np
+
+        from repro.core.runner import PipelineRunner
+
+        from .test_analyze import ana_plan
+
+        run = PipelineRunner(ana_plan(4), ledger=tmp_path / "store").run(np.ones(4))
+        ledger = Ledger(tmp_path / "store")
+        (row,) = ledger.rows()
+        assert len(row.run_id) == 64
+        assert row.key.pipeline == "ana"
+        assert row.stage_seconds() == {r.stage_name: r.seconds for r in run.results}
+        assert ledger.get(row.run_id[:6]) == row
 
     def test_rearchive_is_idempotent(self, tmp_path):
-        trace = traced_run(tmp_path)
-        archive = RunArchive(tmp_path / "runs")
-        first = archive.archive(trace)
-        second = archive.archive(trace)
-        assert first.run_id == second.run_id
-        assert len(archive) == 1
-        index_lines = (tmp_path / "runs" / "index.jsonl").read_text().splitlines()
-        assert len(index_lines) == 1
+        ledger = Ledger(tmp_path / "store")
+        assert ledger.append(_row()) == ledger.append(_row())
+        assert ledger.rows() == [_row()]
 
     def test_different_traces_get_different_ids(self, tmp_path):
-        archive = RunArchive(tmp_path / "runs")
-        a = archive.archive(traced_run(tmp_path, n_map_items=4))
-        b = archive.archive(traced_run(tmp_path, n_map_items=6))
-        assert a.run_id != b.run_id
-        assert len(archive) == 2
-
-    def test_archived_trace_is_reanalyzable(self, tmp_path):
-        trace = traced_run(tmp_path)
-        archive = RunArchive(tmp_path / "runs")
-        record = archive.archive(trace)
-        copied = archive.run_dir(record.run_id) / "trace"
-        report = analyze_trace(copied)
-        assert report.to_dict() == record.report
+        ledger = Ledger(tmp_path / "store")
+        assert ledger.append(_row(seconds=1.0)) != ledger.append(_row(seconds=2.0))
+        assert len(ledger.rows()) == 2
 
     def test_get_unknown_and_ambiguous(self, tmp_path):
-        archive = RunArchive(tmp_path / "runs")
-        with pytest.raises(KeyError):
-            archive.get("doesnotexist")
-        archive.archive(traced_run(tmp_path, n_map_items=4))
-        archive.archive(traced_run(tmp_path, n_map_items=6))
-        with pytest.raises(KeyError):
-            archive.get("")  # every id matches the empty prefix
+        ledger = Ledger(tmp_path / "store")
+        with pytest.raises(KeyError, match="no run"):
+            ledger.get("doesnotexist")
+        ledger.append(_row(seconds=1.0))
+        ledger.append(_row(seconds=2.0))
+        with pytest.raises(KeyError, match="ambiguous"):
+            ledger.get("")  # every id matches the empty prefix
 
     def test_records_filter_by_pipeline(self, tmp_path):
-        archive = RunArchive(tmp_path / "runs")
-        archive.archive(traced_run(tmp_path))
-        assert len(archive.records(pipeline="ana")) == 1
-        assert archive.records(pipeline="other") == []
+        ledger = Ledger(tmp_path / "store")
+        ledger.append(_row())
+        assert len(ledger.rows("ana")) == 1
+        assert ledger.rows("other") == []
 
-    def test_record_round_trip(self, tmp_path):
-        record = RunArchive(tmp_path / "runs").archive(traced_run(tmp_path))
-        restored = RunRecord.from_dict(record.to_dict())
-        assert restored == record
+    def test_record_round_trip(self):
+        row = _row()
+        assert LedgerRow.from_dict(json.loads(json.dumps(row.to_dict()))) == row
 
 
 class TestIndexDurability:
-    """Satellite (ISSUE 10): the archive index survives concurrent
-    appenders and a torn tail left by a crashed one."""
+    """The ledger survives concurrent appenders and a torn tail left by a
+    crashed one."""
 
     def test_concurrent_archivers_interleave_whole_lines(self, tmp_path):
+        import sys
         import threading
 
-        traces = [traced_run(tmp_path, n_map_items=4 + i) for i in range(6)]
-        archive = RunArchive(tmp_path / "runs")
-        barrier = threading.Barrier(len(traces))
+        # the last two writers append the same run: it must count once
+        rows = [_row(seconds=float(i)) for i in range(6)] + [_row(seconds=0.0)]
+        ledger = Ledger(tmp_path / "store")
+        barrier = threading.Barrier(len(rows), timeout=10)
         errors = []
 
-        def worker(trace):
+        def worker(row):
             try:
                 barrier.wait()
-                archive.archive(trace)
+                ledger.append(row)
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, args=(t,)) for t in traces]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        threads = [threading.Thread(target=worker, args=(r,)) for r in rows]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        lines = (tmp_path / "runs" / "index.jsonl").read_text().splitlines()
-        assert len(lines) == len(traces)
-        run_ids = {json.loads(line)["run_id"] for line in lines}
-        assert len(run_ids) == len(traces)  # every append is a whole line
-        assert len(archive.records()) == len(traces)
+        lines = ledger.path.read_text().splitlines()
+        assert len(lines) == len(rows)  # every append is a whole line
+        assert sorted(json.loads(line)["id"] for line in lines) == sorted(
+            r.run_id for r in rows
+        )
+        assert sorted(r.run_id for r in ledger.rows()) == sorted({r.run_id for r in rows})
 
     def test_torn_index_tail_recovered_on_next_archive(self, tmp_path):
-        archive = RunArchive(tmp_path / "runs")
-        first = archive.archive(traced_run(tmp_path, n_map_items=4))
-        index = tmp_path / "runs" / "index.jsonl"
-        with open(index, "a") as fh:
-            fh.write('{"run_id": "torn-by-a-crash')
-        second = archive.archive(traced_run(tmp_path, n_map_items=6))
-        lines = index.read_text().splitlines()
-        assert [json.loads(line)["run_id"] for line in lines] == [
-            first.run_id,
-            second.run_id,
-        ]
-        # the reader sees both archived runs and no phantom third
-        assert {r.run_id for r in archive.records()} == {
-            first.run_id,
-            second.run_id,
-        }
+        ledger = Ledger(tmp_path / "store")
+        first = ledger.append(_row(seconds=1.0))
+        with open(ledger.path, "a") as fh:
+            fh.write('{"type": "run", "id": "torn-by-a-crash')
+        second = ledger.append(_row(seconds=2.0))
+        lines = ledger.path.read_text().splitlines()
+        assert [json.loads(line)["id"] for line in lines] == [first, second]
+        # the reader sees both runs and no phantom third
+        assert [r.run_id for r in ledger.rows()] == [first, second]
 
 
 class TestLoadBaseline:

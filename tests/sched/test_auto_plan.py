@@ -4,7 +4,8 @@ Acceptance contract of the measured planner: an auto-planned run executes
 the configuration with the lowest summed per-stage medians measured
 under its store key (the fixed default when nothing is), embeds the
 decision record in run events / span attributes / the shard manifest,
-records the ``schedule_prediction_error`` metric, and feeds the store.
+records the ``schedule_prediction_error`` metric, and files its row in
+the ledger.
 Planning changes the schedule, never the bytes: the auto run's shards are
 the serial reference's of the parity oracle (``tests/parity.py``).
 """
@@ -20,8 +21,9 @@ from repro.domains.materials.synthetic import MaterialsSourceConfig
 from repro.io.shards import MANIFEST_NAME, ShardManifest
 from repro.obs import Telemetry
 from repro.sched import (
-    CalibrationStore,
     CandidateConfig,
+    Ledger,
+    LedgerRow,
     ScheduleDecision,
     choose_config,
     store_key,
@@ -43,22 +45,22 @@ def _auto_run(tmp_path, name="auto", **kwargs):
 
 
 def _warm_store(tmp_path, seconds_by_config):
-    """A store in which each given config measured every climate stage at
-    the given seconds, under the key the climate runs below file under."""
+    """A ledger in which each given config ran every climate stage in the
+    given seconds, under the key the climate runs below file under."""
     arch = _climate()
     source = arch.synthesize_source(tmp_path / "key-src")
     plan = arch.build_pipeline(tmp_path / "key-shards").plan
     key = store_key(plan.name, source)
-    store = CalibrationStore(tmp_path / "cal")
+    store = tmp_path / "store"
     for config, seconds in seconds_by_config.items():
-        for stage in plan.stage_names:
-            store.observe(key, config, stage, seconds)
+        stages = tuple((stage, seconds, 1) for stage in plan.stage_names)
+        Ledger(store).append(LedgerRow(key=key, config=config, status="ok", stages=stages))
     return store
 
 
 def test_auto_run_selects_and_embeds_decision(tmp_path):
     store = _warm_store(tmp_path, {SERIAL: 0.5, THREADED: 0.2})
-    result = _auto_run(tmp_path, calibration_store=store)
+    result = _auto_run(tmp_path, ledger=store)
     decision = result.schedule
     assert isinstance(decision, ScheduleDecision)
     assert decision.mode == "auto"
@@ -90,7 +92,7 @@ def test_fixed_run_has_no_decision(tmp_path):
 def test_auto_run_emits_event_span_and_error_metric(tmp_path):
     store = _warm_store(tmp_path, {SERIAL: 0.5})
     telemetry = Telemetry()
-    result = _auto_run(tmp_path, telemetry=telemetry, calibration_store=store)
+    result = _auto_run(tmp_path, telemetry=telemetry, ledger=store)
     decision = result.schedule
     scheduled = [
         e for e in result.run.events if e.kind is RunEventKind.RUN_SCHEDULED
@@ -115,37 +117,33 @@ def test_auto_run_emits_event_span_and_error_metric(tmp_path):
 
 def test_auto_run_feeds_the_calibration_store(tmp_path):
     store = _warm_store(tmp_path, {THREADED: 0.5})
-    before = len(store)
-    result = _auto_run(tmp_path, calibration_store=store)
-    assert len(store) == before + len(result.run.results)
-    key = result.schedule.key
-    measured = store.measured(key)[THREADED]
-    assert {stage: seconds[-1] for stage, seconds in measured.items()} == {
-        r.stage_name: r.seconds for r in result.run.results
-    }
-    # the persisted store reloads with the same measurements
-    assert CalibrationStore(tmp_path / "cal").measured(key) == store.measured(key)
+    result = _auto_run(tmp_path, ledger=store)
+    warm, row = Ledger(store).rows()
+    decision = result.schedule
+    assert (row.key, row.config) == (decision.key, THREADED) == (warm.key, warm.config)
+    assert row.stage_seconds() == {r.stage_name: r.seconds for r in result.run.results}
+    # the row names the decision it ran and the bytes it made
+    assert row.schedule_hash == decision.content_hash()
+    assert row.output_fingerprint == result.run.results[-1].output_fingerprint
 
 
 def test_persisted_calibration_deterministically_changes_prediction(tmp_path):
     # a cold store runs the fixed default and records it
-    first = _auto_run(tmp_path, name="run1",
-                      calibration_store=CalibrationStore(tmp_path / "cal"))
+    first = _auto_run(tmp_path, name="run1", ledger=tmp_path / "store")
     assert first.schedule.mode == "fallback"
     assert first.run.backend_name == "serial"
-    # snapshot the store state run2 will plan against (run2 appends to it)
-    shutil.copytree(tmp_path / "cal", tmp_path / "cal-snapshot")
-    second = _auto_run(tmp_path, name="run2",
-                       calibration_store=CalibrationStore(tmp_path / "cal"))
+    # snapshot the ledger state run2 will plan against (run2 appends to it)
+    shutil.copytree(tmp_path / "store", tmp_path / "store-snapshot")
+    second = _auto_run(tmp_path, name="run2", ledger=tmp_path / "store")
     assert second.schedule.mode == "auto"
     assert second.schedule.stage_predictions() == {
         r.stage_name: r.seconds for r in first.run.results
     }
-    # ... deterministically: replaying the choice from the same store state
+    # ... deterministically: replaying the choice from the same ledger state
     # reproduces the second decision byte-for-byte
     plan = _climate().build_pipeline(tmp_path / "replay-shards").plan
     replayed = choose_config(
-        second.schedule.key, plan.stage_names, CalibrationStore(tmp_path / "cal-snapshot")
+        second.schedule.key, plan.stage_names, Ledger(tmp_path / "store-snapshot")
     )
     assert json.dumps(replayed.to_dict()) == json.dumps(second.schedule.to_dict())
 

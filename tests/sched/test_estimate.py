@@ -1,4 +1,4 @@
-"""Sizing a run: the source bytes behind its calibration-store key."""
+"""Sizing a run: the source bytes behind its ledger key."""
 
 import numpy as np
 

@@ -205,21 +205,22 @@ class TestTelemetryCommands:
 
 
 class TestAnalyticsCLI:
-    """telemetry critical-path / diff plus the runs archive commands."""
+    """telemetry critical-path / diff plus the runs ledger commands."""
 
     @pytest.fixture(scope="class")
     def archived_run(self, tmp_path_factory):
-        """One traced + archived climate run shared by the analytics tests."""
+        """One traced climate run filed in a ledger, shared by the analytics
+        tests."""
         base = tmp_path_factory.mktemp("analytics")
         trace_dir = base / "trace"
-        runs_root = base / "runs"
+        store = base / "store"
         code = main([
             "run", "climate",
             "--workdir", str(base / "work"),
             "--trace-dir", str(trace_dir),
-            "--archive-dir", str(runs_root),
+            "--store-dir", str(store),
         ])
-        return code, trace_dir, runs_root
+        return code, trace_dir, store
 
     def test_critical_path_renders(self, archived_run, capsys):
         code, trace_dir, _ = archived_run
@@ -305,14 +306,36 @@ class TestAnalyticsCLI:
             "--against", str(baseline), "--fail-on-regress",
         ]) == 3
 
+    def test_diff_against_own_engine_seconds_reports_no_regression(
+        self, archived_run, tmp_path, capsys
+    ):
+        """Both sides of a diff are engine stage seconds, not span wall."""
+        import json
+
+        _, trace_dir, store = archived_run
+        (line,) = (store / "ledger.jsonl").read_text().splitlines()
+        stages = {s["stage"]: s["seconds"] for s in json.loads(line)["stages"]}
+        baseline = tmp_path / "BENCH_self.json"
+        baseline.write_text(json.dumps({"stage_seconds": stages}))
+        capsys.readouterr()
+        assert main([
+            "telemetry", "diff", str(trace_dir), "--against", str(baseline), "--json",
+        ]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert not diff["regressed"]
+        assert {s["stage"]: s["verdict"] for s in diff["stages"]} == dict.fromkeys(stages, "ok")
+        assert {s["stage"]: s["current"] for s in diff["stages"]} == {
+            name: round(seconds, 6) for name, seconds in stages.items()
+        }
+
     def test_diff_requires_exactly_one_baseline(self, archived_run, tmp_path, capsys):
-        _, trace_dir, runs_root = archived_run
+        _, trace_dir, store = archived_run
         capsys.readouterr()
         assert main(["telemetry", "diff", str(trace_dir)]) == 2
         assert "--against" in capsys.readouterr().err
         assert main([
             "telemetry", "diff", str(trace_dir),
-            "--against", str(tmp_path / "b.json"), "--runs-root", str(runs_root),
+            "--against", str(tmp_path / "b.json"), "--store-dir", str(store),
         ]) == 2
 
     def test_diff_missing_dir_fails(self, tmp_path, capsys):
@@ -323,10 +346,10 @@ class TestAnalyticsCLI:
         assert "does not exist" in capsys.readouterr().err
 
     def test_runs_list_and_show(self, archived_run, capsys):
-        code, _, runs_root = archived_run
+        code, _, store = archived_run
         assert code == 0
         capsys.readouterr()
-        assert main(["runs", "list", str(runs_root)]) == 0
+        assert main(["runs", "list", str(store)]) == 0
         out = capsys.readouterr().out
         assert "climate" in out
         assert "run id" in out
@@ -334,49 +357,61 @@ class TestAnalyticsCLI:
             line.split()[0] for line in out.splitlines()
             if line.strip() and "climate" in line
         )
-        assert main(["runs", "show", str(runs_root), run_id[:8]]) == 0
+        assert main(["runs", "show", str(store), run_id[:8]]) == 0
         import json
 
         record = json.loads(capsys.readouterr().out)
         assert record["pipeline"] == "climate"
-        assert record["run_id"].startswith(run_id[:8])
+        assert record["id"].startswith(run_id[:8])
 
     def test_runs_list_empty_root_fails(self, tmp_path, capsys):
         assert main(["runs", "list", str(tmp_path / "none")]) == 1
-        assert "no archived runs" in capsys.readouterr().err
+        assert "no runs in" in capsys.readouterr().err
 
-    def test_runs_show_unknown_id_fails(self, archived_run, capsys):
-        _, _, runs_root = archived_run
+    def test_runs_show_unknown_id_fails(self, archived_run, tmp_path, capsys):
+        from repro.sched import CandidateConfig, Ledger, LedgerRow, StoreKey
+
+        _, _, store = archived_run
         capsys.readouterr()
-        assert main(["runs", "show", str(runs_root), "ffffffff"]) == 1
+        assert main(["runs", "show", str(store), "ffffffff"]) == 1
         assert "error" in capsys.readouterr().err
+        # ... and so is a prefix two runs share
+        for seconds in (1.0, 2.0):
+            Ledger(tmp_path / "two").append(LedgerRow(
+                key=StoreKey("p", 1, 1), config=CandidateConfig("serial", 1, 0),
+                status="ok", stages=(("s", seconds, 1),),
+            ))
+        assert main(["runs", "show", str(tmp_path / "two"), ""]) == 1
+        assert "ambiguous" in capsys.readouterr().err
 
     def test_run_with_progress_and_archive(self, tmp_path, capsys):
         assert main([
             "run", "materials",
             "--workdir", str(tmp_path / "work"),
             "--progress",
-            "--archive-dir", str(tmp_path / "runs"),
+            "--store-dir", str(tmp_path / "store"),
         ]) == 0
         captured = capsys.readouterr()
-        assert "run archived as" in captured.out
-        assert (tmp_path / "runs" / "index.jsonl").exists()
+        assert "run filed in" in captured.out
+        assert (tmp_path / "store" / "ledger.jsonl").exists()
 
-    def test_diff_against_runs_root_history(self, archived_run, tmp_path, capsys):
-        """Archive a second run, then diff the first trace against history."""
-        _, trace_dir, runs_root = archived_run
+    def test_diff_against_ledger_history(self, archived_run, tmp_path, capsys):
+        """File a second run, then diff the first trace against the ledger:
+        the first run's own row is not its history."""
+        import json
+
+        _, trace_dir, store = archived_run
         assert main([
             "run", "climate",
             "--workdir", str(tmp_path / "work2"),
             "--seed", "5",
-            "--archive-dir", str(runs_root),
+            "--store-dir", str(store),
         ]) == 0
         capsys.readouterr()
         assert main([
-            "telemetry", "diff", str(trace_dir), "--runs-root", str(runs_root),
+            "telemetry", "diff", str(trace_dir), "--store-dir", str(store), "--json",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "vs" in out
+        assert json.loads(capsys.readouterr().out)["n_history"] == 1
 
 
 class TestFaultToleranceCLI:
@@ -450,7 +485,7 @@ class TestPlanCLI:
         """One fixed materials run recording into the store under tmp_path."""
         work = tmp_path / ("w" + "-".join(extra))
         assert main(["run", "materials", "--workdir", str(work),
-                     "--calibration-dir", str(tmp_path / "cal"), *extra]) == 0
+                     "--store-dir", str(tmp_path / "store"), *extra]) == 0
 
     def test_plan_explain_ranks_candidates(self, tmp_path, capsys):
         self._feed(tmp_path)
@@ -458,7 +493,7 @@ class TestPlanCLI:
         capsys.readouterr()
         assert main([
             "plan", "explain", "materials", "--workdir", str(tmp_path / "explain"),
-            "--calibration-dir", str(tmp_path / "cal"), "--top", "4",
+            "--store-dir", str(tmp_path / "store"), "--top", "4",
         ]) == 0
         out = capsys.readouterr().out
         assert "store key: pipeline 'materials' on" in out
@@ -476,29 +511,29 @@ class TestPlanCLI:
         monkeypatch.setenv("TMPDIR", str(scratch))
         monkeypatch.setattr(tempfile, "tempdir", None)
         assert main(["plan", "explain", "materials",
-                     "--calibration-dir", str(tmp_path / "cal")]) == 0
+                     "--store-dir", str(tmp_path / "store")]) == 0
         assert "fallback: serialx1/batch0" in capsys.readouterr().out
         # the synthesized source went, and reading the store created nothing
         assert list(scratch.iterdir()) == []
-        assert not (tmp_path / "cal").exists()
+        assert not (tmp_path / "store").exists()
 
     def test_run_plan_auto_embeds_decision(self, tmp_path, capsys):
         self._feed(tmp_path)
         assert main([
             "run", "materials", "--workdir", str(tmp_path / "run"),
-            "--plan", "auto", "--calibration-dir", str(tmp_path / "cal"),
+            "--plan", "auto", "--store-dir", str(tmp_path / "store"),
         ]) == 0
         out = capsys.readouterr().out
         assert "schedule decision" in out
         assert "prediction error" in out
-        assert "calibration observations appended" in out
+        assert "run filed in" in out
         import json
 
         manifest = json.loads(
             (tmp_path / "run" / "shards" / "manifest.json").read_text()
         )
         assert manifest["metadata"]["schedule_decision"]["mode"] == "auto"
-        assert (tmp_path / "cal" / "calibration.jsonl").exists()
+        assert len((tmp_path / "store" / "ledger.jsonl").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("override", [
         ["--backend", "serial"],
