@@ -6,13 +6,14 @@ from it.  ``goldens/store-lines.json`` was generated at d92d17b — the last
 commit with four hand-copied line encoders and three read loops — by
 running this file as a script, so it pins the shared codec in
 ``repro.durability.atomic`` to the bytes each copy wrote.  Never regenerate
-it to make a test pass.  (Two edits since, both of a record's content,
+it to make a test pass.  (Three edits since, all of a record's content,
 not its encoding: the ``journal`` scenario's ``"schema": 2`` became ``3``
 when the snapshot format changed, and the ``calibration`` scenario was
 re-frozen when observations became stage seconds filed by store key and
-executed config.  The ``calibration`` and ``run_index`` scenarios then
-became one ``ledger`` scenario, frozen when both stores became the
-ledger of finished runs.)
+executed config.  Then both the ``calibration`` and ``run_index``
+scenarios were re-frozen when both stores became the one ledger of finished runs:
+each now writes ledger rows and reads them back the way the reader that
+replaced its store does.)
 """
 
 import json
@@ -53,8 +54,20 @@ def provenance(root):
     return store.path, [record.to_dict() for record in store]
 
 
-def ledger(root):
-    """Two runs filed, the first twice: the reader counts it once."""
+def calibration(root):
+    """The planner's measurements: rows at one key, read as the chooser reads them."""
+    key, log = StoreKey("p", 2, 24), Ledger(root)
+    log.append(LedgerRow(key=key, config=CandidateConfig("serial", 1, 0), status="ok",
+                         stages=(("regrid", 3.0, 4),)))
+    log.append(LedgerRow(key=key, config=CandidateConfig("threaded", 2, 256), status="ok",
+                         stages=(("stack", 0.125, 141),)))
+    measured = {row.config.label(): row.stage_seconds()
+                for row in Ledger(root).rows("p") if row.key == key}
+    return log.path, measured
+
+
+def run_index(root):
+    """The runs index: two runs filed, the first twice; the reader counts it once."""
     key, log = StoreKey("p", 2, 24), Ledger(root)
     first = LedgerRow(
         key=key, config=CandidateConfig("serial", 1, 0), status="ok",
@@ -118,8 +131,8 @@ def audit(root):
 
 SCENARIOS = {
     fn.__name__: fn
-    for fn in (journal, provenance, ledger, quarantine, quarantine_discard,
-               dead_letters, audit)
+    for fn in (journal, provenance, calibration, quarantine, quarantine_discard,
+               run_index, dead_letters, audit)
 }
 
 
