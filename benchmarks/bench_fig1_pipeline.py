@@ -208,7 +208,7 @@ def figure1_timing_rows(run, telemetry):
 
     One row per executed stage, read back from the ``stage_seconds``
     histogram and ``stage_items_total`` counter the runner recorded —
-    the same registry ``run --trace-dir`` exports.
+    the same registry ``run --trace`` exports.
     """
     rows = []
     for result in run.results:

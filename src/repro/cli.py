@@ -10,14 +10,14 @@ technical readiness"; this CLI is that tool::
     python -m repro plan explain DOMAIN       # what --plan auto would run, and why
     python -m repro backends                  # list execution backends
     python -m repro inspect SHARD_DIR         # verify + describe a shard set
-    python -m repro telemetry summary DIR     # slowest spans of a trace
-    python -m repro telemetry critical-path DIR  # what set the wall time
-    python -m repro telemetry diff DIR --store-dir STORE
-    python -m repro telemetry export DIR --chrome trace.json
+    python -m repro telemetry summary WORKDIR # slowest spans of a traced run
+    python -m repro telemetry critical-path WORKDIR  # what set the wall time
+    python -m repro telemetry diff WORKDIR --store-dir STORE
+    python -m repro telemetry export WORKDIR --chrome trace.json
     python -m repro runs list STORE           # browse the ledger of runs
     python -m repro crosswalk LEVEL           # NOAA/METRIC crosswalks
-    python -m repro quarantine list DIR       # records a gate split out
-    python -m repro quarantine re-drive DIR --domain D --output OUT
+    python -m repro quarantine list STORE     # records a gate split out
+    python -m repro quarantine re-drive STORE --domain D --output OUT
 
 ``run`` drives the layered engine: ``--backend`` picks the execution
 backend (serial, threaded, simspmd, process — all bitwise-equivalent)
@@ -28,11 +28,14 @@ kills workers repeatedly is dead-lettered as poison, ``--stage-timeout``
 is enforced *preemptively* (the overrunning worker is killed), and
 SIGINT/SIGTERM drains the run gracefully to a resumable checkpoint
 (``--inject-faults 'seed=7,kill-rate=0.05'`` rehearses all of it).
-``--checkpoint-dir`` persists per-stage checkpoints, ``--resume``
-restarts a previously interrupted run from its last completed stage,
-``--trace-dir`` writes the run's full telemetry (spans, metrics, events)
-as a JSONL trace directory, and ``--events-jsonl`` streams just the run
-events in the same schema.  Fault tolerance rides the same command:
+``--workdir`` is the run directory: beside ``source/`` and ``shards/``
+it always holds the run's ``events.jsonl``, ``--checkpoint`` adds
+per-stage checkpoints and the run journal under ``ckpt/`` (``--resume``
+restarts an interrupted run from its last completed stage), and
+``--trace`` adds the run's spans and metrics, so the directory is also
+the trace the ``telemetry`` commands read.  ``--store-dir`` holds the
+stores that span runs: the ledger, the quarantine and the dead letters.
+Fault tolerance rides the same command:
 ``--retries N`` retries stages/tasks on transient faults with
 deterministic seeded backoff, ``--stage-timeout`` sets a per-stage
 deadline budget, ``--on-error`` picks the stage error policy
@@ -41,11 +44,10 @@ deadline budget, ``--on-error`` picks the stage error policy
 chaos — the standing demonstration that retried, fault-ridden runs
 produce bitwise-identical shards.  Data readiness gates ride it too:
 ``--gates quarantine`` enforces the domain's declared stage contracts,
-splitting violating records into ``--quarantine-dir`` while survivors
+splitting violating records into the store's quarantine while survivors
 ship (``--inject-bad-records N`` seeds deliberately corrupt sources to
-catch), and ``--dead-letter-dir`` persists the run's dead letters as a
-durable JSONL log.  ``--store-dir`` appends the finished run's row to
-the store's ``ledger.jsonl`` (stage seconds under the backend, width and
+catch).  Each finished run appends its row to the store's
+``ledger.jsonl`` (stage seconds under the backend, width and
 batch size that ran them), and ``run --plan auto`` runs the
 configuration with the lowest summed per-stage medians the ledger holds
 for this pipeline, host and source size (the ``fixed`` default when
@@ -108,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a domain archetype end-to-end")
     run.set_defaults(handler=_cmd_run)
     run.add_argument("domain", choices=["climate", "fusion", "bio", "materials"])
-    run.add_argument("--workdir", required=True, type=Path)
+    run.add_argument("--workdir", required=True, type=Path,
+                     help="the run directory: source/ and shards/, ckpt/ with "
+                          "--checkpoint, and the run's events.jsonl (plus "
+                          "spans.jsonl and metrics.jsonl with --trace)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--backend", choices=sorted(BACKENDS), default=None,
                      help="execution backend for data-parallel stage internals "
@@ -126,27 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "record is embedded in events, spans, and the "
                           "shard manifest")
     run.add_argument("--store-dir", type=Path, default=None,
-                     help="append this run's row (stage seconds under the "
-                          "configuration that ran them) to ledger.jsonl "
-                          "here, which --plan auto and 'runs' read")
-    run.add_argument("--checkpoint-dir", type=Path, default=None,
-                     help="persist per-stage checkpoints under this directory")
+                     help="the stores that span runs: this run's row goes to "
+                          "ledger.jsonl (which --plan auto and 'runs' read), "
+                          "its gate-quarantined records to quarantine.jsonl "
+                          "+ records/, its dead letters to dead-letters.jsonl")
+    run.add_argument("--checkpoint", action="store_true",
+                     help="persist per-stage checkpoints and the run journal "
+                          "under WORKDIR/ckpt")
     run.add_argument("--resume", action="store_true",
                      help="resume from the last completed checkpointed stage "
-                          "(requires --checkpoint-dir)")
+                          "(implies --checkpoint)")
     run.add_argument("--recover", action="store_true",
-                     help="scan the checkpoint dir before running: replay the "
+                     help="scan WORKDIR/ckpt before running: replay the "
                           "write-ahead run journal, discard uncommitted partial "
-                          "artifacts, heal torn JSONL tails, then resume from "
-                          "the last journal-committed stage (implies --resume; "
-                          "requires --checkpoint-dir)")
+                          "artifacts, heal a torn journal tail, then resume "
+                          "from the last journal-committed stage (implies "
+                          "--resume)")
     run.add_argument("--events", action="store_true",
                      help="print the structured run-event log after the run")
-    run.add_argument("--events-jsonl", type=Path, default=None, metavar="PATH",
-                     help="write run events as schema-versioned JSONL to PATH")
-    run.add_argument("--trace-dir", type=Path, default=None,
+    run.add_argument("--trace", action="store_true",
                      help="collect telemetry (spans, metrics, resource profiles) "
-                          "and write a JSONL trace under this directory")
+                          "and write it beside the run's events in WORKDIR")
     run.add_argument("--progress", action="store_true",
                      help="stream live progress (stage, tasks done, ETA) to "
                           "stderr while the run executes")
@@ -174,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "boundaries: fail aborts on violation, quarantine splits "
                           "violating records out and continues degraded, warn only "
                           "records verdicts")
-    run.add_argument("--quarantine-dir", type=Path, default=None,
-                     help="persist gate-quarantined records (JSONL entries + "
-                          "pickled payloads) under this directory")
-    run.add_argument("--dead-letter-dir", type=Path, default=None,
-                     help="append the run's dead letters as JSONL under this "
-                          "directory (a durable ledger of undone work)")
     run.add_argument("--batch-size", type=int, default=None, metavar="N",
                      help="records per batch for stages that declare the batch "
                           "capability (bitwise identical to the per-record "
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "safe to re-run after an interruption)")
 
     telemetry = sub.add_parser(
-        "telemetry", help="inspect a JSONL trace directory written by run --trace-dir"
+        "telemetry", help="inspect the trace a run --workdir DIR --trace wrote"
     )
     telemetry_sub = telemetry.add_subparsers(dest="telemetry_command", required=True)
     summary = telemetry_sub.add_parser(
@@ -366,19 +365,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """``repro run``: every flag is read off *args*, where
     :func:`build_parser` declared it."""
     domain, seed, backend = args.domain, args.seed, args.backend
-    checkpoint_dir, trace_dir = args.checkpoint_dir, args.trace_dir
-    if args.resume and checkpoint_dir is None:
-        print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.recover and checkpoint_dir is None:
-        print("error: --recover requires --checkpoint-dir", file=sys.stderr)
-        return 2
+    workdir, store_dir = args.workdir, args.store_dir
     from repro.core.plan import PipelineError
+    from repro.domains.base import CHECKPOINT_DIR, SHARDS_DIR
     from repro.durability.checkpoint import CheckpointError
     from repro.durability.fsfaults import SimulatedCrash
     from repro.faults import FaultInjector, FaultSpec, RetryPolicy
-    from repro.obs import JsonlTelemetrySink, Telemetry
-    from repro.obs.sinks import envelope, write_jsonl
+    from repro.obs import Telemetry
 
     retry_policy = None
     if args.retries is not None:
@@ -427,17 +420,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.workers < 1:
             print("error: --workers must be >= 1", file=sys.stderr)
             return 2
-        from repro.core.backends import get_backend
+        from repro.sched import WIDTH_ARGUMENT, CandidateConfig, build_backend
 
-        width_kwargs = {"threaded": "workers", "process": "workers",
-                        "simspmd": "n_ranks"}
-        kwarg = width_kwargs.get(backend)
-        if kwarg is None:
+        if backend not in WIDTH_ARGUMENT:
             print(f"error: --workers is not supported for the {backend} backend",
                   file=sys.stderr)
             return 2
         try:
-            backend = get_backend(backend, **{kwarg: args.workers})
+            backend = build_backend(CandidateConfig(backend, args.workers, args.batch_size or 0))
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -449,15 +439,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"warning: --stage-timeout on the {backend_cls.name} backend is enforced "
                   "post-hoc only (a hung task is not killed); use --backend "
                   "process for preemptive enforcement", file=sys.stderr)
-    # --progress needs telemetry even without a trace dir
-    telemetry = Telemetry() if trace_dir is not None or args.progress else None
+    checkpointed = args.checkpoint or args.resume or args.recover
+    checkpoint_dir = workdir / CHECKPOINT_DIR if checkpointed else None
+    # --progress needs telemetry even without --trace
+    telemetry = Telemetry() if args.trace or args.progress else None
     recovery_report = None
     if args.recover:
         from repro.durability import recover_run
 
         recovery_report = recover_run(
             checkpoint_dir,
-            shards_dir=Path(args.workdir) / "shards",
+            shards_dir=workdir / SHARDS_DIR,
             telemetry=telemetry,
         )
         print(recovery_report.summary())
@@ -471,14 +463,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {domain} archetype ({archetype.pattern_string()}) "
           f"on the {how} backend ...")
 
-    def _save_dead_letters(log) -> None:
-        if args.dead_letter_dir is None or not len(log):
-            return
-        from repro.faults import DEAD_LETTER_NAME
-
-        path = log.save(Path(args.dead_letter_dir) / DEAD_LETTER_NAME)
-        print(f"{len(log)} dead letter(s) appended to {path}")
-
     reporter = None
     ticker = None
     if args.progress:
@@ -490,9 +474,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     drain = DrainController()
     uninstall = drain.install()
+    failure: Optional[BaseException] = None
     try:
         result = archetype.run(
-            args.workdir,
+            workdir,
             source_params=source_params,
             backend=backend,
             checkpoint_dir=checkpoint_dir,
@@ -504,62 +489,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stage_timeout=args.stage_timeout,
             fault_injector=injector,
             gates=args.gates,
-            quarantine_dir=args.quarantine_dir,
+            quarantine_dir=store_dir,
             plan_mode=args.plan_mode,
-            ledger=args.store_dir,
+            ledger=store_dir,
             drain=drain,
             batch_size=args.batch_size,
             recovery_report=recovery_report,
         )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SimulatedCrash as exc:
         # the in-process flavour of crash-at (crash-kill=1 SIGKILLs for
-        # real); exit like a killed driver so CI treats both the same
+        # real): exit like a killed driver, which writes nothing more
         print(f"\n{exc}", file=sys.stderr)
-        if checkpoint_dir is not None:
-            print(f"recover with: --checkpoint-dir {checkpoint_dir} --recover",
-                  file=sys.stderr)
+        if checkpointed:
+            print(f"recover with: --workdir {workdir} --recover", file=sys.stderr)
         return 137
-    except DrainInterrupt as exc:
-        where = (
-            f" before stage {exc.stage_name!r}"
-            if getattr(exc, "stage_name", None)
-            else ""
-        )
-        print(f"\nrun interrupted by drain{where}: {exc}", file=sys.stderr)
-        _save_dead_letters(getattr(exc, "dead_letters", []) or [])
-        if telemetry is not None and trace_dir is not None:
-            telemetry.export(
-                JsonlTelemetrySink(trace_dir), events=getattr(exc, "events", [])
-            )
-            print(f"partial trace written to {trace_dir}", file=sys.stderr)
-        counters = getattr(exc, "worker_counters", None)
-        if counters:
-            print("worker supervision: "
-                  + ", ".join(f"{k}={v}" for k, v in sorted(counters.items())),
-                  file=sys.stderr)
-        if checkpoint_dir is not None:
-            print(f"resume with: --checkpoint-dir {checkpoint_dir} --resume",
-                  file=sys.stderr)
-        return 130
-    except PipelineError as exc:
-        where = f" (stage {exc.stage_name!r})" if exc.stage_name else ""
-        print(f"error{where}: {exc}", file=sys.stderr)
-        gate_report = getattr(exc, "gate_report", None)
-        if gate_report is not None:
-            print(f"gate verdict: {gate_report.summary()}", file=sys.stderr)
-        _save_dead_letters(getattr(exc, "dead_letters", []) or [])
-        if telemetry is not None and trace_dir is not None:
-            # a failed run's partial trace is exactly what you want to keep
-            telemetry.export(JsonlTelemetrySink(trace_dir), events=getattr(exc, "events", []))
-            print(f"partial trace written to {trace_dir}", file=sys.stderr)
-        return 1
+    except (CheckpointError, DrainInterrupt, PipelineError) as exc:
+        failure = exc
     finally:
         uninstall()
         if ticker is not None:
             ticker.stop()
+    # a run that ended early carries its records on the exception
+    records = result.run if failure is None else failure
+    _write_run_records(args, records, telemetry, partial=failure is not None)
+    if failure is not None:
+        return _report_failure(failure, workdir if checkpointed else None)
     run = result.run
     if result.schedule is not None:
         decision = result.schedule
@@ -577,10 +531,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             error = abs(actual - predicted) / predicted
             print(f"\npredicted {predicted:.4f} s, actual {actual:.4f} s "
                   f"(prediction error {error:.0%})")
-    if args.store_dir is not None:
+    if store_dir is not None:
         from repro.sched import LEDGER_NAME
 
-        print(f"run filed in {args.store_dir / LEDGER_NAME}")
+        print(f"run filed in {store_dir / LEDGER_NAME}")
     if run.quarantined:
         for q in run.quarantined:
             print(f"quarantined corrupt checkpoint for stage {q.stage_name!r} "
@@ -613,14 +567,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
               or "no supervision activity")
         for crash in run.worker_crashes:
             print(f"  {crash.describe()}")
-    _save_dead_letters(run.dead_letters)
     if args.gates is not None:
         print(section("data readiness gates"))
         print(f"policy: {args.gates}")
         for report in run.gate_reports:
             print(f"  {report.summary()}")
         if run.records_quarantined:
-            where = args.quarantine_dir if args.quarantine_dir is not None else "(in-memory)"
+            where = store_dir if store_dir is not None else "(in-memory)"
             print(f"{run.records_quarantined} record(s) quarantined -> {where}")
     if run.degraded:
         degraded = [r.stage_name for r in run.results if r.degraded]
@@ -634,16 +587,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"skipped; outputs passed through unchanged")
     if args.events:
         print(section("run events"))
-        print(result.run.event_log())
-    if args.events_jsonl is not None:
-        n = write_jsonl(
-            args.events_jsonl, (envelope("event", e.to_dict()) for e in result.run.events)
-        )
-        print(f"{n} events written to {args.events_jsonl}")
-    if telemetry is not None and trace_dir is not None:
-        telemetry.export(JsonlTelemetrySink(trace_dir), events=result.run.events)
-        print(f"trace written to {trace_dir} "
-              f"({len(telemetry.tracer)} spans, {len(telemetry.metrics)} metrics)")
+        print(run.event_log())
     print(section("assessment"))
     print(f"Data Readiness Level: {result.readiness_level} / 5")
     print(MaturityMatrix.from_assessment(result.assessment).render_compact())
@@ -661,21 +605,72 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_run_records(args: argparse.Namespace, records, telemetry, *, partial: bool) -> None:
+    """The one write of a run's records, whichever way it ended: its events
+    (with ``--trace`` also its spans and metrics) are appended under the
+    workdir, its dead letters in the store.  *records* is the finished
+    :class:`~repro.core.runner.PipelineRun` or the exception that ended the
+    run early, which the runner gives the same two attributes."""
+    from repro.obs import JsonlTelemetrySink
+    from repro.obs.sinks import EVENTS_NAME, envelope, write_jsonl
+
+    lines = (envelope("event", e.to_dict()) for e in getattr(records, "events", []))
+    write_jsonl(args.workdir / EVENTS_NAME, lines, append=True)
+    if args.trace:
+        telemetry.export(JsonlTelemetrySink(args.workdir))
+        print(f"{'partial ' if partial else ''}trace written to {args.workdir} "
+              f"({len(telemetry.tracer)} spans, {len(telemetry.metrics)} metrics)",
+              file=sys.stderr if partial else sys.stdout)
+    dead_letters = getattr(records, "dead_letters", None)
+    if args.store_dir is not None and dead_letters:
+        from repro.faults import DEAD_LETTER_NAME
+
+        path = dead_letters.save(args.store_dir / DEAD_LETTER_NAME)
+        print(f"{len(dead_letters)} dead letter(s) appended to {path}")
+
+
+def _report_failure(exc: BaseException, resume_dir: Optional[Path]) -> int:
+    """Explain a run that ended early; the exit code is 130 for a drain
+    (resumable from *resume_dir*, when the run was checkpointed) and 1
+    for a failure."""
+    from repro.workers import DrainInterrupt
+
+    stage = getattr(exc, "stage_name", None)
+    if not isinstance(exc, DrainInterrupt):
+        where = f" (stage {stage!r})" if stage else ""
+        print(f"error{where}: {exc}", file=sys.stderr)
+        gate_report = getattr(exc, "gate_report", None)
+        if gate_report is not None:
+            print(f"gate verdict: {gate_report.summary()}", file=sys.stderr)
+        return 1
+    where = f" before stage {stage!r}" if stage else ""
+    print(f"\nrun interrupted by drain{where}: {exc}", file=sys.stderr)
+    counters = getattr(exc, "worker_counters", None)
+    if counters:
+        print("worker supervision: "
+              + ", ".join(f"{k}={v}" for k, v in sorted(counters.items())),
+              file=sys.stderr)
+    if resume_dir is not None:
+        print(f"resume with: --workdir {resume_dir} --resume", file=sys.stderr)
+    return 130
+
+
 def _cmd_plan_explain(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
+    from repro.domains.base import SHARDS_DIR, SOURCE_DIR
     from repro.sched import Ledger, choose_config, store_key
 
     with contextlib.ExitStack() as stack:
         workdir = args.workdir or Path(
             stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-plan-"))
         )
-        source_dir = workdir / "source"
+        source_dir = workdir / SOURCE_DIR
         source_dir.mkdir(parents=True, exist_ok=True)
         archetype = _archetype(args.domain, args.seed)
         source_manifest = archetype.synthesize_source(source_dir)
-        plan = archetype.build_pipeline(workdir / "shards").plan
+        plan = archetype.build_pipeline(workdir / SHARDS_DIR).plan
         key = store_key(plan.name, source_manifest)
     ledger = None
     if args.store_dir is not None:
@@ -754,21 +749,21 @@ def _cmd_quarantine_redrive(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_trace_dir(trace_dir: Path) -> Optional[str]:
-    """A one-line friendly error for a missing trace directory, or None."""
-    if not Path(trace_dir).is_dir():
-        return (f"error: trace directory {trace_dir} does not exist "
-                f"(produce one with: repro run DOMAIN --trace-dir {trace_dir})")
-    return None
+def _check_trace_dir(trace_dir: Path) -> bool:
+    """Whether *trace_dir* exists; if not, print a one-line friendly error."""
+    if Path(trace_dir).is_dir():
+        return True
+    print(f"error: trace directory {trace_dir} does not exist "
+          f"(produce one with: repro run DOMAIN --workdir {trace_dir} --trace)",
+          file=sys.stderr)
+    return False
 
 
 def _cmd_telemetry_summary(args: argparse.Namespace) -> int:
     from repro.obs import read_trace
 
     trace_dir = args.trace_dir
-    problem = _check_trace_dir(trace_dir)
-    if problem is not None:
-        print(problem, file=sys.stderr)
+    if not _check_trace_dir(trace_dir):
         return 1
     trace = read_trace(trace_dir)
     spans = trace["spans"]
@@ -852,9 +847,7 @@ def _cmd_telemetry_export(args: argparse.Namespace) -> int:
         print("error: pick at least one of --jsonl, --chrome, --prom",
               file=sys.stderr)
         return 2
-    problem = _check_trace_dir(trace_dir)
-    if problem is not None:
-        print(problem, file=sys.stderr)
+    if not _check_trace_dir(trace_dir):
         return 1
     trace = read_trace(trace_dir)
     combined = trace["spans"] + trace["metrics"] + trace["events"]
@@ -881,9 +874,7 @@ def _cmd_telemetry_critical_path(args: argparse.Namespace) -> int:
     from repro.obs import analyze_trace
 
     trace_dir = args.trace_dir
-    problem = _check_trace_dir(trace_dir)
-    if problem is not None:
-        print(problem, file=sys.stderr)
+    if not _check_trace_dir(trace_dir):
         return 1
     try:
         report = analyze_trace(trace_dir)
@@ -919,9 +910,7 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
         print("error: pick exactly one baseline: --against PATH or "
               "--store-dir DIR", file=sys.stderr)
         return 2
-    problem = _check_trace_dir(trace_dir)
-    if problem is not None:
-        print(problem, file=sys.stderr)
+    if not _check_trace_dir(trace_dir):
         return 1
     trace = read_trace(trace_dir)
     try:

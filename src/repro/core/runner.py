@@ -1203,7 +1203,13 @@ class PipelineRunner:
     def _finish(self, st: _RunState) -> PipelineRun:
         decision, results = self.plan.schedule, st.results
         if self.ledger is not None:
-            self._file_ledger_row(st)
+            try:
+                self._file_ledger_row(st)
+            except OSError as exc:
+                # before commit_run: the journal leaves the run open, so a
+                # resume restores every stage and files the row again
+                detail = f"ledger append failed: {exc}"
+                raise self._fail(st, PipelineError(detail), detail=detail, span_error=detail) from exc
         if self.checkpointer is not None:
             self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
             st.recorder.count("journal_records_total", kind="run-commit")

@@ -33,7 +33,11 @@ from repro.io.shards import ShardManifest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched import ScheduleDecision
 
-__all__ = ["ArchetypeResult", "DomainArchetype"]
+__all__ = ["ArchetypeResult", "DomainArchetype", "SOURCE_DIR", "SHARDS_DIR", "CHECKPOINT_DIR"]
+
+#: The run directory :meth:`DomainArchetype.run` lays out under *work_dir*
+#: (``repro run --workdir``; ``ckpt/`` holds a checkpointed run's journal).
+SOURCE_DIR, SHARDS_DIR, CHECKPOINT_DIR = "source", "shards", "ckpt"
 
 
 @dataclasses.dataclass
@@ -144,8 +148,8 @@ class DomainArchetype(abc.ABC):
                 f"drop {', '.join(overridden)} or use plan_mode='fixed'"
             )
         work_dir = Path(work_dir)
-        source_dir = work_dir / "source"
-        output_dir = work_dir / "shards"
+        source_dir = work_dir / SOURCE_DIR
+        output_dir = work_dir / SHARDS_DIR
         source_dir.mkdir(parents=True, exist_ok=True)
         source_manifest = self.synthesize_source(source_dir, **(source_params or {}))
         pipeline = self.build_pipeline(output_dir, **(pipeline_options or {}))

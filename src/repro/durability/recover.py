@@ -9,8 +9,8 @@ can trust, in four deterministic steps:
 1. **Sweep partials** — ``*.tmp`` / ``*.spool`` siblings in the
    checkpoint and shard directories are, by the commit protocol,
    uncommitted by construction; remove them.
-2. **Heal torn tails** — the journal (and any extra JSONL logs the
-   caller names) are truncated back to their last complete record.
+2. **Heal a torn tail** — the journal is truncated back to its last
+   complete record.
 3. **Replay the journal** — walk the committed stages oldest-first,
    verifying each recorded artifact digest against the disk (the
    checkpoint snapshot through the checkpointer's own ``verify``, the
@@ -105,19 +105,11 @@ def _sweep_partials(roots: Iterable[Optional[Path]], report: RecoveryReport) -> 
                 report.partials_removed.append(str(partial))
 
 
-def _heal_logs(paths: Iterable[Path], report: RecoveryReport) -> None:
-    for path in paths:
-        removed = heal_torn_tail(path)
-        if removed:
-            report.tails_healed[str(path)] = removed
-
-
 def recover_run(
     checkpoint_dir: Union[str, Path],
     *,
     shards_dir: Optional[Union[str, Path]] = None,
     telemetry=None,
-    extra_jsonl: Iterable[Union[str, Path]] = (),
 ) -> RecoveryReport:
     """Scan a crashed run's on-disk state back to a resumable one.
 
@@ -142,7 +134,9 @@ def recover_run(
 
         checkpointer = RunCheckpointer(checkpoint_dir)
         journal = checkpointer.journal
-        _heal_logs([journal.path] + [Path(p) for p in extra_jsonl], report)
+        removed = heal_torn_tail(journal.path)
+        if removed:
+            report.tails_healed[str(journal.path)] = removed
 
         if not journal.path.exists():
             report.notes.append("no journal: checkpoint state left untouched")

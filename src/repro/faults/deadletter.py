@@ -112,7 +112,7 @@ class DeadLetterLog:
         """Persist the log as envelope JSONL; returns the written path.
 
         ``append=True`` (the default) extends an existing file, so
-        successive runs pointed at one ``--dead-letter-dir`` accumulate
+        successive runs pointed at one ``--store-dir`` accumulate
         a campaign-wide ledger of undone work.
 
         The write is **crash-safe**: existing rows are read back (torn

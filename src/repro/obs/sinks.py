@@ -11,7 +11,8 @@ one combined stream stays self-describing.  Two sinks ship:
 
 * :class:`JsonlTelemetrySink` — one ``spans.jsonl`` / ``metrics.jsonl``
   / ``events.jsonl`` file per record type under a trace directory (the
-  ``run --trace-dir`` layout the ``telemetry`` CLI reads back);
+  layout ``run --workdir DIR --trace`` gives DIR, which the ``telemetry``
+  CLI reads back);
 * :class:`InMemorySink` — collects records in lists for tests.
 
 :func:`write_jsonl` writes with — and :func:`read_jsonl` *is* — the one

@@ -26,7 +26,7 @@ width and batch size writes the same bytes, so the chooser only decides
 how long the run takes.
 """
 
-from repro.sched.chooser import FIXED_DEFAULT, build_backend, choose_config
+from repro.sched.chooser import FIXED_DEFAULT, WIDTH_ARGUMENT, build_backend, choose_config
 from repro.sched.decision import (
     SCHEDULE_SCHEMA,
     CandidateConfig,
@@ -46,6 +46,7 @@ __all__ = [
     "SCHEDULE_SCHEMA",
     "ScheduleDecision",
     "StoreKey",
+    "WIDTH_ARGUMENT",
     "build_backend",
     "choose_config",
     "source_nbytes",

@@ -27,13 +27,13 @@ from repro.sched.decision import (
 )
 from repro.sched.ledger import Ledger
 
-__all__ = ["FIXED_DEFAULT", "choose_config", "build_backend"]
+__all__ = ["FIXED_DEFAULT", "WIDTH_ARGUMENT", "choose_config", "build_backend"]
 
 #: what ``--plan fixed`` runs when nothing is set
 FIXED_DEFAULT = CandidateConfig("serial", 1, 0)
 
 #: backend name -> the constructor argument that sets its width
-_WIDTH_ARGUMENT = {"threaded": "workers", "process": "workers", "simspmd": "n_ranks"}
+WIDTH_ARGUMENT = {"threaded": "workers", "process": "workers", "simspmd": "n_ranks"}
 
 
 def choose_config(
@@ -88,7 +88,7 @@ def choose_config(
 
 def build_backend(config: CandidateConfig) -> ExecutionBackend:
     """Instantiate *config*'s backend at its width."""
-    argument = _WIDTH_ARGUMENT.get(config.backend)
+    argument = WIDTH_ARGUMENT.get(config.backend)
     if argument is None:
         return get_backend(config.backend)
     return get_backend(config.backend, **{argument: config.workers})

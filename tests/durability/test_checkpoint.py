@@ -363,14 +363,17 @@ class TestCommitFailure:
     def test_cli_prints_the_stage_and_exits_one(self, tmp_path, capsys):
         from repro.cli import main
 
+        from repro.obs import read_jsonl
+
         code = main([
             "run", "climate", "--workdir", str(tmp_path / "w"), "--seed", "3",
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "--trace-dir", str(tmp_path / "trace"),
-            "--inject-faults", "enospc=checkpoint:1",
+            "--checkpoint", "--trace", "--inject-faults", "enospc=checkpoint:1",
         ])
         err = capsys.readouterr().err
         assert code == 1
         assert "error (stage 'regrid'): checkpoint commit failed" in err
         assert "partial trace written" in err
+        # a failed run keeps its events, ending in the terminal one
+        events = [e["kind"] for e in read_jsonl(tmp_path / "w" / "events.jsonl")]
+        assert (events[0], events[-1]) == ("run-started", "run-failed")
 

@@ -75,21 +75,46 @@ class TestCommands:
 
 
 class TestTelemetryCommands:
-    """run --trace-dir / --events-jsonl plus the telemetry subcommand."""
+    """run --workdir DIR --trace plus the telemetry subcommand."""
 
     @pytest.fixture(scope="class")
     def traced_run(self, tmp_path_factory):
-        """One traced climate run shared by every telemetry CLI test."""
+        """One checkpointed, traced, gated climate run filed in a store,
+        shared by every telemetry CLI test; it runs from inside its base
+        directory, so a relative path it wrote would land there too."""
+        import os
+
         base = tmp_path_factory.mktemp("traced")
-        trace_dir = base / "trace"
-        events_path = base / "events.jsonl"
-        code = main([
-            "run", "climate",
-            "--workdir", str(base / "work"),
-            "--trace-dir", str(trace_dir),
-            "--events-jsonl", str(events_path),
-        ])
-        return code, trace_dir, events_path
+        work, store = base / "work", base / "store"
+        cwd = os.getcwd()
+        os.chdir(base)
+        try:
+            code = main([
+                "run", "climate", "--workdir", str(work), "--store-dir", str(store),
+                "--checkpoint", "--trace", "--gates", "quarantine",
+                "--inject-bad-records", "1",
+            ])
+        finally:
+            os.chdir(cwd)
+        return code, work, work / "events.jsonl"
+
+    def test_run_writes_only_its_run_directory_and_store(self, traced_run, capsys):
+        code, work, _ = traced_run
+        assert code == 0
+        base, store = work.parent, work.parent / "store"
+        assert sorted(p.name for p in base.iterdir()) == ["store", "work"]
+        assert sorted(p.name for p in work.iterdir()) == [
+            "ckpt", "events.jsonl", "metrics.jsonl", "shards", "source", "spans.jsonl",
+        ]
+        assert (work / "ckpt" / "journal.jsonl").exists()
+        assert sorted(p.name for p in store.iterdir()) == [
+            "ledger.jsonl", "quarantine.jsonl", "records",
+        ]
+        capsys.readouterr()
+        assert main(["quarantine", "list", str(store)]) == 0
+        assert "climate" in capsys.readouterr().out
+        assert main(["runs", "list", str(store)]) == 0
+        assert "degraded" in capsys.readouterr().out
 
     def test_run_with_trace_dir_writes_jsonl_trace(self, traced_run, capsys):
         code, trace_dir, _ = traced_run
@@ -144,7 +169,7 @@ class TestTelemetryCommands:
         assert main(["telemetry", "summary", str(tmp_path / "nothing")]) == 1
         err = capsys.readouterr().err
         assert "does not exist" in err
-        assert "--trace-dir" in err  # tells the user how to produce one
+        assert "--trace" in err  # tells the user how to produce one
 
     def test_telemetry_summary_empty_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -212,12 +237,12 @@ class TestAnalyticsCLI:
         """One traced climate run filed in a ledger, shared by the analytics
         tests."""
         base = tmp_path_factory.mktemp("analytics")
-        trace_dir = base / "trace"
+        trace_dir = base / "work"
         store = base / "store"
         code = main([
             "run", "climate",
-            "--workdir", str(base / "work"),
-            "--trace-dir", str(trace_dir),
+            "--workdir", str(trace_dir),
+            "--trace",
             "--store-dir", str(store),
         ])
         return code, trace_dir, store
@@ -419,14 +444,14 @@ class TestFaultToleranceCLI:
 
     @pytest.fixture
     def chaos_run(self, tmp_path, capsys):
-        trace_dir = tmp_path / "trace"
+        trace_dir = tmp_path / "work"
         code = main([
             "run", "climate",
-            "--workdir", str(tmp_path / "work"),
+            "--workdir", str(trace_dir),
             "--seed", "3",
             "--retries", "3",
             "--inject-faults", "seed=7,rate=0.05,torn-shards=1",
-            "--trace-dir", str(trace_dir),
+            "--trace",
         ])
         return code, capsys.readouterr().out, trace_dir
 
