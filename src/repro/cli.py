@@ -305,9 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list.add_argument("store_dir", type=Path)
     runs_list.add_argument("--pipeline", default=None,
                            help="only runs of this pipeline")
-    runs_show = runs_sub.add_parser(
-        "show", help="show one ledger row by run id (prefix ok)"
+    show_help = (
+        "show one ledger row by run id (prefix ok); peak_rss_bytes is the "
+        "filing process's lifetime ru_maxrss, so a process that ran several "
+        "runs carries the largest peak so far"
     )
+    runs_show = runs_sub.add_parser("show", help=show_help, description=show_help)
     runs_show.set_defaults(handler=_cmd_runs_show)
     runs_show.add_argument("store_dir", type=Path)
     runs_show.add_argument("run_id")

@@ -55,6 +55,8 @@ from repro.transforms.split import SplitSpec, stratified_split
 __all__ = ["MaterialsArchetype", "CONTRACTS"]
 
 FAMILY_TO_CLASS = {family: i for i, family in enumerate(CRYSTAL_FAMILIES)}
+#: species -> its code in the ADIOS-like export (alphabetical order)
+SPECIES_CODES = {s: i for i, s in enumerate(sorted(SPECIES))}
 
 #: data contracts enforced at stage boundaries when gating is enabled
 #: (keyed ``(stage_name, boundary)``; also the re-drive contract registry)
@@ -77,6 +79,19 @@ CONTRACTS: Dict[tuple, StageContract] = {
         validate_schema=True,
     ),
 }
+
+
+def _encodable(record: Dict[str, Any]) -> bool:
+    """A parsed record the encode stage can turn into a bond graph: one
+    known species per ``(x, y, z)`` position, forces shaped like the
+    positions, and a 3x3 lattice."""
+    positions = record["positions"]
+    return (
+        positions.shape == (len(record["species"]), 3)
+        and record["forces"].shape == positions.shape
+        and record["lattice"].shape == (3, 3)
+        and all(s in SPECIES for s in record["species"])
+    )
 
 
 class MaterialsArchetype(DomainArchetype):
@@ -126,7 +141,7 @@ class MaterialsArchetype(DomainArchetype):
                     "forces": np.asarray(blob["forces"], dtype=np.float64),
                     "fidelity": str(blob["fidelity"]),
                 }
-                if record["positions"].shape != record["forces"].shape:
+                if not _encodable(record):
                     rejected += 1
                     continue
                 records.append(record)
@@ -139,7 +154,8 @@ class MaterialsArchetype(DomainArchetype):
         )
         ctx.record(
             EvidenceKind.VALIDATED_INGEST,
-            "required fields present; positions/forces shape-consistent",
+            "required fields present; one known species per (x, y, z) "
+            "position, forces shaped like positions, 3x3 lattice",
             missing_fraction=0.0,
         )
         ctx.record(
@@ -364,14 +380,11 @@ class MaterialsArchetype(DomainArchetype):
         with BPWriter(bp_path) as writer:
             for sg in graphs:
                 writer.begin_step()
-                writer.write("edges", np.asarray(list(sg.graph.edges), dtype=np.int64)
-                             if sg.n_bonds else np.zeros((0, 2), dtype=np.int64))
+                writer.write("edges", sg.edges)
                 writer.write("lattice", sg.lattice)
                 writer.write(
                     "species_codes",
-                    np.asarray(
-                        [sorted(SPECIES).index(s) for s in sg.species], dtype=np.int64
-                    ),
+                    np.asarray([SPECIES_CODES[s] for s in sg.species], dtype=np.int64),
                 )
                 writer.end_step()
         ctx.add_artifact("manifest", manifest)

@@ -56,6 +56,8 @@ class LedgerRow:
     schedule_hash: str = ""
     #: the readiness certificate's status ("" for ungated runs)
     certificate: str = ""
+    #: the filing process's lifetime ``ru_maxrss`` when the run finished: a
+    #: process that ran several runs carries the largest peak so far
     peak_rss_bytes: int = 0
 
     def body(self) -> Dict[str, Any]:

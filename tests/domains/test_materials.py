@@ -1,10 +1,15 @@
 """Materials archetype: structures, graphs, fidelity correction, imbalance."""
 
+import hashlib
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.runner import PipelineContext
+from repro.domains.base import SHARDS_DIR
 from repro.domains.materials.graphs import (
     DESCRIPTOR_NAMES,
     build_graph,
@@ -12,6 +17,7 @@ from repro.domains.materials.graphs import (
 )
 from repro.domains.materials.pipeline import MaterialsArchetype
 from repro.domains.materials.synthetic import (
+    SPECIES,
     MaterialsSourceConfig,
     generate_structure,
     synthesize_materials_archive,
@@ -108,6 +114,163 @@ class TestGraphs:
         loose = build_graph(record["id"], record["lattice"], record["species"],
                             record["positions"], cutoff_scale=2.0)
         assert loose.n_bonds >= tight.n_bonds
+
+
+def per_pair_graph(lattice, species, positions, cutoff_scale=1.4):
+    """The per-pair loop the vectorised kernel replaced, body unchanged."""
+    lattice = np.asarray(lattice, dtype=np.float64)
+    positions = np.asarray(positions, dtype=np.float64)
+    n = positions.shape[0]
+    graph = nx.Graph()
+    for i in range(n):
+        radius, _ = SPECIES[species[i]]
+        graph.add_node(i, species=species[i], radius=radius)
+    for i in range(n):
+        for j in range(i + 1, n):
+            delta = positions[i] - positions[j]
+            delta -= np.round(delta)
+            distance = float(np.linalg.norm(delta @ lattice))
+            ri, _ = SPECIES[species[i]]
+            rj, _ = SPECIES[species[j]]
+            if distance < cutoff_scale * (ri + rj):
+                graph.add_edge(i, j, distance=distance)
+    return graph
+
+
+def networkx_descriptor(graph, lattice, species):
+    """The networkx descriptor the array kernel replaced, body unchanged."""
+    n = graph.number_of_nodes()
+    degrees = np.asarray([d for _, d in graph.degree()]) if n else np.zeros(0)
+    bond_lengths = np.asarray(
+        [data["distance"] for _, _, data in graph.edges(data=True)]
+    )
+    volume = abs(float(np.linalg.det(lattice)))
+    composition = np.asarray(
+        [species.count(s) / max(n, 1) for s in SPECIES]
+    )
+    values = [
+        float(n),
+        float(graph.number_of_edges()),
+        float(degrees.mean()) if degrees.size else 0.0,
+        float(degrees.max()) if degrees.size else 0.0,
+        float(bond_lengths.mean()) if bond_lengths.size else 0.0,
+        float(bond_lengths.std()) if bond_lengths.size else 0.0,
+        float(n / volume) if volume > 0 else 0.0,
+        float(nx.number_connected_components(graph)) if n else 0.0,
+        float(nx.average_clustering(graph)) if n else 0.0,
+    ]
+    return np.concatenate([np.asarray(values), composition])
+
+
+@st.composite
+def structures(draw):
+    """``(lattice, species, positions, cutoff_scale)``: 0-16 atoms in a
+    sheared cell, positions that wrap (outside ``[0, 1)`` too), and cutoffs
+    from no bonds at all through isolated atoms to the complete graph."""
+    n = draw(st.integers(0, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.uniform(2.0, 9.0, 3)
+    shear = draw(st.sampled_from([0.0, 0.3, 1.5]))
+    lattice = np.diag(lengths) + np.triu(rng.uniform(-shear, shear, (3, 3)), 1) * lengths
+    species = [list(SPECIES)[k] for k in rng.integers(0, len(SPECIES), n)]
+    positions = rng.uniform(-1.5, 2.5, (n, 3))
+    cutoff_scale = draw(st.sampled_from([0.0, 0.8, 1.4, 2.5, 100.0]))
+    return lattice, species, positions, cutoff_scale
+
+
+CUBE = np.eye(3) * 4.0
+
+
+class TestGraphKernels:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(case=structures())
+    @example(case=(CUBE, [], np.zeros((0, 3)), 1.4))
+    @example(case=(CUBE, ["Fe"], np.zeros((1, 3)), 1.4))
+    @example(case=(CUBE, ["O"] * 5, np.linspace(0.0, 0.9, 15).reshape(5, 3), 0.0))
+    @example(case=(CUBE, ["Ti"] * 6, np.linspace(0.0, 0.9, 18).reshape(6, 3), 100.0))
+    def test_array_kernels_are_bitwise_the_networkx_graph(self, case):
+        lattice, species, positions, cutoff_scale = case
+        sg = build_graph("s", lattice, species, positions, cutoff_scale=cutoff_scale)
+        graph = per_pair_graph(lattice, species, positions, cutoff_scale)
+        edges = np.asarray(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+        distances = np.asarray(
+            [data["distance"] for _, _, data in graph.edges(data=True)], dtype=np.float64
+        )
+        assert sg.edges.dtype == np.int64 and sg.edges.shape == edges.shape
+        assert sg.edges.tobytes() == edges.tobytes()
+        assert sg.distances.dtype == np.float64
+        assert sg.distances.tobytes() == distances.tobytes()
+        assert (sg.n_atoms, sg.n_bonds) == (graph.number_of_nodes(), graph.number_of_edges())
+        descriptor = graph_descriptor(sg)
+        reference = networkx_descriptor(graph, sg.lattice, species)
+        assert descriptor.tobytes() == reference.tobytes()
+
+
+def _write_archive(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return {"calculations": str(path)}
+
+
+class TestParse:
+    """Parse rejects what encode cannot encode, and counts it."""
+
+    @pytest.fixture()
+    def good(self):
+        return generate_structure(0, CONFIG, np.random.default_rng(5))
+
+    def _parsed(self, tmp_path, good, bad):
+        ctx = PipelineContext()
+        records = MaterialsArchetype(seed=5)._parse(
+            _write_archive(tmp_path / "calculations.jsonl", [good, bad]), ctx
+        )
+        details = [item.detail for item in ctx.evidence]
+        assert "1 calculations parsed (1 rejected)" in details
+        return records
+
+    def test_more_species_than_positions(self, tmp_path, good):
+        bad = dict(good, id="extra", species=good["species"] + ["O", "O"])
+        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
+
+    def test_fewer_species_than_positions(self, tmp_path, good):
+        bad = dict(good, id="short", species=good["species"][:-1])
+        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
+
+    def test_unknown_species(self, tmp_path, good):
+        bad = dict(good, id="alien", species=["Xx"] + good["species"][1:])
+        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
+
+    def test_lattice_not_3x3(self, tmp_path, good):
+        bad = dict(good, id="flat", lattice=good["lattice"][:2])
+        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
+
+
+#: sha256 of every file under ``shards/`` for ``GOLDEN_CONFIG``, taken with the
+#: networkx graph encoding (the array kernels must not move a byte)
+GOLDEN_CONFIG = MaterialsSourceConfig(n_structures=60, seed=21)
+GOLDEN_SHARDS = {
+    "graphs.bp": "fb370b836a408803aa8a6e76c86555a2e0a5ed0e6ed47e8ada37f0335c626aaf",
+    "manifest.json": "29ec72a22cf782cd52d69e71bb82db8bb4238797b16ebb5c9a3d821458ccfdd9",
+    "test-00000.rps": "ea61b55372a8997415f4cea392dfab78f1ae7c8948a19585727a4feb868b790e",
+    "test-00001.rps": "8f03e87922331f3805bbfb8f8417b5c5830916b4d1fb64907d9c65aa97e4383f",
+    "test-00002.rps": "6d15c177dc436bf60fa3630e66ff549b3b265ce3b97682bdcc18fe9c5e2d871f",
+    "train-00000.rps": "f53673136da2bedc033981f24f291663449d92d078395d8f9a71e5a3d2d7c679",
+    "train-00001.rps": "5c0e497ed8d0dac5e487d50ddea6994638cbed73effd380b3e774094eea0044c",
+    "train-00002.rps": "b9b20ea81357b90c1cb55d0fb54cf2d4ddfe3d3aa8e76ea74cd5141a1ecfdbc9",
+    "val-00000.rps": "f305f248c0adf156d0bb774a61285dd2e7f62deafd59c1e641e0ac1be9c8b776",
+    "val-00001.rps": "77744570ed5126710295452b7634ecf8f0deac72f0e68de6e6da1e1bf605d759",
+    "val-00002.rps": "142de481da9bb8bba57570a87a57cd8d295ca0bd22f25d31050af03630056cbe",
+}
+
+
+def test_shard_set_matches_golden(tmp_path):
+    MaterialsArchetype(seed=21, config=GOLDEN_CONFIG).run(tmp_path)
+    shards = tmp_path / SHARDS_DIR
+    digests = {
+        path.relative_to(shards).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(shards.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == GOLDEN_SHARDS
 
 
 class TestPipeline:

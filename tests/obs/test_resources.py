@@ -1,9 +1,9 @@
 """Resource sampling and payload size/count heuristics."""
 
+import networkx as nx
 import numpy as np
 
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
-from repro.domains.materials.graphs import build_graph
 from repro.obs.resources import (
     ResourceProfiler,
     payload_items,
@@ -61,21 +61,19 @@ class TestPayloadNbytes:
         assert payload_nbytes([object(), b"ab"]) == 2
 
     def test_cached_views_are_not_content(self):
-        """Regression: reading ``n_bonds`` makes networkx cache a ``DegreeView``
-        in the graph's ``__dict__`` whose ``_graph`` points back at the graph;
-        the size walk used to re-count the whole graph through it (3x)."""
-        sg = build_graph(
-            "s-0", np.eye(3) * 4.0, ["Fe", "O", "Fe", "O"],
-            np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]),
-        )
-        attrs_before = set(vars(sg.graph))
-        before = payload_nbytes(sg)
-        assert sg.n_bonds > 0
-        assert set(vars(sg.graph)) > attrs_before  # a cached view was written
-        assert payload_nbytes(sg) == before
-        assert before == sum(
-            payload_nbytes(part) for part in (sg.structure_id, sg.lattice, sg.species)
-        ) + sum(payload_nbytes(vars(sg.graph)[name]) for name in attrs_before)
+        """Regression: counting a graph's edges makes networkx cache a
+        ``DegreeView`` in the graph's ``__dict__`` whose ``_graph`` points back
+        at the graph; the size walk used to re-count the whole graph through
+        it (3x)."""
+        graph = nx.Graph()
+        graph.add_nodes_from(range(4), species="Fe")
+        graph.add_edges_from([(0, 1), (0, 2), (0, 3)], distance=2.0)
+        attrs_before = set(vars(graph))
+        before = payload_nbytes(graph)
+        assert graph.number_of_edges() > 0
+        assert set(vars(graph)) > attrs_before  # a cached view was written
+        assert payload_nbytes(graph) == before
+        assert before == sum(payload_nbytes(vars(graph)[name]) for name in attrs_before)
 
     def test_cycles_terminate_and_count_once(self):
         class Ring:
