@@ -206,42 +206,25 @@ class TestGraphKernels:
         assert descriptor.tobytes() == reference.tobytes()
 
 
-def _write_archive(path, records):
-    path.write_text("".join(json.dumps(record) + "\n" for record in records))
-    return {"calculations": str(path)}
+#: a record the parent's parse admitted and encode could not encode
+UNENCODABLE = {
+    "more-species": lambda r: dict(r, species=r["species"] + ["O", "O"]),
+    "fewer-species": lambda r: dict(r, species=r["species"][:-1]),
+    "unknown-species": lambda r: dict(r, species=["Xx"] + r["species"][1:]),
+    "lattice-not-3x3": lambda r: dict(r, lattice=r["lattice"][:2]),
+}
 
 
-class TestParse:
-    """Parse rejects what encode cannot encode, and counts it."""
-
-    @pytest.fixture()
-    def good(self):
-        return generate_structure(0, CONFIG, np.random.default_rng(5))
-
-    def _parsed(self, tmp_path, good, bad):
-        ctx = PipelineContext()
-        records = MaterialsArchetype(seed=5)._parse(
-            _write_archive(tmp_path / "calculations.jsonl", [good, bad]), ctx
-        )
-        details = [item.detail for item in ctx.evidence]
-        assert "1 calculations parsed (1 rejected)" in details
-        return records
-
-    def test_more_species_than_positions(self, tmp_path, good):
-        bad = dict(good, id="extra", species=good["species"] + ["O", "O"])
-        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
-
-    def test_fewer_species_than_positions(self, tmp_path, good):
-        bad = dict(good, id="short", species=good["species"][:-1])
-        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
-
-    def test_unknown_species(self, tmp_path, good):
-        bad = dict(good, id="alien", species=["Xx"] + good["species"][1:])
-        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
-
-    def test_lattice_not_3x3(self, tmp_path, good):
-        bad = dict(good, id="flat", lattice=good["lattice"][:2])
-        assert [r["id"] for r in self._parsed(tmp_path, good, bad)] == [good["id"]]
+@pytest.mark.parametrize("defect", sorted(UNENCODABLE))
+def test_parse_rejects_and_counts_what_encode_cannot_encode(defect, tmp_path):
+    good = generate_structure(0, CONFIG, np.random.default_rng(5))
+    bad = dict(UNENCODABLE[defect](good), id="bad")
+    path = tmp_path / "calculations.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in (good, bad)))
+    ctx = PipelineContext()
+    records = MaterialsArchetype(seed=5)._parse({"calculations": str(path)}, ctx)
+    assert [r["id"] for r in records] == [good["id"]]
+    assert "1 calculations parsed (1 rejected)" in [item.detail for item in ctx.evidence]
 
 
 #: sha256 of every file under ``shards/`` for ``GOLDEN_CONFIG``, taken with the
