@@ -59,7 +59,8 @@ records that now pass.  ``telemetry`` reads a trace directory back:
 ``summary`` tables the slowest stages, ``critical-path`` prints the span
 chain that determined the wall time plus per-stage rollups (skew,
 stragglers, p50/p95/p99), ``diff`` compares per-stage engine seconds
-against the ledger's other runs or a committed ``BENCH_*.json`` baseline
+against the ledger's other runs under the run's own store key or a
+committed ``BENCH_*.json`` baseline
 with a robust median+MAD threshold, and ``export`` writes combined JSONL
 (``--jsonl``), Chrome/Perfetto ``trace_event`` JSON (``--chrome``), or
 Prometheus text exposition (``--prom``).  ``run --progress`` streams
@@ -286,8 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="baseline file: a BENCH_*.json or a serialized "
                            "TraceReport")
     diff.add_argument("--store-dir", type=Path, default=None, metavar="DIR",
-                      help="diff against the other runs of the same pipeline "
-                           "in this store's ledger")
+                      help="diff against the other runs with the same store "
+                           "key (pipeline, CPUs, source size bucket) in this "
+                           "store's ledger; the run itself must be filed there")
     diff.add_argument("--last", type=int, default=10, metavar="N",
                       help="use at most the N most recent ledger runs "
                            "(default 10)")
@@ -930,13 +932,20 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
             return 1
         history = [stages]
     else:
-        # never diff a run against its own row: the same engine seconds
+        # the run's own row (the same engine seconds) names its store key;
+        # it is never its own history
+        rows = Ledger(store_dir).rows(pipeline)
+        own = next((r for r in rows if r.stage_seconds() == current), None)
+        if own is None:
+            print(f"error: the run under {trace_dir} has no row in the ledger "
+                  f"under {store_dir}", file=sys.stderr)
+            return 1
         history = [
-            r.stage_seconds() for r in Ledger(store_dir).rows(pipeline)
-            if r.stage_seconds() != current
+            r.stage_seconds() for r in rows
+            if r.key == own.key and r.stage_seconds() != current
         ][-max(args.last, 1):]
         if not history:
-            print(f"error: no other {pipeline!r} runs in the ledger "
+            print(f"error: no other runs of {own.key.label()} in the ledger "
                   f"under {store_dir}", file=sys.stderr)
             return 1
         label = f"ledger:{store_dir}"

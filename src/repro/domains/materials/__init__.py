@@ -2,9 +2,9 @@
 
 from repro.domains.materials.graphs import (
     DESCRIPTOR_NAMES,
-    StructureGraph,
-    build_graph,
-    graph_descriptor,
+    GraphBatch,
+    build_batch,
+    describe_batch,
 )
 from repro.domains.materials.pipeline import MaterialsArchetype
 from repro.domains.materials.synthetic import (
@@ -16,9 +16,9 @@ from repro.domains.materials.synthetic import (
 
 __all__ = [
     "DESCRIPTOR_NAMES",
-    "StructureGraph",
-    "build_graph",
-    "graph_descriptor",
+    "GraphBatch",
+    "build_batch",
+    "describe_batch",
     "MaterialsArchetype",
     "CRYSTAL_FAMILIES",
     "SPECIES",

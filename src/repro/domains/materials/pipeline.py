@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.materials.graphs import (
     DESCRIPTOR_NAMES,
-    StructureGraph,
-    build_graph,
-    graph_descriptor,
+    SPECIES_CODES,
+    GraphBatch,
+    build_batch,
+    describe_batch,
 )
 from repro.domains.materials.synthetic import (
     SPECIES,
@@ -55,8 +56,8 @@ from repro.transforms.split import SplitSpec, stratified_split
 __all__ = ["MaterialsArchetype", "CONTRACTS"]
 
 FAMILY_TO_CLASS = {family: i for i, family in enumerate(CRYSTAL_FAMILIES)}
-#: species -> its code in the ADIOS-like export (alphabetical order)
-SPECIES_CODES = {s: i for i, s in enumerate(sorted(SPECIES))}
+#: code -> species, the inverse of ``SPECIES_CODES``
+CODE_SPECIES = sorted(SPECIES)
 
 #: data contracts enforced at stage boundaries when gating is enabled
 #: (keyed ``(stage_name, boundary)``; also the re-drive contract registry)
@@ -94,6 +95,58 @@ def _encodable(record: Dict[str, Any]) -> bool:
     )
 
 
+#: structure-table column -> (role, units)
+_STRUCTURE_FIELDS: Dict[str, Tuple[FieldRole, Optional[str]]] = {
+    "id": (FieldRole.IDENTIFIER, None),
+    "crystal_family": (FieldRole.LABEL, None),
+    "fidelity": (FieldRole.METADATA, None),
+    "energy_ev": (FieldRole.LABEL, "eV"),
+    "lattice": (FieldRole.COORDINATE, "A"),
+    "n_atoms": (FieldRole.METADATA, None),
+    "species": (FieldRole.FEATURE, None),
+    "positions": (FieldRole.COORDINATE, None),
+    "forces": (FieldRole.LABEL, "eV/A"),
+}
+
+
+def _structure_table(records: List[Dict[str, Any]]) -> Dataset:
+    """One row per parsed record, padded to the widest structure ``W``:
+    species codes with ``-1``, positions and forces with zeros."""
+    n_atoms = np.asarray([len(r["species"]) for r in records], dtype=np.int64)
+    width = int(n_atoms.max())
+    species = np.full((len(records), width), -1, dtype=np.int64)
+    positions = np.zeros((len(records), width, 3))
+    forces = np.zeros((len(records), width, 3))
+    for row, (record, k) in enumerate(zip(records, n_atoms.tolist())):
+        species[row, :k] = [SPECIES_CODES[s] for s in record["species"]]
+        positions[row, :k] = record["positions"]
+        forces[row, :k] = record["forces"]
+    columns = {
+        "id": np.asarray([r["id"] for r in records]),
+        "crystal_family": np.asarray([r["crystal_family"] for r in records]),
+        "fidelity": np.asarray([r["fidelity"] for r in records]),
+        "energy_ev": np.asarray([r["energy_ev"] for r in records], dtype=np.float64),
+        "lattice": np.stack([r["lattice"] for r in records]),
+        "n_atoms": n_atoms,
+        "species": species,
+        "positions": positions,
+        "forces": forces,
+    }
+    schema = Schema(
+        FieldSpec(name, values.dtype, shape=values.shape[1:], role=_STRUCTURE_FIELDS[name][0],
+                  units=_STRUCTURE_FIELDS[name][1])
+        for name, values in columns.items()
+    )
+    metadata = DatasetMetadata(
+        name="materials-structures",
+        domain="materials",
+        source="synthetic OMat24/AFLOW-like archive",
+        modality=Modality.GRAPH,
+        description="One row per parsed calculation, padded to the widest structure.",
+    )
+    return Dataset(columns, schema, metadata)
+
+
 class MaterialsArchetype(DomainArchetype):
     """Executable Table 1 materials row."""
 
@@ -116,8 +169,8 @@ class MaterialsArchetype(DomainArchetype):
         return synthesize_materials_archive(directory, config)
 
     # -- stages ------------------------------------------------------------------
-    def _parse(self, manifest: Dict[str, Any], ctx: PipelineContext) -> List[Dict[str, Any]]:
-        """parse: JSON-lines calculation outputs -> typed records."""
+    def _parse(self, manifest: Dict[str, Any], ctx: PipelineContext) -> Dataset:
+        """parse: JSON-lines calculation outputs -> the structure table."""
         records: List[Dict[str, Any]] = []
         rejected = 0
         required = {"id", "crystal_family", "lattice", "species", "positions",
@@ -147,6 +200,7 @@ class MaterialsArchetype(DomainArchetype):
                 records.append(record)
         if not records:
             raise ValueError("calculation archive is empty")
+        table = _structure_table(records)
         ctx.add_artifact("n_parsed", len(records))
         ctx.record(
             EvidenceKind.ACQUIRED,
@@ -164,26 +218,19 @@ class MaterialsArchetype(DomainArchetype):
         )
         ctx.record(EvidenceKind.HIGH_THROUGHPUT_INGEST, "line-streamed JSON parse")
         ctx.record(EvidenceKind.INGEST_AUTOMATED, "schema-driven record validation")
-        return records
+        return table
 
-    def _normalize(
-        self, records: List[Dict[str, Any]], ctx: PipelineContext
-    ) -> List[Dict[str, Any]]:
+    def _normalize(self, table: Dataset, ctx: PipelineContext) -> Dataset:
         """normalize: per-atom energies, composition baseline, fidelity offset."""
-        species_list = sorted({s for r in records for s in r["species"]})
-        composition = np.stack(
-            [
-                [r["species"].count(s) for s in species_list]
-                for r in records
-            ]
-        ).astype(np.float64)
-        energies = np.asarray([r["energy_ev"] for r in records])
-        is_experimental = np.asarray(
-            [r["fidelity"] == "experimental" for r in records]
-        )
+        species = table["species"]
+        codes = np.unique(species[species >= 0])
+        species_list = [CODE_SPECIES[c] for c in codes.tolist()]
+        composition = (species[:, :, None] == codes).sum(axis=1).astype(np.float64)
+        energies = table["energy_ev"]
+        is_experimental = table["fidelity"] == "experimental"
         # multi-fidelity correction: align experimental records to the DFT
         # reference by the residual offset after composition regression
-        design = np.column_stack([composition, np.ones(len(records))])
+        design = np.column_stack([composition, np.ones(len(table))])
         coefficients, *_ = np.linalg.lstsq(
             design[~is_experimental], energies[~is_experimental], rcond=None
         )
@@ -194,11 +241,15 @@ class MaterialsArchetype(DomainArchetype):
         )
         corrected = energies - np.where(is_experimental, offset, 0.0)
         # per-atom formation-style target
-        n_atoms = np.asarray([len(r["species"]) for r in records], dtype=np.float64)
-        target = (corrected - baseline) / n_atoms
-        for record, value, fixed in zip(records, target, is_experimental):
-            record["target_energy"] = float(value)
-            record["fidelity_corrected"] = bool(fixed)
+        target = (corrected - baseline) / table["n_atoms"].astype(np.float64)
+        table = table.with_column(
+            FieldSpec("target_energy", np.dtype(np.float64), role=FieldRole.LABEL,
+                      units="eV/atom"),
+            target,
+        ).with_column(
+            FieldSpec("fidelity_corrected", np.dtype(bool), role=FieldRole.METADATA),
+            is_experimental,
+        )
         ctx.add_artifact("fidelity_offset_ev", offset)
         ctx.add_artifact("species_list", species_list)
         ctx.record(
@@ -215,37 +266,30 @@ class MaterialsArchetype(DomainArchetype):
             "single energy reference across codes and fidelities",
         )
         ctx.record(EvidenceKind.ALIGNMENT_AUTOMATED, "regression-based referencing")
-        return records
+        return table
 
-    def _encode(
-        self, records: List[Dict[str, Any]], ctx: PipelineContext
-    ) -> Dict[str, Any]:
-        """encode: bond graphs + class labels (one graph per structure).
+    def _encode(self, table: Dataset, ctx: PipelineContext) -> Dict[str, Any]:
+        """encode: bond graphs + class labels (one graph batch).
 
-        Structures are independent, so graph construction fans out
-        through ``ctx.backend.map`` (Parallelism.MAP).
+        Structures are independent, so graph construction fans out in
+        fixed blocks through ``ctx.backend.map`` (Parallelism.MAP).
         """
-
-        def encode_one(record: Dict[str, Any]) -> StructureGraph:
-            return build_graph(
-                record["id"],
-                record["lattice"],
-                record["species"],
-                record["positions"],
-            )
-
-        graphs: List[StructureGraph] = ctx.backend.map(encode_one, records)
-        labels = np.asarray(
-            [FAMILY_TO_CLASS[r["crystal_family"]] for r in records], dtype=np.int64
+        graphs = build_batch(
+            table["n_atoms"], table["species"], table["lattice"], table["positions"],
+            fan_out=ctx.backend.map,
         )
+        families, inverse = np.unique(table["crystal_family"], return_inverse=True)
+        labels = np.asarray(
+            [FAMILY_TO_CLASS[f] for f in families.tolist()], dtype=np.int64
+        )[inverse]
         ctx.add_artifact("graphs", graphs)
         ctx.annotate_span(
-            structures_encoded=len(graphs),
-            total_bonds=int(sum(g.n_bonds for g in graphs)),
+            structures_encoded=len(table),
+            total_bonds=int(graphs.offsets[-1]),
         )
         ctx.record(
             EvidenceKind.INITIAL_NORMALIZATION,
-            f"{len(graphs)} structures encoded as bond graphs",
+            f"{len(table)} structures encoded as bond graphs",
         )
         ctx.record(
             EvidenceKind.NORMALIZATION_FINALIZED,
@@ -266,18 +310,16 @@ class MaterialsArchetype(DomainArchetype):
             "no sensitive content in materials records",
             sensitive_remaining=0,
         )
-        return {"records": records, "graphs": graphs, "labels": labels}
+        return {"structures": table, "graphs": graphs, "labels": labels}
 
     def _structure(self, payload: Dict[str, Any], ctx: PipelineContext) -> Dataset:
         """graph: fixed descriptors + minority-class oversampling."""
-        records: List[Dict[str, Any]] = payload["records"]
-        graphs: List[StructureGraph] = payload["graphs"]
         labels: np.ndarray = payload["labels"]
-        descriptors = np.stack([graph_descriptor(g) for g in graphs])
+        descriptors = describe_batch(payload["graphs"])
         normalizer = ZScoreNormalizer().fit(descriptors)
         normalized = normalizer.transform(descriptors)
-        targets = np.asarray([r["target_energy"] for r in records])
-        synthetic_flag = np.zeros(len(records), dtype=np.int64)
+        targets = payload["structures"]["target_energy"]
+        synthetic_flag = np.zeros(len(targets), dtype=np.int64)
         imbalance_before = imbalance_ratio(labels)
         # oversample rare families so max/min count ratio <= threshold
         rng = np.random.default_rng(self.seed + 17)
@@ -376,16 +418,14 @@ class MaterialsArchetype(DomainArchetype):
         )
         # ADIOS-like export: one step per structure (HydraGNN's write pattern)
         bp_path = self._output_dir / "graphs.bp"
-        graphs: List[StructureGraph] = ctx.artifacts.get("graphs", [])
+        graphs: GraphBatch = ctx.artifacts["graphs"]
+        bounds = zip(graphs.offsets[:-1].tolist(), graphs.offsets[1:].tolist())
         with BPWriter(bp_path) as writer:
-            for sg in graphs:
+            for s, ((start, stop), n_atoms) in enumerate(zip(bounds, graphs.n_atoms.tolist())):
                 writer.begin_step()
-                writer.write("edges", sg.edges)
-                writer.write("lattice", sg.lattice)
-                writer.write(
-                    "species_codes",
-                    np.asarray([SPECIES_CODES[s] for s in sg.species], dtype=np.int64),
-                )
+                writer.write("edges", graphs.edges[start:stop])
+                writer.write("lattice", graphs.lattice[s])
+                writer.write("species_codes", graphs.species[s, :n_atoms])
                 writer.end_step()
         ctx.add_artifact("manifest", manifest)
         ctx.add_artifact("bp_path", bp_path)
@@ -396,7 +436,7 @@ class MaterialsArchetype(DomainArchetype):
         ctx.record(
             EvidenceKind.SHARDED_BINARY,
             f"{manifest.n_shards} native shards + ADIOS-like container "
-            f"with {len(graphs)} graph steps",
+            f"with {len(graphs.n_atoms)} graph steps",
         )
         return dataset
 
@@ -438,13 +478,12 @@ class MaterialsArchetype(DomainArchetype):
                 f"fidelity mismatch: experimental records offset by "
                 f"{offset:+.2f} eV relative to DFT; corrected by regression"
             )
-        graphs = context.artifacts.get("graphs", [])
-        if graphs:
-            sizes = [g.n_atoms for g in graphs]
-            bonds = [g.n_bonds for g in graphs]
+        graphs: Optional[GraphBatch] = context.artifacts.get("graphs")
+        if graphs is not None and len(graphs.n_atoms):
+            sizes, bonds = graphs.n_atoms, graphs.n_bonds
             challenges.append(
-                f"graph complexity: {min(sizes)}-{max(sizes)} atoms, "
-                f"{min(bonds)}-{max(bonds)} bonds per structure (ragged until "
+                f"graph complexity: {sizes.min()}-{sizes.max()} atoms, "
+                f"{bonds.min()}-{bonds.max()} bonds per structure (ragged until "
                 "descriptor extraction)"
             )
         return challenges

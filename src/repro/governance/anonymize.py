@@ -121,14 +121,14 @@ def shift_dates(
     subjects = np.asarray(subjects)
     if dates.shape[0] != subjects.shape[0]:
         raise AnonymizeError("dates/subjects length mismatch")
-    offsets: Dict[object, int] = {}
-    out = dates.copy()
-    for subject in np.unique(subjects):
-        offset = offsets.setdefault(
-            subject, int(rng.integers(-max_shift_days, max_shift_days + 1))
-        )
-        out[subjects == subject] += offset
-    return out
+    unique, inverse = np.unique(subjects, return_inverse=True)
+    # one draw per subject, in np.unique order
+    offsets = np.asarray(
+        [rng.integers(-max_shift_days, max_shift_days + 1) for _ in range(len(unique))],
+        dtype=np.int64,
+    )
+    per_record = offsets[inverse].reshape(subjects.shape + (1,) * (dates.ndim - subjects.ndim))
+    return dates + per_record
 
 
 def k_anonymity(dataset: Dataset, quasi_identifiers: Sequence[str]) -> int:

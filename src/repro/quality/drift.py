@@ -15,8 +15,7 @@ import numpy as np
 
 __all__ = ["population_stability_index"]
 
-#: conventional PSI thresholds
-PSI_WATCH = 0.1
+#: the conventional PSI threshold for acting on drift
 PSI_ACT = 0.25
 
 

@@ -2,20 +2,25 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.plan import fingerprint_payload
 from repro.core.runner import PipelineContext
 from repro.domains.base import SHARDS_DIR
 from repro.domains.materials.graphs import (
+    BLOCK,
     DESCRIPTOR_NAMES,
-    build_graph,
-    graph_descriptor,
+    SPECIES_CODES,
+    build_batch,
+    describe_batch,
 )
 from repro.domains.materials.pipeline import MaterialsArchetype
+from repro.gates import QuarantineStore
 from repro.domains.materials.synthetic import (
     SPECIES,
     MaterialsSourceConfig,
@@ -83,37 +88,49 @@ class TestSyntheticArchive:
         assert experimental["energy_ev"] > dft["energy_ev"] + 3.0
 
 
+def padded(structures):
+    """``(n_atoms, species, lattice, positions)`` columns of a structure
+    table built from ``(lattice, species, positions)`` triples, padded to
+    the widest structure the way the parse stage pads them."""
+    n_atoms = np.asarray([len(species) for _, species, _ in structures], dtype=np.int64)
+    width = int(n_atoms.max(initial=0))
+    codes = np.full((len(structures), width), -1, dtype=np.int64)
+    positions = np.zeros((len(structures), width, 3))
+    for row, (_, species, xyz) in enumerate(structures):
+        codes[row, :len(species)] = [SPECIES_CODES[s] for s in species]
+        positions[row, :len(species)] = xyz
+    lattice = np.stack([np.asarray(l, dtype=np.float64) for l, _, _ in structures])
+    return n_atoms, codes, lattice.reshape(-1, 3, 3), positions
+
+
+def generated(count, seed=0):
+    rng = np.random.default_rng(seed)
+    records = [generate_structure(i, CONFIG, rng) for i in range(count)]
+    return [(r["lattice"], r["species"], r["positions"]) for r in records]
+
+
 class TestGraphs:
-    def test_build_graph_has_bonds(self, rng):
-        record = generate_structure(0, CONFIG, rng)
-        sg = build_graph(record["id"], record["lattice"], record["species"],
-                         record["positions"])
-        assert sg.n_atoms == len(record["species"])
-        assert sg.n_bonds >= 0
+    def test_build_graph_has_bonds(self):
+        structures = generated(4)
+        batch = build_batch(*padded(structures))
+        assert batch.n_atoms.tolist() == [len(s) for _, s, _ in structures]
+        assert batch.offsets.shape == (5,) and batch.offsets[0] == 0
+        assert (batch.n_bonds >= 0).all() and batch.offsets[-1] == len(batch.edges) > 0
 
-    def test_descriptor_fixed_size(self, rng):
-        record = generate_structure(1, CONFIG, rng)
-        sg = build_graph(record["id"], record["lattice"], record["species"],
-                         record["positions"])
-        descriptor = graph_descriptor(sg)
-        assert descriptor.shape == (len(DESCRIPTOR_NAMES),)
-        assert np.all(np.isfinite(descriptor))
+    def test_descriptor_fixed_size(self):
+        descriptors = describe_batch(build_batch(*padded(generated(3))))
+        assert descriptors.shape == (3, len(DESCRIPTOR_NAMES))
+        assert np.all(np.isfinite(descriptors))
 
-    def test_composition_fractions_sum_to_one(self, rng):
-        record = generate_structure(2, CONFIG, rng)
-        sg = build_graph(record["id"], record["lattice"], record["species"],
-                         record["positions"])
-        descriptor = graph_descriptor(sg)
-        composition = descriptor[9:]
-        assert composition.sum() == pytest.approx(1.0)
+    def test_composition_fractions_sum_to_one(self):
+        descriptors = describe_batch(build_batch(*padded(generated(3))))
+        assert descriptors[:, 9:].sum(axis=1) == pytest.approx(np.ones(3))
 
-    def test_cutoff_scale_controls_connectivity(self, rng):
-        record = generate_structure(3, CONFIG, rng)
-        tight = build_graph(record["id"], record["lattice"], record["species"],
-                            record["positions"], cutoff_scale=1.0)
-        loose = build_graph(record["id"], record["lattice"], record["species"],
-                            record["positions"], cutoff_scale=2.0)
-        assert loose.n_bonds >= tight.n_bonds
+    def test_cutoff_scale_controls_connectivity(self):
+        columns = padded(generated(4))
+        tight = build_batch(*columns, cutoff_scale=1.0)
+        loose = build_batch(*columns, cutoff_scale=2.0)
+        assert (loose.n_bonds >= tight.n_bonds).all()
 
 
 def per_pair_graph(lattice, species, positions, cutoff_scale=1.4):
@@ -162,48 +179,69 @@ def networkx_descriptor(graph, lattice, species):
     return np.concatenate([np.asarray(values), composition])
 
 
+def ragged(count, seed, cutoff_scale=1.4):
+    """``(structures, cutoff_scale)``: *count* structures of 1-16 atoms in
+    sheared cells, positions that wrap (outside ``[0, 1)`` too), and about
+    one cell in ten too sparse for any bond."""
+    rng = np.random.default_rng(seed)
+    structures = []
+    for _ in range(count):
+        n = int(rng.integers(1, 17))
+        lengths = rng.uniform(2.0, 9.0, 3) * (10.0 if rng.uniform() < 0.1 else 1.0)
+        shear = rng.choice([0.0, 0.3, 1.5])
+        lattice = np.diag(lengths) + np.triu(rng.uniform(-shear, shear, (3, 3)), 1) * lengths
+        species = [list(SPECIES)[k] for k in rng.integers(0, len(SPECIES), n)]
+        structures.append((lattice, species, rng.uniform(-1.5, 2.5, (n, 3))))
+    return structures, cutoff_scale
+
+
 @st.composite
-def structures(draw):
-    """``(lattice, species, positions, cutoff_scale)``: 0-16 atoms in a
-    sheared cell, positions that wrap (outside ``[0, 1)`` too), and cutoffs
-    from no bonds at all through isolated atoms to the complete graph."""
-    n = draw(st.integers(0, 16))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lengths = rng.uniform(2.0, 9.0, 3)
-    shear = draw(st.sampled_from([0.0, 0.3, 1.5]))
-    lattice = np.diag(lengths) + np.triu(rng.uniform(-shear, shear, (3, 3)), 1) * lengths
-    species = [list(SPECIES)[k] for k in rng.integers(0, len(SPECIES), n)]
-    positions = rng.uniform(-1.5, 2.5, (n, 3))
-    cutoff_scale = draw(st.sampled_from([0.0, 0.8, 1.4, 2.5, 100.0]))
-    return lattice, species, positions, cutoff_scale
+def batches(draw):
+    """Ragged batches, with cutoffs from no bonds at all through isolated
+    atoms to the complete graph."""
+    return ragged(
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([0.0, 0.8, 1.4, 2.5, 100.0])),
+    )
 
 
 CUBE = np.eye(3) * 4.0
 
 
 class TestGraphKernels:
-    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
-    @given(case=structures())
-    @example(case=(CUBE, [], np.zeros((0, 3)), 1.4))
-    @example(case=(CUBE, ["Fe"], np.zeros((1, 3)), 1.4))
-    @example(case=(CUBE, ["O"] * 5, np.linspace(0.0, 0.9, 15).reshape(5, 3), 0.0))
-    @example(case=(CUBE, ["Ti"] * 6, np.linspace(0.0, 0.9, 18).reshape(6, 3), 100.0))
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(case=batches())
+    @example(case=([(CUBE, [], np.zeros((0, 3))), (CUBE, ["Fe"], np.zeros((1, 3)))], 1.4))
+    @example(case=([(CUBE, ["O"] * 5, np.linspace(0.0, 0.9, 15).reshape(5, 3))], 0.0))
+    @example(case=([(CUBE, ["Ti"] * 6, np.linspace(0.0, 0.9, 18).reshape(6, 3))], 100.0))
+    # block edges: one short of a block, exactly one, one past it
+    @example(case=ragged(BLOCK - 1, seed=1))
+    @example(case=ragged(BLOCK, seed=2, cutoff_scale=2.5))
+    @example(case=ragged(BLOCK + 1, seed=3))
     def test_array_kernels_are_bitwise_the_networkx_graph(self, case):
-        lattice, species, positions, cutoff_scale = case
-        sg = build_graph("s", lattice, species, positions, cutoff_scale=cutoff_scale)
-        graph = per_pair_graph(lattice, species, positions, cutoff_scale)
-        edges = np.asarray(list(graph.edges), dtype=np.int64).reshape(-1, 2)
-        distances = np.asarray(
-            [data["distance"] for _, _, data in graph.edges(data=True)], dtype=np.float64
+        structures, cutoff_scale = case
+        batch = build_batch(*padded(structures), cutoff_scale=cutoff_scale)
+        graphs = [per_pair_graph(*structure, cutoff_scale) for structure in structures]
+        edges = np.concatenate(
+            [np.asarray(list(g.edges), dtype=np.int64).reshape(-1, 2) for g in graphs]
         )
-        assert sg.edges.dtype == np.int64 and sg.edges.shape == edges.shape
-        assert sg.edges.tobytes() == edges.tobytes()
-        assert sg.distances.dtype == np.float64
-        assert sg.distances.tobytes() == distances.tobytes()
-        assert (sg.n_atoms, sg.n_bonds) == (graph.number_of_nodes(), graph.number_of_edges())
-        descriptor = graph_descriptor(sg)
-        reference = networkx_descriptor(graph, sg.lattice, species)
-        assert descriptor.tobytes() == reference.tobytes()
+        distances = np.asarray(
+            [data["distance"] for g in graphs for _, _, data in g.edges(data=True)],
+            dtype=np.float64,
+        )
+        offsets = np.cumsum([0] + [g.number_of_edges() for g in graphs], dtype=np.int64)
+        assert batch.edges.dtype == np.int64 and batch.edges.shape == edges.shape
+        assert batch.edges.tobytes() == edges.tobytes()
+        assert batch.distances.dtype == np.float64
+        assert batch.distances.tobytes() == distances.tobytes()
+        assert batch.offsets.dtype == np.int64
+        assert batch.offsets.tobytes() == offsets.tobytes()
+        reference = np.stack([
+            networkx_descriptor(g, np.asarray(lattice), species)
+            for g, (lattice, species, _) in zip(graphs, structures)
+        ])
+        assert describe_batch(batch).tobytes() == reference.tobytes()
 
 
 #: a record the parent's parse admitted and encode could not encode
@@ -222,9 +260,47 @@ def test_parse_rejects_and_counts_what_encode_cannot_encode(defect, tmp_path):
     path = tmp_path / "calculations.jsonl"
     path.write_text("".join(json.dumps(record) + "\n" for record in (good, bad)))
     ctx = PipelineContext()
-    records = MaterialsArchetype(seed=5)._parse({"calculations": str(path)}, ctx)
-    assert [r["id"] for r in records] == [good["id"]]
+    table = MaterialsArchetype(seed=5)._parse({"calculations": str(path)}, ctx)
+    assert table["id"].tolist() == [good["id"]]
     assert "1 calculations parsed (1 rejected)" in [item.detail for item in ctx.evidence]
+
+
+def test_normalize_leaves_the_parse_output_untouched(tmp_path):
+    manifest = synthesize_materials_archive(tmp_path, MaterialsSourceConfig(n_structures=12, seed=3))
+    archetype, ctx = MaterialsArchetype(seed=3), PipelineContext()
+    parsed = archetype._parse(manifest, ctx)
+    committed = fingerprint_payload(parsed)
+    normalized = archetype._normalize(parsed, ctx)
+    assert fingerprint_payload(parsed) == committed
+    assert "target_energy" in normalized and "target_energy" not in parsed
+
+
+def test_quarantine_sheds_one_structure_row_and_ships_the_rest(tmp_path, monkeypatch):
+    archetype = MaterialsArchetype(seed=21, config=MaterialsSourceConfig(n_structures=20, seed=21))
+    synthesize = archetype.synthesize_source
+
+    def one_nan_force(directory, **params):
+        manifest = synthesize(directory, **params)
+        path = Path(manifest["calculations"])
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[7])
+        record["forces"][1][2] = float("nan")
+        lines[7] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        return manifest
+
+    monkeypatch.setattr(archetype, "synthesize_source", one_nan_force)
+    result = archetype.run(tmp_path / "work", gates="quarantine", quarantine_dir=tmp_path / "q")
+    assert result.run.degraded and result.run.records_quarantined == 1
+    (entry,) = QuarantineStore(tmp_path / "q").entries()
+    assert (entry["stage"], entry["record_index"]) == ("parse", 7)
+    assert entry["issues"][0]["column"] == "forces"
+    quarantined = QuarantineStore(tmp_path / "q").load_record(str(entry["record_fingerprint"]))
+    assert str(quarantined["id"]) == "mat-000007"
+    shipped = result.dataset.take(result.dataset["is_synthetic"] == 0)
+    assert shipped.n_samples == 19
+    with BPReader(result.run.context.artifacts["bp_path"]) as reader:
+        assert reader.n_steps == 19
 
 
 #: sha256 of every file under ``shards/`` for ``GOLDEN_CONFIG``, taken with the

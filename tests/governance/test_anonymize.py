@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import Dataset, FieldSpec, Schema
 from repro.governance.anonymize import (
@@ -102,6 +102,43 @@ class TestDateShift:
     def test_length_mismatch(self, rng):
         with pytest.raises(AnonymizeError, match="mismatch"):
             shift_dates(np.zeros(3, dtype=np.int64), np.zeros(4), rng)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        case=st.tuples(
+            st.integers(1, 60),  # records
+            st.sampled_from(["duplicates", "one", "unique"]),
+            st.sampled_from([np.int64, np.str_]),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+    @example(case=(1, "one", np.int64, 0))
+    def test_one_draw_per_subject_matches_the_per_subject_loop(self, case):
+        n, kind, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        ids = {"duplicates": rng.integers(0, max(n // 3, 1), n),
+               "one": np.zeros(n, dtype=np.int64),
+               "unique": rng.permutation(n)}[kind]
+        subjects = ids.astype(dtype)
+        dates = rng.integers(-10_000, 10_000, n)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        shifted = shift_dates(dates, subjects, ours, max_shift_days=30)
+        expected = per_subject_loop(dates, subjects, reference, max_shift_days=30)
+        assert shifted.dtype == expected.dtype
+        assert shifted.tobytes() == expected.tobytes()
+        assert ours.integers(2**62) == reference.integers(2**62)
+
+
+def per_subject_loop(dates, subjects, rng, *, max_shift_days=365):
+    """The quadratic loop ``shift_dates`` replaced, body unchanged."""
+    offsets = {}
+    out = np.asarray(dates, dtype=np.int64).copy()
+    for subject in np.unique(subjects):
+        offset = offsets.setdefault(
+            subject, int(rng.integers(-max_shift_days, max_shift_days + 1))
+        )
+        out[subjects == subject] += offset
+    return out
 
 
 class TestKAnonymity:

@@ -438,6 +438,42 @@ class TestAnalyticsCLI:
         ]) == 0
         assert json.loads(capsys.readouterr().out)["n_history"] == 1
 
+    def test_diff_against_ledger_compares_only_the_runs_store_key(
+        self, archived_run, tmp_path, capsys
+    ):
+        """Rows of another size bucket in the same store are not history,
+        and a run with no row of its own in the store is an error."""
+        import dataclasses
+        import json
+
+        from repro.obs import read_trace, trace_stage_seconds
+        from repro.sched import Ledger
+
+        _, trace_dir, store = archived_run
+        current = trace_stage_seconds(read_trace(trace_dir)["metrics"])
+        own = next(r for r in Ledger(store).rows() if r.stage_seconds() == current)
+        ledger = Ledger(tmp_path / "store")
+        ledger.append(own)
+        for bucket, scale in ((own.key.size_bucket, 1.5), (own.key.size_bucket + 3, 9.0),
+                              (own.key.size_bucket + 3, 11.0)):
+            ledger.append(dataclasses.replace(
+                own,
+                key=dataclasses.replace(own.key, size_bucket=bucket),
+                stages=tuple((name, seconds * scale, items) for name, seconds, items in own.stages),
+            ))
+        capsys.readouterr()
+        assert main([
+            "telemetry", "diff", str(trace_dir), "--store-dir", str(ledger.directory), "--json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["n_history"] == 1
+
+        others = Ledger(tmp_path / "others")
+        for row in ledger.rows()[1:]:
+            others.append(row)
+        assert main(["telemetry", "diff", str(trace_dir), "--store-dir", str(others.directory)]) == 1
+        err = capsys.readouterr().err
+        assert "no row" in err and str(others.directory) in err
+
 
 class TestFaultToleranceCLI:
     """run --retries/--inject-faults plus the fault counters in telemetry."""
