@@ -84,47 +84,35 @@ class GraphBatch:
         return np.diff(self.offsets)
 
 
-def _bond_block(
-    n_atoms: np.ndarray,
-    species: np.ndarray,
-    lattice: np.ndarray,
-    positions: np.ndarray,
-    cutoff_scale: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(bonds per structure, edges, distances)`` of one block: an edge
-    when the minimum-image distance < ``cutoff_scale * (r_i + r_j)``."""
-    first, second = np.triu_indices(positions.shape[1], 1)
-    delta = positions[:, first] - positions[:, second]
-    delta -= np.round(delta)
-    cart = np.matmul(delta, lattice)
-    distance = np.sqrt(np.vecdot(cart, cart))
-    radii = _RADII[species]
-    bonded = (second < n_atoms[:, None]) & (
-        distance < cutoff_scale * (radii[:, first] + radii[:, second])
-    )
-    # row-major: structure by structure, each one's pairs in order
-    structure, pair = np.nonzero(bonded)
-    edges = np.stack([first[pair], second[pair]], axis=1).astype(np.int64, copy=False)
-    return bonded.sum(axis=1), edges, distance[structure, pair]
-
-
 def build_batch(
     n_atoms: np.ndarray,
     species: np.ndarray,
     lattice: np.ndarray,
     positions: np.ndarray,
+    fan_out: FanOut,
     *,
     cutoff_scale: float = 1.4,
-    fan_out: FanOut = lambda fn, items: [fn(item) for item in items],
 ) -> GraphBatch:
     """Bond graphs of a padded structure table, :data:`BLOCK` structures
-    per task; ``fan_out`` runs the tasks (``ctx.backend.map`` in the
-    pipeline)."""
+    per task; ``fan_out`` runs the tasks (an execution backend's ``map``).
+    An edge joins two atoms whose minimum-image distance is below
+    ``cutoff_scale * (r_i + r_j)``."""
+    first, second = np.triu_indices(positions.shape[1], 1)
 
     def block(rows: slice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _bond_block(
-            n_atoms[rows], species[rows], lattice[rows], positions[rows], cutoff_scale
+        """``(bonds per structure, edges, distances)`` of one block."""
+        delta = positions[rows, first] - positions[rows, second]
+        delta -= np.round(delta)
+        cart = np.matmul(delta, lattice[rows])
+        distance = np.sqrt(np.vecdot(cart, cart))
+        radii = _RADII[species[rows]]
+        bonded = (second < n_atoms[rows, None]) & (
+            distance < cutoff_scale * (radii[:, first] + radii[:, second])
         )
+        # row-major: structure by structure, each one's pairs in order
+        structure, pair = np.nonzero(bonded)
+        edges = np.stack([first[pair], second[pair]], axis=1).astype(np.int64, copy=False)
+        return bonded.sum(axis=1), edges, distance[structure, pair]
 
     parts = fan_out(block, batch_slices(len(n_atoms), BLOCK))
     counts = [np.zeros(1, dtype=np.int64)] + [part[0] for part in parts]

@@ -276,7 +276,7 @@ class MaterialsArchetype(DomainArchetype):
         """
         graphs = build_batch(
             table["n_atoms"], table["species"], table["lattice"], table["positions"],
-            fan_out=ctx.backend.map,
+            ctx.backend.map,
         )
         families, inverse = np.unique(table["crystal_family"], return_inverse=True)
         labels = np.asarray(

@@ -1,10 +1,9 @@
 """Record views: how gates see "records" inside heterogeneous payloads.
 
 Pipelines move payloads of very different shapes — a
-:class:`~repro.core.dataset.Dataset` of rows, a list of gridded model
-sources, shot records with per-channel signals, raw calculation dicts.
-Quarantine works at *record* granularity (a row, a source, a shot, a
-structure), so gate evaluation needs a uniform way to count records,
+:class:`~repro.core.dataset.Dataset` of rows (one per structure, say), a
+list of gridded model sources, shot records with per-channel signals.
+Quarantine works at *record* granularity (a row, a source, a shot), so gate evaluation needs a uniform way to count records,
 resolve a named field per record, split survivors from violators, and
 extract a picklable per-record payload for the quarantine store.
 
@@ -131,7 +130,7 @@ class DatasetView(RecordView):
 
 
 class SequenceView(RecordView):
-    """Items of a list/tuple are the records (sources, shots, structures)."""
+    """Items of a list/tuple are the records (sources, shots)."""
 
     def __init__(self, items: Sequence[Any]):
         self.items = items

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.core.backends import get_backend
 from repro.core.plan import fingerprint_payload
 from repro.core.runner import PipelineContext
 from repro.domains.base import SHARDS_DIR
@@ -89,9 +90,10 @@ class TestSyntheticArchive:
 
 
 def padded(structures):
-    """``(n_atoms, species, lattice, positions)`` columns of a structure
-    table built from ``(lattice, species, positions)`` triples, padded to
-    the widest structure the way the parse stage pads them."""
+    """``(n_atoms, species, lattice, positions, fan_out)``: the columns of
+    a structure table built from ``(lattice, species, positions)`` triples,
+    padded to the widest structure the way the parse stage pads them, and
+    a serial fan-out."""
     n_atoms = np.asarray([len(species) for _, species, _ in structures], dtype=np.int64)
     width = int(n_atoms.max(initial=0))
     codes = np.full((len(structures), width), -1, dtype=np.int64)
@@ -100,7 +102,7 @@ def padded(structures):
         codes[row, :len(species)] = [SPECIES_CODES[s] for s in species]
         positions[row, :len(species)] = xyz
     lattice = np.stack([np.asarray(l, dtype=np.float64) for l, _, _ in structures])
-    return n_atoms, codes, lattice.reshape(-1, 3, 3), positions
+    return n_atoms, codes, lattice.reshape(-1, 3, 3), positions, get_backend("serial").map
 
 
 def generated(count, seed=0):
