@@ -3,9 +3,10 @@
 Pipelines move payloads of very different shapes — a
 :class:`~repro.core.dataset.Dataset` of rows (one per structure, say), a
 list of gridded model sources, shot records with per-channel signals.
-Quarantine works at *record* granularity (a row, a source, a shot), so gate evaluation needs a uniform way to count records,
-resolve a named field per record, split survivors from violators, and
-extract a picklable per-record payload for the quarantine store.
+Quarantine works at *record* granularity (a row, a source, a shot), so
+gate evaluation needs a uniform way to count records, resolve a named
+field per record, split survivors from violators, and extract a
+picklable per-record payload for the quarantine store.
 
 All resolution is a pure function of record content: views never look at
 scheduling, ordering beyond the payload's own, or wall-clock state —

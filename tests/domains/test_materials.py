@@ -268,7 +268,8 @@ def test_parse_rejects_and_counts_what_encode_cannot_encode(defect, tmp_path):
 
 
 def test_normalize_leaves_the_parse_output_untouched(tmp_path):
-    manifest = synthesize_materials_archive(tmp_path, MaterialsSourceConfig(n_structures=12, seed=3))
+    config = MaterialsSourceConfig(n_structures=12, seed=3)
+    manifest = synthesize_materials_archive(tmp_path, config)
     archetype, ctx = MaterialsArchetype(seed=3), PipelineContext()
     parsed = archetype._parse(manifest, ctx)
     committed = fingerprint_payload(parsed)

@@ -470,7 +470,9 @@ class TestAnalyticsCLI:
         others = Ledger(tmp_path / "others")
         for row in ledger.rows()[1:]:
             others.append(row)
-        assert main(["telemetry", "diff", str(trace_dir), "--store-dir", str(others.directory)]) == 1
+        assert main([
+            "telemetry", "diff", str(trace_dir), "--store-dir", str(others.directory),
+        ]) == 1
         err = capsys.readouterr().err
         assert "no row" in err and str(others.directory) in err
 
