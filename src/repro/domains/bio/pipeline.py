@@ -45,7 +45,7 @@ from repro.governance.anonymize import anonymize_dataset, pseudonymize
 from repro.governance.enclave import SecureEnclave
 from repro.governance.policy import hipaa_deidentified_policy
 from repro.governance.privacy import PrivacyScanner
-from repro.transforms.encode import dna_one_hot
+from repro.transforms.encode import dna_codes, dna_one_hot
 from repro.transforms.split import SplitSpec, random_split
 
 __all__ = ["BioArchetype", "CONTRACTS"]
@@ -79,6 +79,28 @@ CONTRACTS: Dict[tuple, StageContract] = {
 }
 
 
+def _count_motif(codes: np.ndarray, motif: str) -> np.ndarray:
+    """Per-row occurrences of *motif* in ``(n, L)`` base codes, counted as
+    ``str.count`` counts them: left to right, never overlapping."""
+    k = len(motif)
+    windows = max(codes.shape[1] - k + 1, 0)
+    hits = np.ones((codes.shape[0], windows), dtype=bool)
+    for j, code in enumerate(dna_codes(motif)):
+        hits &= codes[:, j : j + windows] == code
+    counts = np.count_nonzero(hits, axis=1)
+    # a hit closer than k to the one before it overlaps it: only those rows
+    # (GCGCGC matches itself at shifts 2 and 4) are resolved one by one
+    rows, cols = np.nonzero(hits)
+    close = (np.diff(cols) < k) & (rows[1:] == rows[:-1])
+    for row in np.unique(rows[1:][close]).tolist():
+        taken, end = 0, 0
+        for col in np.flatnonzero(hits[row]).tolist():
+            if col >= end:
+                taken, end = taken + 1, col + k
+        counts[row] = taken
+    return counts
+
+
 class BioArchetype(DomainArchetype):
     """Executable Table 1 bio/health row."""
 
@@ -103,11 +125,8 @@ class BioArchetype(DomainArchetype):
     # -- stages ------------------------------------------------------------------
     def _acquire(self, manifest: Dict[str, Any], ctx: PipelineContext) -> Dict[str, Any]:
         """acquire: parse both community formats, validate, type the table."""
-        sequences = read_fasta_like(manifest["fasta"])
+        ids, bases = read_fasta_like(manifest["fasta"])
         header, rows = read_csv_like(manifest["clinical"])
-        lengths = {len(s) for s in sequences.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"inconsistent sequence lengths: {sorted(lengths)}")
         column = {name: [r[i] for r in rows] for i, name in enumerate(header)}
         n = len(rows)
         expression = np.array(
@@ -158,7 +177,7 @@ class BioArchetype(DomainArchetype):
         ctx.add_artifact("source_formats", ["fasta-like text", "csv-like table"])
         missing = float(np.isnan(expression).mean())
         ctx.record(EvidenceKind.ACQUIRED,
-                   f"{len(sequences)} sequences + {n} clinical rows parsed")
+                   f"{len(ids)} sequences + {n} clinical rows parsed")
         ctx.record(
             EvidenceKind.VALIDATED_INGEST,
             "sequence lengths consistent; clinical table typed against schema",
@@ -172,28 +191,23 @@ class BioArchetype(DomainArchetype):
         ctx.record(EvidenceKind.HIGH_THROUGHPUT_INGEST,
                    "sequence parser streams record-by-record")
         ctx.record(EvidenceKind.INGEST_AUTOMATED, "manifest-driven parsing")
-        return {"sequences": sequences, "clinical": clinical}
+        return {"ids": ids, "bases": bases, "clinical": clinical}
 
     def _encode(self, payload: Dict[str, Any], ctx: PipelineContext) -> Dict[str, Any]:
-        """encode: one-hot sequences + motif-count features per subject."""
-        sequences: Dict[str, str] = payload["sequences"]
-        subjects = sorted(sequences)
-        onehot = np.stack([dna_one_hot(sequences[s]) for s in subjects])
-        motif_features = np.stack(
+        """encode: base codes (rows in subject order) + motif-count features."""
+        order = np.argsort(payload["ids"], kind="stable")
+        codes = dna_codes(payload["bases"][order])
+        motif_features = np.column_stack(
             [
-                [
-                    sequences[s].count(PROMOTER_MOTIF),
-                    sequences[s].count(REPRESSOR_MOTIF),
-                    sequences[s].count("N"),
-                    (sequences[s].count("G") + sequences[s].count("C"))
-                    / len(sequences[s]),
-                ]
-                for s in subjects
+                _count_motif(codes, PROMOTER_MOTIF),
+                _count_motif(codes, REPRESSOR_MOTIF),
+                np.count_nonzero(codes == 4, axis=1),
+                np.count_nonzero((codes == 1) | (codes == 2), axis=1) / codes.shape[1],
             ]
-        ).astype(np.float64)
+        )
         ctx.record(
             EvidenceKind.INITIAL_ALIGNMENT,
-            f"sequences one-hot encoded to ({onehot.shape[1]}, 4) tiles",
+            f"sequences one-hot encoded to ({codes.shape[1]}, 4) tiles",
         )
         ctx.record(
             EvidenceKind.GRIDS_STANDARDIZED,
@@ -205,9 +219,9 @@ class BioArchetype(DomainArchetype):
         )
         ctx.record(EvidenceKind.ALIGNMENT_AUTOMATED, "vocabulary-driven encoder")
         return {
-            **payload,
-            "subjects": subjects,
-            "onehot": onehot.astype(np.float32),
+            "clinical": payload["clinical"],
+            "subjects": payload["ids"][order],
+            "codes": codes,
             "motif_features": motif_features,
         }
 
@@ -283,12 +297,10 @@ class BioArchetype(DomainArchetype):
     def _fuse(self, payload: Dict[str, Any], ctx: PipelineContext) -> Dataset:
         """fuse: join modalities on pseudonymous ids; impute missing labels."""
         clinical: Dataset = payload["clinical"]
-        subjects: List[str] = payload["subjects"]
-        onehot: np.ndarray = payload["onehot"]
         motif: np.ndarray = payload["motif_features"]
         # the sequence side gets the same keyed pseudonyms, so the join works
         # without ever materializing raw ids next to sequence data
-        sequence_tokens = pseudonymize(np.asarray(subjects, dtype="U32"), _PSEUDONYM_KEY)
+        sequence_tokens = pseudonymize(payload["subjects"], _PSEUDONYM_KEY)
         token_to_row = {t: i for i, t in enumerate(sequence_tokens.tolist())}
         clinical_tokens = clinical["subject_token"]
         seq_rows = np.asarray(
@@ -311,8 +323,9 @@ class BioArchetype(DomainArchetype):
             fill_design = np.column_stack([features[missing], np.ones(missing.sum())])
             expression[missing] = fill_design @ coefficients
         pseudo_fraction = float(missing.mean())
+        onehot = dna_one_hot(payload["codes"][seq_rows])
         columns = {
-            "sequence_onehot": onehot[seq_rows],
+            "sequence_onehot": onehot,
             "motif_features": features.astype(np.float32),
             "age_band": clinical["age"],
             "sex_is_f": (clinical["sex"] == "F").astype(np.float32),

@@ -126,25 +126,27 @@ def synthesize_bio_sources(
     }
 
 
-def read_fasta_like(path: Union[str, Path]) -> Dict[str, str]:
-    """Parse a FASTA-like file into ``{subject: sequence}``."""
-    sequences: Dict[str, str] = {}
-    current: str | None = None
-    chunks: List[str] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if current is not None:
-                sequences[current] = "".join(chunks)
-            current = line[1:].split()[0]
-            chunks = []
-        else:
-            chunks.append(line)
-    if current is not None:
-        sequences[current] = "".join(chunks)
-    return sequences
+def read_fasta_like(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
+    """Parse a FASTA-like file into an id column and one base matrix.
+
+    Returns the ids (``U32``, file order) and an ``(n, L)`` ``uint8`` matrix
+    of ASCII bases: the records' sequence lines joined into one byte string
+    (a flat ``.bin``), in which record ``i`` starts at offset ``i * L``.  A
+    repeated id or records of unequal length raise :class:`ValueError`.
+    """
+    lines = [line.strip() for line in Path(path).read_bytes().splitlines()]
+    heads = [i for i, line in enumerate(lines) if line.startswith(b">")]
+    records: Dict[str, bytes] = {}  # id -> sequence, in file order
+    for start, stop in zip(heads, heads[1:] + [len(lines)]):
+        name = lines[start][1:].split()[0].decode()
+        if name in records:
+            raise ValueError(f"duplicate sequence id {name!r}")
+        records[name] = b"".join(lines[start + 1 : stop])
+    lengths = sorted({len(sequence) for sequence in records.values()})
+    if len(lengths) != 1:
+        raise ValueError(f"inconsistent sequence lengths: {lengths}")
+    bases = np.frombuffer(b"".join(records.values()), dtype=np.uint8)
+    return np.asarray(list(records), dtype="U32"), bases.reshape(len(records), lengths[0])
 
 
 def read_csv_like(path: Union[str, Path]) -> Tuple[List[str], List[List[str]]]:

@@ -72,7 +72,7 @@ def resolve_field(item: Any, column: str) -> Any:
 def resolve_payload_field(payload: Any, column: str) -> Any:
     """Resolve *column* on a whole payload, descending one nesting level.
 
-    Handles composite payloads like ``{"sequences": ..., "clinical":
+    Handles composite payloads like ``{"bases": ..., "clinical":
     Dataset}`` — the column is searched directly, then inside nested
     Datasets and mappings (in deterministic key order).
     """

@@ -26,6 +26,7 @@ from repro.transforms.normalize import (
 from repro.transforms.encode import (
     DNA_ALPHABET,
     Vocabulary,
+    dna_codes,
     dna_one_hot,
 )
 from repro.transforms.augment import flip, smote_like
@@ -64,7 +65,7 @@ __all__ = [
     "harmonize_units", "impute", "missing_fraction", "missing_mask", "UnitConverter",
     "LogNormalizer", "MinMaxNormalizer", "Normalizer", "RobustNormalizer",
     "ZScoreNormalizer", "make_normalizer", "normalize_dataset",
-    "DNA_ALPHABET", "Vocabulary", "dna_one_hot",
+    "DNA_ALPHABET", "Vocabulary", "dna_codes", "dna_one_hot",
     "flip", "smote_like",
     "UNLABELED", "NearestCentroidModel", "PseudoLabelResult",
     "labeled_fraction", "propagate_labels", "pseudo_label",

@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "Vocabulary",
+    "dna_codes",
     "dna_one_hot",
     "EncodingError",
     "DNA_ALPHABET",
@@ -140,23 +141,32 @@ for _i, _c in enumerate(DNA_ALPHABET):
     _DNA_INDEX[ord(_c.lower())] = _i
 _DNA_INDEX[ord("N")] = 4
 _DNA_INDEX[ord("n")] = 4
+#: one row per code; the ambiguity code ``N`` is the uniform 0.25 row
+_DNA_ONE_HOT = np.vstack([np.eye(4), np.full((1, 4), 0.25)]).astype(np.float32)
 
 
-def dna_one_hot(sequence: str | bytes) -> np.ndarray:
-    """Encode a DNA string to a ``(len, 4)`` float32 one-hot matrix.
+def dna_codes(sequence: str | bytes | np.ndarray) -> np.ndarray:
+    """Map DNA bases to ``int8`` codes: ``ACGT`` (either case) to 0-3, ``N`` to 4.
 
-    Ambiguity code ``N`` encodes as the uniform 0.25 vector (Enformer's
-    convention); any other character raises.
+    *sequence* is a ``uint8`` array of ASCII bases of any shape, one row per
+    sequence; a single string (or bytes) is the one-row case.  Any other
+    character raises, naming the first one in row-major order.
     """
     if isinstance(sequence, str):
         sequence = sequence.encode("ascii")
-    raw = np.frombuffer(sequence, dtype=np.uint8)
-    codes = _DNA_INDEX[raw]
-    if np.any(codes < 0):
-        bad = chr(raw[int(np.argmax(codes < 0))])
+    if isinstance(sequence, bytes):
+        sequence = np.frombuffer(sequence, dtype=np.uint8)
+    codes = np.take(_DNA_INDEX, sequence)
+    if codes.size and codes.min() < 0:
+        bad = chr(sequence.flat[int(np.argmax(codes < 0))])
         raise EncodingError(f"invalid DNA character {bad!r}")
-    out = np.zeros((raw.size, 4), dtype=np.float32)
-    known = codes < 4
-    out[np.nonzero(known)[0], codes[known]] = 1.0
-    out[~known] = 0.25
-    return out
+    return codes
+
+
+def dna_one_hot(codes: np.ndarray) -> np.ndarray:
+    """Expand :func:`dna_codes` of any shape ``S`` to a float32 ``S + (4,)`` one-hot.
+
+    Ambiguity code ``N`` encodes as the uniform 0.25 vector (Enformer's
+    convention).
+    """
+    return np.take(_DNA_ONE_HOT, codes, axis=0)

@@ -6,6 +6,7 @@ import pytest
 from repro.transforms.encode import (
     EncodingError,
     Vocabulary,
+    dna_codes,
     dna_one_hot,
 )
 
@@ -154,23 +155,23 @@ class TestVectorizedEncode:
 
 class TestDNA:
     def test_canonical_bases(self):
-        matrix = dna_one_hot("ACGT")
+        matrix = dna_one_hot(dna_codes("ACGT"))
         assert matrix.shape == (4, 4)
         assert np.array_equal(matrix, np.eye(4, dtype=np.float32))
 
     def test_ambiguity_uniform(self):
-        matrix = dna_one_hot("N")
+        matrix = dna_one_hot(dna_codes("N"))
         assert np.allclose(matrix, 0.25)
 
     def test_lowercase_accepted(self):
-        assert np.array_equal(dna_one_hot("acgt"), dna_one_hot("ACGT"))
+        assert np.array_equal(dna_codes("acgtn"), dna_codes("ACGTN"))
 
     def test_invalid_character(self):
-        with pytest.raises(EncodingError, match="invalid DNA"):
-            dna_one_hot("ACGX")
+        with pytest.raises(EncodingError, match="invalid DNA character 'X'"):
+            dna_codes(np.frombuffer(b"ACGTACGX", dtype=np.uint8).reshape(2, 4))
 
     def test_bytes_input(self):
-        assert np.array_equal(dna_one_hot(b"ACGT"), dna_one_hot("ACGT"))
+        assert np.array_equal(dna_codes(b"ACGT"), dna_codes("ACGT"))
 
     def test_empty_sequence(self):
-        assert dna_one_hot("").shape == (0, 4)
+        assert dna_one_hot(dna_codes("")).shape == (0, 4)
