@@ -82,22 +82,17 @@ CONTRACTS: Dict[tuple, StageContract] = {
 def _count_motif(codes: np.ndarray, motif: str) -> np.ndarray:
     """Per-row occurrences of *motif* in ``(n, L)`` base codes, counted as
     ``str.count`` counts them: left to right, never overlapping."""
-    k = len(motif)
-    windows = max(codes.shape[1] - k + 1, 0)
+    pattern = dna_codes(motif)
+    windows = max(codes.shape[1] - pattern.size + 1, 0)
     hits = np.ones((codes.shape[0], windows), dtype=bool)
-    for j, code in enumerate(dna_codes(motif)):
+    for j, code in enumerate(pattern):
         hits &= codes[:, j : j + windows] == code
     counts = np.count_nonzero(hits, axis=1)
-    # a hit closer than k to the one before it overlaps it: only those rows
-    # (GCGCGC matches itself at shifts 2 and 4) are resolved one by one
+    # rows with overlapping hits (GCGCGC matches itself at shifts 2 and 4) count apart
     rows, cols = np.nonzero(hits)
-    close = (np.diff(cols) < k) & (rows[1:] == rows[:-1])
+    close = (np.diff(cols) < pattern.size) & (rows[1:] == rows[:-1])
     for row in np.unique(rows[1:][close]).tolist():
-        taken, end = 0, 0
-        for col in np.flatnonzero(hits[row]).tolist():
-            if col >= end:
-                taken, end = taken + 1, col + k
-        counts[row] = taken
+        counts[row] = codes[row].tobytes().count(pattern.tobytes())
     return counts
 
 
@@ -297,20 +292,16 @@ class BioArchetype(DomainArchetype):
     def _fuse(self, payload: Dict[str, Any], ctx: PipelineContext) -> Dataset:
         """fuse: join modalities on pseudonymous ids; impute missing labels."""
         clinical: Dataset = payload["clinical"]
-        motif: np.ndarray = payload["motif_features"]
         # the sequence side gets the same keyed pseudonyms, so the join works
         # without ever materializing raw ids next to sequence data
         sequence_tokens = pseudonymize(payload["subjects"], _PSEUDONYM_KEY)
         token_to_row = {t: i for i, t in enumerate(sequence_tokens.tolist())}
-        clinical_tokens = clinical["subject_token"]
-        seq_rows = np.asarray(
-            [token_to_row.get(t, -1) for t in clinical_tokens.tolist()]
-        )
+        seq_rows = np.asarray([token_to_row.get(t, -1) for t in clinical["subject_token"].tolist()])
         keep = seq_rows >= 0
         clinical = clinical.take(np.flatnonzero(keep))
         seq_rows = seq_rows[keep]
         expression = clinical["expression"].copy()
-        features = motif[seq_rows]
+        features = payload["motif_features"][seq_rows]
         missing = np.isnan(expression)
         if missing.any():
             # semi-supervised label completion: least-squares fit of
@@ -323,9 +314,8 @@ class BioArchetype(DomainArchetype):
             fill_design = np.column_stack([features[missing], np.ones(missing.sum())])
             expression[missing] = fill_design @ coefficients
         pseudo_fraction = float(missing.mean())
-        onehot = dna_one_hot(payload["codes"][seq_rows])
         columns = {
-            "sequence_onehot": onehot,
+            "sequence_onehot": dna_one_hot(payload["codes"][seq_rows]),
             "motif_features": features.astype(np.float32),
             "age_band": clinical["age"],
             "sex_is_f": (clinical["sex"] == "F").astype(np.float32),
@@ -339,7 +329,7 @@ class BioArchetype(DomainArchetype):
             Schema(
                 [
                     FieldSpec("sequence_onehot", np.dtype(np.float32),
-                              shape=onehot.shape[1:], role=FieldRole.FEATURE,
+                              shape=(payload["codes"].shape[1], 4), role=FieldRole.FEATURE,
                               description="one-hot DNA (ambiguity as 0.25)"),
                     FieldSpec("motif_features", np.dtype(np.float32), shape=(4,),
                               role=FieldRole.FEATURE,
@@ -446,7 +436,6 @@ class BioArchetype(DomainArchetype):
                 f"{len(post_findings)} after anonymization "
                 f"(k={context.artifacts['anonymization_report'].achieved_k})"
             )
-        report = context.artifacts.get("anonymization_report")
         evidence = context.evidence.latest(EvidenceKind.BASIC_LABELS)
         if evidence is not None:
             frac = evidence.metrics.get("labeled_fraction", 1.0)

@@ -127,13 +127,9 @@ def synthesize_bio_sources(
 
 
 def read_fasta_like(path: Union[str, Path]) -> Tuple[np.ndarray, np.ndarray]:
-    """Parse a FASTA-like file into an id column and one base matrix.
-
-    Returns the ids (``U32``, file order) and an ``(n, L)`` ``uint8`` matrix
-    of ASCII bases: the records' sequence lines joined into one byte string
-    (a flat ``.bin``), in which record ``i`` starts at offset ``i * L``.  A
-    repeated id or records of unequal length raise :class:`ValueError`.
-    """
+    """Parse a FASTA-like file into ids (``U32``, file order) and an ``(n, L)``
+    ``uint8`` matrix of ASCII bases: one flat byte string in which record
+    ``i`` starts at offset ``i * L``.  A repeated id or unequal lengths raise."""
     lines = [line.strip() for line in Path(path).read_bytes().splitlines()]
     heads = [i for i, line in enumerate(lines) if line.startswith(b">")]
     records: Dict[str, bytes] = {}  # id -> sequence, in file order

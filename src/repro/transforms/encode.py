@@ -136,37 +136,28 @@ class Vocabulary:
 
 DNA_ALPHABET = "ACGT"
 _DNA_INDEX = np.full(256, -1, dtype=np.int8)
-for _i, _c in enumerate(DNA_ALPHABET):
-    _DNA_INDEX[ord(_c)] = _i
-    _DNA_INDEX[ord(_c.lower())] = _i
-_DNA_INDEX[ord("N")] = 4
-_DNA_INDEX[ord("n")] = 4
-#: one row per code; the ambiguity code ``N`` is the uniform 0.25 row
+_DNA_INDEX[np.frombuffer(b"ACGTNacgtn", dtype=np.uint8)] = [0, 1, 2, 3, 4] * 2
 _DNA_ONE_HOT = np.vstack([np.eye(4), np.full((1, 4), 0.25)]).astype(np.float32)
 
 
 def dna_codes(sequence: str | bytes | np.ndarray) -> np.ndarray:
     """Map DNA bases to ``int8`` codes: ``ACGT`` (either case) to 0-3, ``N`` to 4.
 
-    *sequence* is a ``uint8`` array of ASCII bases of any shape, one row per
-    sequence; a single string (or bytes) is the one-row case.  Any other
-    character raises, naming the first one in row-major order.
+    *sequence* is a ``uint8`` array of ASCII bases of any shape (a string or
+    bytes is the one-row case); any other character raises, naming the first.
     """
     if isinstance(sequence, str):
         sequence = sequence.encode("ascii")
     if isinstance(sequence, bytes):
         sequence = np.frombuffer(sequence, dtype=np.uint8)
     codes = np.take(_DNA_INDEX, sequence)
-    if codes.size and codes.min() < 0:
+    if np.any(codes < 0):
         bad = chr(sequence.flat[int(np.argmax(codes < 0))])
         raise EncodingError(f"invalid DNA character {bad!r}")
     return codes
 
 
 def dna_one_hot(codes: np.ndarray) -> np.ndarray:
-    """Expand :func:`dna_codes` of any shape ``S`` to a float32 ``S + (4,)`` one-hot.
-
-    Ambiguity code ``N`` encodes as the uniform 0.25 vector (Enformer's
-    convention).
-    """
+    """Expand :func:`dna_codes` of shape ``S`` to a float32 ``S + (4,)`` one-hot;
+    ``N`` is the uniform 0.25 vector (Enformer's convention)."""
     return np.take(_DNA_ONE_HOT, codes, axis=0)

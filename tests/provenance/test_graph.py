@@ -1,6 +1,13 @@
 """Lineage graph queries: chains, impact, recipes, cycles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.provenance.graph import LineageError, LineageGraph
 from repro.provenance.record import ProvenanceRecord
@@ -57,3 +64,39 @@ class TestRecipes:
         extra = [rec("export", ["merged"], "shards")]
         diamond.extend(extra)
         assert "shards" in diamond.entities
+
+
+#: a handful of entity names, so random records share nodes and close cycles
+ENTITIES = st.sampled_from(["raw", "a", "b", "c", "d", "e"])
+
+
+class TestNetworkxReference:
+    """The parent-set graph against a networkx DAG of the records it accepts."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(records=st.lists(st.tuples(st.lists(ENTITIES, max_size=3), ENTITIES), max_size=12))
+    def test_queries_match_a_networkx_dag(self, records):
+        graph, reference = LineageGraph(), nx.MultiDiGraph()
+        for i, (inputs, output) in enumerate(records):
+            candidate = reference.copy()
+            candidate.add_node(output)
+            candidate.add_edges_from((src, output) for src in inputs)
+            acyclic = nx.is_directed_acyclic_graph(candidate)
+            if acyclic:
+                graph.add(rec(f"step{i}", inputs, output))
+                reference = candidate
+            else:
+                with pytest.raises(LineageError, match="cycle"):
+                    graph.add(rec(f"step{i}", inputs, output))
+        assert graph.entities == sorted(reference.nodes)
+        assert graph.roots() == sorted(n for n in reference.nodes if reference.in_degree(n) == 0)
+        for entity in reference.nodes:
+            assert graph.ancestors(entity) == nx.ancestors(reference, entity)
+            assert graph.verify_connected(entity)
+
+
+def test_the_runtime_does_not_import_networkx():
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = "import sys, repro.cli; sys.exit('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
