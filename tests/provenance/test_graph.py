@@ -1,10 +1,5 @@
 """Lineage graph queries: chains, impact, recipes, cycles."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,9 +89,3 @@ class TestNetworkxReference:
             assert graph.ancestors(entity) == nx.ancestors(reference, entity)
             assert graph.verify_connected(entity)
 
-
-def test_the_runtime_does_not_import_networkx():
-    src = Path(__file__).resolve().parents[2] / "src"
-    probe = "import sys, repro.cli; sys.exit('networkx' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
