@@ -24,12 +24,6 @@ from repro.transforms.encode import EncodingError, dna_one_hot
 CONFIG = BioSourceConfig(n_subjects=50, sequence_length=256, seed=9)
 
 
-def read_sequences(path):
-    """``{id: sequence}`` from the reader's id column and base matrix."""
-    ids, bases = read_fasta_like(path)
-    return {name: row.tobytes().decode() for name, row in zip(ids.tolist(), bases)}
-
-
 @pytest.fixture(scope="module")
 def result(tmp_path_factory):
     arch = BioArchetype(seed=9, config=CONFIG)
@@ -58,7 +52,8 @@ class TestSyntheticSources:
 
     def test_expression_driven_by_motifs(self, tmp_path):
         manifest = synthesize_bio_sources(tmp_path, CONFIG)
-        sequences = read_sequences(manifest["fasta"])
+        ids, bases = read_fasta_like(manifest["fasta"])
+        sequences = {name: row.tobytes().decode() for name, row in zip(ids.tolist(), bases)}
         header, rows = read_csv_like(manifest["clinical"])
         expr_idx = header.index("expression")
         id_idx = header.index("patient_id")
@@ -138,7 +133,7 @@ def _first_sequence_line(text, edit):
     return "\n".join(lines)
 
 
-#: FASTA damage -> (failing stage, exception type, message)
+#: FASTA damage -> (edit of the file text, failing stage, exception type, message)
 DAMAGE = {
     "duplicate-id": (
         lambda text: text.replace(">SUBJ00001\n", ">SUBJ00000\n"),
