@@ -1,18 +1,24 @@
 """One traversal of a pipeline payload: content fingerprint, byte size, item count.
 
-The run layer needs three facts about every stage output — a
-deterministic content hash (provenance, checkpoint verification,
-quarantine keys), a content size in bytes and a logical item count
+The run layer needs up to three facts about a payload — a deterministic
+content hash, a content size in bytes and a logical item count
 (telemetry, stage summaries, the ledger's source sizing).  This module
 is the only code that walks a payload; :func:`walk_payload` returns all
-three from a single pass, and :func:`fingerprint_payload` /
-:func:`payload_nbytes` / :func:`payload_items` are entry points over the
-same walker (re-exported from :mod:`repro.core.plan` and
-:mod:`repro.obs.resources`, where callers have always found them).
+three from a single pass, :func:`commit_pass` is the size-only pass the
+runner makes over every stage output (it also freezes the output's
+arrays), and :func:`fingerprint_payload` / :func:`payload_nbytes` /
+:func:`payload_items` are entry points over the same walker (re-exported
+from :mod:`repro.core.plan` and :mod:`repro.obs.resources`, where callers
+have always found them).
 
-**Fingerprint format** (frozen — checkpoints, journals, quarantine keys
-and provenance chains written by earlier versions must keep verifying):
-every node hashes to the sha256 hex digest of a type-tagged token, and a
+**Fingerprint format** (frozen).  Content hashes are taken only at the
+edges of a run, and these are their users: the run's input payload (the
+lineage root and the journal's ``payload_fingerprint``), checkpoint
+snapshots (the content digest a ``stage-commit`` record carries and
+resume re-checks), the per-record keys of the gates and the quarantine,
+and the parity oracle in the tests.  A stage output is *not* named by its
+content but by its derivation (:meth:`repro.core.plan.StagePlan.derive`).
+Every node hashes to the sha256 hex digest of a type-tagged token, and a
 container hashes the *hex digests* of its children —
 
 * ``None`` / ``bool`` / ``int`` / ``float`` / ``complex`` / ``str``:
@@ -39,6 +45,12 @@ anything the walker cannot see into; an object exposing an integer
 ``nbytes`` is trusted; every other container or object is the sum of the
 children the fingerprint visits.  A shared reference (``[arr, arr]``) is
 content and counts twice.
+
+**Freezing.**  :func:`commit_pass` sets every non-object ``ndarray`` it
+meets ``writeable = False``, and its ``base`` chain with it (a view made
+before the freeze keeps its own flag otherwise), and looks inside an
+object that hashes itself (a ``Dataset``'s columns) for more.  A stage
+that writes into its committed input then fails on the write.
 
 Two rules are shared by hash and size because there is one traversal:
 ``functools.cached_property`` entries in an instance ``__dict__`` are a
@@ -98,7 +110,7 @@ import numpy as np
 from repro.core.helper_pool import helper_pool, helper_threads
 from repro.provenance.record import fingerprint_array
 
-__all__ = ["walk_payload", "fingerprint_payload", "payload_nbytes", "payload_items"]
+__all__ = ["walk_payload", "commit_pass", "fingerprint_payload", "payload_nbytes", "payload_items"]
 
 #: the smallest array a hashing walk digests ahead on a helper thread (and
 #: only beside a sibling that qualifies too); smaller ones hash inline
@@ -122,11 +134,12 @@ _MEMO_MAX = 4096
 _MEMO_MAX_STR = 64
 
 _MISSING = object()
-#: memo keys of the walk's array-digest collector and of its digest-ahead:
-#: no ``str`` / ``int`` leaf equals them, so the per-walk state stays one
-#: dict and one argument
+#: memo keys of the walk's array-digest collector, of its digest-ahead and
+#: of a freezing walk: no ``str`` / ``int`` leaf equals them, so the
+#: per-walk state stays one dict and one argument
 _ARRAY_DIGESTS = object()
 _AHEAD = object()
+_FREEZE = object()
 
 
 class _DigestAhead:
@@ -238,6 +251,12 @@ def payload_nbytes(payload: Any) -> int:
     guessing.  Nothing is hashed and opaque objects do not raise.
     """
     return _node(payload, False, {}, {})[1]
+
+
+def commit_pass(payload: Any) -> Tuple[int, int]:
+    """``(nbytes, items)`` of a payload being committed, from the size-only
+    pass, which also freezes its arrays (see the module docstring)."""
+    return _node(payload, False, {_FREEZE: True}, {})[1], payload_items(payload)
 
 
 def payload_items(payload: Any) -> int:
@@ -365,6 +384,10 @@ def _mapping(obj: Any, hashing: bool, memo: _Memo, visiting: _OnPath) -> _Result
 def _array(obj: Any, hashing: bool, memo: _Memo, visiting: Any) -> _Result:
     """Arrays, and NumPy scalars (hashed as the 1-element array they coerce to)."""
     if not hashing:
+        chain = obj if _FREEZE in memo else None
+        while isinstance(chain, np.ndarray) and not chain.dtype.hasobject:
+            chain.flags.writeable = False
+            chain = chain.base
         return (None, int(obj.nbytes))
     if obj.nbytes >= AHEAD_MIN_BYTES:
         digest = memo[_AHEAD].digest(obj, visiting)
@@ -415,6 +438,8 @@ def _declared_nbytes(obj: Any) -> Optional[int]:
 
 def _self_hashing(obj: Any, hashing: bool, memo: Any, visiting: Any) -> _Result:
     """An object with its own ``fingerprint()`` also answers for its own size."""
+    if _FREEZE in memo and hasattr(obj, "__dict__"):
+        _node(obj.__dict__, False, memo, visiting)  # only to freeze what it holds
     return (str(obj.fingerprint()).encode() if hashing else None, _declared_nbytes(obj) or 0)
 
 

@@ -11,9 +11,10 @@ checkpointed and resumed (:mod:`repro.core.runner`), or just rendered for
 inspection.
 
 This module also re-exports :func:`fingerprint_payload`, the deterministic
-content hash the run layer uses for provenance and checkpoint
-verification; it is computed by the one payload walker in
-:mod:`repro.core.payload`, which documents the (frozen) digest format.
+content hash of the run's input and of checkpoint snapshots; it is
+computed by the one payload walker in :mod:`repro.core.payload`, which
+documents the (frozen) digest format.  Stage outputs are named by
+derivation instead (:meth:`StagePlan.derive`, :func:`derivation_id`).
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class Parallelism(enum.Enum):
 class PipelineStage:
     """One named stage bound to a canonical processing-stage tag.
 
-    ``fn(payload, context) -> payload`` must not mutate its input payload
-    (fingerprints of inputs are taken *before* the call).  Stages reach
+    ``fn(payload, context) -> payload`` must not mutate its input payload:
+    the runner freezes every array of a committed payload, so a write into
+    one fails the stage.  Stages reach
     data-parallel execution through ``context.backend``; ``parallelism``
     declares which backend operation the stage uses.
 
@@ -128,6 +130,32 @@ class PipelineStage:
     def __post_init__(self) -> None:
         if self.on_error is not None:
             self.on_error = OnError.coerce(self.on_error)
+
+
+def derivation_id(*parts: object) -> str:
+    """sha256 of *parts* as one canonical JSON list: how the run layer
+    names a payload it did not hash (a stage output, a gate's survivors)."""
+    encoded = json.dumps(list(parts), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _stage_entry(s: PipelineStage) -> Dict[str, object]:
+    """One stage's entry in the plan fingerprint."""
+    row: Dict[str, object] = {
+        "name": s.name,
+        "stage": s.processing_stage.name,
+        "parallelism": s.parallelism.value,
+        "params": {k: str(v) for k, v in sorted(s.params.items())},
+    }
+    # contracts are part of the plan's shape (what the data must
+    # satisfy), unlike the gate *policy* (how strictly it is
+    # enforced, an execution concern).  Contract-less plans keep
+    # their pre-gates fingerprint.
+    if s.input_contract is not None:
+        row["input_contract"] = s.input_contract.content_hash()
+    if s.output_contract is not None:
+        row["output_contract"] = s.output_contract.content_hash()
+    return row
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,26 +231,16 @@ class StagePlan:
         fresh closure (a new process, a monkeypatched method) must not
         invalidate checkpoints.
         """
-        stages = []
-        for s in self.stages:
-            row: Dict[str, object] = {
-                "name": s.name,
-                "stage": s.processing_stage.name,
-                "parallelism": s.parallelism.value,
-                "params": {k: str(v) for k, v in sorted(s.params.items())},
-            }
-            # contracts are part of the plan's shape (what the data must
-            # satisfy), unlike the gate *policy* (how strictly it is
-            # enforced, an execution concern).  Contract-less plans keep
-            # their pre-gates fingerprint.
-            if s.input_contract is not None:
-                row["input_contract"] = s.input_contract.content_hash()
-            if s.output_contract is not None:
-                row["output_contract"] = s.output_contract.content_hash()
-            stages.append(row)
-        blob = {"pipeline": self.name, "stages": stages}
+        blob = {"pipeline": self.name, "stages": [_stage_entry(s) for s in self.stages]}
         encoded = json.dumps(blob, sort_keys=True).encode("utf-8")
         return hashlib.sha256(encoded).hexdigest()
+
+    def derive(self, index: int, input_id: str) -> str:
+        """The identity of stage *index*'s output from an input known as
+        *input_id*: a derivation, not a content hash (DESIGN, "Stage
+        identity").  Equal ids mean the same plan entry applied to the same
+        input, so by the parity contract the same content."""
+        return derivation_id("derive", _stage_entry(self.stages[index]), input_id)
 
     def describe(self) -> str:
         """Aligned text table of the plan (stage, canonical tag, hint)."""

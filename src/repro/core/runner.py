@@ -2,8 +2,9 @@
 
 Running a plan threads a payload through its stages while a
 :class:`PipelineContext` accumulates the three cross-cutting artifacts the
-paper says current practice lacks — readiness evidence, content-hashed
-provenance, and a hash-chained audit trail.  :class:`PipelineRunner` is an
+paper says current practice lacks — readiness evidence, provenance
+(the input's content hash, then one derivation id per stage output), and
+a hash-chained audit trail.  :class:`PipelineRunner` is an
 explicit lifecycle (open -> per stage: gate-in, execute-with-policy,
 gate-out, commit -> finish) that publishes every moment once — as a typed
 :class:`RunEvent`, an audit entry, and telemetry — and owns the execution
@@ -44,8 +45,8 @@ from repro.durability.checkpoint import (
 )
 from repro.durability.fsfaults import activate
 from repro.core.levels import DataProcessingStage
-from repro.core.payload import fingerprint_payload, walk_payload
-from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.payload import commit_pass, fingerprint_payload
+from repro.core.plan import PipelineError, PipelineStage, StagePlan, derivation_id
 from repro.core.report import format_bytes, render_table
 from repro.faults.deadletter import DeadLetterLog, DeadLetterRecord
 from repro.faults.errors import FaultKind, OnError, StageTimeoutError, classify_fault
@@ -460,6 +461,12 @@ _GATE_EVENTS = {
 }
 
 
+def _gated(report: GateReport, input_id: str) -> str:
+    """The identity of what a gate let through of the payload *input_id*."""
+    shed = sorted(v.fingerprint for v in report.violations)
+    return derivation_id("gate", report.contract_hash, shed, input_id)
+
+
 def _classify_stage_fault(error: BaseException) -> FaultKind:
     """A blown stage budget is final — whether the deadline expired
     post-hoc or a preemptive backend killed the lease — although
@@ -477,7 +484,8 @@ class _RunState:
     #: telemetry's subscriber (a no-op stand-in for untraced runs)
     recorder: NullRecorder
     quarantine: QuarantineStore
-    #: the payload flowing between stages, and its fingerprint
+    #: the payload flowing between stages, and its identity: the input's
+    #: content hash, then derivation ids (DESIGN, "Stage identity")
     payload: Any
     fingerprint: str = ""
     #: first stage to execute (> 0 after a restore)
@@ -506,6 +514,9 @@ class _StageFrame:
     elapsed: float = 0.0
     task_retries: int = 0
     records_quarantined: int = 0
+    #: the payload the stage was handed (after its input gate): an output
+    #: that *is* it marks the stage a pure observer
+    source: Any = None
 
     def result(self, st: _RunState, output_fingerprint: str, **extra: Any) -> StageResult:
         return StageResult(
@@ -729,7 +740,7 @@ class PipelineRunner:
         With ``resume=True`` (requires ``checkpoint_dir``) the run restarts
         after the last journal-committed stage that *verifies*: its
         snapshot must hash to the committed digest and its payload to the
-        recorded fingerprint; corrupt or mismatched snapshots are
+        recorded content digest; corrupt or mismatched snapshots are
         quarantined (renamed to ``*.quarantined``, reported as
         ``CHECKPOINT_QUARANTINED`` events), and the surviving prefix is
         replayed as ``STAGE_SKIPPED`` events instead of being re-executed.
@@ -900,6 +911,7 @@ class PipelineRunner:
                 detail="restored from checkpoint", audit={"output": fingerprint[:12]},
             )
         st.payload = checkpoint.payload
+        commit_pass(st.payload)  # restored is committed: frozen too
         st.fingerprint = checkpoint.fingerprint
         st.start_index = checkpoint.stage_index + 1
 
@@ -930,6 +942,7 @@ class PipelineRunner:
         st.context.current_span = st.recorder.stage_span
         try:
             self._gate_in(st, frame)
+            frame.source = st.payload
             try:
                 self._execute(st, frame)
             except DrainInterrupt as exc:
@@ -1004,19 +1017,18 @@ class PipelineRunner:
         report = self._gate(st, frame, "input")
         if report is None or not report.records_quarantined:
             return
-        gated_fp = fingerprint_payload(st.payload)
-        if gated_fp != st.fingerprint:
-            annotations = {
-                "processing_stage": frame.stage.processing_stage.name,
-                "role": "gate",
-                "gate_contract": report.contract_hash,
-                "gate_verdict": report.verdict,
-                **st.recorder.span_annotations(),
-            }
-            st.context._capture(
-                f"{frame.stage.name}:gate", [st.fingerprint], gated_fp, None, annotations
-            )
-            st.fingerprint = gated_fp
+        gated_id = _gated(report, st.fingerprint)
+        annotations = {
+            "processing_stage": frame.stage.processing_stage.name,
+            "role": "gate",
+            "gate_contract": report.contract_hash,
+            "gate_verdict": report.verdict,
+            **st.recorder.span_annotations(),
+        }
+        st.context._capture(
+            f"{frame.stage.name}:gate", [st.fingerprint], gated_id, None, annotations
+        )
+        st.fingerprint = gated_id
 
     def _execute(self, st: _RunState, frame: _StageFrame) -> None:
         """Run ``stage.fn`` under the stage's error policy, through the one
@@ -1064,6 +1076,14 @@ class PipelineRunner:
         started = time.perf_counter()
         try:
             candidate = frame.stage.fn(st.payload, st.context)
+        except ValueError as exc:
+            if "read-only" not in str(exc):
+                raise
+            # committed payloads are frozen: permanent, so never retried
+            raise PipelineError(
+                f"it wrote into a read-only array — committed payloads are frozen ({exc})",
+                stage_name=frame.stage.name, stage_index=frame.index,
+            ) from exc
         finally:
             frame.elapsed += time.perf_counter() - started
         if deadline is not None and deadline.expired():
@@ -1126,10 +1146,14 @@ class PipelineRunner:
         """Record the completed stage everywhere, then commit it (snapshot +
         journal record, one call)."""
         stage, index = frame.stage, frame.index
-        # the snapshot stores each array under the digest this walk computes
-        # for it anyway; collected only when there is a snapshot to write
-        array_digests: Optional[Dict[int, str]] = {} if self.checkpointer is not None else None
-        out_fp, out_bytes, out_items = walk_payload(st.payload, array_digests)
+        # the output is named by its derivation, not hashed: an observer
+        # hands its input on, under the input's id
+        out_bytes, out_items = commit_pass(st.payload)
+        out_fp = st.fingerprint if st.payload is frame.source else self.plan.derive(
+            index, st.fingerprint
+        )
+        if output_report is not None and output_report.records_quarantined:
+            out_fp = _gated(output_report, out_fp)
         self._publish(
             st, K.STAGE_COMPLETED, stage.name, index, seconds=frame.elapsed, fingerprint=out_fp,
             audit={"seconds": frame.elapsed, "output": out_fp[:12]},
@@ -1137,8 +1161,7 @@ class PipelineRunner:
             attempts=frame.attempts, task_retries=frame.task_retries,
         )
         if out_fp != st.fingerprint:
-            # identical fingerprints mean the stage was a pure observer
-            # (validation, evidence-only); no new entity to record
+            # a pure observer (validation, evidence-only) makes no new entity
             annotations: Dict[str, object] = {
                 "processing_stage": stage.processing_stage.name,
                 **st.recorder.span_annotations(),
@@ -1163,8 +1186,7 @@ class PipelineRunner:
         if self.checkpointer is not None:
             try:
                 self.checkpointer.commit(
-                    index, stage.name, st.fingerprint, out_fp, st.payload, st.context,
-                    array_digests,
+                    index, stage.name, st.fingerprint, out_fp, st.payload, st.context
                 )
             except Exception as exc:
                 # a full disk, a torn journal append, an artifact that does

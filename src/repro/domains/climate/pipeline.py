@@ -128,6 +128,8 @@ class ClimateArchetype(DomainArchetype):
     def _ingest(self, manifest: Dict[str, Any], ctx: PipelineContext) -> List[GriddedSource]:
         """download: decode NetCDF-like + GRIB-like archives, validate."""
         sources: List[GriddedSource] = []
+        #: the file each source was decoded from, for error messages
+        origins: List[str] = []
         converter = UnitConverter()
         for path in manifest.get("netcdf", []):
             nc = read_netcdf(path)
@@ -149,6 +151,7 @@ class ClimateArchetype(DomainArchetype):
                     name=Path(path).stem, grid=grid, variables=variables, units=units
                 )
             )
+            origins.append(str(path))
         if "grib" in manifest:
             messages = list(read_grib(manifest["grib"]))
             by_name: Dict[str, List] = {}
@@ -164,17 +167,23 @@ class ClimateArchetype(DomainArchetype):
             sources.append(
                 GriddedSource(name="reanalysis", grid=grid, variables=variables, units=units)
             )
+            origins.append(str(manifest["grib"]))
         if not sources:
             raise ValueError("climate manifest lists no sources")
         # unit harmonization at ingest: everything to the canonical units
-        for source in sources:
+        for path, source in zip(origins, sources):
             for name in list(source.variables):
                 canonical = VARIABLES.get(_canonical_name(name))
                 if canonical is None:
                     continue
                 target_units = canonical[0]
                 current = source.units.get(name, "")
-                if current and current != target_units and converter.can_convert(current, target_units):
+                if not converter.can_convert(current, target_units):
+                    raise ValueError(
+                        f"{path}: variable {name!r} has units {current!r}, which do not "
+                        f"convert to the canonical {target_units!r}"
+                    )
+                if current != target_units:
                     source.variables[name] = converter.convert(
                         source.variables[name], current, target_units
                     )

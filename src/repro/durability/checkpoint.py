@@ -2,12 +2,12 @@
 
 Layout under the directory, known to this module only:
 
-* ``stage-NNN.pkl`` — one snapshot per completed stage (payload +
+* ``stage-NNN.snap`` — one snapshot per completed stage (payload +
   artifacts + evidence + gate reports), committed through the atomic
   primitive;
 * ``journal.jsonl`` — the write-ahead :class:`RunJournal`, the **only**
   record of which stages are committed;
-* ``stage-NNN.pkl.quarantined`` — snapshots a resume refused, kept for
+* ``stage-NNN.snap.quarantined`` — snapshots a resume refused, kept for
   post-mortem and never restored.
 
 A snapshot is one self-contained file, and it is not ``pickle.load``-able::
@@ -25,12 +25,15 @@ memory.  Two arrays with equal content share a stored blob (and restore as
 two independent arrays); arrays pickle cannot hand out — non-contiguous,
 object-dtype, ``ndarray`` subclasses — stay in-band in the skeleton.
 
-A stage commits as one operation (:meth:`RunCheckpointer.commit`): the
-snapshot lands first, then the journal's ``stage-commit`` record carrying
-the sha256 of the **head** as it was written.  Every byte of the file is
-covered by that digest or by a blob digest inside it, and a blob digest is
-the one the runner's payload walk already computed for the same array —
-commit hashes an array itself only when the walk did not see it.  A
+A stage commits as one operation (:meth:`RunCheckpointer.commit`): one
+content walk of the payload (:func:`repro.core.payload.walk_payload`,
+the only place a stage output is content-hashed), the snapshot, then the
+journal's ``stage-commit`` record carrying the walk's content fingerprint
+beside the stage's derivation id and the sha256 of the **head** as it was
+written.  Every byte of the file is covered by that digest or by a blob
+digest inside it, and a blob digest is the one the walk computed for the
+same array — commit hashes an array again only when the walk did not see
+it (pickle handed out a buffer the walk does not visit).  A
 snapshot without a record is uncommitted; a record whose snapshot no
 longer verifies is a torn commit.  Resume
 (:meth:`RunCheckpointer.load_verified`) and recovery
@@ -65,7 +68,7 @@ from typing import (
 import numpy as np
 
 from repro.core.evidence import ReadinessEvidence
-from repro.core.payload import fingerprint_payload
+from repro.core.payload import fingerprint_payload, walk_payload
 from repro.durability.atomic import staged_write
 from repro.durability.journal import JOURNAL_NAME, JOURNAL_SCHEMA, RunJournal
 from repro.provenance.record import array_header, fingerprint_array
@@ -82,7 +85,7 @@ __all__ = [
     "RunCheckpointer",
 ]
 
-_SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.pkl$")
+_SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.snap$")
 
 _MAGIC = b"RPSNAP3\n"
 #: magic, skeleton length, blob-table length
@@ -136,12 +139,12 @@ class RunCheckpointer:
         self.journal = RunJournal(self.directory / JOURNAL_NAME)
 
     def snapshot_path(self, index: int) -> Path:
-        return self.directory / f"stage-{index:03d}.pkl"
+        return self.directory / f"stage-{index:03d}.snap"
 
     def snapshots(self) -> Dict[int, Path]:
         """Every snapshot on disk, committed or not, by stage index."""
         found = {}
-        for path in self.directory.glob("*.pkl"):
+        for path in self.directory.glob("*.snap"):
             match = _SNAPSHOT_RE.match(path.name)
             if match is not None:
                 found[int(match.group(1))] = path
@@ -155,14 +158,13 @@ class RunCheckpointer:
         output_fingerprint: str,
         payload: Any,
         context: "PipelineContext",
-        array_digests: Optional[Mapping[int, str]] = None,
     ) -> None:
         """Commit one completed stage: snapshot, then its journal record.
 
-        *array_digests* is what ``walk_payload(payload, array_digests)``
-        collected for this very payload (``id(array)`` → digest): those
-        arrays are written without being hashed again.  A wrong entry
-        cannot restore wrong data — :meth:`verify` re-hashes every blob.
+        The content walk hands out each array's digest (``id(array)`` →
+        digest), and the snapshot stores the array under it without hashing
+        it again.  A wrong entry cannot restore wrong data — :meth:`verify`
+        re-hashes every blob.
 
         The recorded checkpoint digest is taken over the head bytes handed
         to the atomic primitive, never read back from disk — whatever
@@ -172,6 +174,8 @@ class RunCheckpointer:
         # this package first loads (core.dataset -> provenance -> here)
         from repro.io.shards import ShardManifest
 
+        array_digests: Dict[int, str] = {}
+        content = walk_payload(payload, array_digests)[0]
         state = {
             "payload": payload,
             "artifacts": dict(context.artifacts),
@@ -179,7 +183,7 @@ class RunCheckpointer:
             "gate_reports": list(context.gate_reports),
         }
         artifacts = {
-            "checkpoint": _write_snapshot(self.snapshot_path(index), state, array_digests or {})
+            "checkpoint": _write_snapshot(self.snapshot_path(index), state, array_digests)
         }
         manifest = context.artifacts.get("manifest")
         if isinstance(manifest, ShardManifest):
@@ -191,6 +195,7 @@ class RunCheckpointer:
             stage=stage_name,
             input_fingerprint=input_fingerprint,
             output_fingerprint=output_fingerprint,
+            content_fingerprint=content,
             artifacts=artifacts,
         )
 
@@ -205,7 +210,7 @@ class RunCheckpointer:
         may follow the last blob; with *restore* (resume wants the payload
         back) each blob is read straight into the buffer its array will
         own, and the rebuilt payload must also hash to the recorded
-        ``output_fingerprint``.  Recovery, which only decides what stays on
+        ``content_fingerprint``.  Recovery, which only decides what stays on
         disk, stops after the byte check and gets an empty blob.
         """
         recorded = str((record.get("artifacts") or {}).get("checkpoint"))
@@ -223,10 +228,10 @@ class RunCheckpointer:
             payload = blob["payload"]
         except Exception as exc:  # missing key, a class that no longer unpickles
             return None, f"payload snapshot is unreadable ({type(exc).__name__}: {exc})"
-        fingerprint = fingerprint_payload(payload)
-        if fingerprint != record["output_fingerprint"]:
+        fingerprint, recorded = fingerprint_payload(payload), str(record["content_fingerprint"])
+        if fingerprint != recorded:
             return None, (
-                f"fingerprint mismatch: stored {str(record['output_fingerprint'])[:12]}, "
+                f"fingerprint mismatch: stored {recorded[:12]}, "
                 f"restored payload hashes to {fingerprint[:12]}"
             )
         return blob, None

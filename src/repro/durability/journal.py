@@ -8,10 +8,11 @@ durable, fsync-disciplined record types are appended at run boundaries:
 * ``run-begin`` — the run's identity: pipeline, plan fingerprint,
   backend, input fingerprint, and where it resumed from;
 * ``stage-commit`` — appended only *after* the stage's checkpoint hits
-  disk, carrying the stage's input and output payload fingerprints and
-  content digests of the committed artifacts (the checkpoint snapshot's
-  head, the shard manifest) so resume and recovery verify rather than
-  trust;
+  disk, carrying the ids of the stage's input and output payloads, the
+  output's content fingerprint (what a restored payload must hash to)
+  and content digests of the committed artifacts (the checkpoint
+  snapshot's head, the shard manifest) so resume and recovery verify
+  rather than trust;
 * ``run-commit`` — the run finished; everything is final;
 * ``recovery`` — the recovery scanner's verdict: the stage a resume may
   start from, and what it verified and discarded to get there.
@@ -50,8 +51,10 @@ __all__ = [
 
 JOURNAL_NAME = "journal.jsonl"
 #: bumped whenever a record's meaning changes; 3: a stage commit's
-#: ``checkpoint`` digest covers the snapshot's head, not the whole file
-JOURNAL_SCHEMA = 3
+#: ``checkpoint`` digest covers the snapshot's head, not the whole file;
+#: 4: its fingerprints are derivation ids, the content digest rides beside
+#: them as ``content_fingerprint``, and snapshots are ``stage-NNN.snap``
+JOURNAL_SCHEMA = 4
 
 KIND_RUN_BEGIN = "run-begin"
 KIND_STAGE_COMMIT = "stage-commit"
@@ -132,6 +135,7 @@ class RunJournal:
         output_fingerprint: str,
         artifacts: Mapping[str, str],
         input_fingerprint: str = "",
+        content_fingerprint: str = "",
     ) -> None:
         """Record a stage commit; *artifacts* maps artifact name →
         sha256 content digest (e.g. ``checkpoint``, ``manifest``)."""
@@ -142,6 +146,7 @@ class RunJournal:
                 "stage": stage,
                 "input_fingerprint": input_fingerprint,
                 "output_fingerprint": output_fingerprint,
+                "content_fingerprint": content_fingerprint,
                 "artifacts": dict(artifacts),
             },
         )

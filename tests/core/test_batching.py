@@ -232,12 +232,12 @@ class TestRunnerWiring:
 
     def test_batched_and_per_record_outputs_identical(self):
         from repro.core.runner import PipelineRunner
+        from tests.parity import record_outputs
 
-        batched = PipelineRunner(_batch_plan(), batch_size=3).run(None)
-        per_record = PipelineRunner(_batch_plan()).run(None)
-        assert [r.output_fingerprint for r in batched.results] == [
-            r.output_fingerprint for r in per_record.results
-        ]
+        batched, per_record = {}, {}
+        PipelineRunner(record_outputs(_batch_plan(), batched), batch_size=3).run(None)
+        PipelineRunner(record_outputs(_batch_plan(), per_record)).run(None)
+        assert list(batched.items()) == list(per_record.items())
 
     def test_stage_batch_precedence(self):
         """The runner's ``batch_size`` is a stage's one source of batch

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.levels import DataProcessingStage
-from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.plan import PipelineError, PipelineStage, StagePlan, fingerprint_payload
 from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.durability.checkpoint import CheckpointError
 from repro.obs import Telemetry
@@ -122,6 +122,47 @@ class TestObserverStages:
         assert any(e.action == "stage-completed" for e in context.audit)
 
 
+class TestCommittedPayloadsFrozen:
+    """A committed payload's arrays are read-only: a stage that writes into
+    its input fails at once, named, and is never retried."""
+
+    @pytest.mark.parametrize("backend", ["serial", "threaded", "process", "simspmd"])
+    def test_a_write_into_the_committed_input_fails_the_stage(self, backend):
+        from repro.faults import RetryPolicy, VirtualClock
+
+        attempts = []
+
+        def scribble(payload, ctx):
+            attempts.append(1)
+            total = sum(ctx.backend.map(float, list(payload["x"])))
+            # through the base of the committed view: the chain is frozen too
+            payload["x"].base[0] = total
+            return payload
+
+        plan = StagePlan.build("p", [
+            PipelineStage("make", S.INGEST, lambda p, c: {"x": np.arange(8.0)[2:]}),
+            PipelineStage("scribble", S.TRANSFORM, scribble),
+        ])
+        runner = PipelineRunner(
+            plan, backend=backend, retry_policy=RetryPolicy(max_attempts=3),
+            fault_clock=VirtualClock(),
+        )
+        with pytest.raises(PipelineError, match="stage 'scribble' failed: .*read-only") as info:
+            runner.run(None)
+        assert (info.value.stage_name, info.value.stage_index) == ("scribble", 1)
+        assert attempts == [1]
+
+    def test_a_restored_payload_is_frozen_too(self, tmp_path):
+        plan = StagePlan.build("p", [
+            PipelineStage("make", S.INGEST, lambda p, c: np.arange(4.0)),
+            PipelineStage("scale", S.TRANSFORM, lambda p, c: p.__imul__(2)),
+        ])
+        with pytest.raises(PipelineError, match="read-only"):
+            PipelineRunner(plan, checkpoint_dir=tmp_path).run(None)
+        with pytest.raises(PipelineError, match="stage 'scale' failed: .*read-only"):
+            PipelineRunner(plan, checkpoint_dir=tmp_path).run(None, resume=True)
+
+
 class TestCheckpointResume:
     def _tracked_plan(self, calls):
         def a(payload, ctx):
@@ -175,12 +216,8 @@ class TestCheckpointResume:
         runner = PipelineRunner(plan, checkpoint_dir=tmp_path)
         first = runner.run(np.ones(4))
         resumed = runner.run(np.ones(4), resume=True)
-        assert resumed.results[-1].output_fingerprint == (
-            reference.results[-1].output_fingerprint
-        )
-        assert first.results[-1].output_fingerprint == (
-            resumed.results[-1].output_fingerprint
-        )
+        assert fingerprint_payload(resumed.payload) == fingerprint_payload(reference.payload)
+        assert fingerprint_payload(first.payload) == fingerprint_payload(resumed.payload)
 
     def test_resume_restores_artifacts_and_evidence(self, tmp_path):
         from repro.core.evidence import EvidenceKind
@@ -232,7 +269,7 @@ class TestCheckpointResume:
     def test_corrupted_checkpoint_quarantined_on_resume(self, tmp_path):
         runner = PipelineRunner(two_stage_plan(), checkpoint_dir=tmp_path)
         clean = runner.run(np.ones(2))
-        blob_path = sorted(tmp_path.glob("stage-*.pkl"))[-1]
+        blob_path = sorted(tmp_path.glob("stage-*.snap"))[-1]
         # the payload array's bytes are the snapshot's last blob: flip one
         damaged = bytearray(blob_path.read_bytes())
         damaged[-1] ^= 0x01
@@ -248,10 +285,7 @@ class TestCheckpointResume:
         assert RunEventKind.CHECKPOINT_QUARANTINED in kinds
         # stage 1 re-executed and reproduced the clean output bitwise
         assert not run.results[-1].restored
-        assert (
-            run.results[-1].output_fingerprint
-            == clean.results[-1].output_fingerprint
-        )
+        assert fingerprint_payload(run.payload) == fingerprint_payload(clean.payload)
 
     def test_resume_verifies_against_provenance_store(self, tmp_path):
         calls = []
@@ -292,16 +326,20 @@ class TestCheckpointResume:
     def test_restored_payload_must_hash_to_committed_fingerprint(self, tmp_path):
         # the second half of the shared check: the bytes on disk are the
         # committed bytes, but the payload they unpickle to does not hash
-        # to the fingerprint the journal recorded for the stage
+        # to the content fingerprint the journal recorded for the stage
         runner = PipelineRunner(two_stage_plan(), checkpoint_dir=tmp_path)
         clean = runner.run(np.ones(2))
-        checkpointer = runner.checkpointer
-        checkpointer.commit(1, "b", "fp-in", "not-the-payload-fingerprint",
-                            clean.payload, clean.context)
+        journal = runner.checkpointer.journal
+        record = journal.last_run().stage_commits[1]
+        journal.commit_stage(
+            index=1, stage="b", input_fingerprint=record["input_fingerprint"],
+            output_fingerprint=record["output_fingerprint"],
+            content_fingerprint="not-the-payload-fingerprint", artifacts=record["artifacts"],
+        )
         run = runner.run(np.ones(2), resume=True)
         assert run.resumed_from == 0
         assert "fingerprint mismatch" in run.quarantined[0].reason
-        assert run.results[-1].output_fingerprint == clean.results[-1].output_fingerprint
+        assert fingerprint_payload(run.payload) == fingerprint_payload(clean.payload)
 
     def test_parent_format_directory_refused(self, tmp_path):
         # a checkpoint directory as an earlier release wrote it — schema 1:
@@ -347,6 +385,45 @@ class TestCheckpointResume:
             assert runner.checkpointer.journal.last_run().committed == [0, 1]
             assert runner.run(np.ones(2), resume=True).resumed_from == 1
             assert run.results[-1].output_fingerprint
+
+    def test_schema_3_directory_refused(self, tmp_path):
+        # the layout before derivation ids: the same snapshot format under
+        # stage-NNN.pkl, and stage commits naming outputs by content
+        import json
+
+        from repro.durability.checkpoint import _write_snapshot
+
+        plan = two_stage_plan()
+        state = {"payload": np.ones(2) * 2, "artifacts": {}, "evidence": None,
+                 "gate_reports": []}
+        head = _write_snapshot(tmp_path / "stage-000.pkl", state, {})
+        old = (tmp_path / "stage-000.pkl").read_bytes()
+        (tmp_path / "stage-001.pkl.quarantined").write_bytes(old)
+        with open(tmp_path / "journal.jsonl", "w") as fh:
+            for body in (
+                {"kind": "run-begin", "pipeline": "p", "backend": "serial",
+                 "plan_fingerprint": plan.fingerprint(),
+                 "payload_fingerprint": fingerprint_payload(np.ones(2)), "resume_index": 0},
+                {"kind": "stage-commit", "index": 0, "stage": "a",
+                 "input_fingerprint": fingerprint_payload(np.ones(2)),
+                 "output_fingerprint": fingerprint_payload(state["payload"]),
+                 "artifacts": {"checkpoint": head}},
+            ):
+                fh.write(json.dumps({"schema": 3, "type": "journal", **body}) + "\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        runner = PipelineRunner(plan, checkpoint_dir=tmp_path)
+        with pytest.raises(CheckpointError, match="older release.*journal schema 3;.*"
+                                                  "start the run again without resume"):
+            runner.run(np.ones(2), resume=True)
+        # refused, not repaired
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / "stage-000.pkl").read_bytes() == old
+        # a fresh run starts over in the new layout, and resumes from it
+        runner.run(np.ones(2))
+        assert sorted(p.name for p in tmp_path.glob("stage-*.snap")) == [
+            "stage-000.snap", "stage-001.snap"
+        ]
+        assert runner.run(np.ones(2), resume=True).resumed_from == 1
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []

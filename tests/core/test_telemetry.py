@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
 from repro.core.levels import DataProcessingStage
-from repro.core.plan import PipelineError, PipelineStage, StagePlan
+from repro.core.plan import PipelineError, PipelineStage, StagePlan, fingerprint_payload
 from repro.core.runner import PipelineRunner
 from repro.obs import Telemetry
 from repro.obs.tracing import SpanStatus, Tracer
@@ -256,7 +256,7 @@ class TestBackendParity:
         for name in BACKEND_NAMES:
             run, telemetry = self._run(name, tmp_path / name)
             observed[name] = self._work_counts(telemetry, name)
-            fingerprints[name] = run.results[-1].output_fingerprint
+            fingerprints[name] = fingerprint_payload(run.payload)
         reference = observed["serial"]
         assert reference["map"] == 6
         assert reference["stats"] > 0

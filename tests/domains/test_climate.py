@@ -122,3 +122,34 @@ class TestPipeline:
         normalizers = result.run.context.artifacts["normalizers"]
         assert set(normalizers) == set(CORE_VARIABLES)
         assert normalizers["tas"]["name"] == "zscore"
+
+
+class TestIngestUnits:
+    @pytest.mark.parametrize("units", [None, "furlongs/fortnight"])
+    @pytest.mark.parametrize("variable", ["pr", "tas_celsius"])
+    def test_canonical_variable_without_convertible_units_fails_ingest(
+        self, tmp_path, monkeypatch, units, variable
+    ):
+        """Evidence says "units harmonized": a canonical variable (or an
+        alias) whose units are missing or unknown must not slip through."""
+        from repro.core.runner import PipelineContext
+        from repro.domains.climate import pipeline as climate_pipeline
+
+        archetype = ClimateArchetype(seed=11, config=CONFIG)
+        manifest = archetype.synthesize_source(tmp_path)
+        damaged_path = manifest["netcdf"][0]
+        real_read = climate_pipeline.read_netcdf
+
+        def damaged_read(path):
+            nc = real_read(path)
+            if path == damaged_path:
+                nc[variable].attrs.pop("units")
+                if units is not None:
+                    nc[variable].attrs["units"] = units
+            return nc
+
+        monkeypatch.setattr(climate_pipeline, "read_netcdf", damaged_read)
+        with pytest.raises(ValueError) as info:
+            archetype._ingest(manifest, PipelineContext())
+        assert str(damaged_path) in str(info.value)
+        assert repr(variable) in str(info.value)

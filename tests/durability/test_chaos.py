@@ -20,16 +20,19 @@ from repro.durability.recover import recover_run
 from repro.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.obs import Telemetry
 from tests.parity import (
-    ARCHETYPES, CRASH_POINTS, N_STAGES, Config, assert_parity, assert_reference,
+    ARCHETYPES, CRASH_POINTS, N_STAGES, Config, assert_parity, assert_reference, watch,
 )
 
 SOURCE = ARCHETYPES["climate"][1]
 
 
 def _run(work_dir, *, ckpt=None, spec=None, resume=False, recovery_report=None,
-         telemetry=None):
+         telemetry=None, outputs=None):
+    """One run segment; *outputs* collects what its stages returned (see
+    ``tests.parity.watch``)."""
     injector = FaultInjector(FaultSpec.parse(spec)) if spec else None
-    result = ClimateArchetype(seed=21, config=SOURCE).run(
+    archetype = watch(ClimateArchetype(seed=21, config=SOURCE), {} if outputs is None else outputs)
+    result = archetype.run(
         work_dir,
         checkpoint_dir=ckpt,
         resume=resume,
@@ -72,15 +75,17 @@ class TestKilledWithDiskFaultsUnderneath:
     def test_journal_site_fault_then_kill(self, tmp_path):
         # the journal itself tears while committing stage 2, then the
         # driver dies later: recovery must trust only the healed prefix
-        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
+        work_dir, ckpt, outputs = tmp_path / "chaos", tmp_path / "ckpt", {}
         # a failed commit is a failed run (the OSError is its cause), and
         # it ends the run before the scheduled kill is ever reached
         with pytest.raises(PipelineError, match="checkpoint commit failed") as info:
-            _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post")
+            _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post",
+                 outputs=outputs)
         assert info.value.__cause__.errno == errno.EIO
         report = recover_run(ckpt, shards_dir=work_dir / "shards")
-        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, recovery_report=report)
-        assert_reference("climate", resumed, work_dir)
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, recovery_report=report,
+                          outputs=outputs)
+        assert_reference("climate", resumed, work_dir, outputs)
 
 
 class TestOneLedger:
@@ -91,38 +96,40 @@ class TestOneLedger:
     def test_plain_resume_restores_only_journal_committed_stages(self, tmp_path):
         # stage 2's snapshot lands, then its journal append dies (EIO):
         # the journal says [0, 1], a snapshot for 2 sits on disk
-        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
+        work_dir, ckpt, outputs = tmp_path / "chaos", tmp_path / "ckpt", {}
         with pytest.raises(PipelineError) as info:
-            _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post")
+            _run(work_dir, ckpt=ckpt, spec="eio=journal:3,crash-at=stage:3:post",
+                 outputs=outputs)
         assert info.value.__cause__.errno == errno.EIO
         checkpointer = RunCheckpointer(ckpt)
         assert checkpointer.journal.last_run().committed == [0, 1]
         assert sorted(checkpointer.snapshots()) == [0, 1, 2]
 
-        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True)  # no recover_run
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, outputs=outputs)  # no recover_run
         assert resumed.run.resumed_from == 1
         assert checkpointer.journal.last_run().committed == list(range(N_STAGES))
-        assert_reference("climate", resumed, work_dir)
+        assert_reference("climate", resumed, work_dir, outputs)
 
     def test_recovery_discards_a_snapshot_corrupted_after_commit(self, tmp_path):
         # the digest in the journal is of the bytes that were committed,
         # so damage done to the file afterwards cannot pass for truth
-        work_dir, ckpt = tmp_path / "chaos", tmp_path / "ckpt"
-        _, injector = _run(work_dir, ckpt=ckpt, spec="corrupt-checkpoint=2")
+        work_dir, ckpt, outputs = tmp_path / "chaos", tmp_path / "ckpt", {}
+        _, injector = _run(work_dir, ckpt=ckpt, spec="corrupt-checkpoint=2", outputs=outputs)
         assert injector.counts() == {"corrupt-checkpoint": 1}
 
         report = recover_run(ckpt, shards_dir=work_dir / "shards")
         assert report.resume_index == 2
         assert report.stages_committed == [0, 1]
         assert sorted(report.stages_discarded) == [2, 3, 4]
-        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, recovery_report=report)
+        resumed, _ = _run(work_dir, ckpt=ckpt, resume=True, recovery_report=report,
+                          outputs=outputs)
         assert resumed.run.resumed_from == 1
-        assert_reference("climate", resumed, work_dir)
+        assert_reference("climate", resumed, work_dir, outputs)
 
     def test_no_second_ledger_on_disk(self, tmp_path):
         _run(tmp_path / "wd", ckpt=tmp_path / "ckpt")
         names = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
-        assert names == ["journal.jsonl"] + [f"stage-{i:03d}.pkl" for i in range(N_STAGES)]
+        assert names == ["journal.jsonl"] + [f"stage-{i:03d}.snap" for i in range(N_STAGES)]
 
     def test_run_state_is_no_longer_a_fault_site(self):
         with pytest.raises(ValueError, match="unknown disk fault site"):

@@ -51,15 +51,13 @@ def _head(data):
     return data[: checkpoint._FIXED.size + skeleton_len + table_len]
 
 
-def _commit(directory, payload, *, artifacts=None, with_walk=True, index=0):
+def _commit(directory, payload, *, artifacts=None, index=0):
     """Commit *payload* as stage *index* the way the runner does; returns
     the checkpointer and the journal record."""
     checkpointer = RunCheckpointer(directory)
     context = PipelineContext(agent="p")
     context.artifacts.update(artifacts or {})
-    digests = {} if with_walk else None
-    fingerprint = walk_payload(payload, digests)[0]
-    checkpointer.commit(index, "s", "fp-in", fingerprint, payload, context, digests)
+    checkpointer.commit(index, "s", "id-in", "id-out", payload, context)
     return checkpointer, checkpointer.journal.records()[-1]
 
 
@@ -81,7 +79,7 @@ class TestCommit:
         for index, record in commits.items():
             data = checkpointer.snapshot_path(index).read_bytes()
             assert record["artifacts"]["checkpoint"] == hashlib.sha256(_head(data)).hexdigest()
-            assert record["schema"] == 3
+            assert record["schema"] == 4
 
     def test_commit_records_both_fingerprints(self, tmp_path):
         run = _run(tmp_path)
@@ -254,11 +252,9 @@ class TestSnapshotFormat:
         payload = {"field": np.zeros(1 << 23, dtype=np.float64)}  # 64 MiB
         checkpointer = RunCheckpointer(tmp_path)
         context = PipelineContext(agent="p")
-        digests = {}
-        fingerprint = walk_payload(payload, digests)[0]
         tracemalloc.start()
         try:
-            checkpointer.commit(0, "s", "fp-in", fingerprint, payload, context, digests)
+            checkpointer.commit(0, "s", "id-in", "id-out", payload, context)
             commit_peak = tracemalloc.get_traced_memory()[1]
             record = checkpointer.journal.records()[-1]
             tracemalloc.reset_peak()
@@ -301,25 +297,28 @@ class TestSnapshotFormat:
         assert checkpointer.verify(record, restore=True)[1] is None
 
     def test_arrays_the_walk_did_not_see_are_hashed_by_commit(self, tmp_path):
-        # no walk at all, and a Dataset the walk does not descend into
+        # a Fortran-order array the walk hands out no digest for, and a
+        # Dataset the walk does not descend into
         dataset = Dataset.from_arrays({"x": np.arange(6.0)})
-        for number, kwargs in enumerate(({"with_walk": False}, {"artifacts": {"d": dataset}})):
+        for number, kwargs in enumerate(({}, {"artifacts": {"d": dataset}})):
             checkpointer, record = _commit(
                 tmp_path / str(number), [np.arange(5.0), np.asfortranarray(np.eye(3))], **kwargs
             )
             assert checkpointer.verify(record, restore=True)[1] is None
 
     # -- (vi) a lying digest cannot restore ------------------------------------------
-    def test_a_wrong_walk_digest_yields_a_snapshot_verify_refuses(self, tmp_path):
+    def test_a_wrong_walk_digest_yields_a_snapshot_verify_refuses(self, tmp_path, monkeypatch):
         payload = [np.arange(9.0)]
-        checkpointer = RunCheckpointer(tmp_path)
-        digests = {}
-        fingerprint = walk_payload(payload, digests)[0]
-        assert list(digests) == [id(payload[0])]
-        digests[id(payload[0])] = hashlib.sha256(b"not this array").hexdigest()
-        checkpointer.commit(0, "s", "fp-in", fingerprint, payload, PipelineContext(agent="p"),
-                            digests)
-        record = checkpointer.journal.records()[-1]
+
+        def lying_walk(walked, digests):
+            result = walk_payload(walked, digests)
+            assert list(digests) == [id(payload[0])]
+            digests[id(payload[0])] = hashlib.sha256(b"not this array").hexdigest()
+            return result
+
+        monkeypatch.setattr(checkpoint, "walk_payload", lying_walk)
+        checkpointer, record = _commit(tmp_path, payload)
+        monkeypatch.undo()
         for restore in (False, True):
             blob, reason = checkpointer.verify(record, restore=restore)
             assert blob is None and "digest mismatch" in reason
@@ -345,7 +344,7 @@ class TestCommitFailure:
         assert telemetry.tracer.find("run:toy")[0].status.value == "error"
         # the stage before it is committed; the failed one left no partial
         assert RunCheckpointer(tmp_path).journal.last_run().committed == [0]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl", "stage-000.pkl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl", "stage-000.snap"]
         assert _run(tmp_path, resume=True).resumed_from == 0
 
     def test_unpicklable_artifact_is_a_failed_run(self, tmp_path):

@@ -39,7 +39,8 @@ def journal(root):
     log.begin(pipeline="p", plan_fingerprint="f" * 8, backend="serial",
               payload_fingerprint="a" * 8)
     log.commit_stage(index=0, stage="ingest", input_fingerprint="a" * 8,
-                     output_fingerprint="b" * 8, artifacts={"checkpoint": "c" * 8})
+                     output_fingerprint="b" * 8, content_fingerprint="d" * 8,
+                     artifacts={"checkpoint": "c" * 8})
     log.commit_run(output_fingerprint="b" * 8)
     return log.path, log.records()
 

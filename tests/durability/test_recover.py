@@ -18,7 +18,7 @@ from repro.obs import Telemetry
 
 def _snapshot(ckpt, index, data=None):
     """Bytes under a snapshot's name that no commit wrote."""
-    path = ckpt / f"stage-{index:03d}.pkl"
+    path = ckpt / f"stage-{index:03d}.snap"
     path.write_bytes(data if data is not None else f"snapshot-{index}".encode())
     return path
 
@@ -54,13 +54,13 @@ class TestPartialSweep:
         shards = tmp_path / "shards"
         ckpt.mkdir()
         shards.mkdir()
-        (ckpt / "stage-001.pkl.tmp").write_bytes(b"partial")
+        (ckpt / "stage-001.snap.tmp").write_bytes(b"partial")
         (shards / "train-00000.rps.spool").write_bytes(b"partial")
         (shards / "train-00000.rps.tmp").write_bytes(b"partial")
         (shards / "keep.rps").write_bytes(b"committed")
         report = recover_run(ckpt, shards_dir=shards)
         assert len(report.partials_removed) == 3
-        assert not (ckpt / "stage-001.pkl.tmp").exists()
+        assert not (ckpt / "stage-001.snap.tmp").exists()
         assert (shards / "keep.rps").read_bytes() == b"committed"
 
     def test_missing_dirs_tolerated(self, tmp_path):
@@ -76,7 +76,7 @@ class TestJournalReplay:
         _snapshot(ckpt, 0)
         report = recover_run(ckpt)
         assert not report.journal_found
-        assert (ckpt / "stage-000.pkl").exists()
+        assert (ckpt / "stage-000.snap").exists()
         assert not (ckpt / JOURNAL_NAME).exists()
         assert any("no journal" in note for note in report.notes)
 
@@ -90,7 +90,7 @@ class TestJournalReplay:
         assert report.stages_committed == [0, 1]
         assert report.stages_discarded == [2]
         assert report.resume_index == 2
-        assert not (ckpt / "stage-002.pkl").exists()
+        assert not (ckpt / "stage-002.snap").exists()
         assert RunJournal(ckpt / JOURNAL_NAME).last_run().committed == [0, 1]
 
     def test_digest_mismatch_discards_stage_and_later(self, tmp_path):
@@ -98,7 +98,7 @@ class TestJournalReplay:
         # stage 1 *and* the (honest) stage 2 after it are discarded
         ckpt = tmp_path / "ckpt"
         _committed_run(ckpt, 3)
-        (ckpt / "stage-001.pkl").write_bytes(b"mangled by power loss")
+        (ckpt / "stage-001.snap").write_bytes(b"mangled by power loss")
         report = recover_run(ckpt)
         assert report.stages_committed == [0]
         assert sorted(report.stages_discarded) == [1, 2]

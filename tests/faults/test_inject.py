@@ -172,10 +172,10 @@ class TestFilesystemChaos:
 
     def test_corrupt_checkpoint_only_scheduled_and_once(self, tmp_path):
         injector = FaultInjector(FaultSpec(corrupt_checkpoints=(2,)))
-        path = tmp_path / "stage-2.pkl"
+        path = tmp_path / "stage-2.snap"
         payload = bytes(range(200))
         path.write_bytes(payload)
-        assert not injector.maybe_corrupt_checkpoint(tmp_path / "stage-1.pkl", 1)
+        assert not injector.maybe_corrupt_checkpoint(tmp_path / "stage-1.snap", 1)
         assert injector.maybe_corrupt_checkpoint(path, 2)
         corrupted = path.read_bytes()
         assert len(corrupted) == 100  # truncated to half
@@ -196,8 +196,8 @@ class TestFilesystemChaos:
         ]
         assert injector.unfired() == everything
         injector.maybe_tear_shard(tmp_path, "x.rps", "shard_write#0")
-        (tmp_path / "stage-1.pkl").write_bytes(bytes(64))
-        injector.maybe_corrupt_checkpoint(tmp_path / "stage-1.pkl", 1)
+        (tmp_path / "stage-1.snap").write_bytes(bytes(64))
+        injector.maybe_corrupt_checkpoint(tmp_path / "stage-1.snap", 1)
         with pytest.raises(Exception, match="poison task"):
             injector.fault_point("map#0[1]")
         assert injector.fault_for("manifest") == "eio"  # manifest:0

@@ -11,6 +11,7 @@ stage, and re-driving a quarantine store is a pure replay.
 
 import pytest
 
+from repro.core.plan import fingerprint_payload
 from repro.core.runner import RunEventKind
 from repro.faults import FaultInjector, FaultSpec, VirtualClock
 from repro.gates import QuarantineStore, contracts_for_domain, redrive
@@ -85,9 +86,7 @@ def test_resume_quarantines_corrupt_checkpoint(domain, tmp_path):
     ]
     assert not resumed.run.results[last].restored
     # and the re-run reproduces the identical output
-    assert resumed.run.results[last].output_fingerprint == (
-        chaos.run.results[last].output_fingerprint
-    )
+    assert fingerprint_payload(resumed.run.payload) == fingerprint_payload(chaos.run.payload)
     assert shard_digests(work_dir / "shards") == before
 
 

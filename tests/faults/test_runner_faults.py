@@ -319,7 +319,7 @@ class TestCheckpointHardening:
         PipelineRunner(plan, checkpoint_dir=tmp_path).run(np.ones(2))
         leftovers = list(tmp_path.glob("*.tmp"))
         assert leftovers == []
-        assert sorted(p.name for p in tmp_path.glob("*.pkl"))
+        assert sorted(p.name for p in tmp_path.glob("*.snap"))
 
     def test_retry_spans_carry_events(self):
         telemetry = Telemetry()

@@ -2,8 +2,9 @@
 
 Same plan + same input => the same artifact, whatever produces it.  Every
 ``*.rps`` shard, the ``manifest.json`` bytes, every ``tfrecord/*.tfrecord``
-export, a gated run's ``quarantine.jsonl`` bytes, every stage's output
-fingerprint and the final dataset fingerprint are equal on every backend
+export, a gated run's ``quarantine.jsonl`` bytes, the content fingerprint
+of what every stage function returned and of the run's final payload, and
+the final dataset fingerprint are equal on every backend
 and width, batched or per record, under any fault schedule the engine
 heals, and across a driver crash that ``recover_run`` (or a plain resume)
 finishes.
@@ -11,7 +12,13 @@ finishes.
 :func:`assert_parity` is the one check.  ``tests/test_parity.py`` searches
 it with generated configurations; suites that drive a run by other means
 (a drain, the CLI, direct ``shard_write`` calls) compare through
-:func:`assert_reference` or :func:`shard_digests`.
+:func:`assert_reference` (with the stage outputs :func:`watch` recorded)
+or :func:`shard_digests`.
+
+A run names its stage outputs by derivation (``StageResult.output_fingerprint``
+is the same on every backend by construction), so the oracle hashes
+content itself: :func:`record_outputs` wraps each stage function to file
+the content fingerprint of its return value.
 
 Every run :func:`run_config` makes also owes the generic invariants: each
 scheduled fault point fired, nothing was dead-lettered, only a gated run
@@ -30,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.backends import get_backend
+from repro.core.plan import StagePlan, fingerprint_payload
 from repro.core.runner import RunEventKind
 from repro.domains import BioArchetype, ClimateArchetype, FusionArchetype, MaterialsArchetype
 from repro.domains.bio.synthetic import BioSourceConfig
@@ -114,13 +122,44 @@ def shard_digests(directory: Union[str, Path]) -> Dict[str, str]:
     return {path.relative_to(directory).as_posix(): _sha256(path) for path in paths}
 
 
-def _digests(result, work: Path) -> Dict[str, str]:
+def record_outputs(plan: StagePlan, outputs: Dict[str, str]) -> StagePlan:
+    """*plan* with each stage function wrapped to file the content
+    fingerprint of what it returns in *outputs*, under ``stage i (name)``;
+    a stage that runs again (a retry, a re-run after a crash) overwrites
+    its entry, a restored one keeps what the run that executed it filed."""
+
+    def wrap(index, stage):
+        def fn(payload, ctx):
+            output = stage.fn(payload, ctx)
+            outputs[f"stage {index} ({stage.name})"] = fingerprint_payload(output)
+            return output
+
+        return dataclasses.replace(stage, fn=fn)
+
+    return dataclasses.replace(plan, stages=[wrap(i, s) for i, s in enumerate(plan.stages)])
+
+
+def watch(archetype, outputs: Dict[str, str]):
+    """*archetype* (a ``DomainArchetype``) with :func:`record_outputs` on
+    every pipeline it builds; pass the same *outputs* to every run segment."""
+    build = archetype.build_pipeline
+
+    def build_pipeline(*args, **kwargs):
+        pipeline = build(*args, **kwargs)
+        pipeline.plan = record_outputs(pipeline.plan, outputs)
+        return pipeline
+
+    archetype.build_pipeline = build_pipeline
+    return archetype
+
+
+def _digests(result, work: Path, outputs: Dict[str, str]) -> Dict[str, str]:
     """What an archetype run under *work* produced, in pipeline order:
-    stage output fingerprints, shards, manifest, TFRecord exports,
-    quarantine log (when the run was gated into ``work/q``), final dataset
-    fingerprint."""
-    out = {f"stage {i} ({r.stage_name})": r.output_fingerprint
-           for i, r in enumerate(result.run.results)}
+    stage outputs (as :func:`record_outputs` filed them), the final
+    payload, shards, manifest, TFRecord exports, quarantine log (when the
+    run was gated into ``work/q``), final dataset fingerprint."""
+    out = dict(sorted(outputs.items()))
+    out["final payload"] = fingerprint_payload(result.run.payload)
     out.update(shard_digests(work / "shards"))
     quarantine = work / "q" / QUARANTINE_NAME
     if quarantine.exists():
@@ -217,12 +256,14 @@ def run_config(archetype: str, config: Config, work: Path) -> Tuple[Dict[str, st
     )
 
     injectors: List[Optional[FaultInjector]] = []
+    outputs: Dict[str, str] = {}
 
     def segment(spec: str, **extra):
         """One run of the archetype, on a fresh backend and injector."""
         injector = FaultInjector(FaultSpec.parse(spec), clock=VirtualClock()) if spec else None
         injectors.append(injector)
-        archetype_run = cls(seed=21, config=poisoned if config.gated else source).run
+        archetype = cls(seed=21, config=poisoned if config.gated else source)
+        archetype_run = watch(archetype, outputs).run
         return injector, archetype_run(
             work, backend=_backend(config), fault_injector=injector, **options, **extra
         )
@@ -243,7 +284,7 @@ def run_config(archetype: str, config: Config, work: Path) -> Tuple[Dict[str, st
     if checkpointed:
         assert RunCheckpointer(work / "ckpt").journal.last_run().committed == list(range(N_STAGES))
     fired = Counter(_kind(f) for i in injectors if i is not None for f in i.log)
-    return _digests(result, work), fired
+    return _digests(result, work, outputs), fired
 
 
 #: (archetype, config) -> what :func:`run_config` returned; runs are
@@ -280,8 +321,9 @@ def assert_parity(archetype: str, config_a: Config, config_b: Config) -> Dict[st
     return a
 
 
-def assert_reference(archetype: str, result, work: Path) -> None:
+def assert_reference(archetype: str, result, work: Path, outputs: Dict[str, str]) -> None:
     """A run driven some other way (a drain, a failed commit, the state
-    machine) in *work* produced the clean serial run's artifacts."""
-    _assert_same(digests_of(archetype), _digests(result, work),
+    machine) in *work* produced the clean serial run's artifacts; *outputs*
+    is what :func:`watch` recorded over every segment of that run."""
+    _assert_same(digests_of(archetype), _digests(result, work, outputs),
                  f"{archetype}: the run in {work} diverged from the clean serial run")

@@ -28,7 +28,7 @@ from repro.sched import (
     choose_config,
     store_key,
 )
-from tests.parity import ARCHETYPES, assert_reference
+from tests.parity import ARCHETYPES, assert_reference, watch
 
 CLIMATE = {"config": ARCHETYPES["climate"][1]}
 MATERIALS = {"config": MaterialsSourceConfig(n_structures=40, seed=21)}
@@ -40,8 +40,11 @@ def _climate():
     return ClimateArchetype(seed=21, **CLIMATE)
 
 
-def _auto_run(tmp_path, name="auto", **kwargs):
-    return _climate().run(tmp_path / name, plan_mode="auto", **kwargs)
+def _auto_run(tmp_path, name="auto", outputs=None, **kwargs):
+    """An auto-planned climate run; *outputs* collects what its stages
+    returned (see ``tests.parity.watch``)."""
+    archetype = watch(_climate(), {} if outputs is None else outputs)
+    return archetype.run(tmp_path / name, plan_mode="auto", **kwargs)
 
 
 def _warm_store(tmp_path, seconds_by_config):
@@ -59,8 +62,8 @@ def _warm_store(tmp_path, seconds_by_config):
 
 
 def test_auto_run_selects_and_embeds_decision(tmp_path):
-    store = _warm_store(tmp_path, {SERIAL: 0.5, THREADED: 0.2})
-    result = _auto_run(tmp_path, ledger=store)
+    store, outputs = _warm_store(tmp_path, {SERIAL: 0.5, THREADED: 0.2}), {}
+    result = _auto_run(tmp_path, ledger=store, outputs=outputs)
     decision = result.schedule
     assert isinstance(decision, ScheduleDecision)
     assert decision.mode == "auto"
@@ -80,7 +83,7 @@ def test_auto_run_selects_and_embeds_decision(tmp_path):
     manifest = ShardManifest.from_json(path.read_text())
     del manifest.metadata["schedule_decision"]
     path.write_text(manifest.to_json())
-    assert_reference("climate", result, tmp_path / "auto")
+    assert_reference("climate", result, tmp_path / "auto", outputs)
 
 
 def test_fixed_run_has_no_decision(tmp_path):

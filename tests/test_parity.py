@@ -24,7 +24,7 @@ from repro.faults import FaultInjector, FaultSpec
 from repro.workers.backend import ProcessBackend
 from tests import parity
 from tests.parity import (
-    ARCHETYPES, CRASH_POINTS, N_STAGES, POLICY, Config, assert_parity, assert_reference,
+    ARCHETYPES, CRASH_POINTS, N_STAGES, POLICY, Config, assert_parity, assert_reference, watch,
 )
 
 #: generated configurations per search; the search is derandomized, so
@@ -137,6 +137,8 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
         self.work = Path(self.scratch.name)
         self.ckpt = self.work / "ckpt"
         self.faults = []
+        #: what the stages of every run in this history returned
+        self.outputs = {}
         #: no disk fault has hit the directory since the last completed run
         self.pure_crashes = True
 
@@ -181,7 +183,7 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
         self.faults = []
         cls, source, _ = ARCHETYPES["climate"]
         try:
-            result = cls(seed=21, config=source).run(
+            result = watch(cls(seed=21, config=source), self.outputs).run(
                 self.work, checkpoint_dir=self.ckpt, resume=resume,
                 fault_injector=injector, retry_policy=POLICY,
             )
@@ -195,7 +197,7 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
                 raise
             return
         assert self._committed() == list(range(N_STAGES))
-        assert_reference("climate", result, self.work)
+        assert_reference("climate", result, self.work, self.outputs)
         self.pure_crashes = True
 
     @rule()

@@ -12,7 +12,7 @@ import pytest
 from repro.core.runner import RunEventKind
 from repro.domains import ClimateArchetype
 from repro.workers import DrainController, DrainInterrupt
-from tests.parity import ARCHETYPES, assert_reference
+from tests.parity import ARCHETYPES, assert_reference, watch
 
 CONFIG = ARCHETYPES["climate"][1]
 
@@ -35,8 +35,9 @@ def test_boundary_drain_then_resume_is_bitwise_identical(backend, tmp_path):
 
     work = tmp_path / "work"
     ckpt = tmp_path / "ckpt"
+    outputs = {}
     with pytest.raises(DrainInterrupt) as info:
-        ClimateArchetype(seed=21, config=CONFIG).run(
+        watch(ClimateArchetype(seed=21, config=CONFIG), outputs).run(
             work,
             backend=backend,
             checkpoint_dir=ckpt,
@@ -47,12 +48,12 @@ def test_boundary_drain_then_resume_is_bitwise_identical(backend, tmp_path):
     assert info.value.stage_name == "stack"
     assert "drain requested" in str(info.value)
 
-    result = ClimateArchetype(seed=21, config=CONFIG).run(
+    result = watch(ClimateArchetype(seed=21, config=CONFIG), outputs).run(
         work, backend=backend, checkpoint_dir=ckpt, resume=True
     )
     restored = [r.stage_name for r in result.run.results if r.restored]
     assert restored == ["download", "regrid", "normalize"]
-    assert_reference("climate", result, work)
+    assert_reference("climate", result, work, outputs)
 
 
 def test_mid_stage_drain_on_process_backend(tmp_path):
@@ -65,8 +66,9 @@ def test_mid_stage_drain_on_process_backend(tmp_path):
 
     work = tmp_path / "work"
     ckpt = tmp_path / "ckpt"
+    outputs = {}
     with pytest.raises(DrainInterrupt) as info:
-        ClimateArchetype(seed=21, config=CONFIG).run(
+        watch(ClimateArchetype(seed=21, config=CONFIG), outputs).run(
             work,
             backend="process",
             checkpoint_dir=ckpt,
@@ -81,12 +83,12 @@ def test_mid_stage_drain_on_process_backend(tmp_path):
     assert RunEventKind.RUN_INTERRUPTED in kinds
     assert isinstance(info.value.worker_counters, dict)
 
-    result = ClimateArchetype(seed=21, config=CONFIG).run(
+    result = watch(ClimateArchetype(seed=21, config=CONFIG), outputs).run(
         work, backend="process", checkpoint_dir=ckpt, resume=True
     )
     restored = [r.stage_name for r in result.run.results if r.restored]
     assert restored == ["download", "regrid", "normalize", "stack"]
-    assert_reference("climate", result, work)
+    assert_reference("climate", result, work, outputs)
 
 
 def test_drain_before_first_stage_leaves_no_partial_output(tmp_path):
