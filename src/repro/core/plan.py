@@ -133,8 +133,7 @@ class PipelineStage:
 
 
 def derivation_id(*parts: object) -> str:
-    """sha256 of *parts* as one canonical JSON list: how the run layer
-    names a payload it did not hash (a stage output, a gate's survivors)."""
+    """sha256 of *parts* as one JSON list: the id of a payload never hashed."""
     encoded = json.dumps(list(parts), sort_keys=True).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
@@ -236,10 +235,8 @@ class StagePlan:
         return hashlib.sha256(encoded).hexdigest()
 
     def derive(self, index: int, input_id: str) -> str:
-        """The identity of stage *index*'s output from an input known as
-        *input_id*: a derivation, not a content hash (DESIGN, "Stage
-        identity").  Equal ids mean the same plan entry applied to the same
-        input, so by the parity contract the same content."""
+        """The id of stage *index*'s output from the input *input_id*
+        (DESIGN, "Stage identity")."""
         return derivation_id("derive", _stage_entry(self.stages[index]), input_id)
 
     def describe(self) -> str:

@@ -484,8 +484,7 @@ class _RunState:
     #: telemetry's subscriber (a no-op stand-in for untraced runs)
     recorder: NullRecorder
     quarantine: QuarantineStore
-    #: the payload flowing between stages, and its identity: the input's
-    #: content hash, then derivation ids (DESIGN, "Stage identity")
+    #: the payload flowing between stages, and its id (DESIGN, "Stage identity")
     payload: Any
     fingerprint: str = ""
     #: first stage to execute (> 0 after a restore)
@@ -514,8 +513,7 @@ class _StageFrame:
     elapsed: float = 0.0
     task_retries: int = 0
     records_quarantined: int = 0
-    #: the payload the stage was handed (after its input gate): an output
-    #: that *is* it marks the stage a pure observer
+    #: the payload the stage was handed; an output that *is* it is an observer's
     source: Any = None
 
     def result(self, st: _RunState, output_fingerprint: str, **extra: Any) -> StageResult:
@@ -1152,6 +1150,7 @@ class PipelineRunner:
         out_fp = st.fingerprint if st.payload is frame.source else self.plan.derive(
             index, st.fingerprint
         )
+        frame.source = None  # the input may go before the snapshot is written
         if output_report is not None and output_report.records_quarantined:
             out_fp = _gated(output_report, out_fp)
         self._publish(

@@ -6,9 +6,12 @@ essential for validation."  The unit of provenance here is a
 :class:`ProvenanceRecord` — an immutable assertion that *activity* (a
 pipeline stage, with its parameters) consumed the entity with input
 fingerprint(s) and produced the entity with the output fingerprint.
-Fingerprints are SHA-256 over schema + column bytes
-(:meth:`repro.core.dataset.Dataset.fingerprint`), so any silent change to
-data or layout breaks the chain detectably.
+A run's root entity is the content hash of its input; every later entity
+is a derivation id (:meth:`repro.core.plan.StagePlan.derive`), a hash of
+the stage's plan entry and its input's id, so the chain names each
+payload by how it was made.  Content hashes (SHA-256 over schema + column
+bytes, :meth:`repro.core.dataset.Dataset.fingerprint`) stay where bytes
+are stored: checkpoints, quarantine records, shard manifests.
 """
 
 from __future__ import annotations
