@@ -345,14 +345,15 @@ class TestCheckpointResume:
         # a checkpoint directory as an earlier release wrote it — schema 1:
         # the completed-stage table in run-state.json, stage commits without
         # input_fingerprint; schema 2: one ledger already, but plain-pickle
-        # snapshots whose whole-file sha256 the journal recorded
+        # snapshots whose whole-file sha256 the journal recorded; schema 3:
+        # snapshots named stage-NNN.pkl, outputs named by their content
         import hashlib
         import json
         import pickle
 
         plan = two_stage_plan()
         old_snapshot = pickle.dumps({"payload": np.ones(2) * 2, "artifacts": {}, "evidence": None})
-        for schema in (1, 2):
+        for schema in (1, 2, 3):
             directory = tmp_path / f"schema-{schema}"
             directory.mkdir()
             (directory / "stage-000.pkl").write_bytes(old_snapshot)
@@ -375,7 +376,8 @@ class TestCheckpointResume:
                 ):
                     fh.write(json.dumps({"schema": schema, "type": "journal", **body}) + "\n")
             runner = PipelineRunner(plan, checkpoint_dir=directory)
-            with pytest.raises(CheckpointError, match=f"older release.*journal schema {schema};"):
+            with pytest.raises(CheckpointError, match=f"older release.*journal schema {schema};"
+                                                      ".*start the run again without resume"):
                 runner.run(np.ones(2), resume=True)
             # refused, not repaired: nothing was renamed, deleted or appended
             assert (directory / "stage-000.pkl").read_bytes() == old_snapshot
@@ -383,47 +385,11 @@ class TestCheckpointResume:
             # a fresh run over the same directory supersedes the old commits
             run = runner.run(np.ones(2))
             assert runner.checkpointer.journal.last_run().committed == [0, 1]
+            assert sorted(p.name for p in directory.glob("stage-*.snap")) == [
+                "stage-000.snap", "stage-001.snap"
+            ]
             assert runner.run(np.ones(2), resume=True).resumed_from == 1
             assert run.results[-1].output_fingerprint
-
-    def test_schema_3_directory_refused(self, tmp_path):
-        # the layout before derivation ids: the same snapshot format under
-        # stage-NNN.pkl, and stage commits naming outputs by content
-        import json
-
-        from repro.durability.checkpoint import _write_snapshot
-
-        plan = two_stage_plan()
-        state = {"payload": np.ones(2) * 2, "artifacts": {}, "evidence": None,
-                 "gate_reports": []}
-        head = _write_snapshot(tmp_path / "stage-000.pkl", state, {})
-        old = (tmp_path / "stage-000.pkl").read_bytes()
-        (tmp_path / "stage-001.pkl.quarantined").write_bytes(old)
-        with open(tmp_path / "journal.jsonl", "w") as fh:
-            for body in (
-                {"kind": "run-begin", "pipeline": "p", "backend": "serial",
-                 "plan_fingerprint": plan.fingerprint(),
-                 "payload_fingerprint": fingerprint_payload(np.ones(2)), "resume_index": 0},
-                {"kind": "stage-commit", "index": 0, "stage": "a",
-                 "input_fingerprint": fingerprint_payload(np.ones(2)),
-                 "output_fingerprint": fingerprint_payload(state["payload"]),
-                 "artifacts": {"checkpoint": head}},
-            ):
-                fh.write(json.dumps({"schema": 3, "type": "journal", **body}) + "\n")
-        before = sorted(p.name for p in tmp_path.iterdir())
-        runner = PipelineRunner(plan, checkpoint_dir=tmp_path)
-        with pytest.raises(CheckpointError, match="older release.*journal schema 3;.*"
-                                                  "start the run again without resume"):
-            runner.run(np.ones(2), resume=True)
-        # refused, not repaired
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-        assert (tmp_path / "stage-000.pkl").read_bytes() == old
-        # a fresh run starts over in the new layout, and resumes from it
-        runner.run(np.ones(2))
-        assert sorted(p.name for p in tmp_path.glob("stage-*.snap")) == [
-            "stage-000.snap", "stage-001.snap"
-        ]
-        assert runner.run(np.ones(2), resume=True).resumed_from == 1
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []
