@@ -17,7 +17,9 @@ lineage root and the journal's ``payload_fingerprint``), checkpoint
 snapshots (the content digest a ``stage-commit`` record carries and
 resume re-checks), the per-record keys of the gates and the quarantine,
 and the parity oracle in the tests.  A stage output is *not* named by its
-content but by its derivation (:meth:`repro.core.plan.StagePlan.derive`).
+content but by its derivation (:meth:`repro.core.plan.StagePlan.derive`),
+which is equal only for the same input id and plan; the source files
+behind an input manifest are never hashed.
 Every node hashes to the sha256 hex digest of a type-tagged token, and a
 container hashes the *hex digests* of its children —
 

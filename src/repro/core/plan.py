@@ -93,6 +93,10 @@ class PipelineStage:
     data-parallel execution through ``context.backend``; ``parallelism``
     declares which backend operation the stage uses.
 
+    ``params`` must hold every value ``fn`` reads besides its payload (a
+    seed, a target grid): the output's id is derived from them, never
+    from the output's bytes (:meth:`StagePlan.derive`).
+
     ``on_error``, ``retry``, and ``timeout`` are the stage's fault
     policy (see :mod:`repro.faults`): what to do when the stage fails,
     the backoff schedule for retries, and the stage's deadline budget in
@@ -236,7 +240,8 @@ class StagePlan:
 
     def derive(self, index: int, input_id: str) -> str:
         """The id of stage *index*'s output from the input *input_id*
-        (DESIGN, "Stage identity")."""
+        (DESIGN, "Stage identity").  Equal only for the same input id and
+        the same plan entry; the output's content is not read."""
         return derivation_id("derive", _stage_entry(self.stages[index]), input_id)
 
     def describe(self) -> str:

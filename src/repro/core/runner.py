@@ -1074,14 +1074,6 @@ class PipelineRunner:
         started = time.perf_counter()
         try:
             candidate = frame.stage.fn(st.payload, st.context)
-        except ValueError as exc:
-            if "read-only" not in str(exc):
-                raise
-            # committed payloads are frozen: permanent, so never retried
-            raise PipelineError(
-                f"it wrote into a read-only array — committed payloads are frozen ({exc})",
-                stage_name=frame.stage.name, stage_index=frame.index,
-            ) from exc
         finally:
             frame.elapsed += time.perf_counter() - started
         if deadline is not None and deadline.expired():

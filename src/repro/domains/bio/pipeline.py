@@ -415,11 +415,11 @@ class BioArchetype(DomainArchetype):
                               output_contract=CONTRACTS[("acquire", "output")]),
                 PipelineStage("encode", DataProcessingStage.PREPROCESS, self._encode),
                 PipelineStage("anonymize", DataProcessingStage.TRANSFORM, self._anonymize,
-                              params={"k": self.k}),
+                              params={"k": self.k, "seed": self.seed}),
                 PipelineStage("fuse", DataProcessingStage.STRUCTURE, self._fuse,
                               output_contract=CONTRACTS[("fuse", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
-                              params={"secure": True},
+                              params={"secure": True, "seed": self.seed},
                               parallelism=Parallelism.WRITE,
                               on_error=OnError.RETRY),
             ],

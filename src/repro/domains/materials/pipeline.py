@@ -453,10 +453,11 @@ class MaterialsArchetype(DomainArchetype):
                 PipelineStage("encode", DataProcessingStage.TRANSFORM, self._encode,
                               parallelism=Parallelism.MAP),
                 PipelineStage("graph", DataProcessingStage.STRUCTURE, self._structure,
-                              params={"oversample_to_ratio": self.oversample_to_ratio},
+                              params={"oversample_to_ratio": self.oversample_to_ratio,
+                                      "seed": self.seed},
                               output_contract=CONTRACTS[("graph", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
-                              params={"formats": ["rps", "adios-like"]},
+                              params={"formats": ["rps", "adios-like"], "seed": self.seed},
                               parallelism=Parallelism.WRITE,
                               on_error=OnError.RETRY),
             ],

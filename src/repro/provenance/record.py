@@ -9,7 +9,9 @@ fingerprint(s) and produced the entity with the output fingerprint.
 A run's root entity is the content hash of its input; every later entity
 is a derivation id (:meth:`repro.core.plan.StagePlan.derive`), a hash of
 the stage's plan entry and its input's id, so the chain names each
-payload by how it was made.  Content hashes (SHA-256 over schema + column
+payload by how it was made.  Ids match across runs only for the same
+input (for an archetype, the same source manifest, paths included) and
+the same plan; the source files behind a manifest are not hashed.  Content hashes (SHA-256 over schema + column
 bytes, :meth:`repro.core.dataset.Dataset.fingerprint`) stay where bytes
 are stored: checkpoints, quarantine records, shard manifests.
 """

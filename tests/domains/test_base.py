@@ -113,3 +113,26 @@ def test_run_forwards_every_runner_option(tmp_path):
     assert {e.timestamp for e in result.run.events} == {7.0}
     with pytest.raises(TypeError, match="no_such_option"):
         ClimateArchetype(seed=21, config=config).run(tmp_path, no_such_option=1)
+
+
+@pytest.mark.parametrize("domain", sorted(SMALL_CONFIGS))
+def test_equal_stage_ids_mean_equal_content_across_archetype_seeds(domain, tmp_path):
+    """A stage id is derived from the plan, never read from the output, so
+    every value a stage function reads besides its payload must sit in its
+    params: two archetype seeds over one source in one workdir may give a
+    stage output one id only where they give it one content."""
+    from tests.parity import watch
+
+    cls = {a.domain: type(a) for a in all_archetypes()}[domain]
+    runs = []
+    for seed in (1, 2):
+        outputs = {}
+        run = watch(cls(seed=seed, **SMALL_CONFIGS[domain]), outputs).run(tmp_path).run
+        ids = {f"stage {i} ({r.stage_name})": r.output_fingerprint
+               for i, r in enumerate(run.results)}
+        assert ids.keys() == outputs.keys()
+        runs.append((ids, outputs))
+    (ids_a, content_a), (ids_b, content_b) = runs
+    for stage in ids_a:
+        if ids_a[stage] == ids_b[stage]:
+            assert content_a[stage] == content_b[stage], stage
