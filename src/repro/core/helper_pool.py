@@ -6,9 +6,10 @@ compresses column blocks), the block readers' decode-ahead
 (:func:`decode_ahead` — ``read_netcdf``, ``read_shard`` and
 :class:`repro.io.shards.ShardSet` read, check and decode the next blocks)
 and the payload walker's digest-ahead
-(:func:`repro.core.payload.walk_payload` hashes sibling arrays).  All do
-work that releases the GIL — ``zlib``, file reads and ``hashlib`` — and all
-size and start their pool here.
+(:func:`repro.core.payload.walk_payload` hashes sibling arrays).  A fourth
+user, the runner's write-behind, lands a stage's checkpoint commit while
+the next stage runs.  All do work that releases the GIL — ``zlib``, file
+reads, ``hashlib`` and ``fsync`` — and all size and start their pool here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import os
 from typing import Callable, Deque, Iterator, List, Optional, Sequence, TypeVar
 
-__all__ = ["helper_threads", "helper_pool", "decode_ahead"]
+__all__ = ["helper_threads", "helper_pool", "behind", "decode_ahead"]
 
 T = TypeVar("T")
 
@@ -63,6 +64,21 @@ def helper_pool(name: str, threads: int) -> concurrent.futures.ThreadPoolExecuto
     )
 
 
+def behind(
+    pool: Optional[concurrent.futures.ThreadPoolExecutor], job: Callable[[], T]
+) -> concurrent.futures.Future:
+    """*job* on *pool*, or — with no pool (a 1-CPU host) — run now, inline;
+    either way its result or its ``Exception`` is the returned future's."""
+    if pool is not None:
+        return pool.submit(job)
+    done: concurrent.futures.Future = concurrent.futures.Future()
+    try:
+        done.set_result(job())
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
 def decode_ahead(
     name: str, count: int, plan: Callable[[int], Callable[[], T]]
 ) -> Iterator[T]:
@@ -96,14 +112,12 @@ def _submit(
     plan: Callable[[int], Callable[[], T]],
     k: int,
 ) -> concurrent.futures.Future:
-    done: concurrent.futures.Future = concurrent.futures.Future()
     try:
         job = plan(k)
-        if pool is not None:
-            return pool.submit(job)
-        done.set_result(job())
     except Exception as exc:
         # like a pool thread's, a calling-thread error is raised where its
         # job is taken
+        done: concurrent.futures.Future = concurrent.futures.Future()
         done.set_exception(exc)
-    return done
+        return done
+    return behind(pool, job)

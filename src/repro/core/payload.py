@@ -70,9 +70,13 @@ duration of one walk.  ``float`` is never memoised: ``-0.0 == 0.0`` and
 ``nan != nan``, so equality is the wrong key for a repr-based digest.
 
 The array digests are the expensive part of a walk, and a checkpoint
-commit needs them again for the same arrays; :func:`walk_payload` hands
-them out (``array_digests=``) into a dict the caller owns for the one
-call, so no array is hashed twice and the walker keeps no state of its own.
+commit needs them again for the same memory; :func:`walk_payload` hands
+them out (``array_digests=``), keyed by :func:`memory_key`, into a dict
+the caller owns for the one call, so no array is hashed twice and the
+walker keeps no state of its own.  The key names the memory, not the
+object, so a zero-copy rebuild of a payload (``pickle.loads(skeleton,
+buffers=...)`` over the buffers its pickle handed out) reports the digests
+of the original's buffers.
 
 They are also the part that can run on another core (``hashlib`` releases
 the GIL): *digest-ahead*.  The first time a hashing walk meets a
@@ -112,7 +116,14 @@ import numpy as np
 from repro.core.helper_pool import helper_pool, helper_threads
 from repro.provenance.record import fingerprint_array
 
-__all__ = ["walk_payload", "commit_pass", "fingerprint_payload", "payload_nbytes", "payload_items"]
+__all__ = [
+    "walk_payload",
+    "memory_key",
+    "commit_pass",
+    "fingerprint_payload",
+    "payload_nbytes",
+    "payload_items",
+]
 
 #: the smallest array a hashing walk digests ahead on a helper thread (and
 #: only beside a sibling that qualifies too); smaller ones hash inline
@@ -207,10 +218,11 @@ def walk_payload(
     """``(fingerprint, nbytes, items)`` of *payload* from one traversal.
 
     With *array_digests* (a dict the caller owns) the walk also records
-    ``id(array) -> fingerprint_array digest`` for every plain C-contiguous
-    ``ndarray`` it hashes — the arrays whose memory is exactly the bytes
-    that digest covers.  The ids are only meaningful while *payload* keeps
-    the arrays alive and unmodified: use the dict at once and drop it.
+    ``memory_key(array) -> fingerprint_array digest`` for every plain
+    C-contiguous ``ndarray`` it hashes — the arrays whose memory is exactly
+    the bytes that digest covers.  The keys are only meaningful while
+    *payload* keeps the arrays alive and unmodified: use the dict at once
+    and drop it.
 
     Raises
     ------
@@ -229,6 +241,12 @@ def walk_payload(
         ahead.close()
     assert digest is not None
     return digest.decode("ascii"), nbytes, payload_items(payload)
+
+
+def memory_key(array: np.ndarray) -> Tuple[int, np.dtype, Tuple[int, ...]]:
+    """Where a C-contiguous array's bytes start, and how they read: two
+    such arrays with one key hold the same bytes under the same digest."""
+    return (array.__array_interface__["data"][0], array.dtype, array.shape)
 
 
 def fingerprint_payload(payload: Any) -> str:
@@ -397,7 +415,7 @@ def _array(obj: Any, hashing: bool, memo: _Memo, visiting: Any) -> _Result:
         digest = fingerprint_array(obj)
     collector = memo.get(_ARRAY_DIGESTS)
     if collector is not None and type(obj) is np.ndarray and obj.flags.c_contiguous:
-        collector[id(obj)] = digest
+        collector[memory_key(obj)] = digest
     return (digest.encode("ascii"), int(obj.nbytes))
 
 

@@ -18,6 +18,7 @@ Stage functions stay pure data transforms; capture is the engine's job.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import enum
 import time
@@ -37,6 +38,7 @@ from typing import (
 
 from repro.core.backends import ExecutionBackend, get_backend
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
+from repro.core.helper_pool import behind, helper_pool, helper_threads
 from repro.durability.checkpoint import (
     CheckpointError,
     QuarantinedCheckpoint,
@@ -496,6 +498,11 @@ class _RunState:
     task_stats: RetryStats = dataclasses.field(default_factory=RetryStats)
     #: where the ledger files this run's row
     store_key: Optional["StoreKey"] = None
+    #: the one thread checkpoint commits land on, started by the first
+    #: commit; ``False`` on a 1-CPU host, where they land inline
+    committer: Any = None
+    #: the commit in flight — its future, stage and index — until it lands
+    landing: Optional[Tuple[concurrent.futures.Future, PipelineStage, int]] = None
 
 
 @dataclasses.dataclass
@@ -699,8 +706,11 @@ class PipelineRunner:
         Gate, stage, drain and restore failures all end here, so every
         ``RUN_STARTED`` is followed by exactly one terminal event and the
         raised exception always carries the run's records.  Returns *error*
-        for the caller to ``raise`` (keeping its ``from`` clause).
+        for the caller to ``raise`` (keeping its ``from`` clause) — unless
+        the commit still in flight failed: the run then fails with that,
+        the earlier stage's failure, as it would have before this stage ran.
         """
+        self._land(st)
         self._publish(
             st, kind, stage.name if stage else None, index, detail=detail, audit=audit,
             error=span_error,
@@ -714,9 +724,9 @@ class PipelineRunner:
     def _interrupted(
         self, st: _RunState, exc: DrainInterrupt, stage: PipelineStage, index: int
     ) -> BaseException:
-        """A drain stopped the run; the last completed stage's checkpoint is
-        already on disk (saves are atomic), so ``--resume`` continues
-        bitwise-faithfully."""
+        """A drain stopped the run; the last completed stage's checkpoint
+        lands (``_fail`` joins it) before the run ends, so ``--resume``
+        continues bitwise-faithfully."""
         detail = str(exc) or "drain requested"
         exc.stage_name = stage.name
         exc.stage_index = index
@@ -750,12 +760,15 @@ class PipelineRunner:
         backend is cleared when it ends, so a reused backend starts clean.
         """
         with activate(self.fault_injector):
+            st: Optional[_RunState] = None
             try:
                 st = self._open(payload, context, resume)
                 for index in range(st.start_index, len(self.plan.stages)):
                     self._run_stage(st, index)
                 return self._finish(st)
             finally:
+                if st is not None:
+                    self._settle(st)
                 backend = self.backend
                 backend.hooks = ()
                 backend.drain = backend.lease_timeout = None
@@ -955,6 +968,7 @@ class PipelineRunner:
             st.context.current_span = None
         self._commit(st, frame, output_report)
         if injector is not None:
+            # the commit landed in _commit (a chaos run lands each at once)
             if self.checkpointer is not None:
                 # chaos: damage the snapshot the journal just committed
                 injector.maybe_corrupt_checkpoint(self.checkpointer.snapshot_path(index), index)
@@ -1133,9 +1147,11 @@ class PipelineRunner:
     def _commit(
         self, st: _RunState, frame: _StageFrame, output_report: Optional[GateReport]
     ) -> None:
-        """Record the completed stage everywhere, then commit it (snapshot +
-        journal record, one call)."""
+        """Record the completed stage everywhere, then commit it: the
+        previous stage's commit lands first, this one's is captured here and
+        lands behind the next stage (see :meth:`_land`)."""
         stage, index = frame.stage, frame.index
+        self._land(st)
         # the output is named by its derivation, not hashed: an observer
         # hands its input on, under the input's id
         out_bytes, out_items = commit_pass(st.payload)
@@ -1176,19 +1192,61 @@ class PipelineRunner:
             )
         if self.checkpointer is not None:
             try:
-                self.checkpointer.commit(
+                land = self.checkpointer.commit(
                     index, stage.name, st.fingerprint, out_fp, st.payload, st.context
                 )
             except Exception as exc:
-                # a full disk, a torn journal append, an artifact that does
-                # not pickle: the stage ran but is not committed
-                detail = f"checkpoint commit failed for stage {stage.name!r}: {exc}"
-                failure = PipelineError(detail, stage_name=stage.name, stage_index=index)
-                raise self._fail(
-                    st, failure, stage, index, detail=detail, span_error=detail
-                ) from exc
-            st.recorder.count("journal_records_total", kind="stage-commit")
+                raise self._commit_failed(st, stage, index, exc) from exc
+            if st.committer is None:
+                threads = helper_threads()
+                st.committer = helper_pool("checkpoint-commit", 1) if threads > 1 else False
+            st.landing = (behind(st.committer or None, land), stage, index)
+            if self.fault_injector is not None or not st.committer:
+                # a chaos run lands each commit at once: its post-stage
+                # hooks see the stage committed, and its guarded commits
+                # keep the op numbers they have without write-behind (on
+                # a 1-CPU host the commit already ran, inline)
+                self._land(st)
         st.fingerprint = out_fp
+
+    def _commit_failed(
+        self, st: _RunState, stage: PipelineStage, index: int, exc: Exception
+    ) -> BaseException:
+        """A full disk, a torn journal append, an artifact that does not
+        pickle: the stage ran but is not committed."""
+        detail = f"checkpoint commit failed for stage {stage.name!r}: {exc}"
+        failure = PipelineError(detail, stage_name=stage.name, stage_index=index)
+        return self._fail(st, failure, stage, index, detail=detail, span_error=detail)
+
+    def _land(self, st: _RunState) -> None:
+        """Join the commit in flight; the stage it commits counts as
+        committed from here on.
+
+        The one join, made before the next commit is captured, before the
+        run commits, in :meth:`_fail` and — in a chaos run, or on a 1-CPU
+        host — right after the commit is captured.  A commit that failed
+        on the helper thread fails the run here, from its own stage.
+        """
+        landing, st.landing = st.landing, None
+        if landing is None:
+            return
+        future, stage, index = landing
+        try:
+            future.result()
+        except Exception as exc:
+            raise self._commit_failed(st, stage, index, exc) from exc
+        st.recorder.count("journal_records_total", kind="stage-commit")
+
+    def _settle(self, st: _RunState) -> None:
+        """Whatever way the run ends, no commit outlives it.  Only a run
+        already ending on another error gets here with one in flight; that
+        error stands, and the stage of a commit that failed stays
+        uncommitted."""
+        if st.landing is not None:
+            st.landing[0].exception()
+            st.landing = None
+        if st.committer:
+            st.committer.shutdown(wait=True)
 
     # -- finish ------------------------------------------------------------------
     def _file_ledger_row(self, st: _RunState) -> None:
@@ -1215,6 +1273,8 @@ class PipelineRunner:
 
     def _finish(self, st: _RunState) -> PipelineRun:
         decision, results = self.plan.schedule, st.results
+        # every stage is committed before the ledger files the run
+        self._land(st)
         if self.ledger is not None:
             try:
                 self._file_ledger_row(st)

@@ -8,7 +8,9 @@ Layout under the directory, known to this module only:
 * ``journal.jsonl`` — the write-ahead :class:`RunJournal`, the **only**
   record of which stages are committed;
 * ``stage-NNN.snap.quarantined`` — snapshots a resume refused, kept for
-  post-mortem and never restored.
+  post-mortem and never restored;
+* ``stage-NNN.pkl`` (and ``.pkl.quarantined``) — an older release's
+  snapshots, which recovery deletes.
 
 A snapshot is one self-contained file, and it is not ``pickle.load``-able::
 
@@ -57,6 +59,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     BinaryIO,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -68,7 +71,7 @@ from typing import (
 import numpy as np
 
 from repro.core.evidence import ReadinessEvidence
-from repro.core.payload import fingerprint_payload, walk_payload
+from repro.core.payload import fingerprint_payload, memory_key, walk_payload
 from repro.durability.atomic import staged_write
 from repro.durability.journal import JOURNAL_NAME, JOURNAL_SCHEMA, RunJournal
 from repro.provenance.record import array_header, fingerprint_array
@@ -86,6 +89,8 @@ __all__ = [
 ]
 
 _SNAPSHOT_RE = re.compile(r"^stage-(\d{3})\.snap$")
+#: snapshots, and refused snapshots, of journal schema 3 and before
+_OLD_SNAPSHOT_RE = re.compile(r"^stage-\d{3}\.pkl(\.quarantined)?$")
 
 _MAGIC = b"RPSNAP3\n"
 #: magic, skeleton length, blob-table length
@@ -150,6 +155,15 @@ class RunCheckpointer:
                 found[int(match.group(1))] = path
         return dict(sorted(found.items()))
 
+    def old_snapshots(self) -> List[Path]:
+        """Snapshot files an older release left (``stage-NNN.pkl`` and its
+        ``.quarantined``, journal schema 3 and before): no commit this
+        release writes can name them."""
+        return sorted(
+            path for path in self.directory.glob("stage-*.pkl*")
+            if _OLD_SNAPSHOT_RE.match(path.name)
+        )
+
     def commit(
         self,
         index: int,
@@ -158,13 +172,22 @@ class RunCheckpointer:
         output_fingerprint: str,
         payload: Any,
         context: "PipelineContext",
-    ) -> None:
-        """Commit one completed stage: snapshot, then its journal record.
+    ) -> Callable[[], None]:
+        """Commit one completed stage in two halves; the stage is committed
+        once the returned second half has returned.
 
-        The content walk hands out each array's digest (``id(array)`` →
-        digest), and the snapshot stores the array under it without hashing
-        it again.  A wrong entry cannot restore wrong data — :meth:`verify`
-        re-hashes every blob.
+        This call captures the stage state as it is now: the skeleton
+        pickle, and the buffers it hands out of band, frozen (an array's
+        memory is made read-only, any other writable buffer copied) — so
+        it fails at once for state that does not pickle.  The second half
+        reads only what was captured, never the live payload, so it may run
+        on another thread while the next stage runs: it rebuilds the state
+        over the captured buffers without copying them, walks that rebuild
+        for the content fingerprint (:func:`walk_payload`, whose array
+        digests the snapshot stores its blobs under without hashing them
+        again), writes the snapshot and appends the journal record.  A
+        wrong digest cannot restore wrong data — :meth:`verify` re-hashes
+        every blob.
 
         The recorded checkpoint digest is taken over the head bytes handed
         to the atomic primitive, never read back from disk — whatever
@@ -174,30 +197,37 @@ class RunCheckpointer:
         # this package first loads (core.dataset -> provenance -> here)
         from repro.io.shards import ShardManifest
 
-        array_digests: Dict[int, str] = {}
-        content = walk_payload(payload, array_digests)[0]
         state = {
             "payload": payload,
             "artifacts": dict(context.artifacts),
             "evidence": context.evidence,
             "gate_reports": list(context.gate_reports),
         }
-        artifacts = {
-            "checkpoint": _write_snapshot(self.snapshot_path(index), state, array_digests)
-        }
-        manifest = context.artifacts.get("manifest")
-        if isinstance(manifest, ShardManifest):
-            artifacts["manifest"] = hashlib.sha256(
-                manifest.to_json().encode("utf-8")
-            ).hexdigest()
-        self.journal.commit_stage(
-            index=index,
-            stage=stage_name,
-            input_fingerprint=input_fingerprint,
-            output_fingerprint=output_fingerprint,
-            content_fingerprint=content,
-            artifacts=artifacts,
-        )
+        buffers: List[pickle.PickleBuffer] = []
+        skeleton = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
+        buffers = [_frozen(buffer) for buffer in buffers]
+        path = self.snapshot_path(index)
+
+        def land() -> None:
+            rebuilt = pickle.loads(skeleton, buffers=buffers)
+            array_digests: Dict[Any, str] = {}
+            content = walk_payload(rebuilt["payload"], array_digests)[0]
+            artifacts = {"checkpoint": _write_snapshot(path, skeleton, buffers, array_digests)}
+            manifest = rebuilt["artifacts"].get("manifest")
+            if isinstance(manifest, ShardManifest):
+                artifacts["manifest"] = hashlib.sha256(
+                    manifest.to_json().encode("utf-8")
+                ).hexdigest()
+            self.journal.commit_stage(
+                index=index,
+                stage=stage_name,
+                input_fingerprint=input_fingerprint,
+                output_fingerprint=output_fingerprint,
+                content_fingerprint=content,
+                artifacts=artifacts,
+            )
+
+        return land
 
     def verify(
         self, record: Mapping[str, Any], *, restore: bool
@@ -305,15 +335,35 @@ class RunCheckpointer:
 # ---------------------------------------------------------------------------
 
 
-def _write_snapshot(path: Path, state: Any, array_digests: Mapping[int, str]) -> str:
-    """Stream *state* into a snapshot at *path*; returns the head's sha256.
+def _frozen(buffer: pickle.PickleBuffer) -> pickle.PickleBuffer:
+    """*buffer*, its memory now read-only for good: an array is frozen with
+    its ``base`` chain (as :func:`repro.core.payload.commit_pass` freezes a
+    stage output), any other writable buffer is replaced by a copy."""
+    raw = buffer.raw()
+    if raw.readonly:
+        return buffer
+    chain = raw.obj
+    if not isinstance(chain, np.ndarray):
+        return pickle.PickleBuffer(bytes(raw))
+    while isinstance(chain, np.ndarray):
+        chain.flags.writeable = False
+        chain = chain.base
+    return buffer
+
+
+def _write_snapshot(
+    path: Path,
+    skeleton: bytes,
+    buffers: List[pickle.PickleBuffer],
+    array_digests: Mapping[Any, str],
+) -> str:
+    """Write the skeleton and its out-of-band *buffers* as a snapshot at
+    *path*; returns the head's sha256.
 
     Atomic + durable (one guarded commit, site ``checkpoint``): a crash
     mid-write leaves a ``*.tmp`` sibling, never a torn snapshot under the
     restorable name.
     """
-    buffers: List[pickle.PickleBuffer] = []
-    skeleton = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
     blobs: Dict[Tuple[str, str], int] = {}
     entries: List[Tuple[str, str, int]] = []
     slots: List[int] = []
@@ -327,7 +377,7 @@ def _write_snapshot(path: Path, state: Any, array_digests: Mapping[int, str]) ->
         # ordered one: either way *owner*'s C-order bytes are the buffer
         # (a 0-d array fingerprints, and so is described, as shape (1,))
         prefix = array_header(np.ascontiguousarray(owner)).decode("ascii")
-        key = (array_digests.get(id(owner)) or fingerprint_array(owner), prefix)
+        key = (array_digests.get(memory_key(owner)) or fingerprint_array(owner), prefix)
         if key not in blobs:
             blobs[key] = len(entries)
             entries.append((*key, raw.nbytes))

@@ -17,10 +17,11 @@ can trust, in four deterministic steps:
    shard manifest here).  The first mismatch marks a torn commit: that
    stage and everything after it are discarded.
 4. **Record the verdict** — stage snapshots without a surviving journal
-   commit are deleted and a ``recovery`` record (``resume_index`` = the
-   first unverified stage) is appended to the journal, superseding the
-   discarded commits, so resume restarts from the last stage that
-   provably committed.
+   commit are deleted (so are an older release's ``stage-NNN.pkl``
+   snapshots, which no commit can name) and a ``recovery`` record
+   (``resume_index`` = the first unverified stage) is appended to the
+   journal, superseding the discarded commits, so resume restarts from
+   the last stage that provably committed.
 
 Everything the scanner does is observable: a ``recovery`` span plus
 ``recovery_*`` counters land in telemetry, and the returned
@@ -174,6 +175,12 @@ def recover_run(
             except OSError:
                 continue
             report.stages_discarded.append(index)
+        for old in checkpointer.old_snapshots():
+            try:
+                old.unlink()
+            except OSError:
+                continue
+            report.notes.append(f"{old.name}: an older release's snapshot; deleted")
         journal.record_recovery(**report.to_dict())
         return report
     finally:

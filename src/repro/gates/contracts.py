@@ -29,9 +29,11 @@ import numpy as np
 
 from repro.quality.validation import (
     ValidationIssue,
+    bounds_flags,
     check_bounds,
     check_finite,
     check_precision,
+    finite_flags,
 )
 
 __all__ = [
@@ -113,6 +115,16 @@ class ColumnCheck:
         if self.kind == "bounds":
             return check_bounds(values, float(self.lo), float(self.hi), self.column)
         return check_precision(values, self.minimum_bits, self.column)
+
+    def flag_rows(self, column: np.ndarray) -> Optional[np.ndarray]:
+        """Per row of a whole *column*: can :meth:`run` on that row find an
+        issue?  From one pass over the column; None when it cannot tell
+        (a ``precision`` check, or a dtype whose rows differ)."""
+        if self.kind == "finite":
+            return finite_flags(column)
+        if self.kind == "bounds":
+            return bounds_flags(column, float(self.lo), float(self.hi))
+        return None
 
     def to_blob(self) -> dict:
         """Deterministic JSON-able identity (feeds the contract hash)."""

@@ -13,12 +13,20 @@ records everything and blocks nothing.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.plan import fingerprint_payload
-from repro.gates.contracts import GatePolicy, StageContract
-from repro.gates.records import MISSING, resolve_payload_field, view_for
+from repro.gates.contracts import ColumnCheck, GatePolicy, StageContract
+from repro.gates.records import (
+    MISSING,
+    DatasetView,
+    RecordView,
+    resolve_payload_field,
+    view_for,
+)
 from repro.quality.validation import ValidationIssue, validate_schema
 
 __all__ = [
@@ -118,13 +126,26 @@ class GateOutcome:
     quarantined: List[Tuple[Dict[str, object], Any]]
 
 
+def _rows_to_check(view: RecordView, check: ColumnCheck) -> Iterable[int]:
+    """The records *check* can find an issue in, in order: all of them,
+    unless one pass over a Dataset column rules rows out (the pre-pass;
+    each row it flags still gets the exact per-record check)."""
+    if isinstance(view, DatasetView) and check.column in view.dataset:
+        flags = check.flag_rows(view.dataset[check.column])
+        if flags is not None:
+            return np.flatnonzero(flags).tolist()
+    return range(view.n)
+
+
 def evaluate_contract(
     contract: StageContract, payload: Any
 ) -> Tuple[Dict[int, List[ValidationIssue]], List[ValidationIssue], int]:
     """Pure evaluation: per-record issues, payload-level issues, n records.
 
     Record-scope checks run against each record of the payload's record
-    view; payloads without a record axis fall back to payload scope.
+    view — on a Dataset, against each record a column pass flags (see
+    :func:`_rows_to_check`) — and payloads without a record axis fall back
+    to payload scope.
     Payload-scope checks, drift baselines, and (for Datasets) schema
     validation contribute to the payload-level issue list.
     """
@@ -139,7 +160,7 @@ def evaluate_contract(
         record_checks = ()
 
     for check in record_checks:
-        for i in range(view.n):
+        for i in _rows_to_check(view, check):
             value = view.field(i, check.column)
             if value is MISSING:
                 if check.required:

@@ -10,7 +10,7 @@ pipelines can distinguish hard failures from advisories.
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -22,6 +22,8 @@ __all__ = [
     "validate_schema",
     "check_finite",
     "check_bounds",
+    "finite_flags",
+    "bounds_flags",
     "check_precision",
     "check_monotonic",
 ]
@@ -75,9 +77,11 @@ def validate_schema(dataset: Dataset) -> ValidationResult:
 def check_finite(values: np.ndarray, column: str = "-") -> List[ValidationIssue]:
     """NaN/Inf entries are errors in post-cleaning data."""
     values = np.asarray(values)
-    if not np.issubdtype(values.dtype, np.floating):
+    if not np.issubdtype(values.dtype, np.floating) or not values.size:
         return []
-    bad = int((~np.isfinite(values)).sum())
+    if np.isfinite(values.min()) and np.isfinite(values.max()):
+        return []  # min and max carry any NaN, and are any infinity
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
     if bad:
         return [
             ValidationIssue(
@@ -96,6 +100,12 @@ def check_bounds(
 ) -> List[ValidationIssue]:
     """Physical range check (e.g. temperature within [150, 350] K)."""
     values = np.asarray(values)
+    if values.size and values.dtype.kind in "biuf":
+        # the exact fast path: the cast to float64 keeps order, so if the
+        # smallest and largest cast values are in range, every one is (a
+        # NaN or an infinity fails a test and takes the counting path)
+        if float(values.min()) >= lo and float(values.max()) <= hi:
+            return []
     try:
         values = values.astype(np.float64)
     except (TypeError, ValueError):
@@ -120,6 +130,51 @@ def check_bounds(
             )
         ]
     return []
+
+
+#: the comparisons :func:`check_bounds` makes, on values cast to float64
+_AS_FLOAT64 = (np.float64, np.float64, np.bool_)
+#: elements one step of a column pass looks at: its temporaries stay small
+_PASS_ELEMENTS = 1 << 16
+
+
+def _row_flags(column: np.ndarray, flag: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per row of *column* (its first axis): does *flag* flag any element?"""
+    per_row = int(np.prod(column.shape[1:], dtype=np.int64))
+    step = max(1, _PASS_ELEMENTS // max(per_row, 1))
+    flags = np.zeros(len(column), dtype=bool)
+    for start in range(0, len(column), step):
+        block = column[start : start + step]
+        flags[start : start + len(block)] = flag(block).reshape(len(block), -1).any(axis=1)
+    return flags
+
+
+def finite_flags(column: np.ndarray) -> Optional[np.ndarray]:
+    """The rows of *column* in which :func:`check_finite` finds an issue,
+    as flags, from one pass over the column; None for an object column,
+    whose rows' dtypes only the rows themselves can tell."""
+    if column.dtype.kind == "O":
+        return None
+    if column.dtype.kind != "f":
+        return np.zeros(len(column), dtype=bool)
+    return _row_flags(column, lambda block: ~np.isfinite(block))
+
+
+def bounds_flags(column: np.ndarray, lo: float, hi: float) -> Optional[np.ndarray]:
+    """The rows of *column* in which :func:`check_bounds` finds values out
+    of ``[lo, hi]``, as flags, from one pass over the column; None unless
+    it is bool, integer or floating (a string row may or may not cast)."""
+    if column.dtype.kind not in "biuf":
+        return None
+
+    def outside(block: np.ndarray) -> np.ndarray:
+        out = np.less(block, lo, signature=_AS_FLOAT64)
+        out |= np.greater(block, hi, signature=_AS_FLOAT64)
+        if block.dtype.kind == "f":
+            out &= np.isfinite(block)
+        return out
+
+    return _row_flags(column, outside)
 
 
 def check_precision(

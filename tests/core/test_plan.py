@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from repro.core import payload as walker
 from repro.core.dataset import Dataset, DatasetMetadata, FieldSpec, Schema
 from repro.core.levels import DataProcessingStage
-from repro.core.payload import payload_items, payload_nbytes, walk_payload
+from repro.core.payload import memory_key, payload_items, payload_nbytes, walk_payload
 from repro.core.plan import (
     Parallelism,
     PipelineError,
@@ -558,8 +558,8 @@ class TestDigestFormatIdentity:
         fingerprint = walk_payload(payload, collected)[0]
         assert fingerprint == walk_payload(payload)[0]
         assert collected == {
-            id(plain): fingerprint_array(plain),
-            id(payload["zero_d"]): fingerprint_array(payload["zero_d"]),
+            memory_key(plain): fingerprint_array(plain),
+            memory_key(payload["zero_d"]): fingerprint_array(payload["zero_d"]),
         }
 
     def test_opaque_object_still_raises_inside_containers(self):

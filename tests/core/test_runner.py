@@ -7,6 +7,7 @@ from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan, fingerprint_payload
 from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.durability.checkpoint import CheckpointError
+from repro.durability.recover import recover_run
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 from repro.workers import DrainController, DrainInterrupt, ProcessBackend
@@ -390,6 +391,11 @@ class TestCheckpointResume:
             ]
             assert runner.run(np.ones(2), resume=True).resumed_from == 1
             assert run.results[-1].output_fingerprint
+            # recovery deletes the old snapshot no commit of this release names
+            (directory / "stage-001.pkl.quarantined").write_bytes(old_snapshot)
+            recover_run(directory)
+            assert not list(directory.glob("*.pkl*"))
+            assert runner.run(np.ones(2), resume=True).resumed_from == 1
 
     def test_rerun_invalidates_stale_later_checkpoints(self, tmp_path):
         calls = []

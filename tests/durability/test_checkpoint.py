@@ -9,6 +9,8 @@ import dataclasses
 import errno
 import hashlib
 import pickle
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,14 +18,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import Dataset
+from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
 from repro.core.payload import fingerprint_payload, walk_payload
+from repro.core import runner
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineContext, PipelineRunner, RunEventKind
 from repro.durability import checkpoint
 from repro.durability.checkpoint import RunCheckpointer
+from repro.durability.fsfaults import SimulatedCrash
+from repro.durability.journal import RunJournal
 from repro.durability.recover import recover_run
 from repro.faults import FaultInjector, FaultSpec
+from repro.workers import DrainController, DrainInterrupt
 
 S = DataProcessingStage
 N_STAGES = 4
@@ -57,7 +64,7 @@ def _commit(directory, payload, *, artifacts=None, index=0):
     checkpointer = RunCheckpointer(directory)
     context = PipelineContext(agent="p")
     context.artifacts.update(artifacts or {})
-    checkpointer.commit(index, "s", "id-in", "id-out", payload, context)
+    checkpointer.commit(index, "s", "id-in", "id-out", payload, context)()
     return checkpointer, checkpointer.journal.records()[-1]
 
 
@@ -254,7 +261,7 @@ class TestSnapshotFormat:
         context = PipelineContext(agent="p")
         tracemalloc.start()
         try:
-            checkpointer.commit(0, "s", "id-in", "id-out", payload, context)
+            checkpointer.commit(0, "s", "id-in", "id-out", payload, context)()
             commit_peak = tracemalloc.get_traced_memory()[1]
             record = checkpointer.journal.records()[-1]
             tracemalloc.reset_peak()
@@ -312,8 +319,8 @@ class TestSnapshotFormat:
 
         def lying_walk(walked, digests):
             result = walk_payload(walked, digests)
-            assert list(digests) == [id(payload[0])]
-            digests[id(payload[0])] = hashlib.sha256(b"not this array").hexdigest()
+            (key,) = digests  # the one array's
+            digests[key] = hashlib.sha256(b"not this array").hexdigest()
             return result
 
         monkeypatch.setattr(checkpoint, "walk_payload", lying_walk)
@@ -376,3 +383,159 @@ class TestCommitFailure:
         events = [e["kind"] for e in read_jsonl(tmp_path / "w" / "events.jsonl")]
         assert (events[0], events[-1]) == ("run-started", "run-failed")
 
+
+class TestWriteBehind:
+    """A stage's commit lands on a helper thread while the next stage runs
+    (inline on a 1-CPU host); the run joins it before the next commit, in
+    every failure path and before it commits, so what the journal says is
+    what happened."""
+
+    @pytest.fixture(params=[1, 2], ids=["inline", "helper-thread"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(runner, "helper_threads", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def _slow_or_failing_journal(monkeypatch, index, *, fail=False, delay=0.0):
+        """Stage *index*'s journal record is appended after *delay*, or fails."""
+        real = RunJournal.commit_stage
+
+        def commit_stage(journal, **record):
+            if record["index"] == index:
+                time.sleep(delay)
+                if fail:
+                    raise OSError(errno.ENOSPC, "no space left on device (planted)")
+            return real(journal, **record)
+
+        monkeypatch.setattr(RunJournal, "commit_stage", commit_stage)
+
+    def test_a_commit_that_fails_behind_fails_the_run_from_its_stage(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        self._slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
+        with pytest.raises(PipelineError, match="checkpoint commit failed for stage 'clean'") as info:
+            PipelineRunner(_toy_plan(), checkpoint_dir=tmp_path).run(PAYLOAD)
+        error = info.value
+        assert (error.stage_name, error.stage_index) == ("clean", 1)
+        assert isinstance(error.__cause__, OSError) and error.__cause__.errno == errno.ENOSPC
+        assert (error.events[-1].kind, error.events[-1].stage_index) == (RunEventKind.RUN_FAILED, 1)
+        # stage 1's snapshot landed, its record did not; stage 2 was never
+        # snapshotted or journaled
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == [0]
+        assert sorted(RunCheckpointer(tmp_path).snapshots()) == [0, 1]
+        monkeypatch.undo()
+        assert _run(tmp_path, resume=True).resumed_from == 0
+
+    def test_a_failed_commit_outranks_the_next_stages_failure(self, tmp_path, monkeypatch, cpus):
+        # without write-behind the next stage would never have run
+        self._slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
+
+        def encode(x, ctx):
+            raise RuntimeError("encode broke")
+
+        plan = StagePlan.build("toy", [
+            *_toy_plan().stages[:2], PipelineStage("encode", S.TRANSFORM, encode),
+        ])
+        with pytest.raises(PipelineError, match="checkpoint commit failed for stage 'clean'") as info:
+            PipelineRunner(plan, checkpoint_dir=tmp_path).run(PAYLOAD)
+        assert isinstance(info.value.__cause__, OSError)
+        terminal = [e for e in info.value.events if e.kind is RunEventKind.RUN_FAILED]
+        assert [e.stage_index for e in terminal] == [1]
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == [0]
+
+    @pytest.mark.parametrize("mid_stage", [False, True], ids=["boundary", "mid-stage"])
+    def test_a_drain_during_the_next_stage_leaves_the_stage_committed(
+        self, tmp_path, monkeypatch, cpus, mid_stage
+    ):
+        self._slow_or_failing_journal(monkeypatch, 1, delay=0.05)
+        drain = DrainController()
+
+        def encode(x, ctx):
+            drain.request("test drain")
+            if mid_stage:
+                raise DrainInterrupt("drained mid-stage")
+            return x - 0.5
+
+        plan = StagePlan.build("toy", [
+            *_toy_plan().stages[:2], PipelineStage("encode", S.TRANSFORM, encode),
+            _toy_plan().stages[3],
+        ])
+        with pytest.raises(DrainInterrupt):
+            PipelineRunner(plan, checkpoint_dir=tmp_path, drain=drain).run(PAYLOAD)
+        committed = RunCheckpointer(tmp_path).journal.last_run().committed
+        assert committed == ([0, 1] if mid_stage else [0, 1, 2])
+        assert _run(tmp_path, resume=True).resumed_from == committed[-1]
+
+    def test_an_injected_crash_in_the_next_stage_leaves_the_stage_committed(
+        self, tmp_path, cpus
+    ):
+        with pytest.raises(SimulatedCrash):
+            _run(tmp_path, crash_at="stage:2:pre")
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == [0, 1]
+
+    def test_no_commit_outlives_its_run(self, tmp_path, monkeypatch, cpus):
+        self._slow_or_failing_journal(monkeypatch, 2, delay=0.05)
+
+        def stop(event):
+            if event.kind is RunEventKind.STAGE_STARTED and event.stage_index == 3:
+                raise KeyboardInterrupt  # an error no lifecycle phase handles
+
+        with pytest.raises(KeyboardInterrupt):
+            PipelineRunner(_toy_plan(), checkpoint_dir=tmp_path, on_event=stop).run(PAYLOAD)
+        assert not [t for t in threading.enumerate() if t.name.startswith("checkpoint-commit")]
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == [0, 1, 2]
+
+    def test_the_next_stage_runs_while_a_commit_lands(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "helper_threads", lambda: 2)
+        released, real = threading.Event(), RunJournal.commit_stage
+        seen = []
+
+        def commit_stage(journal, **record):
+            if record["index"] == 0:
+                assert released.wait(10)
+            return real(journal, **record)
+
+        def clean(x, ctx):
+            seen.append(RunCheckpointer(tmp_path).journal.last_run().committed)
+            released.set()
+            return x * 3.0
+
+        monkeypatch.setattr(RunJournal, "commit_stage", commit_stage)
+
+        plan = StagePlan.build("toy", [
+            _toy_plan().stages[0], PipelineStage("clean", S.PREPROCESS, clean),
+            *_toy_plan().stages[2:],
+        ])
+        PipelineRunner(plan, checkpoint_dir=tmp_path).run(PAYLOAD)
+        assert seen == [[]]  # stage 0's record had not landed when stage 1 ran
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == list(range(N_STAGES))
+
+    def test_committed_state_is_captured_when_the_stage_commits(self, tmp_path, monkeypatch):
+        # the next stage rewrites an artifact array in place and adds
+        # evidence while stage 0's commit is still landing: the snapshot
+        # holds stage 0's state as it was, and the array it froze
+        monkeypatch.setattr(runner, "helper_threads", lambda: 2)
+        self._slow_or_failing_journal(monkeypatch, 0, delay=0.05)
+        weights = np.ones(4)
+
+        def ingest(x, ctx):
+            ctx.artifacts["weights"] = weights
+            return x + 1.0
+
+        def clean(x, ctx):
+            ctx.artifacts["weights"] = np.zeros(4)
+            ctx.record(EvidenceKind.VALIDATED_INGEST, "after stage 0")
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 7.0
+            return x * 3.0
+
+        plan = StagePlan.build("toy", [
+            PipelineStage("ingest", S.INGEST, ingest), PipelineStage("clean", S.PREPROCESS, clean),
+        ])
+        PipelineRunner(plan, checkpoint_dir=tmp_path).run(PAYLOAD)
+        checkpointer = RunCheckpointer(tmp_path)
+        blob, reason = checkpointer.verify(checkpointer.journal.last_run().stage_commits[0],
+                                           restore=True)
+        assert reason is None
+        assert blob["artifacts"]["weights"].tolist() == [1.0] * 4
+        assert len(blob["evidence"]) == 0

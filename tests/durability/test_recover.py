@@ -30,7 +30,7 @@ def _commit(checkpointer, index, **artifacts):
     context.artifacts.update(artifacts)
     checkpointer.commit(
         index, f"s{index}", f"fp{index - 1}", fingerprint_payload(payload), payload, context
-    )
+    )()
 
 
 def _committed_run(ckpt, n_stages):
