@@ -527,13 +527,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if decision.candidates:
             print()
             print(decision.render_table(top=5))
-        executed = {r.stage_name for r in run.results if not r.restored and not r.degraded}
-        predicted = sum(s for name, s in decision.predicted_stage_seconds
-                        if name in executed)
-        actual = sum(r.seconds for r in run.results
-                     if r.stage_name in executed)
+        predicted, actual, error, _ = decision.prediction_error(run.results)
         if predicted > 0:
-            error = abs(actual - predicted) / predicted
             print(f"\npredicted {predicted:.4f} s, actual {actual:.4f} s "
                   f"(prediction error {error:.0%})")
     if store_dir is not None:

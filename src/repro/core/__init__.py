@@ -3,7 +3,6 @@ pipeline engine, feedback loops, archetype registry, and report rendering.
 """
 
 from repro.core.levels import (
-    CANONICAL_PIPELINE,
     DOMAIN_STAGE_VERBS,
     DataProcessingStage,
     DataReadinessLevel,
@@ -69,7 +68,7 @@ from repro.core.crosswalk import crosswalk_report, to_metric_clusters, to_noaa_m
 from repro.core.principles import PrincipleScorecard, evaluate_principles
 
 __all__ = [
-    "CANONICAL_PIPELINE", "DOMAIN_STAGE_VERBS", "DataProcessingStage",
+    "DOMAIN_STAGE_VERBS", "DataProcessingStage",
     "DataReadinessLevel", "stage_applicable",
     "Dataset", "DatasetMetadata", "FieldRole", "FieldSpec", "Modality",
     "Schema", "SchemaError",

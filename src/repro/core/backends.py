@@ -465,11 +465,10 @@ class SimSPMDBackend(ExecutionBackend):
 
     name = "simspmd"
 
-    def __init__(self, n_ranks: int = 4, *, strategy: str = "block"):
+    def __init__(self, n_ranks: int = 4):
         if n_ranks < 1:
             raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
         self.n_ranks = int(n_ranks)
-        self.strategy = strategy
 
     @property
     def width(self) -> int:
@@ -489,7 +488,6 @@ class SimSPMDBackend(ExecutionBackend):
             self.run_task(fn),
             items,
             n_ranks=self.n_ranks,
-            strategy=self.strategy,
             weights=weights,
         )
 

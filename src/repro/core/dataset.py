@@ -261,7 +261,6 @@ class Dataset:
     def from_arrays(
         cls,
         columns: Mapping[str, np.ndarray],
-        metadata: Optional[DatasetMetadata] = None,
         roles: Optional[Mapping[str, FieldRole]] = None,
     ) -> "Dataset":
         """Infer a schema from the arrays themselves (shape + dtype)."""
@@ -275,7 +274,7 @@ class Dataset:
             )
             for name, arr in columns.items()
         ]
-        return cls(columns, Schema(fields), metadata)
+        return cls(columns, Schema(fields))
 
     # -- basic protocol --------------------------------------------------------
     def __len__(self) -> int:
@@ -352,19 +351,19 @@ class Dataset:
         return self.take(np.arange(min(n, self._n)))
 
     # -- features / labels convenience -----------------------------------------
-    def feature_matrix(self, dtype: np.dtype = np.float64) -> np.ndarray:
-        """Stack scalar feature columns into an ``(n, k)`` design matrix.
+    def feature_matrix(self) -> np.ndarray:
+        """Stack scalar feature columns into an ``(n, k)`` float64 design matrix.
 
         Only scalar-per-sample feature fields participate; higher-rank
         features (grids, tiles) must be flattened explicitly by the caller.
         """
         cols = [
-            self[f.name].astype(dtype, copy=False)
+            self[f.name].astype(np.float64, copy=False)
             for f in self.schema.by_role(FieldRole.FEATURE)
             if f.shape == () and np.issubdtype(f.dtype, np.number)
         ]
         if not cols:
-            return np.empty((self._n, 0), dtype=dtype)
+            return np.empty((self._n, 0), dtype=np.float64)
         return np.stack(cols, axis=1)
 
     # -- accounting ---------------------------------------------------------------

@@ -191,9 +191,6 @@ def stage_applicable(
     return int(stage) <= int(level)
 
 
-#: Canonical order of the abstracted workflow, for display and validation.
-CANONICAL_PIPELINE: Tuple[DataProcessingStage, ...] = tuple(DataProcessingStage)
-
 #: Domain-specific pipeline verb names mapped onto the canonical stages
 #: (Section 3.5 and the per-domain patterns of Section 3).  Used by the
 #: pattern-mapping bench and by :class:`repro.domains.base.DomainArchetype`.

@@ -19,10 +19,10 @@ principles come with the specific recommendation that would satisfy them
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List
 
 from repro.core.evidence import EvidenceKind
-from repro.core.runner import PipelineContext, PipelineRun
+from repro.core.runner import PipelineRun
 from repro.core.report import render_table
 
 __all__ = ["PrincipleResult", "PrincipleScorecard", "evaluate_principles"]
@@ -71,11 +71,9 @@ class PrincipleScorecard:
         return out
 
 
-def evaluate_principles(
-    run: PipelineRun, context: Optional[PipelineContext] = None
-) -> PrincipleScorecard:
+def evaluate_principles(run: PipelineRun) -> PrincipleScorecard:
     """Score a completed run against the five Section 4 principles."""
-    context = context or run.context
+    context = run.context
     evidence = context.evidence
     results: List[PrincipleResult] = []
 

@@ -34,9 +34,9 @@ def render_table(
     return "\n".join(lines)
 
 
-def section(title: str, *, char: str = "=") -> str:
+def section(title: str) -> str:
     """A visually distinct section header."""
-    bar = char * max(len(title), 8)
+    bar = "=" * max(len(title), 8)
     return f"\n{bar}\n{title}\n{bar}"
 
 

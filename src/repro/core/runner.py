@@ -36,7 +36,7 @@ from typing import (
     Union,
 )
 
-from repro.core.backends import ExecutionBackend, get_backend
+from repro.core.backends import ExecutionBackend, SerialBackend, get_backend
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
 from repro.core.helper_pool import behind, helper_pool, helper_threads
 from repro.durability.checkpoint import (
@@ -95,21 +95,17 @@ class PipelineContext:
     def __init__(
         self,
         *,
-        evidence: Optional[ReadinessEvidence] = None,
-        lineage: Optional[LineageGraph] = None,
-        audit: Optional[AuditLog] = None,
         provenance_store: Optional[ProvenanceStore] = None,
         agent: str = "pipeline",
-        backend: Union[str, ExecutionBackend, None] = None,
     ):
-        self.evidence = evidence if evidence is not None else ReadinessEvidence()
-        self.lineage = lineage if lineage is not None else LineageGraph()
-        self.audit = audit if audit is not None else AuditLog()
+        self.evidence = ReadinessEvidence()
+        self.lineage = LineageGraph()
+        self.audit = AuditLog()
         self.provenance_store = provenance_store
         self.agent = agent
         #: how data-parallel stage internals execute; a PipelineRunner
         #: overwrites this with its own backend at run start
-        self.backend: ExecutionBackend = get_backend(backend)
+        self.backend: ExecutionBackend = SerialBackend()
         #: side outputs stages want to expose (fitted normalizers, manifests)
         self.artifacts: Dict[str, Any] = {}
         #: set by a telemetered PipelineRunner: the run's Telemetry and the

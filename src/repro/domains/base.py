@@ -93,7 +93,7 @@ class DomainArchetype(abc.ABC):
         """Write raw source files under *directory*; returns a source manifest."""
 
     @abc.abstractmethod
-    def build_pipeline(self, output_dir: Union[str, Path], **options: Any) -> Pipeline:
+    def build_pipeline(self, output_dir: Union[str, Path]) -> Pipeline:
         """The full five-stage pipeline writing shards under *output_dir*."""
 
     @abc.abstractmethod
@@ -113,9 +113,7 @@ class DomainArchetype(abc.ABC):
         self,
         work_dir: Union[str, Path],
         *,
-        assessor: Optional[ReadinessAssessor] = None,
         source_params: Optional[Dict[str, Any]] = None,
-        pipeline_options: Optional[Dict[str, Any]] = None,
         resume: bool = False,
         plan_mode: str = "fixed",
         **runner_options: Any,
@@ -152,7 +150,7 @@ class DomainArchetype(abc.ABC):
         output_dir = work_dir / SHARDS_DIR
         source_dir.mkdir(parents=True, exist_ok=True)
         source_manifest = self.synthesize_source(source_dir, **(source_params or {}))
-        pipeline = self.build_pipeline(output_dir, **(pipeline_options or {}))
+        pipeline = self.build_pipeline(output_dir)
         decision: Optional["ScheduleDecision"] = None
         if plan_mode == "auto":
             from repro.sched import Ledger, build_backend, choose_config, store_key
@@ -176,7 +174,7 @@ class DomainArchetype(abc.ABC):
                 f"{self.domain} pipeline did not publish a 'dataset' artifact"
             )
         manifest = context.artifacts.get("manifest")
-        assessment = (assessor or ReadinessAssessor()).assess(context.evidence)
+        assessment = ReadinessAssessor().assess(context.evidence)
         challenges = self.detect_challenges(dataset, context)
         return ArchetypeResult(
             domain=self.domain,

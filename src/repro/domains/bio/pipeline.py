@@ -405,7 +405,7 @@ class BioArchetype(DomainArchetype):
         return dataset
 
     # -- pipeline assembly -----------------------------------------------------------
-    def build_pipeline(self, output_dir: Union[str, Path], **options: Any) -> Pipeline:
+    def build_pipeline(self, output_dir: Union[str, Path]) -> Pipeline:
         self._output_dir = Path(output_dir)
         return Pipeline(
             "bio",

@@ -490,7 +490,7 @@ class ClimateArchetype(DomainArchetype):
         return dataset
 
     # -- pipeline assembly -----------------------------------------------------------
-    def build_pipeline(self, output_dir: Union[str, Path], **options: Any) -> Pipeline:
+    def build_pipeline(self, output_dir: Union[str, Path]) -> Pipeline:
         self._output_dir = Path(output_dir)
         return Pipeline(
             "climate",

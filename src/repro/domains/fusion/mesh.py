@@ -137,13 +137,16 @@ class TriangularMesh:
         return triangle_index, weights
 
 
+#: the cross-section's geometry: axis and minor radius (m), vertical elongation
+MAJOR_RADIUS = 1.7
+MINOR_RADIUS = 0.6
+ELONGATION = 1.6
+
+
 def tokamak_mesh(
     n_radial: int = 12,
     n_poloidal: int = 32,
     *,
-    major_radius: float = 1.7,
-    minor_radius: float = 0.6,
-    elongation: float = 1.6,
     edge_packing: float = 1.5,
     seed: Optional[int] = None,
 ) -> TriangularMesh:
@@ -156,7 +159,7 @@ def tokamak_mesh(
     if n_radial < 2 or n_poloidal < 3:
         raise MeshError("need n_radial >= 2 and n_poloidal >= 3")
     rng = np.random.default_rng(seed)
-    nodes = [np.asarray([major_radius, 0.0])]
+    nodes = [np.asarray([MAJOR_RADIUS, 0.0])]
     rings: list = [[0]]
     for i in range(1, n_radial + 1):
         rho = (i / n_radial) ** (1.0 / edge_packing)
@@ -167,8 +170,8 @@ def tokamak_mesh(
             jitter = (
                 rng.normal(0, 0.003) if seed is not None and 0 < i < n_radial else 0.0
             )
-            r = major_radius + (minor_radius * rho + jitter) * np.cos(theta)
-            z = elongation * (minor_radius * rho + jitter) * np.sin(theta)
+            r = MAJOR_RADIUS + (MINOR_RADIUS * rho + jitter) * np.cos(theta)
+            z = ELONGATION * (MINOR_RADIUS * rho + jitter) * np.sin(theta)
             ring.append(len(nodes))
             nodes.append(np.asarray([r, z]))
         rings.append(ring)

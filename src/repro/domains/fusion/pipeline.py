@@ -52,6 +52,11 @@ CHANNEL_ORDER = tuple(CHANNELS)
 #: label horizon: windows starting within this many seconds of the quench
 #: are "disruptive precursor" positives
 WARNING_HORIZON = 0.35
+#: the common time base (s) every shot is aligned onto
+DT = 1e-3
+#: samples per training window, and the step between window starts
+WINDOW = 256
+STRIDE = 256
 
 #: data contracts enforced at stage boundaries when gating is enabled
 #: (keyed ``(stage_name, boundary)``; also the re-drive contract registry)
@@ -143,15 +148,9 @@ class FusionArchetype(DomainArchetype):
         seed: int = 0,
         *,
         config: Optional[FusionCampaignConfig] = None,
-        dt: float = 1e-3,
-        window: int = 256,
-        stride: int = 256,
     ):
         super().__init__(seed)
         self.config = config or FusionCampaignConfig(seed=seed)
-        self.dt = dt
-        self.window = window
-        self.stride = stride
 
     # -- source ------------------------------------------------------------------
     def synthesize_source(self, directory: Union[str, Path], **params: Any) -> Dict[str, Any]:
@@ -204,7 +203,7 @@ class FusionArchetype(DomainArchetype):
 
         def align_one(record: ShotRecord) -> AlignedShot:
             present_signals = [record.signals[c] for c in CHANNEL_ORDER if c in record.signals]
-            times, matrix, names = align_signals(present_signals, dt=self.dt)
+            times, matrix, names = align_signals(present_signals, dt=DT)
             full = np.zeros((times.size, len(CHANNEL_ORDER)))
             present = np.zeros(len(CHANNEL_ORDER), dtype=bool)
             for j, channel in enumerate(CHANNEL_ORDER):
@@ -220,10 +219,10 @@ class FusionArchetype(DomainArchetype):
             )
 
         aligned = ctx.backend.map(align_one, records)
-        ctx.annotate_span(shots_aligned=len(aligned), dt_ms=self.dt * 1e3)
+        ctx.annotate_span(shots_aligned=len(aligned), dt_ms=DT * 1e3)
         ctx.record(
             EvidenceKind.INITIAL_ALIGNMENT,
-            f"{len(aligned)} shots aligned at dt={self.dt * 1e3:.1f} ms",
+            f"{len(aligned)} shots aligned at dt={DT * 1e3:.1f} ms",
         )
         ctx.record(
             EvidenceKind.GRIDS_STANDARDIZED,
@@ -302,13 +301,13 @@ class FusionArchetype(DomainArchetype):
         starts: List[np.ndarray] = []
         for shot in shots:
             t_starts, windows = window_series(
-                shot.times, shot.matrix, self.window, self.stride
+                shot.times, shot.matrix, WINDOW, STRIDE
             )
             if windows.shape[0] == 0:
                 continue
             quench = float(shot.attrs.get("quench_time", -1.0))
             disruptive = bool(shot.attrs.get("disruptive", False))
-            ends = t_starts + self.window * self.dt
+            ends = t_starts + WINDOW * DT
             if not shot.attrs.get("labeled", False):
                 label = np.full(ends.size, UNLABELED, dtype=np.int64)
             elif disruptive and quench >= 0:
@@ -316,7 +315,7 @@ class FusionArchetype(DomainArchetype):
             else:
                 label = np.zeros(ends.size, dtype=np.int64)
             tensors.append(windows.astype(np.float32))
-            features.append(window_features(windows, self.dt))
+            features.append(window_features(windows, DT))
             labels.append(label)
             shot_ids.append(np.full(ends.size, shot.shot, dtype=np.int64))
             starts.append(t_starts)
@@ -359,7 +358,7 @@ class FusionArchetype(DomainArchetype):
                     FieldSpec(
                         "window",
                         np.dtype(np.float32),
-                        shape=(self.window, len(CHANNEL_ORDER)),
+                        shape=(WINDOW, len(CHANNEL_ORDER)),
                         role=FieldRole.FEATURE,
                         description="normalized multi-channel window",
                     ),
@@ -444,7 +443,7 @@ class FusionArchetype(DomainArchetype):
         return dataset
 
     # -- pipeline assembly -----------------------------------------------------------
-    def build_pipeline(self, output_dir: Union[str, Path], **options: Any) -> Pipeline:
+    def build_pipeline(self, output_dir: Union[str, Path]) -> Pipeline:
         self._output_dir = Path(output_dir)
         return Pipeline(
             "fusion",
@@ -454,12 +453,12 @@ class FusionArchetype(DomainArchetype):
                               on_error=OnError.RETRY,
                               output_contract=CONTRACTS[("extract", "output")]),
                 PipelineStage("align", DataProcessingStage.PREPROCESS, self._align,
-                              params={"dt": self.dt},
+                              params={"dt": DT},
                               parallelism=Parallelism.MAP),
                 PipelineStage("normalize", DataProcessingStage.TRANSFORM, self._normalize,
                               parallelism=Parallelism.REDUCE),
                 PipelineStage("window", DataProcessingStage.STRUCTURE, self._window,
-                              params={"window": self.window, "stride": self.stride},
+                              params={"window": WINDOW, "stride": STRIDE},
                               output_contract=CONTRACTS[("window", "output")]),
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"formats": ["rps", "tfrecord"]},

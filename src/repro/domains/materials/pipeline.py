@@ -441,7 +441,7 @@ class MaterialsArchetype(DomainArchetype):
         return dataset
 
     # -- pipeline assembly -----------------------------------------------------------
-    def build_pipeline(self, output_dir: Union[str, Path], **options: Any) -> Pipeline:
+    def build_pipeline(self, output_dir: Union[str, Path]) -> Pipeline:
         self._output_dir = Path(output_dir)
         return Pipeline(
             "materials",

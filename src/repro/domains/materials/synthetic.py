@@ -101,11 +101,8 @@ def _lattice_for_family(family: str, rng: np.random.Generator) -> np.ndarray:
     return lattice
 
 
-def _packed_positions(
-    n_atoms: int, lattice: np.ndarray, rng: np.random.Generator,
-    min_distance: float = 1.9, max_tries: int = 200,
-) -> np.ndarray:
-    """Fractional positions with a minimum pair separation.
+def _packed_positions(n_atoms: int, lattice: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fractional positions with a minimum pair separation of 1.9 (200 tries per atom).
 
     Rejection sampling under the minimum-image convention keeps the pair
     potential in its physical regime — fully random placements produce
@@ -116,13 +113,13 @@ def _packed_positions(
     placed: List[np.ndarray] = []
     for _ in range(n_atoms):
         best = None
-        for _ in range(max_tries):
+        for _ in range(200):
             candidate = rng.uniform(0.0, 1.0, size=3)
             ok = True
             for other in placed:
                 frac = candidate - other
                 frac -= np.round(frac)
-                if np.linalg.norm(frac @ lattice) < min_distance:
+                if np.linalg.norm(frac @ lattice) < 1.9:
                     ok = False
                     break
             if ok:

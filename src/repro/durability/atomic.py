@@ -133,10 +133,8 @@ def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -
     return Path(path)
 
 
-def atomic_write_text(
-    path: PathLike, text: str, *, site: str = "artifact", encoding: str = "utf-8"
-) -> Path:
-    return atomic_write_bytes(path, text.encode(encoding), site=site)
+def atomic_write_text(path: PathLike, text: str, *, site: str = "artifact") -> Path:
+    return atomic_write_bytes(path, text.encode("utf-8"), site=site)
 
 
 def jsonl_line(record: Mapping[str, object]) -> bytes:

@@ -20,7 +20,7 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, Iterator, List, Union
 
-from repro.durability.atomic import atomic_write_bytes, jsonl_line, read_jsonl
+from repro.durability.atomic import append_jsonl_durable, read_jsonl
 from repro.faults.errors import FaultKind
 from repro.obs.sinks import envelope
 
@@ -108,30 +108,18 @@ class DeadLetterLog:
             )
         return "\n".join(lines)
 
-    def save(self, path: Union[str, Path], *, append: bool = True) -> Path:
-        """Persist the log as envelope JSONL; returns the written path.
+    def save(self, path: Union[str, Path]) -> Path:
+        """Append the log to *path* as envelope JSONL; returns the path.
 
-        ``append=True`` (the default) extends an existing file, so
-        successive runs pointed at one ``--store-dir`` accumulate
-        a campaign-wide ledger of undone work.
-
-        The write is **crash-safe**: existing rows are read back (torn
-        trailing lines from a previous crash are dropped, exactly as
-        :meth:`load` would drop them), the merged ledger is written to a
-        temporary file, fsynced, and ``os.replace``-swapped in (then the
-        directory is fsynced so the rename itself is durable).  A
-        worker kill or power loss mid-save therefore leaves either the
-        old complete ledger or the new complete ledger — never a torn
-        one growing silently at the tail.
+        Successive runs pointed at one ``--store-dir`` accumulate a
+        campaign-wide ledger of undone work.  The append is the durable
+        one of the ledger, audit and quarantine stores
+        (:func:`~repro.durability.atomic.append_jsonl_durable`): a torn
+        tail left by an earlier crash is cut off first, exactly as
+        :meth:`load` would skip it, and the new lines are fsynced.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows: List[Dict[str, object]] = []
-        if append:
-            rows.extend(read_jsonl(path))
-        rows.extend(envelope("dead-letter", r.to_dict()) for r in self._records)
-        atomic_write_bytes(path, b"".join(map(jsonl_line, rows)), site="dead-letter")
-        return path
+        rows = [envelope("dead-letter", r.to_dict()) for r in self._records]
+        return append_jsonl_durable(path, rows, site="dead-letter")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DeadLetterLog":

@@ -64,8 +64,8 @@ class VirtualClock(Clock):
     ``slept`` keeps every requested delay in call order for assertions.
     """
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
         self._lock = threading.Lock()
         self.slept: List[float] = []
 

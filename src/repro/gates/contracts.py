@@ -27,6 +27,7 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
+from repro.quality.drift import PSI_ACT, population_stability_index
 from repro.quality.validation import (
     ValidationIssue,
     bounds_flags,
@@ -155,15 +156,13 @@ class DriftCheck:
 
     column: str
     baseline: Tuple[float, ...]
-    threshold: float = 0.25
+    threshold: float = PSI_ACT
     severity: str = "warning"
 
     def run(self, values: Any) -> List[ValidationIssue]:
-        from repro.quality.drift import population_stability_index
-
-        values = np.asarray(values, dtype=np.float64).ravel()
-        finite = values[np.isfinite(values)]
-        psi = population_stability_index(np.asarray(self.baseline), finite)
+        # mask in the column's own dtype; the PSI makes the one float64 copy
+        values = np.asarray(values).ravel()
+        psi = population_stability_index(np.asarray(self.baseline), values[np.isfinite(values)])
         if psi > self.threshold:
             return [
                 ValidationIssue(

@@ -89,15 +89,10 @@ class ComplianceReport:
 class PolicyEngine:
     """Evaluate a rule set against a dataset."""
 
-    def __init__(
-        self,
-        name: str,
-        rules: Sequence[PolicyRule],
-        scanner: Optional[PrivacyScanner] = None,
-    ):
+    def __init__(self, name: str, rules: Sequence[PolicyRule]):
         self.name = name
         self.rules = list(rules)
-        self.scanner = scanner or PrivacyScanner()
+        self.scanner = PrivacyScanner()
 
     def evaluate(self, dataset: Dataset) -> ComplianceReport:
         findings = self.scanner.scan(dataset)

@@ -85,11 +85,9 @@ class PrivacyScanner:
     def __init__(
         self,
         *,
-        value_sample_size: int = 256,
         value_match_threshold: float = 0.05,
         extra_name_tokens: Optional[Dict[str, str]] = None,
     ):
-        self.value_sample_size = value_sample_size
         self.value_match_threshold = value_match_threshold
         self.name_tokens = dict(SENSITIVE_NAME_TOKENS)
         if extra_name_tokens:
@@ -122,7 +120,7 @@ class PrivacyScanner:
             if spec.dtype.kind not in ("U", "S", "O"):
                 continue
             column = dataset[spec.name]
-            n = min(self.value_sample_size, column.shape[0])
+            n = min(256, column.shape[0])  # the first 256 values are the sample
             if n == 0:
                 continue
             sample = column[:n]

@@ -63,7 +63,6 @@ from repro.core.dataset import (
 )
 from repro.core.helper_pool import decode_ahead, helper_pool, helper_threads
 from repro.durability.atomic import atomic_write_text, staged_write
-from repro.io.chunking import ChunkPlan
 from repro.io.compression import Codec, RawCodec, get_codec
 from repro.io.serialization import BlockRead, frame_block, prepare_block
 
@@ -523,31 +522,22 @@ class ShardManifest:
 ShardEntry = Tuple[str, int, Optional[np.ndarray]]
 
 
-def shard_table(
-    splits: Mapping[str, np.ndarray], shards_per_split: int, plan: Optional[ChunkPlan] = None
-) -> List[ShardEntry]:
+def shard_table(splits: Mapping[str, np.ndarray], shards_per_split: int) -> List[ShardEntry]:
     """The global shard table: one ``(split, index, rows)`` entry per file.
 
     The only place a shard set's layout is decided, so every writer and
     backend cuts identical files: each split becomes *shards_per_split*
-    near-equal contiguous shards (or follows an explicit *plan*).  An
-    empty split contributes no file — ``np.array_split`` would yield an
-    orphan zero-sample shard — but still appears, empty, in the manifest.
+    near-equal contiguous shards.  An empty split contributes no file —
+    ``np.array_split`` would yield an orphan zero-sample shard — but still
+    appears, empty, in the manifest.
     """
     table: List[ShardEntry] = []
     for split, indices in splits.items():
         indices = np.asarray(indices)
         if indices.size == 0:
             continue
-        if plan is not None:
-            if plan.n_samples != indices.size:
-                raise ShardError(
-                    f"plan covers {plan.n_samples} samples, split {split!r} has {indices.size}"
-                )
-            chunks = [indices[sl] for sl in plan]
-        else:
-            n_shards = max(1, min(shards_per_split, indices.size))
-            chunks = np.array_split(indices, n_shards)
+        n_shards = max(1, min(shards_per_split, indices.size))
+        chunks = np.array_split(indices, n_shards)
         table.extend((split, i, chunk) for i, chunk in enumerate(chunks))
     return table
 
@@ -607,36 +597,27 @@ def write_shard_set(
     directory: Union[str, Path],
     *,
     splits: Optional[Dict[str, np.ndarray]] = None,
-    plan: Optional[ChunkPlan] = None,
     shards_per_split: int = 4,
     codec_name: str = "raw",
     codec_level: Optional[int] = None,
-    certificate: Optional[Mapping[str, Any]] = None,
 ) -> ShardManifest:
     """Export *dataset* as a sharded directory with a manifest.
 
-    Parameters
-    ----------
-    splits:
-        Mapping of split name to row indices.  Defaults to a single
-        ``"all"`` split covering every sample.
-    plan:
-        Optional explicit :class:`ChunkPlan` applied within each split;
-        by default each split is cut into *shards_per_split* equal shards.
+    *splits* maps split name to row indices (default: one ``"all"`` split
+    covering every sample); each split is cut into *shards_per_split*
+    near-equal shards.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     codec = get_codec(codec_name, codec_level)
     if splits is None:
         splits = {"all": np.arange(dataset.n_samples)}
-    table = shard_table(splits, shards_per_split, plan)
+    table = shard_table(splits, shards_per_split)
     with BlockPacker(dataset, dataset.schema.names, table, codec, ahead=True) as packer:
         written = [
             write_table_entry(packer, directory, index) for index in range(len(table))
         ]
-    return commit_manifest(
-        dataset, directory, splits, written, codec_name=codec_name, certificate=certificate
-    )
+    return commit_manifest(dataset, directory, splits, written, codec_name=codec_name)
 
 
 class ShardSet:

@@ -31,8 +31,7 @@ On top of that raw substrate sits the analytics layer:
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.obs.analyze import (
     CriticalPathEntry,
@@ -151,15 +150,9 @@ class Telemetry:
     :meth:`export` writes everything to a sink.
     """
 
-    def __init__(
-        self,
-        *,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.time,
-    ):
-        self.tracer = tracer if tracer is not None else Tracer(clock=clock)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self, *, tracer: Optional[Tracer] = None):
+        self.tracer = tracer if tracer is not None else Tracer()
+        self.metrics = MetricsRegistry()
 
     def export(
         self,

@@ -30,8 +30,9 @@ __all__ = [
     "load_baseline_stages",
 ]
 
-#: default robustness knobs for the regression gate
-DEFAULT_MAD_THRESHOLD = 3.0
+#: robustness knobs for the regression gate: the limit sits MAD_THRESHOLD
+#: robust sigmas above the median (the floors may be overridden per call)
+MAD_THRESHOLD = 3.0
 DEFAULT_REL_FLOOR = 0.25
 DEFAULT_ABS_FLOOR = 0.005
 
@@ -43,7 +44,6 @@ _MAD_SIGMA = 1.4826
 def regression_limit(
     history: Sequence[float],
     *,
-    mad_threshold: float = DEFAULT_MAD_THRESHOLD,
     rel_floor: float = DEFAULT_REL_FLOOR,
     abs_floor: float = DEFAULT_ABS_FLOOR,
 ) -> Tuple[float, float]:
@@ -57,7 +57,7 @@ def regression_limit(
     the tolerance-plus-noise-floor gate.
     """
     center, mad = median_mad(history)
-    band = max(mad_threshold * _MAD_SIGMA * mad, rel_floor * center, abs_floor)
+    band = max(MAD_THRESHOLD * _MAD_SIGMA * mad, rel_floor * center, abs_floor)
     return center, center + band
 
 
@@ -159,11 +159,7 @@ def diff_stage_seconds(
     history: Sequence[Mapping[str, float]],
     *,
     pipeline: str = "",
-    metric: str = "stage_seconds",
     baseline_label: str = "history",
-    mad_threshold: float = DEFAULT_MAD_THRESHOLD,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
     higher_is_worse: bool = True,
 ) -> RunDiff:
     """Compare one run's per-stage figures against a history of runs.
@@ -201,12 +197,7 @@ def diff_stage_seconds(
                 )
             )
             continue
-        center, limit = regression_limit(
-            values,
-            mad_threshold=mad_threshold,
-            rel_floor=rel_floor,
-            abs_floor=abs_floor,
-        )
+        center, limit = regression_limit(values)
         band = limit - center
         if higher_is_worse:
             if cur > limit:
@@ -235,7 +226,7 @@ def diff_stage_seconds(
         )
     return RunDiff(
         pipeline=pipeline,
-        metric=metric,
+        metric="stage_seconds",
         baseline_label=baseline_label,
         n_history=len(history),
         stages=tuple(rows),

@@ -212,23 +212,10 @@ class RunRecorder(NullRecorder):
         if decision is not None:
             # the run's prediction error as first-class metrics: measured
             # seconds against the medians the choice was made on
-            predictions = decision.stage_predictions()
-            executed = [
-                r for r in results
-                if not r.restored and not r.degraded and r.stage_name in predictions
-            ]
-            predicted = sum(predictions[r.stage_name] for r in executed)
-            actual = sum(r.seconds for r in executed)
-            error = abs(actual - predicted) / predicted if predicted > 0 else 0.0
+            _, actual, error, stage_errors = decision.prediction_error(results)
             self._gauge("schedule_prediction_error", error)
-            for r in executed:
-                stage_predicted = predictions[r.stage_name]
-                if stage_predicted > 0:
-                    self._gauge(
-                        "schedule_prediction_error",
-                        abs(r.seconds - stage_predicted) / stage_predicted,
-                        stage=r.stage_name,
-                    )
+            for stage, stage_error in stage_errors.items():
+                self._gauge("schedule_prediction_error", stage_error, stage=stage)
             self.run_span.set_attributes(
                 schedule_actual_s=actual, schedule_prediction_error=error
             )

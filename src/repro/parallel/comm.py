@@ -193,17 +193,12 @@ class SimComm:
         return f"SimComm(rank={self.rank}, size={self.size})"
 
 
-def run_spmd(
-    size: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    timeout: float = 120.0,
-) -> List[Any]:
-    """Run ``fn(comm, *args)`` on every rank of a fresh world.
+def run_spmd(size: int, fn: Callable[[SimComm], Any]) -> List[Any]:
+    """Run ``fn(comm)`` on every rank of a fresh world.
 
     Returns the per-rank return values in rank order.  The first exception
     raised by any rank is re-raised in the caller after all threads have
-    been joined, so failures surface instead of deadlocking.
+    been joined (each gets 120 s), so failures surface instead of deadlocking.
     """
     world = SimWorld(size)
     results: List[Any] = [None] * size
@@ -211,7 +206,7 @@ def run_spmd(
 
     def runner(rank: int) -> None:
         try:
-            results[rank] = fn(world.comm(rank), *args)
+            results[rank] = fn(world.comm(rank))
         except BaseException as exc:  # noqa: BLE001 - propagated to caller
             errors.append((rank, exc))
             world.fail()
@@ -223,10 +218,10 @@ def run_spmd(
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout=timeout)
+        thread.join(timeout=120.0)
     alive = [t for t in threads if t.is_alive()]
     if alive and not errors:
-        raise CommError(f"{len(alive)} rank(s) did not finish within {timeout}s")
+        raise CommError(f"{len(alive)} rank(s) did not finish within 120.0s")
     if errors:
         # an interrupted receive is collateral damage from some rank's real
         # failure — surface the root cause, not the echo

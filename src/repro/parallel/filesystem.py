@@ -96,12 +96,11 @@ class ParallelFileSystem:
         self,
         n_osts: int = 8,
         ost_bandwidth: float = 2e9,
-        ost_latency: float = 0.5e-3,
         client_link_bandwidth: Optional[float] = None,
     ):
         if n_osts < 1:
             raise ValueError("n_osts must be >= 1")
-        self.osts = [OST(i, ost_bandwidth, ost_latency) for i in range(n_osts)]
+        self.osts = [OST(i, ost_bandwidth) for i in range(n_osts)]
         #: per-client NIC ceiling; None means never client-limited
         self.client_link_bandwidth = client_link_bandwidth
 
@@ -109,11 +108,10 @@ class ParallelFileSystem:
     def n_osts(self) -> int:
         return len(self.osts)
 
-    def default_stripe(self, stripe_count: Optional[int] = None,
-                       stripe_size: int = 1 << 20, offset: int = 0) -> FileStripe:
+    def default_stripe(self, stripe_count: Optional[int] = None, offset: int = 0) -> FileStripe:
         return FileStripe(
             stripe_count=stripe_count or self.n_osts,
-            stripe_size=stripe_size,
+            stripe_size=1 << 20,
             offset_ost=offset % self.n_osts,
         )
 
@@ -221,7 +219,6 @@ class ParallelFileSystem:
         n_clients: int,
         bytes_per_client: int,
         stripe_count: Optional[int] = None,
-        stripe_size: int = 1 << 20,
     ) -> float:
         """Makespan of *n_clients* each writing their own striped file.
 
@@ -232,7 +229,7 @@ class ParallelFileSystem:
             Transfer(
                 client=i,
                 nbytes=bytes_per_client,
-                stripe=self.default_stripe(stripe_count, stripe_size, offset=i),
+                stripe=self.default_stripe(stripe_count, offset=i),
             )
             for i in range(n_clients)
         ]

@@ -65,13 +65,11 @@ class ReductionSchedule:
         return max(counts.values(), default=0)
 
 
-def flat_schedule(n_ranks: int, root: int = 0) -> ReductionSchedule:
-    """Everyone sends to *root* in a single round."""
+def flat_schedule(n_ranks: int) -> ReductionSchedule:
+    """Everyone sends to rank 0 in a single round."""
     _check(n_ranks)
-    steps = tuple(
-        ReductionStep(round=0, src=r, dst=root) for r in range(n_ranks) if r != root
-    )
-    return ReductionSchedule("flat", n_ranks, steps, (root,))
+    steps = tuple(ReductionStep(round=0, src=r, dst=0) for r in range(1, n_ranks))
+    return ReductionSchedule("flat", n_ranks, steps, (0,))
 
 
 def tree_schedule(n_ranks: int, fanin: int = 2) -> ReductionSchedule:
@@ -149,18 +147,13 @@ def execute_schedule(
     return [state[r] for r in schedule.result_ranks]
 
 
-def schedule_cost(
-    schedule: ReductionSchedule,
-    message_bytes: int,
-    *,
-    alpha: float = 1e-6,
-    beta: float = 1e-9,
-) -> float:
+def schedule_cost(schedule: ReductionSchedule, message_bytes: int) -> float:
     """Latency-bandwidth (alpha-beta) time estimate for the schedule.
 
-    Each round costs ``alpha + inbox * message_bytes * beta`` where *inbox*
-    is the busiest receiver's message count that round: receives at one
-    node serialize, sends across nodes parallelize.
+    Each round costs ``alpha + inbox * message_bytes * beta`` (alpha 1 us
+    per message round, beta 1 ns per byte) where *inbox* is the busiest
+    receiver's message count that round: receives at one node serialize,
+    sends across nodes parallelize.
     """
     total = 0.0
     for rnd in range(schedule.n_rounds):
@@ -169,7 +162,7 @@ def schedule_cost(
             if step.round == rnd:
                 inbox[step.dst] = inbox.get(step.dst, 0) + 1
         busiest = max(inbox.values(), default=0)
-        total += alpha + busiest * message_bytes * beta
+        total += 1e-6 + busiest * message_bytes * 1e-9
     return total
 
 

@@ -117,10 +117,10 @@ class ScalingCurve:
             for s, p in zip(self.speedup(), self.points)
         ]
 
-    def knee_ranks(self, efficiency_floor: float = 0.5) -> Optional[int]:
-        """First rank count whose parallel efficiency drops below the floor."""
+    def knee_ranks(self) -> Optional[int]:
+        """First rank count whose parallel efficiency drops below 50 %."""
         for eff, point in zip(self.efficiency(), self.points):
-            if eff < efficiency_floor:
+            if eff < 0.5:
                 return point.ranks
         return None
 

@@ -220,13 +220,8 @@ class FeatureStats:
         cls,
         shape: Tuple[int, ...] = (),
         histogram_range: Optional[Tuple[float, float]] = None,
-        n_bins: int = 64,
     ) -> "FeatureStats":
-        hist = (
-            StreamingHistogram(*histogram_range, n_bins=n_bins)
-            if histogram_range is not None
-            else None
-        )
+        hist = StreamingHistogram(*histogram_range) if histogram_range is not None else None
         return cls(RunningMoments(shape), MinMax(shape), hist)
 
     @classmethod

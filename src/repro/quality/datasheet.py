@@ -97,11 +97,8 @@ def build_datasheet(
     dataset: Dataset,
     *,
     assessment: Optional[ReadinessAssessment] = None,
-    scanner: Optional[PrivacyScanner] = None,
-    label_column: Optional[str] = None,
 ) -> Datasheet:
     """Assemble a datasheet from measured properties of *dataset*."""
-    scanner = scanner or PrivacyScanner()
     meta = dataset.metadata
     fields = [
         {
@@ -125,8 +122,8 @@ def build_datasheet(
         n_samples=dataset.n_samples,
         nbytes=dataset.nbytes,
         fields=fields,
-        quality=quality_report(dataset, label_column),
-        privacy_findings=scanner.scan(dataset),
+        quality=quality_report(dataset),
+        privacy_findings=PrivacyScanner().scan(dataset),
         readiness_level=int(assessment.overall) if assessment else None,
         readiness_gaps=assessment.gap_report() if assessment else [],
     )

@@ -19,11 +19,7 @@ __all__ = ["population_stability_index"]
 PSI_ACT = 0.25
 
 
-def population_stability_index(
-    reference: np.ndarray,
-    current: np.ndarray,
-    n_bins: int = 10,
-) -> float:
+def population_stability_index(reference: np.ndarray, current: np.ndarray) -> float:
     """PSI over quantile bins of the reference distribution.
 
     Bins are the reference's deciles, so the reference is uniform across
@@ -32,13 +28,13 @@ def population_stability_index(
     """
     reference = np.asarray(reference, dtype=np.float64).ravel()
     current = np.asarray(current, dtype=np.float64).ravel()
-    if reference.size < n_bins or current.size == 0:
+    if reference.size < 10 or current.size == 0:
         return 0.0
     if reference.std() == 0:
         # a constant reference cannot be binned meaningfully; the mean-shift
         # statistic (not PSI) is the right detector for this case
         return 0.0
-    edges = np.quantile(reference, np.linspace(0, 1, n_bins + 1))
+    edges = np.quantile(reference, np.linspace(0, 1, 11))
     edges[0], edges[-1] = -np.inf, np.inf
     edges = np.unique(edges)  # constant features collapse bins
     if edges.size < 3:

@@ -74,12 +74,12 @@ def noise_estimate(series: np.ndarray) -> float:
     return float(noise_sigma / signal_std)
 
 
-def outlier_rate(values: np.ndarray, n_sigma: float = 5.0) -> float:
-    """Fraction of robust-sigma outliers."""
+def outlier_rate(values: np.ndarray) -> float:
+    """Fraction of values more than 5 robust sigmas out."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         return 0.0
-    return float(outlier_mask(values, n_sigma).mean())
+    return float(outlier_mask(values, 5.0).mean())
 
 
 @dataclasses.dataclass

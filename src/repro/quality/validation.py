@@ -95,8 +95,7 @@ def check_finite(values: np.ndarray, column: str = "-") -> List[ValidationIssue]
 
 
 def check_bounds(
-    values: np.ndarray, lo: float, hi: float, column: str = "-",
-    severity: str = "error",
+    values: np.ndarray, lo: float, hi: float, column: str = "-"
 ) -> List[ValidationIssue]:
     """Physical range check (e.g. temperature within [150, 350] K)."""
     values = np.asarray(values)
@@ -125,7 +124,7 @@ def check_bounds(
             ValidationIssue(
                 check="bounds",
                 column=column,
-                severity=severity,
+                severity="error",
                 message=f"{below} below {lo}, {above} above {hi}",
             )
         ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.report import render_table
 
@@ -131,6 +131,31 @@ class ScheduleDecision:
 
     def stage_predictions(self) -> Dict[str, float]:
         return dict(self.predicted_stage_seconds)
+
+    def prediction_error(
+        self, results: Sequence[Any]
+    ) -> Tuple[float, float, float, Dict[str, float]]:
+        """Predicted against measured seconds over the stages of *results*
+        that executed (neither restored nor degraded).
+
+        Returns ``(predicted, actual, error, stage errors)``; an error is
+        ``|actual - predicted| / predicted``, 0.0 for the run when nothing
+        executed was predicted, and absent for a stage predicted to take
+        no time.
+        """
+        predictions = self.stage_predictions()
+        executed = [
+            r for r in results
+            if not r.restored and not r.degraded and r.stage_name in predictions
+        ]
+        predicted = sum(predictions[r.stage_name] for r in executed)
+        actual = sum(r.seconds for r in executed)
+        error = abs(actual - predicted) / predicted if predicted > 0 else 0.0
+        stage_errors = {
+            r.stage_name: abs(r.seconds - predictions[r.stage_name]) / predictions[r.stage_name]
+            for r in executed if predictions[r.stage_name] > 0
+        }
+        return predicted, actual, error, stage_errors
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe, deterministic serialization (manifest embedding)."""

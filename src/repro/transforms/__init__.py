@@ -7,7 +7,6 @@ from repro.transforms.cleaning import (
     CleaningReport,
     clean_dataset,
     clip_outliers,
-    drop_duplicate_rows,
     harmonize_units,
     impute,
     missing_fraction,
@@ -24,7 +23,6 @@ from repro.transforms.normalize import (
     normalize_dataset,
 )
 from repro.transforms.encode import (
-    DNA_ALPHABET,
     Vocabulary,
     dna_codes,
     dna_one_hot,
@@ -61,11 +59,11 @@ from repro.transforms.align import (
 from repro.transforms.regrid import RegularGrid, area_weighted_mean, regrid
 
 __all__ = [
-    "CleaningReport", "clean_dataset", "clip_outliers", "drop_duplicate_rows",
+    "CleaningReport", "clean_dataset", "clip_outliers",
     "harmonize_units", "impute", "missing_fraction", "missing_mask", "UnitConverter",
     "LogNormalizer", "MinMaxNormalizer", "Normalizer", "RobustNormalizer",
     "ZScoreNormalizer", "make_normalizer", "normalize_dataset",
-    "DNA_ALPHABET", "Vocabulary", "dna_codes", "dna_one_hot",
+    "Vocabulary", "dna_codes", "dna_one_hot",
     "flip", "smote_like",
     "UNLABELED", "NearestCentroidModel", "PseudoLabelResult",
     "labeled_fraction", "propagate_labels", "pseudo_label",

@@ -121,15 +121,14 @@ def common_time_base(
 def align_signals(
     signals: Sequence[Signal],
     dt: Optional[float] = None,
-    method: str = "linear",
 ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-    """Align channels onto a common base.
+    """Align channels onto a common base by linear interpolation.
 
     Returns ``(times, matrix, names)`` with ``matrix`` of shape
     ``(T, n_channels)`` in input order.
     """
     base = common_time_base(signals, dt)
-    matrix = np.stack([resample(s, base, method) for s in signals], axis=1)
+    matrix = np.stack([resample(s, base) for s in signals], axis=1)
     return base, matrix, [s.name for s in signals]
 
 

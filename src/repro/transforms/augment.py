@@ -43,9 +43,9 @@ def smote_like(
     rng: np.random.Generator,
     *,
     n_synthetic: int,
-    k_neighbors: int = 5,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Synthesize minority-class samples by interpolating nearest neighbours.
+    """Synthesize minority-class samples by interpolating toward one of the
+    5 nearest neighbours.
 
     The classic class-imbalance remedy (the materials archetype's
     "class imbalance" challenge).  Returns ``(synthetic_X, synthetic_y)``;
@@ -56,7 +56,7 @@ def smote_like(
     minority = features[labels == minority_class]
     if minority.shape[0] < 2:
         raise AugmentError("need at least 2 minority samples to interpolate")
-    k = min(k_neighbors, minority.shape[0] - 1)
+    k = min(5, minority.shape[0] - 1)
     # pairwise distances within the minority class (vectorized)
     diff = minority[:, None, :] - minority[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1))

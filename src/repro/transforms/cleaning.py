@@ -10,7 +10,7 @@ that pipelines convert into readiness evidence.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "impute",
     "clip_outliers",
     "outlier_mask",
-    "drop_duplicate_rows",
     "UnitConverter",
     "harmonize_units",
     "clean_dataset",
@@ -37,7 +36,6 @@ class CleaningReport:
     imputed: Dict[str, int] = dataclasses.field(default_factory=dict)
     clipped: Dict[str, int] = dataclasses.field(default_factory=dict)
     converted_units: Dict[str, Tuple[str, str]] = dataclasses.field(default_factory=dict)
-    duplicates_dropped: int = 0
     residual_missing_fraction: float = 0.0
 
     @property
@@ -52,7 +50,6 @@ class CleaningReport:
         return (
             f"imputed={self.total_imputed}, clipped={self.total_clipped}, "
             f"unit_conversions={len(self.converted_units)}, "
-            f"duplicates_dropped={self.duplicates_dropped}, "
             f"residual_missing={self.residual_missing_fraction:.4f}"
         )
 
@@ -73,22 +70,21 @@ def missing_mask(values: np.ndarray, sentinel: Optional[float] = None) -> np.nda
     return mask
 
 
-def missing_fraction(values: np.ndarray, sentinel: Optional[float] = None) -> float:
-    """Fraction of missing entries in an array."""
+def missing_fraction(values: np.ndarray) -> float:
+    """Fraction of missing (NaN) entries in an array."""
     values = np.asarray(values)
     if values.size == 0:
         return 0.0
-    return float(missing_mask(values, sentinel).mean())
+    return float(missing_mask(values).mean())
 
 
 def impute(
     values: np.ndarray,
     strategy: str = "mean",
     *,
-    sentinel: Optional[float] = None,
     fill_value: Optional[float] = None,
 ) -> Tuple[np.ndarray, int]:
-    """Fill missing entries; returns ``(filled_copy, n_imputed)``.
+    """Fill missing (NaN) entries; returns ``(filled_copy, n_imputed)``.
 
     Strategies
     ----------
@@ -101,7 +97,7 @@ def impute(
         ends are extended with the nearest observed value.
     """
     values = np.asarray(values, dtype=np.float64).copy()
-    mask = missing_mask(values, sentinel)
+    mask = missing_mask(values)
     n_missing = int(mask.sum())
     if n_missing == 0:
         return values, 0
@@ -175,23 +171,6 @@ def clip_outliers(
 
 
 # ---------------------------------------------------------------------------
-# duplicates
-# ---------------------------------------------------------------------------
-
-def drop_duplicate_rows(dataset: Dataset, key_columns: Sequence[str]) -> Tuple[Dataset, int]:
-    """Keep the first occurrence of each key tuple; returns dropped count."""
-    if not key_columns:
-        raise ValueError("key_columns must be non-empty")
-    keys = np.stack(
-        [np.asarray(dataset[c]).astype("U64") for c in key_columns], axis=1
-    )
-    _, first_idx = np.unique(keys, axis=0, return_index=True)
-    first_idx.sort()
-    dropped = dataset.n_samples - first_idx.size
-    return dataset.take(first_idx), int(dropped)
-
-
-# ---------------------------------------------------------------------------
 # units
 # ---------------------------------------------------------------------------
 
@@ -250,14 +229,13 @@ class UnitConverter:
 def harmonize_units(
     dataset: Dataset,
     target_units: Dict[str, str],
-    converter: Optional[UnitConverter] = None,
 ) -> Tuple[Dataset, Dict[str, Tuple[str, str]]]:
     """Convert named columns to target units, updating the schema.
 
     Returns the converted dataset and a ``{column: (from, to)}`` record of
     conversions actually performed.
     """
-    converter = converter or UnitConverter()
+    converter = UnitConverter()
     converted: Dict[str, Tuple[str, str]] = {}
     out = dataset
     for name, target in target_units.items():
@@ -278,49 +256,41 @@ def harmonize_units(
 # ---------------------------------------------------------------------------
 
 def clean_dataset(
-    dataset: Dataset,
-    *,
-    impute_strategy: str = "mean",
-    sentinel: Optional[float] = None,
-    clip_sigma: Optional[float] = 5.0,
-    target_units: Optional[Dict[str, str]] = None,
-    dedup_keys: Optional[Sequence[str]] = None,
+    dataset: Dataset, *, target_units: Optional[Dict[str, str]] = None
 ) -> Tuple[Dataset, CleaningReport]:
-    """Run the standard cleaning pass over every numeric feature column."""
+    """Run the standard cleaning pass over every floating-point column: NaNs
+    imputed with the column mean, then values beyond 5 sigma clipped."""
     report = CleaningReport()
     out = dataset
-    if dedup_keys:
-        out, report.duplicates_dropped = drop_duplicate_rows(out, dedup_keys)
     if target_units:
         out, report.converted_units = harmonize_units(out, target_units)
     for spec in list(out.schema):
         if not np.issubdtype(spec.dtype, np.floating):
             continue
         values = out[spec.name]
-        frac = missing_fraction(values, sentinel)
+        frac = missing_fraction(values)
         if frac >= 1.0:
             continue  # fully-missing columns are a schema problem, not cleaning
         if frac > 0:
-            filled, n = impute(values, impute_strategy, sentinel=sentinel)
+            filled, n = impute(values)
             report.imputed[spec.name] = n
             out = out.with_column(
                 spec.with_(dtype=np.dtype(np.float64)), filled, replace=True
             )
-        if clip_sigma is not None:
-            clipped, n = clip_outliers(out[spec.name], clip_sigma)
-            if n:
-                report.clipped[spec.name] = n
-                out = out.with_column(
-                    out.schema[spec.name].with_(dtype=np.dtype(np.float64)),
-                    clipped,
-                    replace=True,
-                )
+        clipped, n = clip_outliers(out[spec.name], 5.0)
+        if n:
+            report.clipped[spec.name] = n
+            out = out.with_column(
+                out.schema[spec.name].with_(dtype=np.dtype(np.float64)),
+                clipped,
+                replace=True,
+            )
     total = 0
     missing = 0
     for spec in out.schema:
         if np.issubdtype(spec.dtype, np.floating):
             col = out[spec.name]
             total += col.size
-            missing += int(missing_mask(col, sentinel).sum())
+            missing += int(missing_mask(col).sum())
     report.residual_missing_fraction = missing / total if total else 0.0
     return out, report

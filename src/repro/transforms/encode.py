@@ -17,7 +17,6 @@ __all__ = [
     "dna_codes",
     "dna_one_hot",
     "EncodingError",
-    "DNA_ALPHABET",
 ]
 
 
@@ -134,7 +133,6 @@ class Vocabulary:
 # DNA sequences (bio archetype)
 # ---------------------------------------------------------------------------
 
-DNA_ALPHABET = "ACGT"
 _DNA_INDEX = np.full(256, -1, dtype=np.int8)
 _DNA_INDEX[np.frombuffer(b"ACGTNacgtn", dtype=np.uint8)] = [0, 1, 2, 3, 4] * 2
 _DNA_ONE_HOT = np.vstack([np.eye(4), np.full((1, 4), 0.25)]).astype(np.float32)

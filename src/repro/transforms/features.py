@@ -33,12 +33,10 @@ class SelectionReport:
     method: str
 
 
-def mutual_information(
-    feature: np.ndarray, labels: np.ndarray, n_bins: int = 16
-) -> float:
+def mutual_information(feature: np.ndarray, labels: np.ndarray) -> float:
     """Histogram-estimated mutual information between a feature and labels.
 
-    MI in nats via the plug-in estimator on an ``n_bins`` x classes
+    MI in nats via the plug-in estimator on a 16-bins x classes
     contingency table.  Good enough for *ranking* features, which is all
     selection needs.
     """
@@ -51,11 +49,9 @@ def mutual_information(
     lo, hi = feature.min(), feature.max()
     if hi == lo:
         return 0.0
-    bins = np.clip(
-        ((feature - lo) / (hi - lo) * n_bins).astype(int), 0, n_bins - 1
-    )
+    bins = np.clip(((feature - lo) / (hi - lo) * 16).astype(int), 0, 15)
     classes, class_codes = np.unique(labels, return_inverse=True)
-    joint = np.zeros((n_bins, classes.size), dtype=np.float64)
+    joint = np.zeros((16, classes.size), dtype=np.float64)
     np.add.at(joint, (bins, class_codes), 1.0)
     joint /= joint.sum()
     px = joint.sum(axis=1, keepdims=True)
@@ -65,9 +61,7 @@ def mutual_information(
     return float(np.nansum(terms))
 
 
-def select_k_best(
-    features: np.ndarray, labels: np.ndarray, k: int, n_bins: int = 16
-) -> SelectionReport:
+def select_k_best(features: np.ndarray, labels: np.ndarray, k: int) -> SelectionReport:
     """Keep the *k* features with highest mutual information with labels."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -75,7 +69,7 @@ def select_k_best(
     if k < 0:
         raise FeatureError("k must be non-negative")
     scores = {
-        int(j): mutual_information(features[:, j], labels, n_bins)
+        int(j): mutual_information(features[:, j], labels)
         for j in range(features.shape[1])
     }
     order = sorted(scores, key=lambda j: (-scores[j], j))

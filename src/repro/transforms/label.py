@@ -120,13 +120,13 @@ def pseudo_label(
     *,
     confidence_threshold: float = 0.8,
     max_rounds: int = 10,
-    model: Optional[NearestCentroidModel] = None,
 ) -> PseudoLabelResult:
     """Iterative pseudo-labeling until convergence or *max_rounds*.
 
-    Each round fits the proxy model on currently-labeled samples, predicts
-    the unlabeled pool, and promotes predictions whose confidence clears
-    the threshold.  Ground-truth labels are never overwritten.
+    Each round fits a :class:`NearestCentroidModel` on currently-labeled
+    samples, predicts the unlabeled pool, and promotes predictions whose
+    confidence clears the threshold.  Ground-truth labels are never
+    overwritten.
     """
     if not 0.0 < confidence_threshold <= 1.0:
         raise ValueError("confidence_threshold must be in (0, 1]")
@@ -139,7 +139,7 @@ def pseudo_label(
         unlabeled = np.flatnonzero(labels == UNLABELED)
         if unlabeled.size == 0:
             break
-        mdl = model or NearestCentroidModel()
+        mdl = NearestCentroidModel()
         mdl.fit(features, labels)
         proba = mdl.predict_proba(features[unlabeled])
         confident = proba.max(axis=1) >= confidence_threshold
@@ -166,14 +166,14 @@ def propagate_labels(
     labels: np.ndarray,
     *,
     k_neighbors: int = 5,
-    max_iterations: int = 50,
 ) -> np.ndarray:
     """Label propagation over a mutual-kNN graph (majority vote, iterated).
 
     Unlabeled nodes adopt the majority label among their labeled
-    neighbours; iterate until fixed point.  Isolated components with no
-    labeled seed stay ``UNLABELED`` — readiness assessment should see that
-    honestly rather than receive an arbitrary guess.
+    neighbours; iterate until fixed point (at most 50 sweeps).  Isolated
+    components with no labeled seed stay ``UNLABELED`` — readiness
+    assessment should see that honestly rather than receive an arbitrary
+    guess.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).copy()
@@ -187,7 +187,7 @@ def propagate_labels(
     dist = (diff**2).sum(axis=-1)
     np.fill_diagonal(dist, np.inf)
     neighbours = np.argsort(dist, axis=1)[:, :k]
-    for _ in range(max_iterations):
+    for _ in range(50):
         changed = False
         unlabeled = np.flatnonzero(labels == UNLABELED)
         for i in unlabeled:

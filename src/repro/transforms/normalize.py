@@ -56,14 +56,17 @@ class Normalizer:
         raise NotImplementedError
 
 
+#: a spread (std or IQR) below this marks a constant feature, which is left unscaled
+EPSILON = 1e-12
+
+
 class ZScoreNormalizer(Normalizer):
-    """``(x - mean) / std`` with epsilon-guarded constant features."""
+    """``(x - mean) / std`` with :data:`EPSILON`-guarded constant features."""
 
     name = "zscore"
 
-    def __init__(self, epsilon: float = 1e-12):
+    def __init__(self):
         super().__init__()
-        self.epsilon = epsilon
         self.mean: Optional[np.ndarray] = None
         self.std: Optional[np.ndarray] = None
 
@@ -76,7 +79,7 @@ class ZScoreNormalizer(Normalizer):
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._require_fitted()
-        std = np.where(np.asarray(self.std) < self.epsilon, 1.0, self.std)
+        std = np.where(np.asarray(self.std) < EPSILON, 1.0, self.std)
         return (np.asarray(values, dtype=np.float64) - self.mean) / std
 
     def params(self) -> Dict[str, object]:
@@ -133,9 +136,8 @@ class RobustNormalizer(Normalizer):
 
     name = "robust"
 
-    def __init__(self, epsilon: float = 1e-12):
+    def __init__(self):
         super().__init__()
-        self.epsilon = epsilon
         self.median: Optional[np.ndarray] = None
         self.iqr: Optional[np.ndarray] = None
 
@@ -149,7 +151,7 @@ class RobustNormalizer(Normalizer):
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         self._require_fitted()
-        iqr = np.where(np.asarray(self.iqr) < self.epsilon, 1.0, self.iqr)
+        iqr = np.where(np.asarray(self.iqr) < EPSILON, 1.0, self.iqr)
         return (np.asarray(values, dtype=np.float64) - self.median) / iqr
 
     def params(self) -> Dict[str, object]:
@@ -195,7 +197,7 @@ class LogNormalizer(Normalizer):
         return {"name": self.name, "inner": inner}
 
 
-def make_normalizer(name: str, **kwargs: object) -> Normalizer:
+def make_normalizer(name: str) -> Normalizer:
     """Factory by registry name (``zscore``/``minmax``/``robust``/``log``)."""
     registry = {
         "zscore": ZScoreNormalizer,
@@ -204,7 +206,7 @@ def make_normalizer(name: str, **kwargs: object) -> Normalizer:
         "log": LogNormalizer,
     }
     try:
-        return registry[name](**kwargs)  # type: ignore[arg-type]
+        return registry[name]()
     except KeyError:
         raise NormalizationError(
             f"unknown normalizer {name!r}; available: {sorted(registry)}"

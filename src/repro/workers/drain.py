@@ -60,10 +60,8 @@ class DrainController:
                 self.reason = reason
         self._event.set()
 
-    def install(
-        self, signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM)
-    ) -> Callable[[], None]:
-        """Route *signals* into :meth:`request`; returns an uninstaller.
+    def install(self) -> Callable[[], None]:
+        """Route SIGINT and SIGTERM into :meth:`request`; returns an uninstaller.
 
         Only callable from the main thread (a CPython restriction on
         ``signal.signal``).  A second delivery of the same signal while a
@@ -79,7 +77,7 @@ class DrainController:
                 return
             self.request(f"received {signal.Signals(signum).name}")
 
-        for signum in signals:
+        for signum in (signal.SIGINT, signal.SIGTERM):
             previous.append((signum, signal.getsignal(signum)))
             signal.signal(signum, handler)
 

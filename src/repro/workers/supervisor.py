@@ -52,6 +52,9 @@ from repro.workers.worker import worker_main
 
 __all__ = ["Lease", "WorkerCrashEvent", "WorkerSupervisor"]
 
+#: seconds a worker gets to exit after it is told to stop, before it is killed
+SHUTDOWN_GRACE = 2.0
+
 
 @dataclasses.dataclass
 class Lease:
@@ -115,7 +118,6 @@ class WorkerSupervisor:
         task_retry_stats: Any = None,
         event_handlers: Sequence[Callable[[str, Dict[str, Any]], None]] = (),
         recorder: Any = None,
-        shutdown_grace: float = 2.0,
     ):
         self.n_workers = max(1, int(n_workers))
         self.label = label
@@ -135,7 +137,6 @@ class WorkerSupervisor:
         self.event_handlers = list(event_handlers)
         #: the run's telemetry recorder: it spans each lease parent-side
         self.recorder = recorder
-        self.shutdown_grace = shutdown_grace
         self._ctx = get_context("fork")
         self._workers: Dict[int, _WorkerHandle] = {}
         self._next_worker_id = 0
@@ -143,8 +144,8 @@ class WorkerSupervisor:
         self.max_heartbeat_gap = 0.0
 
     # -- counters ----------------------------------------------------------------
-    def _bump(self, key: str, by: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + by
+    def _bump(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     # -- pool management ---------------------------------------------------------
     def _spawn(self) -> _WorkerHandle:
@@ -179,7 +180,7 @@ class WorkerSupervisor:
             pass
         if handle.process.is_alive():
             handle.process.kill()
-        handle.process.join(timeout=self.shutdown_grace)
+        handle.process.join(timeout=SHUTDOWN_GRACE)
 
     def _kill(self, handle: _WorkerHandle) -> None:
         if handle.process.is_alive():
@@ -431,12 +432,12 @@ class WorkerSupervisor:
                 handle.conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
                 pass
-        deadline = time.monotonic() + self.shutdown_grace
+        deadline = time.monotonic() + SHUTDOWN_GRACE
         for handle in list(self._workers.values()):
             handle.process.join(timeout=max(deadline - time.monotonic(), 0.0))
             if handle.process.is_alive():
                 handle.process.kill()
-                handle.process.join(timeout=self.shutdown_grace)
+                handle.process.join(timeout=SHUTDOWN_GRACE)
             try:
                 handle.conn.close()
             except OSError:

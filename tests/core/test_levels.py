@@ -1,7 +1,6 @@
 """Readiness levels, processing stages, and the staircase rule."""
 
 from repro.core.levels import (
-    CANONICAL_PIPELINE,
     DOMAIN_STAGE_VERBS,
     MATRIX_CELL_DESCRIPTIONS,
     DataProcessingStage,
@@ -30,7 +29,7 @@ class TestLevels:
 
 class TestStages:
     def test_canonical_pipeline_order(self):
-        assert [s.name for s in CANONICAL_PIPELINE] == [
+        assert [s.name for s in DataProcessingStage] == [
             "INGEST", "PREPROCESS", "TRANSFORM", "STRUCTURE", "SHARD",
         ]
 

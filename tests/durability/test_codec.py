@@ -108,7 +108,7 @@ def quarantine_discard(root):
 
 
 def dead_letters(root):
-    """Saved twice: the second save reads the first back and re-encodes it."""
+    """Saved twice: the second save appends after the first."""
     path = root / "dead-letters.jsonl"
     for stage in ("regrid", "stack"):
         log = DeadLetterLog()

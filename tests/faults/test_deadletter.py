@@ -42,19 +42,10 @@ def test_append_accumulates_a_campaign_ledger(tmp_path):
     first.save(path)
     second = DeadLetterLog()
     second.append(_record(fingerprint="b" * 64))
-    second.save(path)  # append=True is the default
+    second.save(path)
 
     fingerprints = [r.input_fingerprint for r in DeadLetterLog.load(path)]
     assert fingerprints == ["a" * 64, "b" * 64]
-
-
-def test_save_overwrite_replaces(tmp_path):
-    path = tmp_path / DEAD_LETTER_NAME
-    log = DeadLetterLog()
-    log.append(_record())
-    log.save(path)
-    log.save(path, append=False)
-    assert len(DeadLetterLog.load(path)) == 1
 
 
 def test_load_tolerates_torn_lines_and_foreign_envelopes(tmp_path):
@@ -70,12 +61,11 @@ def test_load_tolerates_torn_lines_and_foreign_envelopes(tmp_path):
 
 
 def test_save_is_atomic_and_heals_a_torn_tail(tmp_path):
-    """A crash mid-save never tears the ledger; a prior tear is dropped.
+    """A prior tear is dropped: the tear does not grow silently at the tail.
 
-    ``save`` reads existing rows back (a torn trailing line from an
-    earlier crash is discarded), writes the merged ledger to ``*.tmp``,
-    and ``os.replace``s it into place — readers only ever see a complete
-    file, and the tear does not grow silently at the tail.
+    ``save`` appends durably: a torn trailing line from an earlier crash
+    is cut off before the new lines are written, so readers see only
+    complete lines.
     """
     path = tmp_path / DEAD_LETTER_NAME
     first = DeadLetterLog()
@@ -105,7 +95,7 @@ def test_save_keeps_foreign_envelope_rows(tmp_path):
     log.save(path)
     with open(path, "a") as fh:
         fh.write('{"type": "metric", "name": "not-a-dead-letter"}\n')
-    DeadLetterLog().save(path)  # empty append still rewrites atomically
+    DeadLetterLog().save(path)  # an empty append leaves them in place
     assert '"not-a-dead-letter"' in path.read_text()
     assert len(DeadLetterLog.load(path)) == 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gates import ColumnCheck, DriftCheck, GatePolicy, StageContract
+from repro.quality.drift import population_stability_index
 
 
 class TestGatePolicy:
@@ -60,11 +61,16 @@ class TestDriftCheck:
 
     def test_shifted_sample_warns(self):
         baseline = tuple(np.linspace(-3, 3, 128))
-        issues = DriftCheck("x", baseline, threshold=0.25).run(
-            np.linspace(7, 13, 256)
-        )
+        shifted = np.linspace(7, 13, 256).astype(np.float32)
+        shifted[::17] = np.nan
+        issues = DriftCheck("x", baseline).run(shifted)
         assert [i.severity for i in issues] == ["warning"]
         assert "PSI" in issues[0].message
+        # a float32 column with NaNs gets the PSI of its finite values in float64, bit for bit
+        finite = shifted.astype(np.float64)[~np.isnan(shifted)]
+        psi = population_stability_index(np.asarray(baseline), finite)
+        assert not DriftCheck("x", baseline, threshold=psi).run(shifted)
+        assert DriftCheck("x", baseline, threshold=np.nextafter(psi, 0)).run(shifted)
 
 
 class TestStageContract:

@@ -47,6 +47,36 @@ PLANTED = {
 }
 
 
+#: options: each defaulted parameter and constant below is set or read as its name says
+KNOBS = {
+    "src/repro/knobs.py": (
+        "SHOWN = 1\n"
+        "TESTED_ONLY = 2\n\n\n"
+        "def tune(a, by_position=1, unset=2, *, by_keyword=3, by_test=4):\n"
+        "    return a + by_position + unset + by_keyword + by_test + SHOWN\n\n\n"
+        "def forwarded(x=0, y=0):\n    return x + y\n\n\n"
+        "def handle(event, detail=''):\n    return event + detail\n\n\n"
+        "HANDLERS = {'e': handle}\n\n\n"
+        "class Knob:\n"
+        "    def __init__(self, level=0, spare=1):\n        self.level = level + spare\n\n\n"
+        "class Dial(Knob):\n"
+        "    def __init__(self, *, label=''):\n        super().__init__(level=2)\n\n\n"
+        "def handed(x, rounds=1):\n    return x * rounds\n"
+    ),
+    "benchmarks/use_knobs.py": (
+        "from repro.knobs import HANDLERS, Dial, forwarded, handed, tune\n\n"
+        "options = {'x': 1}\n"
+        "facts = {'detail': 'x'}\n"
+        "print(tune(0, 5, by_keyword=6), forwarded(**options), HANDLERS['e']('e', **facts))\n"
+        "print(Dial(label='d').level, benchmark(handed, 1, rounds=2))\n"
+    ),
+    "tests/test_knobs.py": (
+        "from repro.knobs import TESTED_ONLY, tune\n\n\n"
+        "def test_seam():\n    assert tune(0, by_test=TESTED_ONLY)\n"
+    ),
+}
+
+
 @pytest.fixture
 def planted(tmp_path):
     for name, text in PLANTED.items():
@@ -76,6 +106,21 @@ def test_planted_tree_findings(planted):
     for live in ("via_init", "Thing.live", "Thing is", "probe", "repro.cli"):
         assert live not in found, found
     assert found.count("\n") == 3
+
+
+def test_planted_parameters_and_constants(planted):
+    """A parameter set positionally, by keyword, through ``**`` (by name or via a
+    dispatch table), by ``super().__init__``, through a callable handed on
+    (``benchmark(f, ..., p=...)``) or only by a test is not reported; one no
+    call sets is, and so is a constant only a test reads."""
+    for name, text in KNOBS.items():
+        (planted / name).write_text(text)
+    found = census.census(planted, {"repro.pkg.core.probe": "test-seam"})
+    assert [line for line in found if "knobs" in line] == [
+        "src/repro/knobs.py:2: repro.knobs.TESTED_ONLY is reached by nothing but tests (1 lines)",
+        "src/repro/knobs.py:5: repro.knobs.tune: parameter unset is set by no call",
+        "src/repro/knobs.py:21: repro.knobs.Knob: parameter spare is set by no call",
+    ]
 
 
 def test_keep_table_cannot_rot(planted):

@@ -9,7 +9,6 @@ from repro.transforms.cleaning import (
     UnitConverter,
     clean_dataset,
     clip_outliers,
-    drop_duplicate_rows,
     harmonize_units,
     impute,
     missing_fraction,
@@ -90,29 +89,6 @@ class TestOutliers:
 
     def test_constant_column_no_outliers(self):
         assert not outlier_mask(np.ones(50)).any()
-
-
-class TestDuplicates:
-    def test_first_occurrence_kept(self):
-        ds = Dataset.from_arrays({
-            "key": np.asarray([1, 2, 1, 3, 2]),
-            "value": np.asarray([10.0, 20.0, 99.0, 30.0, 98.0]),
-        })
-        deduped, dropped = drop_duplicate_rows(ds, ["key"])
-        assert dropped == 2
-        assert deduped["value"].tolist() == [10.0, 20.0, 30.0]
-
-    def test_multi_column_keys(self):
-        ds = Dataset.from_arrays({
-            "a": np.asarray([1, 1, 1]),
-            "b": np.asarray([1, 2, 1]),
-        })
-        deduped, dropped = drop_duplicate_rows(ds, ["a", "b"])
-        assert dropped == 1
-
-    def test_empty_keys_rejected(self, small_dataset):
-        with pytest.raises(ValueError):
-            drop_duplicate_rows(small_dataset, [])
 
 
 class TestUnits:

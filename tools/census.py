@@ -1,16 +1,31 @@
-"""Reachability census: what in ``src/`` does anything but a test reach?
+"""Reachability census: what in ``src/`` does anything but a test reach or set?
 
 Roots are ``repro.cli`` + ``__main__`` and the non-test files of ``benchmarks/``
 and ``examples/``.  A module is reached through (absolute) imports from a root;
 a name imported from a package counts for the module that defines it, so an
-``__init__`` re-export reaches nothing by itself.  A top-level function, class
-or method is reached when code mentions its name (identifiers as the parser
-sees them: no strings, no comments, no definition names) outside its own body,
-outside ``__init__`` import lines and outside every body already found dead --
-iterated to a fixpoint.  Prints what is not reached; ``--check`` also exits 1.
+``__init__`` re-export reaches nothing by itself.  A top-level function, class,
+method or module-level ALL_CAPS constant is reached when code mentions its name
+(identifiers as the parser sees them: no strings, no comments, no definition
+names) outside its own body, outside ``__init__`` import lines and outside every
+body already found dead -- iterated to a fixpoint.
+
+A defaulted parameter of a live function or method (``__init__`` included) is
+reported when no call in ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
+``tools/`` sets it: by keyword, or by passing that many positional arguments.
+Calls match by name, type-blind: ``C(...)`` and ``super().__init__(...)`` in a
+subclass of ``C`` call ``C.__init__`` (as does a call of any subclass of ``C``,
+or ``cls(...)`` in ``C``), a callable passed as a call's first argument is
+called with the rest (``partial(f, ...)``, ``benchmark(f, ...)``), a lookup call
+``X[key](...)`` or ``X.get(key)(...)`` calls every value of the dict displays
+assigned to ``X``, a call with ``*args`` or ``**kwargs`` sets every parameter,
+and a parameter set on one def of a name is set on every def of that name.  A
+parameter that only tests set is a test seam, not a finding.
+
+Prints what is not reached or set; ``--check`` also exits 1.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -31,32 +46,48 @@ KEEP = {
     "repro.io.stream.ShardStreamer": "pending: ROADMAP item 1(e)",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+CALLERS = ("src", "tests", "benchmarks", "examples", "tools")
+
+
+def constant(node):
+    """The ALL_CAPS name a module-level assignment binds, or None."""
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    name = targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else ""
+    return name if CONSTANT.fullmatch(name) else None
 
 
 class Region:
-    """A file's top level, a top-level definition or a method, and what its own code mentions."""
+    """A file's top level, a top-level definition, method or constant, and what its code mentions."""
 
-    def __init__(self, path, name, node, parent=None):
+    def __init__(self, path, name, node, parent=None, key=None):
         self.path, self.name, self.node, self.parent = path, name, node, parent
+        self.key = key or getattr(node, "name", None)
         self.top = parent.top if parent else self
         self.is_init = path.name == "__init__.py"
         self.names, self.imports, self.inner = set(), [], []
         if parent is None or parent.parent is None and isinstance(node, ast.ClassDef):
             self.inner = [Region(path, f"{name}.{n.name}", n, self) for n in node.body
                           if isinstance(n, DEFS) and not n.name.startswith("__")]
+        if parent is None:
+            self.inner += [Region(path, f"{name}.{key}", n, self, key) for n in node.body
+                           for key in [constant(n)] if key]
         self.regions = [self] + [r for inner in self.inner for r in inner.regions]
-        todo, skip = [node], [r.node for r in self.inner]
-        while todo:
+        todo, skip = [node], {id(r.node) for r in self.inner}
+        while todo:  # ast.walk without its per-node generators, minus the inner regions
             node = todo.pop()
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 self.imports.append(node)
                 if self.is_init:
                     continue  # a re-export line mentions nothing
-            todo += [c for c in ast.iter_child_nodes(node) if c not in skip]
-            if not isinstance(node, (ast.Constant, *DEFS)):
-                for _, value in ast.iter_fields(node):
-                    for text in value if isinstance(value, list) else [value]:
-                        self.names.update(text.split(".") if isinstance(text, str) else ())
+            named = not isinstance(node, (ast.Constant, *DEFS))
+            for field in node._fields:
+                value = getattr(node, field, None)
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, ast.AST):
+                        todo += [item] if id(item) not in skip else []
+                    elif named and isinstance(item, str):
+                        self.names.update(item.split("."))
 
     def live(self, dead):
         return self not in dead and (self.parent is None or self.parent.live(dead))
@@ -109,6 +140,120 @@ def reach(roots, modules, dead):
     return seen
 
 
+def tail(node):
+    """The name a call of *node* goes by: ``f`` for ``f`` and ``a.b.f``, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def table(node):
+    """``X`` for a lookup ``X[key]`` or ``X.get(key)``, else None."""
+    if isinstance(node, ast.Subscript):
+        return tail(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return tail(node.func.value) if node.func.attr == "get" else None
+    return None
+
+
+def calls(trees):
+    """Every call in *trees* as ``name -> [(positional count, keywords, starred)]``, and the
+    base names of every class.
+
+    A call of a table lookup (``X[key](...)``, ``X.get(key)(...)``, or a name assigned one)
+    calls every name of a dict display assigned to ``X``.
+    """
+    found, bases, tables, lookups, through = {}, {}, {}, {}, {}
+    for tree in trees:
+        classes, todo = [], [tree]
+        while todo:  # ast.walk, without its per-node generators and Load/Store leaves
+            node = todo.pop()
+            for field in node._fields:
+                value = getattr(node, field, None)
+                if type(value) is list:
+                    todo += [v for v in value if isinstance(v, ast.AST)]
+                elif isinstance(value, ast.AST) and not isinstance(value, ast.expr_context):
+                    todo.append(value)
+            kind = type(node)
+            if kind is ast.ClassDef:
+                bases.setdefault(node.name, set()).update(map(tail, node.bases))
+                classes.append(node)
+            elif kind in (ast.Assign, ast.AnnAssign):
+                target = tail(node.targets[0] if kind is ast.Assign else node.target)
+                if isinstance(node.value, ast.Dict):
+                    tables.setdefault(target, set()).update(map(tail, node.value.values))
+                elif table(node.value):
+                    lookups.setdefault(target, set()).add(table(node.value))
+            if kind is not ast.Call:
+                continue
+            func, args = node.func, node.args
+            names = {tail(func)}
+            if tail(func) == "__init__":  # Base.__init__(self, ...) or super().__init__(...)
+                owner = func.value
+                names = {tail(owner.func if isinstance(owner, ast.Call) else owner)}
+            if names & {"cls", "super"}:
+                owner = [c for c in classes if c.lineno <= node.lineno <= c.end_lineno][-1:]
+                names = {tail(b) for c in owner for b in c.bases} if "super" in names else {
+                    c.name for c in owner}
+            starred = any(isinstance(a, ast.Starred) for a in args) or any(
+                k.arg is None for k in node.keywords)
+            keywords = {k.arg for k in node.keywords}
+            for name in names:
+                found.setdefault(name, []).append((len(args), keywords, starred))
+            if args and isinstance(args[0], (ast.Name, ast.Attribute)):
+                # a callable handed on, as to partial(f, ...) or benchmark(f, ...), may
+                # be called with the rest of the arguments
+                found.setdefault(tail(args[0]), []).append((len(args) - 1, keywords, starred))
+            for name in {table(func)} if table(func) else lookups.get(tail(func), ()):
+                through.setdefault(name, []).append((len(args), keywords, starred))
+    for name, made in through.items():
+        for value in tables.get(name, ()):
+            found.setdefault(value, []).extend(made)
+    return found, bases
+
+
+def unset_parameters(trees, live):
+    """``(region, parameter name, line)`` for each defaulted parameter no call in *trees* sets."""
+    found, bases = calls(trees)
+    subclasses = {}
+    for name, named in bases.items():
+        for base in named:
+            subclasses.setdefault(base, set()).add(name)
+    fns = []  # (region, def, names its calls go by, whether the first parameter is bound)
+    for region in live:
+        node = region.node
+        if isinstance(node, ast.ClassDef):
+            heirs, todo = set(), [node.name]  # the class and its subclasses, transitively
+            while todo:
+                heir = todo.pop()
+                heirs.add(heir)
+                todo += subclasses.get(heir, set()) - heirs
+            init = [n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            fns += [(region, init[0], heirs, True)] if init else []
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = isinstance(region.parent.node, ast.ClassDef) and "staticmethod" not in {
+                tail(d) for d in node.decorator_list}
+            fns.append((region, node, {node.name}, bound))
+    named, set_by = {}, {}
+    for fn in fns:
+        for name in fn[2]:
+            named.setdefault(name, []).append(fn)
+    for name, defs in named.items():
+        done = set_by.setdefault(name, set())
+        for count, keywords, starred in found.get(name, ()):
+            for _, node, _, bound in defs:
+                every = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                positional = (node.args.posonlyargs + node.args.args)[int(bound):]
+                done |= {a.arg for a in (every if starred else positional[:count])} | keywords
+    unset = []
+    for region, node, names, _ in fns:
+        done = set().union(*(set_by[n] for n in names))
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        unset += [(region, p.arg, p.lineno) for p in defaulted if p.arg not in done]
+    return unset
+
+
 def census(root, keep):
     """One finding per line for the tree under *root*; empty when all is reached or kept."""
     modules, roots = load(root)
@@ -125,20 +270,29 @@ def census(root, keep):
             for name in region.names:
                 users.setdefault(name, []).append(region)
         unused = {d for d in defs if d.top in reached and d.parent not in kept and all(
-            r is d or r.parent is d for r in users.get(d.node.name, ()))}
+            r is d or r.parent is d for r in users.get(d.key, ()))}
         if unused - kept == dead:
             break
         dead = unused - kept
     findings += [f"KEEP {r.name}: reached without it, drop the entry" for r in kept - unused]
+    live = [d for d in defs if d.top in reached and d.live(dead)]
+    unset = {}
+    trees = [top.node for top in modules.values()] + [
+        ast.parse(p.read_text())
+        for d in CALLERS if d != "src" for p in sorted((root / d).rglob("*.py"))]
+    for region, name, line in unset_parameters(trees, live):
+        unset.setdefault(region.top, []).append((line, f"{region.name}: parameter {name} is set "
+                                                 "by no call"))
     for top in modules.values():
         where = top.path.relative_to(root)
         if top not in reached:
             findings.append(f"{where}: module {top.name} has no importer but its package "
                             f"__init__ and tests ({len(top.path.read_text().splitlines())} lines)")
         for d in (r for r in top.regions if r in dead and r.parent not in dead):
-            first = min([d.node.lineno] + [x.lineno for x in d.node.decorator_list])
+            first = min([d.node.lineno] + [x.lineno for x in getattr(d.node, "decorator_list", [])])
             findings.append(f"{where}:{first}: {d.name} is reached by nothing but tests "
                             f"({d.node.end_lineno - first + 1} lines)")
+        findings += [f"{where}:{line}: {text}" for line, text in sorted(unset.get(top, []))]
     return findings
 
 
