@@ -169,11 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--inject-faults", default=None, metavar="SPEC",
                      help="run under seeded chaos, e.g. "
                           "'seed=7,rate=0.05,torn-shards=1,corrupt-checkpoint=2'; "
-                          "disk faults ('enospc=2', 'eio=shard:1', "
-                          "'torn-rename=manifest:1', 'lost-write=1') hit the "
-                          "Nth durable write, and 'crash-at=stage:N:pre|post' "
-                          "(+'crash-kill=1' for a real SIGKILL) stops the "
-                          "driver at a stage boundary; combine with --retries "
+                          "disk faults ('enospc=checkpoint:2', 'eio=shard:1', "
+                          "'torn-rename=manifest:0', 'lost-write=journal:1') hit "
+                          "the Nth (0-based) durable write at one site, and "
+                          "'crash-at=stage:N:pre|post' (+'crash-kill=1' for a "
+                          "real SIGKILL) stops the driver before stage N or "
+                          "after it ran; combine with --retries "
                           "or 'run --recover' to watch the run self-heal")
     run.add_argument("--gates", choices=["fail", "quarantine", "warn"], default=None,
                      help="enforce the domain's declared data contracts at stage "

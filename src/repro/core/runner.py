@@ -313,7 +313,8 @@ class PipelineRun:
 
     @property
     def degraded(self) -> bool:
-        """True when any stage was skipped under ``skip-degraded``."""
+        """True when any stage was skipped under ``skip-degraded`` or had
+        records quarantined by a data gate."""
         return any(r.degraded for r in self.results)
 
     @property
@@ -964,12 +965,7 @@ class PipelineRunner:
             st.context.current_span = None
         self._commit(st, frame, output_report)
         if injector is not None:
-            # the commit landed in _commit (a chaos run lands each at once)
-            if self.checkpointer is not None:
-                # chaos: damage the snapshot the journal just committed
-                injector.maybe_corrupt_checkpoint(self.checkpointer.snapshot_path(index), index)
-            # post-stage crash point: the stage is fully committed
-            # (checkpoint + journal); recovery must keep it
+            # the stage ran; its commit may be in flight (_settle waits it out)
             injector.maybe_crash(index, "post")
 
     def _gate(
@@ -1197,12 +1193,8 @@ class PipelineRunner:
                 threads = helper_threads()
                 st.committer = helper_pool("checkpoint-commit", 1) if threads > 1 else False
             st.landing = (behind(st.committer or None, land), stage, index)
-            if self.fault_injector is not None or not st.committer:
-                # a chaos run lands each commit at once: its post-stage
-                # hooks see the stage committed, and its guarded commits
-                # keep the op numbers they have without write-behind (on
-                # a 1-CPU host the commit already ran, inline)
-                self._land(st)
+            if not st.committer:
+                self._land(st)  # a 1-CPU host: the commit already ran, inline
         st.fingerprint = out_fp
 
     def _commit_failed(
@@ -1219,9 +1211,9 @@ class PipelineRunner:
         committed from here on.
 
         The one join, made before the next commit is captured, before the
-        run commits, in :meth:`_fail` and — in a chaos run, or on a 1-CPU
-        host — right after the commit is captured.  A commit that failed
-        on the helper thread fails the run here, from its own stage.
+        run commits, in :meth:`_fail` and — on a 1-CPU host — right after
+        the commit is captured.  A commit that failed on the helper thread
+        fails the run here, from its own stage.
         """
         landing, st.landing = st.landing, None
         if landing is None:

@@ -73,6 +73,7 @@ import numpy as np
 from repro.core.evidence import ReadinessEvidence
 from repro.core.payload import fingerprint_payload, memory_key, walk_payload
 from repro.durability.atomic import staged_write
+from repro.durability.fsfaults import active_injector
 from repro.durability.journal import JOURNAL_NAME, JOURNAL_SCHEMA, RunJournal
 from repro.provenance.record import array_header, fingerprint_array
 
@@ -226,6 +227,9 @@ class RunCheckpointer:
                 content_fingerprint=content,
                 artifacts=artifacts,
             )
+            tap = active_injector()
+            if tap is not None:
+                tap.maybe_corrupt_checkpoint(path, index)
 
         return land
 

@@ -12,12 +12,13 @@ need for that, and nothing that decides *when* a fault fires:
   process-global slot the runner fills with the run's
   :class:`repro.faults.inject.FaultInjector`, so every artifact store is
   under injection without threading an injector through its API.  The
-  tap is asked ``fault_for(site)`` once per guarded op; the injector
+  tap is asked ``fault_for(site)`` once per guarded op (and
+  ``maybe_corrupt_checkpoint`` per landed stage commit); the injector
   numbers the ops and keeps the one fault log;
 * the **site registry** :data:`KNOWN_SITES` and the typed schedule points
   of the ``--inject-faults`` grammar: :class:`DiskFaultPoint` (a fault
-  kind at guarded-op ``N`` or ``site:N``) and :class:`CrashPoint` (driver
-  death at ``stage:N:pre|post``; ``kill`` makes it a real ``SIGKILL``);
+  kind at guarded op ``N`` of one site, ``site:N``) and :class:`CrashPoint`
+  (driver death at ``stage:N:pre|post``; ``kill`` makes it a real ``SIGKILL``);
 * the **fault mechanics** :func:`apply_commit_fault` /
   :func:`apply_append_fault`: ``enospc`` and ``eio`` leave a half-written
   temp file and raise the matching ``OSError``; ``torn-rename`` leaves
@@ -50,11 +51,8 @@ __all__ = [
 #: fault kinds :func:`apply_commit_fault` knows how to stage
 DISK_FAULT_KINDS = ("enospc", "eio", "torn-rename", "lost-write")
 
-#: crash phases relative to a stage: before it runs, after it commits
+#: crash phases relative to a stage: before it runs, after it ran
 CRASH_PHASES = ("pre", "post")
-
-#: any-site wildcard: the point counts guarded ops globally
-ANY_SITE = "*"
 
 #: every logical site the artifact stores guard commits under; a typo'd
 #: site in a fault spec would otherwise never fire and the chaos run
@@ -93,7 +91,8 @@ class SimulatedCrash(BaseException):
 @dataclass(frozen=True)
 class CrashPoint:
     """Where the driver dies: ``stage:N:pre`` (before the stage body
-    runs) or ``stage:N:post`` (after its checkpoint + journal commit)."""
+    runs) or ``stage:N:post`` (after it ran: its commit may still be in
+    flight, which a raised crash waits out and a real ``SIGKILL`` may not)."""
 
     stage_index: int
     phase: str
@@ -126,8 +125,8 @@ class CrashPoint:
 
 @dataclass(frozen=True)
 class DiskFaultPoint:
-    """One scheduled disk fault: *kind* fires at guarded-op *index*,
-    counted either globally (``site == "*"``) or per logical site."""
+    """One scheduled disk fault: *kind* fires at guarded op *index* of one
+    logical *site* (per site only: the order of one site's ops is fixed)."""
 
     kind: str
     site: str
@@ -141,7 +140,7 @@ class DiskFaultPoint:
             )
         if self.index < 0:
             raise ValueError("disk fault op index must be >= 0")
-        if self.site != ANY_SITE and self.site not in KNOWN_SITES:
+        if self.site not in KNOWN_SITES:
             raise ValueError(
                 f"unknown disk fault site {self.site!r}; "
                 f"known sites: {', '.join(KNOWN_SITES)}"
@@ -149,31 +148,26 @@ class DiskFaultPoint:
 
     @classmethod
     def parse(cls, kind: str, spec: str) -> "DiskFaultPoint":
-        """Parse the CLI operand: ``"3"`` (global op 3) or ``"manifest:1"``
-        (the second guarded op at the manifest site)."""
-        site = ANY_SITE
-        text = spec
-        if ":" in spec:
-            site, text = spec.rsplit(":", 1)
-        try:
-            index = int(text)
-        except ValueError:
+        """Parse the CLI operand ``site:N``: ``"manifest:1"`` is the second
+        guarded op at the manifest site."""
+        site, _, index = spec.rpartition(":")
+        if not site or not index.isdigit():
             raise ValueError(
-                f"disk fault operand must be N or site:N, got {spec!r}"
+                f"disk fault operand must be site:N, got {spec!r}; "
+                f"known sites: {', '.join(KNOWN_SITES)}"
             )
-        return cls(kind=kind, site=site or ANY_SITE, index=index)
+        return cls(kind=kind, site=site, index=int(index))
 
     def render(self) -> str:
         """The ``--inject-faults`` entry that schedules this point."""
-        where = f"{self.index}" if self.site == ANY_SITE else f"{self.site}:{self.index}"
-        return f"{self.kind}={where}"
+        return f"{self.kind}={self.site}:{self.index}"
 
 
 # ---------------------------------------------------------------------------
 # the process-global active-injector slot
 
 
-#: the tap: anything answering ``fault_for(site) -> Optional[str]``
+#: the tap: anything answering ``fault_for`` and ``maybe_corrupt_checkpoint``
 _ACTIVE: List[Optional[Any]] = [None]
 _ACTIVE_LOCK = threading.Lock()
 

@@ -6,11 +6,11 @@ points, parsed once).  As the execution backend's last hook
 (:attr:`~repro.core.backends.ExecutionBackend.hooks`) it injects the
 faults real campaigns hit — transient exceptions in fanned-out tasks,
 slow tasks, worker kills, torn shard files, corrupted checkpoint payloads
-(applied by the runner right after a stage commits), driver death at a
-stage boundary — and it *is* the tap the atomic-commit primitives consult
+(applied when a stage's commit lands), driver death at a stage boundary
+— and it *is* the tap the atomic-commit primitives consult
 (:func:`repro.durability.fsfaults.activate`), failing the scheduled
 guarded commits with ENOSPC / EIO / a torn rename / a lost unfsynced
-write.  One op numbering, one :attr:`~FaultInjector.log` — from a
+write.  One op table, one :attr:`~FaultInjector.log` — from a
 *seeded, schedule-independent* plan.  Every injection decision is a pure
 function of ``(seed, site key, attempt number)``:
 
@@ -20,9 +20,9 @@ function of ``(seed, site key, attempt number)``:
   scheduling;
 * a retried task draws with an incremented attempt number, so "fails
   once then succeeds" schedules are expressible and reproducible;
-* op-level sites (``stats``, ``shard_write``) and guarded commits
-  (globally and per store site) are numbered in call order, which the
-  engine keeps backend-independent.
+* op-level sites (``stats``, ``shard_write``) and guarded commits (per
+  store site, which one thread at a time writes) are numbered in call
+  order, which the engine keeps backend-independent.
 
 The injected fault *schedule* is therefore bitwise identical across
 backends, which is what lets the test suite demand bitwise-identical
@@ -31,19 +31,20 @@ backends, which is what lets the test suite demand bitwise-identical
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import os
 import re
 import signal
 import threading
+import weakref
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.durability.fsfaults import (
-    ANY_SITE,
     DISK_FAULT_KINDS,
     CrashPoint,
     DiskFaultPoint,
@@ -83,7 +84,7 @@ class FaultSpec:
     ``torn_shards`` tears the first N ``shard_write`` operations (a
     garbage partial file appears at a real shard path, then the writer
     "crashes"); ``corrupt_checkpoints`` names stage indices whose
-    checkpoint payloads are truncated and bit-flipped after being saved.
+    checkpoint snapshots are truncated and bit-flipped as their commit lands.
     """
 
     seed: int = 0
@@ -101,9 +102,8 @@ class FaultSpec:
     #: task sites (e.g. ``map#2[5]``) that kill their worker on *every*
     #: attempt: the poison tasks the supervisor must detect and dead-letter
     poison_sites: Tuple[str, ...] = ()
-    #: scheduled disk faults: the Nth guarded commit (globally, or at one
-    #: store site) fails with ENOSPC / EIO / a torn rename / a lost
-    #: unfsynced write
+    #: scheduled disk faults: the Nth guarded commit at one store site
+    #: fails with ENOSPC / EIO / a torn rename / a lost unfsynced write
     disk_faults: Tuple[DiskFaultPoint, ...] = ()
     #: where the driver dies, once (None = no crash).  Its ``kill`` flag
     #: makes that a real ``SIGKILL`` instead of a raised
@@ -136,13 +136,12 @@ class FaultSpec:
         ``worker-kill-rate``), ``poison-site`` (a task site key;
         repeatable via ``+``: ``poison-site=map#0[3]+map#2[0]``).
 
-        Disk-fault keys (guarded-commit op index, or ``site:index`` for
-        per-store numbering; repeatable via ``+``): ``enospc``, ``eio``,
-        ``torn-rename``, ``lost-write`` — e.g.
-        ``enospc=manifest:0+checkpoint:2`` or ``eio=3``.  Driver crash:
-        ``crash-at=stage:N:pre|post`` (``crash-kill=1`` makes it a real
-        SIGKILL instead of a simulated crash, and is rejected without a
-        ``crash-at`` to apply to).
+        Disk-fault keys (``site:index``, 0-based per store site; repeatable
+        via ``+``): ``enospc``, ``eio``, ``torn-rename``, ``lost-write`` —
+        e.g. ``enospc=manifest:0+checkpoint:2``.  Driver crash:
+        ``crash-at=stage:N:pre|post``, before stage N runs or after it ran
+        (its commit may still be landing; ``crash-kill=1`` makes it a real
+        SIGKILL, and is rejected without a ``crash-at`` to apply to).
         """
         disk_faults: List[DiskFaultPoint] = []
         crash_at, crash_kill = "", False
@@ -207,6 +206,20 @@ class InjectedFault:
     detail: str = ""
 
 
+#: every live injector: a forked worker gives each a fresh lock, as the fork
+#: may have copied one held by a thread it lacks (the checkpoint commit's)
+_LIVE: "weakref.WeakSet[FaultInjector]" = weakref.WeakSet()
+
+
+def _fresh_locks_in_child() -> None:
+    for injector in list(_LIVE):
+        injector._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
+    os.register_at_fork(after_in_child=_fresh_locks_in_child)
+
+
 class FaultInjector:
     """Seeded chaos source; thread-safe; wraps backends and taps commits."""
 
@@ -221,14 +234,15 @@ class FaultInjector:
         self.clock = clock or SystemClock()
         self._lock = threading.Lock()
         #: the one numbering: attempts per task site (``map#0[3]``), backend
-        #: ops (``map``, ``stats``, ``shard_write``) and guarded commits, per
-        #: store site and — under :data:`ANY_SITE` — globally
+        #: ops (``map``, ``stats``, ``shard_write``) and guarded commits per
+        #: store site
         self._counts: Dict[str, int] = {}
-        #: one-shot schedule items already fired (disk points, checkpoint
-        #: indices, the crash point): a retried write draws a fresh op
-        #: number and succeeds, exactly as a transient full disk clears
+        #: one-shot schedule items already fired (checkpoint indices, the
+        #: crash point); a disk point fires once as its op number is taken
+        #: once: a retried write succeeds, as a transient full disk clears
         self._fired: Set[object] = set()
         self.log: List[InjectedFault] = []
+        _LIVE.add(self)
 
     # -- accounting --------------------------------------------------------------
     def _record(self, fault: InjectedFault) -> None:
@@ -265,21 +279,16 @@ class FaultInjector:
         entries: the part of the chaos spec this run did not test."""
         spec = self.spec
         with self._lock:
-            entries = [(fault.kind, fault.site) for fault in self.log]
-        torn = spec.torn_shards - sum(kind == "torn-shard" for kind, _ in entries)
+            left = collections.Counter((fault.kind, fault.site) for fault in self.log)
+        torn = spec.torn_shards - sum(n for (kind, _), n in left.items() if kind == "torn-shard")
 
-        def claim(kind: str, site: str = ANY_SITE) -> bool:
-            """Take one log entry of *kind* at *site* (``*``: at any site)."""
-            for entry in entries:
-                if entry[0] == kind and site in (ANY_SITE, entry[1]):
-                    entries.remove(entry)
-                    return True
-            return False
+        def claim(kind: str, site: str) -> bool:
+            """Take one log entry of *kind* at *site*."""
+            left[kind, site] -= 1
+            return left[kind, site] >= 0
 
-        # site-scoped disk points claim their log entries before wildcards do
-        points = sorted(spec.disk_faults, key=lambda p: p.site == ANY_SITE)
-        out = [p.render() for p in points if not claim(f"disk-{p.kind}", p.site)]
-        if spec.crash_at is not None and not claim("crash"):
+        out = [p.render() for p in spec.disk_faults if not claim(f"disk-{p.kind}", p.site)]
+        if spec.crash_at is not None and not claim("crash", spec.crash_at.render()):
             out.append(f"crash-at={spec.crash_at.render()}")
         out += [f"poison-site={s}" for s in spec.poison_sites if not claim("worker-kill", s)]
         out += [
@@ -308,13 +317,10 @@ class FaultInjector:
         scheduled for it, or None.  What the commit primitives ask the
         active tap (:mod:`repro.durability.atomic`)."""
         with self._lock:
-            index = {ANY_SITE: self._take(ANY_SITE), site: self._take(site)}
-            for point in self.spec.disk_faults:
-                if point not in self._fired and index.get(point.site) == point.index:
-                    self._fired.add(point)
-                    break
-            else:
-                return None
+            where = (site, self._take(site))
+        point = next((p for p in self.spec.disk_faults if (p.site, p.index) == where), None)
+        if point is None:
+            return None
         self._record(InjectedFault(f"disk-{point.kind}", site, 1))
         return point.kind
 
@@ -392,7 +398,9 @@ class FaultInjector:
     def maybe_corrupt_checkpoint(self, path: Path, stage_index: int) -> bool:
         """Truncate + bit-flip a just-committed checkpoint snapshot (once per
         scheduled stage index) — exactly the damage a node crash leaves
-        behind, which resume and recovery must refuse."""
+        behind, which resume and recovery must refuse.  Asked as the tap
+        once the stage's journal record is durable, by whichever thread
+        lands the commit."""
         once = ("corrupt-checkpoint", stage_index)
         with self._lock:
             if stage_index not in self.spec.corrupt_checkpoints or once in self._fired:

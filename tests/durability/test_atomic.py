@@ -203,7 +203,7 @@ class TestDurableAppend:
         assert [r["i"] for r in read_jsonl(path)] == [1, 3]
 
 
-def _one_fault(kind, site="*", index=0):
+def _one_fault(kind, site="shard", index=0):
     return FaultInjector(FaultSpec(disk_faults=(DiskFaultPoint(kind, site, index),)))
 
 
@@ -215,11 +215,11 @@ class TestDiskFaultMechanics:
     @pytest.mark.parametrize("kind", ["enospc", "eio"])
     def test_failed_commit_leaves_previous_content(self, tmp_path, kind):
         path = tmp_path / "a.txt"
-        atomic_write_text(path, "before")
+        atomic_write_text(path, "before", site="shard")
         injector = _one_fault(kind)
         with activate(injector):
             with pytest.raises(OSError):
-                atomic_write_text(path, "after")
+                atomic_write_text(path, "after", site="shard")
         assert path.read_text() == "before"
         assert injector.counts() == {f"disk-{kind}": 1}
 
@@ -228,14 +228,14 @@ class TestDiskFaultMechanics:
 
         with activate(_one_fault("enospc")):
             with pytest.raises(OSError) as exc:
-                atomic_write_text(tmp_path / "a", "x")
+                atomic_write_text(tmp_path / "a", "x", site="shard")
         assert exc.value.errno == errno.ENOSPC
 
     def test_torn_rename_leaves_garbage_at_final_name(self, tmp_path):
         path = tmp_path / "a.bin"
         with activate(_one_fault("torn-rename")):
             with pytest.raises(OSError):
-                atomic_write_bytes(path, b"full payload bytes")
+                atomic_write_bytes(path, b"full payload bytes", site="shard")
         # the final name holds torn garbage, not the payload — exactly
         # what the recovery scanner (or a retried write) must handle
         assert path.exists()
@@ -245,7 +245,7 @@ class TestDiskFaultMechanics:
         path = tmp_path / "a.bin"
         with activate(_one_fault("lost-write")):
             with pytest.raises(OSError):
-                atomic_write_bytes(path, b"full payload bytes")
+                atomic_write_bytes(path, b"full payload bytes", site="shard")
         assert path.exists()
         assert len(path.read_bytes()) < len(b"full payload bytes")
 
@@ -254,8 +254,8 @@ class TestDiskFaultMechanics:
         injector = _one_fault("eio")
         with activate(injector):
             with pytest.raises(OSError):
-                atomic_write_text(path, "payload")
-            atomic_write_text(path, "payload")  # retry draws a fresh op
+                atomic_write_text(path, "payload", site="shard")
+            atomic_write_text(path, "payload", site="shard")  # retry draws a fresh op
         assert path.read_text() == "payload"
         assert injector.counts() == {"disk-eio": 1}
 
@@ -269,13 +269,13 @@ class TestDiskFaultMechanics:
 
     def test_append_fault_tears_tail_and_raises(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_jsonl_durable(path, [{"i": 1}])
-        injector = _one_fault("enospc")
+        append_jsonl_durable(path, [{"i": 1}], site="journal")
+        injector = _one_fault("enospc", site="journal")
         with activate(injector):
             with pytest.raises(OSError):
-                append_jsonl_durable(path, [{"i": 2}])
+                append_jsonl_durable(path, [{"i": 2}], site="journal")
         # the torn tail is healed on the next (fault-free) append
-        append_jsonl_durable(path, [{"i": 3}])
+        append_jsonl_durable(path, [{"i": 3}], site="journal")
         assert [r["i"] for r in read_jsonl(path)] == [1, 3]
 
     def test_no_active_injector_is_free(self, tmp_path):
@@ -284,7 +284,7 @@ class TestDiskFaultMechanics:
             atomic_write_text(tmp_path / "a", "x", site="shard")
         assert (tmp_path / "a").read_text() == "x"
 
-    def test_global_op_numbering_is_deterministic(self, tmp_path):
+    def test_per_site_op_numbering_is_deterministic(self, tmp_path):
         def ops(injector):
             failed = []
             with activate(injector):
@@ -295,19 +295,21 @@ class TestDiskFaultMechanics:
                         failed.append(i)
             return failed, _fired(injector)
 
-        # global op 3 is the fourth guarded commit, whichever site it is at
-        first = ops(_one_fault("eio", index=3))
-        second = ops(_one_fault("eio", index=3))
-        assert first == second == ([3], [("disk-eio", "journal")])
+        # shard:2 is the third shard commit, whatever other sites commit
+        # in between (and on whichever thread)
+        first = ops(_one_fault("eio", index=2))
+        second = ops(_one_fault("eio", index=2))
+        assert first == second == ([4], [("disk-eio", "shard")])
 
     def test_unknown_site_rejected_at_parse(self):
         # a typo'd site would never fire and the chaos run would
-        # silently test nothing — fail fast instead
+        # silently test nothing — fail fast instead; so would a site-less
+        # index, which no per-site count can reach
         with pytest.raises(ValueError, match="unknown disk fault site"):
             DiskFaultPoint.parse("eio", "sharrd:1")
-        # the wildcard and every registered site still parse
+        with pytest.raises(ValueError, match="must be site:N.*known sites: audit"):
+            DiskFaultPoint.parse("eio", "2")
         from repro.durability.fsfaults import KNOWN_SITES
 
-        assert DiskFaultPoint.parse("eio", "2").site == "*"
         for site in KNOWN_SITES:
             assert DiskFaultPoint.parse("eio", f"{site}:0").site == site

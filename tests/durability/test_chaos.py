@@ -176,9 +176,14 @@ class TestSiteRegistry:
         class RecordingTap:
             def __init__(self):
                 self.sites = set()
+                self.landed = []
 
             def fault_for(self, site):
                 self.sites.add(site)
+
+            def maybe_corrupt_checkpoint(self, path, stage_index):
+                assert path.name == f"stage-{stage_index:03d}.snap" and path.exists()
+                self.landed.append(stage_index)
 
         corrupt = ClimateSourceConfig(n_models=2, n_timesteps=6, seed=21, n_corrupt_models=1)
         archetype = ClimateArchetype(seed=21, config=corrupt)
@@ -194,6 +199,8 @@ class TestSiteRegistry:
                 quarantine_dir=tmp_path / "q", ledger=tmp_path / "store",
             ).run(source, context)
             assert run.records_quarantined and Ledger(tmp_path / "store").rows()
+            # the tap sees each stage's commit land, once, in stage order
+            assert tap.landed == list(range(N_STAGES))
             # ... plus the dead-letter, audit and consume-mode re-drive paths
             DeadLetterLog().save(tmp_path / "dead-letters.jsonl")
             AuditLog(tmp_path / "audit.jsonl").record("alice", "read", "climate")

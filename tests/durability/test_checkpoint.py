@@ -331,12 +331,38 @@ class TestSnapshotFormat:
             assert blob is None and "digest mismatch" in reason
 
 
-class TestCommitFailure:
-    """A commit that cannot land fails the run through the one abort path."""
+@pytest.fixture(params=[1, 2], ids=["inline", "helper-thread"])
+def cpus(request, monkeypatch):
+    """Helper threads the runner sees: 1 lands each commit inline, 2 lands
+    it on the commit thread while the next stage runs."""
+    monkeypatch.setattr(runner, "helper_threads", lambda: request.param)
+    return request.param
 
-    def test_full_disk_is_a_failed_run_not_a_raw_oserror(self, tmp_path):
+
+def _slow_or_failing_journal(monkeypatch, index, *, fail=False, delay=0.0):
+    """Stage *index*'s journal record is appended after *delay*, or fails."""
+    real = RunJournal.commit_stage
+
+    def commit_stage(journal, **record):
+        if record["index"] == index:
+            time.sleep(delay)
+            if fail:
+                raise OSError(errno.ENOSPC, "no space left on device (planted)")
+        return real(journal, **record)
+
+    monkeypatch.setattr(RunJournal, "commit_stage", commit_stage)
+
+
+class TestCommitFailure:
+    """A commit that cannot land fails the run through the one abort path.
+    Under chaos too, a commit lands behind the next stage (or inline, on a
+    1-CPU host): both give the same failing stage, committed prefix and
+    fault counts."""
+
+    def test_full_disk_is_a_failed_run_not_a_raw_oserror(self, tmp_path, monkeypatch, cpus):
         from repro.obs import Telemetry
 
+        _slow_or_failing_journal(monkeypatch, 1, delay=0.05)
         telemetry = Telemetry()
         injector = FaultInjector(FaultSpec.parse("enospc=checkpoint:1"))
         runner = PipelineRunner(_toy_plan(), checkpoint_dir=tmp_path, fault_injector=injector,
@@ -352,7 +378,28 @@ class TestCommitFailure:
         # the stage before it is committed; the failed one left no partial
         assert RunCheckpointer(tmp_path).journal.last_run().committed == [0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl", "stage-000.snap"]
+        assert injector.counts() == {"disk-enospc": 1}
         assert _run(tmp_path, resume=True).resumed_from == 0
+
+    def test_a_snapshot_corrupted_as_its_commit_lands_is_quarantined_on_resume(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # the crash makes _settle the joiner of stage 1's commit: the
+        # corruption still fires once its journal record is durable
+        _slow_or_failing_journal(monkeypatch, 1, delay=0.05)
+        injector = FaultInjector(FaultSpec.parse("corrupt-checkpoint=1,crash-at=stage:1:post"))
+        with pytest.raises(SimulatedCrash):
+            PipelineRunner(_toy_plan(), checkpoint_dir=tmp_path, fault_injector=injector).run(
+                PAYLOAD
+            )
+        assert injector.counts() == {"corrupt-checkpoint": 1, "crash": 1}
+        assert injector.unfired() == []
+        assert RunCheckpointer(tmp_path).journal.last_run().committed == [0, 1]
+        resumed = _run(tmp_path, resume=True)
+        assert resumed.resumed_from == 0
+        assert [(q.stage_index, "digest mismatch" in q.reason) for q in resumed.quarantined] == [
+            (1, True)
+        ]
 
     def test_unpicklable_artifact_is_a_failed_run(self, tmp_path):
         def publish(x, ctx):
@@ -390,29 +437,10 @@ class TestWriteBehind:
     every failure path and before it commits, so what the journal says is
     what happened."""
 
-    @pytest.fixture(params=[1, 2], ids=["inline", "helper-thread"])
-    def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(runner, "helper_threads", lambda: request.param)
-        return request.param
-
-    @staticmethod
-    def _slow_or_failing_journal(monkeypatch, index, *, fail=False, delay=0.0):
-        """Stage *index*'s journal record is appended after *delay*, or fails."""
-        real = RunJournal.commit_stage
-
-        def commit_stage(journal, **record):
-            if record["index"] == index:
-                time.sleep(delay)
-                if fail:
-                    raise OSError(errno.ENOSPC, "no space left on device (planted)")
-            return real(journal, **record)
-
-        monkeypatch.setattr(RunJournal, "commit_stage", commit_stage)
-
     def test_a_commit_that_fails_behind_fails_the_run_from_its_stage(
         self, tmp_path, monkeypatch, cpus
     ):
-        self._slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
+        _slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
         with pytest.raises(PipelineError, match="checkpoint commit failed for stage 'clean'") as info:
             PipelineRunner(_toy_plan(), checkpoint_dir=tmp_path).run(PAYLOAD)
         error = info.value
@@ -428,7 +456,7 @@ class TestWriteBehind:
 
     def test_a_failed_commit_outranks_the_next_stages_failure(self, tmp_path, monkeypatch, cpus):
         # without write-behind the next stage would never have run
-        self._slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
+        _slow_or_failing_journal(monkeypatch, 1, fail=True, delay=0.05)
 
         def encode(x, ctx):
             raise RuntimeError("encode broke")
@@ -447,7 +475,7 @@ class TestWriteBehind:
     def test_a_drain_during_the_next_stage_leaves_the_stage_committed(
         self, tmp_path, monkeypatch, cpus, mid_stage
     ):
-        self._slow_or_failing_journal(monkeypatch, 1, delay=0.05)
+        _slow_or_failing_journal(monkeypatch, 1, delay=0.05)
         drain = DrainController()
 
         def encode(x, ctx):
@@ -474,7 +502,7 @@ class TestWriteBehind:
         assert RunCheckpointer(tmp_path).journal.last_run().committed == [0, 1]
 
     def test_no_commit_outlives_its_run(self, tmp_path, monkeypatch, cpus):
-        self._slow_or_failing_journal(monkeypatch, 2, delay=0.05)
+        _slow_or_failing_journal(monkeypatch, 2, delay=0.05)
 
         def stop(event):
             if event.kind is RunEventKind.STAGE_STARTED and event.stage_index == 3:
@@ -515,7 +543,7 @@ class TestWriteBehind:
         # evidence while stage 0's commit is still landing: the snapshot
         # holds stage 0's state as it was, and the array it froze
         monkeypatch.setattr(runner, "helper_threads", lambda: 2)
-        self._slow_or_failing_journal(monkeypatch, 0, delay=0.05)
+        _slow_or_failing_journal(monkeypatch, 0, delay=0.05)
         weights = np.ones(4)
 
         def ingest(x, ctx):

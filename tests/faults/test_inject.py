@@ -1,6 +1,10 @@
 """The seeded fault injector: spec parsing, determinism, filesystem chaos."""
 
 import dataclasses
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -32,14 +36,12 @@ GRAMMAR = [
     ("poison-site=map#0[3]", {"poison_sites": ("map#0[3]",)}),
     ("poison-site=map#2[10]+stats#1+shard_write#0",
      {"poison_sites": ("map#2[10]", "stats#1", "shard_write#0")}),
-    ("eio=3", {"disk_faults": (DiskFaultPoint("eio", "*", 3),)}),
     ("enospc=manifest:0+checkpoint:2",
      {"disk_faults": (DiskFaultPoint("enospc", "manifest", 0),
                       DiskFaultPoint("enospc", "checkpoint", 2))}),
-    ("torn-rename=shard:1,lost_write=5,eio=audit:0",
+    ("torn-rename=shard:1,lost_write=audit:5",
      {"disk_faults": (DiskFaultPoint("torn-rename", "shard", 1),
-                      DiskFaultPoint("lost-write", "*", 5),
-                      DiskFaultPoint("eio", "audit", 0))}),
+                      DiskFaultPoint("lost-write", "audit", 5))}),
     ("crash-at=stage:3:post", {"crash_at": CrashPoint(3, "post")}),
     ("crash-at=stage:0:pre,crash-kill=1", {"crash_at": CrashPoint(0, "pre", kill=True)}),
     ("crash-kill=yes,crash-at=stage:0:pre", {"crash_at": CrashPoint(0, "pre", kill=True)}),
@@ -80,6 +82,8 @@ class TestFaultSpec:
         "slow-seconds=-1", "kill-rate=2", "corrupt-checkpoint=x",
         # a spec that could never fire would silently test nothing
         "eio=sharrd:1", "eio=x", "eio=-1", "eio=shard:",
+        # ops are numbered per site only: a site-less index names no op
+        "eio=3",
         "crash-at=banana", "crash-at=stage:1:during", "crash-at=stage:x:pre",
         "crash-at=stage:-1:pre", "crash-kill=1",
         "poison-site=mapp#0[3]", "poison-site=map#0", "poison-site=stats#1[2]",
@@ -187,10 +191,10 @@ class TestFilesystemChaos:
     def test_unfired_names_what_the_log_never_saw(self, tmp_path):
         injector = FaultInjector(FaultSpec.parse(
             "torn-shards=2,corrupt-checkpoint=1+9,poison-site=map#0[1]+map#7[0],"
-            "eio=5+manifest:0,enospc=shard:4,crash-at=stage:9:post"
+            "eio=journal:5+manifest:0,enospc=shard:4,crash-at=stage:9:post"
         ))
         everything = [
-            "eio=manifest:0", "enospc=shard:4", "eio=5", "crash-at=stage:9:post",
+            "eio=journal:5", "eio=manifest:0", "enospc=shard:4", "crash-at=stage:9:post",
             "poison-site=map#0[1]", "poison-site=map#7[0]",
             "corrupt-checkpoint=1", "corrupt-checkpoint=9", "torn-shards=2",
         ]
@@ -203,7 +207,7 @@ class TestFilesystemChaos:
         assert injector.fault_for("manifest") == "eio"  # manifest:0
         assert injector.fault_for("shard") is None
         assert injector.unfired() == [
-            "enospc=shard:4", "eio=5", "crash-at=stage:9:post", "poison-site=map#7[0]",
+            "eio=journal:5", "enospc=shard:4", "crash-at=stage:9:post", "poison-site=map#7[0]",
             "corrupt-checkpoint=9", "torn-shards=1",
         ]
         injector.maybe_crash(9, "pre")  # not the scheduled phase
@@ -238,3 +242,44 @@ class TestInjectorHook:
         backend.hooks = (injector,)
         with pytest.raises(InjectedFaultError):
             backend.map(lambda x: x, [1, 2, 3])
+
+
+class TestForkSafety:
+    """A process-backend worker forks while the checkpoint commit, on its
+    own thread, may be inside ``fault_for`` holding the injector's lock."""
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with threads alive
+    def test_a_child_forked_while_another_thread_holds_the_lock_can_fault(self):
+        injector = FaultInjector(FaultSpec(seed=1, transient_rate=1.0))
+        held, release = threading.Event(), threading.Event()
+
+        def commit_thread():
+            with injector._lock:
+                held.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=commit_thread)
+        thread.start()
+        assert held.wait(10)
+        try:
+            pid = os.fork()
+            if pid == 0:  # the child exits 0 once its fault point fired
+                code = 1
+                try:
+                    injector.fault_point("map#0[0]")
+                except InjectedFaultError:
+                    code = 0
+                finally:
+                    os._exit(code)
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        deadline = time.monotonic() + 10
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child deadlocked on the injector's lock")
+        assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -70,8 +70,9 @@ ARCHETYPES = {
     "materials": (MaterialsArchetype, MaterialsSourceConfig(n_structures=60, seed=21), None),
 }
 N_STAGES = 5  # every archetype: ingest -> preprocess -> transform -> structure -> shard
-#: every journal-record boundary a driver can die at: before each stage body
-#: runs, and after each stage's checkpoint + journal commit
+#: every stage boundary a driver can die at: before each stage body runs, and
+#: after it ran, while its checkpoint commit may still be landing (a raised
+#: crash waits the commit out, so the stage counts as committed)
 CRASH_POINTS = [f"stage:{i}:{phase}" for i in range(N_STAGES) for phase in ("pre", "post")]
 POLICY = RetryPolicy(max_attempts=4, seed=7)
 

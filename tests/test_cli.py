@@ -529,6 +529,7 @@ class TestFaultToleranceCLI:
     @pytest.mark.parametrize("spec, message", [
         ("poison-site=mapp#0[3]", "poison site must look like"),
         ("crash-kill=1", "crash-kill needs a crash-at"),
+        ("eio=3", "disk fault operand must be site:N, got '3'; known sites: audit, checkpoint"),
     ])
     def test_a_spec_that_could_never_fire_is_a_usage_error(self, spec, message, tmp_path, capsys):
         code = main(["run", "materials", "--workdir", str(tmp_path), "--inject-faults", spec])

@@ -9,6 +9,7 @@ find three planted divergences within the search's budget.
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, Phase, example, given, settings, strategies as st
@@ -20,7 +21,7 @@ from repro.core.plan import PipelineError
 from repro.durability.checkpoint import RunCheckpointer
 from repro.durability.fsfaults import SimulatedCrash
 from repro.durability.recover import recover_run
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, VirtualClock
 from repro.workers.backend import ProcessBackend
 from tests import parity
 from tests.parity import (
@@ -122,14 +123,21 @@ def test_fusion_tfrecord_export_matches_its_per_record_golden():
 
 # -- one checkpoint directory, any history ------------------------------------------
 
+#: the machine's disk faults: a shard's and the manifest's commit (retries heal
+#: them), stage 2's snapshot and — in a fresh run — stage 2's journal record
+#: (either fails the run; a failed record, a torn rename or a lost write leaves
+#: a snapshot the journal does not name)
+FAULT_KINDS = st.sampled_from(["eio", "enospc", "torn-rename", "lost-write"])
+FAULT_SITES = st.sampled_from(["shard:1", "manifest:0", "checkpoint:2", "journal:3"])
+
 
 class ClimateCheckpointMachine(RuleBasedStateMachine):
     """run / crash-at / disk-fault / recover / resume over one climate
-    checkpoint directory.  The journal's completed-stage table stays a
-    gap-free prefix, a recovery scan leaves no snapshot it does not name
-    (and, after crashes alone, keeps every committed stage), and every run
-    that completes — a fault-free resume at the end always does — lands on
-    the clean run's digests."""
+    checkpoint directory, every commit landing behind the next stage.  The
+    journal's completed-stage table stays a gap-free prefix, a recovery scan
+    leaves no snapshot it does not name (and, after crashes alone, keeps
+    every committed stage), and every run that completes — a fault-free
+    resume at the end always does — lands on the clean run's digests."""
 
     def __init__(self):
         super().__init__()
@@ -153,9 +161,13 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
     def _committed(self):
         return RunCheckpointer(self.ckpt).journal.last_run().committed
 
-    @initialize(point=st.sampled_from(CRASH_POINTS))
-    def first_run_dies(self, point):
-        # so that every history has a journal for the rules to work on
+    @initialize(point=st.sampled_from(CRASH_POINTS), kind=st.none() | FAULT_KINDS,
+                site=FAULT_SITES)
+    def first_run_dies(self, point, kind, site):
+        # so that every history has a journal for the rules to work on; the
+        # disk may already be failing under it
+        if kind is not None:
+            self.disk_fault(kind, site)
         self.crash_at(point)
         self.run()
 
@@ -163,8 +175,7 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
     def crash_at(self, point):
         self.faults.append(f"crash-at={point}")
 
-    @rule(kind=st.sampled_from(["eio", "enospc", "torn-rename", "lost-write"]),
-          site=st.sampled_from(["shard:1", "manifest:0", "checkpoint:2", "journal:3"]))
+    @rule(kind=FAULT_KINDS, site=FAULT_SITES)
     def disk_fault(self, kind, site):
         self.faults.append(f"{kind}={site}")
         self.pure_crashes = False
@@ -179,14 +190,18 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
 
     def _go(self, resume):
         """Run (or resume) under the faults scheduled since the last run."""
-        injector = FaultInjector(FaultSpec.parse(",".join(self.faults)))
+        # backoff before a retry runs on a virtual clock, as in the parity search
+        injector = FaultInjector(FaultSpec.parse(",".join(self.faults)), clock=VirtualClock())
         self.faults = []
         cls, source, _ = ARCHETYPES["climate"]
         try:
-            result = watch(cls(seed=21, config=source), self.outputs).run(
-                self.work, checkpoint_dir=self.ckpt, resume=resume,
-                fault_injector=injector, retry_policy=POLICY,
-            )
+            # two helper threads: each commit lands behind the next stage,
+            # as in production, on a 1-CPU runner too
+            with mock.patch.object(runner, "helper_threads", lambda: 2):
+                result = watch(cls(seed=21, config=source), self.outputs).run(
+                    self.work, checkpoint_dir=self.ckpt, resume=resume,
+                    fault_injector=injector, retry_policy=POLICY,
+                )
         except SimulatedCrash:
             return
         except PipelineError as exc:
