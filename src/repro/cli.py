@@ -38,8 +38,8 @@ stores that span runs: the ledger, the quarantine and the dead letters.
 Fault tolerance rides the same command:
 ``--retries N`` retries stages/tasks on transient faults with
 deterministic seeded backoff, ``--stage-timeout`` sets a per-stage
-deadline budget, ``--on-error`` picks the stage error policy
-(``fail`` / ``retry`` / ``skip-degraded``), and ``--inject-faults
+deadline budget (what a stage does once its budget is spent is the
+stage's own declared policy), and ``--inject-faults
 'seed=7,rate=0.05,torn-shards=1'`` runs the whole engine under seeded
 chaos — the standing demonstration that retried, fault-ridden runs
 produce bitwise-identical shards.  Data readiness gates ride it too:
@@ -160,12 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="retry stages/tasks up to N times on transient faults "
                           "(deterministic seeded backoff)")
     run.add_argument("--stage-timeout", type=float, default=None, metavar="SECONDS",
-                     help="per-stage deadline budget; a stage that overruns it "
-                          "fails (or degrades, under --on-error skip-degraded)")
-    run.add_argument("--on-error", choices=["fail", "retry", "skip-degraded"],
-                     default=None,
-                     help="run-wide stage error policy (default: each stage's own "
-                          "policy, falling back to fail)")
+                     help="per-stage deadline budget; a stage that overruns it fails")
     run.add_argument("--inject-faults", default=None, metavar="SPEC",
                      help="run under seeded chaos, e.g. "
                           "'seed=7,rate=0.05,torn-shards=1,corrupt-checkpoint=2'; "
@@ -491,7 +486,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             on_event=reporter.on_event if reporter is not None else None,
             telemetry=telemetry,
             retry_policy=retry_policy,
-            on_error=args.on_error,
             stage_timeout=args.stage_timeout,
             fault_injector=injector,
             gates=args.gates,
@@ -576,16 +570,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if run.records_quarantined:
             where = store_dir if store_dir is not None else "(in-memory)"
             print(f"{run.records_quarantined} record(s) quarantined -> {where}")
-    if run.degraded:
-        degraded = [r.stage_name for r in run.results if r.degraded]
-        if run.records_quarantined:
-            print(f"\nWARNING: run completed DEGRADED — stage(s) "
-                  f"{', '.join(degraded)} shed {run.records_quarantined} "
-                  f"record(s) into quarantine; survivors shipped")
-        else:
-            print(f"\nWARNING: run completed DEGRADED — stage(s) "
-                  f"{', '.join(degraded)} exhausted their error policy and were "
-                  f"skipped; outputs passed through unchanged")
+    if run.records_quarantined:
+        shed = [r.stage_name for r in run.results if r.records_quarantined]
+        print(f"\nWARNING: run completed DEGRADED — stage(s) "
+              f"{', '.join(shed)} shed {run.records_quarantined} "
+              f"record(s) into quarantine; survivors shipped")
+    skipped = [r.stage_name for r in run.results if r.error]
+    if skipped:
+        print(f"\nWARNING: run completed DEGRADED — observer stage(s) "
+              f"{', '.join(skipped)} failed and were skipped; their input "
+              f"passed on unchanged")
     if args.events:
         print(section("run events"))
         print(run.event_log())

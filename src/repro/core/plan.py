@@ -30,7 +30,6 @@ from repro.core.payload import fingerprint_payload
 from repro.faults.errors import OnError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.retry import RetryPolicy
     from repro.gates.contracts import StageContract
     from repro.sched.decision import ScheduleDecision
 
@@ -97,13 +96,14 @@ class PipelineStage:
     seed, a target grid): the output's id is derived from them, never
     from the output's bytes (:meth:`StagePlan.derive`).
 
-    ``on_error``, ``retry``, and ``timeout`` are the stage's fault
-    policy (see :mod:`repro.faults`): what to do when the stage fails,
-    the backoff schedule for retries, and the stage's deadline budget in
-    seconds.  All three default to ``None`` — "inherit the runner's
-    policy" — and are *execution* concerns, deliberately excluded from
-    the plan fingerprint: changing a retry budget must not invalidate
-    checkpoints.
+    ``on_error`` is what the stage is (see :class:`OnError`): ``RETRY``
+    for a stage that retries transient faults even when the run sets no
+    retry budget, ``SKIP_DEGRADED`` for an observer — a stage that hands
+    its input on — which may be skipped once its retries are spent.
+    ``None`` retries iff the run has a retry policy.  The budget itself
+    (backoff schedule, deadline) is the run's.  The policy is an
+    *execution* concern, deliberately excluded from the plan
+    fingerprint: it must not invalidate checkpoints.
     """
 
     name: str
@@ -112,12 +112,8 @@ class PipelineStage:
     params: Dict[str, object] = dataclasses.field(default_factory=dict)
     description: str = ""
     parallelism: Parallelism = Parallelism.NONE
-    #: failure policy: None inherits the runner default (see OnError)
+    #: failure policy (see OnError); None retries iff the run has a budget
     on_error: Optional[OnError] = None
-    #: stage-specific retry override (None inherits the runner policy)
-    retry: Optional["RetryPolicy"] = None
-    #: deadline budget in seconds (None inherits the runner stage_timeout)
-    timeout: Optional[float] = None
     #: data contract enforced on the stage's *input* payload (see
     #: :mod:`repro.gates`); None means no input gate
     input_contract: Optional["StageContract"] = None
@@ -130,10 +126,6 @@ class PipelineStage:
     #: per-record runs are bitwise identical by contract — so, like the
     #: fault policy, it is excluded from the plan fingerprint
     batch: bool = False
-
-    def __post_init__(self) -> None:
-        if self.on_error is not None:
-            self.on_error = OnError.coerce(self.on_error)
 
 
 def derivation_id(*parts: object) -> str:

@@ -210,9 +210,9 @@ class StageResult:
     attempts: int = 1
     #: task-level retries spent inside the backend fan-out for this stage
     task_retries: int = 0
-    #: True when the stage exhausted its error policy and was skipped
-    #: under ``on_error="skip-degraded"`` — its payload passed through —
-    #: or when a data gate quarantined records at one of its boundaries
+    #: True when an observer stage (``on_error=OnError.SKIP_DEGRADED``)
+    #: exhausted its retries and was skipped — its input passed on — or
+    #: when a data gate quarantined records at one of its boundaries
     degraded: bool = False
     #: the final error message for a degraded stage (empty otherwise)
     error: str = ""
@@ -508,9 +508,7 @@ class _StageFrame:
 
     stage: PipelineStage
     index: int
-    mode: OnError
     policy: Optional[RetryPolicy]
-    timeout: Optional[float]
     evidence_before: int
     attempts: int = 0
     #: seconds inside ``stage.fn`` across every attempt
@@ -557,7 +555,6 @@ class PipelineRunner:
         telemetry: Optional[Telemetry] = None,
         clock: Callable[[], float] = time.time,
         retry_policy: Optional[RetryPolicy] = None,
-        on_error: Union[OnError, str, None] = None,
         stage_timeout: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
         fault_clock: Optional[Clock] = None,
@@ -579,10 +576,11 @@ class PipelineRunner:
         ``telemetry`` attaches a
         :class:`~repro.obs.Telemetry` collector (spans, metrics, resource
         profiles), and ``clock`` stamps event timestamps (inject a fake to
-        pin them).  ``retry_policy`` / ``on_error`` / ``stage_timeout``
-        are the run-wide fault policy — stages override through their own
-        fields; with no ``on_error`` a stage retries iff a retry policy is
-        set.  ``fault_injector`` runs the engine under seeded chaos, and
+        pin them).  ``retry_policy`` and ``stage_timeout`` are the run's
+        fault budget: the backoff schedule and each stage's deadline in
+        seconds.  What a stage does when it fails is its own ``on_error``;
+        a stage that declares none retries iff the run has a retry policy.
+        ``fault_injector`` runs the engine under seeded chaos, and
         ``fault_clock`` is what backoff sleeps and deadlines run on
         (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
         ``"warn"``) turns the stages' contracts on, shedding records into
@@ -613,7 +611,6 @@ class PipelineRunner:
         self.telemetry = telemetry
         self.clock = clock
         self.retry_policy = retry_policy
-        self.on_error = OnError.coerce(on_error) if on_error is not None else None
         self.stage_timeout = stage_timeout
         if fault_clock is None:
             fault_clock = fault_injector.clock if fault_injector is not None else SystemClock()
@@ -624,18 +621,12 @@ class PipelineRunner:
         self.drain = drain
         self.batch_size = batch_size
 
-    def _stage_policy(
-        self, stage: PipelineStage
-    ) -> Tuple[OnError, Optional[RetryPolicy], Optional[float]]:
-        """Resolve the effective (on_error, retry, timeout) for one stage."""
-        mode = stage.on_error or self.on_error
+    def _stage_policy(self, stage: PipelineStage) -> Optional[RetryPolicy]:
+        """The retry policy one stage runs under (None: it fails at once)."""
+        mode = stage.on_error
         if mode is None:
             mode = OnError.RETRY if self.retry_policy is not None else OnError.FAIL
-        policy: Optional[RetryPolicy] = None
-        if mode is not OnError.FAIL:
-            policy = stage.retry or self.retry_policy or RetryPolicy()
-        timeout = stage.timeout if stage.timeout is not None else self.stage_timeout
-        return mode, policy, timeout
+        return None if mode is OnError.FAIL else self.retry_policy or RetryPolicy()
 
     def _batch_records(self) -> int:
         """Records per batch the plan's ``batch=True`` stages run with
@@ -828,13 +819,16 @@ class PipelineRunner:
             # write-ahead: the journal names the run before any stage
             # mutates disk, so recovery can always tell which run the
             # on-disk state belongs to
-            self.checkpointer.journal.begin(
-                pipeline=self.plan.name,
-                plan_fingerprint=self.plan.fingerprint(),
-                backend=base.name,
-                payload_fingerprint=st.fingerprint,
-                resume_index=st.start_index,
-            )
+            try:
+                self.checkpointer.journal.begin(
+                    pipeline=self.plan.name,
+                    plan_fingerprint=self.plan.fingerprint(),
+                    backend=base.name,
+                    payload_fingerprint=st.fingerprint,
+                    resume_index=st.start_index,
+                )
+            except OSError as exc:
+                raise self._append_failed(st, "run begin", exc) from exc
             recorder.count("journal_records_total", kind="run-begin")
         return st
 
@@ -848,10 +842,7 @@ class PipelineRunner:
         )
         if self.recovery_report is not None:
             self._publish(st, K.RUN_RECOVERED, detail=self.recovery_report.summary())
-        any_timeout = self.stage_timeout is not None or any(
-            s.timeout is not None for s in self.plan.stages
-        )
-        if any_timeout and not base.preemptive_timeout:
+        if self.stage_timeout is not None and not base.preemptive_timeout:
             # make the limit of cooperative deadlines explicit, not silently weaker
             self._publish(
                 st,
@@ -937,13 +928,13 @@ class PipelineRunner:
         if injector is not None:
             # pre-stage crash point: nothing of this stage exists yet
             injector.maybe_crash(index, "pre")
-        mode, policy, timeout = self._stage_policy(stage)
-        frame = _StageFrame(stage, index, mode, policy, timeout, len(st.context.evidence))
+        policy = self._stage_policy(stage)
+        frame = _StageFrame(stage, index, policy, len(st.context.evidence))
         st.context.stage_batch_size = (self.batch_size or None) if stage.batch else None
         self.backend.task_retry = policy
         # preemptive deadline: a supervising backend SIGKILLs a worker
         # whose lease outlives the stage budget
-        self.backend.lease_timeout = timeout
+        self.backend.lease_timeout = self.stage_timeout
         self._publish(
             st, K.STAGE_STARTED, stage.name, index, fingerprint=st.fingerprint, stage=stage
         )
@@ -960,6 +951,11 @@ class PipelineRunner:
             except Exception as error:
                 self._give_up(st, frame, error)
                 return
+            if stage.on_error is OnError.SKIP_DEGRADED and st.payload is not frame.source:
+                raise self._stage_failed(st, frame, PipelineError(
+                    "it declares skip-degraded, so it must hand its input on as an "
+                    "observer, but it returned a new payload"
+                ))
             output_report = self._gate(st, frame, "output")
         finally:
             st.context.current_span = None
@@ -1042,7 +1038,7 @@ class PipelineRunner:
         stage's output); raises the error that exhausted the policy.  A
         :class:`DrainInterrupt` is never retried (it classifies permanent).
         """
-        stage, timeout = frame.stage, frame.timeout
+        stage, timeout = frame.stage, self.stage_timeout
         policy = frame.policy or RetryPolicy(max_attempts=1)
         deadline = Deadline(timeout, clock=self.fault_clock) if timeout is not None else None
         task_before = st.task_stats.retries
@@ -1086,16 +1082,16 @@ class PipelineRunner:
             # cooperative (post-hoc) budget enforcement: the stage
             # finished, but blew its deadline on the fault clock
             raise StageTimeoutError(
-                f"stage {frame.stage.name!r} exceeded its {frame.timeout:g}s budget "
+                f"stage {frame.stage.name!r} exceeded its {self.stage_timeout:g}s budget "
                 f"({deadline.elapsed():.3f}s elapsed)"
             )
         st.payload = candidate
 
     def _give_up(self, st: _RunState, frame: _StageFrame, error: BaseException) -> None:
-        """Dead-letter the stage, then pass its input through (degraded) or
-        fail the run."""
+        """Dead-letter the stage, then pass its input on (an observer,
+        degraded) or fail the run."""
         stage, index = frame.stage, frame.index
-        degrade = frame.mode is OnError.SKIP_DEGRADED
+        degrade = stage.on_error is OnError.SKIP_DEGRADED
         st.dead_letters.append(
             DeadLetterRecord(
                 pipeline=self.plan.name,
@@ -1111,20 +1107,10 @@ class PipelineRunner:
             )
         )
         st.recorder.count("dead_letters_total", stage=stage.name)
+        if not degrade:
+            raise self._stage_failed(st, frame, error) from error
         described = f"{type(error).__name__}: {error}"
         detail = f"{described} (after {frame.attempts} attempts)"
-        if not degrade:
-            self._publish(
-                st, K.STAGE_FAILED, stage.name, index, seconds=frame.elapsed, detail=detail,
-                audit={"error": str(error)}, error=described,
-            )
-            failure = PipelineError(
-                f"stage {stage.name!r} failed: {error}", stage_name=stage.name, stage_index=index
-            )
-            raise self._fail(
-                st, failure, stage, index, detail=str(error),
-                span_error=f"stage {stage.name!r} failed",
-            ) from error
         # the run completes, flagged degraded, with the failure dead-lettered
         # for re-driving.  No checkpoint: a resume must re-attempt the
         # stage, not restore its passed-through input
@@ -1135,6 +1121,25 @@ class PipelineRunner:
             error=described, attempts=frame.attempts, task_retries=frame.task_retries,
         )
         st.results.append(frame.result(st, st.fingerprint, degraded=True, error=described))
+
+    def _stage_failed(
+        self, st: _RunState, frame: _StageFrame, error: BaseException
+    ) -> BaseException:
+        """The stage failed, and so does the run."""
+        stage, index = frame.stage, frame.index
+        described = f"{type(error).__name__}: {error}"
+        self._publish(
+            st, K.STAGE_FAILED, stage.name, index, seconds=frame.elapsed,
+            detail=f"{described} (after {frame.attempts} attempts)",
+            audit={"error": str(error)}, error=described,
+        )
+        failure = PipelineError(
+            f"stage {stage.name!r} failed: {error}", stage_name=stage.name, stage_index=index
+        )
+        return self._fail(
+            st, failure, stage, index, detail=str(error),
+            span_error=f"stage {stage.name!r} failed",
+        )
 
     def _commit(
         self, st: _RunState, frame: _StageFrame, output_report: Optional[GateReport]
@@ -1236,6 +1241,12 @@ class PipelineRunner:
         if st.committer:
             st.committer.shutdown(wait=True)
 
+    def _append_failed(self, st: _RunState, what: str, exc: OSError) -> BaseException:
+        """A run-level durable append failed — the journal's run begin or
+        run commit, the ledger row: the run fails, with its records."""
+        detail = f"{what} failed: {exc}"
+        return self._fail(st, PipelineError(detail), detail=detail, span_error=detail)
+
     # -- finish ------------------------------------------------------------------
     def _file_ledger_row(self, st: _RunState) -> None:
         """What ran here becomes a candidate for the next ``--plan auto``."""
@@ -1269,10 +1280,14 @@ class PipelineRunner:
             except OSError as exc:
                 # before commit_run: the journal leaves the run open, so a
                 # resume restores every stage and files the row again
-                detail = f"ledger append failed: {exc}"
-                raise self._fail(st, PipelineError(detail), detail=detail, span_error=detail) from exc
+                raise self._append_failed(st, "ledger append", exc) from exc
         if self.checkpointer is not None:
-            self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
+            try:
+                self.checkpointer.journal.commit_run(output_fingerprint=st.fingerprint)
+            except OSError as exc:
+                # every stage is committed: a resume restores them all and
+                # commits the run again
+                raise self._append_failed(st, "run commit", exc) from exc
             st.recorder.count("journal_records_total", kind="run-commit")
         degraded = ", ".join(r.stage_name for r in results if r.degraded)
         self._publish(

@@ -4,7 +4,7 @@ The resilience layer of the pipeline engine (see DESIGN.md, "Fault
 tolerance").  Four pieces:
 
 * :mod:`repro.faults.errors` — transient-vs-permanent classification and
-  the per-stage :class:`OnError` policies;
+  the :class:`OnError` policy a stage declares;
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (deterministic seeded
   backoff), :class:`Deadline` budgets, and the single retry loop both
   the runner and the backends use, with injectable clocks so tests never

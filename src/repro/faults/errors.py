@@ -25,7 +25,6 @@ attribute — useful for library errors the taxonomy cannot import.
 from __future__ import annotations
 
 import enum
-from typing import Union
 
 __all__ = [
     "FaultKind",
@@ -127,33 +126,21 @@ def is_transient(error: BaseException) -> bool:
 
 
 class OnError(enum.Enum):
-    """Per-stage policy for a failure that survives classification/retry.
+    """What a stage declares it does with a failure that survives
+    classification; the run only sets the retry budget.
 
-    * ``FAIL`` — abort the run (historical behaviour, the default);
-    * ``RETRY`` — re-execute the stage under its retry policy; when
-      attempts are exhausted, fail;
-    * ``SKIP_DEGRADED`` — after retries are exhausted, record a
-      dead-letter for the stage, mark the run degraded, and continue
-      with the stage's *input* payload passed through unchanged.  Only
-      meaningful for observer/enrichment stages whose output is
-      optional.
+    * ``FAIL`` — abort the run at once, without retrying;
+    * ``RETRY`` — re-execute the stage under the run's retry policy (a
+      default one when the run sets none); when attempts are exhausted,
+      fail;
+    * ``SKIP_DEGRADED`` — the stage is an *observer*: its output is its
+      input (a QC check, evidence only).  It retries like ``RETRY``;
+      when attempts are exhausted the stage is dead-lettered, the run is
+      marked degraded, and its input is handed on — which is what the
+      stage would have handed on.  A declaring stage that succeeds with
+      a new payload fails the run.
     """
 
     FAIL = "fail"
     RETRY = "retry"
     SKIP_DEGRADED = "skip-degraded"
-
-    @classmethod
-    def coerce(cls, value: Union["OnError", str, None]) -> "OnError":
-        """Accept an enum member or its string value (``"skip-degraded"``)."""
-        if value is None:
-            return cls.FAIL
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value))
-        except ValueError:
-            raise ValueError(
-                f"unknown on_error policy {value!r}; "
-                f"choose from {[m.value for m in cls]}"
-            ) from None

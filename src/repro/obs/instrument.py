@@ -320,7 +320,7 @@ class RunRecorder(NullRecorder):
         metrics.gauge("stage_bytes_per_s", **labels).set(bytes_per_s)
 
     def _stage_degraded(self, event: "RunEvent", *, error: str = "", **counts: int) -> None:
-        if error:  # skipped under skip-degraded; a quarantine degrade's span already ended
+        if error:  # an observer skipped; a quarantine degrade's span already ended
             self._close_stage(error=error, degraded=True, **counts)
         self.count("stages_degraded_total", stage=event.stage_name)
 

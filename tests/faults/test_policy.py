@@ -5,7 +5,6 @@ import pytest
 from repro.faults import (
     Deadline,
     FaultKind,
-    OnError,
     PermanentFaultError,
     RetryPolicy,
     RetryStats,
@@ -48,18 +47,6 @@ class TestClassification:
     def test_permanent_os_subclasses_beat_oserror_fallback(self):
         # FileNotFoundError IS an OSError, but is never worth retrying
         assert classify_fault(FileNotFoundError("gone")) is FaultKind.PERMANENT
-
-
-class TestOnError:
-    def test_coerce_accepts_enum_string_none(self):
-        assert OnError.coerce(None) is OnError.FAIL
-        assert OnError.coerce("retry") is OnError.RETRY
-        assert OnError.coerce("skip-degraded") is OnError.SKIP_DEGRADED
-        assert OnError.coerce(OnError.FAIL) is OnError.FAIL
-
-    def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            OnError.coerce("explode")
 
 
 class TestRetryPolicy:

@@ -1,4 +1,4 @@
-"""Engine-level fault tolerance: stage retries, degraded mode, quarantine."""
+"""Engine-level fault tolerance: stage retries, degraded observers, quarantine."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.core.runner import PipelineRunner, RunEventKind
 from repro.durability.checkpoint import RunCheckpointer
 from repro.durability.fsfaults import SimulatedCrash
 from repro.faults import OnError, RetryPolicy, StageTimeoutError
-from repro.faults import VirtualClock
+from repro.faults import FaultInjector, FaultSpec, VirtualClock
 from repro.obs import Telemetry
 from repro.workers import DrainInterrupt
 
@@ -102,17 +102,17 @@ class TestStageRetry:
         assert "(after 3 attempts)" in failed[0].detail
 
     def test_per_stage_policy_overrides_run_default(self):
-        fn = flaky_fn(1)
-        plan = StagePlan.build("p", [
-            PipelineStage(
-                "flaky", S.INGEST, fn,
-                on_error=OnError.RETRY,
-                retry=RetryPolicy(max_attempts=2, jitter=0.0),
-            ),
-        ])
-        # no run-wide policy at all: the stage's own annotation drives it
-        run = PipelineRunner(plan, fault_clock=VirtualClock()).run(np.ones(2))
-        assert run.results[0].attempts == 2
+        def run(**budget):
+            plan = StagePlan.build("p", [
+                PipelineStage("flaky", S.INGEST, flaky_fn(2), on_error=OnError.RETRY)
+            ])
+            return PipelineRunner(plan, fault_clock=VirtualClock(), **budget).run(np.ones(2))
+
+        # no run budget: the stage's RETRY declaration retries on the default policy
+        assert run().results[0].attempts == RetryPolicy().max_attempts == 3
+        # ... and the run's budget bounds it
+        with pytest.raises(PipelineError, match="flake #2"):
+            run(retry_policy=RetryPolicy(max_attempts=2, jitter=0.0))
 
     def test_no_policy_means_fail_fast(self):
         fn = flaky_fn(1)
@@ -132,11 +132,13 @@ class TestStageRetry:
     @pytest.mark.parametrize("exc_type", [DrainInterrupt, SimulatedCrash])
     def test_drain_and_crash_pass_straight_through_the_retry_loop(self, exc_type):
         fn = flaky_fn(1, exc_type=exc_type)
-        plan = StagePlan.build("p", [PipelineStage("stopped", S.INGEST, fn)])
+        plan = StagePlan.build("p", [
+            PipelineStage("stopped", S.INGEST, fn, on_error=OnError.SKIP_DEGRADED)
+        ])
         events = []
         runner = PipelineRunner(
             plan, retry_policy=RetryPolicy(max_attempts=4), fault_clock=VirtualClock(),
-            on_error=OnError.SKIP_DEGRADED, on_event=events.append,
+            on_event=events.append,
         )
         with pytest.raises(exc_type):
             runner.run(np.ones(2))
@@ -227,22 +229,32 @@ class TestStageTimeout:
         assert run.results[0].attempts == 1
 
 
+def observer(payload, ctx):
+    raise TimeoutError("always")
+
+
 class TestSkipDegraded:
-    def _degraded_run(self, telemetry=None):
-        fn = flaky_fn(10)
+    def _degraded_run(self):
         plan = StagePlan.build("p", [
             PipelineStage("a", S.INGEST, doubler),
-            PipelineStage("doomed", S.TRANSFORM, fn),
+            PipelineStage("doomed", S.TRANSFORM, observer, on_error=OnError.SKIP_DEGRADED),
             PipelineStage("b", S.STRUCTURE, doubler),
         ])
         runner = PipelineRunner(
             plan,
             retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            on_error="skip-degraded",
             fault_clock=VirtualClock(),
-            telemetry=telemetry,
         )
         return runner.run(np.ones(3))
+
+    def test_a_declaring_stage_that_transforms_its_input_fails_the_run(self):
+        plan = StagePlan.build("p", [
+            PipelineStage("qc", S.INGEST, doubler, on_error=OnError.SKIP_DEGRADED)
+        ])
+        with pytest.raises(PipelineError, match="stage 'qc' failed: .* new payload") as info:
+            PipelineRunner(plan).run(np.ones(2))
+        assert info.value.events[-1].kind is RunEventKind.RUN_FAILED
+        assert len(info.value.dead_letters) == 0  # a wrong plan, not a re-drivable fault
 
     def test_run_completes_with_stage_skipped(self):
         run = self._degraded_run()
@@ -276,30 +288,15 @@ class TestSkipDegraded:
         # the totals row of the rendered table flags the whole run
         assert run.summary_table().rstrip().splitlines()[-1].endswith("degraded")
 
-    def test_degraded_counters_reach_telemetry(self):
-        telemetry = Telemetry()
-        self._degraded_run(telemetry=telemetry)
-        metrics = telemetry.metrics
-        assert metrics.value(
-            "stages_degraded_total", pipeline="p", stage="doomed"
-        ) == 1
-        assert metrics.value(
-            "stage_retries_total", pipeline="p", stage="doomed"
-        ) == 1
-        assert metrics.value("dead_letters_total", pipeline="p", stage="doomed") == 1
-        assert metrics.value("runs_total", pipeline="p", status="degraded") == 1
-
     def test_degraded_stage_not_checkpointed(self, tmp_path):
-        fn = flaky_fn(10)
         plan = StagePlan.build("p", [
             PipelineStage("a", S.INGEST, doubler),
-            PipelineStage("doomed", S.TRANSFORM, fn),
+            PipelineStage("doomed", S.TRANSFORM, observer, on_error=OnError.SKIP_DEGRADED),
         ])
         runner = PipelineRunner(
             plan,
             checkpoint_dir=tmp_path,
             retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            on_error="skip-degraded",
             fault_clock=VirtualClock(),
         )
         runner.run(np.ones(2))
@@ -320,6 +317,20 @@ class TestCheckpointHardening:
         leftovers = list(tmp_path.glob("*.tmp"))
         assert leftovers == []
         assert sorted(p.name for p in tmp_path.glob("*.snap"))
+
+    @pytest.mark.parametrize("op, what", [(0, "run begin"), (3, "run commit")])
+    def test_a_failed_run_level_journal_append_is_a_failed_run(self, tmp_path, op, what):
+        plan = StagePlan.build("p", [
+            PipelineStage("a", S.INGEST, doubler),
+            PipelineStage("b", S.TRANSFORM, doubler),
+        ])
+        injector = FaultInjector(FaultSpec.parse(f"eio=journal:{op}"))  # begin, a, b, run
+        with pytest.raises(PipelineError, match=f"^{what} failed: .*injected eio") as info:
+            PipelineRunner(plan, checkpoint_dir=tmp_path, fault_injector=injector).run(np.ones(2))
+        assert info.value.events[-1].kind is RunEventKind.RUN_FAILED
+        run = PipelineRunner(plan, checkpoint_dir=tmp_path).run(np.ones(2), resume=True)
+        np.testing.assert_array_equal(run.payload, np.ones(2) * 4)
+        assert RunCheckpointer(tmp_path).journal.last_run().run_committed
 
     def test_retry_spans_carry_events(self):
         telemetry = Telemetry()

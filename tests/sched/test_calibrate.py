@@ -10,6 +10,7 @@ from repro.core.backends import get_backend
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
+from repro.faults import OnError
 from repro.sched import (
     LEDGER_NAME,
     CandidateConfig,
@@ -90,11 +91,12 @@ def test_restored_and_degraded_stages_are_not_filed(tmp_path):
         raise RuntimeError("always")
 
     payload = np.arange(8.0)
-    plan = _plan(False, PipelineStage("boom", DataProcessingStage.STRUCTURE, boom))
+    plan = _plan(False, PipelineStage("boom", DataProcessingStage.STRUCTURE, boom,
+                                      on_error=OnError.SKIP_DEGRADED))
     options = {"ledger": tmp_path / "store", "checkpoint_dir": tmp_path / "ckpt"}
-    run = PipelineRunner(plan, on_error="skip-degraded", **options).run(payload)
+    run = PipelineRunner(plan, **options).run(payload)
     assert [r.stage_name for r in run.results if r.degraded] == ["boom"]
-    PipelineRunner(plan, on_error="skip-degraded", **options).run(payload, resume=True)
+    PipelineRunner(plan, **options).run(payload, resume=True)
     degraded, resumed = Ledger(tmp_path / "store").rows()
     assert degraded.status == "degraded"
     assert [stage for stage, _, _ in degraded.stages] == ["ingest", "double"]

@@ -205,10 +205,11 @@ class ClimateCheckpointMachine(RuleBasedStateMachine):
         except SimulatedCrash:
             return
         except PipelineError as exc:
-            # the one failure a fault here may cause: a checkpoint or journal
-            # commit that an injected disk error ended (it is not retried)
+            # the one failure a fault here may cause: a checkpoint, journal or
+            # run commit that an injected disk error ended (it is not retried)
             if not (isinstance(exc.__cause__, OSError) and "injected" in str(exc.__cause__)
-                    and "checkpoint commit failed" in str(exc)):
+                    and ("checkpoint commit failed" in str(exc)
+                         or str(exc).startswith("run commit failed"))):
                 raise
             return
         assert self._committed() == list(range(N_STAGES))

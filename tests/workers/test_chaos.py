@@ -6,8 +6,8 @@ to artifacts **byte-identical** to a clean serial run (the parity oracle,
 ``tests/parity.py``, which also checks every in-worker kill was re-leased)
 — crash recovery must be invisible in the output.  A poison task (one
 that kills every worker it touches) is the exception that proves the
-rule: it is dead-lettered under ``skip-degraded`` instead of looping
-forever.
+rule: the observer stage hosting it is dead-lettered and skipped instead
+of looping forever.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
-from repro.faults import FaultInjector, FaultSpec, PoisonTaskError
+from repro.faults import FaultInjector, FaultSpec, OnError, PoisonTaskError
 from tests.parity import IN_WORKER_KILL, Config, assert_parity, faults_fired
 
 # the schedule the CI proc-chaos-smoke job also runs: ~20% of task
@@ -43,10 +43,11 @@ def test_batched_worker_kill_chaos_is_bitwise_invisible():
 
 
 def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):
-    """The stage hosting a poison task degrades; the run does not loop."""
+    """The observer stage hosting a poison task degrades; the run does not loop."""
 
-    def fan_out(payload, ctx):
-        return np.asarray(ctx.backend.map(lambda x: x * 2, list(payload)))
+    def fan_out_qc(payload, ctx):
+        ctx.backend.map(lambda x: x * 2, list(payload))  # a check; the input goes on
+        return payload
 
     def finish(payload, ctx):
         return payload
@@ -54,17 +55,13 @@ def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):
     plan = StagePlan.build(
         "poisoned",
         [
-            PipelineStage("fan", DataProcessingStage.INGEST, fan_out),
+            PipelineStage("fan", DataProcessingStage.INGEST, fan_out_qc,
+                          on_error=OnError.SKIP_DEGRADED),
             PipelineStage("finish", DataProcessingStage.TRANSFORM, finish),
         ],
     )
     injector = FaultInjector(FaultSpec(seed=7, poison_sites=("map#0[4]",)))
-    runner = PipelineRunner(
-        plan,
-        backend="process",
-        fault_injector=injector,
-        on_error="skip-degraded",
-    )
+    runner = PipelineRunner(plan, backend="process", fault_injector=injector)
     run = runner.run(np.arange(8.0))
     assert run.degraded
     assert run.results[0].degraded
@@ -79,7 +76,7 @@ def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):
 
 
 def test_poison_task_fails_fast_by_default(tmp_path):
-    """Without skip-degraded the poison error aborts the stage, attempt 1."""
+    """A stage that is no observer: the poison error aborts it, attempt 1."""
 
     def fan_out(payload, ctx):
         return np.asarray(ctx.backend.map(lambda x: x * 2, list(payload)))
