@@ -37,9 +37,9 @@ the trace the ``telemetry`` commands read.  ``--store-dir`` holds the
 stores that span runs: the ledger, the quarantine and the dead letters.
 Fault tolerance rides the same command:
 ``--retries N`` retries stages/tasks on transient faults with
-deterministic seeded backoff, ``--stage-timeout`` sets a per-stage
-deadline budget (what a stage does once its budget is spent is the
-stage's own declared policy), and ``--inject-faults
+deterministic seeded backoff (ingest and shard stages retry even
+without it), ``--stage-timeout`` sets a per-stage deadline budget, a
+stage whose attempts are spent fails the run, and ``--inject-faults
 'seed=7,rate=0.05,torn-shards=1'`` runs the whole engine under seeded
 chaos — the standing demonstration that retried, fault-ridden runs
 produce bitwise-identical shards.  Data readiness gates ride it too:
@@ -575,11 +575,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nWARNING: run completed DEGRADED — stage(s) "
               f"{', '.join(shed)} shed {run.records_quarantined} "
               f"record(s) into quarantine; survivors shipped")
-    skipped = [r.stage_name for r in run.results if r.error]
-    if skipped:
-        print(f"\nWARNING: run completed DEGRADED — observer stage(s) "
-              f"{', '.join(skipped)} failed and were skipped; their input "
-              f"passed on unchanged")
     if args.events:
         print(section("run events"))
         print(run.event_log())

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional,
 
 from repro.core.levels import DataProcessingStage
 from repro.core.payload import fingerprint_payload
-from repro.faults.errors import OnError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gates.contracts import StageContract
@@ -96,13 +95,11 @@ class PipelineStage:
     seed, a target grid): the output's id is derived from them, never
     from the output's bytes (:meth:`StagePlan.derive`).
 
-    ``on_error`` is what the stage is (see :class:`OnError`): ``RETRY``
-    for a stage that retries transient faults even when the run sets no
-    retry budget, ``SKIP_DEGRADED`` for an observer — a stage that hands
-    its input on — which may be skipped once its retries are spent.
-    ``None`` retries iff the run has a retry policy.  The budget itself
-    (backoff schedule, deadline) is the run's.  The policy is an
-    *execution* concern, deliberately excluded from the plan
+    ``retry`` marks a stage that retries transient faults even when the
+    run sets no retry budget; any other stage retries iff the run has a
+    retry policy.  Once its attempts are spent a stage fails the run.
+    The budget itself (backoff schedule, deadline) is the run's.  The
+    flag is an *execution* concern, deliberately excluded from the plan
     fingerprint: it must not invalidate checkpoints.
     """
 
@@ -112,8 +109,8 @@ class PipelineStage:
     params: Dict[str, object] = dataclasses.field(default_factory=dict)
     description: str = ""
     parallelism: Parallelism = Parallelism.NONE
-    #: failure policy (see OnError); None retries iff the run has a budget
-    on_error: Optional[OnError] = None
+    #: retries transient faults under a default policy when the run sets none
+    retry: bool = False
     #: data contract enforced on the stage's *input* payload (see
     #: :mod:`repro.gates`); None means no input gate
     input_contract: Optional["StageContract"] = None

@@ -51,7 +51,7 @@ from repro.core.payload import commit_pass, fingerprint_payload
 from repro.core.plan import PipelineError, PipelineStage, StagePlan, derivation_id
 from repro.core.report import format_bytes, render_table
 from repro.faults.deadletter import DeadLetterLog, DeadLetterRecord
-from repro.faults.errors import FaultKind, OnError, StageTimeoutError, classify_fault
+from repro.faults.errors import FaultKind, StageTimeoutError, classify_fault
 from repro.faults.inject import FaultInjector
 from repro.faults.retry import (
     Clock,
@@ -210,12 +210,8 @@ class StageResult:
     attempts: int = 1
     #: task-level retries spent inside the backend fan-out for this stage
     task_retries: int = 0
-    #: True when an observer stage (``on_error=OnError.SKIP_DEGRADED``)
-    #: exhausted its retries and was skipped — its input passed on — or
-    #: when a data gate quarantined records at one of its boundaries
+    #: True when a data gate quarantined records at one of its boundaries
     degraded: bool = False
-    #: the final error message for a degraded stage (empty otherwise)
-    error: str = ""
     #: records a data gate split out at this stage's boundaries
     records_quarantined: int = 0
 
@@ -289,7 +285,7 @@ class PipelineRun:
     #: index of the checkpointed stage the run resumed after (None = fresh)
     resumed_from: Optional[int] = None
     backend_name: str = "serial"
-    #: work the run could not complete (failed or degraded stages)
+    #: work the run could not complete (the stage that failed it)
     dead_letters: DeadLetterLog = dataclasses.field(default_factory=DeadLetterLog)
     #: checkpoints resume had to quarantine before finding a verifiable one
     quarantined: List[QuarantinedCheckpoint] = dataclasses.field(default_factory=list)
@@ -313,8 +309,7 @@ class PipelineRun:
 
     @property
     def degraded(self) -> bool:
-        """True when any stage was skipped under ``skip-degraded`` or had
-        records quarantined by a data gate."""
+        """True when a data gate quarantined records at any stage."""
         return any(r.degraded for r in self.results)
 
     @property
@@ -515,7 +510,7 @@ class _StageFrame:
     elapsed: float = 0.0
     task_retries: int = 0
     records_quarantined: int = 0
-    #: the payload the stage was handed; an output that *is* it is an observer's
+    #: the payload the stage was handed; an output that *is* it keeps its id
     source: Any = None
 
     def result(self, st: _RunState, output_fingerprint: str, **extra: Any) -> StageResult:
@@ -578,8 +573,8 @@ class PipelineRunner:
         profiles), and ``clock`` stamps event timestamps (inject a fake to
         pin them).  ``retry_policy`` and ``stage_timeout`` are the run's
         fault budget: the backoff schedule and each stage's deadline in
-        seconds.  What a stage does when it fails is its own ``on_error``;
-        a stage that declares none retries iff the run has a retry policy.
+        seconds.  A stage retries iff it declares ``retry`` or the run has
+        a retry policy; once its attempts are spent the run fails.
         ``fault_injector`` runs the engine under seeded chaos, and
         ``fault_clock`` is what backoff sleeps and deadlines run on
         (virtual in tests).  ``gates`` (``"fail"`` / ``"quarantine"`` /
@@ -623,10 +618,9 @@ class PipelineRunner:
 
     def _stage_policy(self, stage: PipelineStage) -> Optional[RetryPolicy]:
         """The retry policy one stage runs under (None: it fails at once)."""
-        mode = stage.on_error
-        if mode is None:
-            mode = OnError.RETRY if self.retry_policy is not None else OnError.FAIL
-        return None if mode is OnError.FAIL else self.retry_policy or RetryPolicy()
+        if stage.retry or self.retry_policy is not None:
+            return self.retry_policy or RetryPolicy()
+        return None
 
     def _batch_records(self) -> int:
         """Records per batch the plan's ``batch=True`` stages run with
@@ -949,13 +943,7 @@ class PipelineRunner:
                 # never retried, never dead-lettered
                 raise self._interrupted(st, exc, stage, index)
             except Exception as error:
-                self._give_up(st, frame, error)
-                return
-            if stage.on_error is OnError.SKIP_DEGRADED and st.payload is not frame.source:
-                raise self._stage_failed(st, frame, PipelineError(
-                    "it declares skip-degraded, so it must hand its input on as an "
-                    "observer, but it returned a new payload"
-                ))
+                raise self._give_up(st, frame, error) from error
             output_report = self._gate(st, frame, "output")
         finally:
             st.context.current_span = None
@@ -1087,11 +1075,9 @@ class PipelineRunner:
             )
         st.payload = candidate
 
-    def _give_up(self, st: _RunState, frame: _StageFrame, error: BaseException) -> None:
-        """Dead-letter the stage, then pass its input on (an observer,
-        degraded) or fail the run."""
+    def _give_up(self, st: _RunState, frame: _StageFrame, error: BaseException) -> BaseException:
+        """Dead-letter the stage: it failed, and so does the run."""
         stage, index = frame.stage, frame.index
-        degrade = stage.on_error is OnError.SKIP_DEGRADED
         st.dead_letters.append(
             DeadLetterRecord(
                 pipeline=self.plan.name,
@@ -1102,31 +1088,10 @@ class PipelineRunner:
                 error=str(error),
                 fault_kind=classify_fault(error),
                 input_fingerprint=st.fingerprint,
-                action="degraded" if degrade else "failed",
                 timestamp=self.clock(),
             )
         )
         st.recorder.count("dead_letters_total", stage=stage.name)
-        if not degrade:
-            raise self._stage_failed(st, frame, error) from error
-        described = f"{type(error).__name__}: {error}"
-        detail = f"{described} (after {frame.attempts} attempts)"
-        # the run completes, flagged degraded, with the failure dead-lettered
-        # for re-driving.  No checkpoint: a resume must re-attempt the
-        # stage, not restore its passed-through input
-        self._publish(
-            st, K.STAGE_DEGRADED, stage.name, index, seconds=frame.elapsed,
-            fingerprint=st.fingerprint, detail=detail,
-            audit={"attempts": frame.attempts, "error": str(error)},
-            error=described, attempts=frame.attempts, task_retries=frame.task_retries,
-        )
-        st.results.append(frame.result(st, st.fingerprint, degraded=True, error=described))
-
-    def _stage_failed(
-        self, st: _RunState, frame: _StageFrame, error: BaseException
-    ) -> BaseException:
-        """The stage failed, and so does the run."""
-        stage, index = frame.stage, frame.index
         described = f"{type(error).__name__}: {error}"
         self._publish(
             st, K.STAGE_FAILED, stage.name, index, seconds=frame.elapsed,
@@ -1149,8 +1114,8 @@ class PipelineRunner:
         lands behind the next stage (see :meth:`_land`)."""
         stage, index = frame.stage, frame.index
         self._land(st)
-        # the output is named by its derivation, not hashed: an observer
-        # hands its input on, under the input's id
+        # the output is named by its derivation, not hashed: a stage that
+        # hands its input on hands it on under the input's id
         out_bytes, out_items = commit_pass(st.payload)
         out_fp = st.fingerprint if st.payload is frame.source else self.plan.derive(
             index, st.fingerprint

@@ -30,7 +30,6 @@ from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage
 from repro.core.runner import Pipeline, PipelineContext
-from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.bio.synthetic import (
     PROMOTER_MOTIF,
@@ -411,7 +410,7 @@ class BioArchetype(DomainArchetype):
             "bio",
             [
                 PipelineStage("acquire", DataProcessingStage.INGEST, self._acquire,
-                              on_error=OnError.RETRY,
+                              retry=True,
                               output_contract=CONTRACTS[("acquire", "output")]),
                 PipelineStage("encode", DataProcessingStage.PREPROCESS, self._encode),
                 PipelineStage("anonymize", DataProcessingStage.TRANSFORM, self._anonymize,
@@ -421,7 +420,7 @@ class BioArchetype(DomainArchetype):
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"secure": True, "seed": self.seed},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY),
+                              retry=True),
             ],
         )
 

@@ -31,7 +31,6 @@ from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage
 from repro.core.runner import Pipeline, PipelineContext
-from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.climate.synthetic import (
     VARIABLES,
@@ -497,7 +496,7 @@ class ClimateArchetype(DomainArchetype):
             [
                 PipelineStage("download", DataProcessingStage.INGEST, self._ingest,
                               description="decode NetCDF-like + GRIB-like sources",
-                              on_error=OnError.RETRY,
+                              retry=True,
                               output_contract=CONTRACTS[("download", "output")]),
                 PipelineStage("regrid", DataProcessingStage.PREPROCESS, self._regrid,
                               params={"target": self.target_grid.shape},
@@ -511,7 +510,7 @@ class ClimateArchetype(DomainArchetype):
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"codec": "zlib"},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY),
+                              retry=True),
             ],
         )
 

@@ -29,7 +29,6 @@ from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage
 from repro.core.runner import Pipeline, PipelineContext
-from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.fusion.shottree import ShotTreeStore
 from repro.domains.fusion.synthetic import (
@@ -450,7 +449,7 @@ class FusionArchetype(DomainArchetype):
             [
                 PipelineStage("extract", DataProcessingStage.INGEST, self._extract,
                               description="shot-level reads from the MDSplus-like store",
-                              on_error=OnError.RETRY,
+                              retry=True,
                               output_contract=CONTRACTS[("extract", "output")]),
                 PipelineStage("align", DataProcessingStage.PREPROCESS, self._align,
                               params={"dt": DT},
@@ -463,7 +462,7 @@ class FusionArchetype(DomainArchetype):
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"formats": ["rps", "tfrecord"]},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY),
+                              retry=True),
             ],
         )
 

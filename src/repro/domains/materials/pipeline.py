@@ -31,7 +31,6 @@ from repro.core.evidence import EvidenceKind
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage
 from repro.core.runner import Pipeline, PipelineContext
-from repro.faults import OnError
 from repro.domains.base import DomainArchetype
 from repro.domains.materials.graphs import (
     DESCRIPTOR_NAMES,
@@ -447,7 +446,7 @@ class MaterialsArchetype(DomainArchetype):
             "materials",
             [
                 PipelineStage("parse", DataProcessingStage.INGEST, self._parse,
-                              on_error=OnError.RETRY,
+                              retry=True,
                               output_contract=CONTRACTS[("parse", "output")]),
                 PipelineStage("normalize", DataProcessingStage.PREPROCESS, self._normalize),
                 PipelineStage("encode", DataProcessingStage.TRANSFORM, self._encode,
@@ -459,7 +458,7 @@ class MaterialsArchetype(DomainArchetype):
                 PipelineStage("shard", DataProcessingStage.SHARD, self._shard,
                               params={"formats": ["rps", "adios-like"], "seed": self.seed},
                               parallelism=Parallelism.WRITE,
-                              on_error=OnError.RETRY),
+                              retry=True),
             ],
         )
 

@@ -3,8 +3,7 @@
 The resilience layer of the pipeline engine (see DESIGN.md, "Fault
 tolerance").  Four pieces:
 
-* :mod:`repro.faults.errors` — transient-vs-permanent classification and
-  the :class:`OnError` policy a stage declares;
+* :mod:`repro.faults.errors` — transient-vs-permanent classification;
 * :mod:`repro.faults.retry` — :class:`RetryPolicy` (deterministic seeded
   backoff), :class:`Deadline` budgets, and the single retry loop both
   the runner and the backends use, with injectable clocks so tests never
@@ -24,7 +23,6 @@ from repro.faults.deadletter import (
 )
 from repro.faults.errors import (
     FaultKind,
-    OnError,
     PermanentFaultError,
     PoisonTaskError,
     StageTimeoutError,
@@ -57,7 +55,6 @@ __all__ = [
     "StageTimeoutError",
     "WorkerCrash",
     "PoisonTaskError",
-    "OnError",
     "classify_fault",
     "is_transient",
     "Clock",

@@ -4,8 +4,7 @@ Large preprocessing campaigns die overwhelmingly to *transient* faults —
 flaky parallel filesystems, evicted nodes, slow ranks, interrupted
 syscalls — while genuinely *permanent* faults (schema violations, bad
 configuration, validation failures) must fail fast and loudly.  The
-engine branches on this distinction everywhere retry or degraded-mode
-recovery is possible, so the classification lives in one place:
+engine branches on this distinction everywhere retry is possible, so the classification lives in one place:
 
 * :class:`TransientFaultError` — the explicit "retry me" marker any layer
   can raise (the fault injector's :class:`~repro.faults.inject.
@@ -33,7 +32,6 @@ __all__ = [
     "StageTimeoutError",
     "WorkerCrash",
     "PoisonTaskError",
-    "OnError",
     "classify_fault",
     "is_transient",
 ]
@@ -123,24 +121,3 @@ def classify_fault(error: BaseException) -> FaultKind:
 
 def is_transient(error: BaseException) -> bool:
     return classify_fault(error) is FaultKind.TRANSIENT
-
-
-class OnError(enum.Enum):
-    """What a stage declares it does with a failure that survives
-    classification; the run only sets the retry budget.
-
-    * ``FAIL`` — abort the run at once, without retrying;
-    * ``RETRY`` — re-execute the stage under the run's retry policy (a
-      default one when the run sets none); when attempts are exhausted,
-      fail;
-    * ``SKIP_DEGRADED`` — the stage is an *observer*: its output is its
-      input (a QC check, evidence only).  It retries like ``RETRY``;
-      when attempts are exhausted the stage is dead-lettered, the run is
-      marked degraded, and its input is handed on — which is what the
-      stage would have handed on.  A declaring stage that succeeds with
-      a new payload fails the run.
-    """
-
-    FAIL = "fail"
-    RETRY = "retry"
-    SKIP_DEGRADED = "skip-degraded"

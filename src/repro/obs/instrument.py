@@ -319,9 +319,8 @@ class RunRecorder(NullRecorder):
         metrics.gauge("stage_items_per_s", **labels).set(items_per_s)
         metrics.gauge("stage_bytes_per_s", **labels).set(bytes_per_s)
 
-    def _stage_degraded(self, event: "RunEvent", *, error: str = "", **counts: int) -> None:
-        if error:  # an observer skipped; a quarantine degrade's span already ended
-            self._close_stage(error=error, degraded=True, **counts)
+    def _stage_degraded(self, event: "RunEvent") -> None:
+        # a gate quarantined records: the stage completed and its span ended
         self.count("stages_degraded_total", stage=event.stage_name)
 
     def _stage_failed(self, event: "RunEvent", *, error: str) -> None:

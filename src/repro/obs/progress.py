@@ -39,7 +39,7 @@ class ProgressSnapshot:
     """One instant of run progress (safe to hand across threads)."""
 
     pipeline: str
-    #: "idle" | "running" | "completed" | "failed" | "degraded"
+    #: "idle" | "running" | "completed" | "failed"
     status: str
     stage: str
     stage_index: int
@@ -128,13 +128,6 @@ class ProgressReporter:
             elif kind in ("stage-completed", "stage-skipped"):
                 self._stages_done += 1
                 if self._stage == (event.stage_name or ""):
-                    self._stage = ""
-            elif kind == "stage-degraded":
-                # a degraded stage still finished (passthrough); count it
-                # once — quarantine-degraded stages also emit
-                # stage-completed, which already counted
-                if self._stage == (event.stage_name or ""):
-                    self._stages_done += 1
                     self._stage = ""
             elif kind == "run-completed":
                 self._status = "completed"

@@ -58,16 +58,12 @@ class CleaningReport:
 # missing values
 # ---------------------------------------------------------------------------
 
-def missing_mask(values: np.ndarray, sentinel: Optional[float] = None) -> np.ndarray:
-    """Boolean mask of missing entries (NaN, and optionally a sentinel)."""
+def missing_mask(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of missing (NaN) entries."""
     values = np.asarray(values)
     if np.issubdtype(values.dtype, np.floating):
-        mask = np.isnan(values)
-    else:
-        mask = np.zeros(values.shape, dtype=bool)
-    if sentinel is not None:
-        mask |= values == sentinel
-    return mask
+        return np.isnan(values)
+    return np.zeros(values.shape, dtype=bool)
 
 
 def missing_fraction(values: np.ndarray) -> float:
@@ -78,57 +74,23 @@ def missing_fraction(values: np.ndarray) -> float:
     return float(missing_mask(values).mean())
 
 
-def impute(
-    values: np.ndarray,
-    strategy: str = "mean",
-    *,
-    fill_value: Optional[float] = None,
-) -> Tuple[np.ndarray, int]:
-    """Fill missing (NaN) entries; returns ``(filled_copy, n_imputed)``.
-
-    Strategies
-    ----------
-    ``mean`` / ``median``:
-        Statistic of the observed entries (per trailing feature for 2-D+).
-    ``constant``:
-        Requires *fill_value*.
-    ``interpolate``:
-        1-D linear interpolation over the sample axis (time-series use);
-        ends are extended with the nearest observed value.
-    """
+def impute(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Fill missing (NaN) entries with the mean of the observed entries (per
+    trailing feature for 2-D+); returns ``(filled_copy, n_imputed)``."""
     values = np.asarray(values, dtype=np.float64).copy()
     mask = missing_mask(values)
     n_missing = int(mask.sum())
     if n_missing == 0:
         return values, 0
-    if strategy == "constant":
-        # the only strategy that can fill a fully-missing column
-        if fill_value is None:
-            raise ValueError("constant strategy requires fill_value")
-        values[mask] = fill_value
-        return values, n_missing
     if mask.all():
         raise ValueError("cannot impute a fully-missing column")
-    if strategy in ("mean", "median"):
-        stat = np.nanmean if strategy == "mean" else np.nanmedian
-        work = values.copy()
-        work[mask] = np.nan
-        if values.ndim == 1:
-            values[mask] = stat(work)
-        else:
-            fill = stat(work, axis=0)
-            # broadcast per-feature fill into missing slots
-            idx = np.nonzero(mask)
-            values[idx] = np.broadcast_to(fill, values.shape)[idx]
-        return values, n_missing
-    if strategy == "interpolate":
-        if values.ndim != 1:
-            raise ValueError("interpolate strategy supports 1-D arrays only")
-        x = np.arange(values.size)
-        good = ~mask
-        values[mask] = np.interp(x[mask], x[good], values[good])
-        return values, n_missing
-    raise ValueError(f"unknown imputation strategy {strategy!r}")
+    if values.ndim == 1:
+        values[mask] = np.nanmean(values)
+    else:
+        # broadcast per-feature fill into missing slots
+        idx = np.nonzero(mask)
+        values[idx] = np.broadcast_to(np.nanmean(values, axis=0), values.shape)[idx]
+    return values, n_missing
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Engine-level fault tolerance: stage retries, degraded observers, quarantine."""
+"""Engine-level fault tolerance: stage retries, deadlines, dead letters, quarantine."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner, RunEventKind
 from repro.durability.checkpoint import RunCheckpointer
 from repro.durability.fsfaults import SimulatedCrash
-from repro.faults import OnError, RetryPolicy, StageTimeoutError
+from repro.faults import RetryPolicy, StageTimeoutError
 from repro.faults import FaultInjector, FaultSpec, VirtualClock
 from repro.obs import Telemetry
 from repro.workers import DrainInterrupt
@@ -104,11 +104,11 @@ class TestStageRetry:
     def test_per_stage_policy_overrides_run_default(self):
         def run(**budget):
             plan = StagePlan.build("p", [
-                PipelineStage("flaky", S.INGEST, flaky_fn(2), on_error=OnError.RETRY)
+                PipelineStage("flaky", S.INGEST, flaky_fn(2), retry=True)
             ])
             return PipelineRunner(plan, fault_clock=VirtualClock(), **budget).run(np.ones(2))
 
-        # no run budget: the stage's RETRY declaration retries on the default policy
+        # no run budget: the stage's retry declaration retries on the default policy
         assert run().results[0].attempts == RetryPolicy().max_attempts == 3
         # ... and the run's budget bounds it
         with pytest.raises(PipelineError, match="flake #2"):
@@ -133,7 +133,7 @@ class TestStageRetry:
     def test_drain_and_crash_pass_straight_through_the_retry_loop(self, exc_type):
         fn = flaky_fn(1, exc_type=exc_type)
         plan = StagePlan.build("p", [
-            PipelineStage("stopped", S.INGEST, fn, on_error=OnError.SKIP_DEGRADED)
+            PipelineStage("stopped", S.INGEST, fn, retry=True)
         ])
         events = []
         runner = PipelineRunner(
@@ -227,84 +227,6 @@ class TestStageTimeout:
         )
         run = runner.run(np.ones(2))
         assert run.results[0].attempts == 1
-
-
-def observer(payload, ctx):
-    raise TimeoutError("always")
-
-
-class TestSkipDegraded:
-    def _degraded_run(self):
-        plan = StagePlan.build("p", [
-            PipelineStage("a", S.INGEST, doubler),
-            PipelineStage("doomed", S.TRANSFORM, observer, on_error=OnError.SKIP_DEGRADED),
-            PipelineStage("b", S.STRUCTURE, doubler),
-        ])
-        runner = PipelineRunner(
-            plan,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            fault_clock=VirtualClock(),
-        )
-        return runner.run(np.ones(3))
-
-    def test_a_declaring_stage_that_transforms_its_input_fails_the_run(self):
-        plan = StagePlan.build("p", [
-            PipelineStage("qc", S.INGEST, doubler, on_error=OnError.SKIP_DEGRADED)
-        ])
-        with pytest.raises(PipelineError, match="stage 'qc' failed: .* new payload") as info:
-            PipelineRunner(plan).run(np.ones(2))
-        assert info.value.events[-1].kind is RunEventKind.RUN_FAILED
-        assert len(info.value.dead_letters) == 0  # a wrong plan, not a re-drivable fault
-
-    def test_run_completes_with_stage_skipped(self):
-        run = self._degraded_run()
-        # doomed's input passed through untouched: 1 * 2 (a) * 2 (b)
-        np.testing.assert_array_equal(run.payload, np.ones(3) * 4)
-        assert run.degraded
-        doomed = run.results[1]
-        assert doomed.degraded
-        assert doomed.attempts == 2
-        assert doomed.output_fingerprint == doomed.input_fingerprint
-        assert "TimeoutError" in doomed.error
-        kinds = [e.kind for e in run.events]
-        assert RunEventKind.STAGE_DEGRADED in kinds
-        assert RunEventKind.RUN_COMPLETED in kinds
-
-    def test_degraded_stage_is_dead_lettered_for_redrive(self):
-        run = self._degraded_run()
-        records = [r for r in run.dead_letters.records if r.stage_name == "doomed"]
-        assert len(records) == 1
-        assert records[0].action == "degraded"
-        assert records[0].input_fingerprint == run.results[0].output_fingerprint
-        rendered = run.dead_letters.render()
-        assert "doomed" in rendered and "degraded" in rendered
-
-    def test_degraded_status_reaches_summary(self):
-        run = self._degraded_run()
-        summary = run.to_summary()
-        assert summary["doomed"]["status"] == "degraded"
-        assert summary["doomed"]["retries"] == 1
-        assert summary["a"]["status"] == "ok"
-        # the totals row of the rendered table flags the whole run
-        assert run.summary_table().rstrip().splitlines()[-1].endswith("degraded")
-
-    def test_degraded_stage_not_checkpointed(self, tmp_path):
-        plan = StagePlan.build("p", [
-            PipelineStage("a", S.INGEST, doubler),
-            PipelineStage("doomed", S.TRANSFORM, observer, on_error=OnError.SKIP_DEGRADED),
-        ])
-        runner = PipelineRunner(
-            plan,
-            checkpoint_dir=tmp_path,
-            retry_policy=RetryPolicy(max_attempts=2, jitter=0.0),
-            fault_clock=VirtualClock(),
-        )
-        runner.run(np.ones(2))
-        checkpoint, quarantined = RunCheckpointer(tmp_path).load_verified(plan)
-        # only stage a persisted: a resume must re-attempt the skipped stage
-        assert checkpoint is not None
-        assert checkpoint.stage_index == 0
-        assert quarantined == []
 
 
 class TestCheckpointHardening:

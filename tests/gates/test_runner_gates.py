@@ -48,6 +48,9 @@ def test_quarantine_policy_sheds_corrupt_records_and_degrades(tmp_path):
     result = _run(CORRUPT, tmp_path, gates="quarantine", quarantine_dir=qdir)
     assert result.run.degraded
     assert result.run.records_quarantined == 1
+    # the degraded status reaches the summary, and the totals row flags the run
+    assert result.run.to_summary()["download"]["status"] == "degraded"
+    assert result.run.summary_table().rstrip().splitlines()[-1].endswith("degraded")
     assert (qdir / QUARANTINE_NAME).exists()
     store = QuarantineStore(qdir)
     entries = store.entries()

@@ -10,7 +10,7 @@ from repro.core.backends import get_backend
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import Parallelism, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
-from repro.faults import OnError
+from repro.gates import ColumnCheck, StageContract
 from repro.sched import (
     LEDGER_NAME,
     CandidateConfig,
@@ -87,15 +87,17 @@ def test_unknown_key_has_no_measurements(tmp_path):
 def test_restored_and_degraded_stages_are_not_filed(tmp_path):
     """Neither carries an execution signal, so neither makes a config a
     candidate."""
-    def boom(payload, ctx):
-        raise RuntimeError("always")
+    def records(payload, ctx):  # one record fails its gate
+        return [{"t": np.asarray([x])} for x in payload] + [{"t": np.asarray([np.nan])}]
 
     payload = np.arange(8.0)
-    plan = _plan(False, PipelineStage("boom", DataProcessingStage.STRUCTURE, boom,
-                                      on_error=OnError.SKIP_DEGRADED))
-    options = {"ledger": tmp_path / "store", "checkpoint_dir": tmp_path / "ckpt"}
+    gate = StageContract("t-finite", checks=(ColumnCheck("finite", "t"),))
+    plan = _plan(False, PipelineStage("shed", DataProcessingStage.STRUCTURE, records,
+                                      output_contract=gate))
+    options = {"ledger": tmp_path / "store", "checkpoint_dir": tmp_path / "ckpt",
+               "gates": "quarantine"}
     run = PipelineRunner(plan, **options).run(payload)
-    assert [r.stage_name for r in run.results if r.degraded] == ["boom"]
+    assert [r.stage_name for r in run.results if r.degraded] == ["shed"]
     PipelineRunner(plan, **options).run(payload, resume=True)
     degraded, resumed = Ledger(tmp_path / "store").rows()
     assert degraded.status == "degraded"

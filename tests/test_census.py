@@ -61,18 +61,27 @@ KNOBS = {
         "    def __init__(self, level=0, spare=1):\n        self.level = level + spare\n\n\n"
         "class Dial(Knob):\n"
         "    def __init__(self, *, label=''):\n        super().__init__(level=2)\n\n\n"
-        "def handed(x, rounds=1):\n    return x * rounds\n"
+        "def handed(x, rounds=1):\n    return x * rounds\n\n\n"
+        "def timed(x, clock=None):\n    return x\n\n\n"
+        "def kept(level=0):\n    return level\n\n\n"
+        "PLUGINS = {}\n\n\n"
+        "class Wide:\n    def __init__(self, width=1):\n        self.width = width\n\n\n"
+        "class Deep:\n    def __init__(self, depth=1):\n        self.depth = depth\n\n\n"
+        "PLUGINS.setdefault('wide', Wide)\n"
+        "PLUGINS['deep'] = Deep\n\n\n"
+        "def plugin(name, **options):\n    cls = PLUGINS[name]\n    return cls(**options)\n"
     ),
     "benchmarks/use_knobs.py": (
         "from repro.knobs import HANDLERS, Dial, forwarded, handed, tune\n\n"
         "options = {'x': 1}\n"
         "facts = {'detail': 'x'}\n"
         "print(tune(0, 5, by_keyword=6), forwarded(**options), HANDLERS['e']('e', **facts))\n"
-        "print(Dial(label='d').level, benchmark(handed, 1, rounds=2))\n"
+        "print(Dial(label='d').level, benchmark(handed, 1, rounds=2), timed(1))\n"
+        "print(plugin('wide', width=2), plugin('deep', depth=2))\n"
     ),
     "tests/test_knobs.py": (
-        "from repro.knobs import TESTED_ONLY, tune\n\n\n"
-        "def test_seam():\n    assert tune(0, by_test=TESTED_ONLY)\n"
+        "from repro.knobs import TESTED_ONLY, kept, timed, tune\n\n\n"
+        "def test_seam():\n    assert tune(0, by_test=TESTED_ONLY) + timed(0, clock=1) + kept()\n"
     ),
 }
 
@@ -110,14 +119,18 @@ def test_planted_tree_findings(planted):
 
 def test_planted_parameters_and_constants(planted):
     """A parameter set positionally, by keyword, through ``**`` (by name or via a
-    dispatch table), by ``super().__init__``, through a callable handed on
-    (``benchmark(f, ..., p=...)``) or only by a test is not reported; one no
-    call sets is, and so is a constant only a test reads."""
+    dispatch table filled by a display, ``setdefault`` or ``X[k] = v``), by
+    ``super().__init__``, through a callable handed on (``benchmark(f, ..., p=...)``)
+    is not reported, nor is a seam-named one only a test sets or one of a ``KEEP``
+    entry; one no call sets is, as is one only a test sets, and so is a constant
+    only a test reads."""
     for name, text in KNOBS.items():
         (planted / name).write_text(text)
-    found = census.census(planted, {"repro.pkg.core.probe": "test-seam"})
+    found = census.census(planted, {"repro.pkg.core.probe": "test-seam",
+                                    "repro.knobs.kept": "test-seam"})
     assert [line for line in found if "knobs" in line] == [
         "src/repro/knobs.py:2: repro.knobs.TESTED_ONLY is reached by nothing but tests (1 lines)",
+        "src/repro/knobs.py:5: repro.knobs.tune: parameter by_test is set by no call",
         "src/repro/knobs.py:5: repro.knobs.tune: parameter unset is set by no call",
         "src/repro/knobs.py:21: repro.knobs.Knob: parameter spare is set by no call",
     ]

@@ -22,50 +22,33 @@ class TestMissing:
         values = np.asarray([1.0, np.nan, 3.0])
         assert missing_mask(values).tolist() == [False, True, False]
 
-    def test_mask_sentinel(self):
-        values = np.asarray([1, -999, 3])
-        assert missing_mask(values, sentinel=-999).tolist() == [False, True, False]
-
     def test_fraction(self):
         values = np.asarray([np.nan, 1.0, np.nan, 2.0])
         assert missing_fraction(values) == 0.5
         assert missing_fraction(np.asarray([])) == 0.0
 
-    @pytest.mark.parametrize("strategy", ["mean", "median"])
-    def test_impute_statistic(self, strategy):
-        values = np.asarray([1.0, np.nan, 3.0])
-        filled, n = impute(values, strategy)
+    def test_impute_mean(self):
+        filled, n = impute(np.asarray([1.0, np.nan, 3.0]))
         assert n == 1 and filled[1] == 2.0
-
-    def test_impute_constant(self):
-        filled, n = impute(np.asarray([np.nan, 1.0]), "constant", fill_value=-1.0)
-        assert filled[0] == -1.0
-        with pytest.raises(ValueError, match="fill_value"):
-            impute(np.asarray([np.nan]), "constant")
-
-    def test_impute_interpolate(self):
-        values = np.asarray([0.0, np.nan, np.nan, 3.0])
-        filled, n = impute(values, "interpolate")
-        assert n == 2
-        assert np.allclose(filled, [0.0, 1.0, 2.0, 3.0])
 
     def test_impute_2d_per_feature(self):
         values = np.asarray([[1.0, 10.0], [np.nan, 20.0], [3.0, np.nan]])
-        filled, n = impute(values, "mean")
+        filled, n = impute(values)
         assert n == 2
         assert filled[1, 0] == 2.0 and filled[2, 1] == 15.0
 
     def test_fully_missing_rejected(self):
         with pytest.raises(ValueError, match="fully-missing"):
-            impute(np.asarray([np.nan, np.nan]), "mean")
+            impute(np.asarray([np.nan, np.nan]))
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            impute(np.asarray([np.nan, 1.0]), "magic")
+        # the mean is the one strategy: naming any is no call
+        with pytest.raises(TypeError):
+            impute(np.asarray([np.nan, 1.0]), "median")
 
     def test_impute_no_missing_is_identity(self, rng):
         values = rng.normal(size=20)
-        filled, n = impute(values, "mean")
+        filled, n = impute(values)
         assert n == 0 and np.array_equal(filled, values)
 
 

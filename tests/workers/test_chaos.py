@@ -16,7 +16,7 @@ import pytest
 from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineError, PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
-from repro.faults import FaultInjector, FaultSpec, OnError, PoisonTaskError
+from repro.faults import FaultInjector, FaultSpec, PoisonTaskError
 from tests.parity import IN_WORKER_KILL, Config, assert_parity, faults_fired
 
 # the schedule the CI proc-chaos-smoke job also runs: ~20% of task
@@ -42,12 +42,12 @@ def test_batched_worker_kill_chaos_is_bitwise_invisible():
     assert faults_fired("climate", batched)[IN_WORKER_KILL], "no worker died"
 
 
-def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):
-    """The observer stage hosting a poison task degrades; the run does not loop."""
+def test_poison_task_routes_to_dead_letter_on_a_retry_stage(tmp_path):
+    """A stage that declares ``retry`` hosting a poison task fails at its first
+    attempt, dead-lettered; the run does not loop."""
 
-    def fan_out_qc(payload, ctx):
-        ctx.backend.map(lambda x: x * 2, list(payload))  # a check; the input goes on
-        return payload
+    def fan_out(payload, ctx):
+        return np.asarray(ctx.backend.map(lambda x: x * 2, list(payload)))
 
     def finish(payload, ctx):
         return payload
@@ -55,21 +55,20 @@ def test_poison_task_routes_to_dead_letter_under_skip_degraded(tmp_path):
     plan = StagePlan.build(
         "poisoned",
         [
-            PipelineStage("fan", DataProcessingStage.INGEST, fan_out_qc,
-                          on_error=OnError.SKIP_DEGRADED),
+            PipelineStage("fan", DataProcessingStage.INGEST, fan_out, retry=True),
             PipelineStage("finish", DataProcessingStage.TRANSFORM, finish),
         ],
     )
     injector = FaultInjector(FaultSpec(seed=7, poison_sites=("map#0[4]",)))
     runner = PipelineRunner(plan, backend="process", fault_injector=injector)
-    run = runner.run(np.arange(8.0))
-    assert run.degraded
-    assert run.results[0].degraded
-    assert run.worker_counters["poison_tasks"] == 1
-    letters = run.dead_letters.records
+    with pytest.raises(PipelineError, match="stage 'fan' failed") as info:
+        runner.run(np.arange(8.0))
+    assert info.value.worker_counters["poison_tasks"] == 1
+    letters = info.value.dead_letters.records
     assert len(letters) == 1
     assert letters[0].stage_name == "fan"
-    assert letters[0].action == "degraded"
+    assert letters[0].attempts == 1
+    assert letters[0].action == "failed"
     assert letters[0].error_type == "PoisonTaskError"
     assert letters[0].fault_kind.value == "permanent"
     assert "proc-map#0[4]@3" in letters[0].error

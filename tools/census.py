@@ -10,16 +10,21 @@ names) outside its own body, outside ``__init__`` import lines and outside every
 body already found dead -- iterated to a fixpoint.
 
 A defaulted parameter of a live function or method (``__init__`` included) is
-reported when no call in ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or
-``tools/`` sets it: by keyword, or by passing that many positional arguments.
-Calls match by name, type-blind: ``C(...)`` and ``super().__init__(...)`` in a
-subclass of ``C`` call ``C.__init__`` (as does a call of any subclass of ``C``,
-or ``cls(...)`` in ``C``), a callable passed as a call's first argument is
-called with the rest (``partial(f, ...)``, ``benchmark(f, ...)``), a lookup call
-``X[key](...)`` or ``X.get(key)(...)`` calls every value of the dict displays
-assigned to ``X``, a call with ``*args`` or ``**kwargs`` sets every parameter,
-and a parameter set on one def of a name is set on every def of that name.  A
-parameter that only tests set is a test seam, not a finding.
+reported when no call in ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``
+sets it: by keyword, or by passing that many positional arguments.  A test is
+not a caller, with one exception: a call in ``tests/`` sets a parameter whose
+name is in ``SEAMS`` (a clock, a random source, an output stream, an id, a path
+or an injected collaborator; never a choice of behaviour).  The parameters of a
+``KEEP`` entry, and of its methods, are kept with it.  Calls match by name,
+type-blind: ``C(...)`` and ``super().__init__(...)`` in a subclass of ``C`` call
+``C.__init__`` (as does a call of any subclass of ``C``, or ``cls(...)`` in
+``C``), a callable passed as a call's first argument is called with the rest
+(``partial(f, ...)``, ``benchmark(f, ...)``), a lookup call ``X[key](...)`` or
+``X.get(key)(...)`` (or of a name assigned such a lookup) calls every value
+put in ``X`` -- by a dict display assigned to ``X``, ``X[key] = value`` or
+``X.setdefault(key, value)`` --, a call with ``*args`` or ``**kwargs`` sets every
+parameter, and a parameter set on one def of a name is set on every def of that
+name.
 
 Prints what is not reached or set; ``--check`` also exits 1.
 """
@@ -29,8 +34,8 @@ import re
 import sys
 from pathlib import Path
 
-# The only survivors, each kept whole: qualified name -> "test-seam" (tests of other
-# behaviour rely on it) | "safety" | "pending: ROADMAP item N" (or "N(x)").
+# The only survivors, each kept whole (its parameters and methods too): qualified name ->
+# "test-seam" (tests of other behaviour rely on it) | "safety" | "pending: ROADMAP item N" (or "N(x)").
 KEEP = {
     "repro.faults.retry.VirtualClock": "test-seam",
     "repro.faults.retry.RetryPolicy.delays": "test-seam",
@@ -47,7 +52,11 @@ KEEP = {
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
-CALLERS = ("src", "tests", "benchmarks", "examples", "tools")
+CALLERS = ("src", "benchmarks", "examples", "tools")
+# The parameters a test may set on its own: each names a clock, a random source, an
+# output stream, an id, a path or an injected collaborator, never a choice of behaviour.
+SEAMS = frozenset({"clock", "perf", "rng", "seed", "stream", "trace_id", "path",
+                   "tracer", "audit", "provenance_store"})
 
 
 def constant(node):
@@ -155,14 +164,14 @@ def table(node):
 
 
 def calls(trees):
-    """Every call in *trees* as ``name -> [(positional count, keywords, starred)]``, and the
-    base names of every class.
+    """Every call in *trees* (``(tree, from a test)`` pairs) as ``name -> [(positional count,
+    keywords, starred, from a test)]``, and the base names of every class.
 
     A call of a table lookup (``X[key](...)``, ``X.get(key)(...)``, or a name assigned one)
-    calls every name of a dict display assigned to ``X``.
+    calls every value put in ``X``: by a dict display, ``X[key] = v`` or ``X.setdefault(key, v)``.
     """
-    found, bases, tables, lookups, through = {}, {}, {}, {}, {}
-    for tree in trees:
+    found, bases, tables, lookups, through, by_name = {}, {}, {}, {}, {}, {}
+    for tree, test in trees:
         classes, todo = [], [tree]
         while todo:  # ast.walk, without its per-node generators and Load/Store leaves
             node = todo.pop()
@@ -177,14 +186,18 @@ def calls(trees):
                 bases.setdefault(node.name, set()).update(map(tail, node.bases))
                 classes.append(node)
             elif kind in (ast.Assign, ast.AnnAssign):
-                target = tail(node.targets[0] if kind is ast.Assign else node.target)
-                if isinstance(node.value, ast.Dict):
-                    tables.setdefault(target, set()).update(map(tail, node.value.values))
+                target = node.targets[0] if kind is ast.Assign else node.target
+                if isinstance(target, ast.Subscript):  # X[key] = v
+                    tables.setdefault(tail(target.value), set()).add(tail(node.value))
+                elif isinstance(node.value, ast.Dict):
+                    tables.setdefault(tail(target), set()).update(map(tail, node.value.values))
                 elif table(node.value):
-                    lookups.setdefault(target, set()).add(table(node.value))
+                    lookups.setdefault(tail(target), set()).add(table(node.value))
             if kind is not ast.Call:
                 continue
             func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and func.attr == "setdefault" and len(args) == 2:
+                tables.setdefault(tail(func.value), set()).add(tail(args[1]))
             names = {tail(func)}
             if tail(func) == "__init__":  # Base.__init__(self, ...) or super().__init__(...)
                 owner = func.value
@@ -195,15 +208,20 @@ def calls(trees):
                     c.name for c in owner}
             starred = any(isinstance(a, ast.Starred) for a in args) or any(
                 k.arg is None for k in node.keywords)
-            keywords = {k.arg for k in node.keywords}
+            made = (len(args), {k.arg for k in node.keywords}, starred, test)
             for name in names:
-                found.setdefault(name, []).append((len(args), keywords, starred))
+                found.setdefault(name, []).append(made)
             if args and isinstance(args[0], (ast.Name, ast.Attribute)):
                 # a callable handed on, as to partial(f, ...) or benchmark(f, ...), may
                 # be called with the rest of the arguments
-                found.setdefault(tail(args[0]), []).append((len(args) - 1, keywords, starred))
-            for name in {table(func)} if table(func) else lookups.get(tail(func), ()):
-                through.setdefault(name, []).append((len(args), keywords, starred))
+                found.setdefault(tail(args[0]), []).append((len(args) - 1, *made[1:]))
+            if table(func):
+                through.setdefault(table(func), []).append(made)
+            else:
+                by_name.setdefault(tail(func), []).append(made)
+    for name, named in lookups.items():  # cls = X[key]; ... cls(...)
+        for looked_up in named:
+            through.setdefault(looked_up, []).extend(by_name.get(name, ()))
     for name, made in through.items():
         for value in tables.get(name, ()):
             found.setdefault(value, []).extend(made)
@@ -211,7 +229,8 @@ def calls(trees):
 
 
 def unset_parameters(trees, live):
-    """``(region, parameter name, line)`` for each defaulted parameter no call in *trees* sets."""
+    """``(region, parameter name, line)`` for each defaulted parameter no call in *trees*
+    sets, a call from a test counting only for a name in ``SEAMS``."""
     found, bases = calls(trees)
     subclasses = {}
     for name, named in bases.items():
@@ -238,11 +257,12 @@ def unset_parameters(trees, live):
             named.setdefault(name, []).append(fn)
     for name, defs in named.items():
         done = set_by.setdefault(name, set())
-        for count, keywords, starred in found.get(name, ()):
+        for count, keywords, starred, test in found.get(name, ()):
             for _, node, _, bound in defs:
                 every = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 positional = (node.args.posonlyargs + node.args.args)[int(bound):]
-                done |= {a.arg for a in (every if starred else positional[:count])} | keywords
+                hit = {a.arg for a in (every if starred else positional[:count])} | keywords
+                done |= hit & SEAMS if test else hit
     unset = []
     for region, node, names, _ in fns:
         done = set().union(*(set_by[n] for n in names))
@@ -277,10 +297,11 @@ def census(root, keep):
     findings += [f"KEEP {r.name}: reached without it, drop the entry" for r in kept - unused]
     live = [d for d in defs if d.top in reached and d.live(dead)]
     unset = {}
-    trees = [top.node for top in modules.values()] + [
-        ast.parse(p.read_text())
-        for d in CALLERS if d != "src" for p in sorted((root / d).rglob("*.py"))]
-    for region, name, line in unset_parameters(trees, live):
+    trees = [(top.node, False) for top in modules.values()] + [
+        (ast.parse(p.read_text()), d == "tests")
+        for d in (*CALLERS[1:], "tests") for p in sorted((root / d).rglob("*.py"))]
+    whole = [d for d in live if d not in kept and d.parent not in kept]
+    for region, name, line in unset_parameters(trees, whole):
         unset.setdefault(region.top, []).append((line, f"{region.name}: parameter {name} is set "
                                                  "by no call"))
     for top in modules.values():
