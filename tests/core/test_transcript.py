@@ -8,8 +8,9 @@ wall-clock-free transcript and compares it with a golden file under
 (the last commit with the monolithic ``_run_impl``) by running this file
 as a script, so they pin the lifecycle refactor to the old behaviour;
 ``disk-chaos`` was generated the same way at d92d17b (the last commit with
-two fault injectors and the runner's private retry loop).  Never
-regenerate one to make a test pass.
+two fault injectors and the runner's private retry loop), and ``chaos`` was
+re-frozen when the observer-degrade mode went (its QC stage now heals by
+retry instead of being skipped).  Never regenerate one to make a test pass.
 
 Two properties ride along: an untraced run emits the same event stream as
 a traced one, and every ``RUN_STARTED`` is followed by exactly one
@@ -38,7 +39,7 @@ from repro.domains.climate.synthetic import ClimateSourceConfig
 from repro.domains.fusion.synthetic import FusionCampaignConfig
 from repro.domains.materials.synthetic import MaterialsSourceConfig
 from repro.durability.checkpoint import CheckpointError
-from repro.faults import FaultInjector, FaultSpec, OnError, RetryPolicy, VirtualClock
+from repro.faults import FaultInjector, FaultSpec, RetryPolicy, VirtualClock
 from repro.obs import Telemetry
 from repro.provenance.store import ProvenanceStore
 from repro.workers import DrainController, DrainInterrupt
@@ -125,9 +126,9 @@ def drive(plan, payload, context, *, resume=False, **options):
     return events, context, options.get("telemetry")
 
 
-def failing(message, exc_type=RuntimeError):
+def failing(message):
     def fn(payload, ctx):
-        raise exc_type(message)
+        raise RuntimeError(message)
 
     return fn
 
@@ -153,17 +154,22 @@ def gated_quarantine(telemetry):
     }
 
 
-def chaos_degraded(telemetry):
-    """Injected task and torn-shard faults heal through retries; an extra
-    always-failing QC stage is dead-lettered and skipped (degraded)."""
+def chaos_healed(telemetry):
+    """Injected task and torn-shard faults heal through retries, and so does
+    an extra QC stage that loses its node twice before it hands its input on."""
 
-    def add_doomed_qc(plan):
-        qc = PipelineStage(
-            "qc", S.TRANSFORM, failing("qc node lost", TimeoutError),
-            on_error=OnError.SKIP_DEGRADED,
-        )
+    def add_flaky_qc(plan):
+        lost = []
+
+        def qc(payload, ctx):
+            if len(lost) < 2:
+                lost.append(1)
+                raise TimeoutError("qc node lost")
+            return payload
+
+        stage = PipelineStage("qc", S.TRANSFORM, qc, retry=True)
         at = plan.index_of("normalize") + 1
-        return StagePlan.build(plan.name, [*plan.stages[:at], qc, *plan.stages[at:]])
+        return StagePlan.build(plan.name, [*plan.stages[:at], stage, *plan.stages[at:]])
 
     clock = VirtualClock()
     injector = FaultInjector(
@@ -171,7 +177,7 @@ def chaos_degraded(telemetry):
     )
     return {
         "chaos": archetype_run(
-            "climate", Path("work"), patch=add_doomed_qc, telemetry=telemetry(),
+            "climate", Path("work"), patch=add_flaky_qc, telemetry=telemetry(),
             fault_injector=injector, fault_clock=clock,
             retry_policy=RetryPolicy(max_attempts=4, seed=7),
         )
@@ -237,7 +243,7 @@ def process_worker_kill(telemetry):
 SCENARIOS = {
     **{f"clean-{domain}": clean(domain) for domain in ARCHETYPES},
     "gated": gated_quarantine,
-    "chaos": chaos_degraded,
+    "chaos": chaos_healed,
     "disk-chaos": disk_chaos,
     "resume": resume_after_failure,
     "process-kill": process_worker_kill,
