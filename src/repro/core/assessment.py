@@ -103,10 +103,10 @@ class ReadinessAssessment:
 
 
 class ReadinessAssessor:
-    """Assess :class:`~repro.core.evidence.ReadinessEvidence` against Table 2."""
+    """Assess :class:`~repro.core.evidence.ReadinessEvidence` against Table 2,
+    under the default :class:`AssessmentCriteria`."""
 
-    def __init__(self, criteria: Optional[AssessmentCriteria] = None):
-        self.criteria = criteria or AssessmentCriteria()
+    criteria = AssessmentCriteria()
 
     # -- quantitative gates ---------------------------------------------------
     def _gate(self, evidence: ReadinessEvidence, kind: EvidenceKind) -> Optional[str]:

@@ -217,10 +217,7 @@ class ExecutionBackend(abc.ABC):
         return resilient
 
     @abc.abstractmethod
-    def fan_out(
-        self, fn: Callable[[Any], Any], items: Sequence[Any], *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def fan_out(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """The hook-free primitive under every op: apply ``run_task(fn)``
         to every item, results in input order."""
 
@@ -231,29 +228,18 @@ class ExecutionBackend(abc.ABC):
         with contextlib.ExitStack() as stack:
             yield [stack.enter_context(h.backend_op(self, op, tasks, **facts)) for h in self.hooks]
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Apply *fn* to every item; results return in input order.
 
         *fn* must be pure with respect to the items — backends may run
-        calls concurrently and in any schedule.  ``weights`` is an
-        optional load-balancing hint (ignored by backends that cannot
-        use it).
+        calls concurrently and in any schedule.
         """
-        return self._map(fn, items, weights)
+        return self._map(fn, items)
 
-    def _map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any],
-        weights: Optional[Sequence[float]], **facts: Any,
-    ) -> List[Any]:
+    def _map(self, fn: Callable[[Any], Any], items: Sequence[Any], **facts: Any) -> List[Any]:
         if not self.hooks:
             # untraced and fault-free: the task itself, unwrapped
-            return self.fan_out(fn, items, weights=weights)
+            return self.fan_out(fn, items)
         items = list(items)
 
         def task(indexed: Tuple[int, Any]) -> Any:
@@ -264,7 +250,7 @@ class ExecutionBackend(abc.ABC):
                 # a later hook's wrap encloses an earlier one's: the
                 # injector's fault point runs outside the recorder's span
                 task = functools.partial(wrap, task)
-            return self.fan_out(task, list(enumerate(items)), weights=weights)
+            return self.fan_out(task, list(enumerate(items)))
 
     def map_batches(
         self,
@@ -273,7 +259,6 @@ class ExecutionBackend(abc.ABC):
         *,
         batch_size: Optional[int] = None,
         record_fn: Optional[Callable[[Any], Any]] = None,
-        weights: Optional[Sequence[float]] = None,
     ) -> List[Any]:
         """Apply a chunk-wise *fn* over deterministic contiguous batches.
 
@@ -282,8 +267,7 @@ class ExecutionBackend(abc.ABC):
         :func:`batch_slices` — a pure function of ``(len(items),
         batch_size)`` — and fanned out through :meth:`map`, so results
         (and therefore downstream shard bytes) are identical to the
-        per-record path on every backend.  A chunk's load-balancing
-        weight is the sum of its items' weights.
+        per-record path on every backend.
 
         With no ``batch_size`` (the unbatched/fixed-plan case) the call
         degrades to plain per-record ``map`` using ``record_fn`` (or
@@ -293,17 +277,13 @@ class ExecutionBackend(abc.ABC):
         items = list(items)
         if not batch_size:
             if record_fn is not None:
-                return self.map(record_fn, items, weights=weights)
-            return self.map(lambda item: list(fn([item]))[0], items, weights=weights)
+                return self.map(record_fn, items)
+            return self.map(lambda item: list(fn([item]))[0], items)
         slices = batch_slices(len(items), int(batch_size))
         chunks = [items[s] for s in slices]
-        chunk_weights: Optional[List[float]] = None
-        if weights is not None:
-            weights = list(weights)
-            chunk_weights = [float(sum(weights[s])) for s in slices]
         out: List[Any] = []
         # the hooks see the slice grid: batching telemetry is logical too
-        for s, results in zip(slices, self._map(fn, chunks, chunk_weights, batches=slices)):
+        for s, results in zip(slices, self._map(fn, chunks, batches=slices)):
             results = list(results)
             expected = s.stop - s.start
             if len(results) != expected:
@@ -406,13 +386,7 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     packs_ahead = True
 
-    def fan_out(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def fan_out(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         task = self.run_task(fn)
         return [task(item) for item in items]
 
@@ -436,13 +410,7 @@ class ThreadedBackend(ExecutionBackend):
     def width(self) -> int:
         return self.workers
 
-    def fan_out(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def fan_out(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         items = list(items)
         if not items:
             return []
@@ -474,22 +442,11 @@ class SimSPMDBackend(ExecutionBackend):
     def width(self) -> int:
         return self.n_ranks
 
-    def fan_out(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def fan_out(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         items = list(items)
         if not items:
             return []
-        return parallel_map(
-            self.run_task(fn),
-            items,
-            n_ranks=self.n_ranks,
-            weights=weights,
-        )
+        return parallel_map(self.run_task(fn), items, n_ranks=self.n_ranks)
 
     def reduce_stats(self, data: np.ndarray, partitions: int) -> FeatureStats:
         # world size == partition count: rank-order allreduce merge is then

@@ -258,19 +258,15 @@ class Dataset:
 
     # -- construction helpers ------------------------------------------------
     @classmethod
-    def from_arrays(
-        cls,
-        columns: Mapping[str, np.ndarray],
-        roles: Optional[Mapping[str, FieldRole]] = None,
-    ) -> "Dataset":
-        """Infer a schema from the arrays themselves (shape + dtype)."""
-        roles = dict(roles or {})
+    def from_arrays(cls, columns: Mapping[str, np.ndarray]) -> "Dataset":
+        """Infer a schema from the arrays themselves (shape + dtype), every
+        column a feature."""
         fields = [
             FieldSpec(
                 name=name,
                 dtype=np.asarray(arr).dtype,
                 shape=tuple(np.asarray(arr).shape[1:]),
-                role=roles.get(name, FieldRole.FEATURE),
+                role=FieldRole.FEATURE,
             )
             for name, arr in columns.items()
         ]

@@ -102,18 +102,15 @@ def holdout_accuracy_evaluator(
     feature_columns: Sequence[str],
     label_column: str,
     *,
-    holdout_fraction: float = 0.25,
     seed: int = 0,
 ) -> Evaluator:
-    """A standard proxy evaluator: nearest-centroid accuracy on a holdout.
+    """A standard proxy evaluator: nearest-centroid accuracy on a holdout of
+    a quarter of the labeled rows.
 
     Also reports ``labeled_fraction`` and ``n_train`` so rules can trigger
     on label scarcity, the paper's most common feedback cause.
     """
     from repro.transforms.label import UNLABELED, NearestCentroidModel, labeled_fraction
-
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
 
     def evaluate(dataset: Dataset) -> Dict[str, float]:
         features = np.stack(
@@ -127,7 +124,7 @@ def holdout_accuracy_evaluator(
             return {"accuracy": 0.0, "labeled_fraction": frac, "n_train": 0.0}
         rng = np.random.default_rng(seed)
         order = rng.permutation(labeled_idx)
-        n_holdout = max(1, int(order.size * holdout_fraction))
+        n_holdout = max(1, int(order.size * 0.25))
         test_idx, train_idx = order[:n_holdout], order[n_holdout:]
         if np.unique(labels[train_idx]).size < 2:
             return {"accuracy": 0.0, "labeled_fraction": frac, "n_train": 0.0}

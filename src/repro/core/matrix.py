@@ -116,7 +116,7 @@ class MaturityMatrix:
             lines.append(current)
         return lines or [""]
 
-    def render_text(self, *, cell_width: int = 22, show_marks: bool = False) -> str:
+    def render_text(self, *, cell_width: int = 22) -> str:
         """Aligned plain-text table, one block row per readiness level."""
         headers = ["Level"] + [s.label for s in DataProcessingStage]
         widths = [cell_width] * len(headers)
@@ -133,15 +133,7 @@ class MaturityMatrix:
                 if cell.status is CellStatus.NOT_APPLICABLE:
                     row_cells.append(["(n/a)"])
                     continue
-                text = cell.text
-                if show_marks:
-                    mark = {
-                        CellStatus.ACHIEVED: "[x] ",
-                        CellStatus.PENDING: "[ ] ",
-                        CellStatus.CONCEPTUAL: "",
-                    }[cell.status]
-                    text = mark + text
-                row_cells.append(self._wrap(text, cell_width))
+                row_cells.append(self._wrap(cell.text, cell_width))
             height = max(len(c) for c in row_cells)
             for line_idx in range(height):
                 parts = []
@@ -152,7 +144,7 @@ class MaturityMatrix:
             out.append(sep)
         return "\n".join(out)
 
-    def render_markdown(self, *, show_marks: bool = False) -> str:
+    def render_markdown(self) -> str:
         """GitHub-flavoured markdown table."""
         headers = ["Level"] + [s.label for s in DataProcessingStage]
         rows = ["| " + " | ".join(headers) + " |"]
@@ -164,12 +156,7 @@ class MaturityMatrix:
                 if cell.status is CellStatus.NOT_APPLICABLE:
                     cols.append("—")
                     continue
-                text = cell.text
-                if show_marks and cell.status is CellStatus.ACHIEVED:
-                    text = "✅ " + text
-                elif show_marks and cell.status is CellStatus.PENDING:
-                    text = "⬜ " + text
-                cols.append(text)
+                cols.append(cell.text)
             rows.append("| " + " | ".join(cols) + " |")
         return "\n".join(rows)
 

@@ -99,17 +99,12 @@ class BioArchetype(DomainArchetype):
     """Executable Table 1 bio/health row."""
 
     domain = "bio"
+    #: k of the k-anonymous release
+    k = 3
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        config: Optional[BioSourceConfig] = None,
-        k_anonymity: int = 3,
-    ):
+    def __init__(self, seed: int = 0, *, config: Optional[BioSourceConfig] = None):
         super().__init__(seed)
         self.config = config or BioSourceConfig(seed=seed)
-        self.k = k_anonymity
 
     # -- source ------------------------------------------------------------------
     def synthesize_source(self, directory: Union[str, Path], **params: Any) -> Dict[str, Any]:

@@ -104,6 +104,8 @@ class ClimateArchetype(DomainArchetype):
     """Executable Table 1 climate row."""
 
     domain = "climate"
+    #: partitions of the normalize stage's distributed statistics
+    n_ranks = 4
 
     def __init__(
         self,
@@ -111,12 +113,10 @@ class ClimateArchetype(DomainArchetype):
         *,
         config: Optional[ClimateSourceConfig] = None,
         target_resolution: Tuple[int, int] = (16, 32),
-        n_ranks: int = 4,
     ):
         super().__init__(seed)
         self.config = config or ClimateSourceConfig(seed=seed)
         self.target_grid = RegularGrid.global_grid(*target_resolution)
-        self.n_ranks = n_ranks
 
     # -- source ------------------------------------------------------------------
     def synthesize_source(self, directory: Union[str, Path], **params: Any) -> Dict[str, Any]:

@@ -141,19 +141,20 @@ class TriangularMesh:
 MAJOR_RADIUS = 1.7
 MINOR_RADIUS = 0.6
 ELONGATION = 1.6
+#: radial spacing packs nodes toward the edge, as transport codes do
+EDGE_PACKING = 1.5
 
 
 def tokamak_mesh(
     n_radial: int = 12,
     n_poloidal: int = 32,
     *,
-    edge_packing: float = 1.5,
     seed: Optional[int] = None,
 ) -> TriangularMesh:
     """A synthetic XGC-like mesh of an elongated tokamak cross-section.
 
     Nodes lie on nested flux-surface-like ellipses; radial spacing is
-    packed toward the edge (``edge_packing`` > 1), as transport codes do.
+    packed toward the edge (:data:`EDGE_PACKING`), as transport codes do.
     A small seeded jitter makes the mesh genuinely unstructured.
     """
     if n_radial < 2 or n_poloidal < 3:
@@ -162,7 +163,7 @@ def tokamak_mesh(
     nodes = [np.asarray([MAJOR_RADIUS, 0.0])]
     rings: list = [[0]]
     for i in range(1, n_radial + 1):
-        rho = (i / n_radial) ** (1.0 / edge_packing)
+        rho = (i / n_radial) ** (1.0 / EDGE_PACKING)
         ring = []
         n_theta = max(6, int(n_poloidal * rho))
         for j in range(n_theta):

@@ -51,6 +51,8 @@ BLOCK = 128
 SPECIES_CODES = {s: i for i, s in enumerate(sorted(SPECIES))}
 #: covalent-ish radius per species code
 _RADII = np.asarray([SPECIES[s][0] for s in sorted(SPECIES)], dtype=np.float64)
+#: two atoms bond when they are closer than this times the sum of their radii
+CUTOFF_SCALE = 1.4
 
 #: ``fan_out(fn, items) -> [fn(item) for item in items]``, in order
 FanOut = Callable[[Callable[[slice], object], Sequence[slice]], List[object]]
@@ -90,13 +92,11 @@ def build_batch(
     lattice: np.ndarray,
     positions: np.ndarray,
     fan_out: FanOut,
-    *,
-    cutoff_scale: float = 1.4,
 ) -> GraphBatch:
     """Bond graphs of a padded structure table, :data:`BLOCK` structures
     per task; ``fan_out`` runs the tasks (an execution backend's ``map``).
     An edge joins two atoms whose minimum-image distance is below
-    ``cutoff_scale * (r_i + r_j)``."""
+    ``CUTOFF_SCALE * (r_i + r_j)``."""
     first, second = np.triu_indices(positions.shape[1], 1)
 
     def block(rows: slice) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,7 +107,7 @@ def build_batch(
         distance = np.sqrt(np.vecdot(cart, cart))
         radii = _RADII[species[rows]]
         bonded = (second < n_atoms[rows, None]) & (
-            distance < cutoff_scale * (radii[:, first] + radii[:, second])
+            distance < CUTOFF_SCALE * (radii[:, first] + radii[:, second])
         )
         # row-major: structure by structure, each one's pairs in order
         structure, pair = np.nonzero(bonded)

@@ -150,17 +150,12 @@ class MaterialsArchetype(DomainArchetype):
     """Executable Table 1 materials row."""
 
     domain = "materials"
+    #: the largest class may outnumber the smallest by at most this after oversampling
+    oversample_to_ratio = 4.0
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        config: Optional[MaterialsSourceConfig] = None,
-        oversample_to_ratio: float = 4.0,
-    ):
+    def __init__(self, seed: int = 0, *, config: Optional[MaterialsSourceConfig] = None):
         super().__init__(seed)
         self.config = config or MaterialsSourceConfig(seed=seed)
-        self.oversample_to_ratio = oversample_to_ratio
 
     # -- source ------------------------------------------------------------------
     def synthesize_source(self, directory: Union[str, Path], **params: Any) -> Dict[str, Any]:

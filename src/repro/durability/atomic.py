@@ -84,7 +84,7 @@ def fsync_dir(path: PathLike) -> None:
         os.close(fd)
 
 
-def commit_file(tmp: PathLike, final: PathLike, *, site: str = "artifact") -> None:
+def commit_file(tmp: PathLike, final: PathLike, *, site: str) -> None:
     """Atomically commit an already-written temp file over *final*.
 
     fsync(tmp) → ``os.replace`` → fsync(parent dir).  *site* names the
@@ -103,7 +103,7 @@ def commit_file(tmp: PathLike, final: PathLike, *, site: str = "artifact") -> No
 
 
 @contextlib.contextmanager
-def staged_write(path: PathLike, *, site: str = "artifact") -> Iterator[BinaryIO]:
+def staged_write(path: PathLike, *, site: str) -> Iterator[BinaryIO]:
     """Stream a file into its ``.tmp`` sibling, then commit it over *path*.
 
     Yields the open temp file; a clean exit closes it and runs
@@ -133,7 +133,7 @@ def atomic_write_bytes(path: PathLike, data: bytes, *, site: str = "artifact") -
     return Path(path)
 
 
-def atomic_write_text(path: PathLike, text: str, *, site: str = "artifact") -> Path:
+def atomic_write_text(path: PathLike, text: str, *, site: str) -> Path:
     return atomic_write_bytes(path, text.encode("utf-8"), site=site)
 
 

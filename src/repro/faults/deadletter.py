@@ -43,8 +43,8 @@ class DeadLetterRecord:
     fault_kind: FaultKind
     #: fingerprint of the payload the stage was given (the re-drive key)
     input_fingerprint: str
-    #: what the runner did next: "failed" aborted the run, "degraded"
-    #: skipped the stage and continued
+    #: what the runner did next: "failed" aborted the run (older logs may
+    #: also hold "degraded": the stage was skipped and the run went on)
     action: str = "failed"
     timestamp: float = 0.0
 

@@ -60,19 +60,17 @@ class AnonymizationReport:
         )
 
 
-def pseudonymize(values: np.ndarray, key: bytes, *, length: int = 16) -> np.ndarray:
+def pseudonymize(values: np.ndarray, key: bytes) -> np.ndarray:
     """Keyed, deterministic pseudonyms for identifier values.
 
-    HMAC-SHA256 truncated to *length* hex chars.  Equal inputs map to
-    equal pseudonyms (referential integrity survives); without the key
-    the mapping is computationally irreversible.
+    HMAC-SHA256 truncated to 16 hex chars.  Equal inputs map to equal
+    pseudonyms (referential integrity survives); without the key the
+    mapping is computationally irreversible.
     """
     if not key:
         raise AnonymizeError("pseudonymization key must be non-empty")
-    if length < 8 or length > 64:
-        raise AnonymizeError("length must be in [8, 64]")
     values = np.asarray(values)
-    out = np.empty(values.shape, dtype=f"U{length}")
+    out = np.empty(values.shape, dtype="U16")
     flat_in = values.ravel()
     flat_out = out.reshape(-1)
     cache: Dict[object, str] = {}
@@ -83,40 +81,33 @@ def pseudonymize(values: np.ndarray, key: bytes, *, length: int = 16) -> np.ndar
             raw = v if isinstance(v, bytes) else str(v).encode("utf-8")
             mac = keyed.copy()
             mac.update(raw)
-            token = mac.hexdigest()[:length]
+            token = mac.hexdigest()[:16]
             cache[v] = token
         flat_out[i] = token
     return out
 
 
-def generalize_numeric(
-    values: np.ndarray, bin_width: float, *, origin: float = 0.0
-) -> np.ndarray:
-    """Coarsen numeric quasi-identifiers to bin lower-bounds.
+def generalize_numeric(values: np.ndarray, bin_width: float) -> np.ndarray:
+    """Coarsen numeric quasi-identifiers to bin lower-bounds (bins start at 0).
 
     ``age=37, bin_width=10 -> 30`` — the "age band" generalization.
     """
     if bin_width <= 0:
         raise AnonymizeError("bin_width must be positive")
     values = np.asarray(values, dtype=np.float64)
-    return origin + np.floor((values - origin) / bin_width) * bin_width
+    return np.floor(values / bin_width) * bin_width + 0.0  # -0.0 -> 0.0
 
 
 def shift_dates(
-    dates: np.ndarray,
-    subjects: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    max_shift_days: int = 365,
+    dates: np.ndarray, subjects: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Shift date-like integers by a per-subject random offset.
+    """Shift date-like integers by a per-subject random offset of at most
+    365 days either way.
 
     All records of one subject move by the *same* offset, so intervals
     between a subject's events (the clinically meaningful quantity) are
     preserved exactly while absolute dates are destroyed.
     """
-    if max_shift_days < 1:
-        raise AnonymizeError("max_shift_days must be >= 1")
     dates = np.asarray(dates, dtype=np.int64)
     subjects = np.asarray(subjects)
     if dates.shape[0] != subjects.shape[0]:
@@ -124,7 +115,7 @@ def shift_dates(
     unique, inverse = np.unique(subjects, return_inverse=True)
     # one draw per subject, in np.unique order
     offsets = np.asarray(
-        [rng.integers(-max_shift_days, max_shift_days + 1) for _ in range(len(unique))],
+        [rng.integers(-365, 366) for _ in range(len(unique))],
         dtype=np.int64,
     )
     per_record = offsets[inverse].reshape(subjects.shape + (1,) * (dates.ndim - subjects.ndim))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Dict, List, Optional, Pattern, Tuple
+from typing import Dict, List, Pattern, Tuple
 
 
 from repro.core.dataset import Dataset
@@ -80,18 +80,10 @@ class PrivacyFinding:
 
 
 class PrivacyScanner:
-    """Scan datasets for PHI/PII across all three detector families."""
+    """Scan datasets for PHI/PII across all three detector families.
 
-    def __init__(
-        self,
-        *,
-        value_match_threshold: float = 0.05,
-        extra_name_tokens: Optional[Dict[str, str]] = None,
-    ):
-        self.value_match_threshold = value_match_threshold
-        self.name_tokens = dict(SENSITIVE_NAME_TOKENS)
-        if extra_name_tokens:
-            self.name_tokens.update(extra_name_tokens)
+    A column's values match a pattern when at least 5% of its sampled
+    values do."""
 
     # -- individual detectors ----------------------------------------------------
     def scan_declared(self, dataset: Dataset) -> List[PrivacyFinding]:
@@ -104,7 +96,7 @@ class PrivacyScanner:
         findings = []
         for spec in dataset.schema:
             lowered = spec.name.lower()
-            for token, category in self.name_tokens.items():
+            for token, category in SENSITIVE_NAME_TOKENS.items():
                 if token in lowered:
                     findings.append(
                         PrivacyFinding(
@@ -131,7 +123,7 @@ class PrivacyScanner:
             for category, pattern in _VALUE_PATTERNS.items():
                 hits = [t for t in texts if pattern.search(t)]
                 fraction = len(hits) / n
-                if fraction >= self.value_match_threshold:
+                if fraction >= 0.05:
                     findings.append(
                         PrivacyFinding(
                             column=spec.name,

@@ -43,7 +43,8 @@ __all__ = [
 
 MAGIC = b"GRB1"
 _MSG_HEADER = struct.Struct("<4sII")  # magic, header_len, data_len
-_ALIGNED_BITS = (8, 16, 32)
+#: integer width of every packed value written; a reader takes 8, 16 or 32
+BITS_PER_VALUE = 16
 
 
 class GribError(ValueError):
@@ -116,8 +117,6 @@ def packing_error_bound(values: np.ndarray, bits_per_value: int = 16) -> float:
 
 
 def _pack_values(values: np.ndarray, bits: int) -> Tuple[bytes, float, int]:
-    if bits not in _ALIGNED_BITS:
-        raise GribError(f"bits_per_value must be one of {_ALIGNED_BITS}, got {bits}")
     flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size and not np.all(np.isfinite(flat)):
         raise GribError("cannot pack non-finite values; clean data first")
@@ -138,16 +137,13 @@ def _unpack_values(
     return (reference + ints * (2.0 ** exponent)).reshape(shape)
 
 
-def write_grib(
-    messages: List[GribMessage],
-    path: Union[str, Path],
-    bits_per_value: int = 16,
-) -> Path:
-    """Encode *messages* into a GRIB-like file (lossy, by design)."""
+def write_grib(messages: List[GribMessage], path: Union[str, Path]) -> Path:
+    """Encode *messages* into a GRIB-like file (lossy, by design), each value
+    packed into :data:`BITS_PER_VALUE` bits."""
     path = Path(path)
     with open(path, "wb") as fh:
         for msg in messages:
-            payload, reference, exponent = _pack_values(msg.values, bits_per_value)
+            payload, reference, exponent = _pack_values(msg.values, BITS_PER_VALUE)
             header = json.dumps(
                 {
                     "short_name": msg.short_name,
@@ -155,7 +151,7 @@ def write_grib(
                     "valid_time": msg.valid_time,
                     "units": msg.units,
                     "grid": dataclasses.asdict(msg.grid),
-                    "bits_per_value": bits_per_value,
+                    "bits_per_value": BITS_PER_VALUE,
                     "reference": reference,
                     "binary_scale": exponent,
                 },

@@ -26,13 +26,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.helper_pool import decode_ahead
-from repro.io.compression import Codec, RawCodec
+from repro.io.compression import RawCodec
 from repro.io.serialization import pack_array, plan_entry
 
 __all__ = ["NCVariable", "NCDataset", "write_netcdf", "read_netcdf", "NetCDFError"]
 
 MAGIC = b"NCL1"
 _HEADER_LEN = struct.Struct("<I")
+#: the codec every variable is written with
+CODEC = RawCodec()
 
 
 class NetCDFError(ValueError):
@@ -133,12 +135,11 @@ class NCDataset:
         )
 
 
-def write_netcdf(
-    dataset: NCDataset, path: Union[str, Path], codec: Optional[Codec] = None
-) -> Path:
-    """Serialize *dataset* to a single self-describing file."""
+def write_netcdf(dataset: NCDataset, path: Union[str, Path]) -> Path:
+    """Serialize *dataset* to a single self-describing file, every variable
+    packed with :data:`CODEC` (a reader takes any codec)."""
     path = Path(path)
-    codec = codec or RawCodec()
+    codec = CODEC
     blocks: List[bytes] = []
     var_meta: Dict[str, Dict[str, object]] = {}
     offset = 0

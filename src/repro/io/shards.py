@@ -418,20 +418,16 @@ def _plan_block(
     return BlockRead(fd, data_start + int(meta["offset"]), int(meta["length"]), refuse)
 
 
-def read_shard(
-    path: Union[str, Path], columns: Optional[Sequence[str]] = None
-) -> Dict[str, np.ndarray]:
-    """Load a shard's columns (all, or a projection), decoded ahead."""
+def read_shard(path: Union[str, Path]) -> Dict[str, np.ndarray]:
+    """Load every column of a shard, decoded ahead."""
     path = Path(path)
     with open(path, "rb") as fh:
         header, data_start = _read_header(fh)
-        wanted = list(header["columns"]) if columns is None else list(columns)
+        wanted = list(header["columns"])
         fd = fh.fileno()
 
         def plan(k: int) -> Callable[[], np.ndarray]:
-            meta = header["columns"].get(wanted[k])
-            if meta is None:
-                raise ShardError(f"shard has no column {wanted[k]!r}")
+            meta = header["columns"][wanted[k]]
             read = _plan_block(fd, data_start, meta, path.name, wanted[k])
             return functools.partial(read.into(np.empty(read.shape, read.dtype)).run, fd)
 

@@ -176,12 +176,13 @@ def _tag(field: int, wire_type: int) -> int:
 class Example:
     """A ``tf.train.Example``-equivalent: named features of three list types.
 
-    Features are stored canonically as ``(kind, values)`` where *kind* is
-    one of ``"bytes"``, ``"float"``, ``"int64"``.
+    Features are stored canonically in :attr:`features` as ``name ->
+    (kind, values)`` where *kind* is one of ``"bytes"``, ``"float"``,
+    ``"int64"``.
     """
 
-    def __init__(self, features: Dict[str, Tuple[str, list]] | None = None):
-        self.features: Dict[str, Tuple[str, list]] = dict(features or {})
+    def __init__(self) -> None:
+        self.features: Dict[str, Tuple[str, list]] = {}
 
     # -- ergonomic setters -----------------------------------------------------
     def float_feature(self, name: str, values: Union[Sequence[float], np.ndarray]) -> "Example":

@@ -31,7 +31,7 @@ On top of that raw substrate sits the analytics layer:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from repro.obs.analyze import (
     CriticalPathEntry,
@@ -147,34 +147,18 @@ class Telemetry:
     Pass an instance to :class:`~repro.core.runner.PipelineRunner` (or
     ``Pipeline.run(telemetry=...)`` / ``DomainArchetype.run(telemetry=...)``)
     and every layer of the engine records into it; afterwards
-    :meth:`export` writes everything to a sink.
+    :meth:`export` writes its spans and metrics to a sink.
     """
 
     def __init__(self, *, tracer: Optional[Tracer] = None):
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = MetricsRegistry()
 
-    def export(
-        self,
-        sink: TelemetrySink,
-        *,
-        events: Iterable[object] = (),
-        close: bool = True,
-    ) -> TelemetrySink:
-        """Emit all spans, a metrics snapshot, and optional run events.
-
-        ``events`` accepts anything with a ``to_dict()`` (e.g.
-        :class:`~repro.core.runner.RunEvent`) or plain mappings.
-        """
+    def export(self, sink: TelemetrySink) -> TelemetrySink:
+        """Emit all spans and a metrics snapshot, then close the sink."""
         for span in self.tracer.spans():
             sink.emit_span(span.to_dict())
         for metric in self.metrics.snapshot():
             sink.emit_metric(metric)
-        for event in events:
-            if isinstance(event, Mapping):
-                sink.emit_event(event)
-            else:
-                sink.emit_event(event.to_dict())  # type: ignore[attr-defined]
-        if close:
-            sink.close()
+        sink.close()
         return sink

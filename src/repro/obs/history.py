@@ -160,15 +160,13 @@ def diff_stage_seconds(
     *,
     pipeline: str = "",
     baseline_label: str = "history",
-    higher_is_worse: bool = True,
 ) -> RunDiff:
     """Compare one run's per-stage figures against a history of runs.
 
     Stages present only in *current* are ``new``; stages the history has
     but the run lacks are ``missing``; the rest are judged against the
-    robust limit from :func:`regression_limit`.  ``higher_is_worse=False``
-    flips the comparison for throughput-style metrics (a *drop* below
-    the mirrored limit regresses).
+    robust limit from :func:`regression_limit`: more seconds than the
+    limit regress, fewer than its mirror below the centre improve.
     """
     stage_names = sorted(
         set(current) | {name for h in history for name in h}
@@ -199,20 +197,12 @@ def diff_stage_seconds(
             continue
         center, limit = regression_limit(values)
         band = limit - center
-        if higher_is_worse:
-            if cur > limit:
-                verdict = "regressed"
-            elif cur < center - band:
-                verdict = "improved"
-            else:
-                verdict = "ok"
+        if cur > limit:
+            verdict = "regressed"
+        elif cur < center - band:
+            verdict = "improved"
         else:
-            if cur < center - band:
-                verdict = "regressed"
-            elif cur > limit:
-                verdict = "improved"
-            else:
-                verdict = "ok"
+            verdict = "ok"
             limit = center - band
         rows.append(
             StageDiff(

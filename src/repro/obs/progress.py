@@ -93,7 +93,6 @@ class ProgressReporter:
         self,
         telemetry: Optional["Telemetry"] = None,
         *,
-        total_stages: Optional[int] = None,
         clock: Callable[[], float] = time.time,
     ):
         self.telemetry = telemetry
@@ -104,7 +103,7 @@ class ProgressReporter:
         self._stage = ""
         self._stage_index = -1
         self._stages_done = 0
-        self._total = total_stages
+        self._total: Optional[int] = None
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
 
@@ -202,16 +201,12 @@ class ProgressReporter:
 class ProgressTicker:
     """Daemon thread printing a progress line whenever progress changes."""
 
-    def __init__(
-        self,
-        reporter: ProgressReporter,
-        *,
-        stream: Optional[IO[str]] = None,
-        interval_s: float = 0.2,
-    ):
+    #: seconds between two looks at the reporter
+    interval_s = 0.2
+
+    def __init__(self, reporter: ProgressReporter, *, stream: Optional[IO[str]] = None):
         self.reporter = reporter
         self.stream = stream if stream is not None else sys.stderr
-        self.interval_s = interval_s
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._last_line = ""

@@ -85,9 +85,6 @@ class TelemetrySink(abc.ABC):
     def emit_metric(self, metric: Mapping[str, object]) -> None:
         self.emit(envelope("metric", metric))
 
-    def emit_event(self, event: Mapping[str, object]) -> None:
-        self.emit(envelope("event", event))
-
     def close(self) -> None:
         """Flush/finalise; safe to call more than once."""
 

@@ -48,18 +48,12 @@ def _assignments(
 
 
 def parallel_map(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    n_ranks: int = 4,
-    *,
-    strategy: str = "block",
-    weights: Optional[Sequence[float]] = None,
+    fn: Callable[[Any], Any], items: Sequence[Any], n_ranks: int = 4
 ) -> List[Any]:
-    """Apply *fn* to every item across *n_ranks* SPMD workers.
-
-    Results come back in original item order regardless of partitioning.
+    """Apply *fn* to every item across *n_ranks* SPMD workers, each rank a
+    contiguous block of the items.  Results come back in item order.
     """
-    assignments = _assignments(len(items), n_ranks, strategy, weights)
+    assignments = block_partition(len(items), n_ranks)
 
     def worker(comm: SimComm) -> List[Any]:
         my = assignments[comm.rank]

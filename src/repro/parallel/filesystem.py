@@ -21,7 +21,7 @@ The model is analytic and deterministic:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 __all__ = ["OST", "FileStripe", "Transfer", "TransferResult", "ParallelFileSystem"]
@@ -92,25 +92,19 @@ class TransferResult:
 class ParallelFileSystem:
     """A pool of OSTs with fair-share contention."""
 
-    def __init__(
-        self,
-        n_osts: int = 8,
-        ost_bandwidth: float = 2e9,
-        client_link_bandwidth: Optional[float] = None,
-    ):
+    def __init__(self, n_osts: int = 8, ost_bandwidth: float = 2e9):
         if n_osts < 1:
             raise ValueError("n_osts must be >= 1")
         self.osts = [OST(i, ost_bandwidth) for i in range(n_osts)]
-        #: per-client NIC ceiling; None means never client-limited
-        self.client_link_bandwidth = client_link_bandwidth
 
     @property
     def n_osts(self) -> int:
         return len(self.osts)
 
-    def default_stripe(self, stripe_count: Optional[int] = None, offset: int = 0) -> FileStripe:
+    def default_stripe(self, offset: int = 0) -> FileStripe:
+        """A file striped over every OST, starting at OST *offset*."""
         return FileStripe(
-            stripe_count=stripe_count or self.n_osts,
+            stripe_count=self.n_osts,
             stripe_size=1 << 20,
             offset_ost=offset % self.n_osts,
         )
@@ -149,7 +143,7 @@ class ParallelFileSystem:
                 for ost in remaining[i]:
                     if remaining[i][ost] > 0:
                         streams[ost] = streams.get(ost, 0) + 1
-            # per-transfer current rate = bottleneck over its OSTs and NIC
+            # per-transfer current rate = bottleneck over its OSTs
             rates: Dict[int, float] = {}
             for i in active:
                 per_ost_rates = []
@@ -164,14 +158,7 @@ class ParallelFileSystem:
                 # collective transfer: all portions proceed in parallel, each
                 # at its OST share; the transfer's finish is driven by the
                 # portion with the largest remaining/share time.
-                times = [
-                    remaining[i][ost] / share for ost, share in per_ost_rates
-                ]
-                nic = self.client_link_bandwidth
-                if nic is not None:
-                    total_left = sum(remaining[i].values())
-                    times.append(total_left / nic)
-                rates[i] = max(times)
+                rates[i] = max(remaining[i][ost] / share for ost, share in per_ost_rates)
             # advance to the earliest completion among active transfers
             dt = min(rates.values())
             if dt == float("inf"):
@@ -187,16 +174,6 @@ class ParallelFileSystem:
                     if remaining[i][ost] <= 0:
                         continue
                     share = self.osts[ost].bandwidth / streams[ost]
-                    nic = self.client_link_bandwidth
-                    if nic is not None:
-                        # NIC cap applies to the sum; approximate by scaling
-                        total_rate = sum(
-                            self.osts[o].bandwidth / streams[o]
-                            for o in remaining[i]
-                            if remaining[i][o] > 0
-                        )
-                        if total_rate > nic:
-                            share *= nic / total_rate
                     remaining[i][ost] = max(0.0, remaining[i][ost] - share * dt)
                 if sum(remaining[i].values()) <= 1e-6:
                     finish[i] += now
@@ -214,13 +191,9 @@ class ParallelFileSystem:
         ]
 
     # -- convenience wrappers --------------------------------------------------------
-    def collective_write_time(
-        self,
-        n_clients: int,
-        bytes_per_client: int,
-        stripe_count: Optional[int] = None,
-    ) -> float:
-        """Makespan of *n_clients* each writing their own striped file.
+    def collective_write_time(self, n_clients: int, bytes_per_client: int) -> float:
+        """Makespan of *n_clients* each writing their own file, striped over
+        every OST.
 
         Files are offset round-robin so client *i* starts on OST ``i % n``,
         the standard load-spreading layout.
@@ -229,7 +202,7 @@ class ParallelFileSystem:
             Transfer(
                 client=i,
                 nbytes=bytes_per_client,
-                stripe=self.default_stripe(stripe_count, offset=i),
+                stripe=self.default_stripe(offset=i),
             )
             for i in range(n_clients)
         ]

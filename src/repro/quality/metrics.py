@@ -9,7 +9,7 @@ the assessment gates.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -27,12 +27,12 @@ __all__ = [
 ]
 
 
-def completeness(values: np.ndarray, sentinel: Optional[float] = None) -> float:
-    """Fraction of non-missing entries, in [0, 1]."""
+def completeness(values: np.ndarray) -> float:
+    """Fraction of non-missing (non-NaN) entries, in [0, 1]."""
     values = np.asarray(values)
     if values.size == 0:
         return 1.0
-    return 1.0 - float(missing_mask(values, sentinel).mean())
+    return 1.0 - float(missing_mask(values).mean())
 
 
 def class_balance(labels: np.ndarray) -> Dict[object, float]:
@@ -112,8 +112,9 @@ class QualityReport:
         )
 
 
-def quality_report(dataset: Dataset, label_column: Optional[str] = None) -> QualityReport:
-    """Compute the standard quality metrics over a dataset's numeric columns."""
+def quality_report(dataset: Dataset) -> QualityReport:
+    """Compute the standard quality metrics over a dataset's numeric columns;
+    class balance is of the first label column, if any."""
     completeness_by: Dict[str, float] = {}
     outliers_by: Dict[str, float] = {}
     noise_by: Dict[str, float] = {}
@@ -125,9 +126,8 @@ def quality_report(dataset: Dataset, label_column: Optional[str] = None) -> Qual
         if np.issubdtype(spec.dtype, np.floating) and spec.shape == ():
             outliers_by[spec.name] = outlier_rate(column)
             noise_by[spec.name] = noise_estimate(column)
-    if label_column is None:
-        label_names = dataset.schema.label_names
-        label_column = label_names[0] if label_names else None
+    label_names = dataset.schema.label_names
+    label_column = label_names[0] if label_names else None
     balance: Dict[object, float] = {}
     imbalance = 1.0
     if label_column is not None and label_column in dataset.schema:

@@ -200,10 +200,8 @@ def check_precision(
     return []
 
 
-def check_monotonic(
-    values: np.ndarray, column: str = "-", strictly: bool = True
-) -> List[ValidationIssue]:
-    """Coordinate axes (time, lat, lon) must be monotonic."""
+def check_monotonic(values: np.ndarray, column: str = "-") -> List[ValidationIssue]:
+    """Coordinate axes (time, lat, lon) must be strictly increasing."""
     values = np.asarray(values)
     try:
         values = values.astype(np.float64)
@@ -217,8 +215,7 @@ def check_monotonic(
             )
         ]
     diffs = np.diff(values)
-    bad = (diffs <= 0) if strictly else (diffs < 0)
-    n = int(bad.sum())
+    n = int((diffs <= 0).sum())
     if n:
         return [
             ValidationIssue(

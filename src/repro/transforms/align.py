@@ -63,34 +63,13 @@ class Signal:
         return (self.times.size - 1) / (self.t_end - self.t_start)
 
 
-def resample(
-    signal: Signal, new_times: np.ndarray, method: str = "linear"
-) -> np.ndarray:
-    """Sample *signal* at *new_times*.
-
-    ``linear`` interpolates; ``nearest`` snaps to the closest sample;
-    ``previous`` is a zero-order hold (the right choice for state-like
-    channels such as control setpoints).  Queries outside the signal's
-    support clamp to the end values.
-    """
+def resample(signal: Signal, new_times: np.ndarray) -> np.ndarray:
+    """Sample *signal* at *new_times* by linear interpolation.  Queries
+    outside the signal's support clamp to the end values."""
     new_times = np.asarray(new_times, dtype=np.float64)
     if signal.times.size == 0:
         raise AlignError(f"cannot resample empty signal {signal.name!r}")
-    if method == "linear":
-        return np.interp(new_times, signal.times, signal.values)
-    if method == "nearest":
-        idx = np.searchsorted(signal.times, new_times)
-        idx = np.clip(idx, 1, signal.times.size - 1)
-        left = signal.times[idx - 1]
-        right = signal.times[idx]
-        choose_left = (new_times - left) <= (right - new_times)
-        picked = np.where(choose_left, idx - 1, idx)
-        return signal.values[picked]
-    if method == "previous":
-        idx = np.searchsorted(signal.times, new_times, side="right") - 1
-        idx = np.clip(idx, 0, signal.times.size - 1)
-        return signal.values[idx]
-    raise AlignError(f"unknown resample method {method!r}")
+    return np.interp(new_times, signal.times, signal.values)
 
 
 def common_time_base(

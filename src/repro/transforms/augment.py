@@ -24,16 +24,12 @@ class AugmentError(ValueError):
     """Invalid augmentation parameters."""
 
 
-def flip(images: np.ndarray, axis: str = "horizontal") -> np.ndarray:
-    """Mirror a batch of images along the named axis."""
+def flip(images: np.ndarray) -> np.ndarray:
+    """Mirror a batch of images horizontally (along their last axis)."""
     images = np.asarray(images)
     if images.ndim < 3:
         raise AugmentError("expected a batch of at-least-2D images")
-    if axis == "horizontal":
-        return images[:, :, ::-1].copy()
-    if axis == "vertical":
-        return images[:, ::-1].copy()
-    raise AugmentError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
+    return images[:, :, ::-1].copy()
 
 
 def smote_like(

@@ -77,11 +77,11 @@ class Vocabulary:
     def values(self) -> List[object]:
         return list(self._values)
 
-    def encode(self, column: np.ndarray, *, unknown: Optional[int] = None) -> np.ndarray:
+    def encode(self, column: np.ndarray) -> np.ndarray:
         """Vectorized value->index mapping.
 
-        *unknown* substitutes for out-of-vocabulary values; by default OOV
-        raises (train/serve skew should fail loudly in a readiness pipeline).
+        An out-of-vocabulary value raises (train/serve skew should fail
+        loudly in a readiness pipeline).
         """
         column = np.asarray(column)
         flat = column.ravel()
@@ -91,22 +91,16 @@ class Vocabulary:
                 np.searchsorted(sorted_keys, flat), sorted_keys.size - 1
             )
             hit = sorted_keys[pos] == flat
-            if unknown is None:
-                if not bool(hit.all()):
-                    bad = flat[int(np.argmin(hit))].item()
-                    raise EncodingError(f"value {bad!r} not in vocabulary")
-                out = perm[pos]
-            else:
-                out = np.where(hit, perm[pos], np.int64(unknown))
-            return out.reshape(column.shape)
+            if not bool(hit.all()):
+                bad = flat[int(np.argmin(hit))].item()
+                raise EncodingError(f"value {bad!r} not in vocabulary")
+            return perm[pos].reshape(column.shape)
         # fallback: object/mixed dtypes keep exact dict-equality semantics
         out = np.empty(flat.shape, dtype=np.int64)
         for i, v in enumerate(flat.tolist()):
             idx = self._index.get(v)
             if idx is None:
-                if unknown is None:
-                    raise EncodingError(f"value {v!r} not in vocabulary")
-                idx = unknown
+                raise EncodingError(f"value {v!r} not in vocabulary")
             out[i] = idx
         return out.reshape(column.shape)
 

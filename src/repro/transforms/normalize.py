@@ -92,16 +92,13 @@ class ZScoreNormalizer(Normalizer):
 
 
 class MinMaxNormalizer(Normalizer):
-    """Scale to ``[lo, hi]`` (default [0, 1]); constant features map to lo."""
+    """Scale to ``[lo, hi]`` = [0, 1]; constant features map to lo."""
 
     name = "minmax"
+    lo, hi = 0.0, 1.0
 
-    def __init__(self, feature_range: Tuple[float, float] = (0.0, 1.0)):
+    def __init__(self) -> None:
         super().__init__()
-        lo, hi = feature_range
-        if not hi > lo:
-            raise NormalizationError(f"invalid feature_range {feature_range}")
-        self.lo, self.hi = float(lo), float(hi)
         self.data_min: Optional[np.ndarray] = None
         self.data_max: Optional[np.ndarray] = None
 
@@ -214,21 +211,18 @@ def make_normalizer(name: str) -> Normalizer:
 
 
 def normalize_dataset(
-    dataset: Dataset,
-    method: str = "zscore",
-    columns: Optional[Tuple[str, ...]] = None,
+    dataset: Dataset, method: str = "zscore"
 ) -> Tuple[Dataset, Dict[str, Normalizer]]:
     """Fit-and-apply a normalizer per numeric feature column.
 
     Returns the normalized dataset and the fitted normalizers keyed by
     column, which pipelines persist for provenance.
     """
-    if columns is None:
-        columns = tuple(
-            f.name
-            for f in dataset.schema.by_role(FieldRole.FEATURE)
-            if np.issubdtype(f.dtype, np.number)
-        )
+    columns = [
+        f.name
+        for f in dataset.schema.by_role(FieldRole.FEATURE)
+        if np.issubdtype(f.dtype, np.number)
+    ]
     out = dataset
     fitted: Dict[str, Normalizer] = {}
     for name in columns:

@@ -90,13 +90,7 @@ class ProcessBackend(ExecutionBackend):
     def width(self) -> int:
         return self.workers
 
-    def fan_out(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        weights: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
+    def fan_out(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         # lazy imports: importing either module imports this one first
         from repro.faults.inject import FaultInjector
         from repro.obs.instrument import RunRecorder

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.assessment import AssessmentCriteria, ReadinessAssessor
+from repro.core.assessment import ReadinessAssessor
 from repro.core.evidence import EvidenceKind, ReadinessEvidence
 from repro.core.levels import DataProcessingStage, DataReadinessLevel
 
@@ -104,14 +104,6 @@ class TestQuantitativeGates:
         evidence = evidence_up_to(DataReadinessLevel.AI_READY)
         assessment = ReadinessAssessor().assess(evidence)
         assert assessment.overall is DataReadinessLevel.AI_READY
-
-    def test_custom_criteria(self):
-        evidence = evidence_up_to(DataReadinessLevel.AI_READY)
-        evidence.record(K.COMPREHENSIVE_LABELS, "ok-ish", labeled_fraction=0.9)
-        strict = ReadinessAssessor(AssessmentCriteria(min_comprehensive_label_fraction=0.99))
-        lax = ReadinessAssessor(AssessmentCriteria(min_comprehensive_label_fraction=0.8))
-        assert strict.assess(evidence).overall is DataReadinessLevel.LABELED
-        assert lax.assess(evidence).overall is DataReadinessLevel.AI_READY
 
 
 class TestGapReport:

@@ -126,9 +126,9 @@ class TestHooks:
         received = []
 
         class Spy(SerialBackend):
-            def fan_out(self, fn, items, *, weights=None):
+            def fan_out(self, fn, items):
                 received.append((fn, self.task_retry))
-                return super().fan_out(fn, items, weights=weights)
+                return super().fan_out(fn, items)
 
         PipelineRunner(_fan_plan([]), backend=Spy()).run(np.arange(3.0))
         ((fn, retry),) = received

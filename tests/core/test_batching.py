@@ -103,22 +103,6 @@ class TestMapBatches:
         with pytest.raises(ValueError, match="one\\s+result per item"):
             SerialBackend().map_batches(_bad_batch, list(range(8)), batch_size=4)
 
-    def test_weights_aggregate_per_chunk(self):
-        seen = []
-
-        class Spy(SerialBackend):
-            def fan_out(self, fn, items, *, weights=None):
-                seen.append(list(weights) if weights is not None else None)
-                return super().fan_out(fn, items, weights=weights)
-
-        Spy().map_batches(
-            _square_batch,
-            list(range(6)),
-            batch_size=3,
-            weights=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-        )
-        assert seen == [[6.0, 15.0]]
-
     def test_empty_items(self):
         for backend in _local_backends():
             assert backend.map_batches(_square_batch, [], batch_size=4) == []

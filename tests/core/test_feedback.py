@@ -21,10 +21,9 @@ def separable_dataset(rng):
     labels = np.full(2 * n_per, UNLABELED, dtype=np.int64)
     labels[:8] = 0
     labels[n_per : n_per + 8] = 1
-    return Dataset.from_arrays(
-        {"x1": x1, "x2": x2, "label": labels},
-        roles={"label": FieldRole.LABEL},
-    )
+    dataset = Dataset.from_arrays({"x1": x1, "x2": x2, "label": labels})
+    label = dataset.schema["label"].with_(role=FieldRole.LABEL)
+    return dataset.with_column(label, labels, replace=True)
 
 
 def label_refiner(dataset: Dataset) -> Dataset:
@@ -124,7 +123,3 @@ class TestEvaluator:
         )
         metrics = holdout_accuracy_evaluator(["x1", "x2"], "label")(only_one_class)
         assert metrics["accuracy"] == 0.0
-
-    def test_bad_holdout_fraction(self):
-        with pytest.raises(ValueError):
-            holdout_accuracy_evaluator(["x"], "y", holdout_fraction=1.5)

@@ -58,10 +58,3 @@ class TestFromAssessment:
             assert matrix[(DataReadinessLevel.CLEANED, stage)].status is CellStatus.ACHIEVED
         cell = matrix[(DataReadinessLevel.LABELED, DataProcessingStage.INGEST)]
         assert cell.status is CellStatus.PENDING
-
-    def test_render_with_marks(self):
-        assessment = ReadinessAssessor().assess(evidence_up_to(DataReadinessLevel.LABELED))
-        text = MaturityMatrix.from_assessment(assessment).render_text(show_marks=True)
-        assert "[x]" in text and "[ ]" in text
-        md = MaturityMatrix.from_assessment(assessment).render_markdown(show_marks=True)
-        assert "✅" in md and "⬜" in md

@@ -29,7 +29,7 @@ class TestMeshModel:
         assert mesh.n_triangles > 150
 
     def test_edge_packing_densifies_outer_rings(self):
-        mesh = tokamak_mesh(n_radial=10, n_poloidal=24, edge_packing=2.0)
+        mesh = tokamak_mesh(n_radial=10, n_poloidal=24)
         radii = np.sqrt(
             ((mesh.nodes[:, 0] - 1.7) / 0.6) ** 2 + (mesh.nodes[:, 1] / (1.6 * 0.6)) ** 2
         )

@@ -27,9 +27,19 @@ class TestAtomicWrite:
 
     def test_overwrite_is_atomic_replace(self, tmp_path):
         path = tmp_path / "a.txt"
-        atomic_write_text(path, "one")
-        atomic_write_text(path, "two")
+        atomic_write_text(path, "one", site="manifest")
+        atomic_write_text(path, "two", site="manifest")
         assert path.read_text() == "two"
+
+    def test_the_commit_primitives_name_their_site(self, tmp_path):
+        # a site-less write could be reached by no --inject-faults spec
+        with pytest.raises(TypeError, match="site"):
+            commit_file(tmp_path / "x.tmp", tmp_path / "x")
+        with pytest.raises(TypeError, match="site"):
+            staged_write(tmp_path / "x")
+        with pytest.raises(TypeError, match="site"):
+            atomic_write_text(tmp_path / "x", "text")
+        assert list(tmp_path.iterdir()) == []
 
     def test_staged_write_streams_then_commits_once(self, tmp_path):
         path = tmp_path / "deep" / "a.bin"
@@ -50,7 +60,7 @@ class TestAtomicWrite:
         path = tmp_path / "a.bin"
         path.write_bytes(b"old")
         with pytest.raises(KeyboardInterrupt):
-            with staged_write(path) as fh:
+            with staged_write(path, site="checkpoint") as fh:
                 fh.write(b"half of the new")
                 raise KeyboardInterrupt
         assert path.read_bytes() == b"old"
@@ -61,7 +71,7 @@ class TestAtomicWrite:
         final = tmp_path / "x"
         tmp.write_bytes(b"payload")
         final.write_bytes(b"old")
-        commit_file(tmp, final)
+        commit_file(tmp, final, site="shard")
         assert final.read_bytes() == b"payload"
         assert not tmp.exists()
 

@@ -32,17 +32,16 @@ class TestPseudonymize:
         ).tolist() == [
             "76fb55e929c06b97", "3833c030dcb7a710", "440e40f8f8408832", "5d5d139563c95b59",
         ]
-        assert pseudonymize(np.asarray(["alice"]), b"golden-key", length=64).tolist() == [
-            "a07ab0cf52db3e3620eb173bc4eed60382d5c2712c0f6a44228435aed8ab9101"
-        ]
-        assert pseudonymize(
-            np.asarray([b"raw-bytes", b"\x00\xff"]), b"key", length=8
-        ).tolist() == ["fafd2440", "c5f8ae67"]
+        # prefixes of tokens pinned at other lengths
+        assert pseudonymize(np.asarray(["alice"]), b"golden-key")[0] == "a07ab0cf52db3e36"
+        assert [t[:8] for t in pseudonymize(
+            np.asarray([b"raw-bytes", b"\x00\xff"]), b"key"
+        ).tolist()] == ["fafd2440", "c5f8ae67"]
         assert pseudonymize(np.asarray([7, 42]), b"key").tolist() == [
             "01235b0d2aa4a5da", "f2991b7ce981d0b5",
         ]
         # a key longer than the SHA-256 block takes the hashed-key branch
-        assert pseudonymize(np.asarray(["x"]), b"k" * 100, length=12).tolist() == ["8c1858bff6cf"]
+        assert pseudonymize(np.asarray(["x"]), b"k" * 100)[0][:12] == "8c1858bff6cf"
 
     def test_different_keys_differ(self):
         values = np.asarray(["alice"])
@@ -53,12 +52,6 @@ class TestPseudonymize:
         token = pseudonymize(values, b"key")[0]
         assert "123" not in token or len(token) == 16
 
-    def test_length_parameter(self):
-        values = np.asarray(["x"])
-        assert len(pseudonymize(values, b"k", length=32)[0]) == 32
-        with pytest.raises(AnonymizeError):
-            pseudonymize(values, b"k", length=4)
-
     def test_empty_key_rejected(self):
         with pytest.raises(AnonymizeError, match="key"):
             pseudonymize(np.asarray(["a"]), b"")
@@ -66,7 +59,7 @@ class TestPseudonymize:
     @given(st.lists(st.text(max_size=12), min_size=1, max_size=20))
     def test_property_injective_on_inputs(self, values):
         array = np.asarray(values, dtype="U12")
-        tokens = pseudonymize(array, b"key", length=32)
+        tokens = pseudonymize(array, b"key")
         mapping = {}
         for original, token in zip(array.tolist(), tokens.tolist()):
             assert mapping.setdefault(original, token) == token
@@ -76,9 +69,6 @@ class TestGeneralize:
     def test_age_banding(self):
         ages = np.asarray([37.0, 42.0, 89.0, 30.0])
         assert generalize_numeric(ages, 10.0).tolist() == [30.0, 40.0, 80.0, 30.0]
-
-    def test_origin_offset(self):
-        assert generalize_numeric(np.asarray([7.0]), 5.0, origin=2.0)[0] == 7.0
 
     def test_bad_width(self):
         with pytest.raises(AnonymizeError):
@@ -96,7 +86,7 @@ class TestDateShift:
     def test_subjects_get_different_offsets(self, rng):
         dates = np.zeros(50, dtype=np.int64)
         subjects = np.arange(50)
-        shifted = shift_dates(dates, subjects, rng, max_shift_days=365)
+        shifted = shift_dates(dates, subjects, rng)
         assert len(np.unique(shifted)) > 10  # overwhelmingly likely
 
     def test_length_mismatch(self, rng):
@@ -122,14 +112,14 @@ class TestDateShift:
         subjects = ids.astype(dtype)
         dates = rng.integers(-10_000, 10_000, n)
         ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        shifted = shift_dates(dates, subjects, ours, max_shift_days=30)
-        expected = per_subject_loop(dates, subjects, reference, max_shift_days=30)
+        shifted = shift_dates(dates, subjects, ours)
+        expected = per_subject_loop(dates, subjects, reference)
         assert shifted.dtype == expected.dtype
         assert shifted.tobytes() == expected.tobytes()
         assert ours.integers(2**62) == reference.integers(2**62)
 
 
-def per_subject_loop(dates, subjects, rng, *, max_shift_days=365):
+def per_subject_loop(dates, subjects, rng, max_shift_days=365):
     """The quadratic loop ``shift_dates`` replaced, body unchanged."""
     offsets = {}
     out = np.asarray(dates, dtype=np.int64).copy()

@@ -88,16 +88,11 @@ class TestCombined:
         # one email in 100 rows, below the 5% default threshold
         values = np.asarray(["plain text"] * 99 + ["x@y.com"], dtype="U16")
         ds = Dataset.from_arrays({"memo": values})
-        scanner = PrivacyScanner(value_match_threshold=0.05)
-        assert all(f.category != "email" for f in scanner.scan_values(ds))
-        eager = PrivacyScanner(value_match_threshold=0.001)
-        assert any(f.category == "email" for f in eager.scan_values(ds))
-
-    def test_extra_name_tokens(self, rng):
-        ds = Dataset.from_arrays({"tax_file_number": rng.normal(size=5)})
-        scanner = PrivacyScanner(extra_name_tokens={"tax_file": "national-id"})
-        findings = scanner.scan(ds)
-        assert any(f.category == "national-id" for f in findings)
+        assert all(f.category != "email" for f in PrivacyScanner().scan_values(ds))
+        # five in 100 reach it
+        values[:4] = "x@y.com"
+        ds = Dataset.from_arrays({"memo": values})
+        assert any(f.category == "email" for f in PrivacyScanner().scan_values(ds))
 
     def test_bytes_values_handled(self):
         ds = Dataset.from_arrays(

@@ -22,6 +22,7 @@ from repro.core import helper_pool
 from repro.io.adios import BPError, BPReader, BPWriter
 from repro.io.compression import LzmaCodec, RawCodec, ZlibCodec
 from repro.io.h5lite import H5LiteError, H5LiteFile
+from repro.io import netcdf
 from repro.io.netcdf import NCDataset, NetCDFError, read_netcdf, write_netcdf
 from repro.io.serialization import SerializationError, read_block
 
@@ -43,7 +44,8 @@ def decoding(mode):
 
 def write(container, path, variables):
     """Write *variables* (name -> (array, codec name)) as one *container*
-    file; NetCDF takes one codec per file, the first variable's."""
+    file; NetCDF takes one codec per file, the first variable's (the writer
+    packs raw blocks, so other codecs stand in for files written elsewhere)."""
     path = Path(path)
     if container == "netcdf":
         nc = NCDataset(attrs={"title": "block reads"})
@@ -53,7 +55,9 @@ def write(container, path, variables):
                 nc.create_dimension(dim, size)
             nc.create_variable(name, dims, array, {"units": "1"})
         codec = next(iter(variables.values()))[1] if variables else "raw"
-        write_netcdf(nc, path, codec=CODECS[codec])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netcdf, "CODEC", CODECS[codec])
+            write_netcdf(nc, path)
     elif container == "h5lite":
         with H5LiteFile(path, "w") as fh:
             for name, (array, codec) in variables.items():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.io import grib
 from repro.io.grib import (
     GribError,
     GribMessage,
@@ -41,16 +42,18 @@ class TestPacking:
     def test_round_trip_error_within_bound(self, grid, rng, tmp_path):
         msg = make_message(grid, rng)
         path = tmp_path / "m.grb"
-        write_grib([msg], path, bits_per_value=16)
+        write_grib([msg], path)
         back = next(iter(read_grib(path)))
         bound = packing_error_bound(msg.values, 16)
         assert np.max(np.abs(back.values - msg.values)) <= bound + 1e-12
 
     @pytest.mark.parametrize("bits", [8, 16, 32])
-    def test_more_bits_less_error(self, grid, rng, tmp_path, bits):
+    def test_more_bits_less_error(self, grid, rng, tmp_path, bits, monkeypatch):
+        # the writer packs 16 bits; files of other widths come from elsewhere
+        monkeypatch.setattr(grib, "BITS_PER_VALUE", bits)
         msg = make_message(grid, rng)
         path = tmp_path / f"m{bits}.grb"
-        write_grib([msg], path, bits_per_value=bits)
+        write_grib([msg], path)
         back = next(iter(read_grib(path)))
         err = np.max(np.abs(back.values - msg.values))
         assert err <= packing_error_bound(msg.values, bits) + 1e-12
@@ -68,10 +71,6 @@ class TestPacking:
         write_grib([msg], tmp_path / "c.grb")
         back = next(iter(read_grib(tmp_path / "c.grb")))
         assert np.allclose(back.values, 273.15)
-
-    def test_unaligned_bits_rejected(self, grid, rng, tmp_path):
-        with pytest.raises(GribError, match="bits_per_value"):
-            write_grib([make_message(grid, rng)], tmp_path / "x.grb", bits_per_value=12)
 
     def test_non_finite_values_rejected(self, grid, tmp_path):
         values = np.zeros(grid.shape)

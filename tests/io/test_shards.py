@@ -44,17 +44,6 @@ class TestSingleShard:
         assert np.array_equal(back["x"], columns["x"])
         assert np.array_equal(back["y"], columns["y"])
 
-    def test_column_projection(self, tmp_path, rng):
-        columns = {"x": rng.normal(size=10), "y": rng.normal(size=10)}
-        write_shard(columns, tmp_path / "s.rps")
-        back = read_shard(tmp_path / "s.rps", columns=["y"])
-        assert set(back) == {"y"}
-
-    def test_missing_column_raises(self, tmp_path, rng):
-        write_shard({"x": rng.normal(size=4)}, tmp_path / "s.rps")
-        with pytest.raises(ShardError, match="no column"):
-            read_shard(tmp_path / "s.rps", columns=["z"])
-
     def test_inconsistent_sample_counts_rejected(self, tmp_path, rng):
         with pytest.raises(ShardError, match="disagree"):
             write_shard(

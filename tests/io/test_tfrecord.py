@@ -81,6 +81,13 @@ class TestFraming:
         assert raw[12:17] == b"hello"
 
 
+def example_of(**features):
+    """An Example holding *features* (``name=(kind, values)``) as given."""
+    example = Example()
+    example.features.update(features)
+    return example
+
+
 class TestExample:
     def test_float_feature_round_trip(self):
         example = Example().float_feature("x", [1.5, -2.25, 0.0])
@@ -93,13 +100,13 @@ class TestExample:
         assert back["y"] == [0, -1, 2**40, -(2**40)]
 
     def test_bytes_feature_round_trip(self):
-        example = Example({"s": ("bytes", [b"", b"abc", bytes(range(256))])})
+        example = example_of(s=("bytes", [b"", b"abc", bytes(range(256))]))
         back = decode_example(encode_example(example))
         assert back["s"] == [b"", b"abc", bytes(range(256))]
 
     def test_multiple_features_round_trip(self):
         example = (
-            Example({"b": ("bytes", [b"tag"])})
+            example_of(b=("bytes", [b"tag"]))
             .float_feature("f", np.arange(4, dtype=np.float32))
             .int64_feature("i", [7])
         )
@@ -154,18 +161,18 @@ class TestExample:
         """``bytes(3)`` is three zero bytes: a non-bytes value must not be
         written as some other value's bytes."""
         with pytest.raises(TFRecordError, match="not bytes"):
-            encode_example(Example({"b": ("bytes", [b"ok", value])}))
+            encode_example(example_of(b=("bytes", [b"ok", value])))
         with pytest.raises(TFRecordError, match="not bytes"), \
                 TFRecordWriter(tmp_path / "r.tfrecord") as writer:
-            writer.write_example(Example({"b": ("bytes", [value])}))
+            writer.write_example(example_of(b=("bytes", [value])))
 
     def test_bytes_feature_takes_any_bytes_like_value(self):
-        example = Example({"b": ("bytes", [bytearray(b"ab"), memoryview(b"cd")])})
+        example = example_of(b=("bytes", [bytearray(b"ab"), memoryview(b"cd")]))
         assert decode_example(encode_example(example))["b"] == [b"ab", b"cd"]
 
     def test_int64_outside_the_type_is_refused(self):
         with pytest.raises(TFRecordError, match="int64 feature 'i'"):
-            encode_example(Example({"i": ("int64", [2**63])}))
+            encode_example(example_of(i=("int64", [2**63])))
 
 
 # -- the column encoder --------------------------------------------------------------
@@ -224,7 +231,7 @@ ZERO_ROW_COLUMNS = {
 
 def _row_example(columns, row):
     """Row *row* as one Example (a float row stays a float32 array, every bit kept)."""
-    return Example({
+    return example_of(**{
         name: (kind, values[row].tolist() if kind == "int64" else values[row])
         for name, (kind, values) in columns.items()
     })

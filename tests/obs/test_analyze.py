@@ -9,6 +9,7 @@ from repro.core.levels import DataProcessingStage
 from repro.core.plan import PipelineStage, StagePlan
 from repro.core.runner import PipelineRunner
 from repro.obs import InMemorySink, Telemetry
+from repro.obs.sinks import envelope
 from repro.obs.analyze import (
     TraceReport,
     analyze_trace,
@@ -55,7 +56,9 @@ def traced_run(tmp_path, n_map_items=8):
     telemetry = Telemetry()
     run = PipelineRunner(ana_plan(n_map_items), telemetry=telemetry).run(np.ones(4))
     sink = InMemorySink()
-    telemetry.export(sink, events=run.events)
+    for event in run.events:
+        sink.emit(envelope("event", event.to_dict()))
+    telemetry.export(sink)
     return {"spans": sink.spans, "metrics": sink.metrics, "events": sink.events}
 
 

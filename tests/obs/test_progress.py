@@ -27,6 +27,13 @@ def event(kind, stage=None, index=None, seconds=0.0, ts=0.0):
     )
 
 
+def reporter_of(stages, **options):
+    """A reporter whose telemetry holds a run span of *stages* stages, as a run's does."""
+    telemetry = Telemetry()
+    telemetry.tracer.start_span("run:p", stages=stages)
+    return ProgressReporter(telemetry, **options)
+
+
 def fan_plan(n_map_items=6):
     def fan(payload, ctx):
         ctx.backend.map(lambda i: i * 2, list(range(n_map_items)))
@@ -78,7 +85,7 @@ class TestEventFolding:
 class TestEta:
     def test_extrapolates_from_completed_stages(self):
         now = [0.0]
-        reporter = ProgressReporter(total_stages=4, clock=lambda: now[0])
+        reporter = reporter_of(4, clock=lambda: now[0])
         reporter.on_event(event("run-started", ts=0.0))
         reporter.on_event(event("stage-completed", stage="a", seconds=2.0))
         reporter.on_event(event("stage-completed", stage="b", seconds=2.0))
@@ -139,7 +146,7 @@ class TestBackendParityTaskCounts:
 
 class TestRender:
     def test_render_line(self):
-        reporter = ProgressReporter(total_stages=3)
+        reporter = reporter_of(3)
         reporter.on_event(event("run-started", ts=0.0))
         reporter.on_event(event("stage-started", stage="fan", index=0))
         line = reporter.snapshot().render()
@@ -148,7 +155,7 @@ class TestRender:
         assert "tasks=0" in line
 
     def test_snapshot_to_dict(self):
-        reporter = ProgressReporter(total_stages=2)
+        reporter = reporter_of(2)
         reporter.on_event(event("run-started", ts=0.0))
         d = reporter.snapshot().to_dict()
         assert d["status"] == "running"
@@ -157,10 +164,10 @@ class TestRender:
 
 class TestTicker:
     def test_ticker_emits_progress_lines(self):
-        reporter = ProgressReporter(total_stages=1, clock=lambda: 0.0)
+        reporter = reporter_of(1, clock=lambda: 0.0)
         reporter.on_event(event("run-started", ts=0.0))
         stream = io.StringIO()
-        with ProgressTicker(reporter, stream=stream, interval_s=0.01):
+        with ProgressTicker(reporter, stream=stream):
             reporter.on_event(event("stage-completed", stage="a", seconds=1.0))
             reporter.on_event(event("run-completed", ts=1.0))
         out = stream.getvalue()
@@ -169,7 +176,7 @@ class TestTicker:
 
     def test_stop_is_idempotent(self):
         reporter = ProgressReporter()
-        ticker = ProgressTicker(reporter, stream=io.StringIO(), interval_s=0.01)
+        ticker = ProgressTicker(reporter, stream=io.StringIO())
         ticker.start()
         ticker.stop()
         ticker.stop()

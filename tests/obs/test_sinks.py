@@ -57,7 +57,7 @@ class TestInMemorySink:
         sink = InMemorySink()
         sink.emit_span({"name": "s"})
         sink.emit_metric({"name": "m"})
-        sink.emit_event({"kind": "e"})
+        sink.emit(envelope("event", {"kind": "e"}))
         assert [r["name"] for r in sink.spans] == ["s"]
         assert [r["name"] for r in sink.metrics] == ["m"]
         assert len(sink.events) == 1
@@ -71,7 +71,7 @@ class TestJsonlSink:
         sink = JsonlTelemetrySink(tmp_path / "trace")
         sink.emit_span({"name": "s", "duration_s": 0.5})
         sink.emit_metric({"name": "m", "kind": "counter"})
-        sink.emit_event({"kind": "started"})
+        sink.emit(envelope("event", {"kind": "started"}))
         sink.close()
         trace_dir = tmp_path / "trace"
         assert (trace_dir / SPANS_NAME).exists()
@@ -115,7 +115,7 @@ class TestTornWriterTolerance:
         emit = {
             "span": sink.emit_span,
             "metric": sink.emit_metric,
-            "event": sink.emit_event,
+            "event": lambda event: sink.emit(envelope("event", event)),
         }[record_type]
         emit({"name": "good-1"})
         emit({"name": "good-2"})
@@ -170,9 +170,9 @@ class TestTelemetryExport:
         telemetry = Telemetry()
         with telemetry.tracer.span("work"):
             telemetry.metrics.counter("done").inc()
-        telemetry.export(
-            JsonlTelemetrySink(tmp_path / "trace"), events=[{"kind": "x"}], close=True
-        )
+        sink = JsonlTelemetrySink(tmp_path / "trace")
+        sink.emit(envelope("event", {"kind": "x"}))  # a run's events share the sink
+        telemetry.export(sink)
         trace = read_trace(tmp_path / "trace")
         assert trace["spans"][0]["name"] == "work"
         assert trace["metrics"][0]["name"] == "done"

@@ -19,9 +19,6 @@ class TestCompleteness:
         assert completeness(np.asarray([])) == 1.0
         assert completeness(np.asarray([1, 2, 3])) == 1.0
 
-    def test_sentinel(self):
-        assert completeness(np.asarray([1, -999]), sentinel=-999) == 0.5
-
 
 class TestBalance:
     def test_class_balance_fractions(self):
@@ -80,10 +77,6 @@ class TestQualityReport:
         assert set(report.label_balance) == {0, 1, 2}
         assert report.imbalance >= 1.0
         assert "completeness" in report.summary()
-
-    def test_explicit_label_column(self, small_dataset):
-        report = quality_report(small_dataset, label_column="label")
-        assert report.label_balance
 
     def test_missing_values_reflected(self, rng):
         from repro.core.dataset import Dataset

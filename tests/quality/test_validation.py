@@ -40,8 +40,7 @@ class TestChecks:
     def test_monotonic(self):
         assert check_monotonic(np.asarray([1.0, 2.0, 3.0])) == []
         issues = check_monotonic(np.asarray([1.0, 1.0, 2.0]))
-        assert issues
-        assert check_monotonic(np.asarray([1.0, 1.0]), strictly=False) == []
+        assert issues and "1 non-increasing steps" in issues[0].message
 
 
 class TestHardening:

@@ -133,9 +133,8 @@ class TestFailureInjection:
 
         archetype = BioArchetype(
             seed=1,
-            config=BioSourceConfig(n_subjects=6, sequence_length=64, seed=1),
-            k_anonymity=50,  # impossible with 6 subjects
-        )
+            config=BioSourceConfig(n_subjects=2, sequence_length=64, seed=1),
+        )  # k = 3 is impossible with 2 subjects
         with pytest.raises(PipelineError):
             archetype.run(tmp_path / "blocked")
 

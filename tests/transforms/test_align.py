@@ -38,26 +38,17 @@ class TestResample:
     def test_linear_recovers_smooth_signal(self):
         signal = make_signal(n=201)
         query = np.linspace(0.5, 9.5, 57)
-        out = resample(signal, query, "linear")
+        out = resample(signal, query)
         assert np.allclose(out, np.sin(query), atol=1e-2)
-
-    def test_nearest_snaps(self):
-        signal = Signal("step", np.asarray([0.0, 1.0, 2.0]), np.asarray([10.0, 20.0, 30.0]))
-        out = resample(signal, np.asarray([0.4, 0.6, 1.9]), "nearest")
-        assert out.tolist() == [10.0, 20.0, 30.0]
-
-    def test_previous_zero_order_hold(self):
-        signal = Signal("state", np.asarray([0.0, 1.0, 2.0]), np.asarray([1.0, 2.0, 3.0]))
-        out = resample(signal, np.asarray([0.99, 1.0, 1.5]), "previous")
-        assert out.tolist() == [1.0, 2.0, 2.0]
 
     def test_out_of_range_clamps(self):
         signal = Signal("s", np.asarray([1.0, 2.0]), np.asarray([5.0, 7.0]))
-        out = resample(signal, np.asarray([0.0, 3.0]), "linear")
+        out = resample(signal, np.asarray([0.0, 3.0]))
         assert out.tolist() == [5.0, 7.0]
 
     def test_unknown_method(self):
-        with pytest.raises(AlignError, match="unknown"):
+        # linear is the one method: naming any is no call
+        with pytest.raises(TypeError):
             resample(make_signal(), np.asarray([1.0]), "spline")
 
     def test_empty_signal(self):

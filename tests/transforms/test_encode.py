@@ -27,11 +27,6 @@ class TestVocabulary:
         with pytest.raises(EncodingError, match="not in vocabulary"):
             vocab.encode(np.asarray(["b"]))
 
-    def test_oov_substitution(self):
-        vocab = Vocabulary(["a", "b"])
-        codes = vocab.encode(np.asarray(["a", "zzz"]), unknown=1)
-        assert codes.tolist() == [0, 1]
-
     def test_decode_out_of_range(self):
         with pytest.raises(EncodingError, match="range"):
             Vocabulary(["a"]).decode(np.asarray([5]))
@@ -51,7 +46,7 @@ class _ForbidLookups(dict):
         raise AssertionError("per-element dict lookup on the vectorized path")
 
 
-def _reference_encode(vocab, column, unknown=None):
+def _reference_encode(vocab, column):
     """The historical per-element dict loop, kept as the parity oracle."""
     index = {v: i for i, v in enumerate(vocab.values)}
     flat = np.asarray(column).ravel()
@@ -59,9 +54,7 @@ def _reference_encode(vocab, column, unknown=None):
     for i, v in enumerate(flat.tolist()):
         idx = index.get(v)
         if idx is None:
-            if unknown is None:
-                raise EncodingError(f"value {v!r} not in vocabulary")
-            idx = unknown
+            raise EncodingError(f"value {v!r} not in vocabulary")
         out[i] = idx
     return out.reshape(np.asarray(column).shape)
 
@@ -120,14 +113,6 @@ class TestVectorizedEncode:
         vocab = Vocabulary(["a", "b"])
         with pytest.raises(EncodingError, match=r"value 'q' not in vocabulary"):
             vocab.encode(np.asarray(["b", "q", "zz"]))
-
-    def test_oov_substitution_matches_reference(self):
-        vocab = Vocabulary([4, 8])
-        column = np.asarray([8, 99, 4, -1])
-        assert np.array_equal(
-            vocab.encode(column, unknown=1),
-            _reference_encode(vocab, column, unknown=1),
-        )
 
     def test_numeric_vocab_accepts_float_column(self):
         # dict-key semantics: 1 == 1.0, so the vectorized path must too

@@ -51,16 +51,11 @@ class TestZScore:
 class TestMinMax:
     def test_range_respected(self, rng):
         data = rng.normal(size=(100, 3))
-        out = MinMaxNormalizer((-1.0, 1.0)).fit_transform(data)
-        assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
-        assert out.max() == pytest.approx(1.0)
-
-    def test_invalid_range(self):
-        with pytest.raises(NormalizationError):
-            MinMaxNormalizer((1.0, 1.0))
+        out = MinMaxNormalizer().fit_transform(data)
+        assert out.min() == 0.0 and out.max() == pytest.approx(1.0)
 
     def test_constant_feature_maps_to_lo(self):
-        out = MinMaxNormalizer((0.0, 1.0)).fit_transform(np.full((5, 1), 3.0))
+        out = MinMaxNormalizer().fit_transform(np.full((5, 1), 3.0))
         assert np.allclose(out, 0.0)
 
 
@@ -93,8 +88,8 @@ class TestLog:
 
 class TestNormalizeDataset:
     def test_numeric_features_normalized_labels_untouched(self, small_dataset):
-        out, fitted = normalize_dataset(small_dataset, "zscore", columns=("x1", "x2"))
-        assert set(fitted) == {"x1", "x2"}
+        out, fitted = normalize_dataset(small_dataset, "zscore")
+        assert set(fitted) == {"x1", "x2", "grid"}
         assert np.allclose(out["x1"].mean(), 0, atol=1e-10)
         assert np.array_equal(out["label"], small_dataset["label"])
 
