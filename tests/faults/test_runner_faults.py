@@ -98,6 +98,8 @@ class TestStageRetry:
             StagePlan.build("p", [PipelineStage("a", S.INGEST, doubler)])
         ).run(np.ones(2))
         assert record.input_fingerprint == clean.results[0].output_fingerprint
+        rendered = info.value.dead_letters.render()
+        assert "doomed" in rendered and "failed" in rendered
         failed = [e for e in info.value.events if e.kind is RunEventKind.STAGE_FAILED]
         assert "(after 3 attempts)" in failed[0].detail
 
