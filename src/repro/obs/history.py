@@ -203,7 +203,6 @@ def diff_stage_seconds(
             verdict = "improved"
         else:
             verdict = "ok"
-            limit = center - band
         rows.append(
             StageDiff(
                 stage=name,

@@ -48,6 +48,9 @@ class TestDiff:
         diff = diff_stage_seconds({"a": 1.0, "b": 0.5}, self.HISTORY)
         assert not diff.regressed
         assert {s.verdict for s in diff.stages} == {"ok"}
+        for s in diff.stages:
+            values = [h[s.stage] for h in self.HISTORY]
+            assert s.limit == regression_limit(values)[1]
 
     def test_regression_flagged(self):
         diff = diff_stage_seconds({"a": 5.0, "b": 0.5}, self.HISTORY)

@@ -135,7 +135,7 @@ class TestFailureInjection:
             seed=1,
             config=BioSourceConfig(n_subjects=2, sequence_length=64, seed=1),
         )  # k = 3 is impossible with 2 subjects
-        with pytest.raises(PipelineError):
+        with pytest.raises(PipelineError, match="k-anonymity"):
             archetype.run(tmp_path / "blocked")
 
     def test_fusion_handles_campaign_with_all_channels_missing(self, tmp_path):
