@@ -95,7 +95,7 @@ def build_figure1_plan(tmp_path, seed: int = 0) -> StagePlan:
         return ds
 
     def normalize(ds: Dataset, ctx: PipelineContext) -> Dataset:
-        ds, normalizers = normalize_dataset(ds, "zscore")
+        ds, normalizers = normalize_dataset(ds)
         _row(
             ctx,
             "normalize",

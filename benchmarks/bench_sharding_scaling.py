@@ -74,7 +74,7 @@ def test_modelled_strong_scaling(benchmark, write_report):
 
     def sweep():
         out = {}
-        for cluster in (commodity_cluster(128), leadership_system(512)):
+        for cluster in (commodity_cluster(128), leadership_system()):
             model = PipelineScalingModel(cluster)
             counts = [r for r in rank_counts if r <= cluster.max_ranks]
             out[cluster.name] = model.sweep(workload, counts)

@@ -65,7 +65,7 @@ def main() -> None:
     print(MaturityMatrix.from_assessment(result.assessment).render_compact())
 
     print(section("5. scale-up: the 10 TB question (modelled)"))
-    model = PipelineScalingModel(leadership_system(512))
+    model = PipelineScalingModel(leadership_system())
     workload = WorkloadSpec(
         name="climax-10tb",
         input_bytes=10e12,

@@ -97,7 +97,7 @@ def preprocess(dataset: Dataset, ctx: PipelineContext) -> Dataset:
 
 
 def transform(dataset: Dataset, ctx: PipelineContext) -> Dataset:
-    normalized, normalizers = normalize_dataset(dataset, "zscore")
+    normalized, normalizers = normalize_dataset(dataset)
     ctx.add_artifact("normalizers", {k: v.params() for k, v in normalizers.items()})
     features = np.stack([normalized["signal"], normalized["temperature"]], axis=1)
     labels = propagate_labels(features, normalized["label"], k_neighbors=7)

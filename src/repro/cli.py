@@ -59,8 +59,7 @@ records that now pass.  ``telemetry`` reads a trace directory back:
 ``summary`` tables the slowest stages, ``critical-path`` prints the span
 chain that determined the wall time plus per-stage rollups (skew,
 stragglers, p50/p95/p99), ``diff`` compares per-stage engine seconds
-against the ledger's other runs under the run's own store key or a
-committed ``BENCH_*.json`` baseline
+against the ledger's other runs under the run's own store key
 with a robust median+MAD threshold, and ``export`` writes combined JSONL
 (``--jsonl``), Chrome/Perfetto ``trace_event`` JSON (``--chrome``), or
 Prometheus text exposition (``--prom``).  ``run --progress`` streams
@@ -274,15 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the full TraceReport as deterministic JSON")
     diff = telemetry_sub.add_parser(
         "diff",
-        help="compare a run's per-stage seconds against the ledger or a "
-             "committed BENCH_*.json baseline (robust median+MAD threshold)",
+        help="compare a run's per-stage seconds against the ledger "
+             "(robust median+MAD threshold)",
     )
     diff.set_defaults(handler=_cmd_telemetry_diff)
     diff.add_argument("trace_dir", type=Path)
-    diff.add_argument("--against", type=Path, default=None, metavar="PATH",
-                      help="baseline file: a BENCH_*.json or a serialized "
-                           "TraceReport")
-    diff.add_argument("--store-dir", type=Path, default=None, metavar="DIR",
+    diff.add_argument("--store-dir", type=Path, required=True, metavar="DIR",
                       help="diff against the other runs with the same store "
                            "key (pipeline, CPUs, source size bucket) in this "
                            "store's ledger; the run itself must be filed there")
@@ -891,15 +887,11 @@ def _cmd_telemetry_critical_path(args: argparse.Namespace) -> int:
 def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.obs import analyze_trace, diff_stage_seconds, load_baseline_stages
+    from repro.obs import analyze_trace, diff_stage_seconds
     from repro.obs import read_trace, trace_stage_seconds
     from repro.sched import Ledger
 
-    trace_dir, against, store_dir = args.trace_dir, args.against, args.store_dir
-    if (against is None) == (store_dir is None):
-        print("error: pick exactly one baseline: --against PATH or "
-              "--store-dir DIR", file=sys.stderr)
-        return 2
+    trace_dir, store_dir = args.trace_dir, args.store_dir
     if not _check_trace_dir(trace_dir):
         return 1
     trace = read_trace(trace_dir)
@@ -909,32 +901,25 @@ def _cmd_telemetry_diff(args: argparse.Namespace) -> int:
         print(f"error: no spans found under {trace_dir}", file=sys.stderr)
         return 1
     current = trace_stage_seconds(trace["metrics"])
-    if against is not None:
-        try:
-            label, stages = load_baseline_stages(against)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        history = [stages]
-    else:
-        # the run's own row (the same engine seconds) names its store key;
-        # it is never its own history
-        rows = Ledger(store_dir).rows(pipeline)
-        own = next((r for r in rows if r.stage_seconds() == current), None)
-        if own is None:
-            print(f"error: the run under {trace_dir} has no row in the ledger "
-                  f"under {store_dir}", file=sys.stderr)
-            return 1
-        history = [
-            r.stage_seconds() for r in rows
-            if r.key == own.key and r.stage_seconds() != current
-        ][-max(args.last, 1):]
-        if not history:
-            print(f"error: no other runs of {own.key.label()} in the ledger "
-                  f"under {store_dir}", file=sys.stderr)
-            return 1
-        label = f"ledger:{store_dir}"
-    diff = diff_stage_seconds(current, history, pipeline=pipeline, baseline_label=label)
+    # the run's own row (the same engine seconds) names its store key;
+    # it is never its own history
+    rows = Ledger(store_dir).rows(pipeline)
+    own = next((r for r in rows if r.stage_seconds() == current), None)
+    if own is None:
+        print(f"error: the run under {trace_dir} has no row in the ledger "
+              f"under {store_dir}", file=sys.stderr)
+        return 1
+    history = [
+        r.stage_seconds() for r in rows
+        if r.key == own.key and r.stage_seconds() != current
+    ][-max(args.last, 1):]
+    if not history:
+        print(f"error: no other runs of {own.key.label()} in the ledger "
+              f"under {store_dir}", file=sys.stderr)
+        return 1
+    diff = diff_stage_seconds(
+        current, history, pipeline=pipeline, baseline_label=f"ledger:{store_dir}"
+    )
     if args.as_json:
         print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
     else:

@@ -452,7 +452,7 @@ class SimSPMDBackend(ExecutionBackend):
         # world size == partition count: rank-order allreduce merge is then
         # the same left fold over the same block partition as the base
         # implementation, keeping results bitwise identical
-        return distributed_stats(data, n_ranks=partitions, strategy="block")
+        return distributed_stats(data, n_ranks=partitions)
 
 
 #: name -> backend class; extend by registering new classes here or by

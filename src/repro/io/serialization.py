@@ -207,14 +207,14 @@ def _read_head(
     return codec_id, dtype, shape, crc, pos + dtype_len, payload_nbytes
 
 
-def read_block(buffer: bytes, offset: int = 0) -> Tuple[ArrayBlock, int]:
-    """Parse and check the header of the block starting at *offset*.
+def read_block(buffer: bytes) -> Tuple[ArrayBlock, int]:
+    """Parse and check the header of the block *buffer* starts with.
 
-    Returns ``(block, next_offset)``; the block's payload is a view of
-    *buffer*, decoded by :meth:`ArrayBlock.decode_into`.
+    Returns ``(block, end)``; the block's payload is a view of *buffer*,
+    decoded by :meth:`ArrayBlock.decode_into`.
     """
     buffer = memoryview(buffer).cast("B")
-    codec_id, dtype, shape, crc, pos, payload_nbytes = _read_head(buffer, offset)
+    codec_id, dtype, shape, crc, pos, payload_nbytes = _read_head(buffer, 0)
     payload = buffer[pos : pos + payload_nbytes]
     if payload.nbytes != payload_nbytes:
         raise SerializationError("truncated payload")
@@ -224,7 +224,7 @@ def read_block(buffer: bytes, offset: int = 0) -> Tuple[ArrayBlock, int]:
 def read_one_block(buffer: bytes) -> ArrayBlock:
     """:func:`read_block` of a buffer that holds exactly one block — checked
     before the block is decoded."""
-    block, end = read_block(buffer, 0)
+    block, end = read_block(buffer)
     size = memoryview(buffer).nbytes
     if end != size:
         raise SerializationError(f"{size - end} trailing bytes after block")

@@ -70,7 +70,6 @@ __all__ = [
     "ShardError",
     "write_shard",
     "read_shard",
-    "last_write_peak_buffer",
     "ShardInfo",
     "ShardManifest",
     "shard_table",
@@ -93,21 +92,6 @@ _COPY_BLOCK = 1 << 20
 #: a pack-ahead whose threads are all busy still submits the next block
 #: while the raw bytes it has in flight are under this
 PACK_AHEAD_BYTES = 4 << 20
-
-#: peak transient buffer (bytes) of the most recent shard write in this
-#: process: the high-water mark of its block stream — raw bytes gathered
-#: but not yet handed to the writer, or the largest single packed block,
-#: whichever is larger (the copy loop adds at most one fixed
-#: ``_COPY_BLOCK`` buffer on top).  Packed inline that is one block; under
-#: a pack-ahead it is the look-ahead, bounded by :class:`BlockPacker` —
-#: never the whole shard, as batch sizes grow
-_last_write_peak_buffer = 0
-
-
-def last_write_peak_buffer() -> int:
-    """Peak block bytes buffered by the most recent shard write."""
-    return _last_write_peak_buffer
-
 
 class ShardError(ValueError):
     """Corrupt shard file or inconsistent manifest."""
@@ -257,6 +241,12 @@ class _BlockStream:
             Tuple[Optional[memoryview], bytes, bytes, concurrent.futures.Future]
         ] = collections.deque()
         self._held = 0
+        #: high-water mark of the stream: raw bytes gathered but not yet
+        #: handed to the writer, or the largest single packed block,
+        #: whichever is larger (the copy loop adds at most one fixed
+        #: ``_COPY_BLOCK`` buffer on top).  Packed inline that is one
+        #: block; under a pack-ahead it is the look-ahead, bounded by
+        #: :class:`BlockPacker` — never the whole shard
         self.peak = 0
 
     def _submit(self, position: int) -> None:
@@ -317,7 +307,6 @@ class _BlockStream:
 
 def _write_blocks(path: Path, n_samples: int, stream: _BlockStream) -> "ShardInfo":
     """Spool the next entry's blocks off *stream*, then commit them as *path*."""
-    global _last_write_peak_buffer
     index: Dict[str, Dict[str, object]] = {}
     offset = 0
     digest = hashlib.sha256()
@@ -347,7 +336,6 @@ def _write_blocks(path: Path, n_samples: int, stream: _BlockStream) -> "ShardInf
         # a raise anywhere above — packing, the copy loop, or the commit —
         # must not leak the spool; staged_write removes its own .tmp
         spool.unlink(missing_ok=True)
-    _last_write_peak_buffer = stream.peak
     nbytes = 4 + _HEADER_LEN.size + len(header) + offset
     return ShardInfo(
         path=path.name,
@@ -374,8 +362,7 @@ def write_shard(
     written through a pack-ahead :class:`BlockPacker` take the same path
     with a wider bound: that packer's *threads* blocks, or
     ``PACK_AHEAD_BYTES`` of raw columns plus the block that crossed it,
-    whichever is larger — still not the shard;
-    :func:`last_write_peak_buffer` reports what was reached.)  Bytes and
+    whichever is larger — still not the shard.)  Bytes and
     checksum are identical to a buffered write of the same columns.
 
     The write is crash-safe: bytes land in a ``.tmp`` sibling which is

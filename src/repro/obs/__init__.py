@@ -21,8 +21,7 @@ On top of that raw substrate sits the analytics layer:
   :class:`TraceReport`;
 * :mod:`~repro.obs.history` — robust cross-run regression diffing
   (:func:`diff_stage_seconds`) of a trace's engine stage seconds against
-  the ledger's earlier runs (:mod:`repro.sched.ledger`) or a committed
-  baseline;
+  the ledger's earlier runs (:mod:`repro.sched.ledger`);
 * :mod:`~repro.obs.progress` — the thread-safe :class:`ProgressReporter`
   behind ``run --progress``;
 * :mod:`~repro.obs.export` — Chrome/Perfetto ``trace_event`` and
@@ -56,7 +55,6 @@ from repro.obs.history import (
     RunDiff,
     StageDiff,
     diff_stage_seconds,
-    load_baseline_stages,
     regression_limit,
 )
 from repro.obs.metrics import (
@@ -109,7 +107,6 @@ __all__ = [
     "regression_limit",
     "trace_stage_seconds",
     "diff_stage_seconds",
-    "load_baseline_stages",
     # progress
     "ProgressReporter",
     "ProgressSnapshot",

@@ -2,23 +2,19 @@
 
 :func:`diff_stage_seconds` / :class:`RunDiff` compare a run's per-stage
 engine seconds (:func:`~repro.obs.analyze.trace_stage_seconds`) against
-the ledger's other runs of the same pipeline (:mod:`repro.sched.ledger`)
-or a committed ``BENCH_*.json`` baseline — the same measure on both
-sides.  The regression threshold is **robust**: a stage regresses when
-it exceeds ``median + max(k·1.4826·MAD, rel_floor·median, abs_floor)``
-of the history, so one slow outlier run widens nothing and microsecond
-stages never flag on jitter.  With a single-sample history (a BENCH
-file) the MAD term vanishes and the gate degrades exactly to the classic
-``tolerance % + noise floor`` rule the CI bench gate uses — one
-codepath (:func:`regression_limit`).
+the ledger's other runs of the same pipeline and store key
+(:mod:`repro.sched.ledger`) — the same measure on both sides.  The
+regression threshold is **robust**: a stage regresses when it exceeds
+``median + max(k·1.4826·MAD, DEFAULT_REL_FLOOR·median,
+DEFAULT_ABS_FLOOR)`` of the history (:func:`regression_limit`), so one
+slow outlier run widens nothing and microsecond stages never flag on
+jitter.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.analyze import median_mad
 
@@ -27,11 +23,10 @@ __all__ = [
     "RunDiff",
     "regression_limit",
     "diff_stage_seconds",
-    "load_baseline_stages",
 ]
 
 #: robustness knobs for the regression gate: the limit sits MAD_THRESHOLD
-#: robust sigmas above the median (the floors may be overridden per call)
+#: robust sigmas above the median, and never closer to it than the floors
 MAD_THRESHOLD = 3.0
 DEFAULT_REL_FLOOR = 0.25
 DEFAULT_ABS_FLOOR = 0.005
@@ -41,23 +36,15 @@ DEFAULT_ABS_FLOOR = 0.005
 _MAD_SIGMA = 1.4826
 
 
-def regression_limit(
-    history: Sequence[float],
-    *,
-    rel_floor: float = DEFAULT_REL_FLOOR,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
-) -> Tuple[float, float]:
+def regression_limit(history: Sequence[float]) -> Tuple[float, float]:
     """(robust centre, regression limit) for a history of measurements.
 
-    The limit is ``median + max(k·1.4826·MAD, rel_floor·median,
-    abs_floor)``.  This is THE comparison codepath: the cross-run diff
-    and the CI bench gate both price "is this measurement surprising?"
-    through it.  With a single
-    observation the MAD term is zero and the rule degrades exactly to
-    the tolerance-plus-noise-floor gate.
+    The limit is ``median + max(k·1.4826·MAD, DEFAULT_REL_FLOOR·median,
+    DEFAULT_ABS_FLOOR)``.  With a single observation the MAD term is
+    zero and only the floors remain.
     """
     center, mad = median_mad(history)
-    band = max(MAD_THRESHOLD * _MAD_SIGMA * mad, rel_floor * center, abs_floor)
+    band = max(MAD_THRESHOLD * _MAD_SIGMA * mad, DEFAULT_REL_FLOOR * center, DEFAULT_ABS_FLOOR)
     return center, center + band
 
 
@@ -227,33 +214,3 @@ def diff_stage_seconds(
         ),
     )
 
-
-def load_baseline_stages(path: Union[str, Path]) -> Tuple[str, Dict[str, float]]:
-    """(label, stage_seconds) from a committed baseline file.
-
-    Accepts the two shapes the repo produces: a ``BENCH_*.json`` bench
-    baseline (``stage_seconds`` at the top level) or a serialized
-    :class:`TraceReport` (per-stage ``wall_s``).  Raises :class:`ValueError` for anything else.
-    """
-    path = Path(path)
-    try:
-        blob = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ValueError(f"baseline file {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"baseline file {path} is not valid JSON ({exc})")
-    if isinstance(blob, Mapping) and isinstance(blob.get("stage_seconds"), Mapping):
-        stages = {str(k): float(v) for k, v in blob["stage_seconds"].items()}
-    elif isinstance(blob, Mapping) and isinstance(blob.get("stages"), list):
-        stages = {
-            str(r.get("stage")): float(r.get("wall_s", 0.0))
-            for r in blob["stages"]
-            if isinstance(r, Mapping) and r.get("stage")
-        }
-    else:
-        raise ValueError(
-            f"baseline file {path} has neither 'stage_seconds' nor 'stages'"
-        )
-    if not stages:
-        raise ValueError(f"baseline file {path} holds no stage figures")
-    return path.name, stages

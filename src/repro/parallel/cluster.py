@@ -74,11 +74,11 @@ def commodity_cluster(n_nodes: int = 16) -> ClusterSpec:
     )
 
 
-def leadership_system(n_nodes: int = 512) -> ClusterSpec:
-    """A leadership-scale system: wide filesystem, fast NICs, many nodes."""
+def leadership_system() -> ClusterSpec:
+    """A 512-node leadership-scale system: wide filesystem, fast NICs."""
     return ClusterSpec(
-        name=f"leadership-{n_nodes}",
-        n_nodes=n_nodes,
+        name="leadership-512",
+        n_nodes=512,
         ranks_per_node=56,
         preprocess_rate=600e6,
         nic_bandwidth=25e9,  # 200 Gb/s

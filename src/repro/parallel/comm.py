@@ -143,38 +143,32 @@ class SimComm:
             stash.append((source, t, obj))
 
     # -- collectives -----------------------------------------------------------------
-    def bcast(self, obj: Any = None, root: int = 0) -> Any:
-        """Broadcast *obj* from *root* to every rank; returns the object."""
+    def bcast(self, obj: Any = None) -> Any:
+        """Broadcast *obj* from rank 0 to every rank; returns the object."""
         tag = -1001
-        if self.rank == root:
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(obj, dest, tag)
+        if self.rank == 0:
+            for dest in range(1, self.size):
+                self.send(obj, dest, tag)
             return obj
-        return self.recv(root, tag)
+        return self.recv(0, tag)
 
-    def gather(self, sendobj: Any, root: int = 0) -> Optional[List[Any]]:
-        """Gather one item per rank at *root* (rank order); others get None."""
+    def gather(self, sendobj: Any) -> Optional[List[Any]]:
+        """Gather one item per rank at rank 0 (rank order); others get None."""
         tag = -1003
-        if self.rank == root:
-            out: List[Any] = [None] * self.size
-            out[root] = sendobj
-            for src in range(self.size):
-                if src != root:
-                    out[src] = self.recv(src, tag)
+        if self.rank == 0:
+            out: List[Any] = [sendobj]
+            for src in range(1, self.size):
+                out.append(self.recv(src, tag))
             return out
-        self.send(sendobj, root, tag)
+        self.send(sendobj, 0, tag)
         return None
 
     def reduce(
-        self,
-        sendobj: Any,
-        op: Callable[[Any, Any], Any] = lambda a, b: a + b,
-        root: int = 0,
+        self, sendobj: Any, op: Callable[[Any, Any], Any] = lambda a, b: a + b
     ) -> Any:
-        """Reduce with a binary *op* at *root*; associative ops only."""
-        gathered = self.gather(sendobj, root=root)
-        if self.rank != root:
+        """Reduce with a binary *op* at rank 0; associative ops only."""
+        gathered = self.gather(sendobj)
+        if self.rank != 0:
             return None
         assert gathered is not None
         acc = gathered[0]
@@ -186,8 +180,8 @@ class SimComm:
         self, sendobj: Any, op: Callable[[Any, Any], Any] = lambda a, b: a + b
     ) -> Any:
         """Reduce at rank 0, then broadcast the result to all."""
-        reduced = self.reduce(sendobj, op=op, root=0)
-        return self.bcast(reduced, root=0)
+        reduced = self.reduce(sendobj, op=op)
+        return self.bcast(reduced)
 
     def __repr__(self) -> str:
         return f"SimComm(rank={self.rank}, size={self.size})"

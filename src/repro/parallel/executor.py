@@ -3,48 +3,26 @@
 Pipelines shouldn't hand-roll SPMD boilerplate.  This module provides the
 two patterns the archetype pipelines actually use:
 
-* :func:`parallel_map` — embarrassingly parallel map over items, with
-  partitioning strategy choice and per-rank result concatenation.
+* :func:`parallel_map` — embarrassingly parallel map over items, each
+  rank a contiguous block, results concatenated in item order.
 * :func:`distributed_stats` — the canonical "partition, accumulate local
   moments, allreduce-merge" pattern for normalization statistics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
 import numpy as np
 
 from repro.parallel.comm import SimComm, run_spmd
-from repro.parallel.partition import (
-    Assignment,
-    balanced_partition,
-    block_partition,
-    cyclic_partition,
-)
+from repro.parallel.partition import block_partition
 from repro.parallel.stats import FeatureStats
 
 __all__ = [
     "parallel_map",
     "distributed_stats",
 ]
-
-
-def _assignments(
-    n_items: int,
-    n_ranks: int,
-    strategy: str,
-    weights: Optional[Sequence[float]],
-) -> List[Assignment]:
-    if strategy == "block":
-        return block_partition(n_items, n_ranks, weights)
-    if strategy == "cyclic":
-        return cyclic_partition(n_items, n_ranks, weights)
-    if strategy == "balanced":
-        return balanced_partition(
-            weights if weights is not None else [1.0] * n_items, n_ranks
-        )
-    raise ValueError(f"unknown partition strategy {strategy!r}")
 
 
 def parallel_map(
@@ -58,7 +36,7 @@ def parallel_map(
     def worker(comm: SimComm) -> List[Any]:
         my = assignments[comm.rank]
         local = [(int(i), fn(items[int(i)])) for i in my.indices]
-        gathered = comm.gather(local, root=0)
+        gathered = comm.gather(local)
         if comm.rank != 0:
             return []
         flat = [pair for part in gathered for pair in part]
@@ -68,20 +46,16 @@ def parallel_map(
     return run_spmd(n_ranks, worker)[0]
 
 
-def distributed_stats(
-    data: np.ndarray,
-    n_ranks: int = 4,
-    *,
-    strategy: str = "block",
-) -> FeatureStats:
-    """Compute exact feature statistics with per-rank partials + merge.
+def distributed_stats(data: np.ndarray, n_ranks: int = 4) -> FeatureStats:
+    """Compute exact feature statistics with per-rank partials + merge,
+    each rank a contiguous block of the rows.
 
     Equivalent to ``FeatureStats.from_array(data)`` but exercising the
     partition/accumulate/allreduce path every rank of a real HPC job would
     take.  Exactness is asserted by tests and the SCALE-STATS bench.
     """
     data = np.asarray(data, dtype=np.float64)
-    assignments = _assignments(data.shape[0], n_ranks, strategy, None)
+    assignments = block_partition(data.shape[0], n_ranks)
 
     def worker(comm: SimComm) -> FeatureStats:
         my = assignments[comm.rank]

@@ -79,7 +79,7 @@ def outlier_rate(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         return 0.0
-    return float(outlier_mask(values, 5.0).mean())
+    return float(outlier_mask(values).mean())
 
 
 @dataclasses.dataclass

@@ -13,21 +13,13 @@ from repro.transforms.cleaning import (
     missing_mask,
     UnitConverter,
 )
-from repro.transforms.normalize import (
-    LogNormalizer,
-    MinMaxNormalizer,
-    Normalizer,
-    RobustNormalizer,
-    ZScoreNormalizer,
-    make_normalizer,
-    normalize_dataset,
-)
+from repro.transforms.normalize import Normalizer, ZScoreNormalizer, normalize_dataset
 from repro.transforms.encode import (
     Vocabulary,
     dna_codes,
     dna_one_hot,
 )
-from repro.transforms.augment import flip, smote_like
+from repro.transforms.augment import smote_like
 from repro.transforms.label import (
     UNLABELED,
     NearestCentroidModel,
@@ -61,10 +53,9 @@ from repro.transforms.regrid import RegularGrid, area_weighted_mean, regrid
 __all__ = [
     "CleaningReport", "clean_dataset", "clip_outliers",
     "harmonize_units", "impute", "missing_fraction", "missing_mask", "UnitConverter",
-    "LogNormalizer", "MinMaxNormalizer", "Normalizer", "RobustNormalizer",
-    "ZScoreNormalizer", "make_normalizer", "normalize_dataset",
+    "Normalizer", "ZScoreNormalizer", "normalize_dataset",
     "Vocabulary", "dna_codes", "dna_one_hot",
-    "flip", "smote_like",
+    "smote_like",
     "UNLABELED", "NearestCentroidModel", "PseudoLabelResult",
     "labeled_fraction", "propagate_labels", "pseudo_label",
     "SelectionReport", "mutual_information", "select_k_best",

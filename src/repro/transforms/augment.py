@@ -1,4 +1,4 @@
-"""Data augmentation: flips and SMOTE-like synthesis.
+"""Data augmentation: SMOTE-like synthesis.
 
 Section 2.1: "where scientific datasets contain an insufficient number of
 samples, certain data augmentation techniques may be employed ... such as
@@ -14,7 +14,6 @@ from typing import Tuple
 import numpy as np
 
 __all__ = [
-    "flip",
     "smote_like",
     "AugmentError",
 ]
@@ -22,14 +21,6 @@ __all__ = [
 
 class AugmentError(ValueError):
     """Invalid augmentation parameters."""
-
-
-def flip(images: np.ndarray) -> np.ndarray:
-    """Mirror a batch of images horizontally (along their last axis)."""
-    images = np.asarray(images)
-    if images.ndim < 3:
-        raise AugmentError("expected a batch of at-least-2D images")
-    return images[:, :, ::-1].copy()
 
 
 def smote_like(

@@ -97,8 +97,13 @@ def impute(values: np.ndarray) -> Tuple[np.ndarray, int]:
 # outliers
 # ---------------------------------------------------------------------------
 
-def outlier_mask(values: np.ndarray, n_sigma: float = 5.0) -> np.ndarray:
-    """Mask of entries more than *n_sigma* robust deviations from the median.
+#: robust deviations from the median beyond which a value is an outlier
+OUTLIER_SIGMAS = 5.0
+
+
+def outlier_mask(values: np.ndarray) -> np.ndarray:
+    """Mask of entries more than ``OUTLIER_SIGMAS`` robust deviations from
+    the median.
 
     Uses the MAD-based robust sigma (1.4826 * MAD) so extreme outliers do
     not inflate the threshold that is supposed to catch them.
@@ -113,22 +118,22 @@ def outlier_mask(values: np.ndarray, n_sigma: float = 5.0) -> np.ndarray:
     if sigma == 0:
         sigma = finite.std() or 1.0
     with np.errstate(invalid="ignore"):
-        return np.abs(values - median) > n_sigma * sigma
+        return np.abs(values - median) > OUTLIER_SIGMAS * sigma
 
 
-def clip_outliers(
-    values: np.ndarray, n_sigma: float = 5.0
-) -> Tuple[np.ndarray, int]:
-    """Winsorize outliers to the +/- *n_sigma* robust bound; returns count."""
+def clip_outliers(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Winsorize outliers to the +/- ``OUTLIER_SIGMAS`` robust bound;
+    returns count."""
     values = np.asarray(values, dtype=np.float64).copy()
-    mask = outlier_mask(values, n_sigma)
+    mask = outlier_mask(values)
     n = int(mask.sum())
     if n:
         finite = values[np.isfinite(values)]
         median = np.median(finite)
         mad = np.median(np.abs(finite - median))
         sigma = 1.4826 * mad or (finite.std() or 1.0)
-        np.clip(values, median - n_sigma * sigma, median + n_sigma * sigma, out=values)
+        bound = OUTLIER_SIGMAS * sigma
+        np.clip(values, median - bound, median + bound, out=values)
     return values, n
 
 
@@ -239,7 +244,7 @@ def clean_dataset(
             out = out.with_column(
                 spec.with_(dtype=np.dtype(np.float64)), filled, replace=True
             )
-        clipped, n = clip_outliers(out[spec.name], 5.0)
+        clipped, n = clip_outliers(out[spec.name])
         if n:
             report.clipped[spec.name] = n
             out = out.with_column(

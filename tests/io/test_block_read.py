@@ -287,7 +287,8 @@ def _payloads(container, path):
     raw = Path(path).read_bytes()
     out = []
     for name, entry in index(container, path)[1].items():
-        block, end = read_block(raw, entry["offset"])
+        block, end = read_block(memoryview(raw)[entry["offset"]:])
+        end += entry["offset"]
         out.append((name, end - block.payload.nbytes, end))
     return out
 

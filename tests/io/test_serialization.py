@@ -164,7 +164,8 @@ class TestStreams:
         offset = 0
         out = []
         while offset < len(stream):
-            block, offset = read_block(stream, offset)
+            block, end = read_block(memoryview(stream)[offset:])
+            offset += end
             out.append(np.empty(block.shape, block.dtype))
             block.decode_into(out[-1])
         assert len(out) == 5

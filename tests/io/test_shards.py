@@ -5,6 +5,7 @@ import json
 import struct
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from repro.io.shards import (
     BlockPacker,
     ShardError,
     ShardSet,
-    last_write_peak_buffer,
     read_shard,
     schema_from_dicts,
     schema_to_dicts,
@@ -95,6 +95,29 @@ def _buffered_shard_bytes(columns, codec=None):
     return b"".join((b"RPS1", struct.pack("<I", len(header)), header, *blocks))
 
 
+@pytest.fixture
+def peaks(monkeypatch):
+    """The block stream's high-water mark after each shard write, in order."""
+    seen, write = [], shards._write_blocks
+
+    def recording(path, n_samples, stream):
+        info = write(path, n_samples, stream)
+        seen.append(stream.peak)
+        return info
+
+    monkeypatch.setattr(shards, "_write_blocks", recording)
+    return seen
+
+
+def _allocated_peak(write):
+    """(what *write* returns, the peak bytes Python and NumPy held while it ran)."""
+    tracemalloc.start()
+    try:
+        return write(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamingWrite:
     """The streaming writer must be byte-for-byte the buffered writer."""
 
@@ -115,12 +138,15 @@ class TestStreamingWrite:
         assert info.checksum == hashlib.sha256(expected).hexdigest()
         assert info.nbytes == len(expected)
 
-    def test_peak_buffer_is_bounded_not_the_shard(self, tmp_path, rng, monkeypatch):
+    def test_peak_buffer_is_bounded_not_the_shard(self, tmp_path, rng, monkeypatch, peaks):
         columns = {f"c{i}": rng.normal(size=(200, 64)) for i in range(8)}
         block = len(pack_array(columns["c0"], RawCodec()))
-        # packed inline the writer holds one packed column block at a time
-        info = write_shard(columns, tmp_path / "s.rps")
-        assert last_write_peak_buffer() == block < info.nbytes / 4
+        # packed inline the writer holds one packed column block at a time;
+        # with the spool's copy buffer made small, a raw-codec write
+        # allocates less than that block in all
+        monkeypatch.setattr(shards, "_COPY_BLOCK", 4096)
+        info, allocated = _allocated_peak(lambda: write_shard(columns, tmp_path / "s.rps"))
+        assert peaks == [block] and allocated <= block < info.nbytes / 4
         # packed ahead it holds the look-ahead: blocks are submitted while
         # under the budget, so the budget plus the block that crossed it
         # — three blocks here, of a shard of eight
@@ -129,7 +155,7 @@ class TestStreamingWrite:
             Dataset.from_arrays(columns), tmp_path / "set", shards_per_split=1
         )
         (info,) = manifest.splits["all"]
-        assert block <= last_write_peak_buffer() <= 3 * block < info.nbytes / 2
+        assert block <= peaks[-1] <= 3 * block < info.nbytes / 2
 
     def test_no_spool_or_tmp_left_behind(self, tmp_path, rng):
         write_shard({"x": rng.normal(size=32)}, tmp_path / "s.rps")
@@ -301,7 +327,7 @@ class TestPackAhead:
         assert _directory_bytes(tmp_path / "retried") == _directory_bytes(tmp_path / "clean")
 
     def test_each_block_is_compressed_once_and_the_look_ahead_is_bounded(
-        self, tmp_path, rng, monkeypatch
+        self, tmp_path, rng, monkeypatch, peaks
     ):
         class Recording(_CopyCodec):
             """Logs every compress call; the first one stalls until the
@@ -353,7 +379,7 @@ class TestPackAhead:
         # not yet written is at most the budget plus the block crossing it
         bound = max(budget + max(block_bytes), sum(sorted(block_bytes)[-threads:]))
         assert codec.in_flight_at_saturation <= bound < sum(block_bytes) / 2
-        assert last_write_peak_buffer() <= bound
+        assert max(peaks) <= bound
         if threads > 1:  # and the look-ahead is real: it reaches the budget
             assert codec.in_flight_at_saturation >= budget
         for split, i, rows in table:

@@ -4,25 +4,19 @@ import json
 
 import pytest
 
-from repro.obs.analyze import analyze_trace
-from repro.obs.history import (
-    diff_stage_seconds,
-    load_baseline_stages,
-    regression_limit,
-)
+from repro.obs.history import diff_stage_seconds, regression_limit
 from repro.sched import CandidateConfig, Ledger, LedgerRow, StoreKey
 
-from .test_analyze import traced_run
 
 
 class TestRegressionLimit:
     def test_single_sample_degrades_to_tolerance_plus_floor(self):
-        # one committed measurement: MAD is zero, so the limit is the
-        # classic rel-tolerance / abs-floor gate
-        center, limit = regression_limit([2.0], rel_floor=0.25, abs_floor=0.005)
+        # one measurement: MAD is zero, so the limit is the relative
+        # floor (25 %) or the absolute one (5 ms), whichever is wider
+        center, limit = regression_limit([2.0])
         assert center == 2.0
         assert limit == pytest.approx(2.5)
-        center, limit = regression_limit([0.001], rel_floor=0.25, abs_floor=0.005)
+        center, limit = regression_limit([0.001])
         assert limit == pytest.approx(0.006)
 
     def test_mad_band_widens_with_spread(self):
@@ -185,32 +179,3 @@ class TestIndexDurability:
         # the reader sees both runs and no phantom third
         assert [r.run_id for r in ledger.rows()] == [first, second]
 
-
-class TestLoadBaseline:
-    def test_bench_file_shape(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"stage_seconds": {"a": 1.5, "b": 0.25}}))
-        label, stages = load_baseline_stages(path)
-        assert label == "BENCH_x.json"
-        assert stages == {"a": 1.5, "b": 0.25}
-
-    def test_trace_report_shape(self, tmp_path):
-        report = analyze_trace(traced_run(tmp_path))
-        path = tmp_path / "report.json"
-        path.write_text(report.to_json())
-        _, stages = load_baseline_stages(path)
-        assert stages == pytest.approx(
-            {k: round(v, 6) for k, v in report.stage_seconds.items()}
-        )
-
-    def test_friendly_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="does not exist"):
-            load_baseline_stages(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_baseline_stages(bad)
-        wrong = tmp_path / "wrong.json"
-        wrong.write_text("{\"other\": 1}")
-        with pytest.raises(ValueError, match="neither"):
-            load_baseline_stages(wrong)

@@ -43,13 +43,13 @@ class TestCollectives:
     def test_bcast(self):
         def main(comm):
             data = {"key": [1, 2]} if comm.rank == 0 else None
-            return comm.bcast(data, root=0)
+            return comm.bcast(data)
 
         assert all(r == {"key": [1, 2]} for r in run_spmd(4, main))
 
     def test_gather_at_root(self):
         def main(comm):
-            return comm.gather([comm.rank, comm.rank**2], root=0)
+            return comm.gather([comm.rank, comm.rank**2])
 
         results = run_spmd(3, main)
         assert results[0] == [[0, 0], [1, 1], [2, 4]]
@@ -84,11 +84,11 @@ class TestCollectives:
 
     def test_reduce_sum_at_root(self):
         def main(comm):
-            return comm.reduce(comm.rank + 1, root=2)
+            return comm.reduce(comm.rank + 1)
 
         results = run_spmd(4, main)
-        assert results[2] == 10
-        assert results[0] is None
+        assert results[0] == 10
+        assert results[1:] == [None, None, None]
 
     def test_allreduce_custom_op(self):
         results = run_spmd(4, lambda comm: comm.allreduce(comm.rank, op=max))

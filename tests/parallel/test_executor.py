@@ -16,11 +16,6 @@ class TestParallelMap:
     def test_empty_items(self):
         assert parallel_map(lambda x: x, [], n_ranks=2) == []
 
-    def test_unknown_strategy(self):
-        # block is the one partition: naming any is no call
-        with pytest.raises(TypeError):
-            parallel_map(lambda x: x, [1], n_ranks=2, strategy="cyclic")
-
 
 class TestDistributedStats:
     def test_exactly_matches_serial(self, rng):
@@ -36,12 +31,6 @@ class TestDistributedStats:
         data = rng.normal(size=(100, 2))
         stats = distributed_stats(data, n_ranks=n_ranks)
         assert np.allclose(stats.mean, data.mean(axis=0))
-
-    def test_cyclic_strategy(self, rng):
-        data = rng.normal(size=(64, 3))
-        stats = distributed_stats(data, n_ranks=4, strategy="cyclic")
-        assert np.allclose(stats.variance if hasattr(stats, "variance")
-                           else stats.moments.variance, data.var(axis=0))
 
     def test_more_ranks_than_rows(self, rng):
         data = rng.normal(size=(3, 2))

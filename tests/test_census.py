@@ -72,12 +72,13 @@ KNOBS = {
         "def plugin(name, **options):\n    cls = PLUGINS[name]\n    return cls(**options)\n"
     ),
     "benchmarks/use_knobs.py": (
-        "from repro.knobs import HANDLERS, Dial, forwarded, handed, tune\n\n"
+        "from repro.knobs import HANDLERS, Dial, Knob, forwarded, handed, tune\n\n"
         "options = {'x': 1}\n"
         "facts = {'detail': 'x'}\n"
         "print(tune(0, 5, by_keyword=6), forwarded(**options), HANDLERS['e']('e', **facts))\n"
         "print(Dial(label='d').level, benchmark(handed, 1, rounds=2), timed(1))\n"
         "print(plugin('wide', width=2), plugin('deep', depth=2))\n"
+        "print(tune(1, unset=2), Knob(0, 1))  # the defaults, passed: sets nothing\n"
     ),
     "tests/test_knobs.py": (
         "from repro.knobs import TESTED_ONLY, kept, timed, tune\n\n\n"
@@ -122,8 +123,8 @@ def test_planted_parameters_and_constants(planted):
     dispatch table filled by a display, ``setdefault`` or ``X[k] = v``), by
     ``super().__init__``, through a callable handed on (``benchmark(f, ..., p=...)``)
     is not reported, nor is a seam-named one only a test sets or one of a ``KEEP``
-    entry; one no call sets is, as is one only a test sets, and so is a constant
-    only a test reads."""
+    entry; one no call sets is, as is one only a test sets or only passed its
+    literal default, and so is a constant only a test reads."""
     for name, text in KNOBS.items():
         (planted / name).write_text(text)
     found = census.census(planted, {"repro.pkg.core.probe": "test-seam",

@@ -275,98 +275,45 @@ class TestAnalyticsCLI:
         assert main(["telemetry", "critical-path", str(tmp_path / "no")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
-    def test_diff_against_baseline_file(self, archived_run, tmp_path, capsys):
-        _, trace_dir, _ = archived_run
-        import json
+    @staticmethod
+    def _ledger_with_history(archived_run, directory, scale):
+        """A ledger holding the archived run's row after an earlier run of
+        its store key whose every stage took *scale* times as long."""
+        import dataclasses
 
-        baseline = tmp_path / "BENCH_base.json"
-        capsys.readouterr()
-        assert main(["telemetry", "critical-path", str(trace_dir), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        stages = {s["stage"]: s["wall_s"] for s in report["stages"]}
-        baseline.write_text(json.dumps({"stage_seconds": stages}))
-        assert main([
-            "telemetry", "diff", str(trace_dir), "--against", str(baseline),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_base.json" in out
-        assert "ok" in out
+        from repro.obs import read_trace, trace_stage_seconds
+        from repro.sched import Ledger
+
+        _, trace_dir, store = archived_run
+        current = trace_stage_seconds(read_trace(trace_dir)["metrics"])
+        own = next(r for r in Ledger(store).rows() if r.stage_seconds() == current)
+        ledger = Ledger(directory)
+        ledger.append(dataclasses.replace(
+            own, stages=tuple((name, s * scale, items) for name, s, items in own.stages)
+        ))
+        ledger.append(own)
+        return ["telemetry", "diff", str(trace_dir), "--store-dir", str(ledger.directory)]
 
     def test_diff_output_is_deterministic(self, archived_run, tmp_path, capsys):
-        _, trace_dir, _ = archived_run
-        import json
-
-        baseline = tmp_path / "BENCH_base.json"
+        diff = self._ledger_with_history(archived_run, tmp_path / "store", 1.1)
         capsys.readouterr()
-        assert main(["telemetry", "critical-path", str(trace_dir), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        stages = {s["stage"]: s["wall_s"] for s in report["stages"]}
-        baseline.write_text(json.dumps({"stage_seconds": stages}))
         outs = []
         for _ in range(2):
-            assert main([
-                "telemetry", "diff", str(trace_dir),
-                "--against", str(baseline), "--json",
-            ]) == 0
+            assert main(diff + ["--json"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
     def test_diff_fail_on_regress_gates(self, archived_run, tmp_path, capsys):
-        _, trace_dir, _ = archived_run
-        import json
-
-        # a baseline that claims every stage used to be ~instant
-        capsys.readouterr()
-        assert main(["telemetry", "critical-path", str(trace_dir), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        stages = {s["stage"]: 1e-9 for s in report["stages"]}
-        baseline = tmp_path / "BENCH_fast.json"
-        baseline.write_text(json.dumps({"stage_seconds": stages}))
-        assert main([
-            "telemetry", "diff", str(trace_dir), "--against", str(baseline),
-        ]) == 0  # informational by default
-        capsys.readouterr()
-        assert main([
-            "telemetry", "diff", str(trace_dir),
-            "--against", str(baseline), "--fail-on-regress",
-        ]) == 3
-
-    def test_diff_against_own_engine_seconds_reports_no_regression(
-        self, archived_run, tmp_path, capsys
-    ):
-        """Both sides of a diff are engine stage seconds, not span wall."""
-        import json
-
-        _, trace_dir, store = archived_run
-        (line,) = (store / "ledger.jsonl").read_text().splitlines()
-        stages = {s["stage"]: s["seconds"] for s in json.loads(line)["stages"]}
-        baseline = tmp_path / "BENCH_self.json"
-        baseline.write_text(json.dumps({"stage_seconds": stages}))
-        capsys.readouterr()
-        assert main([
-            "telemetry", "diff", str(trace_dir), "--against", str(baseline), "--json",
-        ]) == 0
-        diff = json.loads(capsys.readouterr().out)
-        assert not diff["regressed"]
-        assert {s["stage"]: s["verdict"] for s in diff["stages"]} == dict.fromkeys(stages, "ok")
-        assert {s["stage"]: s["current"] for s in diff["stages"]} == {
-            name: round(seconds, 6) for name, seconds in stages.items()
-        }
-
-    def test_diff_requires_exactly_one_baseline(self, archived_run, tmp_path, capsys):
-        _, trace_dir, store = archived_run
-        capsys.readouterr()
-        assert main(["telemetry", "diff", str(trace_dir)]) == 2
-        assert "--against" in capsys.readouterr().err
-        assert main([
-            "telemetry", "diff", str(trace_dir),
-            "--against", str(tmp_path / "b.json"), "--store-dir", str(store),
-        ]) == 2
+        # a history that claims every stage used to be ~instant
+        diff = self._ledger_with_history(archived_run, tmp_path / "store", 1e-9)
+        assert main(diff) == 0  # informational by default
+        assert "REGRESSED" in capsys.readouterr().out
+        assert main(diff + ["--fail-on-regress"]) == 3
 
     def test_diff_missing_dir_fails(self, tmp_path, capsys):
         assert main([
             "telemetry", "diff", str(tmp_path / "no"),
-            "--against", str(tmp_path / "b.json"),
+            "--store-dir", str(tmp_path / "store"),
         ]) == 1
         assert "does not exist" in capsys.readouterr().err
 

@@ -46,11 +46,6 @@ class TestResample:
         out = resample(signal, np.asarray([0.0, 3.0]))
         assert out.tolist() == [5.0, 7.0]
 
-    def test_unknown_method(self):
-        # linear is the one method: naming any is no call
-        with pytest.raises(TypeError):
-            resample(make_signal(), np.asarray([1.0]), "spline")
-
     def test_empty_signal(self):
         signal = Signal("e", np.asarray([]), np.asarray([]))
         with pytest.raises(AlignError, match="empty"):

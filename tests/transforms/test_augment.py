@@ -1,30 +1,9 @@
-"""Augmentation: geometric ops, noise scaling, SMOTE properties."""
+"""Augmentation: SMOTE properties."""
 
 import numpy as np
 import pytest
 
-from repro.transforms.augment import (
-    AugmentError,
-    flip,
-    smote_like,
-)
-
-
-class TestGeometric:
-
-    def test_flip_twice_identity(self, rng):
-        images = rng.normal(size=(2, 4, 4))
-        assert np.array_equal(flip(images), images[:, :, ::-1])
-        assert np.array_equal(flip(flip(images)), images)
-
-    def test_flip_bad_axis(self, rng):
-        # horizontal is the one axis: naming any is no call
-        with pytest.raises(TypeError):
-            flip(rng.normal(size=(1, 2, 2)), "vertical")
-
-    def test_batch_dim_required(self, rng):
-        with pytest.raises(AugmentError):
-            flip(rng.normal(size=(4, 4)))
+from repro.transforms.augment import AugmentError, smote_like
 
 
 class TestSmote:

@@ -11,7 +11,9 @@ body already found dead -- iterated to a fixpoint.
 
 A defaulted parameter of a live function or method (``__init__`` included) is
 reported when no call in ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``
-sets it: by keyword, or by passing that many positional arguments.  A test is
+sets it: by keyword, or by passing that many positional arguments.  Passing the
+default is not setting: a literal argument equal to the parameter's literal
+default sets nothing (a literal comparison, not a type check).  A test is
 not a caller, with one exception: a call in ``tests/`` sets a parameter whose
 name is in ``SEAMS`` (a clock, a random source, an output stream, an id, a path
 or an injected collaborator; never a choice of behaviour).  The parameters of a
@@ -154,6 +156,18 @@ def tail(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+def literal(node):
+    """``(type, value)`` of a literal argument or default, else None."""
+    return (type(node.value), node.value) if isinstance(node, ast.Constant) else None
+
+
+def defaults(args):
+    """``(parameter, default)`` for each defaulted parameter of *args*."""
+    positional = args.posonlyargs + args.args
+    return [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+            *((k, d) for k, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)]
+
+
 def table(node):
     """``X`` for a lookup ``X[key]`` or ``X.get(key)``, else None."""
     if isinstance(node, ast.Subscript):
@@ -164,8 +178,9 @@ def table(node):
 
 
 def calls(trees):
-    """Every call in *trees* (``(tree, from a test)`` pairs) as ``name -> [(positional count,
-    keywords, starred, from a test)]``, and the base names of every class.
+    """Every call in *trees* (``(tree, from a test)`` pairs) as ``name -> [(positional
+    literals, keyword -> literal, starred, from a test)]`` (a literal is None for any other
+    argument), and the base names of every class.
 
     A call of a table lookup (``X[key](...)``, ``X.get(key)(...)``, or a name assigned one)
     calls every value put in ``X``: by a dict display, ``X[key] = v`` or ``X.setdefault(key, v)``.
@@ -208,13 +223,14 @@ def calls(trees):
                     c.name for c in owner}
             starred = any(isinstance(a, ast.Starred) for a in args) or any(
                 k.arg is None for k in node.keywords)
-            made = (len(args), {k.arg for k in node.keywords}, starred, test)
+            made = (tuple(map(literal, args)),
+                    {k.arg: literal(k.value) for k in node.keywords if k.arg}, starred, test)
             for name in names:
                 found.setdefault(name, []).append(made)
             if args and isinstance(args[0], (ast.Name, ast.Attribute)):
                 # a callable handed on, as to partial(f, ...) or benchmark(f, ...), may
                 # be called with the rest of the arguments
-                found.setdefault(tail(args[0]), []).append((len(args) - 1, *made[1:]))
+                found.setdefault(tail(args[0]), []).append((made[0][1:], *made[1:]))
             if table(func):
                 through.setdefault(table(func), []).append(made)
             else:
@@ -230,7 +246,8 @@ def calls(trees):
 
 def unset_parameters(trees, live):
     """``(region, parameter name, line)`` for each defaulted parameter no call in *trees*
-    sets, a call from a test counting only for a name in ``SEAMS``."""
+    sets, a call from a test counting only for a name in ``SEAMS`` and a literal equal to
+    the parameter's literal default setting nothing."""
     found, bases = calls(trees)
     subclasses = {}
     for name, named in bases.items():
@@ -257,20 +274,20 @@ def unset_parameters(trees, live):
             named.setdefault(name, []).append(fn)
     for name, defs in named.items():
         done = set_by.setdefault(name, set())
-        for count, keywords, starred, test in found.get(name, ()):
+        for literals, keywords, starred, test in found.get(name, ()):
             for _, node, _, bound in defs:
                 every = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
                 positional = (node.args.posonlyargs + node.args.args)[int(bound):]
-                hit = {a.arg for a in (every if starred else positional[:count])} | keywords
+                passed = {a.arg: value for a, value in zip(positional, literals)}
+                passed.update(keywords)
+                same = {p.arg for p, d in defaults(node.args)
+                        if literal(d) is not None and passed.get(p.arg) == literal(d)}
+                hit = {a.arg for a in every} if starred else set(passed) - same
                 done |= hit & SEAMS if test else hit
     unset = []
     for region, node, names, _ in fns:
         done = set().union(*(set_by[n] for n in names))
-        a = node.args
-        positional = a.posonlyargs + a.args
-        defaulted = positional[len(positional) - len(a.defaults):] + [
-            k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        unset += [(region, p.arg, p.lineno) for p in defaulted if p.arg not in done]
+        unset += [(region, p.arg, p.lineno) for p, _ in defaults(node.args) if p.arg not in done]
     return unset
 
 
