@@ -277,8 +277,9 @@ class TestAnalyticsCLI:
 
     @staticmethod
     def _ledger_with_history(archived_run, directory, scale):
-        """A ledger holding the archived run's row after an earlier run of
-        its store key whose every stage took *scale* times as long."""
+        """``telemetry diff`` argv for the archived run against a ledger under
+        *directory* that holds its row after an earlier run of its store key
+        whose every stage took *scale* times as long."""
         import dataclasses
 
         from repro.obs import read_trace, trace_stage_seconds
